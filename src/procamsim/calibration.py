@@ -19,10 +19,8 @@ angles are degrees in files and radians in memory, lengths are meters.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -34,6 +32,9 @@ from .errors import (
     SchemaError,
     StageError,
     UnderdeterminedError,
+    check_schema_version,
+    load_json,
+    save_json,
 )
 from .geometry import (
     PinholeDevice,
@@ -44,7 +45,7 @@ from .geometry import (
     rotation_from_rotvec,
     rotation_to_axis_angle,
 )
-from .rig import PanTiltState, RigModel
+from .rig import PanTiltState, RigModel, platform_rotation
 
 # Iterative refinement stops on a step norm below STEP_TOL, a relative cost
 # drop below COST_TOL, or after MAX_ITERATIONS.
@@ -331,8 +332,7 @@ def estimate_axis(observations: AxisObservationSet) -> tuple[np.ndarray, float]:
     axis = chart(params)
     if not converged:
         raise ConvergenceError(
-            f"axis refinement did not converge within {MAX_ITERATIONS} iterations",
-            best=axis,
+            f"axis refinement did not converge within {MAX_ITERATIONS} iterations"
         )
     rms = math.sqrt(cost / (trajectories.shape[0] * trajectories.shape[1]))
     return axis, rms
@@ -361,9 +361,7 @@ def register_rear_camera(
     if world.shape != rear.shape:
         raise ValueError("corner lists must match in length")
     rear_to_world, rms = rigid_align(rear, world)
-    platform = rotation_about_axis(normalized(tilt_axis), state.beta) @ rotation_about_axis(
-        normalized(pan_axis), state.alpha
-    )
+    platform = platform_rotation(normalized(pan_axis), normalized(tilt_axis), state)
     unrotate = RigidTransform(platform.T, np.zeros(3))
     return unrotate @ rear_to_world, rms
 
@@ -441,8 +439,7 @@ def _dlt_projection(pixels: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def _decompose_projection(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split M ~ K [R | t] with positive-diagonal K and det(R) = +1."""
-    b = m[:, :3]
-    k, r = scipy.linalg.rq(b)
+    k, r = scipy.linalg.rq(m[:, :3])
     d = np.sign(np.diag(k))
     d[d == 0] = 1.0
     k = k * d[None, :]
@@ -492,13 +489,8 @@ def calibrate_projector(
     m = _dlt_projection(pixels, points)
     k, r, t = _decompose_projection(m)
 
-    x0 = np.concatenate(
-        [
-            [k[0, 0], k[1, 1], k[0, 1], k[0, 2], k[1, 2]],
-            rotation_to_axis_angle(r)[0] * rotation_to_axis_angle(r)[1],
-            t,
-        ]
-    )
+    axis, angle = rotation_to_axis_angle(r)
+    x0 = np.concatenate([[k[0, 0], k[1, 1], k[0, 1], k[0, 2], k[1, 2]], axis * angle, t])
 
     def residual_fn(params):
         return _projector_residuals(params, pixels, points)
@@ -562,9 +554,7 @@ def run_full_calibration(session: CalibrationSession) -> CalibrationResult:
             raise DegenerateConfigurationError(
                 "rear registration needs at least 3 shared corners"
             )
-        platform = rotation_about_axis(tilt_axis, record.state.beta) @ rotation_about_axis(
-            pan_axis, record.state.alpha
-        )
+        platform = platform_rotation(pan_axis, tilt_axis, record.state)
         world = np.array([platform @ front[i] for i in shared])
         rear_pts = np.array([rear[i] for i in shared])
         rear_to_front, rear_rms = register_rear_camera(
@@ -712,10 +702,7 @@ def session_to_json(session: CalibrationSession) -> dict:
 
 
 def session_from_json(data: dict) -> CalibrationSession:
-    if not isinstance(data, dict) or data.get("schema_version") != 1:
-        raise SchemaError(
-            f"unsupported session schema_version {data.get('schema_version')!r}"
-        )
+    check_schema_version(data, "session")
 
     def axis_obs(records, name):
         if records is None:
@@ -777,21 +764,11 @@ def session_from_json(data: dict) -> CalibrationSession:
 
 
 def save_session(session: CalibrationSession, path) -> None:
-    Path(path).write_text(
-        json.dumps(session_to_json(session), indent=2, sort_keys=True) + "\n"
-    )
+    save_json(path, session_to_json(session))
 
 
 def load_session(path) -> CalibrationSession:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return session_from_json(data)
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    return load_json(path, session_from_json)
 
 
 def result_to_json(result: CalibrationResult) -> dict:
@@ -812,10 +789,7 @@ def result_to_json(result: CalibrationResult) -> dict:
 
 
 def result_from_json(data: dict) -> CalibrationResult:
-    if not isinstance(data, dict) or data.get("schema_version") != 1:
-        raise SchemaError(
-            f"unsupported result schema_version {data.get('schema_version')!r}"
-        )
+    check_schema_version(data, "result")
     try:
         res = data["residuals"]
         return CalibrationResult(
@@ -838,21 +812,11 @@ def result_from_json(data: dict) -> CalibrationResult:
 
 
 def save_result(result: CalibrationResult, path) -> None:
-    Path(path).write_text(
-        json.dumps(result_to_json(result), indent=2, sort_keys=True) + "\n"
-    )
+    save_json(path, result_to_json(result))
 
 
 def load_result(path) -> CalibrationResult:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return result_from_json(data)
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    return load_json(path, result_from_json)
 
 
 def result_from_rig(model: RigModel) -> CalibrationResult:

@@ -19,7 +19,6 @@ stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import replace
@@ -36,7 +35,7 @@ from .calibration import (
     save_result,
     save_session,
 )
-from .errors import ProcamError, SchemaError
+from .errors import ProcamError, SchemaError, check_schema_version, load_json
 from .evaluation import (
     BenchmarkOptions,
     DisplayChain,
@@ -77,7 +76,7 @@ class CliConfig:
 def _display_options(display: dict) -> BenchmarkOptions:
     kwargs = {}
     if "viewport" in display:
-        v = display["viewport"]
+        v = _section(display, "display.viewport")
         kwargs["viewport"] = Viewport(
             width_px=int(v["width_px"]),
             height_px=int(v["height_px"]),
@@ -85,7 +84,7 @@ def _display_options(display: dict) -> BenchmarkOptions:
             height_m=float(v.get("height_m", Viewport(1, 1).height_m)),
         )
     if "pattern" in display:
-        p = display["pattern"]
+        p = _section(display, "display.pattern")
         kwargs["pattern"] = CheckerPattern(
             rows=int(p.get("rows", 5)),
             cols=int(p.get("cols", 8)),
@@ -102,7 +101,7 @@ def _display_options(display: dict) -> BenchmarkOptions:
             beta=math.radians(float(display.get("tilt_deg", 0.0))),
         )
     if "depth" in display:
-        d = display["depth"]
+        d = _section(display, "display.depth")
         if "width" in d:
             kwargs["depth_width"] = int(d["width"])
         if "height" in d:
@@ -112,18 +111,24 @@ def _display_options(display: dict) -> BenchmarkOptions:
     return BenchmarkOptions(**kwargs)
 
 
+def _section(parent: dict, name: str) -> dict:
+    """The config section at dotted path ``name`` below ``parent``, ``{}`` when absent.
+
+    The section must be a JSON object.
+    """
+    value = parent.get(name.rsplit(".", 1)[-1], {})
+    if not isinstance(value, dict):
+        raise SchemaError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def load_config(path) -> CliConfig:
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict) or data.get("schema_version") != 1:
-        raise SchemaError(
-            f"{path}: unsupported config schema_version"
-            f" {data.get('schema_version') if isinstance(data, dict) else None!r}"
-        )
-    base = path.parent
+    return load_json(path, lambda data: _config_from_json(data, path.parent))
+
+
+def _config_from_json(data, base: Path) -> CliConfig:
+    check_schema_version(data, "config")
     try:
         if "rig" in data:
             rig = RigModel.from_json(data["rig"])
@@ -139,11 +144,11 @@ def load_config(path) -> CliConfig:
         else:
             raise SchemaError("config needs 'scene' or 'scene_path'")
 
-        protocol = CalibrationProtocol.from_json(data.get("protocol", {}))
-        display = data.get("display", {})
+        protocol = CalibrationProtocol.from_json(_section(data, "protocol"))
+        display = _section(data, "display")
         options = _display_options(display)
 
-        content_spec = display.get("content", {"type": "checker"})
+        content_spec = _section(display, "display.content")
         kind = content_spec.get("type", "checker")
         if kind == "checker":
             content = ("checker", None)
@@ -154,14 +159,19 @@ def load_config(path) -> CliConfig:
         else:
             raise SchemaError(f"unknown display.content type {kind!r}")
 
-        bench = data.get("benchmark", {})
-        cases = tuple(bench["cases"]) if "cases" in bench else None
+        bench = _section(data, "benchmark")
+        cases = None
+        if "cases" in bench:
+            cases = bench["cases"]
+            if not isinstance(cases, list) or not all(isinstance(c, str) for c in cases):
+                raise SchemaError("benchmark.cases must be a list of case names")
+            cases = tuple(cases)
         if "seed" in bench:
             options = replace(options, seed=int(bench["seed"]))
     except SchemaError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: bad config: {exc}") from exc
+        raise SchemaError(f"bad config: {exc}") from exc
     return CliConfig(rig, scene, protocol, options, content, cases)
 
 

@@ -1,10 +1,15 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the JSON file helpers.
 
 Every error carries a short machine-parsable ``code`` that the CLI prints as
-``error[<code>]: <message>`` on a single line before exiting nonzero.
+``error[<code>]: <message>`` on a single line before exiting nonzero. Every
+JSON file the package reads or writes goes through ``load_json`` and
+``save_json``, so a malformed file always ends in a SchemaError naming it.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 
 class ProcamError(Exception):
@@ -56,16 +61,9 @@ class DecompositionError(ProcamError):
 
 
 class ConvergenceError(ProcamError):
-    """Iterative refinement did not converge within the iteration cap.
-
-    The best iterate seen so far is attached as ``best``.
-    """
+    """Iterative refinement did not converge within the iteration cap."""
 
     code = "convergence"
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best
 
 
 class EyeOnScreenPlaneError(ProcamError):
@@ -95,3 +93,34 @@ class StageError(ProcamError):
         self.stage = stage
         self.cause = cause if isinstance(cause, Exception) else None
         super().__init__(f"stage '{stage}' failed: {cause}")
+
+
+def check_schema_version(data, kind: str) -> None:
+    """Raise SchemaError unless ``data`` is a JSON object with schema_version 1."""
+    if not isinstance(data, dict):
+        raise SchemaError(f"{kind} record must be a JSON object, got {type(data).__name__}")
+    if data.get("schema_version") != 1:
+        raise SchemaError(f"unsupported {kind} schema_version {data.get('schema_version')!r}")
+
+
+def save_json(path, data) -> None:
+    """Write ``data`` as JSON with sorted keys, two-space indent and a final newline."""
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def load_json(path, decode):
+    """Decode the JSON file at ``path`` with ``decode(data)``.
+
+    A file that is not valid JSON, or whose content ``decode`` rejects with
+    a SchemaError, raises SchemaError prefixed with the path. ``decode``
+    checks that the content is an object (see ``check_schema_version``).
+    """
+    path = Path(path)
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        return decode(data)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc

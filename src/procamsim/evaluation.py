@@ -16,7 +16,6 @@ from the report seed, and worker threads never reorder output.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -26,10 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import CalibrationResult, result_from_rig
-from .errors import EmptyIntersectionError
+from .errors import EmptyIntersectionError, save_json
 from .geometry import PinholeDevice, RigidTransform, rotation_about_axis
 from .images import draw_marker, new_image, write_ppm
-from .rig import PanTiltState, RigModel
+from .rig import PanTiltState, RigModel, pan_tilt_rotation, platform_rotation
 from .scene import (
     Box,
     CylinderSegment,
@@ -38,6 +37,7 @@ from .scene import (
     Scene,
     Sphere,
     TriangleMesh,
+    grid_faces,
     sense_depth,
 )
 from .upr import DEFAULT_EYE, EyePose, UprMatrix, Viewport, upr_matrix
@@ -141,19 +141,9 @@ def _wedge_mesh() -> TriangleMesh:
         + vv[..., None] * t_vert
         + relief[..., None] * normal
     )
-    n_rows, n_cols = uu.shape
-    faces = []
-    for i in range(n_rows - 1):
-        for j in range(n_cols - 1):
-            tl = i * n_cols + j
-            tr = tl + 1
-            bl = tl + n_cols
-            br = bl + 1
-            faces.append((tl, bl, tr))
-            faces.append((tr, bl, br))
     return TriangleMesh(
         vertices=points.reshape(-1, 3),
-        faces=np.array(faces),
+        faces=grid_faces(*uu.shape),
         surface_id="wedge-wall",
         albedo=(0.8, 0.8, 0.75),
     )
@@ -166,18 +156,9 @@ def _cloth_mesh() -> TriangleMesh:
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     gz = 2.6 + 0.08 * np.sin(3.0 * gx) * np.cos(2.5 * gy)
     vertices = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    faces = []
-    for i in range(ny - 1):
-        for j in range(nx - 1):
-            tl = i * nx + j
-            tr = tl + 1
-            bl = tl + nx
-            br = bl + 1
-            faces.append((tl, bl, tr))
-            faces.append((tr, bl, br))
     return TriangleMesh(
         vertices=vertices,
-        faces=np.array(faces),
+        faces=grid_faces(ny, nx),
         surface_id="cloth",
         albedo=(0.7, 0.75, 0.9),
     )
@@ -386,9 +367,7 @@ class BenchmarkReport:
     def save(self, out_dir) -> None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.json").write_text(
-            json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
-        )
+        save_json(out_dir / "report.json", self.to_json())
         (out_dir / "report.txt").write_text(self.text_summary())
         for r in self.results:
             write_ppm(out_dir / f"overlay_{r.name}.ppm", self._overlay(r))
@@ -424,12 +403,6 @@ def _scaled_device(device: PinholeDevice, width: int, height: int) -> PinholeDev
     )
 
 
-def _platform_rotation(pan_axis, tilt_axis, state: PanTiltState) -> np.ndarray:
-    return rotation_about_axis(tilt_axis, state.beta) @ rotation_about_axis(
-        pan_axis, state.alpha
-    )
-
-
 @dataclass(frozen=True)
 class DisplayChain:
     """Everything needed to correct and to physically simulate one display.
@@ -459,14 +432,13 @@ def build_display_chain(
     """Sense depth with the true rig, then model the display with estimates.
 
     At non-home states the commanded motor angles pass through both the
-    true and the estimated axes, so axis errors show up in the chain.
+    true and the estimated axes, so axis errors show up in the chain. Raises
+    LimitError when the state is outside the rig's mechanical limits.
     """
     state = options.state
-    true_front_to_world = RigidTransform(
-        _platform_rotation(rig.pan_axis, rig.tilt_axis, state), np.zeros(3)
-    )
+    true_front_to_world = RigidTransform(pan_tilt_rotation(rig, state), np.zeros(3))
     est_front_to_world = RigidTransform(
-        _platform_rotation(result.pan_axis, result.tilt_axis, state), np.zeros(3)
+        platform_rotation(result.pan_axis, result.tilt_axis, state), np.zeros(3)
     )
 
     depth_device = _scaled_device(

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation as _ScipyRotation
 
 from .errors import BehindDeviceError, DegenerateConfigurationError, SchemaError
 
@@ -74,11 +73,39 @@ def rotation_about_axis(axis, theta: float) -> np.ndarray:
 
 
 def rotation_to_axis_angle(matrix) -> tuple[np.ndarray, float]:
-    """Decompose a rotation matrix into (unit axis, angle in radians).
+    """Decompose a proper rotation matrix into (unit axis, angle in radians).
 
+    The matrix becomes a unit quaternion (x, y, z, w) by Shepperd's method,
+    pivoting on the largest of the three diagonal entries and the trace,
+    with w >= 0 so the angle lies in [0, pi]; a Taylor series keeps the
+    axis-angle scale accurate for angles up to 1e-3. The order of the
+    operations matters: the tests hold the result bit for bit to a
+    reference rotation-vector routine, so encoded poses stay byte-identical.
     The identity maps to axis (1, 0, 0) with angle 0.
     """
-    rotvec = _ScipyRotation.from_matrix(np.asarray(matrix, dtype=float)).as_rotvec()
+    m = np.asarray(matrix, dtype=float).tolist()
+    trace = m[0][0] + m[1][1] + m[2][2]
+    pivot = int(np.argmax([m[0][0], m[1][1], m[2][2], trace]))
+    if pivot == 3:
+        q = [m[2][1] - m[1][2], m[0][2] - m[2][0], m[1][0] - m[0][1], 1 + trace]
+    else:
+        i, j, k = pivot, (pivot + 1) % 3, (pivot + 2) % 3
+        q = [0.0] * 4
+        q[i] = 1 - trace + 2 * m[i][i]
+        q[j] = m[j][i] + m[i][j]
+        q[k] = m[k][i] + m[i][k]
+        q[3] = m[k][j] - m[j][k]
+    norm = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    x, y, z, w = (c / norm for c in q)
+    if w < 0:
+        x, y, z, w = -x, -y, -z, -w
+    angle = 2 * math.atan2(math.sqrt(x * x + y * y + z * z), w)
+    if angle <= 1e-3:
+        angle2 = angle * angle
+        scale = 2 + angle2 / 12 + 7 * angle2 * angle2 / 2880
+    else:
+        scale = angle / math.sin(angle / 2)
+    rotvec = scale * np.array([x, y, z])
     angle = float(np.linalg.norm(rotvec))
     if angle < 1e-12:
         return np.array([1.0, 0.0, 0.0]), 0.0
@@ -289,18 +316,22 @@ def backproject(device: PinholeDevice, pixel, depth: float) -> np.ndarray:
 
 
 def backproject_points(device: PinholeDevice, pixels, depths) -> np.ndarray:
-    """Vectorized ``backproject`` over (N, 2) pixels and (N,) depths."""
+    """Vectorized ``backproject`` over (N, 2) pixels and (N,) or scalar depths.
+
+    With depth 1 the rows are the device-frame ray directions (z = 1) through
+    the pixels.
+    """
     uv = np.asarray(pixels, dtype=float).reshape(-1, 2)
-    z = np.asarray(depths, dtype=float).reshape(-1)
+    z = np.broadcast_to(np.asarray(depths, dtype=float).reshape(-1), len(uv))
     y = (uv[:, 1] - device.cy) * z / device.fy
     x = ((uv[:, 0] - device.cx) * z - device.skew * y) / device.fx
     return np.stack([x, y, z], axis=1)
 
 
-def pixel_directions(device: PinholeDevice, pixels) -> np.ndarray:
-    """Unit device-frame ray directions through continuous pixel coords."""
-    d = backproject_points(device, pixels, np.ones(np.asarray(pixels).reshape(-1, 2).shape[0]))
-    return d / np.linalg.norm(d, axis=1, keepdims=True)
+def pixel_center_grid(width: int, height: int) -> np.ndarray:
+    """Continuous coordinates of all pixel centers in row-major order, (H*W, 2)."""
+    u, v = np.meshgrid(np.arange(width) + 0.5, np.arange(height) + 0.5)
+    return np.stack([u.ravel(), v.ravel()], axis=1)
 
 
 def rigid_align(source, target) -> tuple[RigidTransform, float]:

@@ -40,16 +40,18 @@ class RasterResult:
 
 
 def _face_chunks(counts: np.ndarray):
-    """Split face indices so each chunk stays within the fragment budget."""
-    order = np.arange(len(counts))
+    """Slices of consecutive faces whose fragment counts fit the budget.
+
+    Each chunk takes as many faces as fit; a face over the budget on its own
+    gets a chunk of its own.
+    """
+    ends = np.cumsum(counts)
     start = 0
-    while start < len(order):
-        total = 0
-        end = start
-        while end < len(order) and (total + counts[order[end]] <= _FRAGMENT_BUDGET or end == start):
-            total += counts[order[end]]
-            end += 1
-        yield order[start:end]
+    while start < len(counts):
+        done = ends[start - 1] if start else 0
+        end = int(np.searchsorted(ends, done + _FRAGMENT_BUDGET, side="right"))
+        end = max(end, start + 1)
+        yield slice(start, end)
         start = end
 
 

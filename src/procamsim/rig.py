@@ -13,14 +13,19 @@ mounting transforms and the three device intrinsics.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyObservationError, LimitError, SchemaError
+from .errors import (
+    EmptyObservationError,
+    LimitError,
+    SchemaError,
+    check_schema_version,
+    load_json,
+    save_json,
+)
 from .geometry import (
     PinholeDevice,
     RigidTransform,
@@ -87,10 +92,7 @@ class RigModel:
 
     @classmethod
     def from_json(cls, data: dict) -> "RigModel":
-        if data.get("schema_version") != 1:
-            raise SchemaError(
-                f"unsupported rig schema_version {data.get('schema_version')!r}"
-            )
+        check_schema_version(data, "rig")
         try:
             devices = data["devices"]
             return cls(
@@ -119,8 +121,18 @@ class RigPose:
     proj_to_world: RigidTransform
 
 
+def platform_rotation(pan_axis, tilt_axis, state: PanTiltState) -> np.ndarray:
+    """The platform rotation ``R_tilt(beta) @ R_pan(alpha)`` about unit axes.
+
+    No limit check: the axes may be estimates with no rig behind them.
+    """
+    return rotation_about_axis(tilt_axis, state.beta) @ rotation_about_axis(
+        pan_axis, state.alpha
+    )
+
+
 def pan_tilt_rotation(model: RigModel, state: PanTiltState) -> np.ndarray:
-    """The platform rotation ``R_tilt(beta) @ R_pan(alpha)``.
+    """The rig's platform rotation at ``state``.
 
     Raises LimitError when a motor angle exceeds its configured limit.
     """
@@ -132,9 +144,7 @@ def pan_tilt_rotation(model: RigModel, state: PanTiltState) -> np.ndarray:
         raise LimitError(
             f"tilt angle {state.beta:.4f} rad exceeds limit {model.tilt_limit:.4f}"
         )
-    r_pan = rotation_about_axis(model.pan_axis, state.alpha)
-    r_tilt = rotation_about_axis(model.tilt_axis, state.beta)
-    return r_tilt @ r_pan
+    return platform_rotation(model.pan_axis, model.tilt_axis, state)
 
 
 def rig_pose(model: RigModel, state: PanTiltState) -> RigPose:
@@ -216,16 +226,8 @@ def default_rig() -> RigModel:
 
 
 def load_rig(path) -> RigModel:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return RigModel.from_json(data)
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    return load_json(path, RigModel.from_json)
 
 
 def save_rig(model: RigModel, path) -> None:
-    Path(path).write_text(json.dumps(model.to_json(), indent=2, sort_keys=True) + "\n")
+    save_json(path, model.to_json())

@@ -13,20 +13,18 @@ degrees; all lengths are meters.
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, check_schema_version, load_json, save_json
 from .geometry import (
     PinholeDevice,
     RigidTransform,
     as_vec3,
     backproject_points,
     normalized,
+    pixel_center_grid,
 )
 
 # Intersections closer than this along a ray are ignored (self-hits).
@@ -302,16 +300,12 @@ class TriangleMesh:
         return n / np.maximum(lengths, 1e-300)
 
     def intersect(self, origins: np.ndarray, dirs: np.ndarray):
-        t, normals, _ = self.intersect_with_faces(origins, dirs)
-        return t, normals
-
-    def intersect_with_faces(self, origins: np.ndarray, dirs: np.ndarray):
-        """Nearest hit per ray, returning (t, normals, face index or -1)."""
+        """Nearest hit per ray; an exact tie goes to the lowest face index."""
         n_rays = origins.shape[0]
         best_t = np.full(n_rays, np.inf)
         best_face = np.full(n_rays, -1, dtype=np.int64)
         if len(self.faces) == 0 or n_rays == 0:
-            return best_t, np.zeros((n_rays, 3)), best_face
+            return best_t, np.zeros((n_rays, 3))
 
         v0 = self.vertices[self.faces[:, 0]]
         e1 = self.vertices[self.faces[:, 1]] - v0
@@ -353,7 +347,7 @@ class TriangleMesh:
         if hit.any():
             fn = self.face_normals()
             normals[hit] = fn[best_face[hit]]
-        return best_t, normals, best_face
+        return best_t, normals
 
     def to_json(self) -> dict:
         return {
@@ -460,12 +454,6 @@ class Scene:
         best_normals[toward] *= -1.0
         return best_t, best_normals, best_idx
 
-    def surface_by_id(self, surface_id: str) -> Surface:
-        for surf in self.surfaces:
-            if surf.surface_id == surface_id:
-                return surf
-        raise KeyError(surface_id)
-
 
 def raycast(scene: Scene, origin, direction) -> Hit | None:
     """Nearest scene intersection of a single ray, or None on a miss."""
@@ -516,26 +504,6 @@ class DepthNoiseModel:
         ramp = (self.gamma_no_dropout - g) / (self.gamma_no_dropout - self.gamma_full_dropout)
         return np.clip(ramp, 0.0, 1.0)
 
-    def to_json(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "gamma_full_dropout": self.gamma_full_dropout,
-            "gamma_no_dropout": self.gamma_no_dropout,
-            "rng_seed": self.rng_seed,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DepthNoiseModel":
-        try:
-            return cls(
-                sigma=float(data.get("sigma", 0.0)),
-                gamma_full_dropout=float(data.get("gamma_full_dropout", 10.0)),
-                gamma_no_dropout=float(data.get("gamma_no_dropout", 30.0)),
-                rng_seed=int(data.get("rng_seed", 0)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad depth noise record: {exc}") from exc
-
 
 @dataclass(frozen=True)
 class DepthImage:
@@ -561,12 +529,6 @@ class DepthImage:
         return self.depth.shape[1]
 
 
-def _pixel_center_grid(width: int, height: int) -> np.ndarray:
-    """Continuous coordinates of all pixel centers, shape (H*W, 2)."""
-    u, v = np.meshgrid(np.arange(width) + 0.5, np.arange(height) + 0.5)
-    return np.stack([u.ravel(), v.ravel()], axis=1)
-
-
 def sense_depth(
     scene: Scene,
     device: PinholeDevice,
@@ -583,8 +545,8 @@ def sense_depth(
     if noise is None:
         noise = DepthNoiseModel.exact()
     w, h = device.width, device.height
-    pixels = _pixel_center_grid(w, h)
-    d_dev = backproject_points(device, pixels, np.ones(len(pixels)))
+    pixels = pixel_center_grid(w, h)
+    d_dev = backproject_points(device, pixels, 1.0)
     d_dev /= np.linalg.norm(d_dev, axis=1, keepdims=True)
     d_world = d_dev @ device_to_world.rotation.T
     origins = np.broadcast_to(device_to_world.translation, d_world.shape)
@@ -611,6 +573,17 @@ def sense_depth(
     return DepthImage(depth=depth, valid=valid)
 
 
+def grid_faces(rows: int, cols: int) -> np.ndarray:
+    """Triangles of a row-major ``rows`` x ``cols`` vertex grid, shape (F, 3).
+
+    Each cell, in row-major order, gives the triangles (tl, bl, tr) and
+    (tr, bl, br) in that order.
+    """
+    tl = (np.arange(rows - 1)[:, None] * cols + np.arange(cols - 1)).ravel()
+    tr, bl = tl + 1, tl + cols
+    return np.stack([tl, bl, tr, tr, bl, bl + 1], axis=1).reshape(-1, 3)
+
+
 def reconstruct_mesh(
     depth: DepthImage,
     device: PinholeDevice,
@@ -631,7 +604,7 @@ def reconstruct_mesh(
     index = np.full((h, w), -1, dtype=np.int64)
     index[valid] = np.arange(int(valid.sum()))
 
-    pixels = _pixel_center_grid(w, h)[valid.ravel()]
+    pixels = pixel_center_grid(w, h)[valid.ravel()]
     vertices = backproject_points(device, pixels, depth.depth[valid])
 
     z = depth.depth
@@ -720,26 +693,15 @@ def scene_to_json(scene: Scene) -> dict:
 
 
 def scene_from_json(data: dict) -> Scene:
-    if not isinstance(data, dict):
-        raise SchemaError("scene file must hold a JSON object")
-    if data.get("schema_version") != 1:
-        raise SchemaError(f"unsupported scene schema_version {data.get('schema_version')!r}")
+    check_schema_version(data, "scene")
     surfaces = [_surface_from_json(rec) for rec in data.get("surfaces", [])]
     boards = [CheckerboardTarget.from_json(rec) for rec in data.get("checkerboards", [])]
     return Scene(surfaces=tuple(surfaces), checkerboards=tuple(boards))
 
 
 def load_scene(path) -> Scene:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return scene_from_json(data)
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    return load_json(path, scene_from_json)
 
 
 def save_scene(scene: Scene, path) -> None:
-    Path(path).write_text(json.dumps(scene_to_json(scene), indent=2, sort_keys=True) + "\n")
+    save_json(path, scene_to_json(scene))

@@ -11,7 +11,7 @@ draws are fully determined by the protocol seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,8 +137,7 @@ def _projector_samples(
             alpha=math.radians(pan_deg), beta=math.radians(tilt_deg)
         )
         pose = rig_pose(rig, state)
-        dirs_proj = backproject_points(device, pixels, np.ones(len(pixels)))
-        dirs_world = dirs_proj @ pose.proj_to_world.rotation.T
+        dirs_world = backproject_points(device, pixels, 1.0) @ pose.proj_to_world.rotation.T
         dirs_world /= np.linalg.norm(dirs_world, axis=1, keepdims=True)
         origins = np.broadcast_to(pose.proj_to_world.translation, dirs_world.shape)
         t, _, _ = scene.intersect(origins, dirs_world)

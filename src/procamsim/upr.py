@@ -66,7 +66,6 @@ class UprMatrix:
     """Screen projection composed with a world-to-rear transform."""
 
     matrix: np.ndarray  # 3x4, applied to homogeneous world points
-    user_matrix: np.ndarray  # the rear-frame screen projection alone
     world_to_rear: RigidTransform
     eye: EyePose
 
@@ -90,10 +89,8 @@ class UprMatrix:
 
 def upr_matrix(eye: EyePose, world_to_rear: RigidTransform) -> UprMatrix:
     """Compose the eye's screen projection with a world-to-rear transform."""
-    user = user_projection_matrix(eye)
     return UprMatrix(
-        matrix=user @ world_to_rear.as_matrix(),
-        user_matrix=user,
+        matrix=user_projection_matrix(eye) @ world_to_rear.as_matrix(),
         world_to_rear=world_to_rear,
         eye=eye,
     )

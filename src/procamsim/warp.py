@@ -23,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PinholeDevice, RigidTransform, project_points
+from .geometry import (
+    PinholeDevice,
+    RigidTransform,
+    backproject_points,
+    pixel_center_grid,
+    project_points,
+)
 from .images import bilinear_sample
 from .raster import rasterize
 from .scene import DepthImage, Scene, TriangleMesh, reconstruct_mesh
@@ -190,15 +196,10 @@ def render_user_view(
     """
     width = viewport.width_px if width is None else width
     height = viewport.height_px if height is None else height
-    us, vs = np.meshgrid(
-        np.arange(width, dtype=float) + 0.5,
-        np.arange(height, dtype=float) + 0.5,
-        indexing="xy",
-    )
     scale = np.array(
         [width / viewport.width_px, height / viewport.height_px]
     )
-    uv = np.stack([us.ravel(), vs.ravel()], axis=1) / scale
+    uv = pixel_center_grid(width, height) / scale
     xy = viewport.to_plane(uv)
     rear_pts = np.c_[xy, np.zeros(len(xy))]
     rear_to_world = upr.world_to_rear.inverse()
@@ -271,16 +272,8 @@ def simulate_projection_and_view(
     ``out = albedo * (ambient * 255 + framebuffer)``, clipped to 8 bits.
     """
     h, w = view_device.height, view_device.width
-    us, vs = np.meshgrid(
-        np.arange(w, dtype=float) + 0.5, np.arange(h, dtype=float) + 0.5, indexing="xy"
-    )
-    pix = np.stack([us.ravel(), vs.ravel()], axis=1)
-    dirs_cam = np.c_[
-        (pix[:, 0] - view_device.cx) / view_device.fx,
-        (pix[:, 1] - view_device.cy) / view_device.fy,
-        np.ones(len(pix)),
-    ]
-    dirs = dirs_cam @ view_to_world.rotation.T
+    pix = pixel_center_grid(w, h)
+    dirs = backproject_points(view_device, pix, 1.0) @ view_to_world.rotation.T
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     origins = np.broadcast_to(view_to_world.translation, dirs.shape)
     t, _, sidx = scene.intersect(origins, dirs)
@@ -341,6 +334,46 @@ def _first_hit(scene: Scene, origins: np.ndarray, dirs: np.ndarray):
     return t
 
 
+def _view_projected_corners(
+    desired: np.ndarray,
+    proj_px: np.ndarray,
+    alive: np.ndarray,
+    true_scene: Scene,
+    true_proj_device: PinholeDevice,
+    true_proj_to_world: RigidTransform,
+    true_upr: UprMatrix,
+    viewport: Viewport,
+) -> CornerPropagation:
+    """The physical half of corner propagation, from projector pixels on.
+
+    Each projector pixel lights the first point of the true scene on its
+    ray, and the corner resolves where the true eye sees that point
+    unobstructed and in front of it. Only corners still ``alive`` can
+    resolve.
+    """
+    n = len(desired)
+    dirs = backproject_points(true_proj_device, proj_px, 1.0)
+    dirs = dirs @ true_proj_to_world.rotation.T
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    origin = true_proj_to_world.translation
+    t = _first_hit(true_scene, np.broadcast_to(origin, dirs.shape), dirs)
+    hit = np.isfinite(t)
+    lit = origin + np.where(hit, t, 0.0)[:, None] * dirs
+
+    true_eye = true_upr.eye_world()
+    to_lit = lit - true_eye
+    dist = np.linalg.norm(to_lit, axis=1)
+    safe_dist = np.where(dist > 0, dist, 1.0)
+    t_vis = _first_hit(
+        true_scene, np.broadcast_to(true_eye, to_lit.shape), to_lit / safe_dist[:, None]
+    )
+    obs_xy, w = true_upr.apply(lit)
+    resolved = alive & hit & (t_vis >= dist * (1.0 - _VISIBILITY_REL_TOL)) & (w > 1e-9)
+    observed = np.full((n, 2), np.nan)
+    observed[resolved] = viewport.to_pixels(obs_xy)[resolved]
+    return CornerPropagation(np.arange(n), desired, observed, resolved)
+
+
 def propagate_corners(
     pattern: CheckerPattern,
     geometry: WorldGeometry,
@@ -373,9 +406,6 @@ def propagate_corners(
 
     corners = pattern.corner_positions(viewport.width_px, viewport.height_px)
     n = len(corners)
-    indices = np.arange(n)
-    observed = np.full((n, 2), np.nan)
-    resolved = np.zeros(n, dtype=bool)
 
     # Estimated path: screen point -> eye ray -> estimated geometry.
     xy_m = viewport.to_plane(corners)
@@ -388,7 +418,7 @@ def propagate_corners(
     t_est = _first_hit(est_scene, np.broadcast_to(eye_world, dirs.shape), dirs)
     alive = np.isfinite(t_est)
     if not np.any(alive):
-        return CornerPropagation(indices, corners, observed, resolved)
+        return CornerPropagation(np.arange(n), corners, np.full((n, 2), np.nan), alive)
     landing = eye_world + np.where(alive, t_est, 0.0)[:, None] * dirs
 
     # Which projector pixel does the estimated warp light that point with?
@@ -397,38 +427,10 @@ def propagate_corners(
         proj_device, RigidTransform.identity(), cam
     )
     alive &= in_front & proj_device.contains(np.nan_to_num(proj_px, nan=-1.0))
-
-    # True path: that projector pixel lights the real scene...
-    safe_px = np.nan_to_num(proj_px, nan=0.0)
-    y = (safe_px[:, 1] - true_proj_device.cy) / true_proj_device.fy
-    x = (
-        (safe_px[:, 0] - true_proj_device.cx) - true_proj_device.skew * y
-    ) / true_proj_device.fx
-    true_dirs = np.c_[x, y, np.ones(n)] @ true_proj_to_world.rotation.T
-    true_dirs /= np.linalg.norm(true_dirs, axis=1, keepdims=True)
-    proj_origin = true_proj_to_world.translation
-    t_true = _first_hit(
-        true_scene, np.broadcast_to(proj_origin, true_dirs.shape), true_dirs
+    return _view_projected_corners(
+        corners, np.nan_to_num(proj_px, nan=0.0), alive,
+        true_scene, true_proj_device, true_proj_to_world, true_upr, viewport,
     )
-    alive &= np.isfinite(t_true)
-    lit = proj_origin + np.where(np.isfinite(t_true), t_true, 0.0)[:, None] * true_dirs
-
-    # ...and the user must see that lit point unobstructed.
-    true_eye = true_upr.eye_world()
-    to_lit = lit - true_eye
-    dist = np.linalg.norm(to_lit, axis=1)
-    safe_dist = np.where(dist > 0, dist, 1.0)
-    t_vis = _first_hit(
-        true_scene, np.broadcast_to(true_eye, to_lit.shape), to_lit / safe_dist[:, None]
-    )
-    alive &= t_vis >= dist * (1.0 - _VISIBILITY_REL_TOL)
-
-    obs_xy, w = true_upr.apply(lit)
-    alive &= w > 1e-9
-    obs_px = viewport.to_pixels(obs_xy)
-    observed[alive] = obs_px[alive]
-    resolved[:] = alive
-    return CornerPropagation(indices, corners, observed, resolved)
 
 
 def propagate_corners_uncorrected(
@@ -449,34 +451,7 @@ def propagate_corners_uncorrected(
     proj_px = pattern.corner_positions(
         true_proj_device.width, true_proj_device.height
     )
-    n = len(desired)
-    indices = np.arange(n)
-    observed = np.full((n, 2), np.nan)
-    resolved = np.zeros(n, dtype=bool)
-
-    y = (proj_px[:, 1] - true_proj_device.cy) / true_proj_device.fy
-    x = (
-        (proj_px[:, 0] - true_proj_device.cx) - true_proj_device.skew * y
-    ) / true_proj_device.fx
-    dirs = np.c_[x, y, np.ones(n)] @ true_proj_to_world.rotation.T
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    origin = true_proj_to_world.translation
-    t = _first_hit(true_scene, np.broadcast_to(origin, dirs.shape), dirs)
-    alive = np.isfinite(t)
-    lit = origin + np.where(alive, t, 0.0)[:, None] * dirs
-
-    true_eye = true_upr.eye_world()
-    to_lit = lit - true_eye
-    dist = np.linalg.norm(to_lit, axis=1)
-    safe_dist = np.where(dist > 0, dist, 1.0)
-    t_vis = _first_hit(
-        true_scene, np.broadcast_to(true_eye, to_lit.shape), to_lit / safe_dist[:, None]
+    return _view_projected_corners(
+        desired, proj_px, np.ones(len(desired), dtype=bool),
+        true_scene, true_proj_device, true_proj_to_world, true_upr, viewport,
     )
-    alive &= t_vis >= dist * (1.0 - _VISIBILITY_REL_TOL)
-
-    obs_xy, w = true_upr.apply(lit)
-    alive &= w > 1e-9
-    obs_px = viewport.to_pixels(obs_xy)
-    observed[alive] = obs_px[alive]
-    resolved[:] = alive
-    return CornerPropagation(indices, desired, observed, resolved)

@@ -268,6 +268,54 @@ class TestErrorReporting:
         assert capsys.readouterr().err.startswith("error[schema]:")
 
 
+class TestInputBoundary:
+    """Each bad input ends in one ``error[<code>]`` line and exit status 1."""
+
+    @staticmethod
+    def assert_one_error_line(capsys, code):
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[{code}]:")
+        assert err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("display", [{"content": "checker"}, []])
+    def test_display_section_not_an_object(self, tmp_path, capsys, display):
+        cfg = write_config(tmp_path)
+        data = json.loads(cfg.read_text())
+        if isinstance(display, dict):
+            data["display"].update(display)
+        else:
+            data["display"] = display
+        cfg.write_text(json.dumps(data))
+        code = main(["correct", "--config", str(cfg), "--out", str(tmp_path / "x.ppm")])
+        assert code == 1
+        self.assert_one_error_line(capsys, "schema")
+
+    def test_session_file_holding_a_list(self, tmp_path, capsys):
+        session = tmp_path / "session.json"
+        session.write_text("[]")
+        code = main(["calibrate", "--session", str(session),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        self.assert_one_error_line(capsys, "schema")
+
+    def test_benchmark_cases_as_a_string(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, benchmark={"cases": "base"})
+        code = main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "rep")])
+        assert code == 1
+        assert "benchmark.cases" in self.assert_one_error_line(capsys, "schema")
+
+    @pytest.mark.parametrize(
+        "argv, display",
+        [(["correct", "--pan", "400"], None), (["evaluate"], {"pan_deg": 400.0})],
+    )
+    def test_pan_beyond_the_motor_limit(self, tmp_path, capsys, argv, display):
+        cfg = write_config(tmp_path, extra_display=display)
+        code = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1
+        self.assert_one_error_line(capsys, "limit")
+
+
 class TestImageContent:
     def test_panorama_content_round_trip(self, tmp_path):
         directory = tmp_path

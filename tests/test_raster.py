@@ -92,6 +92,27 @@ class TestDepthResolve:
         assert np.array_equal(full.depth_w, tiny.depth_w)
         assert np.array_equal(full.attributes["c"], tiny.attributes["c"])
 
+    def test_face_chunks_match_greedy_packing(self, monkeypatch):
+        def greedy(counts, budget):
+            """Reference: add faces while they fit; an oversized face goes alone."""
+            chunks, start = [], 0
+            while start < len(counts):
+                end, total = start, 0
+                while end < len(counts) and (total + counts[end] <= budget or end == start):
+                    total += counts[end]
+                    end += 1
+                chunks.append((start, end))
+                start = end
+            return chunks
+
+        rng = np.random.default_rng(5)
+        for budget in (1, 7, 20, 64):
+            monkeypatch.setattr(raster, "_FRAGMENT_BUDGET", budget)
+            for n in (0, 1, 30):
+                counts = rng.integers(1, 40, size=n)
+                got = [(c.start, c.stop) for c in raster._face_chunks(counts)]
+                assert got == greedy(counts, budget)
+
 
 def pinhole_xy(points, f=100.0, c=10.0):
     points = np.asarray(points, dtype=float)
