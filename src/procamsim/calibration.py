@@ -369,22 +369,15 @@ def register_rear_camera(
 # -- Step 3: projector calibration -------------------------------------------
 
 
-def _normalization_2d(points: np.ndarray) -> np.ndarray:
+def _normalization(points: np.ndarray) -> np.ndarray:
+    """Similarity moving (N, dim) points to centroid 0 and mean distance sqrt(dim)."""
+    dim = points.shape[1]
     centroid = points.mean(axis=0)
     dist = np.linalg.norm(points - centroid, axis=1).mean()
-    s = math.sqrt(2.0) / max(dist, 1e-12)
-    return np.array(
-        [[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]]
-    )
-
-
-def _normalization_3d(points: np.ndarray) -> np.ndarray:
-    centroid = points.mean(axis=0)
-    dist = np.linalg.norm(points - centroid, axis=1).mean()
-    s = math.sqrt(3.0) / max(dist, 1e-12)
-    t = np.eye(4) * s
-    t[3, 3] = 1.0
-    t[:3, 3] = -s * centroid
+    s = math.sqrt(dim) / max(dist, 1e-12)
+    t = np.eye(dim + 1) * s
+    t[dim, dim] = 1.0
+    t[:dim, dim] = -s * centroid
     return t
 
 
@@ -415,8 +408,8 @@ def _check_plane_diversity(points: np.ndarray, plane_ids: np.ndarray, scale: flo
 
 def _dlt_projection(pixels: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Normalized direct linear transform for a 3x4 projection matrix."""
-    t2 = _normalization_2d(pixels)
-    t3 = _normalization_3d(points)
+    t2 = _normalization(pixels)
+    t3 = _normalization(points)
     px_n = (np.c_[pixels, np.ones(len(pixels))] @ t2.T)[:, :2]
     pt_n = np.c_[points, np.ones(len(points))] @ t3.T
 

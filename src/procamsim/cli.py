@@ -44,7 +44,7 @@ from .evaluation import (
     run_benchmark,
     standard_suite,
 )
-from .geometry import PinholeDevice, RigidTransform
+from .geometry import PinholeDevice, RigidTransform, pixel_center_grid
 from .images import bilinear_sample, read_image, write_image
 from .rig import PanTiltState, RigModel, load_rig
 from .scene import Scene, load_scene, scene_from_json
@@ -54,6 +54,7 @@ from .warp import (
     CheckerPattern,
     EquirectContent,
     render_user_view,
+    simulate_projection_and_view,
     warp_to_projector,
 )
 
@@ -216,10 +217,10 @@ def _naive_framebuffer(content, pattern: CheckerPattern, device: PinholeDevice) 
     if kind == "checker":
         return pattern.render(device.width, device.height)
     src_h, src_w = payload.shape[:2]
-    xs = (np.arange(device.width) + 0.5) * (src_w / device.width)
-    ys = (np.arange(device.height) + 0.5) * (src_h / device.height)
-    grid = np.stack(np.meshgrid(xs, ys, indexing="xy"), axis=-1)
-    return np.clip(np.rint(bilinear_sample(payload, grid)), 0, 255).astype(np.uint8)
+    w, h = device.width, device.height
+    grid = pixel_center_grid(w, h) * np.array([src_w / w, src_h / h])
+    samples = bilinear_sample(payload, grid.reshape(h, w, 2))
+    return np.clip(np.rint(samples), 0, 255).astype(np.uint8)
 
 
 def _make_framebuffer(
@@ -288,8 +289,6 @@ def cmd_correct(args) -> None:
 
 
 def cmd_render_user_view(args) -> None:
-    from .warp import simulate_projection_and_view
-
     cfg = load_config(args.config)
     result = _load_result_or_truth(args, cfg.rig)
     options = _apply_overrides(cfg.options, args)
@@ -354,6 +353,16 @@ def _eye_arg(text: str):
         raise argparse.ArgumentTypeError(f"bad eye coordinate: {exc}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="procamsim",
@@ -361,6 +370,19 @@ def build_parser() -> argparse.ArgumentParser:
         "projector-camera AR rigs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # Flags shared by the two subcommands that build a display framebuffer.
+    display = argparse.ArgumentParser(add_help=False)
+    display.add_argument("--config", required=True, help="setup JSON file")
+    display.add_argument("--result", default=None, help="calibration result JSON "
+                         "(defaults to the config rig's ground truth)")
+    display.add_argument("--eye", type=_eye_arg, default=None,
+                         help="eye position 'x,y,z' in meters, rear frame")
+    display.add_argument("--pan", type=float, default=None, help="pan angle, degrees")
+    display.add_argument("--tilt", type=float, default=None, help="tilt angle, degrees")
+    display.add_argument("--no-correction", action="store_true",
+                         help="send content straight to the projector")
+    display.add_argument("--out", required=True, help="image to write (.ppm or .png)")
 
     p = sub.add_parser(
         "simulate-calib", help="synthesize a calibration session from a config"
@@ -375,17 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="result JSON to write")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("correct", help="compute the pre-warped projector framebuffer")
-    p.add_argument("--config", required=True, help="setup JSON file")
-    p.add_argument("--result", default=None, help="calibration result JSON "
-                   "(defaults to the config rig's ground truth)")
-    p.add_argument("--eye", type=_eye_arg, default=None,
-                   help="eye position 'x,y,z' in meters, rear frame")
-    p.add_argument("--pan", type=float, default=None, help="pan angle, degrees")
-    p.add_argument("--tilt", type=float, default=None, help="tilt angle, degrees")
-    p.add_argument("--no-correction", action="store_true",
-                   help="send content straight to the projector")
-    p.add_argument("--out", required=True, help="image to write (.ppm or .png)")
+    p = sub.add_parser(
+        "correct", parents=[display], help="compute the pre-warped projector framebuffer"
+    )
     p.set_defaults(func=cmd_correct)
 
     p = sub.add_parser("evaluate", help="run the benchmark suite and write a report")
@@ -396,18 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser(
-        "render-user-view", help="simulate the user's view during projection"
+        "render-user-view", parents=[display],
+        help="simulate the user's view during projection",
     )
-    p.add_argument("--config", required=True, help="setup JSON file")
-    p.add_argument("--result", default=None, help="calibration result JSON")
-    p.add_argument("--eye", type=_eye_arg, default=None,
-                   help="eye position 'x,y,z' in meters, rear frame")
-    p.add_argument("--pan", type=float, default=None, help="pan angle, degrees")
-    p.add_argument("--tilt", type=float, default=None, help="tilt angle, degrees")
-    p.add_argument("--no-correction", action="store_true",
-                   help="send content straight to the projector")
-    p.add_argument("--width", type=int, default=640, help="output image width")
-    p.add_argument("--out", required=True, help="image to write (.ppm or .png)")
+    p.add_argument("--width", type=_positive_int, default=640, help="output image width")
     p.set_defaults(func=cmd_render_user_view)
 
     return parser

@@ -38,13 +38,13 @@ from .scene import (
     Sphere,
     TriangleMesh,
     grid_faces,
+    reconstruct_mesh,
     sense_depth,
 )
 from .upr import DEFAULT_EYE, EyePose, UprMatrix, Viewport, upr_matrix
 from .warp import (
     CheckerPattern,
     CornerPropagation,
-    WorldGeometry,
     propagate_corners,
     propagate_corners_uncorrected,
 )
@@ -276,6 +276,10 @@ class BenchmarkOptions:
     seed: int = 0
     overlay_width: int = 480
 
+    def __post_init__(self):
+        if self.depth_width <= 0 or self.depth_height <= 0:
+            raise ValueError("depth sensor width and height must be positive")
+
     def depth_noise(self, case_index: int) -> DepthNoiseModel:
         return DepthNoiseModel(
             sigma=self.depth_noise_sigma,
@@ -413,7 +417,7 @@ class DisplayChain:
     two sides coincide.
     """
 
-    geometry: WorldGeometry
+    geometry: TriangleMesh  # world-frame reconstruction, placed with the estimates
     depth_valid_fraction: float
     est_upr: UprMatrix
     true_upr: UprMatrix
@@ -447,7 +451,7 @@ def build_display_chain(
     depth = sense_depth(
         scene, depth_device, true_front_to_world, options.depth_noise(case_index)
     )
-    geometry = WorldGeometry.from_depth(depth, depth_device, est_front_to_world)
+    geometry = reconstruct_mesh(depth, depth_device).transformed(est_front_to_world)
 
     true_rear_to_world = true_front_to_world @ rig.rear_to_front
     est_world_to_rear = (est_front_to_world @ result.rear_to_front).inverse()

@@ -328,6 +328,13 @@ def backproject_points(device: PinholeDevice, pixels, depths) -> np.ndarray:
     return np.stack([x, y, z], axis=1)
 
 
+def pixel_rays(device: PinholeDevice, device_to_world: RigidTransform, pixels) -> np.ndarray:
+    """World-frame unit directions of the rays through (N, 2) device pixels."""
+    dirs = backproject_points(device, pixels, 1.0) @ device_to_world.rotation.T
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return dirs
+
+
 def pixel_center_grid(width: int, height: int) -> np.ndarray:
     """Continuous coordinates of all pixel centers in row-major order, (H*W, 2)."""
     u, v = np.meshgrid(np.arange(width) + 0.5, np.arange(height) + 0.5)

@@ -34,6 +34,11 @@ RAY_T_MIN = 1e-6
 _MAX_BROADCAST = 4_000_000
 
 
+def hit_points(origin, dirs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Points ``origin + t * dirs`` along each ray; a miss (t = inf) maps to the origin."""
+    return origin + np.where(np.isfinite(t), t, 0.0)[:, None] * dirs
+
+
 def _tangent_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic in-plane basis for a unit normal."""
     helper = np.array([0.0, 0.0, 1.0])
@@ -71,8 +76,7 @@ class Plane:
         t = np.where(t > RAY_T_MIN, t, np.inf)
         if self.extent is not None:
             t1, t2 = _tangent_basis(self.normal)
-            t_safe = np.where(np.isfinite(t), t, 0.0)
-            rel = origins + t_safe[:, None] * dirs - self.point
+            rel = hit_points(origins, dirs, t) - self.point
             inside = (np.abs(rel @ t1) <= self.extent[0]) & (
                 np.abs(rel @ t2) <= self.extent[1]
             )
@@ -115,9 +119,7 @@ class Sphere:
         t_far = -b + sqrt_disc
         t = np.where(t_near > RAY_T_MIN, t_near, t_far)
         t = np.where((disc >= 0) & (t > RAY_T_MIN), t, np.inf)
-        t_safe = np.where(np.isfinite(t), t, 0.0)
-        hit = origins + t_safe[:, None] * dirs
-        normals = (hit - self.center) / self.radius
+        normals = (hit_points(origins, dirs, t) - self.center) / self.radius
         return t, normals
 
     def to_json(self) -> dict:
@@ -172,8 +174,7 @@ class Box:
 
         # Normal of the face containing the hit: the dominant axis of the
         # local hit point measured in half-size units.
-        t_safe = np.where(valid, t, 0.0)
-        local_hit = o + t_safe[:, None] * d
+        local_hit = hit_points(o, d, t)
         scaled = local_hit / half
         axis = np.argmax(np.abs(np.where(np.isfinite(scaled), scaled, 0.0)), axis=1)
         local_n = np.zeros_like(local_hit)
@@ -236,8 +237,7 @@ class CylinderSegment:
                 ok = (disc >= 0) & (a > 1e-14) & (t > RAY_T_MIN)
                 ok &= (z >= 0) & (z <= self.height)
                 t = np.where(ok, t, np.inf)
-                t_safe = np.where(ok, t, 0.0)
-                hit = o + t_safe[:, None] * d
+                hit = hit_points(o, d, t)
                 ln = np.zeros_like(hit)
                 ln[:, 0] = hit[:, 0] / self.radius
                 ln[:, 1] = hit[:, 1] / self.radius
@@ -248,8 +248,7 @@ class CylinderSegment:
             with np.errstate(divide="ignore", invalid="ignore"):
                 t = (z_cap - o[:, 2]) / d[:, 2]
             t = np.where((np.abs(d[:, 2]) < 1e-12) | ~np.isfinite(t), np.inf, t)
-            t_safe = np.where(np.isfinite(t), t, 0.0)
-            hit = o + t_safe[:, None] * d
+            hit = hit_points(o, d, t)
             ok = (t > RAY_T_MIN) & (hit[:, 0] ** 2 + hit[:, 1] ** 2 <= self.radius**2)
             t = np.where(ok, t, np.inf)
             ln = np.zeros((n, 3))
@@ -431,15 +430,16 @@ class Scene:
         object.__setattr__(self, "surfaces", tuple(self.surfaces))
         object.__setattr__(self, "checkerboards", tuple(self.checkerboards))
 
-    def intersect(self, origins, dirs):
-        """Nearest hit over all surfaces for each ray.
+    def intersect(self, origin, dirs):
+        """Nearest hit over all surfaces for each ray cast from one ``origin`` (3,).
 
         Returns (t, normals, surface_index) with t = inf and index = -1 for
-        misses. Normals are oriented to face the ray origin.
+        misses; an exact tie goes to the lowest surface index. Normals are
+        oriented to face the origin.
         """
-        origins = np.asarray(origins, dtype=float).reshape(-1, 3)
         dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
-        n = origins.shape[0]
+        origins = np.broadcast_to(as_vec3(origin), dirs.shape)
+        n = dirs.shape[0]
         best_t = np.full(n, np.inf)
         best_normals = np.zeros((n, 3))
         best_idx = np.full(n, -1, dtype=np.int64)
@@ -457,13 +457,13 @@ class Scene:
 
 def raycast(scene: Scene, origin, direction) -> Hit | None:
     """Nearest scene intersection of a single ray, or None on a miss."""
-    o = as_vec3(origin)[None, :]
-    d = normalized(direction)[None, :]
+    o = as_vec3(origin)
+    d = normalized(direction)
     t, normals, idx = scene.intersect(o, d)
     if not np.isfinite(t[0]):
         return None
     return Hit(
-        point=o[0] + t[0] * d[0],
+        point=o + t[0] * d,
         normal=normals[0],
         t=float(t[0]),
         surface_id=scene.surfaces[idx[0]].surface_id,
@@ -549,9 +549,7 @@ def sense_depth(
     d_dev = backproject_points(device, pixels, 1.0)
     d_dev /= np.linalg.norm(d_dev, axis=1, keepdims=True)
     d_world = d_dev @ device_to_world.rotation.T
-    origins = np.broadcast_to(device_to_world.translation, d_world.shape)
-
-    t, normals, _ = scene.intersect(origins, d_world)
+    t, normals, _ = scene.intersect(device_to_world.translation, d_world)
     hit = np.isfinite(t)
     z = np.where(hit, t * d_dev[:, 2], 0.0).reshape(h, w)
 

@@ -24,9 +24,9 @@ from .calibration import (
     RearRegistrationRecord,
 )
 from .errors import EmptyObservationError
-from .geometry import RigidTransform, backproject_points, project_points
+from .geometry import RigidTransform, backproject_points, pixel_rays, project_points
 from .rig import PanTiltState, RigModel, observe_checkerboard, rig_pose
-from .scene import CheckerboardTarget, Scene
+from .scene import CheckerboardTarget, Scene, hit_points
 
 
 @dataclass(frozen=True)
@@ -137,15 +137,13 @@ def _projector_samples(
             alpha=math.radians(pan_deg), beta=math.radians(tilt_deg)
         )
         pose = rig_pose(rig, state)
-        dirs_world = backproject_points(device, pixels, 1.0) @ pose.proj_to_world.rotation.T
-        dirs_world /= np.linalg.norm(dirs_world, axis=1, keepdims=True)
-        origins = np.broadcast_to(pose.proj_to_world.translation, dirs_world.shape)
-        t, _, _ = scene.intersect(origins, dirs_world)
+        origin = pose.proj_to_world.translation
+        dirs_world = pixel_rays(device, pose.proj_to_world, pixels)
+        t, _, _ = scene.intersect(origin, dirs_world)
         hit = np.isfinite(t)
         if not np.any(hit):
             continue
-        t_safe = np.where(hit, t, 0.0)
-        points_world = origins + t_safe[:, None] * dirs_world
+        points_world = hit_points(origin, dirs_world, t)
         points_front = pose.front_to_world.inverse().apply(points_world)
         uv, z, in_front = project_points(front, RigidTransform.identity(), points_front)
         visible = hit & in_front & (z > 0) & front.contains(uv)

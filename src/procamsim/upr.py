@@ -86,6 +86,12 @@ class UprMatrix:
         """The eye position expressed in the world frame."""
         return self.world_to_rear.inverse().apply(self.eye.as_array())
 
+    def screen_rays(self, xy_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """World-frame eye and unnormalized vectors from it to (N, 2) screen points (m)."""
+        screen_world = self.world_to_rear.inverse().apply(np.c_[xy_m, np.zeros(len(xy_m))])
+        eye_world = self.eye_world()
+        return eye_world, screen_world - eye_world
+
 
 def upr_matrix(eye: EyePose, world_to_rear: RigidTransform) -> UprMatrix:
     """Compose the eye's screen projection with a world-to-rear transform."""

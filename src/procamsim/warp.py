@@ -26,13 +26,13 @@ import numpy as np
 from .geometry import (
     PinholeDevice,
     RigidTransform,
-    backproject_points,
     pixel_center_grid,
+    pixel_rays,
     project_points,
 )
 from .images import bilinear_sample
 from .raster import rasterize
-from .scene import DepthImage, Scene, TriangleMesh, reconstruct_mesh
+from .scene import Scene, TriangleMesh, hit_points
 from .upr import UprMatrix, Viewport
 
 # Relative slack for "is this the same intersection point" visibility tests.
@@ -109,7 +109,7 @@ class EquirectContent:
 
     image: np.ndarray
 
-    def sample_rays(self, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    def sample_rays(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         img = np.asarray(self.image, dtype=np.float64)
         h, w = img.shape[:2]
         d = np.asarray(dirs, dtype=float).reshape(-1, 3)
@@ -141,11 +141,9 @@ class MeshSetContent:
     scene: Scene
     background: tuple = (0.0, 0.0, 0.0)
 
-    def sample_rays(self, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        origins = np.asarray(origins, dtype=float).reshape(-1, 3)
-        dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
-        t, _, sidx = self.scene.intersect(origins, dirs)
-        colors = np.empty((len(dirs), 3))
+    def sample_rays(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        t, _, sidx = self.scene.intersect(origin, dirs)
+        colors = np.empty((len(t), 3))
         colors[:] = np.asarray(self.background, dtype=float)
         hit = np.isfinite(t)
         if np.any(hit):
@@ -154,28 +152,13 @@ class MeshSetContent:
         return colors
 
 
-# -- Scene geometry as used by the warp ----------------------------------------
-
-
-@dataclass(frozen=True)
-class WorldGeometry:
-    """World-frame triangle mesh the projector framebuffer is mapped onto."""
-
-    mesh: TriangleMesh
-
-    @classmethod
-    def from_depth(
-        cls,
-        depth: DepthImage,
-        device: PinholeDevice,
-        device_to_world: RigidTransform,
-        discontinuity_threshold: float = 0.05,
-    ) -> "WorldGeometry":
-        mesh = reconstruct_mesh(depth, device, discontinuity_threshold)
-        return cls(mesh=mesh.transformed(device_to_world))
-
-    def as_scene(self) -> Scene:
-        return Scene(surfaces=(self.mesh,), checkerboards=())
+def _unoccluded(scene: Scene, origin: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Whether the scene shows each point first along its ray from ``origin``."""
+    to_pt = points - origin
+    dist = np.linalg.norm(to_pt, axis=1)
+    safe_dist = np.where(dist > 0, dist, 1.0)
+    t, _, _ = scene.intersect(origin, to_pt / safe_dist[:, None])
+    return t >= dist * (1.0 - _VISIBILITY_REL_TOL)
 
 
 # -- Pass 1: the user's intended view -------------------------------------------
@@ -196,17 +179,10 @@ def render_user_view(
     """
     width = viewport.width_px if width is None else width
     height = viewport.height_px if height is None else height
-    scale = np.array(
-        [width / viewport.width_px, height / viewport.height_px]
-    )
+    scale = np.array([width / viewport.width_px, height / viewport.height_px])
     uv = pixel_center_grid(width, height) / scale
-    xy = viewport.to_plane(uv)
-    rear_pts = np.c_[xy, np.zeros(len(xy))]
-    rear_to_world = upr.world_to_rear.inverse()
-    world_pts = rear_to_world.apply(rear_pts)
-    eye_world = upr.eye_world()
-    dirs = world_pts - eye_world
-    colors = content.sample_rays(np.broadcast_to(eye_world, dirs.shape), dirs)
+    eye_world, dirs = upr.screen_rays(viewport.to_plane(uv))
+    colors = content.sample_rays(eye_world, dirs)
     return np.clip(np.round(colors), 0, 255).astype(np.uint8).reshape(height, width, 3)
 
 
@@ -215,7 +191,7 @@ def render_user_view(
 
 def warp_to_projector(
     user_image: np.ndarray,
-    geometry: WorldGeometry,
+    mesh: TriangleMesh,
     upr: UprMatrix,
     viewport: Viewport,
     proj_device: PinholeDevice,
@@ -223,18 +199,18 @@ def warp_to_projector(
 ) -> np.ndarray:
     """Pre-warp a pass-1 image into the projector framebuffer.
 
-    The geometry is rasterized from the projector; every covered pixel maps
-    its world point through the screen projection and bilinearly samples the
-    pass-1 image. Uncovered pixels, and points on the eye side of the
-    screen projection, stay black.
+    The world-frame mesh is rasterized from the projector; every covered
+    pixel maps its world point through the screen projection and bilinearly
+    samples the pass-1 image. Uncovered pixels, and points on the eye side
+    of the screen projection, stay black.
     """
-    verts = geometry.mesh.vertices
+    verts = mesh.vertices
     cam = proj_to_world.inverse().apply(verts)
     uv, z, _ = project_points(proj_device, RigidTransform.identity(), cam)
     res = rasterize(
         uv,
         z,
-        geometry.mesh.faces,
+        mesh.faces,
         proj_device.width,
         proj_device.height,
         attributes={"world": verts},
@@ -272,33 +248,25 @@ def simulate_projection_and_view(
     ``out = albedo * (ambient * 255 + framebuffer)``, clipped to 8 bits.
     """
     h, w = view_device.height, view_device.width
-    pix = pixel_center_grid(w, h)
-    dirs = backproject_points(view_device, pix, 1.0) @ view_to_world.rotation.T
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    origins = np.broadcast_to(view_to_world.translation, dirs.shape)
-    t, _, sidx = scene.intersect(origins, dirs)
+    origin = view_to_world.translation
+    dirs = pixel_rays(view_device, view_to_world, pixel_center_grid(w, h))
+    t, _, sidx = scene.intersect(origin, dirs)
     hit = np.isfinite(t)
-    out = np.zeros((len(pix), 3))
+    out = np.zeros((len(dirs), 3))
     if not np.any(hit):
         return out.astype(np.uint8).reshape(h, w, 3)
 
-    points = origins[hit] + t[hit, None] * dirs[hit]
+    points = hit_points(origin, dirs[hit], t[hit])
     albedos = np.array([s.albedo for s in scene.surfaces])[sidx[hit]]
 
     light = np.zeros((hit.sum(), 3))
-    proj_origin = proj_to_world.translation
     cam_pts = proj_to_world.inverse().apply(points)
     uv, z, in_front = project_points(
         proj_device, RigidTransform.identity(), cam_pts
     )
     lit = in_front & proj_device.contains(np.nan_to_num(uv, nan=-1.0))
     if np.any(lit):
-        to_pt = points[lit] - proj_origin
-        dist = np.linalg.norm(to_pt, axis=1)
-        shadow_t, _, _ = scene.intersect(
-            np.broadcast_to(proj_origin, to_pt.shape), to_pt / dist[:, None]
-        )
-        visible = shadow_t >= dist * (1.0 - _VISIBILITY_REL_TOL)
+        visible = _unoccluded(scene, proj_to_world.translation, points[lit])
         uu = np.clip(np.floor(uv[lit][visible, 0]).astype(np.int64), 0, proj_device.width - 1)
         vv = np.clip(np.floor(uv[lit][visible, 1]).astype(np.int64), 0, proj_device.height - 1)
         lit_idx = np.flatnonzero(lit)[visible]
@@ -329,11 +297,6 @@ class CornerPropagation:
         return float(self.resolved.mean()) if len(self.resolved) else 0.0
 
 
-def _first_hit(scene: Scene, origins: np.ndarray, dirs: np.ndarray):
-    t, _, _ = scene.intersect(origins, dirs)
-    return t
-
-
 def _view_projected_corners(
     desired: np.ndarray,
     proj_px: np.ndarray,
@@ -352,23 +315,13 @@ def _view_projected_corners(
     resolve.
     """
     n = len(desired)
-    dirs = backproject_points(true_proj_device, proj_px, 1.0)
-    dirs = dirs @ true_proj_to_world.rotation.T
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     origin = true_proj_to_world.translation
-    t = _first_hit(true_scene, np.broadcast_to(origin, dirs.shape), dirs)
-    hit = np.isfinite(t)
-    lit = origin + np.where(hit, t, 0.0)[:, None] * dirs
-
-    true_eye = true_upr.eye_world()
-    to_lit = lit - true_eye
-    dist = np.linalg.norm(to_lit, axis=1)
-    safe_dist = np.where(dist > 0, dist, 1.0)
-    t_vis = _first_hit(
-        true_scene, np.broadcast_to(true_eye, to_lit.shape), to_lit / safe_dist[:, None]
-    )
+    dirs = pixel_rays(true_proj_device, true_proj_to_world, proj_px)
+    t, _, _ = true_scene.intersect(origin, dirs)
+    lit = hit_points(origin, dirs, t)
+    seen = _unoccluded(true_scene, true_upr.eye_world(), lit)
     obs_xy, w = true_upr.apply(lit)
-    resolved = alive & hit & (t_vis >= dist * (1.0 - _VISIBILITY_REL_TOL)) & (w > 1e-9)
+    resolved = alive & np.isfinite(t) & seen & (w > 1e-9)
     observed = np.full((n, 2), np.nan)
     observed[resolved] = viewport.to_pixels(obs_xy)[resolved]
     return CornerPropagation(np.arange(n), desired, observed, resolved)
@@ -376,7 +329,7 @@ def _view_projected_corners(
 
 def propagate_corners(
     pattern: CheckerPattern,
-    geometry: WorldGeometry,
+    mesh: TriangleMesh,
     upr: UprMatrix,
     viewport: Viewport,
     proj_device: PinholeDevice,
@@ -388,15 +341,16 @@ def propagate_corners(
 ) -> CornerPropagation:
     """Trace pattern corners through the corrected display chain.
 
-    The estimated models (``geometry``, ``upr``, ``proj_device``,
+    The estimated models (the world-frame ``mesh``, ``upr``, ``proj_device``,
     ``proj_to_world``) decide which projector pixel carries each corner,
     exactly as the two-pass warp would. The true models (defaulting to the
     estimates) govern what physically happens to that pixel and where the
     user sees it. The gap between ``desired_px`` and ``observed_px`` is the
     residual distortion in virtual-screen pixels.
     """
+    est_scene = Scene(surfaces=(mesh,))
     if true_scene is None:
-        true_scene = geometry.as_scene()
+        true_scene = est_scene
     if true_proj_device is None:
         true_proj_device = proj_device
     if true_proj_to_world is None:
@@ -408,18 +362,13 @@ def propagate_corners(
     n = len(corners)
 
     # Estimated path: screen point -> eye ray -> estimated geometry.
-    xy_m = viewport.to_plane(corners)
-    rear_pts = np.c_[xy_m, np.zeros(n)]
-    screen_world = upr.world_to_rear.inverse().apply(rear_pts)
-    eye_world = upr.eye_world()
-    dirs = screen_world - eye_world
+    eye_world, dirs = upr.screen_rays(viewport.to_plane(corners))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    est_scene = geometry.as_scene()
-    t_est = _first_hit(est_scene, np.broadcast_to(eye_world, dirs.shape), dirs)
+    t_est, _, _ = est_scene.intersect(eye_world, dirs)
     alive = np.isfinite(t_est)
     if not np.any(alive):
         return CornerPropagation(np.arange(n), corners, np.full((n, 2), np.nan), alive)
-    landing = eye_world + np.where(alive, t_est, 0.0)[:, None] * dirs
+    landing = hit_points(eye_world, dirs, t_est)
 
     # Which projector pixel does the estimated warp light that point with?
     cam = proj_to_world.inverse().apply(landing)

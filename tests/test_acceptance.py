@@ -402,7 +402,7 @@ def test_criterion_6_grazing_band_failure():
     x = ((uu.ravel() - device.cx) - device.skew * y) / device.fx
     dirs = np.c_[x, y, np.ones(x.size)]
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    t, normals, idx = wedge.scene.intersect(np.zeros_like(dirs), dirs)
+    t, normals, idx = wedge.scene.intersect(np.zeros(3), dirs)
     hit = np.isfinite(t) & (idx >= 0)
     gamma = np.degrees(
         np.arcsin(np.clip(np.abs(np.einsum("ij,ij->i", dirs, normals)), 0.0, 1.0))

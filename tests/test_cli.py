@@ -315,6 +315,21 @@ class TestInputBoundary:
         assert code == 1
         self.assert_one_error_line(capsys, "limit")
 
+    @pytest.mark.parametrize("width", ["0", "-3"])
+    def test_render_width_not_positive(self, config_path, tmp_path, capsys, width):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["render-user-view", "--config", str(config_path), "--width", width,
+                  "--out", str(tmp_path / "view.ppm")])
+        assert excinfo.value.code == 2
+        assert "--width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["correct", "evaluate"])
+    def test_depth_width_not_positive(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, extra_display={"depth": {"width": 0, "height": 60}})
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "depth" in self.assert_one_error_line(capsys, "schema")
+
 
 class TestImageContent:
     def test_panorama_content_round_trip(self, tmp_path):

@@ -148,8 +148,7 @@ class TestStandardSuite:
         dirs = np.stack(
             [np.sin(angles), np.zeros_like(angles), np.cos(angles)], axis=1
         )
-        origins = np.zeros_like(dirs)
-        t, normals, idx = scene.intersect(origins, dirs)
+        t, normals, idx = scene.intersect(np.zeros(3), dirs)
         hit = np.isfinite(t) & (idx >= 0)
         assert hit.sum() > 100
         dot = np.abs(np.einsum("ij,ij->i", dirs[hit], normals[hit]))

@@ -314,11 +314,11 @@ class TestSceneIO:
             s.surface_id for s in scene.surfaces
         ]
         rng = np.random.default_rng(2)
-        origins = np.zeros((64, 3))
+        origin = np.zeros(3)
         dirs = rng.normal(size=(64, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        t0, n0, i0 = scene.intersect(origins, dirs)
-        t1, n1, i1 = loaded.intersect(origins, dirs)
+        t0, n0, i0 = scene.intersect(origin, dirs)
+        t1, n1, i1 = loaded.intersect(origin, dirs)
         np.testing.assert_allclose(t0, t1, atol=1e-9)
         np.testing.assert_array_equal(i0, i1)
         board0 = scene.checkerboards[0]

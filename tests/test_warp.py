@@ -28,6 +28,7 @@ from procamsim.scene import (
     Scene,
     Sphere,
     TriangleMesh,
+    reconstruct_mesh,
     sense_depth,
 )
 from procamsim.upr import EyePose, Viewport, upr_matrix
@@ -36,7 +37,6 @@ from procamsim.warp import (
     CornerPropagation,
     EquirectContent,
     MeshSetContent,
-    WorldGeometry,
     propagate_corners,
     propagate_corners_uncorrected,
     render_user_view,
@@ -83,15 +83,15 @@ class TestEquirectContent:
         img = np.zeros((4, 8, 3))
         img[:, :, 0] = np.arange(8)[None, :]
         content = EquirectContent(image=img)
-        out = content.sample_rays(np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]))
+        out = content.sample_rays(np.zeros(3), np.array([[0.0, 0.0, 1.0]]))
         # lon 0 -> u = 4.0 -> texels 3 and 4 blend equally.
         assert out[0, 0] == pytest.approx(3.5)
 
     def test_horizontal_wrap_is_seamless(self):
         rng = np.random.default_rng(0)
         content = EquirectContent(image=rng.uniform(0, 255, size=(6, 12, 3)))
-        left = content.sample_rays(np.zeros((1, 3)), np.array([[-1e-9, 0.2, -1.0]]))
-        right = content.sample_rays(np.zeros((1, 3)), np.array([[1e-9, 0.2, -1.0]]))
+        left = content.sample_rays(np.zeros(3), np.array([[-1e-9, 0.2, -1.0]]))
+        right = content.sample_rays(np.zeros(3), np.array([[1e-9, 0.2, -1.0]]))
         assert np.abs(left - right).max() < 1e-6
 
     def test_poles_clamp(self):
@@ -99,8 +99,8 @@ class TestEquirectContent:
         img[0] = 10.0
         img[-1] = 90.0
         content = EquirectContent(image=img)
-        up = content.sample_rays(np.zeros((1, 3)), np.array([[0.0, -1.0, 0.0]]))
-        down = content.sample_rays(np.zeros((1, 3)), np.array([[0.0, 1.0, 0.0]]))
+        up = content.sample_rays(np.zeros(3), np.array([[0.0, -1.0, 0.0]]))
+        down = content.sample_rays(np.zeros(3), np.array([[0.0, 1.0, 0.0]]))
         assert up[0, 0] == pytest.approx(10.0)
         assert down[0, 0] == pytest.approx(90.0)
 
@@ -115,7 +115,7 @@ class TestMeshSetContent:
         )
         content = MeshSetContent(scene=scene, background=(0.0, 0.0, 32.0))
         out = content.sample_rays(
-            np.zeros((2, 3)), np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+            np.zeros(3), np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         )
         assert out[0].tolist() == [255.0, 0.0, 0.0]
         assert out[1].tolist() == [0.0, 0.0, 32.0]
@@ -147,7 +147,7 @@ def identity_setup(width=320, height=240):
         faces=np.array([[0, 1, 2], [0, 2, 3]]),
         surface_id="screen-wall",
     )
-    return viewport, upr, device, proj_to_world, WorldGeometry(mesh=wall)
+    return viewport, upr, device, proj_to_world, wall
 
 
 class TestWarpToProjector:
@@ -170,7 +170,7 @@ class TestWarpToProjector:
         )
         user_image = np.full((240, 320, 3), 200, dtype=np.uint8)
         fb = warp_to_projector(
-            user_image, WorldGeometry(mesh=small), upr, viewport, device, proj_to_world
+            user_image, small, upr, viewport, device, proj_to_world
         )
         assert fb[0, 0].tolist() == [0, 0, 0]
         assert fb[120, 160].tolist() == [200, 200, 200]
@@ -403,7 +403,7 @@ def exact_geometry(scene, rig):
     depth = sense_depth(
         scene, rig.front_device, RigidTransform.identity(), DepthNoiseModel.exact()
     )
-    return WorldGeometry.from_depth(depth, rig.front_device, RigidTransform.identity())
+    return reconstruct_mesh(depth, rig.front_device)
 
 
 class TestPropagateCorners:
