@@ -35,7 +35,7 @@ from .calibration import (
     save_result,
     save_session,
 )
-from .errors import ProcamError, SchemaError, check_schema_version, load_json
+from .errors import LimitError, ProcamError, SchemaError, check_schema_version, load_json
 from .evaluation import (
     BenchmarkOptions,
     DisplayChain,
@@ -288,16 +288,34 @@ def cmd_correct(args) -> None:
     print(f"framebuffer: {args.out}")
 
 
+# Largest user view ``render-user-view`` renders; 4096 x 4096 admits 4K UHD.
+MAX_VIEW_PIXELS = 4096 * 4096
+
+
+def _view_size(width: int, viewport) -> tuple[int, int]:
+    """User-view image size for ``--width`` at the viewport's aspect ratio.
+
+    Raises LimitError when the image would exceed MAX_VIEW_PIXELS.
+    """
+    if width <= MAX_VIEW_PIXELS:
+        height = max(1, round(width * viewport.height_px / viewport.width_px))
+        if width * height <= MAX_VIEW_PIXELS:
+            return width, height
+    raise LimitError(
+        f"--width {width} exceeds the user-view budget of {MAX_VIEW_PIXELS} pixels"
+        " (4096x4096)"
+    )
+
+
 def cmd_render_user_view(args) -> None:
     cfg = load_config(args.config)
     result = _load_result_or_truth(args, cfg.rig)
     options = _apply_overrides(cfg.options, args)
+    vp = options.viewport
+    width, height = _view_size(args.width, vp)
     framebuffer, chain = _make_framebuffer(
         cfg, result, options, corrected=not args.no_correction
     )
-    vp = options.viewport
-    width = args.width
-    height = max(1, round(width * vp.height_px / vp.width_px))
     eye = options.eye
     view_device = PinholeDevice(
         fx=abs(eye.z) * width / vp.width_m,

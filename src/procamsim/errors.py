@@ -31,7 +31,7 @@ class BehindDeviceError(ProcamError):
 
 
 class LimitError(ProcamError):
-    """A pan/tilt state outside the configured mechanical limits."""
+    """A pan/tilt state outside the mechanical limits, or an image over the pixel budget."""
 
     code = "limit"
 

@@ -55,6 +55,18 @@ def _face_chunks(counts: np.ndarray):
         start = end
 
 
+def expand_boxes(ids, x0, y0, bw, bh):
+    """Every integer cell of each box ``[x0, x0 + bw) x [y0, y0 + bh)``.
+
+    Returns (id, x, y) per cell, box by box in input order and row-major
+    inside each box.
+    """
+    counts = bw * bh
+    k = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+    w = np.repeat(bw, counts)
+    return np.repeat(ids, counts), np.repeat(x0, counts) + k % w, np.repeat(y0, counts) + k // w
+
+
 def rasterize(
     xy: np.ndarray,
     w: np.ndarray,
@@ -113,14 +125,7 @@ def rasterize(
 
     for chunk in _face_chunks(counts):
         f = face_ids[chunk]
-        c = counts[chunk]
-        offsets = np.concatenate([[0], np.cumsum(c)[:-1]])
-        total = int(c.sum())
-        frag_face = np.repeat(f, c)  # face id per fragment
-        k = np.arange(total) - np.repeat(offsets, c)
-        fbw = np.repeat(bw[f], c)
-        px = np.repeat(x_min[f], c) + k % fbw
-        py = np.repeat(y_min[f], c) + k // fbw
+        frag_face, px, py = expand_boxes(f, x_min[f], y_min[f], bw[f], bh[f])
         cx = px + 0.5
         cy = py + 0.5
 

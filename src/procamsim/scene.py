@@ -13,6 +13,7 @@ degrees; all lengths are meters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +27,14 @@ from .geometry import (
     normalized,
     pixel_center_grid,
 )
+from .raster import _face_chunks, expand_boxes
 
 # Intersections closer than this along a ray are ignored (self-hits).
 RAY_T_MIN = 1e-6
 
-# Ray-triangle batches are chunked to keep broadcasting under this size.
-_MAX_BROADCAST = 4_000_000
+# Mesh casting bins rays within this cosine of the batch's mean direction
+# (about 84 degrees) on a direction grid; the others test every face.
+_FRONT_COS = 0.1
 
 
 def hit_points(origin, dirs: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -299,47 +302,55 @@ class TriangleMesh:
         return n / np.maximum(lengths, 1e-300)
 
     def intersect(self, origins: np.ndarray, dirs: np.ndarray):
-        """Nearest hit per ray; an exact tie goes to the lowest face index."""
-        n_rays = origins.shape[0]
+        """Nearest hit per ray; an exact tie goes to the lowest face index.
+
+        Every ray starts at one origin: ``origins`` is (N, 3) with equal rows,
+        and rows that differ raise ``ValueError``. Möller–Trumbore runs only
+        on the ray-face pairs from ``_candidate_faces``, with the same
+        arithmetic and result as testing every ray against every face.
+        """
+        origins = np.asarray(origins, dtype=float).reshape(-1, 3)
+        dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
+        n_rays = dirs.shape[0]
+        if len(origins) and not np.array_equal(
+            origins, np.broadcast_to(origins[0], origins.shape), equal_nan=True
+        ):
+            raise ValueError("mesh rays must share one origin: rows of origins differ")
         best_t = np.full(n_rays, np.inf)
         best_face = np.full(n_rays, -1, dtype=np.int64)
-        if len(self.faces) == 0 or n_rays == 0:
+        n_faces = len(self.faces)
+        if n_faces == 0 or n_rays == 0:
             return best_t, np.zeros((n_rays, 3))
 
+        origin = origins[0]
         v0 = self.vertices[self.faces[:, 0]]
         e1 = self.vertices[self.faces[:, 1]] - v0
         e2 = self.vertices[self.faces[:, 2]] - v0
+        flat, start1, count1, start2, count2 = _candidate_faces(
+            origin, dirs, self.vertices, self.faces
+        )
 
-        chunk = max(1, _MAX_BROADCAST // max(len(self.faces), 1))
-        for start in range(0, n_rays, chunk):
-            o = origins[start : start + chunk]
-            d = dirs[start : start + chunk]
-            # Moller-Trumbore, broadcast rays x triangles.
-            p = np.cross(d[:, None, :], e2[None, :, :])
-            det = np.einsum("tj,rtj->rt", e1, p)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                inv_det = 1.0 / det
-            s = o[:, None, :] - v0[None, :, :]
-            u = np.einsum("rtj,rtj->rt", s, p) * inv_det
-            q = np.cross(s, e1[None, :, :])
-            v = np.einsum("rj,rtj->rt", d, q) * inv_det
-            t = np.einsum("tj,rtj->rt", e2, q) * inv_det
-            eps = 1e-10
-            ok = (
-                (np.abs(det) > 1e-14)
-                & (u >= -eps)
-                & (v >= -eps)
-                & (u + v <= 1.0 + eps)
-                & (t > RAY_T_MIN)
-            )
-            t = np.where(ok, t, np.inf)
-            face = np.argmin(t, axis=1)
-            rows = np.arange(t.shape[0])
-            tmin = t[rows, face]
-            improved = tmin < best_t[start : start + chunk]
-            idx = start + rows[improved]
-            best_t[idx] = tmin[improved]
-            best_face[idx] = face[improved]
+        # Pairs run ray by ray: the ray's first segment of ``flat``, then its
+        # second. The order within a ray is free, because ties are broken by
+        # the smallest face index among the pairs at the minimum t.
+        counts = count1 + count2
+        active = np.flatnonzero(counts)
+        for chunk in _face_chunks(counts[active]):
+            rays = active[chunk]
+            c = counts[rays]
+            seg = np.cumsum(c) - c
+            ray = np.repeat(rays, c)
+            k = np.arange(len(ray)) - np.repeat(seg, c)
+            c1 = np.repeat(count1[rays], c)
+            pos = np.where(k < c1, start1[ray] + k, start2[ray] + k - c1)
+            face = flat[pos]
+            t = _moller_trumbore(origin, dirs[ray], v0[face], e1[face], e2[face])
+            tmin = np.minimum.reduceat(t, seg)
+            tied = np.where(t == np.repeat(tmin, c), face, n_faces)
+            fmin = np.minimum.reduceat(tied, seg)
+            hit = tmin < np.inf
+            best_t[rays[hit]] = tmin[hit]
+            best_face[rays[hit]] = fmin[hit]
 
         normals = np.zeros((n_rays, 3))
         hit = best_face >= 0
@@ -356,6 +367,124 @@ class TriangleMesh:
             "vertices": self.vertices.tolist(),
             "faces": self.faces.tolist(),
         }
+
+
+def _moller_trumbore(origin, d, v0, e1, e2) -> np.ndarray:
+    """Hit distance of each ray-triangle pair (rows of ``d`` and ``v0/e1/e2``), inf on a miss."""
+    p = np.cross(d, e2)
+    det = np.einsum("pj,pj->p", e1, p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_det = 1.0 / det
+    s = origin - v0
+    u = np.einsum("pj,pj->p", s, p) * inv_det
+    q = np.cross(s, e1)
+    v = np.einsum("pj,pj->p", d, q) * inv_det
+    t = np.einsum("pj,pj->p", e2, q) * inv_det
+    eps = 1e-10
+    ok = (
+        (np.abs(det) > 1e-14)
+        & (u >= -eps)
+        & (v >= -eps)
+        & (u + v <= 1.0 + eps)
+        & (t > RAY_T_MIN)
+    )
+    return np.where(ok, t, np.inf)
+
+
+def _grid_cells(values, lo, scale, size) -> np.ndarray:
+    """Grid column (or row) of each projected coordinate, clipped to the grid."""
+    return np.clip(np.floor((values - lo) * scale), 0, size - 1).astype(np.int64)
+
+
+def _candidate_faces(origin, dirs, vertices, faces):
+    """Faces each ray may hit, binned on a direction grid around ``origin``.
+
+    Returns ``flat`` and, per ray, two segments
+    ``flat[start1 : start1 + count1]`` and ``flat[start2 : start2 + count2]``
+    that together hold every face the ray can hit under Möller–Trumbore's
+    tolerances.
+
+    Rays within ``_FRONT_COS`` of the mean direction (the axis) project to
+    ``(x/z, y/z)`` in the axis frame, on a grid of about one cell per ray.
+    A face whose vertices all lie clearly in front of the origin goes into
+    the cells under its projected bounding box, padded well beyond
+    Möller–Trumbore's 1e-10 barycentric slack; one clearly behind is
+    dropped, and one near or across the origin plane is a candidate for
+    every ray. Every other ray (sideways, backward, zero or non-finite)
+    takes every face.
+    """
+    n_rays, n_faces = len(dirs), len(faces)
+    # ``flat`` starts with every face, the candidates of an unbinned ray.
+    flat, start1, count1 = np.arange(n_faces), np.zeros(n_rays, np.int64), np.full(n_rays, n_faces)
+    start2, count2 = np.zeros(n_rays, np.int64), np.zeros(n_rays, np.int64)
+
+    mean = dirs[np.isfinite(dirs).all(axis=1)].sum(axis=0)
+    norm = np.linalg.norm(mean)
+    if not (np.isfinite(norm) and norm > 1e-12):
+        return flat, start1, count1, start2, count2
+    axis = mean / norm
+    t1, t2 = _tangent_basis(axis)
+    dz = dirs @ axis
+    front = np.flatnonzero(dz > _FRONT_COS * np.linalg.norm(dirs, axis=1))
+    if len(front) == 0:
+        return flat, start1, count1, start2, count2
+    rx = (dirs[front] @ t1) / dz[front]
+    ry = (dirs[front] @ t2) / dz[front]
+    size = max(1, math.isqrt(len(front)))
+    lo = np.array([rx.min(), ry.min()])
+    hi = np.array([rx.max(), ry.max()])
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = size / (hi - lo)
+    scale = np.where(np.isfinite(scale) & (scale > 0), scale, 1.0)
+
+    # Vertices project once. Faces are classed by depth along the axis, with
+    # a margin relative to that depth.
+    rel = vertices - origin
+    zv = rel @ axis
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        xv = (rel @ t1) / zv
+        yv = (rel @ t2) / zv
+    z = zv[faces.T]
+    z_min, z_max = z.min(axis=0), z.max(axis=0)
+    margin = 1e-6 * (np.abs(z_min) + np.abs(z_max))
+    ahead = np.flatnonzero(z_min > margin)
+    behind = z_max < -margin
+    corners = faces[ahead].T
+    x, y = xv[corners], yv[corners]
+    x_lo, x_hi, y_lo, y_hi = x.min(axis=0), x.max(axis=0), y.min(axis=0), y.max(axis=0)
+    z_near = z_min[ahead]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A hit within the slack lies outside the box by at most about
+        # 2e-10 * z_max / z_min of the box size. Rounding of the vertex
+        # offsets moves a projection by ~1e-16 of |origin| + |vertex| over z.
+        size_pad = (z_max[ahead] / z_near) * (x_hi - x_lo + y_hi - y_lo)
+        magnitude = np.abs(origin).max() + np.abs(vertices).T.max(axis=0)[corners].max(axis=0)
+        extent = np.maximum(np.abs(x_lo), np.abs(x_hi)) + np.maximum(np.abs(y_lo), np.abs(y_hi))
+        pad = 1e-6 * size_pad + 1e-12 * (1.0 + extent) * (1.0 + magnitude / z_near)
+        x_lo, x_hi, y_lo, y_hi = x_lo - pad, x_hi + pad, y_lo - pad, y_hi + pad
+    finite = np.isfinite(x_lo + x_hi + y_lo + y_hi)
+    on_grid = (x_hi >= lo[0]) & (x_lo <= hi[0]) & (y_hi >= lo[1]) & (y_lo <= hi[1])
+    binned = finite & on_grid
+    wide = np.ones(n_faces, dtype=bool)
+    wide[ahead] = ~finite
+    wide &= ~behind
+
+    cx0, cx1 = (_grid_cells(v[binned], lo[0], scale[0], size) for v in (x_lo, x_hi))
+    cy0, cy1 = (_grid_cells(v[binned], lo[1], scale[1], size) for v in (y_lo, y_hi))
+    face, cx, cy = expand_boxes(ahead[binned], cx0, cy0, cx1 - cx0 + 1, cy1 - cy0 + 1)
+    cell = cy * size + cx
+    cell_count = np.bincount(cell, minlength=size * size)
+    cell_faces = face[np.argsort(cell)]
+    wide_faces = np.flatnonzero(wide)
+
+    ray_cell = (
+        _grid_cells(ry, lo[1], scale[1], size) * size + _grid_cells(rx, lo[0], scale[0], size)
+    )
+    start1[front] = n_faces + (np.cumsum(cell_count) - cell_count)[ray_cell]
+    count1[front] = cell_count[ray_cell]
+    start2[front] = n_faces + len(cell_faces)
+    count2[front] = len(wide_faces)
+    return np.concatenate([flat, cell_faces, wide_faces]), start1, count1, start2, count2
 
 
 Surface = Plane | Sphere | Box | CylinderSegment | TriangleMesh

@@ -2,12 +2,15 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from procamsim import cli
 from procamsim.calibration import load_result
 from procamsim.cli import main
+from procamsim.errors import LimitError
 from procamsim.geometry import PinholeDevice, RigidTransform, rotation_about_axis
 from procamsim.images import read_image, read_ppm, write_ppm
 from procamsim.rig import default_rig, save_rig
@@ -322,6 +325,27 @@ class TestInputBoundary:
                   "--out", str(tmp_path / "view.ppm")])
         assert excinfo.value.code == 2
         assert "--width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("width", ["100000", "1" + "0" * 40])
+    def test_render_width_over_the_pixel_budget(
+        self, config_path, tmp_path, capsys, monkeypatch, width
+    ):
+        def no_framebuffer(*args, **kwargs):
+            raise AssertionError("the budget is checked before the framebuffer is built")
+
+        monkeypatch.setattr(cli, "_make_framebuffer", no_framebuffer)
+        code = main(["render-user-view", "--config", str(config_path), "--width", width,
+                     "--out", str(tmp_path / "view.ppm")])
+        assert code == 1
+        assert "--width" in self.assert_one_error_line(capsys, "limit")
+        assert not (tmp_path / "view.ppm").exists()
+
+    def test_pixel_budget_admits_4k_uhd(self):
+        uhd = SimpleNamespace(width_px=1920, height_px=1080)
+        assert cli._view_size(3840, uhd) == (3840, 2160)
+        assert cli._view_size(4096, SimpleNamespace(width_px=1, height_px=1)) == (4096, 4096)
+        with pytest.raises(LimitError):
+            cli._view_size(4097, SimpleNamespace(width_px=1, height_px=1))
 
     @pytest.mark.parametrize("command", ["correct", "evaluate"])
     def test_depth_width_not_positive(self, tmp_path, capsys, command):
