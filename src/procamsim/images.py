@@ -120,33 +120,40 @@ def bilinear_sample(image: np.ndarray, xy: np.ndarray) -> np.ndarray:
 
     ``xy`` is (..., 2) with (0.5, 0.5) at the center of pixel (0, 0).
     Samples beyond the border blend toward black (the image is conceptually
-    surrounded by black), and far-outside coordinates return black. Returns
-    float64 of shape (..., channels).
+    surrounded by black), and far-outside or NaN coordinates return black.
+    Returns float64 of shape (..., channels).
     """
-    img = np.asarray(image, dtype=np.float64)
+    img = np.asarray(image)
     if img.ndim == 2:
         img = img[..., None]
-    h, w = img.shape[:2]
-    padded = np.zeros((h + 2, w + 2, img.shape[2]), dtype=np.float64)
+    h, w, channels = img.shape
+    padded = np.zeros((h + 2, w + 2, channels), dtype=img.dtype)
     padded[1:-1, 1:-1] = img
+    texels = padded.reshape(-1, channels)
 
     pts = np.asarray(xy, dtype=np.float64)
     shape = pts.shape[:-1]
     pts = pts.reshape(-1, 2)
     # Texel index space (texel i is centered at i); +1 for the padding ring.
-    # Clamping to the ring keeps far-outside samples black.
-    x = np.clip(pts[:, 0] - 0.5, -1.0, w) + 1.0
-    y = np.clip(pts[:, 1] - 0.5, -1.0, h) + 1.0
+    # Clamping to the ring keeps far-outside samples black; fmax/fmin send
+    # NaN to the ring as well, where np.clip would keep it.
+    x = np.fmin(np.fmax(pts[:, 0] - 0.5, -1.0), w) + 1.0
+    y = np.fmin(np.fmax(pts[:, 1] - 0.5, -1.0), h) + 1.0
     x0 = np.minimum(np.floor(x).astype(np.int64), w)
     y0 = np.minimum(np.floor(y).astype(np.int64), h)
-    fx = x - x0
-    fy = y - y0
-    x1 = x0 + 1
-    y1 = y0 + 1
-    top = padded[y0, x0] * (1 - fx)[:, None] + padded[y0, x1] * fx[:, None]
-    bottom = padded[y1, x0] * (1 - fx)[:, None] + padded[y1, x1] * fx[:, None]
-    out = top * (1 - fy)[:, None] + bottom * fy[:, None]
-    return out.reshape(*shape, img.shape[2])
+    fx = (x - x0)[:, None]
+    fy = (y - y0)[:, None]
+    # Flat index of each sample's top-left texel; the other three corners
+    # are +1, +row and +row+1. np.take gathers rows faster than indexing.
+    i00 = y0 * (w + 2) + x0
+
+    def corner(offset):
+        return np.take(texels, i00 + offset, axis=0)
+
+    top = corner(0) * (1 - fx) + corner(1) * fx
+    bottom = corner(w + 2) * (1 - fx) + corner(w + 3) * fx
+    out = top * (1 - fy) + bottom * fy
+    return out.reshape(*shape, channels)
 
 
 def draw_marker(image: np.ndarray, xy, color, half_size: int = 4) -> None:

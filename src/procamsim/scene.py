@@ -14,7 +14,7 @@ degrees; all lengths are meters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,8 +26,9 @@ from .geometry import (
     backproject_points,
     normalized,
     pixel_center_grid,
+    project_points,
 )
-from .raster import _face_chunks, expand_boxes
+from .raster import _face_chunks, expand_boxes, rasterize
 
 # Intersections closer than this along a ray are ignored (self-hits).
 RAY_T_MIN = 1e-6
@@ -274,18 +275,25 @@ class CylinderSegment:
 
 @dataclass(frozen=True)
 class TriangleMesh:
-    """Indexed triangle mesh with world-frame (or local-frame) vertices."""
+    """Indexed triangle mesh with world-frame (or local-frame) vertices.
+
+    ``vertices`` and ``faces`` are read-only copies of the inputs, so what is
+    derived from them, such as the last ``pixel_map``, cannot go stale.
+    """
 
     vertices: np.ndarray
     faces: np.ndarray
     surface_id: str = "mesh"
     albedo: tuple[float, float, float] = (0.8, 0.8, 0.8)
+    # (key, value) of the last ``pixel_map`` call.
+    _pixel_map: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
-        f = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
+        v = np.array(self.vertices, dtype=float).reshape(-1, 3)
+        f = np.array(self.faces, dtype=np.int64).reshape(-1, 3)
         if f.size and (f.min() < 0 or f.max() >= len(v)):
             raise ValueError("face indices out of range")
+        v.flags.writeable = f.flags.writeable = False
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", f)
 
@@ -293,6 +301,34 @@ class TriangleMesh:
         return TriangleMesh(
             transform.apply(self.vertices), self.faces, self.surface_id, self.albedo
         )
+
+    def pixel_map(
+        self, device: PinholeDevice, device_to_world: RigidTransform
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The device pixels this mesh covers and the world point each sees.
+
+        Returns the row-major flat indices of the covered pixels and their
+        (K, 3) world points, from ``rasterize`` of the mesh as the device
+        sees it. The map depends only on the mesh and the device, so the
+        mesh keeps the last one and returns it again while ``device`` and
+        the pose's rotation and translation are unchanged.
+        """
+        key = (device, device_to_world.rotation.tobytes(), device_to_world.translation.tobytes())
+        entry = self._pixel_map
+        if entry is None or entry[0] != key:
+            cam = device_to_world.inverse().apply(self.vertices)
+            uv, z, _ = project_points(device, RigidTransform.identity(), cam)
+            res = rasterize(
+                uv, z, self.faces, device.width, device.height,
+                attributes={"world": self.vertices},
+            )
+            covered = np.flatnonzero(res.mask)
+            world = res.attributes["world"].reshape(-1, 3)[covered]
+            covered.flags.writeable = False
+            world.flags.writeable = False
+            entry = (key, (covered, world))
+            object.__setattr__(self, "_pixel_map", entry)
+        return entry[1]
 
     def face_normals(self) -> np.ndarray:
         v = self.vertices
@@ -373,21 +409,23 @@ def _moller_trumbore(origin, d, v0, e1, e2) -> np.ndarray:
     """Hit distance of each ray-triangle pair (rows of ``d`` and ``v0/e1/e2``), inf on a miss."""
     p = np.cross(d, e2)
     det = np.einsum("pj,pj->p", e1, p)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A degenerate face (det = 0) makes inf and NaN from here on; ``ok``
+    # rejects its pairs.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv_det = 1.0 / det
-    s = origin - v0
-    u = np.einsum("pj,pj->p", s, p) * inv_det
-    q = np.cross(s, e1)
-    v = np.einsum("pj,pj->p", d, q) * inv_det
-    t = np.einsum("pj,pj->p", e2, q) * inv_det
-    eps = 1e-10
-    ok = (
-        (np.abs(det) > 1e-14)
-        & (u >= -eps)
-        & (v >= -eps)
-        & (u + v <= 1.0 + eps)
-        & (t > RAY_T_MIN)
-    )
+        s = origin - v0
+        u = np.einsum("pj,pj->p", s, p) * inv_det
+        q = np.cross(s, e1)
+        v = np.einsum("pj,pj->p", d, q) * inv_det
+        t = np.einsum("pj,pj->p", e2, q) * inv_det
+        eps = 1e-10
+        ok = (
+            (np.abs(det) > 1e-14)
+            & (u >= -eps)
+            & (v >= -eps)
+            & (u + v <= 1.0 + eps)
+            & (t > RAY_T_MIN)
+        )
     return np.where(ok, t, np.inf)
 
 

@@ -7,7 +7,10 @@ from the projector's point of view, each covered projector pixel recovers
 the world point it will light, maps it through the screen projection into
 viewport coordinates, and samples the pass-1 image there. Projecting that
 framebuffer onto the real surfaces makes the content appear, from the
-tracked eye, as if it were glued to the virtual screen.
+tracked eye, as if it were glued to the virtual screen. Only the last two
+steps depend on the eye: the rasterized projector map is kept on the mesh
+and reused for every new eye while the mesh and the projector pose are
+unchanged (``TriangleMesh.pixel_map``).
 
 ``propagate_corners`` follows checker-pattern corners through the same
 mapping analytically (no rasterization), using one model set for the warp
@@ -31,7 +34,6 @@ from .geometry import (
     project_points,
 )
 from .images import bilinear_sample
-from .raster import rasterize
 from .scene import Scene, TriangleMesh, hit_points
 from .upr import UprMatrix, Viewport
 
@@ -202,30 +204,21 @@ def warp_to_projector(
     The world-frame mesh is rasterized from the projector; every covered
     pixel maps its world point through the screen projection and bilinearly
     samples the pass-1 image. Uncovered pixels, and points on the eye side
-    of the screen projection, stay black.
+    of the screen projection, stay black. The rasterized map does not depend
+    on the eye, so it is reused while the mesh and the projector pose are
+    unchanged, with the same output bytes as rasterizing again.
     """
-    verts = mesh.vertices
-    cam = proj_to_world.inverse().apply(verts)
-    uv, z, _ = project_points(proj_device, RigidTransform.identity(), cam)
-    res = rasterize(
-        uv,
-        z,
-        mesh.faces,
-        proj_device.width,
-        proj_device.height,
-        attributes={"world": verts},
-    )
-    world_px = res.attributes["world"].reshape(-1, 3)
-    xy_m, w = upr.apply(world_px)
-    ok = res.mask.reshape(-1) & (w > 1e-9) & np.all(np.isfinite(xy_m), axis=1)
-    pix = viewport.to_pixels(np.where(ok[:, None], xy_m, 0.0))
+    covered, world = mesh.pixel_map(proj_device, proj_to_world)
+    xy_m, w = upr.apply(world)
+    ok = (w > 1e-9) & np.all(np.isfinite(xy_m), axis=1)
+    pix = viewport.to_pixels(xy_m[ok])
     # The pass-1 image may be rendered at a different resolution than the
     # nominal viewport; rescale into its pixel grid.
     img_h, img_w = user_image.shape[:2]
     pix = pix * np.array([img_w / viewport.width_px, img_h / viewport.height_px])
     samples = bilinear_sample(user_image, pix)
-    samples[~ok] = 0.0
-    fb = np.clip(np.round(samples), 0, 255).astype(np.uint8)
+    fb = np.zeros((proj_device.height * proj_device.width, 3), dtype=np.uint8)
+    fb[covered[ok]] = np.clip(np.round(samples), 0, 255).astype(np.uint8)
     return fb.reshape(proj_device.height, proj_device.width, 3)
 
 

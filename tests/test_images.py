@@ -1,5 +1,7 @@
 """PPM I/O, sampling and marker tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,43 @@ class TestWriteImage:
             read_image(tmp_path / "a.bmp")
 
 
+def float64_sampler(image, xy):
+    """Reference sampler: the image copied to float64 and gathered by (row, column)."""
+    img = np.asarray(image, dtype=np.float64)
+    if img.ndim == 2:
+        img = img[..., None]
+    h, w = img.shape[:2]
+    padded = np.zeros((h + 2, w + 2, img.shape[2]), dtype=np.float64)
+    padded[1:-1, 1:-1] = img
+
+    pts = np.asarray(xy, dtype=np.float64)
+    shape = pts.shape[:-1]
+    pts = pts.reshape(-1, 2)
+    x = np.clip(pts[:, 0] - 0.5, -1.0, w) + 1.0
+    y = np.clip(pts[:, 1] - 0.5, -1.0, h) + 1.0
+    x0 = np.minimum(np.floor(x).astype(np.int64), w)
+    y0 = np.minimum(np.floor(y).astype(np.int64), h)
+    fx = x - x0
+    fy = y - y0
+    x1 = x0 + 1
+    y1 = y0 + 1
+    top = padded[y0, x0] * (1 - fx)[:, None] + padded[y0, x1] * fx[:, None]
+    bottom = padded[y1, x0] * (1 - fx)[:, None] + padded[y1, x1] * fx[:, None]
+    out = top * (1 - fy)[:, None] + bottom * fy[:, None]
+    return out.reshape(*shape, img.shape[2])
+
+
+def oracle_points(rng, w, h):
+    """Random points over and around a w x h image, its border ring, +-inf and far outside."""
+    inside = rng.uniform([-3.0, -3.0], [w + 3.0, h + 3.0], size=(500, 2))
+    ring_x = np.array([-1.0, -0.5, 0.0, 0.25, 0.5, w - 0.5, w, w + 0.5, w + 1.0])
+    ring_y = np.array([-1.0, -0.5, 0.0, 0.25, 0.5, h - 0.5, h, h + 0.5, h + 1.0])
+    ring = np.stack(np.meshgrid(ring_x, ring_y), axis=-1).reshape(-1, 2)
+    extremes = np.array([-np.inf, -1e300, -1e6, 1.5, 1e6, 1e300, np.inf])
+    far = np.stack(np.meshgrid(extremes, extremes), axis=-1).reshape(-1, 2)
+    return np.concatenate([inside, ring, far])
+
+
 class TestBilinearSample:
     def gradient(self):
         img = np.zeros((4, 5, 3))
@@ -130,6 +169,29 @@ class TestBilinearSample:
         out = bilinear_sample(img, np.array([1.5, 1.5]))
         assert out.shape == (1,)
         assert out[0] == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(7, 9, 3), (6, 10, 3), (5, 8), (4, 7)])
+    def test_matches_float64_oracle(self, dtype, shape):
+        rng = np.random.default_rng(len(shape) * 100 + shape[1])
+        if dtype == np.uint8:
+            img = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        else:
+            img = rng.uniform(-50.0, 300.0, size=shape).astype(dtype)
+        xy = oracle_points(rng, shape[1], shape[0])
+        got = bilinear_sample(img, xy)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, float64_sampler(img, xy))
+
+    @pytest.mark.parametrize("width", [4, 5])  # padded rows of 6 and 7 texels
+    def test_nan_coordinates_are_black(self, width):
+        img = np.full((3, width, 3), 200, dtype=np.uint8)
+        xy = np.array([[np.nan, 1.5], [2.5, np.nan], [np.nan, np.nan], [2.5, 1.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = bilinear_sample(img, xy)
+        assert out[:3].tolist() == [[0.0, 0.0, 0.0]] * 3
+        assert out[3].tolist() == [200.0, 200.0, 200.0]
 
 
 class TestDrawMarker:

@@ -6,6 +6,8 @@ ray against every face with the same arithmetic, so hit distances and
 normals must be equal bit for bit, exact ties included.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from procamsim import raster
 from procamsim.evaluation import BenchmarkOptions, _cloth_mesh, _scaled_device, _wedge_mesh
 from procamsim.geometry import backproject_points, pixel_center_grid
 from procamsim.rig import default_rig
-from procamsim.scene import RAY_T_MIN, TriangleMesh
+from procamsim.scene import RAY_T_MIN, Scene, TriangleMesh
 
 SETTINGS = settings(max_examples=80, deadline=None)
 
@@ -217,6 +219,28 @@ def test_rays_grazing_an_edge_on_a_cell_boundary(extra):
     with np.errstate(all="ignore"):
         t, _ = mesh.intersect(np.zeros_like(dirs), dirs)
     assert np.all(np.isfinite(t[-2 * len(dy) :]))
+
+
+def test_degenerate_faces_cast_without_warnings():
+    """Faces with det = 0 (a repeated vertex, one point, collinear vertices) never hit.
+
+    They come before the one real face, so every ray in the batch reaches
+    them, and the cast must not warn about the inf and NaN they produce.
+    """
+    vertices = [[-1.0, -1.0, 2.0], [1.0, -1.0, 2.0], [0.0, 1.0, 2.0], [0.0, 0.0, 2.0], [1.0, 1.0, 2.0]]
+    faces = [[0, 0, 1], [2, 2, 2], [0, 3, 4], [1, 0, 0], [0, 1, 2]]
+    mesh = IndexedMesh(vertices, faces)
+    a = np.arange(-6, 7) / 10.0
+    gx, gy = np.meshgrid(a, a)
+    dirs = np.c_[gx.ravel(), gy.ravel(), np.ones(gx.size)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t, normals = mesh.intersect(np.zeros_like(dirs), dirs)
+        scene_t, _, _ = Scene(surfaces=(mesh,)).intersect(np.zeros(3), dirs)
+    assert np.array_equal(scene_t, t)
+    assert np.all(normals[np.isfinite(t), 0] == 5.0)  # only the real face hits
+    assert np.isfinite(t).sum() > 50
+    assert_matches_oracle(mesh, np.zeros(3), dirs)
 
 
 def test_rows_of_origins_must_match():

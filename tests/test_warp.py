@@ -9,10 +9,15 @@ The key oracles:
   form matrices independently of the library's ray casting.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+
+import procamsim.scene as scene_module
+from procamsim.raster import rasterize
 
 from procamsim.geometry import (
     PinholeDevice,
@@ -28,6 +33,7 @@ from procamsim.scene import (
     Scene,
     Sphere,
     TriangleMesh,
+    grid_faces,
     reconstruct_mesh,
     sense_depth,
 )
@@ -191,6 +197,91 @@ class TestWarpToProjector:
         assert int((fb > 128).sum()) > 500  # pattern content survived
         # The framebuffer must differ from the unwarped pattern.
         assert not np.array_equal(fb, user_image)
+
+
+def bumpy_wall(rows=17, cols=21):
+    """A grid mesh around z = 0 with a bump, for frames that vary per pixel."""
+    gx, gy = np.meshgrid(np.linspace(-1.6, 1.6, cols), np.linspace(-1.2, 1.2, rows))
+    gz = 0.3 * np.exp(-(gx**2 + gy**2))
+    return TriangleMesh(np.c_[gx.ravel(), gy.ravel(), gz.ravel()], grid_faces(rows, cols))
+
+
+class TestProjectorMapReuse:
+    """The mesh keeps its last rasterized projector map for the next eye."""
+
+    EYES = ((0.0, 0.0, -1.5), (0.2, -0.1, -1.4), (-0.25, 0.08, -1.6))
+
+    def scenario(self):
+        viewport, _, device, proj_to_world, _ = identity_setup()
+        shifted = RigidTransform(
+            rotation_about_axis([0.0, 1.0, 0.0], math.radians(4.0)),
+            np.array([0.3, -0.1, -1.4]),
+        )
+        user_image = CheckerPattern(rows=3, cols=4, square_px=40).render(320, 240)
+        return viewport, device, (proj_to_world, shifted), user_image
+
+    def test_reused_map_gives_the_bytes_of_a_fresh_mesh(self):
+        viewport, device, poses, user_image = self.scenario()
+        mesh = bumpy_wall()
+        for pose in (*poses, poses[0]):
+            for eye in self.EYES:
+                upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
+                fb = warp_to_projector(user_image, mesh, upr, viewport, device, pose)
+                fresh = TriangleMesh(mesh.vertices, mesh.faces)
+                want = warp_to_projector(user_image, fresh, upr, viewport, device, pose)
+                assert fb.tobytes() == want.tobytes()
+                assert (fb > 128).sum() > 1000
+
+    def test_map_is_rasterized_again_only_for_a_new_projector(self, monkeypatch):
+        viewport, device, (pose, shifted), user_image = self.scenario()
+        calls = []
+
+        def counting_rasterize(*args, **kwargs):
+            calls.append(1)
+            return rasterize(*args, **kwargs)
+
+        monkeypatch.setattr(scene_module, "rasterize", counting_rasterize)
+        mesh = bumpy_wall()
+        upr = upr_matrix(EyePose(*self.EYES[1]), RigidTransform.identity())
+        same_pose = RigidTransform(pose.rotation.copy(), pose.translation.copy())
+        narrower = PinholeDevice(
+            fx=device.fx * 0.9, fy=device.fy, cx=device.cx, cy=device.cy,
+            width=device.width, height=device.height,
+        )
+        runs = [(device, pose), (device, same_pose), (narrower, same_pose), (narrower, shifted)]
+        counts = []
+        for dev, p in runs:
+            fb = warp_to_projector(user_image, mesh, upr, viewport, dev, p)
+            counts.append(len(calls))
+            fresh = TriangleMesh(mesh.vertices, mesh.faces)
+            assert np.array_equal(fb, warp_to_projector(user_image, fresh, upr, viewport, dev, p))
+        # Each fresh mesh adds one call of its own.
+        assert counts == [1, 2, 4, 6]
+
+    def test_mesh_arrays_are_read_only_copies(self):
+        vertices = bumpy_wall().vertices.copy()
+        faces = grid_faces(17, 21)
+        mesh = TriangleMesh(vertices, faces)
+        with pytest.raises(ValueError):
+            mesh.vertices[0] = 0.0
+        with pytest.raises(ValueError):
+            mesh.faces[0] = 0
+        vertices[0] = 9.0
+        faces[0] = 1
+        assert vertices.flags.writeable and faces.flags.writeable
+        assert mesh.vertices[0, 0] != 9.0 and mesh.faces[0].tolist() != [1, 1, 1]
+
+    def test_map_dies_with_the_mesh(self):
+        viewport, device, (pose, _), user_image = self.scenario()
+        mesh = bumpy_wall()
+        upr = upr_matrix(EyePose(*self.EYES[0]), RigidTransform.identity())
+        warp_to_projector(user_image, mesh, upr, viewport, device, pose)
+        mesh_ref = weakref.ref(mesh)
+        map_ref = weakref.ref(mesh.pixel_map(device, pose)[1])
+        del mesh
+        gc.collect()
+        assert mesh_ref() is None
+        assert map_ref() is None
 
 
 class TestRenderUserView:
