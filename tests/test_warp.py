@@ -17,14 +17,13 @@ import numpy as np
 import pytest
 
 import procamsim.scene as scene_module
-from procamsim.raster import rasterize
-
 from procamsim.geometry import (
     PinholeDevice,
     RigidTransform,
     normalized,
     rotation_about_axis,
 )
+from procamsim.raster import rasterize
 from procamsim.rig import default_rig
 from procamsim.scene import (
     Box,
@@ -249,14 +248,14 @@ class TestProjectorMapReuse:
             width=device.width, height=device.height,
         )
         runs = [(device, pose), (device, same_pose), (narrower, same_pose), (narrower, shifted)]
-        counts = []
+        frames, counts = [], []
         for dev, p in runs:
-            fb = warp_to_projector(user_image, mesh, upr, viewport, dev, p)
+            frames.append(warp_to_projector(user_image, mesh, upr, viewport, dev, p))
             counts.append(len(calls))
+        assert counts == [1, 1, 2, 3]
+        for (dev, p), fb in zip(runs, frames):
             fresh = TriangleMesh(mesh.vertices, mesh.faces)
             assert np.array_equal(fb, warp_to_projector(user_image, fresh, upr, viewport, dev, p))
-        # Each fresh mesh adds one call of its own.
-        assert counts == [1, 2, 4, 6]
 
     def test_mesh_arrays_are_read_only_copies(self):
         vertices = bumpy_wall().vertices.copy()
