@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import procamsim.images as images
 from procamsim.errors import ImageFormatError
 from procamsim.images import (
     bilinear_sample,
@@ -181,6 +182,15 @@ class TestBilinearSample:
         xy = oracle_points(rng, shape[1], shape[0])
         got = bilinear_sample(img, xy)
         assert got.dtype == np.float64
+        assert np.array_equal(got, float64_sampler(img, xy))
+
+    def test_blocks_of_samples_match_float64_oracle(self, monkeypatch):
+        monkeypatch.setattr(images, "_SAMPLE_BLOCK", 8)
+        rng = np.random.default_rng(11)
+        img = rng.integers(0, 256, size=(7, 9, 3), dtype=np.uint8)
+        xy = oracle_points(rng, 9, 7).reshape(-1, 3, 2)  # 630 samples, 78 blocks and 6
+        got = bilinear_sample(img, xy)
+        assert got.shape == (210, 3, 3)
         assert np.array_equal(got, float64_sampler(img, xy))
 
     @pytest.mark.parametrize("width", [4, 5])  # padded rows of 6 and 7 texels

@@ -1,10 +1,11 @@
 """Rasterizer tests: coverage, depth resolve, perspective-correct attributes."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -222,26 +223,195 @@ divisors = st.one_of(
 
 
 @st.composite
-def small_meshes(draw):
+def small_meshes(draw, coords=positions):
     """Projected vertices, w and faces; faces repeat (exact ties) and degenerate."""
     n = draw(st.integers(3, 7))
-    xy = draw(hnp.arrays(float, (n, 2), elements=positions))
+    xy = draw(hnp.arrays(float, (n, 2), elements=coords))
     w = draw(hnp.arrays(float, n, elements=divisors))
     faces = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), min_size=1, max_size=8))
     copies = draw(st.lists(st.integers(0, len(faces) - 1), max_size=3))
     return xy, w, np.array(faces + [faces[c] for c in copies])
 
 
-@settings(max_examples=150, deadline=None)
-@given(mesh=small_meshes(), width=st.integers(1, 10), height=st.integers(1, 8),
-       budget=st.sampled_from([5, raster._FRAGMENT_BUDGET]))
-def test_rasterize_matches_the_per_pixel_oracle(mesh, width, height, budget):
-    xy, w, faces = mesh
+def assert_matches_oracle(xy, w, faces, width, height, budget=None, block=None):
+    """rasterize, optionally with a small chunk budget or span block, equals the oracle."""
+    xy, w, faces = (np.asarray(a) for a in (xy, w, faces))
     attr = np.random.default_rng(len(xy)).uniform(-3.0, 3.0, size=(len(xy), 3))
-    # A vertex at w = 0 makes 1/w warn inside rasterize; its faces are dropped.
-    with mock.patch.object(raster, "_FRAGMENT_BUDGET", budget), np.errstate(divide="ignore"):
+    # Warnings are errors: a vertex at w = 0 must not make 1/w warn.
+    with mock.patch.object(raster, "_FRAGMENT_BUDGET", budget or raster._FRAGMENT_BUDGET), \
+            mock.patch.object(raster, "_BLOCK", block or raster._BLOCK), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
         res = rasterize(xy, w, faces, width, height, attributes={"world": attr})
     want_face, want_depth, want_world = raster_oracle(xy, w, faces, width, height, attr)
     assert np.array_equal(res.face_index, want_face)
     assert np.array_equal(res.depth_w, want_depth)
     assert np.array_equal(res.attributes["world"], want_world)
+    return res
+
+
+chunk_sizes = st.sampled_from([None, 5])
+block_sizes = st.sampled_from([None, 3])
+
+
+@settings(max_examples=150, deadline=None)
+@given(mesh=small_meshes(), width=st.integers(1, 10), height=st.integers(1, 8),
+       budget=chunk_sizes, block=block_sizes)
+def test_rasterize_matches_the_per_pixel_oracle(mesh, width, height, budget, block):
+    # Repeated faces give exact depth ties; a budget of 5 splits them across chunks.
+    assert_matches_oracle(*mesh, width, height, budget, block)
+
+
+def doubled_area(a, b, q):
+    return (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])
+
+
+@st.composite
+def slivers(draw):
+    """A triangle whose doubled area is just above _AREA_EPS, plus a small mesh."""
+    a = np.array([draw(positions), draw(positions)])
+    angle = draw(st.one_of(st.sampled_from([0.0, 0.5, 0.25, -0.25]),
+                           st.floats(-1.0, 1.0))) * np.pi
+    length = draw(st.floats(0.5, 16.0))
+    d = length * np.array([np.cos(angle), np.sin(angle)])
+    along = draw(st.floats(-0.5, 1.5))
+    height = raster._AREA_EPS * draw(st.floats(1.01, 8.0)) / length
+    q = a + along * d + height * np.array([-d[1], d[0]]) / length
+    assume(abs(doubled_area(a, a + d, q)) > raster._AREA_EPS)
+    xy, w, faces = draw(small_meshes())
+    xy = np.concatenate([xy, [a, a + d, q]])
+    w = np.concatenate([w, draw(hnp.arrays(float, 3, elements=st.floats(0.5, 4.0)))])
+    n = len(xy)
+    tri = [n - 3, n - 2, n - 1]
+    return xy, w, np.concatenate([faces, [tri, tri[::-1]]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(mesh=slivers(), width=st.integers(1, 12), height=st.integers(1, 10),
+       budget=chunk_sizes, block=block_sizes)
+def test_slivers_match_the_oracle(mesh, width, height, budget, block):
+    assert_matches_oracle(*mesh, width, height, budget, block)
+
+
+@st.composite
+def long_thin_triangles(draw):
+    """Up to three triangles 0.001-0.5 px thick that cross a 12 x 10 viewport."""
+    xy, faces = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        y0, y1 = draw(positions), draw(positions)
+        start, end = [draw(st.floats(-60.0, -1.0)), y0], [draw(st.floats(13.0, 70.0)), y1]
+        thick = draw(st.floats(0.001, 0.5))
+        tip = draw(st.sampled_from([start, end]))
+        q = [tip[0] + draw(st.floats(-1.0, 1.0)), tip[1] + thick]
+        tri = np.array([start, end, q])
+        if draw(st.booleans()):
+            tri = tri[:, ::-1]  # vertical instead of horizontal
+        faces.append(np.arange(3) + len(xy) * 3)
+        xy.append(tri)
+    xy = np.concatenate(xy)
+    w = draw(hnp.arrays(float, len(xy), elements=st.floats(0.5, 4.0)))
+    return xy, w, np.array(faces)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mesh=long_thin_triangles(), budget=chunk_sizes, block=block_sizes)
+def test_long_thin_triangles_match_the_oracle(mesh, budget, block):
+    assert_matches_oracle(*mesh, 12, 10, budget, block)
+
+
+# Multiples of 1/6: integers are pixel corners and half-integers pixel
+# centers, so vertices sit on centers and edges run exactly through them.
+grid_positions = st.integers(-12, 78).map(lambda k: k / 6.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mesh=small_meshes(grid_positions), width=st.integers(1, 12),
+       height=st.integers(1, 10), budget=chunk_sizes, block=block_sizes)
+def test_vertices_on_pixel_centers_match_the_oracle(mesh, width, height, budget, block):
+    assert_matches_oracle(*mesh, width, height, budget, block)
+
+
+@st.composite
+def grazing_edges(draw):
+    """A triangle with an edge a few ulps beside a column (or row) of pixel centers.
+
+    The triangle lies on the side of the edge away from the centers, so
+    they are just outside it, where rounding can put the edge function at
+    >= 0.
+    """
+    center = draw(st.integers(0, 9)) + 0.5
+    side = draw(st.sampled_from([-1.0, 1.0]))
+    jitter = st.integers(0, 3).map(lambda k: side * k * np.spacing(center))
+    tri = np.array([
+        [center + draw(jitter), draw(st.floats(-5.0, 3.0))],
+        [center + draw(jitter), draw(st.floats(6.0, 15.0))],
+        [center + side * draw(st.floats(0.5, 30.0)), draw(st.floats(-5.0, 15.0))],
+    ])
+    tri = tri[draw(st.permutations(range(3)))]
+    if draw(st.booleans()):
+        tri = tri[:, ::-1]
+    w = draw(hnp.arrays(float, 3, elements=st.floats(0.5, 4.0)))
+    return tri, w, np.array([[0, 1, 2]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(mesh=grazing_edges(), budget=chunk_sizes, block=block_sizes)
+def test_edges_grazing_pixel_centers_match_the_oracle(mesh, budget, block):
+    # The span's one-pixel pad is what keeps such centers: their edge
+    # function can round to >= 0 just outside the exact edge crossing.
+    assert_matches_oracle(*mesh, 10, 10, budget, block)
+
+
+far_positions = st.one_of(
+    st.sampled_from([-1e6, 1e6]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    positions,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mesh=small_meshes(far_positions), width=st.integers(1, 12),
+       height=st.integers(1, 10), budget=chunk_sizes, block=block_sizes)
+def test_far_vertices_clipped_to_the_viewport_match_the_oracle(mesh, width, height, budget, block):
+    assert_matches_oracle(*mesh, width, height, budget, block)
+
+
+def jittered_grid(offset):
+    """A 5 x 4 vertex grid over a 13 x 11 viewport, two faces per cell."""
+    gy, gx = np.mgrid[0:4, 0:5]
+    xy = np.c_[gx.ravel() * 3.0 + offset, gy.ravel() * 3.0 + offset]
+    xy += np.sin(np.arange(len(xy)))[:, None] * [0.31, 0.17]
+    w = 1.0 + 0.1 * np.cos(np.arange(len(xy)))
+    cells = (gy[:-1, :-1] * 5 + gx[:-1, :-1]).ravel()
+    faces = np.concatenate([np.c_[cells, cells + 1, cells + 6], np.c_[cells, cells + 6, cells + 5]])
+    return xy, w, faces
+
+
+@pytest.mark.parametrize("block", [None, 3])
+def test_no_shared_pixel_skips_the_sort(block):
+    xy, w, faces = jittered_grid(0.3)
+    with mock.patch.object(raster.np, "lexsort", wraps=np.lexsort) as sort:
+        res = assert_matches_oracle(xy, w, faces, 13, 11, block=block)
+    assert res.mask.sum() > 60
+    assert sort.call_count == 0
+
+
+def test_pixels_on_shared_edges_are_sorted():
+    # Offset 0.5 puts grid edges through pixel centers before the jitter;
+    # the unjittered copy puts every diagonal through them.
+    xy, w, faces = jittered_grid(0.5)
+    xy -= np.sin(np.arange(len(xy)))[:, None] * [0.31, 0.17]
+    with mock.patch.object(raster.np, "lexsort", wraps=np.lexsort) as sort:
+        assert_matches_oracle(xy, w, faces, 13, 11)
+    assert sort.call_count > 0
+
+
+def test_vertex_at_w_zero_raises_no_warning():
+    xy = np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0], [6.0, 6.0]])
+    w = np.array([1.0, 1.0, 1.0, 0.0])
+    faces = np.array([[0, 1, 2], [1, 3, 2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = rasterize(xy, w, faces, 8, 8, attributes={"world": np.c_[xy, w]})
+    assert res.mask.sum() == 21
+    assert (res.face_index[res.mask] == 0).all()
