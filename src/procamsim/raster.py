@@ -14,12 +14,15 @@ The pipeline, per chunk of faces in index order:
 - **Row spans.** Each face's bounding box is cut into rows, and each row
   into the pixels within one pixel of the triangle's x-extent in that row's
   slab ``[y, y + 1]``. A span is a superset of the row's inside pixels, so
-  it decides only which candidates are tested.
+  it decides only which candidates are tested. A face whose rounding could
+  reach past that pixel, such as a needle with a vertex 1e8 px away, keeps
+  its whole bounding-box rows.
 - **Inside test.** Pineda's edge functions at each candidate pixel center,
   divided by the doubled area so they are barycentric coordinates: a pixel
   is inside when all three are ``>= 0``. The terms of each face, and the
   y terms of each span, are computed once, with the same floating-point
-  operations as per pixel, so the test is exact for every candidate.
+  operations as per pixel, so every candidate gets the bits of the
+  per-pixel formula.
 - **Resolve.** Fragments go in blocks of spans sized for a core's cache.
   Within a block, only pixels that several fragments cover are sorted by
   (depth, face); the block's nearest fragment then replaces the stored one
@@ -102,9 +105,7 @@ def _edge_table(tri):
     """Each face's three edges as (y_lo, y_hi, x at y_lo, dx/dy), (F,) each.
 
     A horizontal edge gets slope 0, so it yields its lower vertex alone; its
-    other vertex is an end of a non-horizontal edge of the same face. A
-    slope that overflows becomes NaN, which widens every span of the face
-    to its bounding box.
+    other vertex is an end of a non-horizontal edge of the same face.
     """
     edges = []
     for k in range(3):
@@ -113,21 +114,35 @@ def _edge_table(tri):
         lo = np.where(up[:, None], p, q)
         hi = np.where(up[:, None], q, p)
         dy = hi[:, 1] - lo[:, 1]
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             slope = np.divide(hi[:, 0] - lo[:, 0], dy, out=np.zeros_like(dy), where=dy > 0)
-        slope[~np.isfinite(slope)] = np.nan
         edges.append((lo[:, 1], hi[:, 1], lo[:, 0], slope))
     return edges
 
 
-def _row_spans(edges, span_face, row, x_min, x_max):
+def _loose_faces(tri, width, height):
+    """Faces whose spans must be their whole bounding-box rows.
+
+    Rounding in a face's edge functions moves their zeros by up to about
+    64 eps S^2 / L pixels, where S bounds the vertex and pixel coordinates
+    and L is the face's shortest edge. Where that could reach a quarter
+    pixel, a one-pixel pad might miss a pixel the inside test accepts.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = np.abs(tri).max(axis=(1, 2)) + max(width, height)
+        shortest = np.linalg.norm(tri - np.roll(tri, 1, axis=1), axis=2).min(axis=1)
+        return ~(64 * np.finfo(float).eps * reach**2 < 0.25 * shortest)
+
+
+def _row_spans(edges, loose, span_face, row, x_min, x_max):
     """First pixel and pixel count of each (face, row) span.
 
     The span holds the pixel centers within one pixel of the triangle's
     x-extent inside the slab ``[row, row + 1]``, clipped to the face's
     bounding box. Every pixel center of the row that passes the inside test
-    lies in its span, because rounding moves an edge function's zero by far
-    less than a pixel. A NaN extent keeps the whole row.
+    lies in its span, because rounding moves an edge function's zero by
+    less than a quarter pixel; ``loose`` faces, where it might not, and
+    NaN extents keep the whole row.
     """
     r0 = row.astype(float)
     r1 = r0 + 1.0
@@ -149,6 +164,9 @@ def _row_spans(edges, span_face, row, x_min, x_max):
         xa[off] = -np.inf
         xb[off] = -np.inf
         np.maximum(hi, np.maximum(xa, xb), out=hi)
+    wide = loose[span_face]
+    lo[wide] = -np.inf
+    hi[wide] = np.inf
     bx0 = x_min[span_face].astype(float)
     bx1 = x_max[span_face].astype(float)
     first = np.fmin(np.fmax(np.ceil(lo - 1.5), bx0), bx1 + 1)
@@ -222,11 +240,11 @@ class _Canvas:
     """Flat views of a RasterResult and the per-face data drawing reads."""
 
     def __init__(self, result: RasterResult, faces, tri, tri_w, face_ids, attrs, area, x_min, x_max):
-        self.width = result.depth_w.shape[1]
+        height, self.width = result.depth_w.shape
         self.best = result.depth_w.reshape(-1)
         self.face = result.face_index.reshape(-1)
         self.attrs = {n: a.reshape(-1, a.shape[2]) for n, a in result.attributes.items()}
-        # Scratch for finding pixels that several fragments of a block cover.
+        # Work array for finding pixels that several fragments of a block cover.
         self.stamp = np.empty(len(self.best), dtype=np.int64)
 
         # Per-face terms of the edge functions l0 and l1 in ``draw``.
@@ -235,6 +253,7 @@ class _Canvas:
         self.a0, self.b0 = by - qy, qx - bx
         self.a1, self.b1 = qy - ay, ax - qx
         self.edges = _edge_table(tri)
+        self.loose = _loose_faces(tri, self.width, height)
         self.x_min, self.x_max = x_min, x_max
         # Reciprocal depths of valid faces only, so a vertex at w = 0
         # divides nothing.
@@ -245,7 +264,9 @@ class _Canvas:
 
     def draw(self, span_face, row):
         """Draw the spans of a block of (face, row) pairs, nearest fragment first."""
-        first, count = _row_spans(self.edges, span_face, row, self.x_min, self.x_max)
+        first, count = _row_spans(
+            self.edges, self.loose, span_face, row, self.x_min, self.x_max
+        )
         # The y terms of the edge functions are the same along a span.
         dy = (row + 0.5) - self.qy[span_face]
         t0 = self.b0[span_face] * dy
@@ -293,6 +314,7 @@ class _Canvas:
         self.stamp[pix] = ids
         shared = self.stamp[pix] != ids
         if shared.any():
+            # Mark the shared pixels, then sort every fragment on one.
             self.stamp[pix] = 0
             self.stamp[pix[shared]] = 1
             multi = np.flatnonzero(self.stamp[pix])

@@ -376,11 +376,41 @@ def test_far_vertices_clipped_to_the_viewport_match_the_oracle(mesh, width, heig
     assert_matches_oracle(*mesh, width, height, budget, block)
 
 
-def jittered_grid(offset):
-    """A 5 x 4 vertex grid over a 13 x 11 viewport, two faces per cell."""
+@st.composite
+def far_needles(draw):
+    """Two vertices near a 10 x 8 viewport and one 1e7 to 1e15 px away.
+
+    Such a needle's edge functions round over several pixels once the far
+    vertex passes about 1e8 px, past what a one-pixel pad covers.
+    """
+    near = draw(hnp.arrays(float, (2, 2), elements=positions))
+    angle = draw(st.floats(-np.pi, np.pi))
+    far = draw(st.sampled_from([1e7, 1e9, 1e12, 1e15])) * np.array([np.cos(angle), np.sin(angle)])
+    xy = np.concatenate([near, [far]])[draw(st.permutations(range(3)))]
+    w = draw(hnp.arrays(float, 3, elements=st.floats(0.5, 4.0)))
+    return xy, w, np.array([[0, 1, 2]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(mesh=far_needles())
+def test_far_needles_match_whole_box_rows(mesh):
+    # Whole bounding-box rows are the candidates before spans: every pixel
+    # center of the box gets the inside test.
+    xy, w, faces = mesh
+    attr = np.random.default_rng(0).uniform(-3.0, 3.0, size=(3, 3))
+    got = rasterize(xy, w, faces, 10, 8, attributes={"world": attr})
+    with mock.patch.object(raster, "_loose_faces", lambda tri, *_: np.ones(len(tri), bool)):
+        want = rasterize(xy, w, faces, 10, 8, attributes={"world": attr})
+    assert np.array_equal(got.face_index, want.face_index)
+    assert np.array_equal(got.depth_w, want.depth_w)
+    assert np.array_equal(got.attributes["world"], want.attributes["world"])
+
+
+def grid_mesh(offset, jitter):
+    """A 5 x 4 vertex grid, 3 px apart, over a 13 x 11 viewport, two faces per cell."""
     gy, gx = np.mgrid[0:4, 0:5]
     xy = np.c_[gx.ravel() * 3.0 + offset, gy.ravel() * 3.0 + offset]
-    xy += np.sin(np.arange(len(xy)))[:, None] * [0.31, 0.17]
+    xy += np.sin(np.arange(len(xy)))[:, None] * jitter
     w = 1.0 + 0.1 * np.cos(np.arange(len(xy)))
     cells = (gy[:-1, :-1] * 5 + gx[:-1, :-1]).ravel()
     faces = np.concatenate([np.c_[cells, cells + 1, cells + 6], np.c_[cells, cells + 6, cells + 5]])
@@ -389,7 +419,7 @@ def jittered_grid(offset):
 
 @pytest.mark.parametrize("block", [None, 3])
 def test_no_shared_pixel_skips_the_sort(block):
-    xy, w, faces = jittered_grid(0.3)
+    xy, w, faces = grid_mesh(0.3, [0.31, 0.17])
     with mock.patch.object(raster.np, "lexsort", wraps=np.lexsort) as sort:
         res = assert_matches_oracle(xy, w, faces, 13, 11, block=block)
     assert res.mask.sum() > 60
@@ -397,10 +427,9 @@ def test_no_shared_pixel_skips_the_sort(block):
 
 
 def test_pixels_on_shared_edges_are_sorted():
-    # Offset 0.5 puts grid edges through pixel centers before the jitter;
-    # the unjittered copy puts every diagonal through them.
-    xy, w, faces = jittered_grid(0.5)
-    xy -= np.sin(np.arange(len(xy)))[:, None] * [0.31, 0.17]
+    # Vertices on pixel centers put every cell diagonal through centers,
+    # which both of its faces cover.
+    xy, w, faces = grid_mesh(0.5, 0.0)
     with mock.patch.object(raster.np, "lexsort", wraps=np.lexsort) as sort:
         assert_matches_oracle(xy, w, faces, 13, 11)
     assert sort.call_count > 0
