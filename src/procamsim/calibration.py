@@ -468,7 +468,8 @@ def calibrate_projector(
     Solves the projection correspondences with a normalized DLT, splits the
     result into intrinsics and pose via RQ, then refines all 11 parameters
     against reprojection error. Returns ``(device, front_to_proj, rms_px)``
-    where the RMS is the per-point 2-D reprojection distance.
+    where the RMS is the per-point 2-D reprojection distance. Raises
+    ConvergenceError when the refinement does not converge.
     """
     pixels = correspondences.pixels()
     points = correspondences.points()
@@ -488,7 +489,11 @@ def calibrate_projector(
     def residual_fn(params):
         return _projector_residuals(params, pixels, points)
 
-    params, cost, _ = _levenberg_marquardt(residual_fn, x0)
+    params, cost, converged = _levenberg_marquardt(residual_fn, x0)
+    if not converged:
+        raise ConvergenceError(
+            f"projector refinement did not converge within {MAX_ITERATIONS} iterations"
+        )
     rms = math.sqrt(cost / len(pixels))
 
     fx, fy, skew, cx, cy = params[:5]

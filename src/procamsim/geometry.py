@@ -124,7 +124,10 @@ def rotation_from_rotvec(rotvec) -> np.ndarray:
 def to_homogeneous(points) -> np.ndarray:
     """Append a unit w coordinate: (..., 3) -> (..., 4)."""
     pts = np.asarray(points, dtype=float)
-    return np.concatenate([pts, np.ones(pts.shape[:-1] + (1,))], axis=-1)
+    out = np.empty(pts.shape[:-1] + (pts.shape[-1] + 1,))
+    out[..., :-1] = pts
+    out[..., -1] = 1.0
+    return out
 
 
 def from_homogeneous(points) -> np.ndarray:

@@ -130,9 +130,11 @@ def bilinear_sample(image: np.ndarray, xy: np.ndarray) -> np.ndarray:
     if img.ndim == 2:
         img = img[..., None]
     h, w, channels = img.shape
-    padded = np.zeros((h + 2, w + 2, channels), dtype=img.dtype)
-    padded[1:-1, 1:-1] = img
-    texels = padded.reshape(-1, channels)
+    # One zero-padded plane per channel, flattened row-major.
+    planes = np.zeros((channels, h + 2, w + 2), dtype=img.dtype)
+    planes[:, 1:-1, 1:-1] = np.moveaxis(img, -1, 0)
+    planes = planes.reshape(channels, -1)
+    row = w + 2
 
     pts = np.asarray(xy, dtype=np.float64)
     shape = pts.shape[:-1]
@@ -148,23 +150,25 @@ def bilinear_sample(image: np.ndarray, xy: np.ndarray) -> np.ndarray:
         y = np.fmin(np.fmax(pts[block, 1] - 0.5, -1.0), h) + 1.0
         x0 = np.minimum(np.floor(x).astype(np.int64), w)
         y0 = np.minimum(np.floor(y).astype(np.int64), h)
-        fx = (x - x0)[:, None]
-        fy = (y - y0)[:, None]
-        # Flat index of each sample's top-left texel; the other three
-        # corners are +1, +row and +row+1. np.take gathers rows faster than
-        # indexing.
-        i00 = y0 * (w + 2) + x0
-        # In place, with the same operations in the same order as
-        # top * (1 - fy) + bottom * fy over the two row blends.
+        fx = x - x0
+        fy = y - y0
         gx = 1 - fx
-        top = np.take(texels, i00, axis=0) * gx
-        top += np.take(texels, i00 + 1, axis=0) * fx
-        bottom = np.take(texels, i00 + (w + 2), axis=0) * gx
-        bottom += np.take(texels, i00 + (w + 3), axis=0) * fx
-        top *= 1 - fy
-        bottom *= fy
-        top += bottom
-        out[block] = top
+        gy = 1 - fy
+        # Flat index of each sample's top-left texel. The other three
+        # corners are the same index into the plane shifted by 1, a row and
+        # a row plus 1, so no further index arrays are built.
+        i00 = y0 * row + x0
+        for c, plane in enumerate(planes):
+            # In place, with the same operations in the same order as
+            # top * (1 - fy) + bottom * fy over the two row blends.
+            top = np.take(plane, i00) * gx
+            top += np.take(plane[1:], i00) * fx
+            bottom = np.take(plane[row:], i00) * gx
+            bottom += np.take(plane[row + 1 :], i00) * fx
+            top *= gy
+            bottom *= fy
+            top += bottom
+            out[block, c] = top
     return out.reshape(*shape, channels)
 
 

@@ -73,10 +73,18 @@ class UprMatrix:
         """Screen-plane coordinates (meters) and the scale w = z_rear - ez.
 
         Returns ``(xy (N, 2), w (N,))`` without filtering; callers decide
-        what to do with non-positive or tiny w.
+        what to do with non-positive or tiny w. Each point's result is the
+        same, bit for bit, whatever other points come with it, so callers
+        may split the points into blocks of any size.
         """
         pts = np.asarray(points_world, dtype=float).reshape(-1, 3)
-        h = to_homogeneous(pts) @ self.matrix.T
+        hom = to_homogeneous(pts)
+        if len(hom) == 1:
+            # numpy hands a single row to BLAS's matrix-vector kernel, whose
+            # sums round differently from the matrix-matrix kernel every
+            # larger batch takes; a second copy of the row keeps it on that.
+            hom = np.repeat(hom, 2, axis=0)
+        h = (hom @ self.matrix.T)[: len(pts)]
         w = h[:, 2]
         with np.errstate(divide="ignore", invalid="ignore"):
             xy = h[:, :2] / w[:, None]
@@ -122,10 +130,9 @@ class Viewport:
             raise ValueError("viewport window must have positive size")
 
     def to_pixels(self, xy_m) -> np.ndarray:
+        """(..., 2) screen-plane meters to pixels: (x / width_m + 0.5) * width_px."""
         xy = np.asarray(xy_m, dtype=float)
-        u = (xy[..., 0] / self.width_m + 0.5) * self.width_px
-        v = (xy[..., 1] / self.height_m + 0.5) * self.height_px
-        return np.stack([u, v], axis=-1)
+        return (xy / (self.width_m, self.height_m) + 0.5) * (self.width_px, self.height_px)
 
     def to_plane(self, uv_px) -> np.ndarray:
         uv = np.asarray(uv_px, dtype=float)

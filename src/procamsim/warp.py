@@ -10,7 +10,10 @@ framebuffer onto the real surfaces makes the content appear, from the
 tracked eye, as if it were glued to the virtual screen. Only the last two
 steps depend on the eye: the rasterized projector map is kept on the mesh
 and reused for every new eye while the mesh and the projector pose are
-unchanged (``TriangleMesh.pixel_map``).
+unchanged (``TriangleMesh.pixel_map``). That per-eye tail runs in blocks
+of ``_BLOCK`` covered pixels, so no temporary grows with the resolution
+beyond the sample coordinates and their samples; its output bytes are
+those of one unblocked pass.
 
 ``propagate_corners`` follows checker-pattern corners through the same
 mapping analytically (no rasterization), using one model set for the warp
@@ -39,6 +42,9 @@ from .upr import UprMatrix, Viewport
 
 # Relative slack for "is this the same intersection point" visibility tests.
 _VISIBILITY_REL_TOL = 1e-6
+
+# Covered projector pixels per block of the per-eye warp tail.
+_BLOCK = 1 << 16
 
 
 # -- Checker test pattern ------------------------------------------------------
@@ -206,19 +212,33 @@ def warp_to_projector(
     samples the pass-1 image. Uncovered pixels, and points on the eye side
     of the screen projection, stay black. The rasterized map does not depend
     on the eye, so it is reused while the mesh and the projector pose are
-    unchanged, with the same output bytes as rasterizing again.
+    unchanged, with the same output bytes as rasterizing again. The rest is
+    done in blocks of covered pixels, with the bytes of one unblocked pass.
     """
     covered, world = mesh.pixel_map(proj_device, proj_to_world)
-    xy_m, w = upr.apply(world)
-    ok = (w > 1e-9) & np.all(np.isfinite(xy_m), axis=1)
-    pix = viewport.to_pixels(xy_m[ok])
     # The pass-1 image may be rendered at a different resolution than the
     # nominal viewport; rescale into its pixel grid.
     img_h, img_w = user_image.shape[:2]
-    pix = pix * np.array([img_w / viewport.width_px, img_h / viewport.height_px])
+    scale = np.array([img_w / viewport.width_px, img_h / viewport.height_px])
+    # Pass-1 pixels of the kept rows, packed to the front, and the
+    # framebuffer index of each.
+    pix = np.empty((len(covered), 2))
+    dest = np.empty(len(covered), dtype=covered.dtype)
+    n_ok = 0
+    for start in range(0, len(covered), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        xy_m, w = upr.apply(world[block])
+        ok = np.flatnonzero((w > 1e-9) & np.isfinite(xy_m[:, 0]) & np.isfinite(xy_m[:, 1]))
+        kept = slice(n_ok, n_ok + len(ok))
+        pix[kept] = viewport.to_pixels(np.take(xy_m, ok, axis=0)) * scale
+        dest[kept] = np.take(covered[block], ok)
+        n_ok = kept.stop
+    pix, dest = pix[:n_ok], dest[:n_ok]
     samples = bilinear_sample(user_image, pix)
     fb = np.zeros((proj_device.height * proj_device.width, 3), dtype=np.uint8)
-    fb[covered[ok]] = np.clip(np.round(samples), 0, 255).astype(np.uint8)
+    for start in range(0, n_ok, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        fb[dest[block]] = np.clip(np.round(samples[block]), 0, 255).astype(np.uint8)
     return fb.reshape(proj_device.height, proj_device.width, 3)
 
 
@@ -260,10 +280,13 @@ def simulate_projection_and_view(
     lit = in_front & proj_device.contains(np.nan_to_num(uv, nan=-1.0))
     if np.any(lit):
         visible = _unoccluded(scene, proj_to_world.translation, points[lit])
-        uu = np.clip(np.floor(uv[lit][visible, 0]).astype(np.int64), 0, proj_device.width - 1)
-        vv = np.clip(np.floor(uv[lit][visible, 1]).astype(np.int64), 0, proj_device.height - 1)
+        uv_seen = uv[lit][visible]
+        uu = np.clip(np.floor(uv_seen[:, 0]).astype(np.int64), 0, proj_device.width - 1)
+        vv = np.clip(np.floor(uv_seen[:, 1]).astype(np.int64), 0, proj_device.height - 1)
         lit_idx = np.flatnonzero(lit)[visible]
-        light[lit_idx] = np.asarray(framebuffer, dtype=float)[vv, uu]
+        # Gather from the framebuffer's own dtype; the assignment casts
+        # only the gathered pixels to float.
+        light[lit_idx] = np.asarray(framebuffer)[vv, uu]
 
     out[hit] = albedos * (ambient * 255.0 + light)
     return np.clip(np.round(out), 0, 255).astype(np.uint8).reshape(h, w, 3)

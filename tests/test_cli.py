@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from procamsim import cli
+from procamsim import calibration, cli
 from procamsim.calibration import load_result
 from procamsim.cli import main
 from procamsim.errors import LimitError
@@ -130,6 +130,28 @@ class TestCalibrate:
         truth = small_rig()
         assert result.proj_device.fx == pytest.approx(truth.proj_device.fx, rel=1e-9)
         assert float(result.pan_axis @ truth.pan_axis) == pytest.approx(1.0, abs=1e-12)
+
+    def test_projector_refinement_without_convergence_fails_cleanly(
+        self, config_path, tmp_path, capsys, monkeypatch
+    ):
+        session = tmp_path / "session.json"
+        assert main(["simulate-calib", "--config", str(config_path), "--out", str(session)]) == 0
+        real_lm = calibration._levenberg_marquardt
+
+        def projector_lm_not_converged(residual_fn, x0, **kwargs):
+            x, cost, converged = real_lm(residual_fn, x0, **kwargs)
+            # The axis stage refines 2 parameters and the projector stage 11.
+            return x, cost, converged and len(x0) != 11
+
+        monkeypatch.setattr(calibration, "_levenberg_marquardt", projector_lm_not_converged)
+        capsys.readouterr()
+        code = main(["calibrate", "--session", str(session),
+                     "--out", str(tmp_path / "result.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[convergence]: stage 'projector' failed: projector refinement")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "result.json").exists()
 
     def test_missing_session_fails_cleanly(self, tmp_path, capsys):
         code = main(["calibrate", "--session", str(tmp_path / "none.json"),

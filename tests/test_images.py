@@ -127,6 +127,17 @@ def oracle_points(rng, w, h):
     return np.concatenate([inside, ring, far])
 
 
+# Three- and four-channel, single-channel and 2-D images.
+ORACLE_SHAPES = [(7, 9, 3), (6, 10, 3), (5, 8), (4, 7), (7, 9, 1), (6, 10, 4)]
+ORACLE_DTYPES = [np.uint8, np.float32, np.float64]
+
+
+def oracle_image(rng, dtype, shape):
+    if dtype == np.uint8:
+        return rng.integers(0, 256, size=shape, dtype=np.uint8)
+    return rng.uniform(-50.0, 300.0, size=shape).astype(dtype)
+
+
 class TestBilinearSample:
     def gradient(self):
         img = np.zeros((4, 5, 3))
@@ -171,17 +182,24 @@ class TestBilinearSample:
         assert out.shape == (1,)
         assert out[0] == pytest.approx(5.0)
 
-    @pytest.mark.parametrize("dtype", [np.uint8, np.float32, np.float64])
-    @pytest.mark.parametrize("shape", [(7, 9, 3), (6, 10, 3), (5, 8), (4, 7)])
+    @pytest.mark.parametrize("dtype", ORACLE_DTYPES)
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
     def test_matches_float64_oracle(self, dtype, shape):
         rng = np.random.default_rng(len(shape) * 100 + shape[1])
-        if dtype == np.uint8:
-            img = rng.integers(0, 256, size=shape, dtype=np.uint8)
-        else:
-            img = rng.uniform(-50.0, 300.0, size=shape).astype(dtype)
+        img = oracle_image(rng, dtype, shape)
         xy = oracle_points(rng, shape[1], shape[0])
         got = bilinear_sample(img, xy)
         assert got.dtype == np.float64
+        assert np.array_equal(got, float64_sampler(img, xy))
+
+    @pytest.mark.parametrize("dtype", ORACLE_DTYPES)
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_blocks_of_8_match_float64_oracle(self, monkeypatch, dtype, shape):
+        monkeypatch.setattr(images, "_SAMPLE_BLOCK", 8)
+        rng = np.random.default_rng(len(shape) * 100 + shape[1] + 1)
+        img = oracle_image(rng, dtype, shape)
+        xy = oracle_points(rng, shape[1], shape[0])  # 630 samples, 78 blocks and 6
+        got = bilinear_sample(img, xy)
         assert np.array_equal(got, float64_sampler(img, xy))
 
     def test_blocks_of_samples_match_float64_oracle(self, monkeypatch):

@@ -98,6 +98,19 @@ class TestUprMatrix:
             np.testing.assert_allclose(xy[i], expected, atol=1e-10)
             assert w[i] == pytest.approx(pts_rear[i][2] - eye.z, abs=1e-12)
 
+    @pytest.mark.parametrize("block", [1, 2, 7, 64])
+    def test_points_keep_their_bits_in_blocks_of_any_size(self, block):
+        # A single row must not take a different BLAS kernel from a batch.
+        world_to_rear = RigidTransform(
+            rotation_about_axis([0, 1, 0], 0.4), np.array([0.1, -0.2, 0.3])
+        )
+        upr = upr_matrix(EyePose(0.13, -0.07, -1.43), world_to_rear)
+        pts = np.random.default_rng(12).normal(size=(300, 3)) + [0, 0, 3]
+        xy, w = upr.apply(pts)
+        parts = [upr.apply(pts[i : i + block]) for i in range(0, len(pts), block)]
+        assert np.array_equal(np.concatenate([p[0] for p in parts]), xy)
+        assert np.array_equal(np.concatenate([p[1] for p in parts]), w)
+
     def test_eye_world_round_trip(self):
         world_to_rear = RigidTransform(
             rotation_about_axis([1, 0, 0], -0.3), np.array([0.0, 0.1, -0.05])
@@ -120,6 +133,14 @@ class TestViewport:
         vp = Viewport(width_px=1920, height_px=1080, width_m=2.0, height_m=1.125)
         np.testing.assert_allclose(vp.to_pixels([0.0, 0.0]), [960.0, 540.0])
         np.testing.assert_allclose(vp.to_plane([0.0, 0.0]), [-1.0, -0.5625])
+
+    @pytest.mark.parametrize("shape", [(2,), (50, 2), (4, 5, 2)])
+    def test_to_pixels_per_coordinate_bit_for_bit(self, shape):
+        vp = Viewport(width_px=1280, height_px=720, width_m=1.7, height_m=0.95)
+        xy = np.random.default_rng(14).uniform(-2.0, 2.0, size=shape)
+        u = (xy[..., 0] / vp.width_m + 0.5) * vp.width_px
+        v = (xy[..., 1] / vp.height_m + 0.5) * vp.height_px
+        assert np.array_equal(vp.to_pixels(xy), np.stack([u, v], axis=-1))
 
     def test_validation(self):
         with pytest.raises(ValueError):

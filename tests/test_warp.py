@@ -12,17 +12,22 @@ The key oracles:
 import gc
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import procamsim.scene as scene_module
+import procamsim.warp as warp_module
 from procamsim.geometry import (
     PinholeDevice,
     RigidTransform,
     normalized,
     rotation_about_axis,
 )
+from procamsim.images import bilinear_sample
 from procamsim.raster import rasterize
 from procamsim.rig import default_rig
 from procamsim.scene import (
@@ -281,6 +286,112 @@ class TestProjectorMapReuse:
         gc.collect()
         assert mesh_ref() is None
         assert map_ref() is None
+
+
+def unblocked_warp(user_image, mesh, upr, viewport, proj_device, proj_to_world):
+    """Oracle: the per-eye warp tail as one pass over all covered pixels.
+
+    Screen projection, the w and finiteness mask, the viewport's pixel
+    formula, the rescale to the pass-1 image, one sampler call, then
+    round, clip and scatter, each over the whole map at once.
+    """
+    covered, world = mesh.pixel_map(proj_device, proj_to_world)
+    xy_m, w = upr.apply(world)
+    ok = (w > 1e-9) & np.all(np.isfinite(xy_m), axis=1)
+    u = (xy_m[ok, 0] / viewport.width_m + 0.5) * viewport.width_px
+    v = (xy_m[ok, 1] / viewport.height_m + 0.5) * viewport.height_px
+    pix = np.stack([u, v], axis=-1)
+    img_h, img_w = user_image.shape[:2]
+    pix = pix * np.array([img_w / viewport.width_px, img_h / viewport.height_px])
+    samples = bilinear_sample(user_image, pix)
+    fb = np.zeros((proj_device.height * proj_device.width, 3), dtype=np.uint8)
+    fb[covered[ok]] = np.clip(np.round(samples), 0, 255).astype(np.uint8)
+    return fb.reshape(proj_device.height, proj_device.width, 3)
+
+
+def random_wall(seed, amplitude, rows=9, cols=11):
+    """A grid mesh over the projector's throw, its depth within +-amplitude of z = 0."""
+    gx, gy = np.meshgrid(np.linspace(-1.6, 1.6, cols), np.linspace(-1.2, 1.2, rows))
+    gz = np.random.default_rng(seed).uniform(-amplitude, amplitude, size=gx.shape)
+    return TriangleMesh(np.c_[gx.ravel(), gy.ravel(), gz.ravel()], grid_faces(rows, cols))
+
+
+def pass1_image(seed, kind, width, height):
+    rng = np.random.default_rng(seed)
+    shape = (height, width) if kind.startswith("gray") else (height, width, 3)
+    if kind.endswith("uint8"):
+        return rng.integers(0, 256, size=shape, dtype=np.uint8)
+    # Past both ends of [0, 255], so the quantizer clips.
+    return rng.uniform(-40.0, 300.0, size=shape)
+
+
+IMAGE_KINDS = ("uint8", "float64", "gray-uint8", "gray-float64")
+
+
+class TestBlockedWarpOracle:
+    """``warp_to_projector`` gives the bytes of the unblocked tail for any block size."""
+
+    @staticmethod
+    def both(block, user_image, mesh, upr, viewport, device, pose):
+        with mock.patch.object(warp_module, "_BLOCK", block or warp_module._BLOCK):
+            got = warp_to_projector(user_image, mesh, upr, viewport, device, pose)
+        return got, unblocked_warp(user_image, mesh, upr, viewport, device, pose)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        eye=st.tuples(
+            st.floats(-0.6, 0.6),
+            st.floats(-0.4, 0.4),
+            # Eyes up to 0.6 m past the screen plane put parts of a wall
+            # of depth +-0.7 m at w <= 0.
+            st.floats(-1.4, 0.6).filter(lambda z: abs(z) > 0.05),
+        ),
+        amplitude=st.sampled_from([0.0, 0.3, 0.7]),
+        kind=st.sampled_from(IMAGE_KINDS),
+        image_size=st.tuples(st.integers(1, 70), st.integers(1, 50)),
+        shifted=st.booleans(),
+        block=st.sampled_from([1, 7, None]),
+    )
+    def test_matches_unblocked_tail(
+        self, seed, eye, amplitude, kind, image_size, shifted, block
+    ):
+        viewport, _, device, pose, _ = identity_setup(32, 24)
+        if shifted:
+            pose = RigidTransform(
+                rotation_about_axis([0.0, 1.0, 0.0], math.radians(6.0)),
+                np.array([0.2, -0.1, -1.4]),
+            )
+        upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
+        mesh = random_wall(seed, amplitude)
+        user_image = pass1_image(seed, kind, *image_size)
+        got, want = self.both(block, user_image, mesh, upr, viewport, device, pose)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", IMAGE_KINDS)
+    def test_default_block_with_a_partial_last_block(self, kind):
+        # 320 x 240 covered pixels: one whole block of 65,536 and 11,264 more.
+        viewport, _, device, pose, _ = identity_setup(320, 240)
+        mesh = random_wall(3, 0.5)
+        upr = upr_matrix(EyePose(0.1, -0.05, -0.3), RigidTransform.identity())
+        covered, world = mesh.pixel_map(device, pose)
+        _, w = upr.apply(world)
+        assert len(covered) % warp_module._BLOCK == 76800 - 65536
+        assert (w <= 1e-9).any() and (w > 1e-9).any()
+        user_image = pass1_image(4, kind, 250, 170)
+        got, want = self.both(None, user_image, mesh, upr, viewport, device, pose)
+        assert np.array_equal(got, want)
+        assert (got > 0).sum() > 10000
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_mesh_off_the_throw_leaves_black(self, block):
+        viewport, upr, device, pose, _ = identity_setup(32, 24)
+        far = TriangleMesh(random_wall(5, 0.2).vertices + [40.0, 0.0, 0.0], grid_faces(9, 11))
+        assert len(far.pixel_map(device, pose)[0]) == 0
+        user_image = pass1_image(6, "uint8", 32, 24)
+        got, want = self.both(block, user_image, far, upr, viewport, device, pose)
+        assert np.array_equal(got, want)
+        assert not got.any()
 
 
 class TestRenderUserView:
