@@ -93,8 +93,8 @@ def _display_options(display: dict) -> BenchmarkOptions:
         )
     if "eye" in display:
         e = [float(x) for x in display["eye"]]
-        if len(e) != 3:
-            raise SchemaError("display.eye must have three components")
+        if len(e) != 3 or not all(map(math.isfinite, e)):
+            raise SchemaError("display.eye must have three finite components")
         kwargs["eye"] = EyePose(*e)
     if "pan_deg" in display or "tilt_deg" in display:
         kwargs["state"] = PanTiltState(
@@ -361,14 +361,21 @@ def cmd_evaluate(args) -> None:
 # -- Parser ------------------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _eye_arg(text: str):
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected EYE as 'x,y,z' in meters")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad eye coordinate: {exc}") from exc
+    return tuple(_finite_float(p) for p in parts)
 
 
 def _positive_int(text: str) -> int:
@@ -396,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "(defaults to the config rig's ground truth)")
     display.add_argument("--eye", type=_eye_arg, default=None,
                          help="eye position 'x,y,z' in meters, rear frame")
-    display.add_argument("--pan", type=float, default=None, help="pan angle, degrees")
-    display.add_argument("--tilt", type=float, default=None, help="tilt angle, degrees")
+    display.add_argument("--pan", type=_finite_float, default=None, help="pan angle, degrees")
+    display.add_argument("--tilt", type=_finite_float, default=None, help="tilt angle, degrees")
     display.add_argument("--no-correction", action="store_true",
                          help="send content straight to the projector")
     display.add_argument("--out", required=True, help="image to write (.ppm or .png)")

@@ -24,12 +24,6 @@ class SchemaError(ProcamError):
     code = "schema"
 
 
-class BehindDeviceError(ProcamError):
-    """A point with non-positive depth was projected through a pinhole."""
-
-    code = "behind-device"
-
-
 class LimitError(ProcamError):
     """A pan/tilt state outside the mechanical limits, or an image over the pixel budget."""
 

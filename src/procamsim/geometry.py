@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindDeviceError, DegenerateConfigurationError, SchemaError
+from .errors import DegenerateConfigurationError, SchemaError
 
 # Unit-axis inputs may deviate from unit norm by at most this much.
 UNIT_AXIS_TOL = 1e-6
@@ -273,53 +273,27 @@ class PinholeDevice:
             raise SchemaError(f"bad pinhole device record: {exc}") from exc
 
 
-def project(device: PinholeDevice, pose: RigidTransform, point) -> tuple[np.ndarray, float]:
-    """Project a source-frame point through ``pose`` into ``device`` pixels.
-
-    Returns ``((u, v), depth)`` where depth is the device-frame z, which is
-    also the homogeneous scale of the projection. Raises BehindDeviceError
-    when that z is not positive.
-    """
-    p = pose.apply(as_vec3(point))
-    z = float(p[2])
-    if z <= 0.0:
-        raise BehindDeviceError(f"point has non-positive device depth {z}")
-    u = (device.fx * p[0] + device.skew * p[1]) / z + device.cx
-    v = device.fy * p[1] / z + device.cy
-    return np.array([u, v]), z
-
-
 def project_points(
     device: PinholeDevice, pose: RigidTransform, points
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batch projection that flags instead of raising.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project (N, 3) source-frame points through ``pose`` into ``device`` pixels.
 
-    Returns ``(uv (N, 2), depth (N,), in_front (N,) bool)``; rows with
-    non-positive depth hold NaN pixels.
+    Returns ``(uv (N, 2), depth (N,))``, where depth is the device-frame z.
+    Rows whose depth is not positive (NaN included) hold NaN pixels, which
+    ``PinholeDevice.contains`` rejects.
     """
     p = pose.apply(np.asarray(points, dtype=float).reshape(-1, 3))
     z = p[:, 2]
-    in_front = z > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         u = (device.fx * p[:, 0] + device.skew * p[:, 1]) / z + device.cx
         v = device.fy * p[:, 1] / z + device.cy
     uv = np.stack([u, v], axis=1)
-    uv[~in_front] = np.nan
-    return uv, z, in_front
-
-
-def backproject(device: PinholeDevice, pixel, depth: float) -> np.ndarray:
-    """Device-frame point whose projection is ``pixel`` at the given depth."""
-    if depth <= 0.0:
-        raise ValueError(f"depth must be positive, got {depth}")
-    uv = np.asarray(pixel, dtype=float)
-    y = (uv[1] - device.cy) * depth / device.fy
-    x = ((uv[0] - device.cx) * depth - device.skew * y) / device.fx
-    return np.array([x, y, float(depth)])
+    uv[~(z > 0.0)] = np.nan
+    return uv, z
 
 
 def backproject_points(device: PinholeDevice, pixels, depths) -> np.ndarray:
-    """Vectorized ``backproject`` over (N, 2) pixels and (N,) or scalar depths.
+    """Device-frame points whose projections are (N, 2) ``pixels`` at (N,) or scalar depths.
 
     With depth 1 the rows are the device-frame ray directions (z = 1) through
     the pixels.

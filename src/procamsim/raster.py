@@ -192,11 +192,9 @@ def rasterize(
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
     w = np.asarray(w, dtype=float).reshape(-1)
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-    attributes = attributes or {}
-    attrs = {
-        name: np.asarray(a, dtype=float).reshape(len(xy), -1)
-        for name, a in attributes.items()
-    }
+    attrs = {name: np.asarray(a, dtype=float) for name, a in (attributes or {}).items()}
+    # An (N, C) attribute keeps its C when N is 0, where -1 infers nothing.
+    attrs = {n: a.reshape(len(xy), a.shape[1] if a.ndim == 2 else -1) for n, a in attrs.items()}
     result = RasterResult(width, height, {n: a.shape[1] for n, a in attrs.items()})
     if len(faces) == 0 or len(xy) == 0:
         return result

@@ -71,7 +71,7 @@ class RigModel:
     def __post_init__(self):
         object.__setattr__(self, "pan_axis", normalized(self.pan_axis))
         object.__setattr__(self, "tilt_axis", normalized(self.tilt_axis))
-        if self.pan_limit <= 0 or self.tilt_limit <= 0:
+        if not (self.pan_limit > 0 and self.tilt_limit > 0):
             raise ValueError("motor limits must be positive")
 
     def to_json(self) -> dict:
@@ -136,11 +136,11 @@ def pan_tilt_rotation(model: RigModel, state: PanTiltState) -> np.ndarray:
 
     Raises LimitError when a motor angle exceeds its configured limit.
     """
-    if abs(state.alpha) > model.pan_limit:
+    if not abs(state.alpha) <= model.pan_limit:
         raise LimitError(
             f"pan angle {state.alpha:.4f} rad exceeds limit {model.pan_limit:.4f}"
         )
-    if abs(state.beta) > model.tilt_limit:
+    if not abs(state.beta) <= model.tilt_limit:
         raise LimitError(
             f"tilt angle {state.beta:.4f} rad exceeds limit {model.tilt_limit:.4f}"
         )
@@ -181,8 +181,8 @@ def observe_checkerboard(
         raise ValueError(f"camera must be 'front' or 'rear', got {camera!r}")
 
     corners_cam = cam_to_world.inverse().apply(target.corners_world())
-    uv, _, in_front = project_points(device, RigidTransform.identity(), corners_cam)
-    visible = in_front & device.contains(np.nan_to_num(uv, nan=-1.0))
+    uv, _ = project_points(device, RigidTransform.identity(), corners_cam)
+    visible = device.contains(uv)
     if not visible.any():
         raise EmptyObservationError(
             f"no checkerboard corner visible in the {camera} camera"

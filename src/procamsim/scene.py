@@ -68,7 +68,7 @@ class Plane:
         object.__setattr__(self, "normal", normalized(self.normal))
         if self.extent is not None:
             ex, ey = float(self.extent[0]), float(self.extent[1])
-            if ex <= 0 or ey <= 0:
+            if not (ex > 0 and ey > 0):
                 raise ValueError("plane extent must be positive")
             object.__setattr__(self, "extent", (ex, ey))
 
@@ -110,7 +110,7 @@ class Sphere:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vec3(self.center))
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("sphere radius must be positive")
 
     def intersect(self, origins: np.ndarray, dirs: np.ndarray):
@@ -147,7 +147,7 @@ class Box:
 
     def __post_init__(self):
         dims = tuple(float(d) for d in self.dimensions)
-        if any(d <= 0 for d in dims):
+        if not all(d > 0 for d in dims):
             raise ValueError("box dimensions must be positive")
         object.__setattr__(self, "dimensions", dims)
 
@@ -210,7 +210,7 @@ class CylinderSegment:
     albedo: tuple[float, float, float] = (0.8, 0.8, 0.8)
 
     def __post_init__(self):
-        if self.radius <= 0 or self.height <= 0:
+        if not (self.radius > 0 and self.height > 0):
             raise ValueError("cylinder radius and height must be positive")
 
     def intersect(self, origins: np.ndarray, dirs: np.ndarray):
@@ -316,8 +316,7 @@ class TriangleMesh:
         key = (device, device_to_world.rotation.tobytes(), device_to_world.translation.tobytes())
         entry = self._pixel_map
         if entry is None or entry[0] != key:
-            cam = device_to_world.inverse().apply(self.vertices)
-            uv, z, _ = project_points(device, RigidTransform.identity(), cam)
+            uv, z = project_points(device, device_to_world.inverse(), self.vertices)
             res = rasterize(
                 uv, z, self.faces, device.width, device.height,
                 attributes={"world": self.vertices},
@@ -545,7 +544,7 @@ class CheckerboardTarget:
     def __post_init__(self):
         if self.rows < 2 or self.cols < 2:
             raise ValueError("checkerboard needs at least a 2x2 corner grid")
-        if self.square_size <= 0:
+        if not self.square_size > 0:
             raise ValueError("square size must be positive")
 
     def corner_points(self) -> np.ndarray:
@@ -656,7 +655,7 @@ class DepthNoiseModel:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError("sigma must be non-negative")
         if not (0 <= self.gamma_full_dropout < self.gamma_no_dropout <= 90):
             raise ValueError("need 0 <= gamma_full_dropout < gamma_no_dropout <= 90")
@@ -762,7 +761,7 @@ def reconstruct_mesh(
     more than ``discontinuity_threshold`` meters. Triangles are wound to
     face the sensor.
     """
-    if discontinuity_threshold <= 0:
+    if not discontinuity_threshold > 0:
         raise ValueError("discontinuity threshold must be positive")
     h, w = depth.depth.shape
     valid = depth.valid

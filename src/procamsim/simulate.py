@@ -24,7 +24,7 @@ from .calibration import (
     RearRegistrationRecord,
 )
 from .errors import EmptyObservationError
-from .geometry import RigidTransform, backproject_points, pixel_rays, project_points
+from .geometry import backproject_points, pixel_rays, project_points
 from .rig import PanTiltState, RigModel, observe_checkerboard, rig_pose
 from .scene import CheckerboardTarget, Scene, hit_points
 
@@ -55,7 +55,7 @@ class CalibrationProtocol:
     def __post_init__(self):
         if not 0.0 <= self.projector_margin < 0.5:
             raise ValueError("projector_margin must be in [0, 0.5)")
-        if self.corner_noise_sigma < 0 or self.depth_noise_sigma < 0:
+        if not (self.corner_noise_sigma >= 0 and self.depth_noise_sigma >= 0):
             raise ValueError("noise sigmas must be non-negative")
         if min(self.projector_grid) < 2:
             raise ValueError("projector_grid must be at least 2x2")
@@ -144,9 +144,8 @@ def _projector_samples(
         if not np.any(hit):
             continue
         points_world = hit_points(origin, dirs_world, t)
-        points_front = pose.front_to_world.inverse().apply(points_world)
-        uv, z, in_front = project_points(front, RigidTransform.identity(), points_front)
-        visible = hit & in_front & (z > 0) & front.contains(uv)
+        uv, z = project_points(front, pose.front_to_world.inverse(), points_world)
+        visible = hit & front.contains(uv)
         if protocol.depth_noise_sigma > 0:
             z = z + rng.normal(0.0, protocol.depth_noise_sigma, size=z.shape)
             visible &= z > 0

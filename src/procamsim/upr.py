@@ -126,7 +126,7 @@ class Viewport:
     def __post_init__(self):
         if self.width_px <= 0 or self.height_px <= 0:
             raise ValueError("viewport resolution must be positive")
-        if self.width_m <= 0 or self.height_m <= 0:
+        if not (self.width_m > 0 and self.height_m > 0):
             raise ValueError("viewport window must have positive size")
 
     def to_pixels(self, xy_m) -> np.ndarray:

@@ -220,25 +220,19 @@ def warp_to_projector(
     # nominal viewport; rescale into its pixel grid.
     img_h, img_w = user_image.shape[:2]
     scale = np.array([img_w / viewport.width_px, img_h / viewport.height_px])
-    # Pass-1 pixels of the kept rows, packed to the front, and the
-    # framebuffer index of each.
+    # Pass-1 pixels of every covered row; rows on the eye side of the
+    # screen projection get NaN, which the sampler turns black.
     pix = np.empty((len(covered), 2))
-    dest = np.empty(len(covered), dtype=covered.dtype)
-    n_ok = 0
     for start in range(0, len(covered), _BLOCK):
         block = slice(start, start + _BLOCK)
         xy_m, w = upr.apply(world[block])
-        ok = np.flatnonzero((w > 1e-9) & np.isfinite(xy_m[:, 0]) & np.isfinite(xy_m[:, 1]))
-        kept = slice(n_ok, n_ok + len(ok))
-        pix[kept] = viewport.to_pixels(np.take(xy_m, ok, axis=0)) * scale
-        dest[kept] = np.take(covered[block], ok)
-        n_ok = kept.stop
-    pix, dest = pix[:n_ok], dest[:n_ok]
+        pix[block] = viewport.to_pixels(xy_m) * scale
+        pix[block][~(w > 1e-9)] = np.nan
     samples = bilinear_sample(user_image, pix)
     fb = np.zeros((proj_device.height * proj_device.width, 3), dtype=np.uint8)
-    for start in range(0, n_ok, _BLOCK):
+    for start in range(0, len(covered), _BLOCK):
         block = slice(start, start + _BLOCK)
-        fb[dest[block]] = np.clip(np.round(samples[block]), 0, 255).astype(np.uint8)
+        fb[covered[block]] = np.clip(np.round(samples[block]), 0, 255).astype(np.uint8)
     return fb.reshape(proj_device.height, proj_device.width, 3)
 
 
@@ -273,11 +267,8 @@ def simulate_projection_and_view(
     albedos = np.array([s.albedo for s in scene.surfaces])[sidx[hit]]
 
     light = np.zeros((hit.sum(), 3))
-    cam_pts = proj_to_world.inverse().apply(points)
-    uv, z, in_front = project_points(
-        proj_device, RigidTransform.identity(), cam_pts
-    )
-    lit = in_front & proj_device.contains(np.nan_to_num(uv, nan=-1.0))
+    uv, _ = project_points(proj_device, proj_to_world.inverse(), points)
+    lit = proj_device.contains(uv)
     if np.any(lit):
         visible = _unoccluded(scene, proj_to_world.translation, points[lit])
         uv_seen = uv[lit][visible]
@@ -387,11 +378,8 @@ def propagate_corners(
     landing = hit_points(eye_world, dirs, t_est)
 
     # Which projector pixel does the estimated warp light that point with?
-    cam = proj_to_world.inverse().apply(landing)
-    proj_px, z, in_front = project_points(
-        proj_device, RigidTransform.identity(), cam
-    )
-    alive &= in_front & proj_device.contains(np.nan_to_num(proj_px, nan=-1.0))
+    proj_px, _ = project_points(proj_device, proj_to_world.inverse(), landing)
+    alive &= proj_device.contains(proj_px)
     return _view_projected_corners(
         corners, np.nan_to_num(proj_px, nan=0.0), alive,
         true_scene, true_proj_device, true_proj_to_world, true_upr, viewport,

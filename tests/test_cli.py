@@ -340,6 +340,78 @@ class TestInputBoundary:
         assert code == 1
         self.assert_one_error_line(capsys, "limit")
 
+    @pytest.mark.parametrize("command", ["correct", "render-user-view"])
+    def test_depth_sensor_seeing_nothing_gives_a_black_frame(self, tmp_path, command):
+        # At 89 degrees of pan the depth sensor misses the wall, so the
+        # reconstructed mesh has no vertices.
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out.ppm"
+        assert main([command, "--config", str(cfg), "--pan", "89", "--out", str(out)]) == 0
+        if command == "correct":
+            assert not read_ppm(out).any()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--eye", "nan,0,-1.5"), ("--eye", "0,0,inf"), ("--eye", "0,x,-1.5"),
+        ("--pan", "nan"), ("--tilt", "inf"), ("--pan", "ten"),
+    ])
+    def test_non_finite_eye_and_angles_are_usage_errors(
+        self, config_path, tmp_path, capsys, flag, value
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["correct", "--config", str(config_path), flag, value,
+                  "--out", str(tmp_path / "x.ppm")])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "x.ppm").exists()
+
+    @pytest.mark.parametrize("display, code", [
+        ({"eye": [math.nan, 0.0, -1.5]}, "schema"),
+        ({"eye": [0.0, 0.0, math.inf]}, "schema"),
+        ({"pan_deg": math.nan}, "limit"),
+        ({"tilt_deg": math.nan}, "limit"),
+    ])
+    def test_non_finite_display_eye_and_angles(self, tmp_path, capsys, display, code):
+        cfg = write_config(tmp_path, extra_display=display)
+        out = tmp_path / "x.ppm"
+        assert main(["correct", "--config", str(cfg), "--out", str(out)]) == 1
+        self.assert_one_error_line(capsys, code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, edit", [
+        ("rig.json", lambda d: d.update(pan_limit_deg=math.nan)),
+        ("rig.json", lambda d: d.update(tilt_limit_deg=math.nan)),
+        ("config.json", lambda d: d["display"]["depth"].update(noise_sigma=math.nan)),
+        ("config.json", lambda d: d["display"]["viewport"].update(width_m=math.nan)),
+        ("config.json", lambda d: d["protocol"].update(corner_noise_sigma=math.nan)),
+        ("config.json", lambda d: d["protocol"].update(depth_noise_sigma=math.nan)),
+        ("scene.json", lambda d: d["checkerboards"][0].update(square_size=math.nan)),
+        ("scene.json", lambda d: d["surfaces"][0].update(extent=[math.nan, 3.0])),
+        ("scene.json", lambda d: d["surfaces"].append(
+            {"type": "sphere", "center": [0, 0, 5], "radius": math.nan})),
+        ("scene.json", lambda d: d["surfaces"].append(
+            {"type": "box", "pose": RigidTransform.identity().to_json(),
+             "dimensions": [1.0, math.nan, 1.0]})),
+        ("scene.json", lambda d: d["surfaces"].append(
+            {"type": "cylinder", "pose": RigidTransform.identity().to_json(),
+             "radius": math.nan, "height": 1.0})),
+        ("scene.json", lambda d: d["surfaces"].append(
+            {"type": "cylinder", "pose": RigidTransform.identity().to_json(),
+             "radius": 1.0, "height": math.nan})),
+    ], ids=["pan_limit", "tilt_limit", "depth_noise", "viewport_width", "corner_noise",
+            "protocol_depth_noise", "square_size", "plane_extent", "sphere_radius",
+            "box_dimensions", "cylinder_radius", "cylinder_height"])
+    def test_nan_sizes_fail_their_range_checks(self, tmp_path, capsys, name, edit):
+        cfg = write_config(tmp_path)
+        path = tmp_path / name
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        out = tmp_path / "x.ppm"
+        assert main(["correct", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("width", ["0", "-3"])
     def test_render_width_not_positive(self, config_path, tmp_path, capsys, width):
         with pytest.raises(SystemExit) as excinfo:

@@ -19,7 +19,7 @@ from procamsim.evaluation import (
     case_by_name,
     standard_suite,
 )
-from procamsim.geometry import RigidTransform, pixel_center_grid, pixel_rays, project_points
+from procamsim.geometry import pixel_center_grid, pixel_rays, project_points
 from procamsim.raster import rasterize
 from procamsim.rig import PanTiltState, default_rig
 from procamsim.scene import hit_points
@@ -43,7 +43,7 @@ def test_projector_map_matches_the_ray_caster(case, state):
     # The mesh as the projector sees it, as in TriangleMesh.pixel_map, with
     # each face given its own corners: a one-hot per corner then
     # interpolates to the pixel's barycentric weights.
-    uv, z, _ = project_points(device, RigidTransform.identity(), pose.inverse().apply(mesh.vertices))
+    uv, z = project_points(device, pose.inverse(), mesh.vertices)
     corners = mesh.faces.reshape(-1)
     res = rasterize(
         uv[corners], z[corners], np.arange(len(corners)).reshape(-1, 3), WIDTH, HEIGHT,

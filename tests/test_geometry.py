@@ -4,17 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.spatial.transform import Rotation
 
-from procamsim.errors import BehindDeviceError, DegenerateConfigurationError
+from procamsim.errors import DegenerateConfigurationError
 from procamsim.geometry import (
     PinholeDevice,
     RigidTransform,
-    backproject,
     backproject_points,
     from_homogeneous,
     normalized,
-    project,
     project_points,
     rigid_align,
     rotation_about_axis,
@@ -159,13 +160,13 @@ class TestPinholeProjection:
         return PinholeDevice(fx=525.0, fy=525.0, cx=320.0, cy=240.0, width=640, height=480)
 
     def test_principal_ray(self):
-        uv, depth = project(self.device(), RigidTransform.identity(), [0, 0, 3.0])
-        np.testing.assert_allclose(uv, [320.0, 240.0], atol=1e-12)
-        assert depth == 3.0
+        uv, depth = project_points(self.device(), RigidTransform.identity(), [0, 0, 3.0])
+        np.testing.assert_allclose(uv, [[320.0, 240.0]], atol=1e-12)
+        assert depth.tolist() == [3.0]
 
     def test_backproject_principal_point(self):
-        p = backproject(self.device(), [320.0, 240.0], 3.0)
-        np.testing.assert_allclose(p, [0.0, 0.0, 3.0], atol=1e-12)
+        p = backproject_points(self.device(), [320.0, 240.0], 3.0)
+        np.testing.assert_allclose(p, [[0.0, 0.0, 3.0]], atol=1e-12)
 
     def test_round_trip_random_points(self):
         rng = np.random.default_rng(21)
@@ -175,26 +176,31 @@ class TestPinholeProjection:
         pose = RigidTransform(rotation_about_axis([0, 1, 0], 0.3), [0.1, 0.05, -0.2])
         pts = rng.uniform([-1, -1, 2], [1, 1, 6], size=(500, 3))
         world = pose.inverse().apply(pts)
-        for w, p_dev in zip(world[:50], pts[:50]):
-            uv, depth = project(dev, pose, w)
-            np.testing.assert_allclose(
-                backproject(dev, uv, depth), p_dev, atol=1e-12
-            )
-        uv, z, ok = project_points(dev, pose, world)
-        assert ok.all()
+        uv, z = project_points(dev, pose, world)
+        np.testing.assert_allclose(z, pts[:, 2], rtol=1e-12)
         np.testing.assert_allclose(backproject_points(dev, uv, z), pts, atol=1e-9)
+        for i in range(50):
+            uv_i, z_i = project_points(dev, pose, world[i])
+            np.testing.assert_allclose(
+                backproject_points(dev, uv_i, z_i), pts[i : i + 1], atol=1e-12
+            )
 
-    def test_behind_device_raises(self):
-        with pytest.raises(BehindDeviceError):
-            project(self.device(), RigidTransform.identity(), [0, 0, -1.0])
-        with pytest.raises(BehindDeviceError):
-            project(self.device(), RigidTransform.identity(), [1, 1, 0.0])
-
-    def test_bad_depth_rejected(self):
-        with pytest.raises(ValueError):
-            backproject(self.device(), [320, 240], 0.0)
-        with pytest.raises(ValueError):
-            backproject(self.device(), [320, 240], -2.0)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        xy=hnp.arrays(np.float64, (12, 2), elements=st.floats(-1e6, 1e6)),
+        z=hnp.arrays(np.float64, 12, elements=st.sampled_from(
+            [-1.0, -0.0, 0.0, 1e-300, 3.0, math.nan]
+        )),
+    )
+    def test_behind_device_gives_nan_pixels(self, xy, z):
+        # NaN is the one "no pixel" marker: it is exactly where the depth is
+        # not positive, the bounds test rejects it, and no step warns.
+        dev = self.device()
+        uv, depth = project_points(dev, RigidTransform.identity(), np.c_[xy, z])
+        behind = ~(z > 0)
+        np.testing.assert_array_equal(np.isnan(uv), np.repeat(behind[:, None], 2, axis=1))
+        assert not dev.contains(uv)[behind].any()
+        np.testing.assert_array_equal(depth, z)
 
     def test_device_validation(self):
         with pytest.raises(ValueError):

@@ -63,6 +63,14 @@ class TestCoverage:
         assert not res.mask.any()
         assert res.attributes == {}
 
+    def test_empty_inputs_keep_attribute_channels(self):
+        # A mesh with no vertices, as the depth sensor gives when it sees nothing.
+        res = rasterize(np.zeros((0, 2)), np.zeros(0), np.zeros((0, 3), dtype=int), 4, 4,
+                        attributes={"world": np.zeros((0, 3))})
+        assert not res.mask.any()
+        assert res.attributes["world"].shape == (4, 4, 3)
+        assert not res.attributes["world"].any()
+
 
 class TestDepthResolve:
     def test_nearer_face_wins(self):

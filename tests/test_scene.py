@@ -233,8 +233,8 @@ class TestReconstructMesh:
         dev = depth_device(width=24, height=18)
         img = sense_depth(scene, dev, RigidTransform.identity())
         mesh = reconstruct_mesh(img, dev)
-        uv, _, ok = project_points(dev, RigidTransform.identity(), mesh.vertices)
-        assert ok.all()
+        uv, z = project_points(dev, RigidTransform.identity(), mesh.vertices)
+        assert (z > 0).all()
         frac = uv - np.floor(uv)
         np.testing.assert_allclose(frac, 0.5, atol=1e-9)
 
@@ -271,8 +271,9 @@ class TestReconstructMesh:
 
     def test_threshold_validation(self):
         img = DepthImage(depth=np.ones((4, 4)), valid=np.ones((4, 4), dtype=bool))
-        with pytest.raises(ValueError):
-            reconstruct_mesh(img, depth_device(4, 4), discontinuity_threshold=0.0)
+        for threshold in (0.0, np.nan):
+            with pytest.raises(ValueError):
+                reconstruct_mesh(img, depth_device(4, 4), discontinuity_threshold=threshold)
 
 
 class TestSceneIO:
