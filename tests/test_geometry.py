@@ -178,12 +178,7 @@ class TestPinholeProjection:
         world = pose.inverse().apply(pts)
         uv, z = project_points(dev, pose, world)
         np.testing.assert_allclose(z, pts[:, 2], rtol=1e-12)
-        np.testing.assert_allclose(backproject_points(dev, uv, z), pts, atol=1e-9)
-        for i in range(50):
-            uv_i, z_i = project_points(dev, pose, world[i])
-            np.testing.assert_allclose(
-                backproject_points(dev, uv_i, z_i), pts[i : i + 1], atol=1e-12
-            )
+        np.testing.assert_allclose(backproject_points(dev, uv, z), pts, atol=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(
