@@ -45,7 +45,7 @@ from .evaluation import (
     standard_suite,
 )
 from .geometry import PinholeDevice, RigidTransform, pixel_center_grid
-from .images import bilinear_sample, read_image, write_image
+from .images import bilinear_sample, read_image, to_uint8, write_image
 from .rig import PanTiltState, RigModel, load_rig
 from .scene import Scene, load_scene, scene_from_json
 from .simulate import CalibrationProtocol, synthesize_session
@@ -220,7 +220,7 @@ def _naive_framebuffer(content, pattern: CheckerPattern, device: PinholeDevice) 
     w, h = device.width, device.height
     grid = pixel_center_grid(w, h) * np.array([src_w / w, src_h / h])
     samples = bilinear_sample(payload, grid.reshape(h, w, 2))
-    return np.clip(np.rint(samples), 0, 255).astype(np.uint8)
+    return to_uint8(samples)
 
 
 def _make_framebuffer(

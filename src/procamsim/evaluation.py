@@ -279,6 +279,7 @@ class BenchmarkOptions:
     def __post_init__(self):
         if self.depth_width <= 0 or self.depth_height <= 0:
             raise ValueError("depth sensor width and height must be positive")
+        self.depth_noise(0)  # checks the noise sigma
 
     def depth_noise(self, case_index: int) -> DepthNoiseModel:
         return DepthNoiseModel(

@@ -27,13 +27,18 @@ def new_image(width: int, height: int, fill=(0, 0, 0)) -> np.ndarray:
     return img
 
 
+def to_uint8(values) -> np.ndarray:
+    """``values`` rounded half to even and clipped to [0, 255], as uint8."""
+    return np.clip(np.round(values), 0, 255).astype(np.uint8)
+
+
 def _as_uint8(image: np.ndarray) -> np.ndarray:
     arr = np.asarray(image)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"expected a (H, W, 3) image, got shape {arr.shape}")
     if arr.dtype == np.uint8:
         return arr
-    return np.clip(np.round(arr), 0, 255).astype(np.uint8)
+    return to_uint8(arr)
 
 
 def write_ppm(path, image: np.ndarray) -> None:

@@ -23,10 +23,16 @@ The pipeline, per chunk of faces in index order:
   y terms of each span, are computed once, with the same floating-point
   operations as per pixel, so every candidate gets the bits of the
   per-pixel formula.
-- **Resolve.** Fragments go in blocks of spans sized for a core's cache.
-  Within a block, only pixels that several fragments cover are sorted by
-  (depth, face); the block's nearest fragment then replaces the stored one
-  only when strictly nearer, which keeps the lowest face index on ties.
+- **Resolve.** Fragments go in blocks of spans sized for a core's cache,
+  and only depth and face are stored. A block lowers each pixel's depth
+  with ``np.minimum.at``; the fragments that set a strictly nearer depth
+  then lower its face the same way, which keeps the lowest face index on
+  ties within a block and across blocks.
+- **Interpolation.** After every face is drawn, attributes are
+  interpolated once per covered pixel, in blocks of covered pixels: the
+  winner's barycentric coordinates are rebuilt with the float operations
+  of its inside test, so they keep those bits. This is the visibility
+  buffer of Burns and Hunt (JCGT 2013).
 """
 
 from __future__ import annotations
@@ -43,19 +49,21 @@ _AREA_EPS = 1e-12
 
 
 class RasterResult:
-    """Per-pixel rasterization output.
+    """Rasterization output.
 
-    ``face_index`` is -1 where nothing was drawn; ``depth_w`` is +inf there.
-    ``attributes`` maps each input attribute name to an (H, W, C) float
-    array, zero where nothing was drawn.
+    ``face_index`` is the (H, W) winning face, -1 where nothing was drawn;
+    ``depth_w`` its (H, W) depth, +inf there. ``covered`` holds the
+    row-major flat indices of the drawn pixels in increasing order, and
+    ``attributes`` maps each input attribute name to a (K, C) float array
+    with one interpolated row per covered pixel, in that order.
     """
 
-    def __init__(self, width: int, height: int, attr_channels: dict):
+    covered: np.ndarray
+    attributes: dict
+
+    def __init__(self, width: int, height: int):
         self.face_index = np.full((height, width), -1, dtype=np.int64)
         self.depth_w = np.full((height, width), np.inf)
-        self.attributes = {
-            name: np.zeros((height, width, c)) for name, c in attr_channels.items()
-        }
 
     @property
     def mask(self) -> np.ndarray:
@@ -195,10 +203,7 @@ def rasterize(
     attrs = {name: np.asarray(a, dtype=float) for name, a in (attributes or {}).items()}
     # An (N, C) attribute keeps its C when N is 0, where -1 infers nothing.
     attrs = {n: a.reshape(len(xy), a.shape[1] if a.ndim == 2 else -1) for n, a in attrs.items()}
-    result = RasterResult(width, height, {n: a.shape[1] for n, a in attrs.items()})
-    if len(faces) == 0 or len(xy) == 0:
-        return result
-
+    result = RasterResult(width, height)
     tri = xy[faces]  # (F, 3, 2)
     tri_w = w[faces]  # (F, 3)
     valid = np.all(tri_w > 0, axis=1) & np.all(np.isfinite(tri), axis=(1, 2))
@@ -219,11 +224,9 @@ def rasterize(
     valid &= (bw > 0) & (bh > 0)
 
     face_ids = np.flatnonzero(valid)
-    if len(face_ids) == 0:
-        return result
     counts = (bw * bh)[face_ids]
 
-    canvas = _Canvas(result, faces, tri, tri_w, face_ids, attrs, area, x_min, x_max)
+    canvas = _Canvas(result, faces, tri, tri_w, face_ids, area, x_min, x_max)
     for chunk in _face_chunks(counts):
         f = face_ids[chunk]
         # One span per face and bounding-box row, face by face in index order.
@@ -231,21 +234,19 @@ def rasterize(
         span_face = f[face_of]
         for block in _chunks(bw[span_face], _BLOCK):
             canvas.draw(span_face[block], row[block])
+    result.covered, result.attributes = canvas.interpolate(attrs)
     return result
 
 
 class _Canvas:
-    """Flat views of a RasterResult and the per-face data drawing reads."""
+    """Flat views of a RasterResult and the per-face data drawing and interpolation read."""
 
-    def __init__(self, result: RasterResult, faces, tri, tri_w, face_ids, attrs, area, x_min, x_max):
+    def __init__(self, result: RasterResult, faces, tri, tri_w, face_ids, area, x_min, x_max):
         height, self.width = result.depth_w.shape
         self.best = result.depth_w.reshape(-1)
         self.face = result.face_index.reshape(-1)
-        self.attrs = {n: a.reshape(-1, a.shape[2]) for n, a in result.attributes.items()}
-        # Work array for finding pixels that several fragments of a block cover.
-        self.stamp = np.empty(len(self.best), dtype=np.int64)
 
-        # Per-face terms of the edge functions l0 and l1 in ``draw``.
+        # Per-face terms of the edge functions l0 and l1 in ``_barycentric``.
         (ax, ay), (bx, by), (qx, qy) = tri[:, 0].T, tri[:, 1].T, tri[:, 2].T
         self.qx, self.qy, self.area = qx, qy, area
         self.a0, self.b0 = by - qy, qx - bx
@@ -258,91 +259,86 @@ class _Canvas:
         self.inv_w = np.zeros(tri_w.shape[::-1])  # (3, F)
         self.inv_w[:, face_ids] = 1.0 / tri_w[face_ids].T
         self.verts = [np.ascontiguousarray(v) for v in faces.T]
-        self.attrs_t = {n: np.ascontiguousarray(a.T) for n, a in attrs.items()}  # (C, N)
 
-    def draw(self, span_face, row):
-        """Draw the spans of a block of (face, row) pairs, nearest fragment first."""
-        first, count = _row_spans(
-            self.edges, self.loose, span_face, row, self.x_min, self.x_max
-        )
+    def _barycentric(self, face, row, px, span):
+        """Barycentric coordinates of each pixel center in its span's face.
+
+        Pixel ``px[i]`` lies in row ``row[span[i]]`` of face ``face[span[i]]``;
+        ``span`` is ``slice(None)`` when each pixel has its own face and row.
+        ``draw`` and ``interpolate`` both come here, so a winner's weights
+        keep the bits of its inside test.
+        """
         # The y terms of the edge functions are the same along a span.
-        dy = (row + 0.5) - self.qy[span_face]
-        t0 = self.b0[span_face] * dy
-        t1 = self.b1[span_face] * dy
-        qx, area = self.qx[span_face], self.area[span_face]
-        a0, a1 = self.a0[span_face], self.a1[span_face]
-        span, px = _runs(first, count)
+        dy = (row + 0.5) - self.qy[face]
+        t0 = self.b0[face] * dy
+        t1 = self.b1[face] * dy
         # Edge functions against each triangle side, normalized by area so
         # they are barycentric coordinates; sign-normalize for both windings.
         dx = px + 0.5
-        dx -= qx[span]
-        full = area[span]
-        l0 = a0[span]
+        dx -= self.qx[face][span]
+        full = self.area[face][span]
+        l0 = self.a0[face][span]
         l0 *= dx
         l0 += t0[span]
         l0 /= full
-        l1 = a1[span]
+        l1 = self.a1[face][span]
         l1 *= dx
         l1 += t1[span]
         l1 /= full
         l2 = 1.0 - l0
         l2 -= l1
+        return l0, l1, l2
+
+    def draw(self, span_face, row):
+        """Resolve the depth and face of each pixel a block of (face, row) spans covers."""
+        first, count = _row_spans(
+            self.edges, self.loose, span_face, row, self.x_min, self.x_max
+        )
+        span, px = _runs(first, count)
+        l0, l1, l2 = self._barycentric(span_face, row, px, span)
         inside = l0 >= 0
         inside &= l1 >= 0
         inside &= l2 >= 0
         sel = np.flatnonzero(inside)
-        if len(sel) == 0:
-            return
-
         span = span[sel]
-        frag_face = span_face[span]
+        face = span_face[span]
         pix = px[sel]
         pix += (row * self.width)[span]
-        l0, l1, l2 = l0[sel], l1[sel], l2[sel]
-        fw = [iw[frag_face] for iw in self.inv_w]
-        depth = l0 * fw[0]
-        depth += l1 * fw[1]
-        depth += l2 * fw[2]
+        depth = l0[sel] * self.inv_w[0][face]
+        depth += l1[sel] * self.inv_w[1][face]
+        depth += l2[sel] * self.inv_w[2][face]
         np.divide(1.0, depth, out=depth)
 
-        # Nearest fragment per pixel; ties keep the lowest face index. Only
-        # pixels that several fragments of the block cover need the sort.
-        upd = depth < self.best[pix]
-        ids = np.arange(len(pix))
-        self.stamp[pix] = ids
-        shared = self.stamp[pix] != ids
-        if shared.any():
-            # Mark the shared pixels, then sort every fragment on one.
-            self.stamp[pix] = 0
-            self.stamp[pix[shared]] = 1
-            multi = np.flatnonzero(self.stamp[pix])
-            order = multi[np.lexsort((frag_face[multi], depth[multi], pix[multi]))]
-            pix_sorted = pix[order]
-            upd[order[1:][pix_sorted[1:] == pix_sorted[:-1]]] = False
-        win = np.flatnonzero(upd)
-        if len(win) == 0:
-            return
-        if len(win) < len(upd):
-            pix, depth, frag_face, l0, l1, l2 = (a[win] for a in (pix, depth, frag_face, l0, l1, l2))
-            fw = [a[win] for a in fw]
-        self.best[pix] = depth
-        self.face[pix] = frag_face
-        if not self.attrs_t:
-            return
-        # Perspective-correct weights, then each channel as w0 a0 + w1 a1 + w2 a2.
-        lw = []
-        for l, fw_k in zip((l0, l1, l2), fw):
-            l *= fw_k
-            l *= depth
-            lw.append(l)
-        v = [vk[frag_face] for vk in self.verts]
-        for name, a_t in self.attrs_t.items():
-            vals = np.empty((len(pix), len(a_t)))
-            for c, a_c in enumerate(a_t):
-                col = np.take(a_c, v[0]) * lw[0]
-                col += np.take(a_c, v[1]) * lw[1]
-                col += np.take(a_c, v[2]) * lw[2]
-                vals[:, c] = col
-            # Scatter whole rows through a void view, one copy per pixel.
-            row_t = np.dtype((np.void, vals.itemsize * vals.shape[1]))
-            self.attrs[name].view(row_t)[pix] = vals.view(row_t)
+        # Nearest depth per pixel, then the lowest face among the fragments
+        # that set a strictly nearer one; a stored tie keeps its lower face.
+        nearer = depth < self.best[pix]
+        np.minimum.at(self.best, pix, depth)
+        nearer &= depth == self.best[pix]
+        pix, face = pix[nearer], face[nearer]
+        self.face[pix] = face
+        np.minimum.at(self.face, pix, face)
+
+    def interpolate(self, attrs):
+        """The covered pixels and each attribute's (K, C) rows for them."""
+        covered = np.flatnonzero(self.face >= 0)
+        rows = {n: np.empty((len(covered), a.shape[1])) for n, a in attrs.items()}
+        attrs_t = {n: np.ascontiguousarray(a.T) for n, a in attrs.items()}  # (C, N)
+        for start in range(0, len(covered), _BLOCK):
+            block = slice(start, start + _BLOCK)
+            pix = covered[block]
+            face = self.face[pix]
+            depth = self.best[pix]
+            row, px = np.divmod(pix, self.width)
+            # Perspective-correct weights, then each channel as w0 a0 + w1 a1 + w2 a2.
+            lw = self._barycentric(face, row, px, slice(None))
+            for l, iw in zip(lw, self.inv_w):
+                l *= iw[face]
+                l *= depth
+            v = [vk[face] for vk in self.verts]
+            for name, a_t in attrs_t.items():
+                for c, a_c in enumerate(a_t):
+                    col = np.take(a_c, v[0]) * lw[0]
+                    col += np.take(a_c, v[1]) * lw[1]
+                    col += np.take(a_c, v[2]) * lw[2]
+                    rows[name][block, c] = col
+        return covered, rows

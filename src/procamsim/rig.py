@@ -71,8 +71,8 @@ class RigModel:
     def __post_init__(self):
         object.__setattr__(self, "pan_axis", normalized(self.pan_axis))
         object.__setattr__(self, "tilt_axis", normalized(self.tilt_axis))
-        if not (self.pan_limit > 0 and self.tilt_limit > 0):
-            raise ValueError("motor limits must be positive")
+        if not (0 < self.pan_limit < math.inf and 0 < self.tilt_limit < math.inf):
+            raise ValueError("motor limits must be positive and finite")
 
     def to_json(self) -> dict:
         return {
@@ -195,7 +195,7 @@ def observe_checkerboard(
 
 
 def default_rig() -> RigModel:
-    """A plausible synthetic rig used by the CLI defaults and tests.
+    """A plausible synthetic rig for tests; the CLI loads its config's rig file instead.
 
     The motor axes are deliberately a few degrees off the ideal y and x
     directions. The rear frame is mounted parallel to the front camera and

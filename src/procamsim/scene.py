@@ -68,8 +68,8 @@ class Plane:
         object.__setattr__(self, "normal", normalized(self.normal))
         if self.extent is not None:
             ex, ey = float(self.extent[0]), float(self.extent[1])
-            if not (ex > 0 and ey > 0):
-                raise ValueError("plane extent must be positive")
+            if not (0 < ex < math.inf and 0 < ey < math.inf):
+                raise ValueError("plane extent must be positive and finite")
             object.__setattr__(self, "extent", (ex, ey))
 
     def intersect(self, origins: np.ndarray, dirs: np.ndarray):
@@ -110,8 +110,8 @@ class Sphere:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vec3(self.center))
-        if not self.radius > 0:
-            raise ValueError("sphere radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("sphere radius must be positive and finite")
 
     def intersect(self, origins: np.ndarray, dirs: np.ndarray):
         oc = origins - self.center
@@ -147,8 +147,8 @@ class Box:
 
     def __post_init__(self):
         dims = tuple(float(d) for d in self.dimensions)
-        if not all(d > 0 for d in dims):
-            raise ValueError("box dimensions must be positive")
+        if not all(0 < d < math.inf for d in dims):
+            raise ValueError("box dimensions must be positive and finite")
         object.__setattr__(self, "dimensions", dims)
 
     def intersect(self, origins: np.ndarray, dirs: np.ndarray):
@@ -210,8 +210,8 @@ class CylinderSegment:
     albedo: tuple[float, float, float] = (0.8, 0.8, 0.8)
 
     def __post_init__(self):
-        if not (self.radius > 0 and self.height > 0):
-            raise ValueError("cylinder radius and height must be positive")
+        if not (0 < self.radius < math.inf and 0 < self.height < math.inf):
+            raise ValueError("cylinder radius and height must be positive and finite")
 
     def intersect(self, origins: np.ndarray, dirs: np.ndarray):
         inv = self.pose.inverse()
@@ -321,8 +321,7 @@ class TriangleMesh:
                 uv, z, self.faces, device.width, device.height,
                 attributes={"world": self.vertices},
             )
-            covered = np.flatnonzero(res.mask)
-            world = res.attributes["world"].reshape(-1, 3)[covered]
+            covered, world = res.covered, res.attributes["world"]
             covered.flags.writeable = False
             world.flags.writeable = False
             entry = (key, (covered, world))
@@ -389,9 +388,7 @@ class TriangleMesh:
 
         normals = np.zeros((n_rays, 3))
         hit = best_face >= 0
-        if hit.any():
-            fn = self.face_normals()
-            normals[hit] = fn[best_face[hit]]
+        normals[hit] = self.face_normals()[best_face[hit]]
         return best_t, normals
 
     def to_json(self) -> dict:
@@ -544,8 +541,8 @@ class CheckerboardTarget:
     def __post_init__(self):
         if self.rows < 2 or self.cols < 2:
             raise ValueError("checkerboard needs at least a 2x2 corner grid")
-        if not self.square_size > 0:
-            raise ValueError("square size must be positive")
+        if not 0 < self.square_size < math.inf:
+            raise ValueError("square size must be positive and finite")
 
     def corner_points(self) -> np.ndarray:
         """Board-frame corner positions, shape (rows * cols, 3)."""
@@ -655,8 +652,8 @@ class DepthNoiseModel:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not self.sigma >= 0:
-            raise ValueError("sigma must be non-negative")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be non-negative and finite")
         if not (0 <= self.gamma_full_dropout < self.gamma_no_dropout <= 90):
             raise ValueError("need 0 <= gamma_full_dropout < gamma_no_dropout <= 90")
 

@@ -55,8 +55,8 @@ class CalibrationProtocol:
     def __post_init__(self):
         if not 0.0 <= self.projector_margin < 0.5:
             raise ValueError("projector_margin must be in [0, 0.5)")
-        if not (self.corner_noise_sigma >= 0 and self.depth_noise_sigma >= 0):
-            raise ValueError("noise sigmas must be non-negative")
+        if not all(0 <= s < math.inf for s in (self.corner_noise_sigma, self.depth_noise_sigma)):
+            raise ValueError("noise sigmas must be non-negative and finite")
         if min(self.projector_grid) < 2:
             raise ValueError("projector_grid must be at least 2x2")
 

@@ -126,8 +126,8 @@ class Viewport:
     def __post_init__(self):
         if self.width_px <= 0 or self.height_px <= 0:
             raise ValueError("viewport resolution must be positive")
-        if not (self.width_m > 0 and self.height_m > 0):
-            raise ValueError("viewport window must have positive size")
+        if not (0 < self.width_m < np.inf and 0 < self.height_m < np.inf):
+            raise ValueError("viewport window must have positive, finite size")
 
     def to_pixels(self, xy_m) -> np.ndarray:
         """(..., 2) screen-plane meters to pixels: (x / width_m + 0.5) * width_px."""

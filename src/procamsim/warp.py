@@ -36,7 +36,7 @@ from .geometry import (
     pixel_rays,
     project_points,
 )
-from .images import bilinear_sample
+from .images import bilinear_sample, to_uint8
 from .scene import Scene, TriangleMesh, hit_points
 from .upr import UprMatrix, Viewport
 
@@ -191,7 +191,7 @@ def render_user_view(
     uv = pixel_center_grid(width, height) / scale
     eye_world, dirs = upr.screen_rays(viewport.to_plane(uv))
     colors = content.sample_rays(eye_world, dirs)
-    return np.clip(np.round(colors), 0, 255).astype(np.uint8).reshape(height, width, 3)
+    return to_uint8(colors).reshape(height, width, 3)
 
 
 # -- Pass 2: projector framebuffer ----------------------------------------------
@@ -232,7 +232,7 @@ def warp_to_projector(
     fb = np.zeros((proj_device.height * proj_device.width, 3), dtype=np.uint8)
     for start in range(0, len(covered), _BLOCK):
         block = slice(start, start + _BLOCK)
-        fb[covered[block]] = np.clip(np.round(samples[block]), 0, 255).astype(np.uint8)
+        fb[covered[block]] = to_uint8(samples[block])
     return fb.reshape(proj_device.height, proj_device.width, 3)
 
 
@@ -280,7 +280,7 @@ def simulate_projection_and_view(
         light[lit_idx] = np.asarray(framebuffer)[vv, uu]
 
     out[hit] = albedos * (ambient * 255.0 + light)
-    return np.clip(np.round(out), 0, 255).astype(np.uint8).reshape(h, w, 3)
+    return to_uint8(out).reshape(h, w, 3)
 
 
 # -- Analytic corner propagation -------------------------------------------------

@@ -377,34 +377,44 @@ class TestInputBoundary:
         self.assert_one_error_line(capsys, code)
         assert not out.exists()
 
-    @pytest.mark.parametrize("name, edit", [
-        ("rig.json", lambda d: d.update(pan_limit_deg=math.nan)),
-        ("rig.json", lambda d: d.update(tilt_limit_deg=math.nan)),
-        ("config.json", lambda d: d["display"]["depth"].update(noise_sigma=math.nan)),
-        ("config.json", lambda d: d["display"]["viewport"].update(width_m=math.nan)),
-        ("config.json", lambda d: d["protocol"].update(corner_noise_sigma=math.nan)),
-        ("config.json", lambda d: d["protocol"].update(depth_noise_sigma=math.nan)),
-        ("scene.json", lambda d: d["checkerboards"][0].update(square_size=math.nan)),
-        ("scene.json", lambda d: d["surfaces"][0].update(extent=[math.nan, 3.0])),
-        ("scene.json", lambda d: d["surfaces"].append(
-            {"type": "sphere", "center": [0, 0, 5], "radius": math.nan})),
-        ("scene.json", lambda d: d["surfaces"].append(
-            {"type": "box", "pose": RigidTransform.identity().to_json(),
-             "dimensions": [1.0, math.nan, 1.0]})),
-        ("scene.json", lambda d: d["surfaces"].append(
-            {"type": "cylinder", "pose": RigidTransform.identity().to_json(),
-             "radius": math.nan, "height": 1.0})),
-        ("scene.json", lambda d: d["surfaces"].append(
-            {"type": "cylinder", "pose": RigidTransform.identity().to_json(),
-             "radius": 1.0, "height": math.nan})),
-    ], ids=["pan_limit", "tilt_limit", "depth_noise", "viewport_width", "corner_noise",
-            "protocol_depth_noise", "square_size", "plane_extent", "sphere_radius",
-            "box_dimensions", "cylinder_radius", "cylinder_height"])
-    def test_nan_sizes_fail_their_range_checks(self, tmp_path, capsys, name, edit):
+    @pytest.mark.parametrize("name, edit, value", [
+        pytest.param(name, edit, value, id=case + suffix)
+        for case, name, edit in [
+            ("pan_limit", "rig.json", lambda d, x: d.update(pan_limit_deg=x)),
+            ("tilt_limit", "rig.json", lambda d, x: d.update(tilt_limit_deg=x)),
+            ("depth_noise", "config.json",
+             lambda d, x: d["display"]["depth"].update(noise_sigma=x)),
+            ("viewport_width", "config.json",
+             lambda d, x: d["display"]["viewport"].update(width_m=x)),
+            ("viewport_height", "config.json",
+             lambda d, x: d["display"]["viewport"].update(height_m=x)),
+            ("corner_noise", "config.json",
+             lambda d, x: d["protocol"].update(corner_noise_sigma=x)),
+            ("protocol_depth_noise", "config.json",
+             lambda d, x: d["protocol"].update(depth_noise_sigma=x)),
+            ("square_size", "scene.json",
+             lambda d, x: d["checkerboards"][0].update(square_size=x)),
+            ("plane_extent", "scene.json", lambda d, x: d["surfaces"][0].update(extent=[x, 3.0])),
+            ("sphere_radius", "scene.json", lambda d, x: d["surfaces"].append(
+                {"type": "sphere", "center": [0, 0, 5], "radius": x})),
+            ("box_dimensions", "scene.json", lambda d, x: d["surfaces"].append(
+                {"type": "box", "pose": RigidTransform.identity().to_json(),
+                 "dimensions": [1.0, x, 1.0]})),
+            ("cylinder_radius", "scene.json", lambda d, x: d["surfaces"].append(
+                {"type": "cylinder", "pose": RigidTransform.identity().to_json(),
+                 "radius": x, "height": 1.0})),
+            ("cylinder_height", "scene.json", lambda d, x: d["surfaces"].append(
+                {"type": "cylinder", "pose": RigidTransform.identity().to_json(),
+                 "radius": 1.0, "height": x})),
+        ]
+        for value, suffix in [(math.nan, ""), (math.inf, "_inf")]
+    ])
+    def test_nan_sizes_fail_their_range_checks(self, tmp_path, capsys, name, edit, value):
+        # NaN and +inf each fail the check.
         cfg = write_config(tmp_path)
         path = tmp_path / name
         data = json.loads(path.read_text())
-        edit(data)
+        edit(data, value)
         path.write_text(json.dumps(data))
         out = tmp_path / "x.ppm"
         assert main(["correct", "--config", str(cfg), "--out", str(out)]) == 1
@@ -447,6 +457,13 @@ class TestInputBoundary:
         code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "depth" in self.assert_one_error_line(capsys, "schema")
+
+    @pytest.mark.parametrize("command", ["correct", "evaluate"])
+    def test_negative_depth_noise_fails_at_config_load(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, extra_display={"depth": {"noise_sigma": -1}})
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"{cfg}: bad config: " in self.assert_one_error_line(capsys, "schema")
 
 
 class TestImageContent:

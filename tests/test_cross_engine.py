@@ -50,16 +50,18 @@ def test_projector_map_matches_the_ray_caster(case, state):
         attributes={"world": mesh.vertices[corners], "bary": np.tile(np.eye(3), (len(mesh.faces), 1))},
     )
     covered, world = mesh.pixel_map(device, pose)
-    assert np.array_equal(np.flatnonzero(res.mask), covered)
-    assert np.array_equal(res.attributes["world"].reshape(-1, 3)[covered], world)
+    assert np.array_equal(res.covered, np.flatnonzero(res.face_index >= 0))
+    assert np.array_equal(res.covered, covered)
+    assert np.array_equal(res.attributes["world"], world)
 
     dirs = pixel_rays(device, pose, pixel_center_grid(WIDTH, HEIGHT))
     origin = pose.translation
     t, _ = mesh.intersect(np.broadcast_to(origin, dirs.shape), dirs)
-    interior = (res.mask & np.all(res.attributes["bary"] > 1e-6, axis=2)).reshape(-1)
-    assert interior.sum() > 0.3 * WIDTH * HEIGHT
+    inner = np.all(res.attributes["bary"] > 1e-6, axis=1)
+    interior = res.covered[inner]
+    assert len(interior) > 0.3 * WIDTH * HEIGHT
     assert np.isfinite(t[interior]).all()
     cast = hit_points(origin, dirs[interior], t[interior])
-    drawn = res.attributes["world"].reshape(-1, 3)[interior]
+    drawn = res.attributes["world"][inner]
     gap = np.linalg.norm(drawn - cast, axis=1)
     assert (gap <= 1e-9 * np.linalg.norm(cast, axis=1)).all()

