@@ -52,7 +52,6 @@ from .simulate import CalibrationProtocol, synthesize_session
 from .upr import EyePose, Viewport
 from .warp import (
     CheckerPattern,
-    EquirectContent,
     render_user_view,
     simulate_projection_and_view,
     warp_to_projector,
@@ -65,12 +64,12 @@ from .warp import (
 class CliConfig:
     """A parsed setup file: rig, scene and display settings."""
 
-    def __init__(self, rig, scene, protocol, options, content, benchmark_cases):
+    def __init__(self, rig, scene, protocol, options, panorama, benchmark_cases):
         self.rig: RigModel = rig
         self.scene: Scene = scene
         self.protocol: CalibrationProtocol = protocol
         self.options: BenchmarkOptions = options
-        self.content = content  # ("checker", None) or ("image", ndarray)
+        self.panorama: np.ndarray | None = panorama  # None shows the checker pattern
         self.benchmark_cases = benchmark_cases  # tuple of names, or None
 
 
@@ -152,11 +151,11 @@ def _config_from_json(data, base: Path) -> CliConfig:
         content_spec = _section(display, "display.content")
         kind = content_spec.get("type", "checker")
         if kind == "checker":
-            content = ("checker", None)
+            panorama = None
         elif kind == "image":
             if "path" not in content_spec:
                 raise SchemaError("display.content of type 'image' needs a 'path'")
-            content = ("image", read_image(base / content_spec["path"]))
+            panorama = read_image(base / content_spec["path"])
         else:
             raise SchemaError(f"unknown display.content type {kind!r}")
 
@@ -173,7 +172,7 @@ def _config_from_json(data, base: Path) -> CliConfig:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad config: {exc}") from exc
-    return CliConfig(rig, scene, protocol, options, content, cases)
+    return CliConfig(rig, scene, protocol, options, panorama, cases)
 
 
 # -- Shared display pipeline -------------------------------------------------------
@@ -204,22 +203,20 @@ def _load_result_or_truth(args, rig: RigModel) -> CalibrationResult:
     return result_from_rig(rig)
 
 
-def _render_content(content, pattern: CheckerPattern, upr, viewport: Viewport) -> np.ndarray:
-    kind, payload = content
-    if kind == "checker":
+def _render_content(panorama, pattern: CheckerPattern, upr, viewport: Viewport) -> np.ndarray:
+    if panorama is None:
         return pattern.render(viewport.width_px, viewport.height_px)
-    return render_user_view(EquirectContent(payload), upr, viewport)
+    return render_user_view(panorama, upr, viewport)
 
 
-def _naive_framebuffer(content, pattern: CheckerPattern, device: PinholeDevice) -> np.ndarray:
+def _naive_framebuffer(panorama, pattern: CheckerPattern, device: PinholeDevice) -> np.ndarray:
     """Content sent straight to the projector, with no geometric treatment."""
-    kind, payload = content
-    if kind == "checker":
+    if panorama is None:
         return pattern.render(device.width, device.height)
-    src_h, src_w = payload.shape[:2]
+    src_h, src_w = panorama.shape[:2]
     w, h = device.width, device.height
     grid = pixel_center_grid(w, h) * np.array([src_w / w, src_h / h])
-    samples = bilinear_sample(payload, grid.reshape(h, w, 2))
+    samples = bilinear_sample(panorama, grid.reshape(h, w, 2))
     return to_uint8(samples)
 
 
@@ -231,9 +228,9 @@ def _make_framebuffer(
 ) -> tuple[np.ndarray, DisplayChain]:
     chain = build_display_chain(cfg.scene, cfg.rig, result, options)
     if not corrected:
-        return _naive_framebuffer(cfg.content, options.pattern, result.proj_device), chain
+        return _naive_framebuffer(cfg.panorama, options.pattern, result.proj_device), chain
     user_image = _render_content(
-        cfg.content, options.pattern, chain.est_upr, options.viewport
+        cfg.panorama, options.pattern, chain.est_upr, options.viewport
     )
     framebuffer = warp_to_projector(
         user_image,

@@ -28,7 +28,7 @@ from .calibration import CalibrationResult, result_from_rig
 from .errors import EmptyIntersectionError, save_json
 from .geometry import PinholeDevice, RigidTransform, rotation_about_axis
 from .images import draw_marker, new_image, write_ppm
-from .rig import PanTiltState, RigModel, pan_tilt_rotation, platform_rotation
+from .rig import PanTiltState, RigModel, platform_rotation, rig_pose
 from .scene import (
     Box,
     CylinderSegment,
@@ -50,6 +50,10 @@ from .warp import (
 )
 
 THREADS_ENV_VAR = "PROCAMSIM_THREADS"
+
+# Width in pixels of each case's overlay image; the height keeps the
+# viewport's aspect ratio.
+_OVERLAY_WIDTH = 480
 
 
 # -- Corner dislocation ---------------------------------------------------------
@@ -274,7 +278,6 @@ class BenchmarkOptions:
     depth_height: int = 120
     depth_noise_sigma: float = 0.0
     seed: int = 0
-    overlay_width: int = 480
 
     def __post_init__(self):
         if self.depth_width <= 0 or self.depth_height <= 0:
@@ -379,7 +382,7 @@ class BenchmarkReport:
 
     def _overlay(self, result: CaseResult) -> np.ndarray:
         vp = self.options.viewport
-        width = self.options.overlay_width
+        width = _OVERLAY_WIDTH
         height = max(1, round(width * vp.height_px / vp.width_px))
         img = new_image(width, height)
         sx = width / vp.width_px
@@ -441,7 +444,7 @@ def build_display_chain(
     LimitError when the state is outside the rig's mechanical limits.
     """
     state = options.state
-    true_front_to_world = RigidTransform(pan_tilt_rotation(rig, state), np.zeros(3))
+    true_pose = rig_pose(rig, state)
     est_front_to_world = RigidTransform(
         platform_rotation(result.pan_axis, result.tilt_axis, state), np.zeros(3)
     )
@@ -450,20 +453,19 @@ def build_display_chain(
         rig.front_device, options.depth_width, options.depth_height
     )
     depth = sense_depth(
-        scene, depth_device, true_front_to_world, options.depth_noise(case_index)
+        scene, depth_device, true_pose.front_to_world, options.depth_noise(case_index)
     )
     geometry = reconstruct_mesh(depth, depth_device).transformed(est_front_to_world)
 
-    true_rear_to_world = true_front_to_world @ rig.rear_to_front
     est_world_to_rear = (est_front_to_world @ result.rear_to_front).inverse()
     return DisplayChain(
         geometry=geometry,
         depth_valid_fraction=float(depth.valid.mean()),
         est_upr=upr_matrix(options.eye, est_world_to_rear),
-        true_upr=upr_matrix(options.eye, true_rear_to_world.inverse()),
+        true_upr=upr_matrix(options.eye, true_pose.rear_to_world.inverse()),
         est_proj_to_world=est_front_to_world @ result.front_to_proj.inverse(),
-        true_proj_to_world=true_front_to_world @ rig.front_to_proj.inverse(),
-        true_rear_to_world=true_rear_to_world,
+        true_proj_to_world=true_pose.proj_to_world,
+        true_rear_to_world=true_pose.rear_to_world,
     )
 
 

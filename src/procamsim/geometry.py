@@ -130,18 +130,6 @@ def to_homogeneous(points) -> np.ndarray:
     return out
 
 
-def from_homogeneous(points) -> np.ndarray:
-    """Dehomogenize (..., 4) -> (..., 3) or (..., 3) -> (..., 2).
-
-    Raises ValueError when any w is too close to zero (a direction).
-    """
-    pts = np.asarray(points, dtype=float)
-    w = pts[..., -1:]
-    if np.any(np.abs(w) < 1e-15):
-        raise ValueError("cannot dehomogenize a point with w ~ 0")
-    return pts[..., :-1] / w
-
-
 @dataclass(frozen=True)
 class RigidTransform:
     """Rotation plus translation mapping source-frame points to a target frame."""
@@ -224,8 +212,8 @@ class PinholeDevice:
     skew: float = 0.0
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ValueError("focal lengths must be positive and finite")
         if not (self.width > 0 and self.height > 0):
             raise ValueError("resolution must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):

@@ -6,8 +6,9 @@ Vertex attributes are interpolated perspective-correctly (linear in 1/w)
 and hidden surfaces resolve by keeping the fragment with the smallest w;
 ties keep the lowest face index, so output never depends on chunking.
 
-Faces with any non-positive w are dropped rather than clipped; callers keep
-their geometry in front of the device.
+Faces with any non-positive or infinite w, or a non-finite position, are
+dropped rather than clipped; callers keep their geometry in front of the
+device.
 
 The pipeline, per chunk of faces in index order:
 
@@ -206,7 +207,10 @@ def rasterize(
     result = RasterResult(width, height)
     tri = xy[faces]  # (F, 3, 2)
     tri_w = w[faces]  # (F, 3)
-    valid = np.all(tri_w > 0, axis=1) & np.all(np.isfinite(tri), axis=(1, 2))
+    valid = np.all((tri_w > 0) & (tri_w < np.inf), axis=1) & np.all(np.isfinite(tri), axis=(1, 2))
+    # Dropped faces collapse onto the origin, so no cast below sees a
+    # non-finite vertex.
+    tri = np.where(valid[:, None, None], tri, 0.0)
 
     # Signed doubled area; degenerate (near-zero) faces are skipped.
     e1 = tri[:, 1] - tri[:, 0]

@@ -43,10 +43,6 @@ class PanTiltState:
     alpha: float = 0.0
     beta: float = 0.0
 
-    @classmethod
-    def home(cls) -> "PanTiltState":
-        return cls(0.0, 0.0)
-
 
 @dataclass(frozen=True)
 class RigModel:
@@ -192,37 +188,6 @@ def observe_checkerboard(
             rng = np.random.default_rng(0)
         corners_cam = corners_cam + rng.normal(0.0, noise_sigma, size=corners_cam.shape)
     return [(int(i), corners_cam[i]) for i in np.flatnonzero(visible)]
-
-
-def default_rig() -> RigModel:
-    """A plausible synthetic rig for tests; the CLI loads its config's rig file instead.
-
-    The motor axes are deliberately a few degrees off the ideal y and x
-    directions. The rear frame is mounted parallel to the front camera and
-    slightly offset; it only anchors the virtual screen and the eye
-    coordinates, so its physical viewing direction is irrelevant here.
-    """
-    # Projector mounted 10 cm above the front camera, pitched 2.5 degrees
-    # down so the frusta converge a couple of meters out.
-    proj_to_front = RigidTransform(
-        rotation_about_axis(normalized([1.0, 0.05, 0.0]), math.radians(2.5)),
-        np.array([-0.02, -0.10, 0.01]),
-    )
-    return RigModel(
-        pan_axis=normalized([0.02, 0.999, -0.015]),
-        tilt_axis=normalized([0.9995, 0.02, 0.018]),
-        rear_to_front=RigidTransform(np.eye(3), np.array([0.05, -0.12, -0.04])),
-        front_to_proj=proj_to_front.inverse(),
-        front_device=PinholeDevice(
-            fx=525.0, fy=525.0, cx=320.0, cy=240.0, width=640, height=480
-        ),
-        rear_device=PinholeDevice(
-            fx=525.0, fy=525.0, cx=320.0, cy=240.0, width=640, height=480
-        ),
-        proj_device=PinholeDevice(
-            fx=1500.0, fy=1500.0, cx=960.0, cy=540.0, width=1920, height=1080
-        ),
-    )
 
 
 def load_rig(path) -> RigModel:

@@ -577,14 +577,6 @@ class CheckerboardTarget:
 
 
 @dataclass(frozen=True)
-class Hit:
-    point: np.ndarray
-    normal: np.ndarray
-    t: float
-    surface_id: str
-
-
-@dataclass(frozen=True)
 class Scene:
     surfaces: tuple = ()
     checkerboards: tuple = ()
@@ -616,21 +608,6 @@ class Scene:
         toward = np.einsum("ij,ij->i", best_normals, dirs) > 0
         best_normals[toward] *= -1.0
         return best_t, best_normals, best_idx
-
-
-def raycast(scene: Scene, origin, direction) -> Hit | None:
-    """Nearest scene intersection of a single ray, or None on a miss."""
-    o = as_vec3(origin)
-    d = normalized(direction)
-    t, normals, idx = scene.intersect(o, d)
-    if not np.isfinite(t[0]):
-        return None
-    return Hit(
-        point=o + t[0] * d,
-        normal=normals[0],
-        t=float(t[0]),
-        surface_id=scene.surfaces[idx[0]].surface_id,
-    )
 
 
 # -- Depth sensing -----------------------------------------------------------
@@ -682,14 +659,6 @@ class DepthImage:
             raise ValueError("depth and valid must be equal-shaped 2-D arrays")
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "valid", valid)
-
-    @property
-    def height(self) -> int:
-        return self.depth.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.depth.shape[1]
 
 
 def sense_depth(

@@ -1,19 +1,22 @@
 """User-perspective projector warping and its analytic evaluation path.
 
-The correction runs in two passes. Pass 1 renders the content as the user
-should see it: a flat image addressed in virtual-screen (viewport) pixels.
-Pass 2 builds the projector framebuffer: the scene geometry is rasterized
-from the projector's point of view, each covered projector pixel recovers
-the world point it will light, maps it through the screen projection into
-viewport coordinates, and samples the pass-1 image there. Projecting that
-framebuffer onto the real surfaces makes the content appear, from the
-tracked eye, as if it were glued to the virtual screen. Only the last two
-steps depend on the eye: the rasterized projector map is kept on the mesh
-and reused for every new eye while the mesh and the projector pose are
-unchanged (``TriangleMesh.pixel_map``). That per-eye tail runs in blocks
-of ``_BLOCK`` covered pixels, so no temporary grows with the resolution
-beyond the sample coordinates and their samples; its output bytes are
-those of one unblocked pass.
+The correction runs in two passes (Raskar et al., "The Office of the
+Future", SIGGRAPH 1998). Pass 1 renders the content as the user should see
+it: a flat image addressed in virtual-screen (viewport) pixels, either the
+checker test pattern or an equirectangular panorama sampled along the eye's
+rays through the screen (``sample_equirect``). Pass 2 builds the projector
+framebuffer: the scene geometry is rasterized from the projector's point of
+view, each covered projector pixel recovers the world point it will light,
+maps it through the screen projection into viewport coordinates, and
+samples the pass-1 image there. Projecting that framebuffer onto the real
+surfaces makes the content appear, from the tracked eye, as if it were
+glued to the virtual screen. Only the last two steps depend on the eye: the
+rasterized projector map is kept on the mesh and reused for every new eye
+while the mesh and the projector pose are unchanged
+(``TriangleMesh.pixel_map``). That per-eye tail runs in blocks of
+``_BLOCK`` covered pixels, so no temporary grows with the resolution beyond
+the sample coordinates and their samples; its output bytes are those of one
+unblocked pass.
 
 ``propagate_corners`` follows checker-pattern corners through the same
 mapping analytically (no rasterization), using one model set for the warp
@@ -46,6 +49,9 @@ _VISIBILITY_REL_TOL = 1e-6
 # Covered projector pixels per block of the per-eye warp tail.
 _BLOCK = 1 << 16
 
+# Ambient light level of the simulated room, as a fraction of full white.
+_AMBIENT = 0.2
+
 
 # -- Checker test pattern ------------------------------------------------------
 
@@ -68,10 +74,6 @@ class CheckerPattern:
             raise ValueError("pattern needs at least 2x2 squares to have corners")
         if self.square_px < 1:
             raise ValueError("square_px must be positive")
-
-    @property
-    def corner_count(self) -> int:
-        return (self.rows - 1) * (self.cols - 1)
 
     def _origin(self, width: int, height: int) -> tuple[int, int]:
         x0 = (width - self.cols * self.square_px) // 2
@@ -103,61 +105,29 @@ class CheckerPattern:
         return img
 
 
-# -- Content sources for pass 1 ------------------------------------------------
+# -- Content source for pass 1 --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquirectContent:
-    """Direction-indexed panoramic content (equirectangular image).
+def sample_equirect(panorama: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Bilinear samples of an equirectangular panorama along (N, 3) directions.
 
     Longitude 0 looks along world +z and increases toward +x; latitude
-    follows the downward +y axis, so image row 0 is straight up. Sampling
-    is bilinear with horizontal wraparound.
+    follows the downward +y axis, so image row 0 is straight up. Columns
+    wrap around, and latitudes past the first or last row centre clamp to
+    it. Returns (N, channels) float64.
     """
-
-    image: np.ndarray
-
-    def sample_rays(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        img = np.asarray(self.image, dtype=np.float64)
-        h, w = img.shape[:2]
-        d = np.asarray(dirs, dtype=float).reshape(-1, 3)
-        norm = np.linalg.norm(d, axis=1)
-        norm = np.where(norm > 0, norm, 1.0)
-        lon = np.arctan2(d[:, 0], d[:, 2])
-        lat = np.arcsin(np.clip(d[:, 1] / norm, -1.0, 1.0))
-        u = (lon / (2.0 * math.pi) + 0.5) * w
-        v = (lat / math.pi + 0.5) * h
-
-        x = u - 0.5
-        y = np.clip(v - 0.5, 0.0, h - 1.0)
-        x0 = np.floor(x).astype(np.int64)
-        y0 = np.floor(y).astype(np.int64)
-        fx = (x - x0)[:, None]
-        fy = (y - y0)[:, None]
-        x0m = np.mod(x0, w)
-        x1m = np.mod(x0 + 1, w)
-        y1 = np.minimum(y0 + 1, h - 1)
-        top = img[y0, x0m] * (1 - fx) + img[y0, x1m] * fx
-        bottom = img[y1, x0m] * (1 - fx) + img[y1, x1m] * fx
-        return top * (1 - fy) + bottom * fy
-
-
-@dataclass(frozen=True)
-class MeshSetContent:
-    """Virtual objects placed in the world, colored by surface albedo."""
-
-    scene: Scene
-    background: tuple = (0.0, 0.0, 0.0)
-
-    def sample_rays(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        t, _, sidx = self.scene.intersect(origin, dirs)
-        colors = np.empty((len(t), 3))
-        colors[:] = np.asarray(self.background, dtype=float)
-        hit = np.isfinite(t)
-        if np.any(hit):
-            albedos = np.array([s.albedo for s in self.scene.surfaces])
-            colors[hit] = albedos[sidx[hit]] * 255.0
-        return colors
+    h, w = panorama.shape[:2]
+    d = np.asarray(dirs, dtype=float).reshape(-1, 3)
+    norm = np.linalg.norm(d, axis=1)
+    norm = np.where(norm > 0, norm, 1.0)
+    lon = np.arctan2(d[:, 0], d[:, 2])
+    lat = np.arcsin(np.clip(d[:, 1] / norm, -1.0, 1.0))
+    # One wrapped column on each side, so every sample blends two real
+    # columns; it shifts the columns right by one pixel.
+    wrapped = np.concatenate([panorama[:, -1:], panorama, panorama[:, :1]], axis=1)
+    x = (lon / (2.0 * math.pi) + 0.5) * w + 1.0
+    y = np.clip((lat / math.pi + 0.5) * h, 0.5, h - 0.5)
+    return bilinear_sample(wrapped, np.stack([x, y], axis=1))
 
 
 def _unoccluded(scene: Scene, origin: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -173,15 +143,15 @@ def _unoccluded(scene: Scene, origin: np.ndarray, points: np.ndarray) -> np.ndar
 
 
 def render_user_view(
-    content,
+    panorama: np.ndarray,
     upr: UprMatrix,
     viewport: Viewport,
     width: int | None = None,
     height: int | None = None,
 ) -> np.ndarray:
-    """Render content as seen from the eye through the virtual screen.
+    """Render a panorama as seen from the eye through the virtual screen.
 
-    Each output pixel is the content sampled along the ray from the eye
+    Each output pixel is the panorama sampled along the ray from the eye
     through that pixel's point on the screen plane (the rear frame's z=0
     plane). Returns a (height, width, 3) uint8 image.
     """
@@ -189,9 +159,8 @@ def render_user_view(
     height = viewport.height_px if height is None else height
     scale = np.array([width / viewport.width_px, height / viewport.height_px])
     uv = pixel_center_grid(width, height) / scale
-    eye_world, dirs = upr.screen_rays(viewport.to_plane(uv))
-    colors = content.sample_rays(eye_world, dirs)
-    return to_uint8(colors).reshape(height, width, 3)
+    _, dirs = upr.screen_rays(viewport.to_plane(uv))
+    return to_uint8(sample_equirect(panorama, dirs)).reshape(height, width, 3)
 
 
 # -- Pass 2: projector framebuffer ----------------------------------------------
@@ -246,13 +215,12 @@ def simulate_projection_and_view(
     proj_to_world: RigidTransform,
     view_device: PinholeDevice,
     view_to_world: RigidTransform,
-    ambient: float = 0.2,
 ) -> np.ndarray:
     """What a camera sees while the projector displays ``framebuffer``.
 
     Surfaces reflect ambient light plus the projector pixel that lights
     them (nearest-pixel lookup, exact shadow rays), scaled by their albedo:
-    ``out = albedo * (ambient * 255 + framebuffer)``, clipped to 8 bits.
+    ``out = albedo * (_AMBIENT * 255 + framebuffer)``, clipped to 8 bits.
     """
     h, w = view_device.height, view_device.width
     origin = view_to_world.translation
@@ -279,7 +247,7 @@ def simulate_projection_and_view(
         # only the gathered pixels to float.
         light[lit_idx] = np.asarray(framebuffer)[vv, uu]
 
-    out[hit] = albedos * (ambient * 255.0 + light)
+    out[hit] = albedos * (_AMBIENT * 255.0 + light)
     return to_uint8(out).reshape(h, w, 3)
 
 

@@ -28,7 +28,7 @@ from procamsim.evaluation import (
     standard_suite,
 )
 from procamsim.geometry import PinholeDevice, RigidTransform, rotation_about_axis
-from procamsim.rig import default_rig, save_rig
+from procamsim.rig import save_rig
 from procamsim.scene import (
     CheckerboardTarget,
     DepthNoiseModel,
@@ -40,6 +40,8 @@ from procamsim.scene import (
 from procamsim.simulate import CalibrationProtocol, synthesize_session
 from procamsim.upr import DEFAULT_EYE, EyePose, upr_matrix
 from procamsim.warp import propagate_corners_uncorrected, warp_to_projector
+
+from rigs import default_rig
 
 
 def report(num: int, ok: bool, text: str) -> bool:

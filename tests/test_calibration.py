@@ -47,9 +47,11 @@ from procamsim.geometry import (
     rotation_from_rotvec,
     rotation_to_axis_angle,
 )
-from procamsim.rig import PanTiltState, RigModel, default_rig
+from procamsim.rig import PanTiltState, RigModel
 from procamsim.scene import CheckerboardTarget, Plane, Scene
 from procamsim.simulate import CalibrationProtocol, synthesize_session
+
+from rigs import default_rig
 
 # -- forward models (oracles) -------------------------------------------------
 

@@ -13,9 +13,11 @@ from procamsim.cli import main
 from procamsim.errors import LimitError
 from procamsim.geometry import PinholeDevice, RigidTransform, rotation_about_axis
 from procamsim.images import read_image, read_ppm, write_ppm
-from procamsim.rig import default_rig, save_rig
+from procamsim.rig import save_rig
 from procamsim.scene import CheckerboardTarget, Plane, Scene, save_scene
 from procamsim.warp import CheckerPattern
+
+from rigs import default_rig
 
 
 def small_rig():
@@ -382,6 +384,8 @@ class TestInputBoundary:
         for case, name, edit in [
             ("pan_limit", "rig.json", lambda d, x: d.update(pan_limit_deg=x)),
             ("tilt_limit", "rig.json", lambda d, x: d.update(tilt_limit_deg=x)),
+            ("projector_fx", "rig.json",
+             lambda d, x: d["devices"]["projector"].update(fx=x)),
             ("depth_noise", "config.json",
              lambda d, x: d["display"]["depth"].update(noise_sigma=x)),
             ("viewport_width", "config.json",

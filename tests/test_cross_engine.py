@@ -21,8 +21,10 @@ from procamsim.evaluation import (
 )
 from procamsim.geometry import pixel_center_grid, pixel_rays, project_points
 from procamsim.raster import rasterize
-from procamsim.rig import PanTiltState, default_rig
+from procamsim.rig import PanTiltState
 from procamsim.scene import hit_points
+
+from rigs import default_rig
 
 WIDTH, HEIGHT = 192, 108
 

@@ -22,9 +22,11 @@ from procamsim.evaluation import (
 )
 from procamsim.geometry import PinholeDevice
 from procamsim.images import read_ppm
-from procamsim.rig import PanTiltState, default_rig
+from procamsim.rig import PanTiltState
 from procamsim.scene import Plane, Scene
 from procamsim.warp import CheckerPattern, CornerPropagation
+
+from rigs import default_rig
 
 
 def dislocation_oracle(idx_a, pos_a, idx_b, pos_b):

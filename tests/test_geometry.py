@@ -14,7 +14,6 @@ from procamsim.geometry import (
     PinholeDevice,
     RigidTransform,
     backproject_points,
-    from_homogeneous,
     normalized,
     project_points,
     rigid_align,
@@ -148,11 +147,9 @@ class TestRigidTransform:
 class TestHomogeneous:
     def test_round_trip(self):
         pts = np.array([[1.0, 2.0, 3.0], [-4.0, 0.5, 9.0]])
-        np.testing.assert_allclose(from_homogeneous(to_homogeneous(pts)), pts)
-
-    def test_direction_rejected(self):
-        with pytest.raises(ValueError):
-            from_homogeneous(np.array([1.0, 2.0, 3.0, 0.0]))
+        hom = to_homogeneous(pts)
+        np.testing.assert_array_equal(hom[:, :3], pts)
+        np.testing.assert_array_equal(hom[:, 3], 1.0)
 
 
 class TestPinholeProjection:

@@ -17,8 +17,9 @@ from hypothesis.extra import numpy as hnp
 from procamsim import raster
 from procamsim.evaluation import BenchmarkOptions, _cloth_mesh, _scaled_device, _wedge_mesh
 from procamsim.geometry import backproject_points, pixel_center_grid
-from procamsim.rig import default_rig
 from procamsim.scene import RAY_T_MIN, Scene, TriangleMesh
+
+from rigs import default_rig
 
 SETTINGS = settings(max_examples=80, deadline=None)
 

@@ -453,3 +453,22 @@ def test_vertex_at_w_zero_raises_no_warning():
         res = rasterize(xy, w, faces, 8, 8, attributes={"world": np.c_[xy, w]})
     assert res.mask.sum() == 21
     assert (res.face_index[res.mask] == 0).all()
+
+
+def test_non_finite_faces_are_dropped_without_a_warning():
+    # Faces 0 and 1 are finite; face 2 has a NaN vertex, face 3 a +inf one
+    # and face 4 three vertices at w = +inf.
+    xy = np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0], [6.0, 6.0],
+                   [np.nan, 1.0], [3.0, np.inf], [1.0, 1.0], [7.0, 1.0], [1.0, 7.0]])
+    w = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, np.inf, np.inf, np.inf])
+    world = np.c_[xy, np.ones(len(xy))]
+    faces = np.array([[0, 1, 2], [1, 3, 2], [4, 1, 3], [0, 5, 1], [6, 7, 8]])
+    finite = rasterize(xy[:4], w[:4], faces[:2], 8, 8, attributes={"world": world[:4]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = rasterize(xy, w, faces, 8, 8, attributes={"world": world})
+    assert res.mask.sum() > 0
+    np.testing.assert_array_equal(res.depth_w, finite.depth_w)
+    np.testing.assert_array_equal(res.face_index, finite.face_index)
+    np.testing.assert_array_equal(res.covered, finite.covered)
+    np.testing.assert_array_equal(res.attributes["world"], finite.attributes["world"])

@@ -16,7 +16,6 @@ from procamsim.geometry import (
 from procamsim.rig import (
     PanTiltState,
     RigModel,
-    default_rig,
     load_rig,
     observe_checkerboard,
     pan_tilt_rotation,
@@ -24,6 +23,8 @@ from procamsim.rig import (
     save_rig,
 )
 from procamsim.scene import CheckerboardTarget
+
+from rigs import default_rig
 
 
 def simple_rig(**overrides) -> RigModel:
@@ -42,7 +43,7 @@ def simple_rig(**overrides) -> RigModel:
 
 class TestPanTiltRotation:
     def test_home_is_identity(self):
-        r = pan_tilt_rotation(simple_rig(), PanTiltState.home())
+        r = pan_tilt_rotation(simple_rig(), PanTiltState())
         np.testing.assert_allclose(r, np.eye(3), atol=1e-15)
 
     def test_pure_pan_when_tilt_zero(self):
@@ -104,7 +105,7 @@ class TestRigPose:
         np.testing.assert_allclose(pose.front_to_world.translation, np.zeros(3))
 
     def test_home_front_is_world(self):
-        pose = rig_pose(simple_rig(), PanTiltState.home())
+        pose = rig_pose(simple_rig(), PanTiltState())
         np.testing.assert_allclose(pose.front_to_world.as_matrix(), np.eye(4), atol=1e-15)
 
     def test_rear_camera_rotates_with_platform(self):
@@ -114,7 +115,7 @@ class TestRigPose:
         rig = simple_rig(rear_to_front=rear_mount)
         point_world = np.array([0.0, 0.0, -2.0])
 
-        pose_home = rig_pose(rig, PanTiltState.home())
+        pose_home = rig_pose(rig, PanTiltState())
         p_rear = pose_home.rear_to_world.inverse().apply(point_world)
         assert p_rear[2] > 0  # in front of the rear camera at home
 
@@ -170,7 +171,7 @@ class TestObserveCheckerboard:
             np.testing.assert_allclose(point, front_from_world.apply(world[idx]), atol=1e-12)
 
     def test_all_corners_visible_at_home(self):
-        obs = observe_checkerboard(front_board(), default_rig(), PanTiltState.home())
+        obs = observe_checkerboard(front_board(), default_rig(), PanTiltState())
         assert len(obs) == 6 * 9
 
     def test_out_of_frustum_corners_omitted(self):
@@ -187,30 +188,30 @@ class TestObserveCheckerboard:
             square_size=0.08,
         )
         with pytest.raises(EmptyObservationError):
-            observe_checkerboard(board, default_rig(), PanTiltState.home())
+            observe_checkerboard(board, default_rig(), PanTiltState())
 
     def test_noise_statistics(self):
         rig = default_rig()
         rng = np.random.default_rng(42)
         board = front_board()
-        obs = observe_checkerboard(board, rig, PanTiltState.home(), 0.001, rng)
+        obs = observe_checkerboard(board, rig, PanTiltState(), 0.001, rng)
         clean = dict(
-            observe_checkerboard(board, rig, PanTiltState.home())
+            observe_checkerboard(board, rig, PanTiltState())
         )
         errors = np.array([p - clean[i] for i, p in obs])
         assert abs(errors.std() - 0.001) < 3e-4
 
     def test_rear_camera_observation(self):
         rig = default_rig()
-        obs = observe_checkerboard(front_board(), rig, PanTiltState.home(), camera="rear")
+        obs = observe_checkerboard(front_board(), rig, PanTiltState(), camera="rear")
         world = front_board().corners_world()
-        rear_from_world = rig_pose(rig, PanTiltState.home()).rear_to_world.inverse()
+        rear_from_world = rig_pose(rig, PanTiltState()).rear_to_world.inverse()
         for idx, point in obs:
             np.testing.assert_allclose(point, rear_from_world.apply(world[idx]), atol=1e-12)
 
     def test_unknown_camera(self):
         with pytest.raises(ValueError):
-            observe_checkerboard(front_board(), default_rig(), PanTiltState.home(), camera="top")
+            observe_checkerboard(front_board(), default_rig(), PanTiltState(), camera="top")
 
 
 class TestRigIO:

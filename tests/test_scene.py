@@ -22,8 +22,8 @@ from procamsim.scene import (
     Scene,
     Sphere,
     TriangleMesh,
+    hit_points,
     load_scene,
-    raycast,
     reconstruct_mesh,
     save_scene,
     sense_depth,
@@ -38,15 +38,18 @@ class TestRaycast:
     def test_axial_ray_hits_unit_sphere(self):
         # Quadratic-formula oracle: center distance 5, radius 1 -> t = 4.
         scene = Scene(surfaces=[Sphere(center=[0, 0, 5], radius=1.0)])
-        hit = raycast(scene, [0, 0, 0], [0, 0, 1])
-        assert hit is not None
-        assert hit.t == pytest.approx(4.0, abs=1e-12)
-        np.testing.assert_allclose(hit.point, [0, 0, 4], atol=1e-12)
-        np.testing.assert_allclose(hit.normal, [0, 0, -1], atol=1e-12)
+        t, normals, idx = scene.intersect([0, 0, 0], [[0, 0, 1]])
+        assert idx[0] == 0
+        assert t[0] == pytest.approx(4.0, abs=1e-12)
+        np.testing.assert_allclose(
+            hit_points(np.zeros(3), np.array([[0.0, 0.0, 1.0]]), t)[0], [0, 0, 4], atol=1e-12
+        )
+        np.testing.assert_allclose(normals[0], [0, 0, -1], atol=1e-12)
 
     def test_ray_parallel_to_plane_misses(self):
         scene = Scene(surfaces=[Plane(point=[0, 0, 3], normal=[0, 0, -1])])
-        assert raycast(scene, [0, 1, 0], [1, 0, 0]) is None
+        t, _, idx = scene.intersect([0, 1, 0], [[1, 0, 0]])
+        assert t[0] == np.inf and idx[0] == -1
 
     def test_nearest_surface_wins(self):
         scene = Scene(
@@ -55,44 +58,47 @@ class TestRaycast:
                 Sphere(center=[0, 0, 2], radius=0.5, surface_id="near"),
             ]
         )
-        hit = raycast(scene, [0, 0, 0], [0, 0, 1])
-        assert hit.surface_id == "near"
-        assert hit.t == pytest.approx(1.5, abs=1e-12)
+        t, _, idx = scene.intersect([0, 0, 0], [[0, 0, 1]])
+        assert scene.surfaces[idx[0]].surface_id == "near"
+        assert t[0] == pytest.approx(1.5, abs=1e-12)
 
     def test_plane_extent(self):
         plane = Plane(point=[0, 0, 3], normal=[0, 0, -1], extent=(1.0, 0.5))
         scene = Scene(surfaces=[plane])
-        assert raycast(scene, [0.9, 0.0, 0], [0, 0, 1]) is not None
-        assert raycast(scene, [1.1, 0.0, 0], [0, 0, 1]) is None
-        assert raycast(scene, [0.0, 0.6, 0], [0, 0, 1]) is None
+        hits = [
+            np.isfinite(scene.intersect(origin, [[0, 0, 1]])[0][0])
+            for origin in ([0.9, 0.0, 0], [1.1, 0.0, 0], [0.0, 0.6, 0])
+        ]
+        assert hits == [True, False, False]
 
     def test_box_faces(self):
         box = Box(pose=RigidTransform.identity(), dimensions=(2.0, 2.0, 2.0))
         scene = Scene(surfaces=[box])
-        hit = raycast(scene, [0, 0, -5], [0, 0, 1])
-        assert hit.t == pytest.approx(4.0, abs=1e-12)
-        np.testing.assert_allclose(hit.normal, [0, 0, -1], atol=1e-12)
+        t, normals, _ = scene.intersect([0, 0, -5], [[0, 0, 1]])
+        assert t[0] == pytest.approx(4.0, abs=1e-12)
+        np.testing.assert_allclose(normals[0], [0, 0, -1], atol=1e-12)
         # From inside, the exit face is reported.
-        hit = raycast(scene, [0.2, 0, 0], [1, 0, 0])
-        assert hit.t == pytest.approx(0.8, abs=1e-12)
+        t, _, _ = scene.intersect([0.2, 0, 0], [[1, 0, 0]])
+        assert t[0] == pytest.approx(0.8, abs=1e-12)
 
     def test_rotated_box(self):
         pose = RigidTransform(rotation_about_axis([0, 0, 1], math.pi / 4), [0, 0, 4])
         box = Box(pose=pose, dimensions=(2.0, 2.0, 2.0))
-        hit = raycast(Scene(surfaces=[box]), [0, 0, 0], [0, 0, 1])
+        t, _, _ = Scene(surfaces=[box]).intersect([0, 0, 0], [[0, 0, 1]])
         # Rotation about z leaves the near face distance unchanged.
-        assert hit.t == pytest.approx(3.0, abs=1e-12)
+        assert t[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_cylinder_lateral_and_caps(self):
         cyl = CylinderSegment(pose=RigidTransform.identity(), radius=1.0, height=2.0)
         scene = Scene(surfaces=[cyl])
-        hit = raycast(scene, [5, 0, 1], [-1, 0, 0])
-        assert hit.t == pytest.approx(4.0, abs=1e-12)
-        np.testing.assert_allclose(hit.normal, [1, 0, 0], atol=1e-12)
-        hit = raycast(scene, [0.2, 0, 5], [0, 0, -1])
-        assert hit.t == pytest.approx(3.0, abs=1e-12)
-        np.testing.assert_allclose(hit.normal, [0, 0, 1], atol=1e-12)
-        assert raycast(scene, [5, 0, 3], [-1, 0, 0]) is None
+        t, normals, _ = scene.intersect([5, 0, 1], [[-1, 0, 0]])
+        assert t[0] == pytest.approx(4.0, abs=1e-12)
+        np.testing.assert_allclose(normals[0], [1, 0, 0], atol=1e-12)
+        t, normals, _ = scene.intersect([0.2, 0, 5], [[0, 0, -1]])
+        assert t[0] == pytest.approx(3.0, abs=1e-12)
+        np.testing.assert_allclose(normals[0], [0, 0, 1], atol=1e-12)
+        t, _, _ = scene.intersect([5, 0, 3], [[-1, 0, 0]])
+        assert t[0] == np.inf
 
     def test_triangle_mesh(self):
         mesh = TriangleMesh(
@@ -100,15 +106,16 @@ class TestRaycast:
             faces=[[0, 1, 2]],
         )
         scene = Scene(surfaces=[mesh])
-        hit = raycast(scene, [0, 0, 0], [0, 0, 1])
-        assert hit.t == pytest.approx(2.0, abs=1e-12)
-        assert raycast(scene, [0, 2, 0], [0, 0, 1]) is None
+        t, _, _ = scene.intersect([0, 0, 0], [[0, 0, 1]])
+        assert t[0] == pytest.approx(2.0, abs=1e-12)
+        t, _, _ = scene.intersect([0, 2, 0], [[0, 0, 1]])
+        assert t[0] == np.inf
 
     def test_normals_face_the_ray(self):
         scene = Scene(surfaces=[Sphere(center=[0, 0, 5], radius=1.0)])
         # From +z looking back, the reported normal flips toward the origin.
-        hit = raycast(scene, [0, 0, 10], [0, 0, -1])
-        np.testing.assert_allclose(hit.normal, [0, 0, 1], atol=1e-12)
+        _, normals, _ = scene.intersect([0, 0, 10], [[0, 0, -1]])
+        np.testing.assert_allclose(normals[0], [0, 0, 1], atol=1e-12)
 
 
 class TestCheckerboard:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from procamsim.errors import EyeOnScreenPlaneError
-from procamsim.geometry import RigidTransform, from_homogeneous, rotation_about_axis
+from procamsim.geometry import RigidTransform, rotation_about_axis
 from procamsim.upr import (
     EyePose,
     UprMatrix,
@@ -12,6 +12,11 @@ from procamsim.upr import (
     upr_matrix,
     user_projection_matrix,
 )
+
+
+def dehomogenize(h: np.ndarray) -> np.ndarray:
+    """(..., 3) homogeneous screen points to (..., 2)."""
+    return h[..., :-1] / h[..., -1:]
 
 
 def line_plane_oracle(eye: np.ndarray, point: np.ndarray) -> np.ndarray:
@@ -38,12 +43,12 @@ class TestUserProjectionMatrix:
         pts = rng.uniform(-2, 2, size=(1000, 3))
         pts[:, 2] = 0.0
         h = np.c_[pts, np.ones(len(pts))] @ m.T
-        np.testing.assert_allclose(from_homogeneous(h), pts[:, :2], atol=1e-12)
+        np.testing.assert_allclose(dehomogenize(h), pts[:, :2], atol=1e-12)
 
     def test_origin_maps_to_origin(self):
         m = user_projection_matrix(EyePose(0.3, 0.2, -1.1))
         h = m @ np.array([0.0, 0.0, 0.0, 1.0])
-        np.testing.assert_allclose(from_homogeneous(h), [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(dehomogenize(h), [0.0, 0.0], atol=1e-15)
 
     def test_third_coordinate_is_z_minus_ez(self):
         rng = np.random.default_rng(5)
@@ -61,7 +66,7 @@ class TestUserProjectionMatrix:
             point = rng.uniform([-2, -2, 0.5], [2, 2, 5])
             h = m @ np.append(point, 1.0)
             np.testing.assert_allclose(
-                from_homogeneous(h), line_plane_oracle(eye_arr, point), atol=1e-10
+                dehomogenize(h), line_plane_oracle(eye_arr, point), atol=1e-10
             )
 
     def test_eye_on_plane_rejected(self):
@@ -75,7 +80,7 @@ class TestUserProjectionMatrix:
         xs = []
         for ex in np.linspace(-1, 1, 21):
             m = user_projection_matrix(EyePose(ex, 0.0, -1.5))
-            xs.append(from_homogeneous(m @ point)[0])
+            xs.append(dehomogenize(m @ point)[0])
         diffs = np.diff(xs)
         assert (diffs > 0).all() or (diffs < 0).all()
 

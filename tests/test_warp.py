@@ -27,9 +27,8 @@ from procamsim.geometry import (
     normalized,
     rotation_about_axis,
 )
-from procamsim.images import bilinear_sample
+from procamsim.images import bilinear_sample, to_uint8
 from procamsim.raster import rasterize
-from procamsim.rig import default_rig
 from procamsim.scene import (
     Box,
     DepthNoiseModel,
@@ -45,21 +44,21 @@ from procamsim.upr import EyePose, Viewport, upr_matrix
 from procamsim.warp import (
     CheckerPattern,
     CornerPropagation,
-    EquirectContent,
-    MeshSetContent,
     propagate_corners,
     propagate_corners_uncorrected,
     render_user_view,
+    sample_equirect,
     simulate_projection_and_view,
     warp_to_projector,
 )
+
+from rigs import default_rig
 
 
 class TestCheckerPattern:
     def test_corner_positions_oracle(self):
         pat = CheckerPattern(rows=5, cols=8, square_px=60)
         pos = pat.corner_positions(1920, 1080)
-        assert pat.corner_count == 28
         assert pos.shape == (28, 2)
         # Board origin (720, 390); corner (i, j) at origin + (j+1, i+1)*60.
         assert pos[0].tolist() == [780.0, 450.0]
@@ -88,47 +87,75 @@ class TestCheckerPattern:
             CheckerPattern(square_px=0)
 
 
+def equirect_reference(image, dirs):
+    """Bilinear equirect lookup written out: wrap in x, clamp y to the row centres."""
+    img = np.asarray(image, dtype=np.float64)
+    h, w = img.shape[:2]
+    d = np.asarray(dirs, dtype=float).reshape(-1, 3)
+    norm = np.linalg.norm(d, axis=1)
+    norm = np.where(norm > 0, norm, 1.0)
+    lon = np.arctan2(d[:, 0], d[:, 2])
+    lat = np.arcsin(np.clip(d[:, 1] / norm, -1.0, 1.0))
+    u = (lon / (2.0 * math.pi) + 0.5) * w
+    v = (lat / math.pi + 0.5) * h
+
+    x = u - 0.5
+    y = np.clip(v - 0.5, 0.0, h - 1.0)
+    x0 = np.floor(x).astype(np.int64)
+    y0 = np.floor(y).astype(np.int64)
+    fx = (x - x0)[:, None]
+    fy = (y - y0)[:, None]
+    x0m = np.mod(x0, w)
+    x1m = np.mod(x0 + 1, w)
+    y1 = np.minimum(y0 + 1, h - 1)
+    top = img[y0, x0m] * (1 - fx) + img[y0, x1m] * fx
+    bottom = img[y1, x0m] * (1 - fx) + img[y1, x1m] * fx
+    return top * (1 - fy) + bottom * fy
+
+
 class TestEquirectContent:
     def test_forward_direction_center_column(self):
         img = np.zeros((4, 8, 3))
         img[:, :, 0] = np.arange(8)[None, :]
-        content = EquirectContent(image=img)
-        out = content.sample_rays(np.zeros(3), np.array([[0.0, 0.0, 1.0]]))
+        out = sample_equirect(img, np.array([[0.0, 0.0, 1.0]]))
         # lon 0 -> u = 4.0 -> texels 3 and 4 blend equally.
         assert out[0, 0] == pytest.approx(3.5)
 
     def test_horizontal_wrap_is_seamless(self):
         rng = np.random.default_rng(0)
-        content = EquirectContent(image=rng.uniform(0, 255, size=(6, 12, 3)))
-        left = content.sample_rays(np.zeros(3), np.array([[-1e-9, 0.2, -1.0]]))
-        right = content.sample_rays(np.zeros(3), np.array([[1e-9, 0.2, -1.0]]))
+        img = rng.uniform(0, 255, size=(6, 12, 3))
+        left = sample_equirect(img, np.array([[-1e-9, 0.2, -1.0]]))
+        right = sample_equirect(img, np.array([[1e-9, 0.2, -1.0]]))
         assert np.abs(left - right).max() < 1e-6
 
     def test_poles_clamp(self):
         img = np.zeros((4, 8, 3))
         img[0] = 10.0
         img[-1] = 90.0
-        content = EquirectContent(image=img)
-        up = content.sample_rays(np.zeros(3), np.array([[0.0, -1.0, 0.0]]))
-        down = content.sample_rays(np.zeros(3), np.array([[0.0, 1.0, 0.0]]))
+        up = sample_equirect(img, np.array([[0.0, -1.0, 0.0]]))
+        down = sample_equirect(img, np.array([[0.0, 1.0, 0.0]]))
         assert up[0, 0] == pytest.approx(10.0)
         assert down[0, 0] == pytest.approx(90.0)
 
-
-class TestMeshSetContent:
-    def test_hit_and_background(self):
-        scene = Scene(
-            surfaces=(
-                Sphere(center=[0.0, 0.0, 3.0], radius=0.5, albedo=(1.0, 0.0, 0.0)),
-            ),
-            checkerboards=(),
-        )
-        content = MeshSetContent(scene=scene, background=(0.0, 0.0, 32.0))
-        out = content.sample_rays(
-            np.zeros(3), np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        )
-        assert out[0].tolist() == [255.0, 0.0, 0.0]
-        assert out[1].tolist() == [0.0, 0.0, 32.0]
+    @pytest.mark.parametrize("shape", [(45, 90), (17, 31), (2, 3)])
+    def test_matches_the_wrap_and_clamp_reference(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        img = rng.integers(0, 256, size=(*shape, 3), dtype=np.uint8)
+        dirs = rng.normal(size=(100_000, 3))
+        tiny = 1e-300
+        special = np.array([
+            [0.0, -1.0, 0.0], [0.0, 1.0, 0.0],  # the poles
+            [0.0, -2.0, 1e-9], [1e-9, 3.0, 0.0],  # next to them
+            [0.0, 0.0, -1.0], [-0.0, 0.0, -1.0],  # lon = +pi and -pi
+            [tiny, 0.3, -1.0], [-tiny, 0.3, -1.0],  # either side of the seam
+            [1e-9, -0.5, -1.0], [-1e-9, -0.5, -1.0],
+            [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+        ])
+        dirs = np.concatenate([dirs, special])
+        got = sample_equirect(img, dirs)
+        want = equirect_reference(img, dirs)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(to_uint8(got), to_uint8(want))
 
 
 def identity_setup(width=320, height=240):
@@ -394,61 +421,68 @@ class TestBlockedWarpOracle:
         assert not got.any()
 
 
+def ramp_panorama(height=90, width=180):
+    """Channel 0 holds each texel's column and channel 1 its row.
+
+    A bilinear sample away from the seam and the poles reads back its
+    continuous texel coordinates, so a view shows which ray each pixel took.
+    """
+    pano = np.zeros((height, width, 3), dtype=np.uint8)
+    pano[..., 0] = np.arange(width)[None, :]
+    pano[..., 1] = np.arange(height)[:, None]
+    return pano
+
+
+def assert_view_oracle(img, pano, eye, viewport):
+    """Each pixel samples the ray from the eye through its window point."""
+    height, width = img.shape[:2]
+    v, u = np.mgrid[0:height, 0:width] + 0.5
+    x_m = (u / width - 0.5) * viewport.width_m
+    y_m = (v / height - 0.5) * viewport.height_m
+    dx, dy, dz = x_m - eye.x, y_m - eye.y, -eye.z
+    lon = np.arctan2(dx, dz)
+    lat = np.arctan2(dy, np.hypot(dx, dz))
+    col = (lon / (2 * math.pi) + 0.5) * pano.shape[1] - 0.5
+    row = (lat / math.pi + 0.5) * pano.shape[0] - 0.5
+    # Rounding to 8 bits moves a value by at most half a level.
+    assert np.abs(img[..., 0] - col).max() <= 0.5 + 1e-9
+    assert np.abs(img[..., 1] - row).max() <= 0.5 + 1e-9
+
+
 class TestRenderUserView:
-    def test_plane_content_lands_in_window_center(self):
-        plane = Plane(
-            point=[0.0, 0.0, 0.0],
-            normal=[0.0, 0.0, -1.0],
-            extent=(0.5, 0.28125),
-            surface_id="panel",
-            albedo=(1.0, 1.0, 1.0),
-        )
-        content = MeshSetContent(scene=Scene(surfaces=(plane,), checkerboards=()))
-        upr = upr_matrix(EyePose(0.0, 0.0, -1.5), RigidTransform.identity())
+    def test_forward_content_lands_in_window_center(self):
+        pano = ramp_panorama()
+        eye = EyePose(0.0, 0.0, -1.5)
         viewport = Viewport(width_px=64, height_px=36)
-        img = render_user_view(content, upr, viewport)
+        img = render_user_view(pano, upr_matrix(eye, RigidTransform.identity()), viewport)
         assert img.shape == (36, 64, 3)
-        colored = (img[..., 0] == 255)
-        assert colored[18, 32]
-        assert not colored[0, 0]
-        # Panel edges at +-0.5 m of a 2 m window: columns 16..47, rows 9..26.
-        assert int(colored.sum()) == 32 * 18
-        assert colored[:, 16].any() and not colored[:, 15].any()
+        assert_view_oracle(img, pano, eye, viewport)
+        # Straight ahead (column 89.5 of 180) lies between the two middle
+        # columns of the window.
+        assert img[18, 31, 0] < 89.5 < img[18, 32, 0]
 
     def test_parallax_moves_offscreen_content(self):
-        # A panel behind the screen plane shifts against eye motion.
-        plane = Plane(
-            point=[0.0, 0.0, 1.0],
-            normal=[0.0, 0.0, -1.0],
-            extent=(0.3, 0.3),
-            surface_id="panel",
-            albedo=(1.0, 1.0, 1.0),
-        )
-        content = MeshSetContent(scene=Scene(surfaces=(plane,), checkerboards=()))
+        # Panorama content is infinitely far, beyond the screen: its image
+        # on the window moves with the eye by the full eye offset.
+        pano = ramp_panorama()
         viewport = Viewport(width_px=64, height_px=36)
         cols = {}
         for name, eye in (("center", EyePose(0, 0, -1.5)), ("right", EyePose(0.5, 0, -1.5))):
-            img = render_user_view(content, upr_matrix(eye, RigidTransform.identity()), viewport)
-            cols[name] = np.flatnonzero((img[18, :, 0] == 255)).mean()
-        # Content behind the window shifts with the eye (motion parallax):
-        # the sight line to the distant panel crosses the window further
-        # right when the eye moves right.
-        assert cols["right"] > cols["center"] + 1.0
+            img = render_user_view(pano, upr_matrix(eye, RigidTransform.identity()), viewport)
+            assert_view_oracle(img, pano, eye, viewport)
+            cols[name] = np.argmax(img[18, :, 0] > 89.5)
+        # 0.5 m of a 2 m, 64-pixel window is 16 pixels.
+        assert cols["right"] - cols["center"] == 16
 
     def test_custom_resolution_scales_view(self):
-        plane = Plane(
-            point=[0.0, 0.0, 0.0],
-            normal=[0.0, 0.0, -1.0],
-            extent=(0.5, 0.28125),
-            surface_id="panel",
-            albedo=(1.0, 1.0, 1.0),
-        )
-        content = MeshSetContent(scene=Scene(surfaces=(plane,), checkerboards=()))
-        upr = upr_matrix(EyePose(0.0, 0.0, -1.5), RigidTransform.identity())
+        pano = ramp_panorama()
+        eye = EyePose(0.0, 0.0, -1.5)
         viewport = Viewport(width_px=64, height_px=36)
-        img = render_user_view(content, upr, viewport, width=128, height=72)
+        img = render_user_view(
+            pano, upr_matrix(eye, RigidTransform.identity()), viewport, width=128, height=72
+        )
         assert img.shape == (72, 128, 3)
-        assert int((img[..., 0] == 255).sum()) == 64 * 36
+        assert_view_oracle(img, pano, eye, viewport)
 
 
 class TestSimulateProjectionAndView:
