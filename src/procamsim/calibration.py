@@ -29,10 +29,9 @@ from .errors import (
     ConvergenceError,
     DecompositionError,
     DegenerateConfigurationError,
-    SchemaError,
+    Fields,
     StageError,
     UnderdeterminedError,
-    check_schema_version,
     load_json,
     save_json,
 )
@@ -57,6 +56,11 @@ COST_TOL = 1e-12
 # -- Observation containers --------------------------------------------------
 
 
+def _corner_tuple(corners) -> tuple:
+    """``(index, point)`` pairs as a tuple of ``(int, float array)`` pairs."""
+    return tuple((int(i), np.asarray(p, dtype=float)) for i, p in corners)
+
+
 @dataclass(frozen=True)
 class AxisRecord:
     """Corners seen in the front camera at one motor angle (radians)."""
@@ -65,7 +69,7 @@ class AxisRecord:
     corners: tuple
 
     def __post_init__(self):
-        corners = tuple((int(i), np.asarray(p, dtype=float)) for i, p in self.corners)
+        corners = _corner_tuple(self.corners)
         if len(corners) < 4:
             raise ValueError("each axis record needs at least 4 corners")
         object.__setattr__(self, "corners", corners)
@@ -101,16 +105,8 @@ class RearRegistrationRecord:
     rear_corners: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "front_corners",
-            tuple((int(i), np.asarray(p, dtype=float)) for i, p in self.front_corners),
-        )
-        object.__setattr__(
-            self,
-            "rear_corners",
-            tuple((int(i), np.asarray(p, dtype=float)) for i, p in self.rear_corners),
-        )
+        object.__setattr__(self, "front_corners", _corner_tuple(self.front_corners))
+        object.__setattr__(self, "rear_corners", _corner_tuple(self.rear_corners))
 
 
 @dataclass(frozen=True)
@@ -648,11 +644,8 @@ def _corners_to_json(corners) -> list:
     return [{"index": int(i), "point": [float(v) for v in p]} for i, p in corners]
 
 
-def _corners_from_json(data) -> list:
-    try:
-        return [(int(rec["index"]), np.asarray(rec["point"], dtype=float)) for rec in data]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad corner list: {exc}") from exc
+def _corners_from_json(records: list) -> list:
+    return [(rec.integer("index"), rec.array("point", (3,))) for rec in records]
 
 
 def session_to_json(session: CalibrationSession) -> dict:
@@ -699,65 +692,56 @@ def session_to_json(session: CalibrationSession) -> dict:
     }
 
 
-def session_from_json(data: dict) -> CalibrationSession:
-    check_schema_version(data, "session")
+def session_from_json(r: Fields) -> CalibrationSession:
+    r.check_version("session")
 
-    def axis_obs(records, name):
+    def axis_obs(name):
+        records = r.objs(f"{name}_observations", None)
         if records is None:
             return None
-        try:
-            return AxisObservationSet(
-                axis_name=name,
-                records=tuple(
-                    AxisRecord(
-                        theta=math.radians(float(rec["angle_deg"])),
-                        corners=_corners_from_json(rec["corners"]),
-                    )
-                    for rec in records
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad {name} observations: {exc}") from exc
+        return AxisObservationSet(
+            axis_name=name,
+            records=tuple(
+                AxisRecord(
+                    theta=math.radians(rec.number("angle_deg")),
+                    corners=_corners_from_json(rec.objs("corners")),
+                )
+                for rec in records
+            ),
+        )
 
-    rear = None
-    if data.get("rear_registration") is not None:
-        rec = data["rear_registration"]
-        try:
-            rear = RearRegistrationRecord(
-                state=PanTiltState(
-                    alpha=math.radians(float(rec["pan_deg"])),
-                    beta=math.radians(float(rec["tilt_deg"])),
-                ),
-                front_corners=_corners_from_json(rec["front_corners"]),
-                rear_corners=_corners_from_json(rec["rear_corners"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad rear registration record: {exc}") from exc
-    projector = None
-    if data.get("projector") is not None:
-        rec = data["projector"]
-        try:
-            projector = ProjectorCorrespondenceSet(
-                records=tuple(
-                    ProjectorCorrespondence(
-                        pixel=c["pixel"], point=c["point"], plane_id=int(c["plane_id"])
-                    )
-                    for c in rec["correspondences"]
-                ),
-                width=int(rec["width"]),
-                height=int(rec["height"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad projector correspondences: {exc}") from exc
-    truth = None
-    if data.get("ground_truth") is not None:
-        truth = RigModel.from_json(data["ground_truth"])
+    rear = r.obj("rear_registration", None)
+    if rear is not None:
+        rear = RearRegistrationRecord(
+            state=PanTiltState(
+                alpha=math.radians(rear.number("pan_deg")),
+                beta=math.radians(rear.number("tilt_deg")),
+            ),
+            front_corners=_corners_from_json(rear.objs("front_corners")),
+            rear_corners=_corners_from_json(rear.objs("rear_corners")),
+        )
+    projector = r.obj("projector", None)
+    if projector is not None:
+        width, height = projector.grid_size("width", "height")
+        projector = ProjectorCorrespondenceSet(
+            records=tuple(
+                ProjectorCorrespondence(
+                    pixel=c.array("pixel", (2,)),
+                    point=c.array("point", (3,)),
+                    plane_id=c.integer("plane_id"),
+                )
+                for c in projector.objs("correspondences")
+            ),
+            width=width,
+            height=height,
+        )
+    truth = r.obj("ground_truth", None)
     return CalibrationSession(
-        pan_observations=axis_obs(data.get("pan_observations"), "pan"),
-        tilt_observations=axis_obs(data.get("tilt_observations"), "tilt"),
+        pan_observations=axis_obs("pan"),
+        tilt_observations=axis_obs("tilt"),
         rear_registration=rear,
         projector=projector,
-        ground_truth=truth,
+        ground_truth=None if truth is None else RigModel.from_json(truth),
     )
 
 
@@ -786,27 +770,23 @@ def result_to_json(result: CalibrationResult) -> dict:
     }
 
 
-def result_from_json(data: dict) -> CalibrationResult:
-    check_schema_version(data, "result")
-    try:
-        res = data["residuals"]
-        return CalibrationResult(
-            pan_axis=normalized(np.asarray(data["pan_axis"], dtype=float)),
-            tilt_axis=normalized(np.asarray(data["tilt_axis"], dtype=float)),
-            rear_to_front=RigidTransform.from_json(data["rear_to_front"]),
-            proj_device=PinholeDevice.from_json(data["proj_device"]),
-            front_to_proj=RigidTransform.from_json(data["front_to_proj"]),
-            residuals=Residuals(
-                axis_rms_m=float(res["axis_rms_m"]),
-                rear_rms_m=float(res["rear_rms_m"]),
-                proj_reproj_rms_px=float(res["proj_reproj_rms_px"]),
-            ),
-            parameter_errors=data.get("parameter_errors"),
-        )
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad calibration result: {exc}") from exc
+def result_from_json(r: Fields) -> CalibrationResult:
+    r.check_version("result")
+    res = r.obj("residuals")
+    errors = r.obj("parameter_errors", None)
+    return CalibrationResult(
+        pan_axis=normalized(r.array("pan_axis", (3,))),
+        tilt_axis=normalized(r.array("tilt_axis", (3,))),
+        rear_to_front=RigidTransform.from_json(r.obj("rear_to_front")),
+        proj_device=PinholeDevice.from_json(r.obj("proj_device")),
+        front_to_proj=RigidTransform.from_json(r.obj("front_to_proj")),
+        residuals=Residuals(
+            axis_rms_m=res.number("axis_rms_m"),
+            rear_rms_m=res.number("rear_rms_m"),
+            proj_reproj_rms_px=res.number("proj_reproj_rms_px"),
+        ),
+        parameter_errors=None if errors is None else {k: errors.number(k) for k in errors.data},
+    )
 
 
 def save_result(result: CalibrationResult, path) -> None:

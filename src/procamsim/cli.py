@@ -35,7 +35,7 @@ from .calibration import (
     save_result,
     save_session,
 )
-from .errors import LimitError, ProcamError, SchemaError, check_schema_version, load_json
+from .errors import MAX_IMAGE_SIDE, Fields, ProcamError, SchemaError, check_pixel_budget, load_json
 from .evaluation import (
     BenchmarkOptions,
     DisplayChain,
@@ -49,7 +49,7 @@ from .images import bilinear_sample, read_image, to_uint8, write_image
 from .rig import PanTiltState, RigModel, load_rig
 from .scene import Scene, load_scene, scene_from_json
 from .simulate import CalibrationProtocol, synthesize_session
-from .upr import EyePose, Viewport
+from .upr import DEFAULT_EYE, EyePose, Viewport
 from .warp import (
     CheckerPattern,
     render_user_view,
@@ -73,106 +73,65 @@ class CliConfig:
         self.benchmark_cases = benchmark_cases  # tuple of names, or None
 
 
-def _display_options(display: dict) -> BenchmarkOptions:
+def _display_options(display: Fields, seed: int) -> BenchmarkOptions:
     kwargs = {}
     if "viewport" in display:
-        v = _section(display, "display.viewport")
+        v = display.obj("viewport")
+        width, height = v.grid_size("width_px", "height_px")
         kwargs["viewport"] = Viewport(
-            width_px=int(v["width_px"]),
-            height_px=int(v["height_px"]),
-            width_m=float(v.get("width_m", Viewport(1, 1).width_m)),
-            height_m=float(v.get("height_m", Viewport(1, 1).height_m)),
+            width_px=width,
+            height_px=height,
+            width_m=v.number("width_m", Viewport.width_m),
+            height_m=v.number("height_m", Viewport.height_m),
         )
-    if "pattern" in display:
-        p = _section(display, "display.pattern")
-        kwargs["pattern"] = CheckerPattern(
-            rows=int(p.get("rows", 5)),
-            cols=int(p.get("cols", 8)),
-            square_px=int(p.get("square_px", 60)),
-        )
-    if "eye" in display:
-        e = [float(x) for x in display["eye"]]
-        if len(e) != 3 or not all(map(math.isfinite, e)):
-            raise SchemaError("display.eye must have three finite components")
-        kwargs["eye"] = EyePose(*e)
-    if "pan_deg" in display or "tilt_deg" in display:
-        kwargs["state"] = PanTiltState(
-            alpha=math.radians(float(display.get("pan_deg", 0.0))),
-            beta=math.radians(float(display.get("tilt_deg", 0.0))),
-        )
-    if "depth" in display:
-        d = _section(display, "display.depth")
-        if "width" in d:
-            kwargs["depth_width"] = int(d["width"])
-        if "height" in d:
-            kwargs["depth_height"] = int(d["height"])
-        if "noise_sigma" in d:
-            kwargs["depth_noise_sigma"] = float(d["noise_sigma"])
-    return BenchmarkOptions(**kwargs)
-
-
-def _section(parent: dict, name: str) -> dict:
-    """The config section at dotted path ``name`` below ``parent``, ``{}`` when absent.
-
-    The section must be a JSON object.
-    """
-    value = parent.get(name.rsplit(".", 1)[-1], {})
-    if not isinstance(value, dict):
-        raise SchemaError(f"{name} must be a JSON object, got {type(value).__name__}")
-    return value
+    p = display.obj("pattern", {})
+    d = display.obj("depth", {})
+    depth_width, depth_height = d.grid_size(
+        "width", "height", (BenchmarkOptions.depth_width, BenchmarkOptions.depth_height)
+    )
+    return BenchmarkOptions(
+        **kwargs,
+        pattern=CheckerPattern(
+            rows=p.integer("rows", CheckerPattern.rows),
+            cols=p.integer("cols", CheckerPattern.cols),
+            square_px=p.integer("square_px", CheckerPattern.square_px),
+        ),
+        eye=EyePose(*display.array("eye", (3,), np.array(DEFAULT_EYE)).tolist()),
+        state=PanTiltState(
+            alpha=math.radians(display.number("pan_deg", 0.0)),
+            beta=math.radians(display.number("tilt_deg", 0.0)),
+        ),
+        depth_width=depth_width,
+        depth_height=depth_height,
+        depth_noise_sigma=d.number("noise_sigma", BenchmarkOptions.depth_noise_sigma),
+        seed=seed,
+    )
 
 
 def load_config(path) -> CliConfig:
     path = Path(path)
-    return load_json(path, lambda data: _config_from_json(data, path.parent))
+    return load_json(path, lambda r: _config_from_json(r, path.parent))
 
 
-def _config_from_json(data, base: Path) -> CliConfig:
-    check_schema_version(data, "config")
-    try:
-        if "rig" in data:
-            rig = RigModel.from_json(data["rig"])
-        elif "rig_path" in data:
-            rig = load_rig(base / data["rig_path"])
-        else:
-            raise SchemaError("config needs 'rig' or 'rig_path'")
-
-        if "scene" in data:
-            scene = scene_from_json(data["scene"])
-        elif "scene_path" in data:
-            scene = load_scene(base / data["scene_path"])
-        else:
-            raise SchemaError("config needs 'scene' or 'scene_path'")
-
-        protocol = CalibrationProtocol.from_json(_section(data, "protocol"))
-        display = _section(data, "display")
-        options = _display_options(display)
-
-        content_spec = _section(display, "display.content")
-        kind = content_spec.get("type", "checker")
-        if kind == "checker":
-            panorama = None
-        elif kind == "image":
-            if "path" not in content_spec:
-                raise SchemaError("display.content of type 'image' needs a 'path'")
-            panorama = read_image(base / content_spec["path"])
-        else:
-            raise SchemaError(f"unknown display.content type {kind!r}")
-
-        bench = _section(data, "benchmark")
-        cases = None
-        if "cases" in bench:
-            cases = bench["cases"]
-            if not isinstance(cases, list) or not all(isinstance(c, str) for c in cases):
-                raise SchemaError("benchmark.cases must be a list of case names")
-            cases = tuple(cases)
-        if "seed" in bench:
-            options = replace(options, seed=int(bench["seed"]))
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad config: {exc}") from exc
-    return CliConfig(rig, scene, protocol, options, panorama, cases)
+def _config_from_json(r: Fields, base: Path) -> CliConfig:
+    r.check_version("config")
+    if "rig" in r:
+        rig = RigModel.from_json(r.obj("rig"))
+    else:
+        rig = load_rig(base / r.text("rig_path"))
+    if "scene" in r:
+        scene = scene_from_json(r.obj("scene"))
+    else:
+        scene = load_scene(base / r.text("scene_path"))
+    protocol = CalibrationProtocol.from_json(r.obj("protocol", {}))
+    display = r.obj("display", {})
+    bench = r.obj("benchmark", {})
+    options = _display_options(display, seed=bench.integer("seed", BenchmarkOptions.seed))
+    content = display.obj("content", {})
+    panorama = None
+    if content.text("type", "checker", choices=("checker", "image")) == "image":
+        panorama = read_image(base / content.text("path"))
+    return CliConfig(rig, scene, protocol, options, panorama, bench.texts("cases", None))
 
 
 # -- Shared display pipeline -------------------------------------------------------
@@ -285,23 +244,14 @@ def cmd_correct(args) -> None:
     print(f"framebuffer: {args.out}")
 
 
-# Largest user view ``render-user-view`` renders; 4096 x 4096 admits 4K UHD.
-MAX_VIEW_PIXELS = 4096 * 4096
-
-
 def _view_size(width: int, viewport) -> tuple[int, int]:
     """User-view image size for ``--width`` at the viewport's aspect ratio.
 
-    Raises LimitError when the image would exceed MAX_VIEW_PIXELS.
+    Raises LimitError when the image would exceed the pixel budget.
     """
-    if width <= MAX_VIEW_PIXELS:
-        height = max(1, round(width * viewport.height_px / viewport.width_px))
-        if width * height <= MAX_VIEW_PIXELS:
-            return width, height
-    raise LimitError(
-        f"--width {width} exceeds the user-view budget of {MAX_VIEW_PIXELS} pixels"
-        " (4096x4096)"
-    )
+    height = max(1, round(min(width, MAX_IMAGE_SIDE) * viewport.height_px / viewport.width_px))
+    check_pixel_budget(width, height, f"--width {width}")
+    return width, height
 
 
 def cmd_render_user_view(args) -> None:

@@ -3,13 +3,17 @@
 Every error carries a short machine-parsable ``code`` that the CLI prints as
 ``error[<code>]: <message>`` on a single line before exiting nonzero. Every
 JSON file the package reads or writes goes through ``load_json`` and
-``save_json``, so a malformed file always ends in a SchemaError naming it.
+``save_json``, and every decoder reads its fields through ``Fields``, so a
+malformed file always ends in a SchemaError naming the file and the field.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
+
+import numpy as np
 
 
 class ProcamError(Exception):
@@ -95,12 +99,131 @@ class StageError(ProcamError):
         super().__init__(f"stage '{stage}' failed: {cause}")
 
 
-def check_schema_version(data, kind: str) -> None:
-    """Raise SchemaError unless ``data`` is a JSON object with schema_version 1."""
-    if not isinstance(data, dict):
-        raise SchemaError(f"{kind} record must be a JSON object, got {type(data).__name__}")
-    if data.get("schema_version") != 1:
-        raise SchemaError(f"unsupported {kind} schema_version {data.get('schema_version')!r}")
+# Largest image side any input may ask for: images fit in 4096 x 4096, which admits 4K UHD.
+MAX_IMAGE_SIDE = 4096
+
+
+def check_pixel_budget(width: int, height: int, what: str) -> None:
+    """Raise LimitError unless a ``width`` x ``height`` image fits in 4096 x 4096."""
+    if width > MAX_IMAGE_SIDE or height > MAX_IMAGE_SIDE:
+        raise LimitError(f"{what}: {width}x{height} exceeds the image budget of 4096x4096")
+
+
+_REQUIRED = object()
+
+
+class Fields:
+    """A JSON object read field by field into checked values.
+
+    ``path`` is the object's dotted path in its file, such as
+    ``devices.projector``. A getter returns ``default`` for a field that is
+    absent or null; with no default the field is required. A bad field
+    raises SchemaError naming its path, and an image over the budget
+    LimitError. Range checks stay with the objects, which code builds too.
+    """
+
+    def __init__(self, data, path: str = ""):
+        if not isinstance(data, dict):
+            prefix = f"{path}: " if path else ""
+            raise SchemaError(f"{prefix}expected an object, got {json.dumps(data)[:40]}")
+        self.data = data
+        self.path = path
+
+    def __contains__(self, key) -> bool:
+        return key in self.data
+
+    def where(self, key) -> str:
+        """The dotted path of the field ``key``."""
+        return f"{self.path}.{key}" if self.path else key
+
+    def _read(self, key, default, expected: str, convert):
+        """``convert(value)`` of the field; ``convert`` returns None for a value it rejects."""
+        value = self.data.get(key)
+        if value is None and default is not _REQUIRED:
+            return default
+        result = convert(value)
+        if result is None:
+            got = json.dumps(value)[:40] if key in self.data else "nothing"
+            raise SchemaError(f"{self.where(key)}: expected {expected}, got {got}")
+        return result
+
+    def check_version(self, kind: str) -> None:
+        """Raise SchemaError unless the object holds ``schema_version`` 1."""
+        if self.integer("schema_version") != 1:
+            raise SchemaError(f"unsupported {kind} schema_version {self.data['schema_version']}")
+
+    def number(self, key, default=_REQUIRED) -> float:
+        """A finite number; booleans are not numbers."""
+
+        def convert(v):
+            return float(v) if type(v) in (int, float) and abs(v) <= sys.float_info.max else None
+
+        return self._read(key, default, "a finite number", convert)
+
+    def integer(self, key, default=_REQUIRED) -> int:
+        """An integer >= 0; an integral float such as 2.0 counts."""
+
+        def convert(v):
+            v = int(v) if type(v) is float and v.is_integer() else v
+            return v if type(v) is int and v >= 0 else None
+
+        return self._read(key, default, "an integer >= 0", convert)
+
+    def grid_size(self, width_key, height_key, default=(_REQUIRED, _REQUIRED)):
+        """An image's or a grid's (width, height): integers within 4096 x 4096."""
+        width = self.integer(width_key, default[0])
+        height = self.integer(height_key, default[1])
+        check_pixel_budget(width, height, f"{self.where(width_key)}/{height_key}")
+        return width, height
+
+    def array(self, key, shape: tuple, default=_REQUIRED, integer: bool = False) -> np.ndarray:
+        """An array of ``shape`` holding finite numbers, or integers with ``integer``.
+
+        A None in ``shape`` matches any length; ``[]`` reads as an empty array.
+        """
+        dtype = np.int64 if integer else float
+
+        def convert(value):
+            try:
+                arr = np.asarray(value)
+            except (ValueError, OverflowError):  # ragged nesting, or an integer past 64 bits
+                return None
+            if arr.size == 0 and None in shape:
+                return np.zeros([n or 0 for n in shape], dtype)
+            fits = arr.ndim == len(shape) and all(n in (None, m) for n, m in zip(shape, arr.shape))
+            if fits and arr.dtype.kind in ("iu" if integer else "iuf"):
+                return arr.astype(dtype) if integer or np.isfinite(arr).all() else None
+
+        kind = "integers" if integer else "finite numbers"
+        return self._read(key, default, f"a {shape} array of {kind}".replace("None", "N"), convert)
+
+    def text(self, key, default=_REQUIRED, choices=None) -> str:
+        """A string, one of ``choices`` when given."""
+        expected = f"one of {', '.join(map(json.dumps, choices))}" if choices else "a string"
+        return self._read(
+            key, default, expected,
+            lambda v: v if isinstance(v, str) and (choices is None or v in choices) else None,
+        )
+
+    def texts(self, key, default=_REQUIRED) -> tuple:
+        """A list of strings, as a tuple."""
+
+        def convert(v):
+            return tuple(v) if isinstance(v, list) and all(isinstance(s, str) for s in v) else None
+
+        return self._read(key, default, "a list of strings", convert)
+
+    def obj(self, key, default=_REQUIRED) -> "Fields | None":
+        """The object at ``key``; a dict ``default`` reads as an object, None as None."""
+        value = self._read(key, default, "an object", lambda v: v if isinstance(v, dict) else None)
+        return None if value is None else Fields(value, self.where(key))
+
+    def objs(self, key, default=_REQUIRED) -> list | None:
+        """The objects of the list at ``key``, with paths such as ``surfaces[2]``."""
+        values = self._read(key, default, "a list", lambda v: v if isinstance(v, list) else None)
+        if values is None:
+            return None
+        return [Fields(v, f"{self.where(key)}[{i}]") for i, v in enumerate(values)]
 
 
 def save_json(path, data) -> None:
@@ -109,18 +232,16 @@ def save_json(path, data) -> None:
 
 
 def load_json(path, decode):
-    """Decode the JSON file at ``path`` with ``decode(data)``.
+    """Decode the JSON object in the file at ``path`` with ``decode(Fields(data))``.
 
-    A file that is not valid JSON, or whose content ``decode`` rejects with
-    a SchemaError, raises SchemaError prefixed with the path. ``decode``
-    checks that the content is an object (see ``check_schema_version``).
+    This is where a file's path joins its errors: invalid JSON, and a
+    SchemaError or ValueError raised while decoding, raise SchemaError
+    prefixed with the path; a LimitError keeps its code and gains the path.
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return decode(data)
-    except SchemaError as exc:
+        return decode(Fields(json.loads(path.read_text())))
+    except LimitError as exc:
+        raise LimitError(f"{path}: {exc}") from exc
+    except (SchemaError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise SchemaError(f"{path}: {exc}") from exc

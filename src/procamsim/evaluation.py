@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .calibration import CalibrationResult, result_from_rig
 from .errors import EmptyIntersectionError, save_json
 from .geometry import PinholeDevice, RigidTransform, rotation_about_axis
 from .images import draw_marker, new_image, write_ppm
-from .rig import PanTiltState, RigModel, platform_rotation, rig_pose
+from .rig import PanTiltState, RigModel, RigPose, platform_rotation, rig_pose
 from .scene import (
     Box,
     CylinderSegment,
@@ -282,6 +282,7 @@ class BenchmarkOptions:
     def __post_init__(self):
         if self.depth_width <= 0 or self.depth_height <= 0:
             raise ValueError("depth sensor width and height must be positive")
+        self.pattern.check_fits(self.viewport.width_px, self.viewport.height_px)
         self.depth_noise(0)  # checks the noise sigma
 
     def depth_noise(self, case_index: int) -> DepthNoiseModel:
@@ -331,17 +332,8 @@ class BenchmarkReport:
         return {
             "schema_version": 1,
             "settings": {
-                "viewport": {
-                    "width_px": self.options.viewport.width_px,
-                    "height_px": self.options.viewport.height_px,
-                    "width_m": self.options.viewport.width_m,
-                    "height_m": self.options.viewport.height_m,
-                },
-                "pattern": {
-                    "rows": self.options.pattern.rows,
-                    "cols": self.options.pattern.cols,
-                    "square_px": self.options.pattern.square_px,
-                },
+                "viewport": asdict(self.options.viewport),
+                "pattern": asdict(self.options.pattern),
                 "eye": [self.options.eye.x, self.options.eye.y, self.options.eye.z],
                 "pan_deg": math.degrees(self.options.state.alpha),
                 "tilt_deg": math.degrees(self.options.state.beta),
@@ -445,8 +437,10 @@ def build_display_chain(
     """
     state = options.state
     true_pose = rig_pose(rig, state)
-    est_front_to_world = RigidTransform(
-        platform_rotation(result.pan_axis, result.tilt_axis, state), np.zeros(3)
+    est_pose = RigPose.compose(
+        platform_rotation(result.pan_axis, result.tilt_axis, state),
+        result.rear_to_front,
+        result.front_to_proj,
     )
 
     depth_device = _scaled_device(
@@ -455,15 +449,13 @@ def build_display_chain(
     depth = sense_depth(
         scene, depth_device, true_pose.front_to_world, options.depth_noise(case_index)
     )
-    geometry = reconstruct_mesh(depth, depth_device).transformed(est_front_to_world)
-
-    est_world_to_rear = (est_front_to_world @ result.rear_to_front).inverse()
+    geometry = reconstruct_mesh(depth, depth_device).transformed(est_pose.front_to_world)
     return DisplayChain(
         geometry=geometry,
         depth_valid_fraction=float(depth.valid.mean()),
-        est_upr=upr_matrix(options.eye, est_world_to_rear),
+        est_upr=upr_matrix(options.eye, est_pose.rear_to_world.inverse()),
         true_upr=upr_matrix(options.eye, true_pose.rear_to_world.inverse()),
-        est_proj_to_world=est_front_to_world @ result.front_to_proj.inverse(),
+        est_proj_to_world=est_pose.proj_to_world,
         true_proj_to_world=true_pose.proj_to_world,
         true_rear_to_world=true_pose.rear_to_world,
     )

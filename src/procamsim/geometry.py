@@ -14,11 +14,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DegenerateConfigurationError, SchemaError
+from .errors import DegenerateConfigurationError, Fields
 
 # Unit-axis inputs may deviate from unit norm by at most this much.
 UNIT_AXIS_TOL = 1e-6
@@ -187,13 +187,10 @@ class RigidTransform:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "RigidTransform":
-        try:
-            t = as_vec3(data["translation"])
-            axis = as_vec3(data["axis"])
-            angle = math.radians(float(data["angle_deg"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad rigid transform record: {exc}") from exc
+    def from_json(cls, r: Fields) -> "RigidTransform":
+        t = r.array("translation", (3,))
+        axis = r.array("axis", (3,))
+        angle = math.radians(r.number("angle_deg"))
         if angle == 0.0:
             return cls(np.eye(3), t)
         return cls(rotation_about_axis(normalized(axis), angle), t)
@@ -212,8 +209,8 @@ class PinholeDevice:
     skew: float = 0.0
 
     def __post_init__(self):
-        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
-            raise ValueError("focal lengths must be positive and finite")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf and math.isfinite(self.skew)):
+            raise ValueError("focal lengths must be positive and finite, and skew finite")
         if not (self.width > 0 and self.height > 0):
             raise ValueError("resolution must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
@@ -235,30 +232,20 @@ class PinholeDevice:
         return (u >= 0) & (u < self.width) & (v >= 0) & (v < self.height)
 
     def to_json(self) -> dict:
-        return {
-            "fx": self.fx,
-            "fy": self.fy,
-            "cx": self.cx,
-            "cy": self.cy,
-            "skew": self.skew,
-            "width": self.width,
-            "height": self.height,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_json(cls, data: dict) -> "PinholeDevice":
-        try:
-            return cls(
-                fx=float(data["fx"]),
-                fy=float(data["fy"]),
-                cx=float(data["cx"]),
-                cy=float(data["cy"]),
-                width=int(data["width"]),
-                height=int(data["height"]),
-                skew=float(data.get("skew", 0.0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad pinhole device record: {exc}") from exc
+    def from_json(cls, r: Fields) -> "PinholeDevice":
+        width, height = r.grid_size("width", "height")
+        return cls(
+            fx=r.number("fx"),
+            fy=r.number("fy"),
+            cx=r.number("cx"),
+            cy=r.number("cy"),
+            width=width,
+            height=height,
+            skew=r.number("skew", 0.0),
+        )
 
 
 def project_points(

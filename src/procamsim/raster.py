@@ -218,11 +218,11 @@ def rasterize(
     area = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
     valid &= np.abs(area) > _AREA_EPS
 
-    # Pixel-center bounding boxes, clipped to the viewport.
-    x_min = np.maximum(np.floor(tri[:, :, 0].min(axis=1) - 0.5), 0).astype(np.int64)
-    x_max = np.minimum(np.ceil(tri[:, :, 0].max(axis=1) - 0.5), width - 1).astype(np.int64)
-    y_min = np.maximum(np.floor(tri[:, :, 1].min(axis=1) - 0.5), 0).astype(np.int64)
-    y_max = np.minimum(np.ceil(tri[:, :, 1].max(axis=1) - 0.5), height - 1).astype(np.int64)
+    # Pixel-center bounding boxes, clipped on both ends so each cast fits in int64.
+    x_min = np.clip(np.floor(tri[:, :, 0].min(axis=1) - 0.5), 0, width).astype(np.int64)
+    x_max = np.clip(np.ceil(tri[:, :, 0].max(axis=1) - 0.5), -1, width - 1).astype(np.int64)
+    y_min = np.clip(np.floor(tri[:, :, 1].min(axis=1) - 0.5), 0, height).astype(np.int64)
+    y_max = np.clip(np.ceil(tri[:, :, 1].max(axis=1) - 0.5), -1, height - 1).astype(np.int64)
     bw = x_max - x_min + 1
     bh = y_max - y_min + 1
     valid &= (bw > 0) & (bh > 0)

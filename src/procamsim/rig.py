@@ -18,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyObservationError,
-    LimitError,
-    SchemaError,
-    check_schema_version,
-    load_json,
-    save_json,
-)
+from .errors import EmptyObservationError, Fields, LimitError, load_json, save_json
 from .geometry import (
     PinholeDevice,
     RigidTransform,
@@ -87,25 +80,20 @@ class RigModel:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "RigModel":
-        check_schema_version(data, "rig")
-        try:
-            devices = data["devices"]
-            return cls(
-                pan_axis=np.asarray(data["pan_axis"], dtype=float),
-                tilt_axis=np.asarray(data["tilt_axis"], dtype=float),
-                rear_to_front=RigidTransform.from_json(data["rear_to_front"]),
-                front_to_proj=RigidTransform.from_json(data["front_to_proj"]),
-                front_device=PinholeDevice.from_json(devices["front"]),
-                rear_device=PinholeDevice.from_json(devices["rear"]),
-                proj_device=PinholeDevice.from_json(devices["projector"]),
-                pan_limit=math.radians(float(data.get("pan_limit_deg", 90.0))),
-                tilt_limit=math.radians(float(data.get("tilt_limit_deg", 90.0))),
-            )
-        except SchemaError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad rig record: {exc}") from exc
+    def from_json(cls, r: Fields) -> "RigModel":
+        r.check_version("rig")
+        devices = r.obj("devices")
+        return cls(
+            pan_axis=r.array("pan_axis", (3,)),
+            tilt_axis=r.array("tilt_axis", (3,)),
+            rear_to_front=RigidTransform.from_json(r.obj("rear_to_front")),
+            front_to_proj=RigidTransform.from_json(r.obj("front_to_proj")),
+            front_device=PinholeDevice.from_json(devices.obj("front")),
+            rear_device=PinholeDevice.from_json(devices.obj("rear")),
+            proj_device=PinholeDevice.from_json(devices.obj("projector")),
+            pan_limit=math.radians(r.number("pan_limit_deg", 90.0)),
+            tilt_limit=math.radians(r.number("tilt_limit_deg", 90.0)),
+        )
 
 
 @dataclass(frozen=True)
@@ -115,6 +103,16 @@ class RigPose:
     front_to_world: RigidTransform
     rear_to_world: RigidTransform
     proj_to_world: RigidTransform
+
+    @classmethod
+    def compose(cls, front_rotation, rear_to_front, front_to_proj) -> "RigPose":
+        """Device poses from a platform rotation and the two device mountings."""
+        front_to_world = RigidTransform(front_rotation, np.zeros(3))
+        return cls(
+            front_to_world=front_to_world,
+            rear_to_world=front_to_world @ rear_to_front,
+            proj_to_world=front_to_world @ front_to_proj.inverse(),
+        )
 
 
 def platform_rotation(pan_axis, tilt_axis, state: PanTiltState) -> np.ndarray:
@@ -145,11 +143,8 @@ def pan_tilt_rotation(model: RigModel, state: PanTiltState) -> np.ndarray:
 
 def rig_pose(model: RigModel, state: PanTiltState) -> RigPose:
     """World poses of the front camera, rear camera and projector."""
-    front_to_world = RigidTransform(pan_tilt_rotation(model, state), np.zeros(3))
-    return RigPose(
-        front_to_world=front_to_world,
-        rear_to_world=front_to_world @ model.rear_to_front,
-        proj_to_world=front_to_world @ model.front_to_proj.inverse(),
+    return RigPose.compose(
+        pan_tilt_rotation(model, state), model.rear_to_front, model.front_to_proj
     )
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SchemaError, check_schema_version, load_json, save_json
+from .errors import Fields, load_json, save_json
 from .geometry import (
     PinholeDevice,
     RigidTransform,
@@ -564,16 +564,14 @@ class CheckerboardTarget:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "CheckerboardTarget":
-        try:
-            return cls(
-                pose=RigidTransform.from_json(data["pose"]),
-                rows=int(data["rows"]),
-                cols=int(data["cols"]),
-                square_size=float(data["square_size"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad checkerboard record: {exc}") from exc
+    def from_json(cls, r: Fields) -> "CheckerboardTarget":
+        rows, cols = r.grid_size("rows", "cols")
+        return cls(
+            pose=RigidTransform.from_json(r.obj("pose")),
+            rows=rows,
+            cols=cols,
+            square_size=r.number("square_size"),
+        )
 
 
 @dataclass(frozen=True)
@@ -738,10 +736,8 @@ def reconstruct_mesh(
     vertices = backproject_points(device, pixels, depth.depth[valid])
 
     z = depth.depth
-    tl = index[:-1, :-1]
-    tr = index[:-1, 1:]
-    bl = index[1:, :-1]
-    br = index[1:, 1:]
+    # Each cell's two triangles, as vertex indices (-1 for an invalid pixel).
+    cells = index.ravel()[grid_faces(h, w)].reshape(h - 1, w - 1, 2, 3)
 
     def edge_ok(z_a, z_b):
         return np.abs(z_a - z_b) <= discontinuity_threshold
@@ -752,66 +748,49 @@ def reconstruct_mesh(
     e_right = edge_ok(z[:-1, 1:], z[1:, 1:])
     e_diag = edge_ok(z[1:, :-1], z[:-1, 1:])
 
-    ok1 = (tl >= 0) & (bl >= 0) & (tr >= 0) & e_left & e_diag & e_top
-    ok2 = (tr >= 0) & (bl >= 0) & (br >= 0) & e_diag & e_bottom & e_right
-
-    faces1 = np.stack([tl[ok1], bl[ok1], tr[ok1]], axis=1)
-    faces2 = np.stack([tr[ok2], bl[ok2], br[ok2]], axis=1)
-    faces = np.concatenate([faces1, faces2], axis=0)
+    ok1 = (cells[..., 0, :] >= 0).all(-1) & e_left & e_diag & e_top
+    ok2 = (cells[..., 1, :] >= 0).all(-1) & e_diag & e_bottom & e_right
+    faces = np.concatenate([cells[..., 0, :][ok1], cells[..., 1, :][ok2]])
     return TriangleMesh(vertices=vertices, faces=faces, surface_id="reconstruction")
 
 
 # -- Scene file I/O ----------------------------------------------------------
 
 
-def _surface_from_json(rec: dict) -> Surface:
-    try:
-        kind = rec["type"]
-        sid = str(rec.get("id", kind))
-        albedo = tuple(float(c) for c in rec.get("albedo", (0.8, 0.8, 0.8)))
-        if kind == "plane":
-            extent = rec.get("extent")
-            return Plane(
-                point=rec["point"],
-                normal=rec["normal"],
-                extent=tuple(extent) if extent is not None else None,
-                surface_id=sid,
-                albedo=albedo,
-            )
-        if kind == "sphere":
-            return Sphere(
-                center=rec["center"],
-                radius=float(rec["radius"]),
-                surface_id=sid,
-                albedo=albedo,
-            )
-        if kind == "box":
-            return Box(
-                pose=RigidTransform.from_json(rec["pose"]),
-                dimensions=tuple(rec["dimensions"]),
-                surface_id=sid,
-                albedo=albedo,
-            )
-        if kind == "cylinder":
-            return CylinderSegment(
-                pose=RigidTransform.from_json(rec["pose"]),
-                radius=float(rec["radius"]),
-                height=float(rec["height"]),
-                surface_id=sid,
-                albedo=albedo,
-            )
-        if kind == "mesh":
-            return TriangleMesh(
-                vertices=rec["vertices"],
-                faces=rec["faces"],
-                surface_id=sid,
-                albedo=albedo,
-            )
-        raise SchemaError(f"unknown surface type {kind!r}")
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad surface record: {exc}") from exc
+def _surface_from_json(r: Fields) -> Surface:
+    kind = r.text("type", choices=("plane", "sphere", "box", "cylinder", "mesh"))
+    common = dict(
+        surface_id=r.text("id", kind),
+        albedo=tuple(r.array("albedo", (3,), np.array([0.8, 0.8, 0.8])).tolist()),
+    )
+    if kind == "plane":
+        extent = r.array("extent", (2,), None)
+        return Plane(
+            point=r.array("point", (3,)),
+            normal=r.array("normal", (3,)),
+            extent=None if extent is None else tuple(extent),
+            **common,
+        )
+    if kind == "sphere":
+        return Sphere(center=r.array("center", (3,)), radius=r.number("radius"), **common)
+    if kind == "box":
+        return Box(
+            pose=RigidTransform.from_json(r.obj("pose")),
+            dimensions=tuple(r.array("dimensions", (3,))),
+            **common,
+        )
+    if kind == "cylinder":
+        return CylinderSegment(
+            pose=RigidTransform.from_json(r.obj("pose")),
+            radius=r.number("radius"),
+            height=r.number("height"),
+            **common,
+        )
+    return TriangleMesh(
+        vertices=r.array("vertices", (None, 3)),
+        faces=r.array("faces", (None, 3), integer=True),
+        **common,
+    )
 
 
 def scene_to_json(scene: Scene) -> dict:
@@ -822,11 +801,12 @@ def scene_to_json(scene: Scene) -> dict:
     }
 
 
-def scene_from_json(data: dict) -> Scene:
-    check_schema_version(data, "scene")
-    surfaces = [_surface_from_json(rec) for rec in data.get("surfaces", [])]
-    boards = [CheckerboardTarget.from_json(rec) for rec in data.get("checkerboards", [])]
-    return Scene(surfaces=tuple(surfaces), checkerboards=tuple(boards))
+def scene_from_json(r: Fields) -> Scene:
+    r.check_version("scene")
+    return Scene(
+        surfaces=[_surface_from_json(s) for s in r.objs("surfaces", [])],
+        checkerboards=[CheckerboardTarget.from_json(b) for b in r.objs("checkerboards", [])],
+    )
 
 
 def load_scene(path) -> Scene:

@@ -11,7 +11,7 @@ draws are fully determined by the protocol seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .calibration import (
     ProjectorCorrespondenceSet,
     RearRegistrationRecord,
 )
-from .errors import EmptyObservationError
+from .errors import EmptyObservationError, Fields, check_pixel_budget
 from .geometry import backproject_points, pixel_rays, project_points
 from .rig import PanTiltState, RigModel, observe_checkerboard, rig_pose
 from .scene import CheckerboardTarget, Scene, hit_points
@@ -61,44 +61,31 @@ class CalibrationProtocol:
             raise ValueError("projector_grid must be at least 2x2")
 
     def to_json(self) -> dict:
-        return {
-            "pan_angles_deg": list(self.pan_angles_deg),
-            "tilt_angles_deg": list(self.tilt_angles_deg),
-            "registration_pan_deg": self.registration_pan_deg,
-            "registration_tilt_deg": self.registration_tilt_deg,
-            "projector_states_deg": [list(s) for s in self.projector_states_deg],
-            "projector_grid": list(self.projector_grid),
-            "projector_margin": self.projector_margin,
-            "corner_noise_sigma": self.corner_noise_sigma,
-            "depth_noise_sigma": self.depth_noise_sigma,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_json(cls, data: dict) -> "CalibrationProtocol":
-        kwargs = {}
-        for key in (
-            "registration_pan_deg",
-            "registration_tilt_deg",
-            "projector_margin",
-            "corner_noise_sigma",
-            "depth_noise_sigma",
-        ):
-            if key in data:
-                kwargs[key] = float(data[key])
-        if "pan_angles_deg" in data:
-            kwargs["pan_angles_deg"] = tuple(float(a) for a in data["pan_angles_deg"])
-        if "tilt_angles_deg" in data:
-            kwargs["tilt_angles_deg"] = tuple(float(a) for a in data["tilt_angles_deg"])
-        if "projector_states_deg" in data:
-            kwargs["projector_states_deg"] = tuple(
-                (float(s[0]), float(s[1])) for s in data["projector_states_deg"]
-            )
-        if "projector_grid" in data:
-            kwargs["projector_grid"] = tuple(int(v) for v in data["projector_grid"])
-        if "seed" in data:
-            kwargs["seed"] = int(data["seed"])
-        return cls(**kwargs)
+    def from_json(cls, r: Fields) -> "CalibrationProtocol":
+        d = cls()
+
+        def floats(key, shape):
+            return r.array(key, shape, np.array(getattr(d, key))).tolist()
+
+        protocol = cls(
+            pan_angles_deg=tuple(floats("pan_angles_deg", (None,))),
+            tilt_angles_deg=tuple(floats("tilt_angles_deg", (None,))),
+            registration_pan_deg=r.number("registration_pan_deg", d.registration_pan_deg),
+            registration_tilt_deg=r.number("registration_tilt_deg", d.registration_tilt_deg),
+            projector_states_deg=tuple(map(tuple, floats("projector_states_deg", (None, 2)))),
+            projector_grid=tuple(
+                r.array("projector_grid", (2,), np.array(d.projector_grid), integer=True).tolist()
+            ),
+            projector_margin=r.number("projector_margin", d.projector_margin),
+            corner_noise_sigma=r.number("corner_noise_sigma", d.corner_noise_sigma),
+            depth_noise_sigma=r.number("depth_noise_sigma", d.depth_noise_sigma),
+            seed=r.integer("seed", d.seed),
+        )
+        check_pixel_budget(*protocol.projector_grid, r.where("projector_grid"))
+        return protocol
 
 
 def _axis_sweep(
@@ -116,6 +103,8 @@ def _axis_sweep(
             PanTiltState(alpha=theta) if which == "pan" else PanTiltState(beta=theta)
         )
         corners = observe_checkerboard(board, rig, state, noise_sigma=sigma, rng=rng)
+        if len(corners) < 4:  # the fewest an AxisRecord takes
+            raise EmptyObservationError(f"only {len(corners)} corners seen at {which} {angle} deg")
         records.append(AxisRecord(theta=theta, corners=tuple(corners)))
     return AxisObservationSet(axis_name=which, records=tuple(records))
 
@@ -184,7 +173,7 @@ def synthesize_session(
         protocol = CalibrationProtocol()
     if board is None:
         if not scene.checkerboards:
-            raise ValueError("scene has no checkerboard and none was supplied")
+            raise EmptyObservationError("scene has no checkerboard and none was supplied")
         board = scene.checkerboards[0]
     rng = np.random.default_rng(protocol.seed)
     sigma = protocol.corner_noise_sigma

@@ -75,6 +75,11 @@ class CheckerPattern:
         if self.square_px < 1:
             raise ValueError("square_px must be positive")
 
+    def check_fits(self, width: int, height: int) -> None:
+        """Raise ValueError unless the pattern fits a ``width`` x ``height`` image."""
+        if width < self.cols * self.square_px or height < self.rows * self.square_px:
+            raise ValueError(f"pattern does not fit the resolution {width}x{height}")
+
     def _origin(self, width: int, height: int) -> tuple[int, int]:
         x0 = (width - self.cols * self.square_px) // 2
         y0 = (height - self.rows * self.square_px) // 2
@@ -93,8 +98,7 @@ class CheckerPattern:
 
     def render(self, width: int, height: int) -> np.ndarray:
         """The pattern as a (height, width, 3) uint8 image, black outside."""
-        if width < self.cols * self.square_px or height < self.rows * self.square_px:
-            raise ValueError("pattern does not fit the requested resolution")
+        self.check_fits(width, height)
         img = np.zeros((height, width, 3), dtype=np.uint8)
         x0, y0 = self._origin(width, height)
         s = self.square_px

@@ -35,6 +35,8 @@ from procamsim.calibration import (
 )
 from procamsim.errors import (
     DegenerateConfigurationError,
+    EmptyObservationError,
+    Fields,
     SchemaError,
     StageError,
     UnderdeterminedError,
@@ -531,9 +533,9 @@ class TestSessionSerialization:
 
     def test_rejects_wrong_schema_version(self):
         with pytest.raises(SchemaError):
-            session_from_json({"schema_version": 99})
+            session_from_json(Fields({"schema_version": 99}))
         with pytest.raises(SchemaError):
-            result_from_json({"schema_version": 99})
+            result_from_json(Fields({"schema_version": 99}))
 
     def test_rejects_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -632,7 +634,7 @@ class TestSynthesizeSession:
             corner_noise_sigma=2e-4,
             seed=9,
         )
-        back = CalibrationProtocol.from_json(protocol.to_json())
+        back = CalibrationProtocol.from_json(Fields(protocol.to_json()))
         assert back == protocol
 
     def test_board_required(self):
@@ -642,5 +644,12 @@ class TestSynthesizeSession:
             ),
             checkerboards=(),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyObservationError, match="no checkerboard"):
             synthesize_session(default_rig(), scene)
+
+    def test_too_few_corners_in_view_is_an_empty_observation(self):
+        # With 1.5 m squares, fewer corners than an axis record takes are in view.
+        board = calibration_scene().checkerboards[0]
+        board = CheckerboardTarget(board.pose, board.rows, board.cols, square_size=1.5)
+        with pytest.raises(EmptyObservationError, match="corners seen"):
+            synthesize_session(default_rig(), calibration_scene(), board=board)

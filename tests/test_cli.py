@@ -369,8 +369,8 @@ class TestInputBoundary:
     @pytest.mark.parametrize("display, code", [
         ({"eye": [math.nan, 0.0, -1.5]}, "schema"),
         ({"eye": [0.0, 0.0, math.inf]}, "schema"),
-        ({"pan_deg": math.nan}, "limit"),
-        ({"tilt_deg": math.nan}, "limit"),
+        ({"pan_deg": math.nan}, "schema"),
+        ({"tilt_deg": math.nan}, "schema"),
     ])
     def test_non_finite_display_eye_and_angles(self, tmp_path, capsys, display, code):
         cfg = write_config(tmp_path, extra_display=display)
@@ -386,6 +386,8 @@ class TestInputBoundary:
             ("tilt_limit", "rig.json", lambda d, x: d.update(tilt_limit_deg=x)),
             ("projector_fx", "rig.json",
              lambda d, x: d["devices"]["projector"].update(fx=x)),
+            ("projector_skew", "rig.json",
+             lambda d, x: d["devices"]["projector"].update(skew=x)),
             ("depth_noise", "config.json",
              lambda d, x: d["display"]["depth"].update(noise_sigma=x)),
             ("viewport_width", "config.json",
@@ -426,6 +428,64 @@ class TestInputBoundary:
         assert err.startswith("error[") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, edit, code, field", [
+        pytest.param(name, edit, code, field, id=case)
+        for case, name, edit, code, field in [
+            ("nan_skew", "rig.json",
+             lambda d: d["devices"]["projector"].update(skew=math.nan),
+             "schema", "devices.projector.skew"),
+            ("nan_pan_axis", "rig.json", lambda d: d.update(pan_axis=[math.nan, 1.0, 0.0]),
+             "schema", "pan_axis"),
+            ("nan_translation", "rig.json",
+             lambda d: d["rear_to_front"].update(translation=[0.0, math.nan, 0.0]),
+             "schema", "rear_to_front.translation"),
+            ("inf_width", "rig.json",
+             lambda d: d["devices"]["projector"].update(width=math.inf),
+             "schema", "devices.projector.width"),
+            ("inf_pan_axis", "rig.json", lambda d: d.update(pan_axis=[math.inf, 1.0, 0.0]),
+             "schema", "pan_axis"),
+            ("fractional_width", "rig.json",
+             lambda d: d["devices"]["projector"].update(width=1919.7),
+             "schema", "devices.projector.width"),
+            ("fractional_seed", "config.json", lambda d: d["benchmark"].update(seed=1.5),
+             "schema", "benchmark.seed"),
+            ("boolean_viewport_width", "config.json",
+             lambda d: d["display"]["viewport"].update(width_px=True),
+             "schema", "display.viewport.width_px"),
+            ("huge_viewport_width", "config.json",
+             lambda d: d["display"]["viewport"].update(width_px=1e9),
+             "limit", "display.viewport.width_px"),
+            ("huge_depth_width", "config.json",
+             lambda d: d["display"]["depth"].update(width=100000),
+             "limit", "display.depth.width"),
+            ("huger_depth_width", "config.json",
+             lambda d: d["display"]["depth"].update(width=1e12),
+             "limit", "display.depth.width"),
+            ("huge_result_projector_width", "result.json",
+             lambda d: d["proj_device"].update(width=1e30),
+             "limit", "proj_device.width"),
+        ]
+    ])
+    def test_bad_field_names_its_file_and_path(
+        self, tmp_path, capsys, monkeypatch, name, edit, code, field
+    ):
+        def no_framebuffer(*args, **kwargs):
+            raise AssertionError("a bad input is rejected before the framebuffer is built")
+
+        monkeypatch.setattr(cli, "_make_framebuffer", no_framebuffer)
+        cfg = write_config(tmp_path)
+        result = tmp_path / "result.json"
+        calibration.save_result(calibration.result_from_rig(small_rig()), result)
+        path = tmp_path / name
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        out = tmp_path / "x.ppm"
+        argv = ["correct", "--config", str(cfg), "--result", str(result), "--out", str(out)]
+        assert main(argv) == 1
+        assert f"{path}: {field}" in self.assert_one_error_line(capsys, code)
+        assert not out.exists()
+
     @pytest.mark.parametrize("width", ["0", "-3"])
     def test_render_width_not_positive(self, config_path, tmp_path, capsys, width):
         with pytest.raises(SystemExit) as excinfo:
@@ -462,12 +522,17 @@ class TestInputBoundary:
         assert code == 1
         assert "depth" in self.assert_one_error_line(capsys, "schema")
 
+    def test_pattern_larger_than_the_viewport_fails_at_config_load(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, extra_display={"pattern": {"square_px": 1e30}})
+        assert main(["correct", "--config", str(cfg), "--out", str(tmp_path / "x.ppm")]) == 1
+        assert f"{cfg}: pattern does not fit" in self.assert_one_error_line(capsys, "schema")
+
     @pytest.mark.parametrize("command", ["correct", "evaluate"])
     def test_negative_depth_noise_fails_at_config_load(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, extra_display={"depth": {"noise_sigma": -1}})
         code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 1
-        assert f"{cfg}: bad config: " in self.assert_one_error_line(capsys, "schema")
+        assert f"{cfg}: sigma must be non-negative" in self.assert_one_error_line(capsys, "schema")
 
 
 class TestImageContent:

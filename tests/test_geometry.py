@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial.transform import Rotation
 
-from procamsim.errors import DegenerateConfigurationError
+from procamsim.errors import DegenerateConfigurationError, Fields
 from procamsim.geometry import (
     PinholeDevice,
     RigidTransform,
@@ -136,11 +136,11 @@ class TestRigidTransform:
 
     def test_json_round_trip(self):
         t = RigidTransform(rotation_about_axis([0, 1, 0], 0.83), [0.1, -0.2, 0.3])
-        back = RigidTransform.from_json(t.to_json())
+        back = RigidTransform.from_json(Fields(t.to_json()))
         np.testing.assert_allclose(back.rotation, t.rotation, atol=1e-12)
         np.testing.assert_allclose(back.translation, t.translation, atol=1e-12)
         ident = RigidTransform.identity()
-        back = RigidTransform.from_json(ident.to_json())
+        back = RigidTransform.from_json(Fields(ident.to_json()))
         np.testing.assert_allclose(back.rotation, np.eye(3), atol=1e-15)
 
 
@@ -199,6 +199,11 @@ class TestPinholeProjection:
             PinholeDevice(fx=-1, fy=1, cx=0, cy=0, width=10, height=10)
         with pytest.raises(ValueError):
             PinholeDevice(fx=1, fy=1, cx=11, cy=0, width=10, height=10)
+
+    @pytest.mark.parametrize("skew", [math.nan, math.inf, -math.inf])
+    def test_non_finite_skew_is_rejected(self, skew):
+        with pytest.raises(ValueError, match="skew"):
+            PinholeDevice(fx=1, fy=1, cx=0, cy=0, width=10, height=10, skew=skew)
 
     def test_contains(self):
         dev = self.device()

@@ -472,3 +472,14 @@ def test_non_finite_faces_are_dropped_without_a_warning():
     np.testing.assert_array_equal(res.face_index, finite.face_index)
     np.testing.assert_array_equal(res.covered, finite.covered)
     np.testing.assert_array_equal(res.attributes["world"], finite.attributes["world"])
+
+
+def test_faces_far_off_screen_are_dropped_without_a_warning():
+    # Finite vertices past int64 range on each side of the image, as a
+    # projector with fx = 1e30 gives; no bounding-box cast may warn.
+    xy = np.array([[1e30, 1.0], [2e30, 1.0], [1e30, 5.0], [-2e30, 1.0], [-1e30, 1.0], [-1e30, 5.0],
+                   [1.0, 1e30], [5.0, 1e30], [1.0, 2e30], [1.0, -2e30], [5.0, -1e30], [1.0, -1e30]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = rasterize(xy, np.ones(12), np.arange(12).reshape(4, 3), 8, 8)
+    assert not res.mask.any()

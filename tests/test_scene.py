@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procamsim.errors import SchemaError
 from procamsim.geometry import (
@@ -275,6 +277,37 @@ class TestReconstructMesh:
         mesh = reconstruct_mesh(img, dev)
         normals = mesh.face_normals()
         assert (normals[:, 2] < 0).all()
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 9), w=st.integers(1, 9))
+    def test_faces_match_the_corner_stacking_oracle(self, seed, h, w):
+        # The faces, in order, of the per-corner construction that
+        # reconstruct_mesh used before it took its layout from grid_faces.
+        rng = np.random.default_rng(seed)
+        depth = rng.choice([2.0, 2.01, 2.5], size=(h, w))
+        valid = rng.uniform(size=(h, w)) < 0.8
+        img = DepthImage(depth=np.where(valid, depth, 0.0), valid=valid)
+        index = np.full((h, w), -1, dtype=np.int64)
+        index[valid] = np.arange(int(valid.sum()))
+        z = img.depth
+        tl, tr, bl, br = index[:-1, :-1], index[:-1, 1:], index[1:, :-1], index[1:, 1:]
+
+        def edge_ok(z_a, z_b):
+            return np.abs(z_a - z_b) <= 0.05
+
+        e_top = edge_ok(z[:-1, :-1], z[:-1, 1:])
+        e_bottom = edge_ok(z[1:, :-1], z[1:, 1:])
+        e_left = edge_ok(z[:-1, :-1], z[1:, :-1])
+        e_right = edge_ok(z[:-1, 1:], z[1:, 1:])
+        e_diag = edge_ok(z[1:, :-1], z[:-1, 1:])
+        ok1 = (tl >= 0) & (bl >= 0) & (tr >= 0) & e_left & e_diag & e_top
+        ok2 = (tr >= 0) & (bl >= 0) & (br >= 0) & e_diag & e_bottom & e_right
+        expected = np.concatenate([
+            np.stack([tl[ok1], bl[ok1], tr[ok1]], axis=1),
+            np.stack([tr[ok2], bl[ok2], br[ok2]], axis=1),
+        ])
+        mesh = reconstruct_mesh(img, depth_device(width=w, height=h))
+        np.testing.assert_array_equal(mesh.faces, expected)
 
     def test_threshold_validation(self):
         img = DepthImage(depth=np.ones((4, 4)), valid=np.ones((4, 4), dtype=bool))
