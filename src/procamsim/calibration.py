@@ -614,6 +614,7 @@ def parameter_errors(
         return rotation_to_axis_angle(r)[1]
 
     tp = truth.proj_device
+    # A principal point may be 0, so its error is relative to at least one pixel.
     return {
         "pan_axis_angle_rad": angle_between(pan_axis, truth.pan_axis),
         "tilt_axis_angle_rad": angle_between(tilt_axis, truth.tilt_axis),
@@ -625,8 +626,8 @@ def parameter_errors(
         ),
         "proj_fx_rel": abs(proj_device.fx - tp.fx) / tp.fx,
         "proj_fy_rel": abs(proj_device.fy - tp.fy) / tp.fy,
-        "proj_cx_rel": abs(proj_device.cx - tp.cx) / tp.cx,
-        "proj_cy_rel": abs(proj_device.cy - tp.cy) / tp.cy,
+        "proj_cx_rel": abs(proj_device.cx - tp.cx) / max(tp.cx, 1.0),
+        "proj_cy_rel": abs(proj_device.cy - tp.cy) / max(tp.cy, 1.0),
         "proj_skew_over_fx": abs(proj_device.skew - tp.skew) / tp.fx,
         "proj_rotation_rad": rotation_angle(
             front_to_proj.rotation.T @ truth.front_to_proj.rotation

@@ -325,14 +325,19 @@ def _eye_arg(text: str):
     return tuple(_finite_float(p) for p in parts)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for integers no less than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate-calib", help="synthesize a calibration session from a config"
     )
     p.add_argument("--config", required=True, help="setup JSON file")
-    p.add_argument("--seed", type=int, default=None, help="override protocol seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=None, help="override protocol seed")
     p.add_argument("--out", required=True, help="session JSON to write")
     p.set_defaults(func=cmd_simulate_calib)
 
@@ -377,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="run the benchmark suite and write a report")
     p.add_argument("--config", required=True, help="setup JSON file")
     p.add_argument("--result", default=None, help="calibration result JSON")
-    p.add_argument("--seed", type=int, default=None, help="override benchmark seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=None, help="override benchmark seed")
     p.add_argument("--out", required=True, help="report directory")
     p.set_defaults(func=cmd_evaluate)
 
@@ -385,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         "render-user-view", parents=[display],
         help="simulate the user's view during projection",
     )
-    p.add_argument("--width", type=_positive_int, default=640, help="output image width")
+    p.add_argument("--width", type=_int_at_least(1), default=640, help="output image width")
     p.set_defaults(func=cmd_render_user_view)
 
     return parser

@@ -87,6 +87,16 @@ def _chunks(counts: np.ndarray, budget: int):
         start = end
 
 
+def _row_min(a):
+    """Column-wise minimum of the three rows of ``a``, (3, N) -> (N,)."""
+    return np.minimum(np.minimum(a[0], a[1]), a[2])
+
+
+def _row_max(a):
+    """Column-wise maximum of the three rows of ``a``, (3, N) -> (N,)."""
+    return np.maximum(np.maximum(a[0], a[1]), a[2])
+
+
 def _face_chunks(counts: np.ndarray):
     """Slices of consecutive faces whose fragment counts fit the budget."""
     return _chunks(counts, _FRAGMENT_BUDGET)
@@ -137,9 +147,11 @@ def _loose_faces(tri, width, height):
     and L is the face's shortest edge. Where that could reach a quarter
     pixel, a one-pixel pad might miss a pixel the inside test accepts.
     """
+    x, y = tri.transpose(2, 1, 0)  # (3, F) views
     with np.errstate(over="ignore", invalid="ignore"):
-        reach = np.abs(tri).max(axis=(1, 2)) + max(width, height)
-        shortest = np.linalg.norm(tri - np.roll(tri, 1, axis=1), axis=2).min(axis=1)
+        reach = np.maximum(_row_max(np.abs(x)), _row_max(np.abs(y))) + max(width, height)
+        dx, dy = x - np.roll(x, 1, axis=0), y - np.roll(y, 1, axis=0)
+        shortest = _row_min(np.sqrt(dx * dx + dy * dy))
         return ~(64 * np.finfo(float).eps * reach**2 < 0.25 * shortest)
 
 
@@ -219,10 +231,11 @@ def rasterize(
     valid &= np.abs(area) > _AREA_EPS
 
     # Pixel-center bounding boxes, clipped on both ends so each cast fits in int64.
-    x_min = np.clip(np.floor(tri[:, :, 0].min(axis=1) - 0.5), 0, width).astype(np.int64)
-    x_max = np.clip(np.ceil(tri[:, :, 0].max(axis=1) - 0.5), -1, width - 1).astype(np.int64)
-    y_min = np.clip(np.floor(tri[:, :, 1].min(axis=1) - 0.5), 0, height).astype(np.int64)
-    y_max = np.clip(np.ceil(tri[:, :, 1].max(axis=1) - 0.5), -1, height - 1).astype(np.int64)
+    x, y = tri.transpose(2, 1, 0)  # (3, F) views
+    x_min = np.clip(np.floor(_row_min(x) - 0.5), 0, width).astype(np.int64)
+    x_max = np.clip(np.ceil(_row_max(x) - 0.5), -1, width - 1).astype(np.int64)
+    y_min = np.clip(np.floor(_row_min(y) - 0.5), 0, height).astype(np.int64)
+    y_max = np.clip(np.ceil(_row_max(y) - 0.5), -1, height - 1).astype(np.int64)
     bw = x_max - x_min + 1
     bh = y_max - y_min + 1
     valid &= (bw > 0) & (bh > 0)

@@ -9,6 +9,10 @@ Scene files are JSON with ``schema_version`` 1: a ``surfaces`` array of
 typed records (plane, sphere, box, cylinder, mesh) and a ``checkerboards``
 array. Poses are encoded as a translation plus an axis-angle rotation in
 degrees; all lengths are meters.
+
+The mesh-casting kernels keep per-face data as (3, F) arrays, one
+C-contiguous row per corner, so a reduction over a face's corners is two
+elementwise ufunc calls on whole rows.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .geometry import (
     pixel_center_grid,
     project_points,
 )
-from .raster import _face_chunks, expand_boxes, rasterize
+from .raster import _face_chunks, _row_max, _row_min, expand_boxes, rasterize
 
 # Intersections closer than this along a ray are ignored (self-hits).
 RAY_T_MIN = 1e-6
@@ -170,8 +174,8 @@ class Box:
         lo = np.where(parallel & outside, np.inf, lo)
         hi = np.where(parallel & outside, -np.inf, hi)
 
-        t_enter = lo.max(axis=1)
-        t_exit = hi.min(axis=1)
+        t_enter = _row_max(lo.T)
+        t_exit = _row_min(hi.T)
         t = np.where(t_enter > RAY_T_MIN, t_enter, t_exit)
         valid = (t_exit >= t_enter) & (t > RAY_T_MIN) & np.isfinite(t)
         t = np.where(valid, t, np.inf)
@@ -328,9 +332,10 @@ class TriangleMesh:
             object.__setattr__(self, "_pixel_map", entry)
         return entry[1]
 
-    def face_normals(self) -> np.ndarray:
+    def face_normals(self, index=slice(None)) -> np.ndarray:
+        """Unit normals of ``faces[index]``, one row per face."""
         v = self.vertices
-        f = self.faces
+        f = self.faces[index]
         n = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
         lengths = np.linalg.norm(n, axis=1, keepdims=True)
         return n / np.maximum(lengths, 1e-300)
@@ -357,9 +362,6 @@ class TriangleMesh:
             return best_t, np.zeros((n_rays, 3))
 
         origin = origins[0]
-        v0 = self.vertices[self.faces[:, 0]]
-        e1 = self.vertices[self.faces[:, 1]] - v0
-        e2 = self.vertices[self.faces[:, 2]] - v0
         flat, start1, count1, start2, count2 = _candidate_faces(
             origin, dirs, self.vertices, self.faces
         )
@@ -378,7 +380,11 @@ class TriangleMesh:
             c1 = np.repeat(count1[rays], c)
             pos = np.where(k < c1, start1[ray] + k, start2[ray] + k - c1)
             face = flat[pos]
-            t = _moller_trumbore(origin, dirs[ray], v0[face], e1[face], e2[face])
+            corner = self.faces[face]
+            v0 = np.take(self.vertices, corner[:, 0], axis=0)
+            e1 = np.take(self.vertices, corner[:, 1], axis=0) - v0
+            e2 = np.take(self.vertices, corner[:, 2], axis=0) - v0
+            t = _moller_trumbore(origin, dirs[ray], v0, e1, e2)
             tmin = np.minimum.reduceat(t, seg)
             tied = np.where(t == np.repeat(tmin, c), face, n_faces)
             fmin = np.minimum.reduceat(tied, seg)
@@ -388,7 +394,7 @@ class TriangleMesh:
 
         normals = np.zeros((n_rays, 3))
         hit = best_face >= 0
-        normals[hit] = self.face_normals()[best_face[hit]]
+        normals[hit] = self.face_normals(best_face[hit])
         return best_t, normals
 
     def to_json(self) -> dict:
@@ -403,7 +409,7 @@ class TriangleMesh:
 
 def _moller_trumbore(origin, d, v0, e1, e2) -> np.ndarray:
     """Hit distance of each ray-triangle pair (rows of ``d`` and ``v0/e1/e2``), inf on a miss."""
-    p = np.cross(d, e2)
+    p = _cross(d, e2)
     det = np.einsum("pj,pj->p", e1, p)
     # A degenerate face (det = 0) makes inf and NaN from here on; ``ok``
     # rejects its pairs.
@@ -411,7 +417,7 @@ def _moller_trumbore(origin, d, v0, e1, e2) -> np.ndarray:
         inv_det = 1.0 / det
         s = origin - v0
         u = np.einsum("pj,pj->p", s, p) * inv_det
-        q = np.cross(s, e1)
+        q = _cross(s, e1)
         v = np.einsum("pj,pj->p", d, q) * inv_det
         t = np.einsum("pj,pj->p", e2, q) * inv_det
         eps = 1e-10
@@ -423,6 +429,16 @@ def _moller_trumbore(origin, d, v0, e1, e2) -> np.ndarray:
             & (t > RAY_T_MIN)
         )
     return np.where(ok, t, np.inf)
+
+
+def _cross(a, b) -> np.ndarray:
+    """``np.cross`` of (P, 3) rows, with its products and differences but not its copies."""
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    out = np.empty((len(a), 3))
+    np.subtract(a1 * b2, a2 * b1, out=out[:, 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[:, 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[:, 2])
+    return out
 
 
 def _grid_cells(values, lo, scale, size) -> np.ndarray:
@@ -478,21 +494,22 @@ def _candidate_faces(origin, dirs, vertices, faces):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         xv = (rel @ t1) / zv
         yv = (rel @ t2) / zv
-    z = zv[faces.T]
-    z_min, z_max = z.min(axis=0), z.max(axis=0)
+    corner = np.ascontiguousarray(faces.T)
+    z = zv[corner]
+    z_min, z_max = _row_min(z), _row_max(z)
     margin = 1e-6 * (np.abs(z_min) + np.abs(z_max))
     ahead = np.flatnonzero(z_min > margin)
     behind = z_max < -margin
-    corners = faces[ahead].T
+    corners = np.take(corner, ahead, axis=1)
     x, y = xv[corners], yv[corners]
-    x_lo, x_hi, y_lo, y_hi = x.min(axis=0), x.max(axis=0), y.min(axis=0), y.max(axis=0)
+    x_lo, x_hi, y_lo, y_hi = _row_min(x), _row_max(x), _row_min(y), _row_max(y)
     z_near = z_min[ahead]
     with np.errstate(over="ignore", invalid="ignore"):
         # A hit within the slack lies outside the box by at most about
         # 2e-10 * z_max / z_min of the box size. Rounding of the vertex
         # offsets moves a projection by ~1e-16 of |origin| + |vertex| over z.
         size_pad = (z_max[ahead] / z_near) * (x_hi - x_lo + y_hi - y_lo)
-        magnitude = np.abs(origin).max() + np.abs(vertices).T.max(axis=0)[corners].max(axis=0)
+        magnitude = np.abs(origin).max() + _row_max(_row_max(np.abs(vertices).T)[corners])
         extent = np.maximum(np.abs(x_lo), np.abs(x_hi)) + np.maximum(np.abs(y_lo), np.abs(y_hi))
         pad = 1e-6 * size_pad + 1e-12 * (1.0 + extent) * (1.0 + magnitude / z_near)
         x_lo, x_hi, y_lo, y_hi = x_lo - pad, x_hi + pad, y_lo - pad, y_hi + pad
@@ -748,8 +765,9 @@ def reconstruct_mesh(
     e_right = edge_ok(z[:-1, 1:], z[1:, 1:])
     e_diag = edge_ok(z[1:, :-1], z[:-1, 1:])
 
-    ok1 = (cells[..., 0, :] >= 0).all(-1) & e_left & e_diag & e_top
-    ok2 = (cells[..., 1, :] >= 0).all(-1) & e_diag & e_bottom & e_right
+    tl, tr, bl, br = valid[:-1, :-1], valid[:-1, 1:], valid[1:, :-1], valid[1:, 1:]
+    ok1 = tl & bl & tr & e_left & e_diag & e_top
+    ok2 = tr & bl & br & e_diag & e_bottom & e_right
     faces = np.concatenate([cells[..., 0, :][ok1], cells[..., 1, :][ok2]])
     return TriangleMesh(vertices=vertices, faces=faces, surface_id="reconstruction")
 

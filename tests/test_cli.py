@@ -155,6 +155,24 @@ class TestCalibrate:
         assert err.count("\n") == 1
         assert not (tmp_path / "result.json").exists()
 
+    @pytest.mark.parametrize("axis", ["cx", "cy"])
+    def test_principal_point_at_zero_reports_its_error_in_pixels(
+        self, config_path, tmp_path, capsys, axis
+    ):
+        session = tmp_path / "session.json"
+        result_path = tmp_path / "result.json"
+        assert main(["simulate-calib", "--config", str(config_path), "--out", str(session)]) == 0
+        data = json.loads(session.read_text())
+        projector = data["ground_truth"]["devices"]["projector"]
+        simulated = projector[axis]
+        projector[axis] = 0
+        session.write_text(json.dumps(data))
+        assert main(["calibrate", "--session", str(session), "--out", str(result_path)]) == 0
+        assert f"proj_{axis}_rel:" in capsys.readouterr().out
+        errors = load_result(result_path).parameter_errors
+        # The estimate is the principal point the observations were simulated with.
+        assert errors[f"proj_{axis}_rel"] == pytest.approx(simulated, rel=1e-6)
+
     def test_missing_session_fails_cleanly(self, tmp_path, capsys):
         code = main(["calibrate", "--session", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "r.json")])
@@ -493,6 +511,16 @@ class TestInputBoundary:
                   "--out", str(tmp_path / "view.ppm")])
         assert excinfo.value.code == 2
         assert "--width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate-calib", "evaluate"])
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_seed_not_a_non_negative_integer(self, config_path, tmp_path, capsys, command, seed):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--config", str(config_path), "--seed", seed,
+                  "--out", str(tmp_path / "out")])
+        assert excinfo.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("width", ["100000", "1" + "0" * 40])
     def test_render_width_over_the_pixel_budget(

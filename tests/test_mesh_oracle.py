@@ -15,9 +15,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from procamsim import raster
-from procamsim.evaluation import BenchmarkOptions, _cloth_mesh, _scaled_device, _wedge_mesh
+from procamsim.calibration import result_from_rig
+from procamsim.evaluation import (
+    BenchmarkOptions,
+    _cloth_mesh,
+    _scaled_device,
+    _wedge_mesh,
+    build_display_chain,
+    standard_suite,
+)
 from procamsim.geometry import backproject_points, pixel_center_grid
-from procamsim.scene import RAY_T_MIN, Scene, TriangleMesh
+from procamsim.scene import RAY_T_MIN, Scene, TriangleMesh, grid_faces
 
 from rigs import default_rig
 
@@ -75,8 +83,8 @@ def brute_force(mesh, origins, dirs):
 class IndexedMesh(TriangleMesh):
     """A mesh whose "normal" of face i is (i + 1, 0, 0), so normals name the winning face."""
 
-    def face_normals(self):
-        return np.c_[np.arange(1.0, len(self.faces) + 1), np.zeros((len(self.faces), 2))]
+    def face_normals(self, index=slice(None)):
+        return np.c_[np.arange(1.0, len(self.faces) + 1), np.zeros((len(self.faces), 2))][index]
 
 
 def assert_matches_oracle(mesh, origin, dirs):
@@ -112,6 +120,47 @@ def test_suite_meshes_under_the_sensor_rays(make_mesh):
     want_normals = np.zeros_like(normals)
     want_normals[hit] = mesh.face_normals()[face_code[hit, 0].astype(int) - 1]
     assert np.array_equal(normals, want_normals)
+
+
+SUITE = standard_suite()
+
+
+@pytest.mark.parametrize("case_index", range(len(SUITE)), ids=[c.name for c in SUITE])
+def test_suite_eye_rays_at_the_reconstructed_mesh(case_index):
+    """The 28 corner rays ``propagate_corners`` casts from the estimated eye."""
+    rig = default_rig()
+    options = BenchmarkOptions()
+    chain = build_display_chain(
+        SUITE[case_index].scene, rig, result_from_rig(rig), options, case_index
+    )
+    viewport = options.viewport
+    corners = options.pattern.corner_positions(viewport.width_px, viewport.height_px)
+    eye, dirs = chain.est_upr.screen_rays(viewport.to_plane(corners))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    assert len(dirs) == 28 and len(chain.geometry.faces) > 10_000
+    assert_matches_oracle(chain.geometry, eye, dirs)
+
+
+def test_normals_are_computed_for_the_hit_faces_only(monkeypatch):
+    side = 130
+    a = np.linspace(-1.0, 1.0, side)
+    gx, gy = np.meshgrid(a, a)
+    mesh = TriangleMesh(np.c_[gx.ravel(), gy.ravel(), np.full(gx.size, 2.0)], grid_faces(side, side))
+    assert len(mesh.faces) >= 30_000
+    sizes = []
+    real = TriangleMesh.face_normals
+
+    def counting(self, index=slice(None)):
+        normals = real(self, index)
+        sizes.append(len(normals))
+        return normals
+
+    monkeypatch.setattr(TriangleMesh, "face_normals", counting)
+    xy = np.random.default_rng(0).uniform(-0.4, 0.4, (28, 2))
+    dirs = np.c_[xy, np.ones(28)]
+    t, normals = mesh.intersect(np.zeros_like(dirs), dirs)
+    assert np.all(np.isfinite(t)) and np.all(normals[:, 2] != 0)
+    assert sum(sizes) <= 28
 
 
 def test_small_chunks_give_the_same_result(monkeypatch):
