@@ -10,7 +10,6 @@ malformed file always ends in a SchemaError naming the file and the field.
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +101,11 @@ class StageError(ProcamError):
 # Largest image side any input may ask for: images fit in 4096 x 4096, which admits 4K UHD.
 MAX_IMAGE_SIDE = 4096
 
+# Largest magnitude of any number in an input file. Inputs are meters,
+# pixels and degrees, far inside it, and products of a few of them stay far
+# from the float limit, where values near it would overflow.
+MAX_MAGNITUDE = 1e9
+
 
 def check_pixel_budget(width: int, height: int, what: str) -> None:
     """Raise LimitError unless a ``width`` x ``height`` image fits in 4096 x 4096."""
@@ -153,12 +157,12 @@ class Fields:
             raise SchemaError(f"unsupported {kind} schema_version {self.data['schema_version']}")
 
     def number(self, key, default=_REQUIRED) -> float:
-        """A finite number; booleans are not numbers."""
+        """A finite number within +-MAX_MAGNITUDE; booleans are not numbers."""
 
         def convert(v):
-            return float(v) if type(v) in (int, float) and abs(v) <= sys.float_info.max else None
+            return float(v) if type(v) in (int, float) and abs(v) <= MAX_MAGNITUDE else None
 
-        return self._read(key, default, "a finite number", convert)
+        return self._read(key, default, "a number within +-1e9", convert)
 
     def integer(self, key, default=_REQUIRED) -> int:
         """An integer >= 0; an integral float such as 2.0 counts."""
@@ -177,7 +181,7 @@ class Fields:
         return width, height
 
     def array(self, key, shape: tuple, default=_REQUIRED, integer: bool = False) -> np.ndarray:
-        """An array of ``shape`` holding finite numbers, or integers with ``integer``.
+        """An array of ``shape`` of numbers (integers with ``integer``) within +-MAX_MAGNITUDE.
 
         A None in ``shape`` matches any length; ``[]`` reads as an empty array.
         """
@@ -192,10 +196,12 @@ class Fields:
                 return np.zeros([n or 0 for n in shape], dtype)
             fits = arr.ndim == len(shape) and all(n in (None, m) for n, m in zip(shape, arr.shape))
             if fits and arr.dtype.kind in ("iu" if integer else "iuf"):
-                return arr.astype(dtype) if integer or np.isfinite(arr).all() else None
+                bounded = (np.abs(arr, dtype=float) <= MAX_MAGNITUDE).all()
+                return arr.astype(dtype) if bounded else None
 
-        kind = "integers" if integer else "finite numbers"
-        return self._read(key, default, f"a {shape} array of {kind}".replace("None", "N"), convert)
+        kind = "integers" if integer else "numbers"
+        expected = f"a {shape} array of {kind} within +-1e9".replace("None", "N")
+        return self._read(key, default, expected, convert)
 
     def text(self, key, default=_REQUIRED, choices=None) -> str:
         """A string, one of ``choices`` when given."""

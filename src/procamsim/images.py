@@ -129,7 +129,7 @@ def bilinear_sample(image: np.ndarray, xy: np.ndarray) -> np.ndarray:
     ``xy`` is (..., 2) with (0.5, 0.5) at the center of pixel (0, 0).
     Samples beyond the border blend toward black (the image is conceptually
     surrounded by black), and far-outside or NaN coordinates return black.
-    Returns float64 of shape (..., channels).
+    Returns float64 of shape (..., channels), a view of one row per channel.
     """
     img = np.asarray(image)
     if img.ndim == 2:
@@ -144,37 +144,42 @@ def bilinear_sample(image: np.ndarray, xy: np.ndarray) -> np.ndarray:
     pts = np.asarray(xy, dtype=np.float64)
     shape = pts.shape[:-1]
     pts = pts.reshape(-1, 2)
-    out = np.empty((len(pts), channels))
-    # Blocks of samples keep each step's arrays in a core's cache.
+    out = np.empty((channels, len(pts)))  # one row per channel, returned transposed
+    # Blocks of samples, computed in place, keep each step's arrays in a core's cache.
+    rows = np.empty((6, min(len(pts), _SAMPLE_BLOCK)))
+    index = np.empty(rows.shape[1], dtype=np.int64)
+    texels = np.empty(rows.shape[1], dtype=planes.dtype)
     for start in range(0, len(pts), _SAMPLE_BLOCK):
         block = slice(start, start + _SAMPLE_BLOCK)
+        fx, fy, gx, gy, x0, y0 = rows[:, : len(pts[block])]
+        i00, t = index[: len(fx)], texels[: len(fx)]
         # Texel index space (texel i is centered at i); +1 for the padding
         # ring. Clamping to the ring keeps far-outside samples black;
         # fmax/fmin send NaN to the ring as well, where np.clip would keep it.
-        x = np.fmin(np.fmax(pts[block, 0] - 0.5, -1.0), w) + 1.0
-        y = np.fmin(np.fmax(pts[block, 1] - 0.5, -1.0), h) + 1.0
-        x0 = np.minimum(np.floor(x).astype(np.int64), w)
-        y0 = np.minimum(np.floor(y).astype(np.int64), h)
-        fx = x - x0
-        fy = y - y0
-        gx = 1 - fx
-        gy = 1 - fy
+        for f, g, f0, coord, limit in zip((fx, fy), (gx, gy), (x0, y0), pts[block].T, (w, h)):
+            np.fmin(np.fmax(np.subtract(coord, 0.5, out=f), -1.0, out=f), limit, out=f)
+            f += 1.0
+            np.minimum(np.floor(f, out=f0), limit, out=f0)
+            f -= f0  # the weights of the far texel (f) and the near one (g)
+            np.subtract(1, f, out=g)
         # Flat index of each sample's top-left texel. The other three
         # corners are the same index into the plane shifted by 1, a row and
         # a row plus 1, so no further index arrays are built.
-        i00 = y0 * row + x0
+        np.add(np.multiply(y0, row, out=y0), x0, out=i00, casting="unsafe")
+        prod, bottom = x0, y0  # free again
         for c, plane in enumerate(planes):
             # In place, with the same operations in the same order as
-            # top * (1 - fy) + bottom * fy over the two row blends.
-            top = np.take(plane, i00) * gx
-            top += np.take(plane[1:], i00) * fx
-            bottom = np.take(plane[row:], i00) * gx
-            bottom += np.take(plane[row + 1 :], i00) * fx
+            # top * (1 - fy) + bottom * fy over the two row blends. Every
+            # index is in range; mode="clip" only spares np.take a buffer.
+            top = out[c, block]
+            np.multiply(np.take(plane, i00, out=t, mode="clip"), gx, out=top)
+            top += np.multiply(np.take(plane[1:], i00, out=t, mode="clip"), fx, out=prod)
+            np.multiply(np.take(plane[row:], i00, out=t, mode="clip"), gx, out=bottom)
+            bottom += np.multiply(np.take(plane[row + 1 :], i00, out=t, mode="clip"), fx, out=prod)
             top *= gy
             bottom *= fy
             top += bottom
-            out[block, c] = top
-    return out.reshape(*shape, channels)
+    return out.T.reshape(*shape, channels)
 
 
 def draw_marker(image: np.ndarray, xy, color, half_size: int = 4) -> None:

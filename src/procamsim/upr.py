@@ -86,9 +86,10 @@ class UprMatrix:
             hom = np.repeat(hom, 2, axis=0)
         h = (hom @ self.matrix.T)[: len(pts)]
         w = h[:, 2]
+        xy = np.empty((2, len(pts)))  # one row per axis, returned as its transpose
         with np.errstate(divide="ignore", invalid="ignore"):
-            xy = h[:, :2] / w[:, None]
-        return xy, w
+            np.divide(h[:, :2].T, w, out=xy)
+        return xy.T, w
 
     def eye_world(self) -> np.ndarray:
         """The eye position expressed in the world frame."""
@@ -132,7 +133,9 @@ class Viewport:
     def to_pixels(self, xy_m) -> np.ndarray:
         """(..., 2) screen-plane meters to pixels: (x / width_m + 0.5) * width_px."""
         xy = np.asarray(xy_m, dtype=float)
-        return (xy / (self.width_m, self.height_m) + 0.5) * (self.width_px, self.height_px)
+        u = (xy[..., 0] / self.width_m + 0.5) * self.width_px
+        v = (xy[..., 1] / self.height_m + 0.5) * self.height_px
+        return np.stack([u, v], axis=-1)
 
     def to_plane(self, uv_px) -> np.ndarray:
         uv = np.asarray(uv_px, dtype=float)

@@ -191,21 +191,33 @@ def warp_to_projector(
     covered, world = mesh.pixel_map(proj_device, proj_to_world)
     # The pass-1 image may be rendered at a different resolution than the
     # nominal viewport; rescale into its pixel grid.
-    img_h, img_w = user_image.shape[:2]
-    scale = np.array([img_w / viewport.width_px, img_h / viewport.height_px])
-    # Pass-1 pixels of every covered row; rows on the eye side of the
-    # screen projection get NaN, which the sampler turns black.
-    pix = np.empty((len(covered), 2))
+    img_px = user_image.shape[1::-1]  # (width, height)
+    window_m = (viewport.width_m, viewport.height_m)
+    window_px = (viewport.width_px, viewport.height_px)
+    # Pass-1 pixels of every covered row, one row per axis; rows on the eye
+    # side of the screen projection get NaN, which the sampler turns black.
+    pix = np.empty((2, len(covered)))
     for start in range(0, len(covered), _BLOCK):
         block = slice(start, start + _BLOCK)
         xy_m, w = upr.apply(world[block])
-        pix[block] = viewport.to_pixels(xy_m) * scale
-        pix[block][~(w > 1e-9)] = np.nan
-    samples = bilinear_sample(user_image, pix)
+        for p, coord, m, px, img in zip(pix[:, block], xy_m.T, window_m, window_px, img_px):
+            np.add(np.divide(coord, m, out=p), 0.5, out=p)  # the viewport's formula
+            p *= px
+            p *= img / px
+            p[~(w > 1e-9)] = np.nan
+    # A single-channel image fills all three channels.
+    samples = np.broadcast_to(bilinear_sample(user_image, pix.T).T, (3, len(covered)))
+    # Each block is rounded and clipped per channel, then scattered as 3-byte pixels.
     fb = np.zeros((proj_device.height * proj_device.width, 3), dtype=np.uint8)
+    pixels = np.empty((min(len(covered), _BLOCK), 3), dtype=np.uint8)
+    level = np.empty(len(pixels))
     for start in range(0, len(covered), _BLOCK):
         block = slice(start, start + _BLOCK)
-        fb[covered[block]] = to_uint8(samples[block])
+        k = len(covered[block])
+        for c, channel in enumerate(samples[:, block]):
+            np.round(channel, out=level[:k])
+            pixels[:k, c] = np.clip(level[:k], 0, 255, out=level[:k])
+        fb.view("V3")[covered[block], 0] = pixels[:k].view("V3")[:, 0]
     return fb.reshape(proj_device.height, proj_device.width, 3)
 
 

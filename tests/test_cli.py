@@ -10,7 +10,7 @@ import pytest
 from procamsim import calibration, cli
 from procamsim.calibration import load_result
 from procamsim.cli import main
-from procamsim.errors import LimitError
+from procamsim.errors import MAX_MAGNITUDE, Fields, LimitError, SchemaError
 from procamsim.geometry import PinholeDevice, RigidTransform, rotation_about_axis
 from procamsim.images import read_image, read_ppm, write_ppm
 from procamsim.rig import save_rig
@@ -503,6 +503,47 @@ class TestInputBoundary:
         assert main(argv) == 1
         assert f"{path}: {field}" in self.assert_one_error_line(capsys, code)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, name, edit, field", [
+        pytest.param(command, name, edit, field, id=field)
+        for command, name, edit, field in [
+            ("evaluate", "config.json",
+             lambda d: d["display"]["viewport"].update(width_m=1e300),
+             "display.viewport.width_m"),
+            ("correct", "rig.json",
+             lambda d: d["devices"]["front"].update(skew=1e300), "devices.front.skew"),
+            ("simulate-calib", "rig.json",
+             lambda d: d["devices"]["projector"].update(skew=1e300), "devices.projector.skew"),
+            ("evaluate", "result.json",
+             lambda d: d["proj_device"].update(fx=1e300), "proj_device.fx"),
+        ]
+    ])
+    def test_numbers_past_the_magnitude_bound(self, tmp_path, capsys, command, name, edit, field):
+        # Finite, but each overflowed inside the pipeline before the reader bounded it.
+        cfg = write_config(tmp_path)
+        result = tmp_path / "result.json"
+        calibration.save_result(calibration.result_from_rig(small_rig()), result)
+        path = tmp_path / name
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command != "simulate-calib":
+            argv += ["--result", str(result)]
+        assert main(argv) == 1
+        assert f"{path}: {field}" in self.assert_one_error_line(capsys, "schema")
+        assert not out.exists()
+
+    def test_magnitude_bound_admits_its_own_value(self):
+        bound = MAX_MAGNITUDE
+        fields = Fields({"x": bound, "y": -bound, "a": [[bound, -bound]]})
+        assert fields.number("x") == bound and fields.number("y") == -bound
+        assert fields.array("a", (1, 2)).tolist() == [[bound, -bound]]
+        with pytest.raises(SchemaError, match="x: expected a number within"):
+            Fields({"x": bound * (1 + 1e-15)}).number("x")
+        with pytest.raises(SchemaError, match="faces: expected"):
+            Fields({"faces": [[0, 1, 2 * int(bound)]]}).array("faces", (None, 3), integer=True)
 
     @pytest.mark.parametrize("width", ["0", "-3"])
     def test_render_width_not_positive(self, config_path, tmp_path, capsys, width):

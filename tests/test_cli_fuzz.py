@@ -26,7 +26,7 @@ from procamsim.scene import CheckerboardTarget, Plane, Scene, save_scene
 from rigs import default_rig
 
 DROP = object()
-MUTATIONS = [math.nan, math.inf, -math.inf, "x", -1, 1e30, True, 1.5, DROP]
+MUTATIONS = [math.nan, math.inf, -math.inf, "x", -1, 1e30, 1e300, True, 1.5, DROP]
 NON_FINITE = {"NaN", "Infinity", "-Infinity"}
 
 # The subcommands that read each file. Config fields naming other files

@@ -211,6 +211,25 @@ class TestBilinearSample:
         assert got.shape == (210, 3, 3)
         assert np.array_equal(got, float64_sampler(img, xy))
 
+    @pytest.mark.parametrize("block", [8, None])
+    @pytest.mark.parametrize("dtype", ORACLE_DTYPES)
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_point_layouts_match_float64_oracle(self, monkeypatch, block, dtype, shape):
+        # Per-axis rows seen as (K, 2), as the warp passes its points, and
+        # an (h, w, 2) grid, as the uncorrected framebuffer does.
+        monkeypatch.setattr(images, "_SAMPLE_BLOCK", block or images._SAMPLE_BLOCK)
+        rng = np.random.default_rng(len(shape) * 100 + shape[1] + 2)
+        img = oracle_image(rng, dtype, shape)
+        xy = oracle_points(rng, shape[1], shape[0])  # 630 samples
+        want = float64_sampler(img, xy)
+        rows = np.ascontiguousarray(xy.T)
+        assert not rows.T.flags.c_contiguous
+        assert np.array_equal(bilinear_sample(img, xy), want)
+        assert np.array_equal(bilinear_sample(img, rows.T), want)
+        got = bilinear_sample(img, xy.reshape(21, 30, 2))
+        assert got.shape == (21, 30, want.shape[1])
+        assert np.array_equal(got, want.reshape(21, 30, -1))
+
     @pytest.mark.parametrize("width", [4, 5])  # padded rows of 6 and 7 texels
     def test_nan_coordinates_are_black(self, width):
         img = np.full((3, width, 3), 200, dtype=np.uint8)

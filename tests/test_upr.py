@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from procamsim.errors import EyeOnScreenPlaneError
-from procamsim.geometry import RigidTransform, rotation_about_axis
+from procamsim.geometry import RigidTransform, rotation_about_axis, to_homogeneous
 from procamsim.upr import (
     EyePose,
     UprMatrix,
@@ -115,6 +115,31 @@ class TestUprMatrix:
         parts = [upr.apply(pts[i : i + block]) for i in range(0, len(pts), block)]
         assert np.array_equal(np.concatenate([p[0] for p in parts]), xy)
         assert np.array_equal(np.concatenate([p[1] for p in parts]), w)
+
+    @pytest.mark.parametrize("eye", [EyePose(0.13, -0.07, -1.43), EyePose(0.0, 0.0, -1.5)])
+    def test_xy_has_the_bits_of_one_division_of_rows(self, eye):
+        # Points in front of, behind and on the eye's plane (w > 0, w < 0,
+        # w = 0); the last give +-inf, and NaN (0 / 0) on the eye's axis.
+        rng = np.random.default_rng(15)
+        pts = rng.normal(size=(400, 3)) + [0.0, 0.0, eye.z]
+        pts[::7, 2] = eye.z
+        pts[::35, :2] = [eye.x, eye.y]
+        rotated = RigidTransform(rotation_about_axis([0, 1, 0], 0.4), np.array([0.1, -0.2, 0.3]))
+        for world_to_rear in (RigidTransform.identity(), rotated):
+            upr = upr_matrix(eye, world_to_rear)
+            h = to_homogeneous(pts) @ upr.matrix.T
+            w = h[:, 2]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = h[:, :2] / w[:, None]
+            xy, got_w = upr.apply(pts)
+            assert xy.shape == (400, 2)
+            assert np.array_equal(got_w, w)
+            assert np.array_equal(xy, want, equal_nan=True)
+            if world_to_rear is not rotated:
+                assert (w > 0).any() and (w < 0).any() and (w == 0).any()
+                assert np.isinf(xy).any()
+                if eye.x == eye.y == 0:
+                    assert np.isnan(xy).any()
 
     def test_eye_world_round_trip(self):
         world_to_rear = RigidTransform(

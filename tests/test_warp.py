@@ -421,6 +421,36 @@ class TestBlockedWarpOracle:
         assert not got.any()
 
 
+class TestFramebufferLayout:
+    """The framebuffer is written as whole 3-byte pixels into one C-ordered array."""
+
+    @pytest.mark.parametrize("kind", IMAGE_KINDS)
+    def test_framebuffer_is_c_contiguous_rgb(self, kind):
+        viewport, _, device, pose, _ = identity_setup(32, 24)
+        upr = upr_matrix(EyePose(0.1, -0.05, -0.9), RigidTransform.identity())
+        fb = warp_to_projector(
+            pass1_image(7, kind, 40, 30), random_wall(8, 0.3), upr, viewport, device, pose
+        )
+        assert fb.shape == (24, 32, 3) and fb.dtype == np.uint8
+        assert fb.flags.c_contiguous
+        assert fb.any()
+        if kind.startswith("gray"):  # one channel fills all three
+            assert (fb == fb[..., :1]).all()
+
+    @pytest.mark.parametrize("kind", IMAGE_KINDS)
+    @pytest.mark.parametrize("image_size", [(1, 1), (37, 1)])
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_one_pixel_and_one_row_images_match_unblocked_tail(self, kind, image_size, block):
+        viewport, _, device, pose, _ = identity_setup(32, 24)
+        upr = upr_matrix(EyePose(-0.2, 0.1, -1.1), RigidTransform.identity())
+        user_image = pass1_image(9, kind, *image_size)
+        got, want = TestBlockedWarpOracle.both(
+            block, user_image, random_wall(10, 0.3), upr, viewport, device, pose
+        )
+        assert np.array_equal(got, want)
+        assert got.any()
+
+
 def ramp_panorama(height=90, width=180):
     """Channel 0 holds each texel's column and channel 1 its row.
 
