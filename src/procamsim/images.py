@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ImageFormatError
 
 # Samples per block in ``bilinear_sample``.
-_SAMPLE_BLOCK = 1 << 16
+_SAMPLE_BLOCK = 1 << 14
 
 
 def new_image(width: int, height: int, fill=(0, 0, 0)) -> np.ndarray:
@@ -129,17 +129,13 @@ def bilinear_sample(image: np.ndarray, xy: np.ndarray) -> np.ndarray:
     ``xy`` is (..., 2) with (0.5, 0.5) at the center of pixel (0, 0).
     Samples beyond the border blend toward black (the image is conceptually
     surrounded by black), and far-outside or NaN coordinates return black.
+    Each block of samples pads only the window of the image that it reads.
     Returns float64 of shape (..., channels), a view of one row per channel.
     """
     img = np.asarray(image)
     if img.ndim == 2:
         img = img[..., None]
     h, w, channels = img.shape
-    # One zero-padded plane per channel, flattened row-major.
-    planes = np.zeros((channels, h + 2, w + 2), dtype=img.dtype)
-    planes[:, 1:-1, 1:-1] = np.moveaxis(img, -1, 0)
-    planes = planes.reshape(channels, -1)
-    row = w + 2
 
     pts = np.asarray(xy, dtype=np.float64)
     shape = pts.shape[:-1]
@@ -148,7 +144,7 @@ def bilinear_sample(image: np.ndarray, xy: np.ndarray) -> np.ndarray:
     # Blocks of samples, computed in place, keep each step's arrays in a core's cache.
     rows = np.empty((6, min(len(pts), _SAMPLE_BLOCK)))
     index = np.empty(rows.shape[1], dtype=np.int64)
-    texels = np.empty(rows.shape[1], dtype=planes.dtype)
+    texels = np.empty(rows.shape[1], dtype=img.dtype)
     for start in range(0, len(pts), _SAMPLE_BLOCK):
         block = slice(start, start + _SAMPLE_BLOCK)
         fx, fy, gx, gy, x0, y0 = rows[:, : len(pts[block])]
@@ -162,6 +158,19 @@ def bilinear_sample(image: np.ndarray, xy: np.ndarray) -> np.ndarray:
             np.minimum(np.floor(f, out=f0), limit, out=f0)
             f -= f0  # the weights of the far texel (f) and the near one (g)
             np.subtract(1, f, out=g)
+        # The padded texels this block reads, [xa, xb] x [ya, yb], as one
+        # zeroed plane per channel. Padded texel j is image texel j - 1, and
+        # the black ring outside the image stays 0.
+        top_left = rows[4:, : len(fx)]  # x0 and y0
+        (xa, ya), (xb, yb) = top_left.min(axis=1).astype(int), top_left.max(axis=1).astype(int) + 1
+        row = xb - xa + 1
+        planes = np.zeros((channels, yb - ya + 1, row), dtype=img.dtype)
+        inner = np.moveaxis(img[max(ya - 1, 0) : yb, max(xa - 1, 0) : xb], -1, 0)
+        dy, dx = int(ya == 0), int(xa == 0)  # a ring row above, a ring column to the left
+        planes[:, dy : dy + inner.shape[1], dx : dx + inner.shape[2]] = inner
+        planes = planes.reshape(channels, -1)
+        x0 -= xa
+        y0 -= ya
         # Flat index of each sample's top-left texel. The other three
         # corners are the same index into the plane shifted by 1, a row and
         # a row plus 1, so no further index arrays are built.

@@ -707,7 +707,12 @@ def sense_depth(
 
     depth = np.array(z)
     valid = np.array(hit)
+    # Without noise, a row whose every p_drop is 0, 1 or NaN needs no draws.
+    drawn = (noise.sigma > 0) | np.any((p_drop > 0) & (p_drop < 1), axis=1)
     for row in range(h):
+        if not drawn[row]:
+            valid[row] &= ~(p_drop[row] >= 1)
+            continue
         rng = np.random.default_rng([noise.rng_seed, row])
         if noise.sigma > 0:
             depth[row] = z[row] + rng.normal(0.0, noise.sigma, size=w)

@@ -14,9 +14,9 @@ glued to the virtual screen. Only the last two steps depend on the eye: the
 rasterized projector map is kept on the mesh and reused for every new eye
 while the mesh and the projector pose are unchanged
 (``TriangleMesh.pixel_map``). That per-eye tail runs in blocks of
-``_BLOCK`` covered pixels, so no temporary grows with the resolution beyond
-the sample coordinates and their samples; its output bytes are those of one
-unblocked pass.
+``_BLOCK`` covered pixels, each taken from the screen projection through
+sampling to the framebuffer, so no temporary grows with the number of
+covered pixels; its output bytes are those of one unblocked pass.
 
 ``propagate_corners`` follows checker-pattern corners through the same
 mapping analytically (no rasterization), using one model set for the warp
@@ -47,7 +47,7 @@ from .upr import UprMatrix, Viewport
 _VISIBILITY_REL_TOL = 1e-6
 
 # Covered projector pixels per block of the per-eye warp tail.
-_BLOCK = 1 << 16
+_BLOCK = 1 << 15
 
 # Ambient light level of the simulated room, as a fraction of full white.
 _AMBIENT = 0.2
@@ -186,7 +186,8 @@ def warp_to_projector(
     of the screen projection, stay black. The rasterized map does not depend
     on the eye, so it is reused while the mesh and the projector pose are
     unchanged, with the same output bytes as rasterizing again. The rest is
-    done in blocks of covered pixels, with the bytes of one unblocked pass.
+    done in blocks of covered pixels, with the bytes of one unblocked pass,
+    and no temporary grows with the number of covered pixels.
     """
     covered, world = mesh.pixel_map(proj_device, proj_to_world)
     # The pass-1 image may be rendered at a different resolution than the
@@ -194,27 +195,26 @@ def warp_to_projector(
     img_px = user_image.shape[1::-1]  # (width, height)
     window_m = (viewport.width_m, viewport.height_m)
     window_px = (viewport.width_px, viewport.height_px)
-    # Pass-1 pixels of every covered row, one row per axis; rows on the eye
-    # side of the screen projection get NaN, which the sampler turns black.
-    pix = np.empty((2, len(covered)))
+    fb = np.zeros((proj_device.height * proj_device.width, 3), dtype=np.uint8)
+    pix = np.empty((2, min(len(covered), _BLOCK)))
+    pixels = np.empty((len(pix[0]), 3), dtype=np.uint8)
+    level = np.empty(len(pix[0]))
     for start in range(0, len(covered), _BLOCK):
         block = slice(start, start + _BLOCK)
         xy_m, w = upr.apply(world[block])
-        for p, coord, m, px, img in zip(pix[:, block], xy_m.T, window_m, window_px, img_px):
+        k = len(w)
+        # Pass-1 pixels of the block, one row per axis; rows on the eye side
+        # of the screen projection get NaN, which the sampler turns black.
+        behind = ~(w > 1e-9)
+        for p, coord, m, px, img in zip(pix[:, :k], xy_m.T, window_m, window_px, img_px):
             np.add(np.divide(coord, m, out=p), 0.5, out=p)  # the viewport's formula
             p *= px
             p *= img / px
-            p[~(w > 1e-9)] = np.nan
-    # A single-channel image fills all three channels.
-    samples = np.broadcast_to(bilinear_sample(user_image, pix.T).T, (3, len(covered)))
-    # Each block is rounded and clipped per channel, then scattered as 3-byte pixels.
-    fb = np.zeros((proj_device.height * proj_device.width, 3), dtype=np.uint8)
-    pixels = np.empty((min(len(covered), _BLOCK), 3), dtype=np.uint8)
-    level = np.empty(len(pixels))
-    for start in range(0, len(covered), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        k = len(covered[block])
-        for c, channel in enumerate(samples[:, block]):
+            p[behind] = np.nan
+        # Rounded and clipped per channel, then scattered as 3-byte pixels;
+        # a single-channel image fills all three channels.
+        samples = bilinear_sample(user_image, pix[:, :k].T).T
+        for c, channel in enumerate(np.broadcast_to(samples, (3, k))):
             np.round(channel, out=level[:k])
             pixels[:k, c] = np.clip(level[:k], 0, 255, out=level[:k])
         fb.view("V3")[covered[block], 0] = pixels[:k].view("V3")[:, 0]

@@ -1,5 +1,6 @@
 """PPM I/O, sampling and marker tests."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -239,6 +240,76 @@ class TestBilinearSample:
             out = bilinear_sample(img, xy)
         assert out[:3].tolist() == [[0.0, 0.0, 0.0]] * 3
         assert out[3].tolist() == [200.0, 200.0, 200.0]
+
+
+def window_cases(rng, w, h):
+    """Point sets whose texel windows sit in every part of a w x h image and its ring."""
+    cases = {}
+    # Confined to each corner and edge (and the middle), within 0.6 px of
+    # an anchor a texel center or less from the border.
+    for name_y, ay in (("top", 0.7), ("middle", h / 2), ("bottom", h - 0.3)):
+        for name_x, ax in (("left", 0.7), ("center", w / 2), ("right", w - 0.3)):
+            cases[f"{name_y}-{name_x}"] = rng.uniform(
+                [ax - 0.6, ay - 0.6], [ax + 0.6, ay + 0.6], size=(40, 2)
+            )
+    # Inside the ring band around the image, on each side.
+    cases["ring"] = np.concatenate([
+        rng.uniform([-1.0, -1.0], [0.0, h + 1.0], size=(10, 2)),
+        rng.uniform([w, -1.0], [w + 1.0, h + 1.0], size=(10, 2)),
+        rng.uniform([-1.0, -1.0], [w + 1.0, 0.0], size=(10, 2)),
+        rng.uniform([-1.0, h], [w + 1.0, h + 1.0], size=(10, 2)),
+    ])
+    far = np.array([-np.inf, -1e300, -7.0, 1e6, 1e300, np.inf])
+    cases["outside"] = np.stack(np.meshgrid(far, far), axis=-1).reshape(-1, 2)
+    cases["nan"] = np.array([[np.nan, np.nan], [np.nan, 0.5], [0.5, np.nan], [np.nan, 1e300]])
+    cases["one"] = np.array([[w / 3, h / 3]])
+    # x0 + 1 lands on the far ring column, row or corner.
+    cases["far-ring"] = np.array(
+        [[w + 0.5, 0.5], [w + 0.5, h / 2], [0.5, h + 0.5], [w / 2, h + 0.5], [w + 0.5, h + 0.5]]
+    )
+    # Both ring corners: the window is the whole padded image.
+    cases["whole"] = np.concatenate(
+        [[[-1.0, -1.0], [w + 1.0, h + 1.0]], rng.uniform(0, [w, h], size=(20, 2))]
+    )
+    return cases
+
+
+class TestSampleWindows:
+    """Each block pads only the window it reads, with the bits of the whole-image sampler."""
+
+    @pytest.mark.parametrize("block", [8, None])
+    @pytest.mark.parametrize("dtype", ORACLE_DTYPES)
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_windows_match_float64_oracle_and_one_call(self, monkeypatch, block, dtype, shape):
+        monkeypatch.setattr(images, "_SAMPLE_BLOCK", block or images._SAMPLE_BLOCK)
+        rng = np.random.default_rng(len(shape) * 100 + shape[1] + 3)
+        img = oracle_image(rng, dtype, shape)
+        cases = window_cases(rng, shape[1], shape[0])
+        whole = bilinear_sample(img, np.concatenate(list(cases.values())))
+        start = 0
+        for name, xy in cases.items():
+            got = bilinear_sample(img, xy)
+            # NaN goes to the ring, as a far-negative coordinate does; the
+            # oracle's integer cast has no NaN.
+            want = float64_sampler(img, np.where(np.isnan(xy), -np.inf, xy))
+            assert np.array_equal(got, want), name
+            assert np.array_equal(got, whole[start : start + len(xy)]), name
+            start += len(xy)
+
+    def test_pads_only_the_window_it_reads(self):
+        # 9,000 samples in a 3 x 3 texel corner of a 1000 x 800 RGB image
+        # (2.4 MB): the call holds its 9,000 samples, their working rows and
+        # a window of a few texels, never a padded copy of the image.
+        img = np.random.default_rng(1).integers(0, 256, size=(800, 1000, 3), dtype=np.uint8)
+        xy = np.random.default_rng(2).uniform(0.5, 2.5, size=(9000, 2))
+        tracemalloc.start()
+        try:
+            got = bilinear_sample(img, xy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, float64_sampler(img, xy))
+        assert peak < 120 * len(xy) < img.nbytes / 2
 
 
 class TestDrawMarker:

@@ -228,6 +228,57 @@ class TestSenseDepth:
             DepthNoiseModel(gamma_full_dropout=30, gamma_no_dropout=10)
 
 
+def always_draw(z, hit, p_drop, noise):
+    """Reference dropout and noise: every row builds its generator and draws."""
+    depth, valid = np.array(z), np.array(hit)
+    for row in range(len(z)):
+        rng = np.random.default_rng([noise.rng_seed, row])
+        if noise.sigma > 0:
+            depth[row] = z[row] + rng.normal(0.0, noise.sigma, size=z.shape[1])
+        valid[row] &= ~(rng.uniform(size=z.shape[1]) < p_drop[row])
+    valid &= depth > 0
+    depth[~valid] = 0.0
+    return depth, valid
+
+
+class TestSenseDepthDraws:
+    """Rows whose draws cannot change the result build no generator."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.003])
+    def test_matches_the_always_draw_loop(self, monkeypatch, sigma):
+        scene = Scene(surfaces=[Sphere(center=[0, 0, 3], radius=0.3)])
+        dev = depth_device(width=16, height=12)
+        pose = RigidTransform.identity()
+        monkeypatch.setattr(DepthNoiseModel, "dropout_probability", lambda self, g: 0.0 * g)
+        exact = sense_depth(scene, dev, pose)
+        assert exact.valid.any() and not exact.valid.all()  # hits and misses
+        # Rows of only 0, only 1, only NaN and mixes of them, and rows with
+        # some probabilities in (0, 1), tiny and near 1 ones included.
+        rng = np.random.default_rng(3)
+        p_drop = rng.choice([0.0, 1.0, np.nan], size=(12, 16))
+        p_drop[0], p_drop[1], p_drop[2] = 0.0, 1.0, np.nan
+        p_drop[4, 5], p_drop[6, 0], p_drop[8, 15] = 0.5, 1e-300, 1.0 - 2**-53
+        p_drop[10] = rng.uniform(size=16)
+        drawn_rows = [4, 6, 8, 10]
+        noise = DepthNoiseModel(sigma=sigma, rng_seed=17)
+        depth, valid = always_draw(exact.depth, exact.valid, p_drop, noise)
+
+        monkeypatch.setattr(DepthNoiseModel, "dropout_probability", lambda self, g: p_drop)
+        seeds = []
+
+        def counting_rng(seed):
+            seeds.append(seed[1])
+            return default_rng(seed)
+
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        got = sense_depth(scene, dev, pose, noise)
+        assert np.array_equal(got.depth, depth)
+        assert np.array_equal(got.valid, valid)
+        assert seeds == (list(range(12)) if sigma else drawn_rows)
+        assert valid[1].sum() == 0 and valid[0].sum() == exact.valid[0].sum()
+
+
 class TestReconstructMesh:
     def test_full_grid_triangle_count_and_planarity(self):
         scene = Scene(surfaces=[Plane(point=[0, 0, 3], normal=[0, 0, -1])])

@@ -11,6 +11,7 @@ The key oracles:
 
 import gc
 import math
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -397,13 +398,13 @@ class TestBlockedWarpOracle:
 
     @pytest.mark.parametrize("kind", IMAGE_KINDS)
     def test_default_block_with_a_partial_last_block(self, kind):
-        # 320 x 240 covered pixels: one whole block of 65,536 and 11,264 more.
+        # 320 x 240 covered pixels: two whole blocks of 32,768 and 11,264 more.
         viewport, _, device, pose, _ = identity_setup(320, 240)
         mesh = random_wall(3, 0.5)
         upr = upr_matrix(EyePose(0.1, -0.05, -0.3), RigidTransform.identity())
         covered, world = mesh.pixel_map(device, pose)
         _, w = upr.apply(world)
-        assert len(covered) % warp_module._BLOCK == 76800 - 65536
+        assert len(covered) % warp_module._BLOCK == 76800 - 2 * 32768
         assert (w <= 1e-9).any() and (w > 1e-9).any()
         user_image = pass1_image(4, kind, 250, 170)
         got, want = self.both(None, user_image, mesh, upr, viewport, device, pose)
@@ -449,6 +450,56 @@ class TestFramebufferLayout:
         )
         assert np.array_equal(got, want)
         assert got.any()
+
+
+class TestStreamingTail:
+    """Each block goes from the screen projection to the framebuffer on its own."""
+
+    @staticmethod
+    def frame(width, height):
+        viewport, _, device, pose, _ = identity_setup(width, height)
+        mesh = random_wall(11, 0.3)
+        upr = upr_matrix(EyePose(0.1, -0.05, -1.2), RigidTransform.identity())
+        user_image = pass1_image(12, "uint8", width, height)
+        return (user_image, mesh, upr, viewport, device, pose)
+
+    def test_peak_memory_follows_the_block_not_the_covered_pixels(self):
+        args = self.frame(192, 108)
+        covered, _ = args[1].pixel_map(*args[4:])  # rasterized before the measurement
+        block = 256
+        fb_bytes = 192 * 108 * 3
+        # (2, K) coordinates and (3, K) samples in float64 would take 40 bytes
+        # per covered pixel, past the bound.
+        assert fb_bytes + 1024 * block < 40 * len(covered)
+        with mock.patch.object(warp_module, "_BLOCK", block):
+            tracemalloc.start()
+            try:
+                fb = warp_to_projector(*args)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert fb.nbytes == fb_bytes and fb.any()
+        assert peak < fb_bytes + 1024 * block
+
+    @pytest.mark.parametrize("size, block", [((320, 240), None), ((32, 24), 7)])
+    def test_one_sampler_call_per_block_covers_every_pixel(self, monkeypatch, size, block):
+        # perfbench's tracer sums the sampler's calls and samples per frame,
+        # so the per-frame totals must not depend on the block size.
+        args = self.frame(*size)
+        covered, _ = args[1].pixel_map(*args[4:])
+        block = block or warp_module._BLOCK
+        calls = []
+
+        def counting_sampler(image, xy):
+            calls.append(int(np.prod(np.shape(xy)[:-1])))
+            return bilinear_sample(image, xy)
+
+        monkeypatch.setattr(warp_module, "_BLOCK", block)
+        monkeypatch.setattr(warp_module, "bilinear_sample", counting_sampler)
+        warp_to_projector(*args)
+        assert sum(calls) == len(covered) == size[0] * size[1]
+        assert len(calls) == -(-len(covered) // block) > 1
+        assert calls[:-1] == [block] * (len(calls) - 1)
 
 
 def ramp_panorama(height=90, width=180):
