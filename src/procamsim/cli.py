@@ -35,7 +35,9 @@ from .calibration import (
     save_result,
     save_session,
 )
-from .errors import MAX_IMAGE_SIDE, Fields, ProcamError, SchemaError, check_pixel_budget, load_json
+from .errors import (
+    MAX_IMAGE_SIDE, MAX_MAGNITUDE, Fields, ProcamError, SchemaError, check_pixel_budget, load_json,
+)
 from .evaluation import (
     BenchmarkOptions,
     DisplayChain,
@@ -43,6 +45,7 @@ from .evaluation import (
     case_by_name,
     run_benchmark,
     standard_suite,
+    thread_count,
 )
 from .geometry import PinholeDevice, RigidTransform, pixel_center_grid
 from .images import bilinear_sample, read_image, to_uint8, write_image
@@ -309,12 +312,13 @@ def cmd_evaluate(args) -> None:
 
 
 def _finite_float(text: str) -> float:
+    """An argparse type for numbers within +-MAX_MAGNITUDE, the bound of input files."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    if not abs(value) <= MAX_MAGNITUDE:
+        raise argparse.ArgumentTypeError(f"expected a number within +-1e9, got {text!r}")
     return value
 
 
@@ -397,7 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.func is cmd_evaluate:
+        try:
+            thread_count(1)  # PROCAMSIM_THREADS is part of how evaluate is invoked
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         args.func(args)
     except ProcamError as exc:

@@ -2,9 +2,11 @@
 
 Triangles arrive already projected: per-vertex continuous pixel positions
 ``xy`` plus the positive perspective divisor ``w`` (device-frame depth).
-Vertex attributes are interpolated perspective-correctly (linear in 1/w)
-and hidden surfaces resolve by keeping the fragment with the smallest w;
-ties keep the lowest face index, so output never depends on chunking.
+Depth is interpolated perspective-correctly (linear in 1/w) and hidden
+surfaces resolve by keeping the fragment with the smallest w; ties keep
+the lowest face index, so output never depends on chunking. The result is
+a visibility buffer (Burns and Hunt, JCGT 2013): each pixel's winning face
+and depth, from which callers rebuild what they need.
 
 Faces with any non-positive or infinite w, or a non-finite position, are
 dropped rather than clipped; callers keep their geometry in front of the
@@ -29,11 +31,6 @@ The pipeline, per chunk of faces in index order:
   with ``np.minimum.at``; the fragments that set a strictly nearer depth
   then lower its face the same way, which keeps the lowest face index on
   ties within a block and across blocks.
-- **Interpolation.** After every face is drawn, attributes are
-  interpolated once per covered pixel, in blocks of covered pixels: the
-  winner's barycentric coordinates are rebuilt with the float operations
-  of its inside test, so they keep those bits. This is the visibility
-  buffer of Burns and Hunt (JCGT 2013).
 """
 
 from __future__ import annotations
@@ -54,13 +51,10 @@ class RasterResult:
 
     ``face_index`` is the (H, W) winning face, -1 where nothing was drawn;
     ``depth_w`` its (H, W) depth, +inf there. ``covered`` holds the
-    row-major flat indices of the drawn pixels in increasing order, and
-    ``attributes`` maps each input attribute name to a (K, C) float array
-    with one interpolated row per covered pixel, in that order.
+    row-major flat indices of the drawn pixels in increasing order.
     """
 
     covered: np.ndarray
-    attributes: dict
 
     def __init__(self, width: int, height: int):
         self.face_index = np.full((height, width), -1, dtype=np.int64)
@@ -201,21 +195,16 @@ def rasterize(
     faces: np.ndarray,
     width: int,
     height: int,
-    attributes: dict | None = None,
 ) -> RasterResult:
     """Rasterize triangles over a width x height grid of pixel centers.
 
     ``xy`` is (N, 2) projected vertex positions in continuous pixel
-    coordinates, ``w`` the (N,) perspective divisors, ``faces`` (F, 3)
-    vertex indices, ``attributes`` an optional mapping of name -> (N, C)
-    per-vertex data. Both triangle windings are filled.
+    coordinates, ``w`` the (N,) perspective divisors and ``faces`` (F, 3)
+    vertex indices. Both triangle windings are filled.
     """
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
     w = np.asarray(w, dtype=float).reshape(-1)
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-    attrs = {name: np.asarray(a, dtype=float) for name, a in (attributes or {}).items()}
-    # An (N, C) attribute keeps its C when N is 0, where -1 infers nothing.
-    attrs = {n: a.reshape(len(xy), a.shape[1] if a.ndim == 2 else -1) for n, a in attrs.items()}
     result = RasterResult(width, height)
     tri = xy[faces]  # (F, 3, 2)
     tri_w = w[faces]  # (F, 3)
@@ -243,7 +232,7 @@ def rasterize(
     face_ids = np.flatnonzero(valid)
     counts = (bw * bh)[face_ids]
 
-    canvas = _Canvas(result, faces, tri, tri_w, face_ids, area, x_min, x_max)
+    canvas = _Canvas(result, tri, tri_w, face_ids, area, x_min, x_max)
     for chunk in _face_chunks(counts):
         f = face_ids[chunk]
         # One span per face and bounding-box row, face by face in index order.
@@ -251,19 +240,19 @@ def rasterize(
         span_face = f[face_of]
         for block in _chunks(bw[span_face], _BLOCK):
             canvas.draw(span_face[block], row[block])
-    result.covered, result.attributes = canvas.interpolate(attrs)
+    result.covered = np.flatnonzero(result.face_index >= 0)
     return result
 
 
 class _Canvas:
-    """Flat views of a RasterResult and the per-face data drawing and interpolation read."""
+    """Flat views of a RasterResult and the per-face data drawing reads."""
 
-    def __init__(self, result: RasterResult, faces, tri, tri_w, face_ids, area, x_min, x_max):
+    def __init__(self, result: RasterResult, tri, tri_w, face_ids, area, x_min, x_max):
         height, self.width = result.depth_w.shape
         self.best = result.depth_w.reshape(-1)
         self.face = result.face_index.reshape(-1)
 
-        # Per-face terms of the edge functions l0 and l1 in ``_barycentric``.
+        # Per-face terms of the edge functions l0 and l1 in ``draw``.
         (ax, ay), (bx, by), (qx, qy) = tri[:, 0].T, tri[:, 1].T, tri[:, 2].T
         self.qx, self.qy, self.area = qx, qy, area
         self.a0, self.b0 = by - qy, qx - bx
@@ -275,36 +264,6 @@ class _Canvas:
         # divides nothing.
         self.inv_w = np.zeros(tri_w.shape[::-1])  # (3, F)
         self.inv_w[:, face_ids] = 1.0 / tri_w[face_ids].T
-        self.verts = [np.ascontiguousarray(v) for v in faces.T]
-
-    def _barycentric(self, face, row, px, span):
-        """Barycentric coordinates of each pixel center in its span's face.
-
-        Pixel ``px[i]`` lies in row ``row[span[i]]`` of face ``face[span[i]]``;
-        ``span`` is ``slice(None)`` when each pixel has its own face and row.
-        ``draw`` and ``interpolate`` both come here, so a winner's weights
-        keep the bits of its inside test.
-        """
-        # The y terms of the edge functions are the same along a span.
-        dy = (row + 0.5) - self.qy[face]
-        t0 = self.b0[face] * dy
-        t1 = self.b1[face] * dy
-        # Edge functions against each triangle side, normalized by area so
-        # they are barycentric coordinates; sign-normalize for both windings.
-        dx = px + 0.5
-        dx -= self.qx[face][span]
-        full = self.area[face][span]
-        l0 = self.a0[face][span]
-        l0 *= dx
-        l0 += t0[span]
-        l0 /= full
-        l1 = self.a1[face][span]
-        l1 *= dx
-        l1 += t1[span]
-        l1 /= full
-        l2 = 1.0 - l0
-        l2 -= l1
-        return l0, l1, l2
 
     def draw(self, span_face, row):
         """Resolve the depth and face of each pixel a block of (face, row) spans covers."""
@@ -312,7 +271,26 @@ class _Canvas:
             self.edges, self.loose, span_face, row, self.x_min, self.x_max
         )
         span, px = _runs(first, count)
-        l0, l1, l2 = self._barycentric(span_face, row, px, span)
+        # Edge functions at each pixel center against the sides of its
+        # span's face, normalized by area so they are barycentric
+        # coordinates; sign-normalize for both windings. Their y terms are
+        # the same along a span.
+        dy = (row + 0.5) - self.qy[span_face]
+        t0 = self.b0[span_face] * dy
+        t1 = self.b1[span_face] * dy
+        dx = px + 0.5
+        dx -= self.qx[span_face][span]
+        full = self.area[span_face][span]
+        l0 = self.a0[span_face][span]
+        l0 *= dx
+        l0 += t0[span]
+        l0 /= full
+        l1 = self.a1[span_face][span]
+        l1 *= dx
+        l1 += t1[span]
+        l1 /= full
+        l2 = 1.0 - l0
+        l2 -= l1
         inside = l0 >= 0
         inside &= l1 >= 0
         inside &= l2 >= 0
@@ -334,28 +312,3 @@ class _Canvas:
         pix, face = pix[nearer], face[nearer]
         self.face[pix] = face
         np.minimum.at(self.face, pix, face)
-
-    def interpolate(self, attrs):
-        """The covered pixels and each attribute's (K, C) rows for them."""
-        covered = np.flatnonzero(self.face >= 0)
-        rows = {n: np.empty((len(covered), a.shape[1])) for n, a in attrs.items()}
-        attrs_t = {n: np.ascontiguousarray(a.T) for n, a in attrs.items()}  # (C, N)
-        for start in range(0, len(covered), _BLOCK):
-            block = slice(start, start + _BLOCK)
-            pix = covered[block]
-            face = self.face[pix]
-            depth = self.best[pix]
-            row, px = np.divmod(pix, self.width)
-            # Perspective-correct weights, then each channel as w0 a0 + w1 a1 + w2 a2.
-            lw = self._barycentric(face, row, px, slice(None))
-            for l, iw in zip(lw, self.inv_w):
-                l *= iw[face]
-                l *= depth
-            v = [vk[face] for vk in self.verts]
-            for name, a_t in attrs_t.items():
-                for c, a_c in enumerate(a_t):
-                    col = np.take(a_c, v[0]) * lw[0]
-                    col += np.take(a_c, v[1]) * lw[1]
-                    col += np.take(a_c, v[2]) * lw[2]
-                    rows[name][block, c] = col
-        return covered, rows

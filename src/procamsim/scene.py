@@ -309,26 +309,27 @@ class TriangleMesh:
     def pixel_map(
         self, device: PinholeDevice, device_to_world: RigidTransform
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The device pixels this mesh covers and the world point each sees.
+        """The device pixels this mesh covers and the depth each sees.
 
-        Returns the row-major flat indices of the covered pixels and their
-        (K, 3) world points, from ``rasterize`` of the mesh as the device
-        sees it. The map depends only on the mesh and the device, so the
-        mesh keeps the last one and returns it again while ``device`` and
-        the pose's rotation and translation are unchanged.
+        Returns the row-major flat indices of the covered pixels and, for
+        each, the device-frame depth of the mesh there, from ``rasterize``
+        of the mesh as the device sees it: 16 bytes per covered pixel. The
+        world point behind pixel (u, v) is the pose applied to
+        ``K^-1 [u + 0.5, v + 0.5, 1] * depth``. The map depends only on the
+        mesh and the device, so the mesh keeps the last one and returns it
+        again while ``device`` and the pose's rotation and translation are
+        unchanged.
         """
         key = (device, device_to_world.rotation.tobytes(), device_to_world.translation.tobytes())
         entry = self._pixel_map
         if entry is None or entry[0] != key:
             uv, z = project_points(device, device_to_world.inverse(), self.vertices)
-            res = rasterize(
-                uv, z, self.faces, device.width, device.height,
-                attributes={"world": self.vertices},
-            )
-            covered, world = res.covered, res.attributes["world"]
+            res = rasterize(uv, z, self.faces, device.width, device.height)
+            covered = res.covered
+            depth = res.depth_w.reshape(-1)[covered]
             covered.flags.writeable = False
-            world.flags.writeable = False
-            entry = (key, (covered, world))
+            depth.flags.writeable = False
+            entry = (key, (covered, depth))
             object.__setattr__(self, "_pixel_map", entry)
         return entry[1]
 

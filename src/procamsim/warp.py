@@ -6,17 +6,19 @@ it: a flat image addressed in virtual-screen (viewport) pixels, either the
 checker test pattern or an equirectangular panorama sampled along the eye's
 rays through the screen (``sample_equirect``). Pass 2 builds the projector
 framebuffer: the scene geometry is rasterized from the projector's point of
-view, each covered projector pixel recovers the world point it will light,
-maps it through the screen projection into viewport coordinates, and
-samples the pass-1 image there. Projecting that framebuffer onto the real
-surfaces makes the content appear, from the tracked eye, as if it were
-glued to the virtual screen. Only the last two steps depend on the eye: the
-rasterized projector map is kept on the mesh and reused for every new eye
-while the mesh and the projector pose are unchanged
-(``TriangleMesh.pixel_map``). That per-eye tail runs in blocks of
-``_BLOCK`` covered pixels, each taken from the screen projection through
-sampling to the framebuffer, so no temporary grows with the number of
-covered pixels; its output bytes are those of one unblocked pass.
+view, each covered projector pixel maps the point it will light through
+the screen projection into viewport coordinates, and samples the pass-1
+image there. Projecting that framebuffer onto the real surfaces makes the
+content appear, from the tracked eye, as if it were glued to the virtual
+screen. Only the last two steps depend on the eye: the rasterized
+projector map, each covered pixel and its depth, is kept on the mesh and
+reused for every new eye while the mesh and the projector pose are
+unchanged (``TriangleMesh.pixel_map``). One 3x4 matrix per eye takes a
+pixel center and its 1/depth straight to the screen, as in projective
+texture mapping (Segal et al., SIGGRAPH 1992). That per-eye tail runs in
+blocks of ``_BLOCK`` covered pixels, each taken from the screen projection
+through sampling to the framebuffer, so no temporary grows with the number
+of covered pixels; its output bytes are those of one unblocked pass.
 
 ``propagate_corners`` follows checker-pattern corners through the same
 mapping analytically (no rasterization), using one model set for the warp
@@ -181,43 +183,66 @@ def warp_to_projector(
     """Pre-warp a pass-1 image into the projector framebuffer.
 
     The world-frame mesh is rasterized from the projector; every covered
-    pixel maps its world point through the screen projection and bilinearly
-    samples the pass-1 image. Uncovered pixels, and points on the eye side
-    of the screen projection, stay black. The rasterized map does not depend
-    on the eye, so it is reused while the mesh and the projector pose are
-    unchanged, with the same output bytes as rasterizing again. The rest is
-    done in blocks of covered pixels, with the bytes of one unblocked pass,
-    and no temporary grows with the number of covered pixels.
+    pixel maps the point at its depth through the screen projection and
+    bilinearly samples the pass-1 image. Uncovered pixels, and points on
+    the eye side of the screen projection, stay black. The rasterized map
+    does not depend on the eye, so it is reused while the mesh and the
+    projector pose are unchanged, with the same output bytes as rasterizing
+    again. The rest is done in blocks of covered pixels, with the bytes of
+    one unblocked pass, and no temporary grows with the number of covered
+    pixels.
     """
-    covered, world = mesh.pixel_map(proj_device, proj_to_world)
+    covered, depth = mesh.pixel_map(proj_device, proj_to_world)
+    # The point at depth z behind pixel center p = (u, v, 1) projects to
+    # M (R K^-1 p z + t) = z g, with g = A p + b / z.
+    m3, m4 = upr.matrix[:, :3], upr.matrix[:, 3]
+    a = m3 @ proj_to_world.rotation @ np.linalg.inv(proj_device.matrix())
+    b = m3 @ proj_to_world.translation + m4
     # The pass-1 image may be rendered at a different resolution than the
     # nominal viewport; rescale into its pixel grid.
     img_px = user_image.shape[1::-1]  # (width, height)
     window_m = (viewport.width_m, viewport.height_m)
     window_px = (viewport.width_px, viewport.height_px)
     fb = np.zeros((proj_device.height * proj_device.width, 3), dtype=np.uint8)
-    pix = np.empty((2, min(len(covered), _BLOCK)))
-    pixels = np.empty((len(pix[0]), 3), dtype=np.uint8)
-    level = np.empty(len(pix[0]))
+    # Per block: g (one row per axis), u, v, 1 / z and a scratch row.
+    rows = np.empty((7, min(len(covered), _BLOCK)))
+    pixels = np.empty((rows.shape[1], 3), dtype=np.uint8)
     for start in range(0, len(covered), _BLOCK):
         block = slice(start, start + _BLOCK)
-        xy_m, w = upr.apply(world[block])
-        k = len(w)
+        pix, z = covered[block], depth[block]
+        k = len(z)
+        g, (u, v, inv_z, term) = rows[:3, :k], rows[3:, :k]
+        # Pixel centers from the flat indices: every index is an integer
+        # below 2^53, so the float row and column are exact.
+        np.floor(np.divide(pix, proj_device.width, out=v), out=v)
+        np.subtract(pix, np.multiply(v, proj_device.width, out=u), out=u)
+        u += 0.5
+        v += 0.5
+        np.divide(1.0, z, out=inv_z)
+        for gi, (a0, a1, a2), bi in zip(g, a, b):
+            np.multiply(u, a0, out=gi)
+            gi += np.multiply(v, a1, out=term)
+            gi += a2
+            gi += np.multiply(inv_z, bi, out=term)
         # Pass-1 pixels of the block, one row per axis; rows on the eye side
-        # of the screen projection get NaN, which the sampler turns black.
-        behind = ~(w > 1e-9)
-        for p, coord, m, px, img in zip(pix[:, :k], xy_m.T, window_m, window_px, img_px):
-            np.add(np.divide(coord, m, out=p), 0.5, out=p)  # the viewport's formula
+        # of the screen projection, where w = z g2 is not above 1e-9, get
+        # NaN, which the sampler turns black.
+        behind = ~(np.multiply(z, g[2], out=term) > 1e-9)
+        xy = g[:2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(xy, g[2], out=xy)
+        for p, m, px, img in zip(xy, window_m, window_px, img_px):
+            np.add(np.divide(p, m, out=p), 0.5, out=p)  # the viewport's formula
             p *= px
             p *= img / px
             p[behind] = np.nan
         # Rounded and clipped per channel, then scattered as 3-byte pixels;
         # a single-channel image fills all three channels.
-        samples = bilinear_sample(user_image, pix[:, :k].T).T
+        samples = bilinear_sample(user_image, xy.T).T
         for c, channel in enumerate(np.broadcast_to(samples, (3, k))):
-            np.round(channel, out=level[:k])
-            pixels[:k, c] = np.clip(level[:k], 0, 255, out=level[:k])
-        fb.view("V3")[covered[block], 0] = pixels[:k].view("V3")[:, 0]
+            np.round(channel, out=term)
+            pixels[:k, c] = np.clip(term, 0, 255, out=term)
+        fb.view("V3")[pix, 0] = pixels[:k].view("V3")[:, 0]
     return fb.reshape(proj_device.height, proj_device.width, 3)
 
 

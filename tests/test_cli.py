@@ -384,6 +384,45 @@ class TestInputBoundary:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "x.ppm").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--eye", "=0,0,1e300"), ("--eye", "=1e300,0,-1.5"), ("--eye", "=0,-1e10,-1.5"),
+        ("--pan", "=1e300"), ("--tilt", "=-1e300"), ("--pan", "=1000000001"),
+    ])
+    def test_eye_and_angles_past_the_magnitude_bound_are_usage_errors(
+        self, config_path, tmp_path, capsys, flag, value
+    ):
+        # Each once ended in exit status 0 with a black frame, or in an
+        # error[limit] line quoting a 300-digit angle.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["correct", "--config", str(config_path), flag + value,
+                  "--out", str(tmp_path / "x.ppm")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "within +-1e9" in err
+        assert not (tmp_path / "x.ppm").exists()
+
+    def test_eye_and_angles_at_the_magnitude_bound_pass_the_parser(self):
+        args = cli.build_parser().parse_args(
+            ["correct", "--config", "c.json", "--out", "x.ppm",
+             "--eye=1e9,-1e9,1e9", "--pan=-1e9", "--tilt=1000000000"]
+        )
+        assert args.eye == (MAX_MAGNITUDE, -MAX_MAGNITUDE, MAX_MAGNITUDE)
+        assert (args.pan, args.tilt) == (-MAX_MAGNITUDE, MAX_MAGNITUDE)
+
+    @pytest.mark.parametrize("value, message", [
+        ("x", "PROCAMSIM_THREADS must be an integer, got 'x'"),
+        ("0", "PROCAMSIM_THREADS must be >= 1, got 0"),
+    ])
+    def test_bad_thread_count_is_a_usage_error(
+        self, config_path, tmp_path, capsys, monkeypatch, value, message
+    ):
+        monkeypatch.setenv("PROCAMSIM_THREADS", value)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evaluate", "--config", str(config_path), "--out", str(tmp_path / "rep")])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
     @pytest.mark.parametrize("display, code", [
         ({"eye": [math.nan, 0.0, -1.5]}, "schema"),
         ({"eye": [0.0, 0.0, math.inf]}, "schema"),

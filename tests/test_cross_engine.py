@@ -4,7 +4,7 @@ Both engines describe the same geometry along different code paths: the
 projector map rasterizes the reconstructed mesh as the projector sees it,
 and ``TriangleMesh.intersect`` casts the projector's pixel-center rays at
 it. Away from face edges, where the winning face is unambiguous, both must
-hit and find the same world point, so a regression in either one shows
+hit at the same depth, so a regression in either one shows
 here without a brute-force copy of either.
 """
 
@@ -42,28 +42,32 @@ def test_projector_map_matches_the_ray_caster(case, state):
     device = _scaled_device(result.proj_device, WIDTH, HEIGHT)
     pose = chain.est_proj_to_world
 
-    # The mesh as the projector sees it, as in TriangleMesh.pixel_map, with
-    # each face given its own corners: a one-hot per corner then
-    # interpolates to the pixel's barycentric weights.
+    # The mesh as the projector sees it, as in TriangleMesh.pixel_map.
     uv, z = project_points(device, pose.inverse(), mesh.vertices)
-    corners = mesh.faces.reshape(-1)
-    res = rasterize(
-        uv[corners], z[corners], np.arange(len(corners)).reshape(-1, 3), WIDTH, HEIGHT,
-        attributes={"world": mesh.vertices[corners], "bary": np.tile(np.eye(3), (len(mesh.faces), 1))},
-    )
-    covered, world = mesh.pixel_map(device, pose)
+    res = rasterize(uv, z, mesh.faces, WIDTH, HEIGHT)
+    covered, depth = mesh.pixel_map(device, pose)
     assert np.array_equal(res.covered, np.flatnonzero(res.face_index >= 0))
     assert np.array_equal(res.covered, covered)
-    assert np.array_equal(res.attributes["world"], world)
+    assert np.array_equal(res.depth_w.reshape(-1)[covered], depth)
+
+    # Each covered pixel center's barycentric coordinates in its winning
+    # face; pixels with all three above 1e-6 are away from face edges.
+    tri = uv[mesh.faces[res.face_index.reshape(-1)[covered]]]  # (K, 3, 2)
+    row, col = np.divmod(covered, WIDTH)
+    center = np.c_[col + 0.5, row + 0.5]
+    e1, e2, d = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0], center - tri[:, 0]
+    area = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    b1 = (d[:, 0] * e2[:, 1] - d[:, 1] * e2[:, 0]) / area
+    b2 = (e1[:, 0] * d[:, 1] - e1[:, 1] * d[:, 0]) / area
+    inner = np.minimum(np.minimum(b1, b2), 1.0 - b1 - b2) > 1e-6
+    interior = covered[inner]
+    assert len(interior) > 0.3 * WIDTH * HEIGHT
 
     dirs = pixel_rays(device, pose, pixel_center_grid(WIDTH, HEIGHT))
     origin = pose.translation
     t, _ = mesh.intersect(np.broadcast_to(origin, dirs.shape), dirs)
-    inner = np.all(res.attributes["bary"] > 1e-6, axis=1)
-    interior = res.covered[inner]
-    assert len(interior) > 0.3 * WIDTH * HEIGHT
     assert np.isfinite(t[interior]).all()
+    # The device-frame depth of the cast hit against the rasterized depth.
     cast = hit_points(origin, dirs[interior], t[interior])
-    drawn = res.attributes["world"][inner]
-    gap = np.linalg.norm(drawn - cast, axis=1)
-    assert (gap <= 1e-9 * np.linalg.norm(cast, axis=1)).all()
+    cast_depth = pose.inverse().apply(cast)[:, 2]
+    np.testing.assert_allclose(depth[inner], cast_depth, rtol=1e-9, atol=0)

@@ -1,4 +1,4 @@
-"""Rasterizer tests: coverage, depth resolve, perspective-correct attributes."""
+"""Rasterizer tests: coverage, depth resolve, perspective-correct depth."""
 
 import warnings
 from unittest import mock
@@ -62,14 +62,6 @@ class TestCoverage:
         res = rasterize(np.zeros((0, 2)), np.zeros(0), np.zeros((0, 3), dtype=int), 4, 4)
         assert not res.mask.any()
         assert res.covered.shape == (0,)
-        assert res.attributes == {}
-
-    def test_empty_inputs_keep_attribute_channels(self):
-        # A mesh with no vertices, as the depth sensor gives when it sees nothing.
-        res = rasterize(np.zeros((0, 2)), np.zeros(0), np.zeros((0, 3), dtype=int), 4, 4,
-                        attributes={"world": np.zeros((0, 3))})
-        assert not res.mask.any()
-        assert res.attributes["world"].shape == (0, 3)
 
 
 class TestDepthResolve:
@@ -98,14 +90,12 @@ class TestDepthResolve:
         xy = rng.uniform(-2, 18, size=(n * 3, 2))
         w = rng.uniform(0.5, 5.0, size=n * 3)
         faces = np.arange(n * 3).reshape(n, 3)
-        attrs = {"c": rng.uniform(0, 1, size=(n * 3, 3))}
-        full = rasterize(xy, w, faces, 16, 16, attrs)
+        full = rasterize(xy, w, faces, 16, 16)
         monkeypatch.setattr(raster, "_FRAGMENT_BUDGET", 7)
-        tiny = rasterize(xy, w, faces, 16, 16, attrs)
+        tiny = rasterize(xy, w, faces, 16, 16)
         assert np.array_equal(full.face_index, tiny.face_index)
         assert np.array_equal(full.depth_w, tiny.depth_w)
         assert np.array_equal(full.covered, tiny.covered)
-        assert np.array_equal(full.attributes["c"], tiny.attributes["c"])
 
     def test_face_chunks_match_greedy_packing(self, monkeypatch):
         def greedy(counts, budget):
@@ -136,7 +126,7 @@ def pinhole_xy(points, f=100.0, c=10.0):
 
 
 class TestPerspectiveCorrectness:
-    def test_world_attribute_matches_ray_plane_intersection(self):
+    def test_depth_matches_ray_plane_intersection(self):
         # A slanted quad z = 3 + x, rasterized through an explicit pinhole.
         verts = np.array(
             [
@@ -148,27 +138,22 @@ class TestPerspectiveCorrectness:
         )
         faces = np.array([[0, 1, 2], [0, 2, 3]])
         xy, w = pinhole_xy(verts)
-        res = rasterize(xy, w, faces, 20, 20, {"world": verts})
+        res = rasterize(xy, w, faces, 20, 20)
         assert res.mask.sum() > 50
         ys, xs = np.divmod(res.covered, 20)
-        interp = res.attributes["world"]
         # Independent oracle: intersect each pixel ray with the plane
-        # x - z + 3 = 0 (normal (1, 0, -1), offset -3).
+        # x - z + 3 = 0 (normal (1, 0, -1), offset -3). The rays have
+        # z = 1, so the hit's z is the ray parameter t.
         dirs = np.c_[(xs + 0.5 - 10.0) / 100.0, (ys + 0.5 - 10.0) / 100.0, np.ones(len(xs))]
         t = 3.0 / (dirs[:, 2] - dirs[:, 0])
-        expected = dirs * t[:, None]
-        assert np.abs(interp - expected).max() < 1e-9
+        np.testing.assert_allclose(res.depth_w.reshape(-1)[res.covered], t, rtol=1e-12, atol=0)
 
-    def test_linear_screen_attribute_on_constant_depth(self):
+    def test_constant_depth_stays_constant(self):
         xy = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
         w = np.full(3, 2.5)
-        attr = xy.copy()  # equals pixel position when depth is constant
-        res = rasterize(xy, w, np.array([[0, 1, 2]]), 10, 10, {"p": attr})
-        ys, xs = np.divmod(res.covered, 10)
-        got = res.attributes["p"]
-        want = np.c_[xs + 0.5, ys + 0.5]
-        assert np.abs(got - want).max() < 1e-10
-        assert np.allclose(res.depth_w[res.mask], 2.5)
+        res = rasterize(xy, w, np.array([[0, 1, 2]]), 10, 10)
+        assert res.mask.sum() > 40
+        np.testing.assert_allclose(res.depth_w[res.mask], 2.5, rtol=1e-15, atol=0)
 
     def test_depth_w_interpolates_perspectively(self):
         # Vertical edge pair with w 1 on the left, 3 on the right: at the
@@ -182,19 +167,17 @@ class TestPerspectiveCorrectness:
         assert mid == pytest.approx(1.0 / inv, rel=1e-12)
 
 
-def raster_oracle(xy, w, faces, width, height, attr):
+def raster_oracle(xy, w, faces, width, height):
     """Every pixel center against every face, with rasterize's arithmetic.
 
     A face counts when its w are positive, its vertices finite and its
     doubled area above 1e-12; a pixel is covered when all three edge
     functions are >= 0 at its center. The smallest depth wins, and faces
     run in index order with a strict test, so an exact tie keeps the
-    lowest index. The winner's vertex attribute ``attr`` is interpolated
-    perspective-correctly.
+    lowest index.
     """
     face_index = np.full((height, width), -1)
     depth = np.full((height, width), np.inf)
-    values = np.zeros((height, width, attr.shape[1]))
     for f, (i, j, k) in enumerate(faces):
         if not (min(w[i], w[j], w[k]) > 0 and np.isfinite(xy[[i, j, k]]).all()):
             continue
@@ -214,9 +197,7 @@ def raster_oracle(xy, w, faces, width, height, attr):
                     if d < depth[py, px]:
                         depth[py, px] = d
                         face_index[py, px] = f
-                        lw = [l0 * iw[0] * d, l1 * iw[1] * d, l2 * iw[2] * d]
-                        values[py, px] = attr[i] * lw[0] + attr[j] * lw[1] + attr[k] * lw[2]
-    return face_index, depth, values
+    return face_index, depth
 
 
 # Quarter-pixel vertex positions put pixel centers exactly on edges and
@@ -245,18 +226,16 @@ def small_meshes(draw, coords=positions):
 def assert_matches_oracle(xy, w, faces, width, height, budget=None, block=None):
     """rasterize, optionally with a small chunk budget or span block, equals the oracle."""
     xy, w, faces = (np.asarray(a) for a in (xy, w, faces))
-    attr = np.random.default_rng(len(xy)).uniform(-3.0, 3.0, size=(len(xy), 3))
     # Warnings are errors: a vertex at w = 0 must not make 1/w warn.
     with mock.patch.object(raster, "_FRAGMENT_BUDGET", budget or raster._FRAGMENT_BUDGET), \
             mock.patch.object(raster, "_BLOCK", block or raster._BLOCK), \
             warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = rasterize(xy, w, faces, width, height, attributes={"world": attr})
-    want_face, want_depth, want_world = raster_oracle(xy, w, faces, width, height, attr)
+        res = rasterize(xy, w, faces, width, height)
+    want_face, want_depth = raster_oracle(xy, w, faces, width, height)
     assert np.array_equal(res.face_index, want_face)
     assert np.array_equal(res.depth_w, want_depth)
-    assert np.array_equal(res.covered, np.flatnonzero(res.face_index >= 0))
-    assert np.array_equal(res.attributes["world"], want_world.reshape(-1, 3)[res.covered])
+    assert np.array_equal(res.covered, np.flatnonzero(want_face >= 0))
     return res
 
 
@@ -407,14 +386,12 @@ def test_far_needles_match_whole_box_rows(mesh):
     # Whole bounding-box rows are the candidates before spans: every pixel
     # center of the box gets the inside test.
     xy, w, faces = mesh
-    attr = np.random.default_rng(0).uniform(-3.0, 3.0, size=(3, 3))
-    got = rasterize(xy, w, faces, 10, 8, attributes={"world": attr})
+    got = rasterize(xy, w, faces, 10, 8)
     with mock.patch.object(raster, "_loose_faces", lambda tri, *_: np.ones(len(tri), bool)):
-        want = rasterize(xy, w, faces, 10, 8, attributes={"world": attr})
+        want = rasterize(xy, w, faces, 10, 8)
     assert np.array_equal(got.face_index, want.face_index)
     assert np.array_equal(got.depth_w, want.depth_w)
     assert np.array_equal(got.covered, want.covered)
-    assert np.array_equal(got.attributes["world"], want.attributes["world"])
 
 
 def grid_mesh(offset, jitter):
@@ -450,7 +427,7 @@ def test_vertex_at_w_zero_raises_no_warning():
     faces = np.array([[0, 1, 2], [1, 3, 2]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = rasterize(xy, w, faces, 8, 8, attributes={"world": np.c_[xy, w]})
+        res = rasterize(xy, w, faces, 8, 8)
     assert res.mask.sum() == 21
     assert (res.face_index[res.mask] == 0).all()
 
@@ -461,17 +438,15 @@ def test_non_finite_faces_are_dropped_without_a_warning():
     xy = np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0], [6.0, 6.0],
                    [np.nan, 1.0], [3.0, np.inf], [1.0, 1.0], [7.0, 1.0], [1.0, 7.0]])
     w = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, np.inf, np.inf, np.inf])
-    world = np.c_[xy, np.ones(len(xy))]
     faces = np.array([[0, 1, 2], [1, 3, 2], [4, 1, 3], [0, 5, 1], [6, 7, 8]])
-    finite = rasterize(xy[:4], w[:4], faces[:2], 8, 8, attributes={"world": world[:4]})
+    finite = rasterize(xy[:4], w[:4], faces[:2], 8, 8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = rasterize(xy, w, faces, 8, 8, attributes={"world": world})
+        res = rasterize(xy, w, faces, 8, 8)
     assert res.mask.sum() > 0
     np.testing.assert_array_equal(res.depth_w, finite.depth_w)
     np.testing.assert_array_equal(res.face_index, finite.face_index)
     np.testing.assert_array_equal(res.covered, finite.covered)
-    np.testing.assert_array_equal(res.attributes["world"], finite.attributes["world"])
 
 
 def test_faces_far_off_screen_are_dropped_without_a_warning():

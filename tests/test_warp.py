@@ -13,6 +13,7 @@ import gc
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -26,6 +27,7 @@ from procamsim.geometry import (
     PinholeDevice,
     RigidTransform,
     normalized,
+    project_points,
     rotation_about_axis,
 )
 from procamsim.images import bilinear_sample, to_uint8
@@ -309,11 +311,52 @@ class TestProjectorMapReuse:
         upr = upr_matrix(EyePose(*self.EYES[0]), RigidTransform.identity())
         warp_to_projector(user_image, mesh, upr, viewport, device, pose)
         mesh_ref = weakref.ref(mesh)
-        map_ref = weakref.ref(mesh.pixel_map(device, pose)[1])
+        map_refs = [weakref.ref(a) for a in mesh.pixel_map(device, pose)]
         del mesh
         gc.collect()
         assert mesh_ref() is None
-        assert map_ref() is None
+        assert [ref() for ref in map_refs] == [None, None]
+
+    def test_map_holds_16_bytes_per_covered_pixel(self):
+        viewport, device, (pose, _), user_image = self.scenario()
+        mesh = bumpy_wall()
+        covered, depth = mesh.pixel_map(device, pose)
+        assert len(covered) > 10000
+        assert covered.dtype == np.int64 and depth.dtype == np.float64
+        assert covered.nbytes + depth.nbytes == 16 * len(covered)
+        assert not covered.flags.writeable and not depth.flags.writeable
+
+    def test_empty_mesh_gives_an_empty_map(self):
+        # A mesh with no vertices, as the depth sensor gives when it sees nothing.
+        viewport, device, (pose, _), user_image = self.scenario()
+        empty = TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
+        covered, depth = empty.pixel_map(device, pose)
+        assert covered.shape == depth.shape == (0,)
+        upr = upr_matrix(EyePose(*self.EYES[0]), RigidTransform.identity())
+        assert not warp_to_projector(user_image, empty, upr, viewport, device, pose).any()
+
+
+def screen_projection(mesh, upr, proj_device, proj_to_world):
+    """The tail's screen projection over the whole map at once.
+
+    The point at depth z behind projector pixel center p = (u, v, 1)
+    projects to g0 / g2, g1 / g2 with g = A p + b / z, A = M3 R K^-1 and
+    b = M3 t + M4, where M = [M3 | M4] is the screen projection and
+    (R, t) the projector pose; its w is z g2. Returns the covered pixels,
+    their (K, 2) screen coordinates and w.
+    """
+    covered, depth = mesh.pixel_map(proj_device, proj_to_world)
+    m3, m4 = upr.matrix[:, :3], upr.matrix[:, 3]
+    a = m3 @ proj_to_world.rotation @ np.linalg.inv(proj_device.matrix())
+    b = m3 @ proj_to_world.translation + m4
+    v = np.floor(covered / proj_device.width)
+    u = covered - v * proj_device.width + 0.5
+    v = v + 0.5
+    inv_z = 1.0 / depth
+    g = [u * a0 + v * a1 + a2 + inv_z * bi for (a0, a1, a2), bi in zip(a, b)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xy = np.c_[g[0] / g[2], g[1] / g[2]]
+    return covered, xy, depth * g[2]
 
 
 def unblocked_warp(user_image, mesh, upr, viewport, proj_device, proj_to_world):
@@ -323,8 +366,7 @@ def unblocked_warp(user_image, mesh, upr, viewport, proj_device, proj_to_world):
     formula, the rescale to the pass-1 image, one sampler call, then
     round, clip and scatter, each over the whole map at once.
     """
-    covered, world = mesh.pixel_map(proj_device, proj_to_world)
-    xy_m, w = upr.apply(world)
+    covered, xy_m, w = screen_projection(mesh, upr, proj_device, proj_to_world)
     ok = (w > 1e-9) & np.all(np.isfinite(xy_m), axis=1)
     u = (xy_m[ok, 0] / viewport.width_m + 0.5) * viewport.width_px
     v = (xy_m[ok, 1] / viewport.height_m + 0.5) * viewport.height_px
@@ -402,8 +444,7 @@ class TestBlockedWarpOracle:
         viewport, _, device, pose, _ = identity_setup(320, 240)
         mesh = random_wall(3, 0.5)
         upr = upr_matrix(EyePose(0.1, -0.05, -0.3), RigidTransform.identity())
-        covered, world = mesh.pixel_map(device, pose)
-        _, w = upr.apply(world)
+        covered, _, w = screen_projection(mesh, upr, device, pose)
         assert len(covered) % warp_module._BLOCK == 76800 - 2 * 32768
         assert (w <= 1e-9).any() and (w > 1e-9).any()
         user_image = pass1_image(4, kind, 250, 170)
@@ -420,6 +461,79 @@ class TestBlockedWarpOracle:
         got, want = self.both(block, user_image, far, upr, viewport, device, pose)
         assert np.array_equal(got, want)
         assert not got.any()
+
+
+def interpolated_world(mesh, device, pose):
+    """Reference: each covered pixel's world point, interpolated on the mesh.
+
+    The winning face's vertices, weighted by the pixel center's
+    perspective-correct barycentric coordinates (linear in 1/z). Returns
+    the covered pixels and their (K, 3) world points.
+    """
+    uv, z = project_points(device, pose.inverse(), mesh.vertices)
+    res = rasterize(uv, z, mesh.faces, device.width, device.height)
+    faces = mesh.faces[res.face_index.reshape(-1)[res.covered]]
+    row, col = np.divmod(res.covered, device.width)
+    center = np.c_[col + 0.5, row + 0.5]
+    a, b, c = (uv[faces[:, k]] for k in range(3))
+
+    def cross(p, q):
+        return p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+
+    area = cross(b - a, c - a)
+    lb = cross(center - a, c - a) / area
+    lc = cross(b - a, center - a) / area
+    weights = np.c_[1.0 - lb - lc, lb, lc] / z[faces]
+    weights /= weights.sum(axis=1, keepdims=True)
+    return res.covered, np.einsum("kj,kjd->kd", weights, mesh.vertices[faces])
+
+
+class TestScreenProjectionReference:
+    """The per-eye 3x4 matrix on depth agrees with projecting interpolated world points."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        eye=st.tuples(
+            st.floats(-0.6, 0.6),
+            st.floats(-0.4, 0.4),
+            st.floats(-1.4, 0.6).filter(lambda z: abs(z) > 0.05),
+        ),
+        amplitude=st.sampled_from([0.0, 0.3, 0.7]),
+        axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda a: np.linalg.norm(a) > 0.1),
+        angle=st.floats(-8.0, 8.0),
+        shift=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.floats(-1.8, -1.0)),
+        skew=st.sampled_from([0.0, 2.5, -4.0]),
+        center=st.tuples(st.floats(8.0, 24.0), st.floats(6.0, 18.0)),
+    )
+    def test_sampler_coordinates_match_the_reference(
+        self, seed, eye, amplitude, axis, angle, shift, skew, center
+    ):
+        viewport, _, device, _, _ = identity_setup(32, 24)
+        device = replace(device, skew=skew, cx=center[0], cy=center[1])
+        pose = RigidTransform(
+            rotation_about_axis(normalized(np.array(axis)), math.radians(angle)), np.array(shift)
+        )
+        upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
+        mesh = random_wall(seed, amplitude)
+        coords = []
+
+        def capturing_sampler(image, xy):
+            coords.append(np.array(xy))
+            return bilinear_sample(image, xy)
+
+        user_image = pass1_image(seed, "uint8", viewport.width_px, viewport.height_px)
+        with mock.patch.object(warp_module, "bilinear_sample", capturing_sampler):
+            warp_to_projector(user_image, mesh, upr, viewport, device, pose)
+        covered, world = interpolated_world(mesh, device, pose)
+        assert np.array_equal(covered, mesh.pixel_map(device, pose)[0])
+        got = np.concatenate(coords) if coords else np.zeros((0, 2))
+        xy, w = upr.apply(world)
+        front = w > 1e-6
+        # The pass-1 image has the viewport's size, so the rescale is exact.
+        want = viewport.to_pixels(xy[front])
+        gap = np.linalg.norm(got[front] - want, axis=1)
+        assert (gap <= 1e-9 * np.linalg.norm(want, axis=1)).all()
 
 
 class TestFramebufferLayout:
