@@ -171,10 +171,10 @@ class CalibrationResult:
 # -- Damped Gauss-Newton refinement ------------------------------------------
 
 
-def _numeric_jacobian(fn, x: np.ndarray, r0: np.ndarray, eps: float = 1e-7) -> np.ndarray:
+def _numeric_jacobian(fn, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
     jac = np.empty((r0.size, x.size))
     for i in range(x.size):
-        h = eps * max(1.0, abs(x[i]))
+        h = 1e-7 * max(1.0, abs(x[i]))
         xp = x.copy()
         xp[i] += h
         xm = x.copy()
@@ -183,13 +183,7 @@ def _numeric_jacobian(fn, x: np.ndarray, r0: np.ndarray, eps: float = 1e-7) -> n
     return jac
 
 
-def _levenberg_marquardt(
-    residual_fn,
-    x0,
-    max_iter: int = MAX_ITERATIONS,
-    step_tol: float = STEP_TOL,
-    cost_tol: float = COST_TOL,
-) -> tuple[np.ndarray, float, bool]:
+def _levenberg_marquardt(residual_fn, x0) -> tuple[np.ndarray, float, bool]:
     """Minimize ||residual_fn(x)||^2; returns (x, cost, converged).
 
     Steps are accepted only when they lower the cost, so the refined cost
@@ -200,7 +194,7 @@ def _levenberg_marquardt(
     cost = float(r @ r)
     lam = 1e-3
     converged = cost < 1e-28
-    for _ in range(max_iter):
+    for _ in range(MAX_ITERATIONS):
         if converged:
             break
         jac = _numeric_jacobian(residual_fn, x, r)
@@ -228,7 +222,7 @@ def _levenberg_marquardt(
         x = x + step
         r, cost = r_new, cost_new
         lam = max(lam / 3.0, 1e-12)
-        if np.linalg.norm(step) < step_tol or rel_drop < cost_tol or cost < 1e-28:
+        if np.linalg.norm(step) < STEP_TOL or rel_drop < COST_TOL or cost < 1e-28:
             converged = True
     return x, cost, converged
 

@@ -344,8 +344,22 @@ def _int_at_least(low: int):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a number or a comma list of numbers as a value, even when it
+    starts with '-' (``--pan -1e1``, ``--eye -0.2,0,-1.5``); argparse alone
+    takes any such token but a plain negative decimal for an option."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            for part in arg_string.split(","):
+                float(part)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="procamsim",
         description="Simulator and calibration toolkit for steerable "
         "projector-camera AR rigs.",

@@ -24,10 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import CalibrationResult, result_from_rig
+from .calibration import CalibrationResult
 from .errors import EmptyIntersectionError, save_json
 from .geometry import PinholeDevice, RigidTransform, rotation_about_axis
-from .images import draw_marker, new_image, write_ppm
+from .images import draw_marker, write_ppm
 from .rig import PanTiltState, RigModel, RigPose, platform_rotation, rig_pose
 from .scene import (
     Box,
@@ -107,11 +107,11 @@ class BenchmarkCase:
     scene: Scene
 
 
-def _wall(extent=(6.0, 4.0)) -> Plane:
+def _wall() -> Plane:
     return Plane(
         point=[0.0, 0.0, 3.0],
         normal=[0.0, 0.0, -1.0],
-        extent=extent,
+        extent=(6.0, 4.0),
         surface_id="wall",
         albedo=(0.85, 0.85, 0.85),
     )
@@ -350,10 +350,10 @@ class BenchmarkReport:
             f" {'resolved':>9} {'bad depth':>10}",
         ]
 
-        def fmt(x, width, digits=3):
+        def fmt(x, width):
             if isinstance(x, float) and math.isnan(x):
                 return f"{'n/a':>{width}}"
-            return f"{x:>{width}.{digits}f}"
+            return f"{x:>{width}.3f}"
 
         for r in self.results:
             lines.append(
@@ -376,7 +376,7 @@ class BenchmarkReport:
         vp = self.options.viewport
         width = _OVERLAY_WIDTH
         height = max(1, round(width * vp.height_px / vp.width_px))
-        img = new_image(width, height)
+        img = np.zeros((height, width, 3), dtype=np.uint8)
         sx = width / vp.width_px
         sy = height / vp.height_px
         prop = result.corrected
@@ -550,24 +550,17 @@ def thread_count(n_tasks: int) -> int:
 def run_benchmark(
     cases,
     rig: RigModel,
-    result: CalibrationResult | None = None,
-    options: BenchmarkOptions | None = None,
+    result: CalibrationResult,
+    options: BenchmarkOptions,
 ) -> BenchmarkReport:
-    """Evaluate every case; results keep the input order regardless of threads."""
+    """Evaluate every case on ``thread_count`` threads; results keep the input
+    order, and their bytes, whatever the number of threads."""
     cases = tuple(cases)
-    options = options or BenchmarkOptions()
-    result = result or result_from_rig(rig)
-    workers = thread_count(len(cases))
-    if workers == 1 or len(cases) <= 1:
-        results = [
-            evaluate_case(case, rig, result, options, i) for i, case in enumerate(cases)
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda ic: evaluate_case(ic[1], rig, result, options, ic[0]),
-                    enumerate(cases),
-                )
+    with ThreadPoolExecutor(max_workers=thread_count(len(cases))) as pool:
+        results = list(
+            pool.map(
+                lambda ic: evaluate_case(ic[1], rig, result, options, ic[0]),
+                enumerate(cases),
             )
+        )
     return BenchmarkReport(options=options, results=tuple(results))

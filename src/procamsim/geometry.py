@@ -156,15 +156,12 @@ class RigidTransform:
         pts = np.asarray(points, dtype=float)
         return pts @ self.rotation.T + self.translation
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """Return the transform applying ``other`` first, then ``self``."""
+    def __matmul__(self, other: "RigidTransform") -> "RigidTransform":
+        """``self @ other`` applies ``other`` first, then ``self``."""
         return RigidTransform(
             self.rotation @ other.rotation,
             self.rotation @ other.translation + self.translation,
         )
-
-    def __matmul__(self, other: "RigidTransform") -> "RigidTransform":
-        return self.compose(other)
 
     def inverse(self) -> "RigidTransform":
         rt = self.rotation.T

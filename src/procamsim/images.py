@@ -18,15 +18,6 @@ from .errors import ImageFormatError
 _SAMPLE_BLOCK = 1 << 14
 
 
-def new_image(width: int, height: int, fill=(0, 0, 0)) -> np.ndarray:
-    """A (height, width, 3) uint8 canvas filled with ``fill``."""
-    if width <= 0 or height <= 0:
-        raise ValueError("image dimensions must be positive")
-    img = np.empty((height, width, 3), dtype=np.uint8)
-    img[:] = np.asarray(fill, dtype=np.uint8)
-    return img
-
-
 def to_uint8(values) -> np.ndarray:
     """``values`` rounded half to even and clipped to [0, 255], as uint8."""
     return np.clip(np.round(values), 0, 255).astype(np.uint8)

@@ -41,6 +41,10 @@ RAY_T_MIN = 1e-6
 # (about 84 degrees) on a direction grid; the others test every face.
 _FRONT_COS = 0.1
 
+# A reconstructed triangle with an edge that jumps more than this in depth
+# (meters) spans a depth discontinuity and is dropped.
+DISCONTINUITY_M = 0.05
+
 
 def hit_points(origin, dirs: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Points ``origin + t * dirs`` along each ray; a miss (t = inf) maps to the origin."""
@@ -735,21 +739,15 @@ def grid_faces(rows: int, cols: int) -> np.ndarray:
     return np.stack([tl, bl, tr, tr, bl, bl + 1], axis=1).reshape(-1, 3)
 
 
-def reconstruct_mesh(
-    depth: DepthImage,
-    device: PinholeDevice,
-    discontinuity_threshold: float = 0.05,
-) -> TriangleMesh:
+def reconstruct_mesh(depth: DepthImage, device: PinholeDevice) -> TriangleMesh:
     """Triangulate a depth image into a device-frame mesh.
 
     Each valid pixel backprojects to one vertex through its pixel center.
     Every 2x2 pixel quad contributes up to two triangles; a triangle is
     skipped when any of its pixels is invalid or any edge jumps in depth by
-    more than ``discontinuity_threshold`` meters. Triangles are wound to
-    face the sensor.
+    more than ``DISCONTINUITY_M`` (0.05 m). Triangles are wound to face the
+    sensor.
     """
-    if not discontinuity_threshold > 0:
-        raise ValueError("discontinuity threshold must be positive")
     h, w = depth.depth.shape
     valid = depth.valid
     index = np.full((h, w), -1, dtype=np.int64)
@@ -763,7 +761,7 @@ def reconstruct_mesh(
     cells = index.ravel()[grid_faces(h, w)].reshape(h - 1, w - 1, 2, 3)
 
     def edge_ok(z_a, z_b):
-        return np.abs(z_a - z_b) <= discontinuity_threshold
+        return np.abs(z_a - z_b) <= DISCONTINUITY_M
 
     e_top = edge_ok(z[:-1, :-1], z[:-1, 1:])
     e_bottom = edge_ok(z[1:, :-1], z[1:, 1:])

@@ -159,22 +159,20 @@ def _projector_samples(
 def synthesize_session(
     rig: RigModel,
     scene: Scene,
-    board: CheckerboardTarget | None = None,
     protocol: CalibrationProtocol | None = None,
-    include_ground_truth: bool = True,
 ) -> CalibrationSession:
     """Drive the rig through a protocol and collect a calibration session.
 
-    The checkerboard defaults to the scene's first one. Noise draws are
-    taken from a generator seeded with ``protocol.seed`` in a fixed order,
-    so equal inputs give byte-identical sessions.
+    The cameras observe the scene's first checkerboard, and the session
+    carries the rig as its ground truth. Noise draws are taken from a
+    generator seeded with ``protocol.seed`` in a fixed order, so equal
+    inputs give byte-identical sessions.
     """
     if protocol is None:
         protocol = CalibrationProtocol()
-    if board is None:
-        if not scene.checkerboards:
-            raise EmptyObservationError("scene has no checkerboard and none was supplied")
-        board = scene.checkerboards[0]
+    if not scene.checkerboards:
+        raise EmptyObservationError("scene has no checkerboard")
+    board = scene.checkerboards[0]
     rng = np.random.default_rng(protocol.seed)
     sigma = protocol.corner_noise_sigma
 
@@ -204,5 +202,5 @@ def synthesize_session(
         tilt_observations=tilt_obs,
         rear_registration=registration,
         projector=projector,
-        ground_truth=rig if include_ground_truth else None,
+        ground_truth=rig,
     )

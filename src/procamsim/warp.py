@@ -148,24 +148,16 @@ def _unoccluded(scene: Scene, origin: np.ndarray, points: np.ndarray) -> np.ndar
 # -- Pass 1: the user's intended view -------------------------------------------
 
 
-def render_user_view(
-    panorama: np.ndarray,
-    upr: UprMatrix,
-    viewport: Viewport,
-    width: int | None = None,
-    height: int | None = None,
-) -> np.ndarray:
+def render_user_view(panorama: np.ndarray, upr: UprMatrix, viewport: Viewport) -> np.ndarray:
     """Render a panorama as seen from the eye through the virtual screen.
 
-    Each output pixel is the panorama sampled along the ray from the eye
+    Each viewport pixel is the panorama sampled along the ray from the eye
     through that pixel's point on the screen plane (the rear frame's z=0
-    plane). Returns a (height, width, 3) uint8 image.
+    plane). Returns a (height_px, width_px, 3) uint8 image at the viewport's
+    size.
     """
-    width = viewport.width_px if width is None else width
-    height = viewport.height_px if height is None else height
-    scale = np.array([width / viewport.width_px, height / viewport.height_px])
-    uv = pixel_center_grid(width, height) / scale
-    _, dirs = upr.screen_rays(viewport.to_plane(uv))
+    width, height = viewport.width_px, viewport.height_px
+    _, dirs = upr.screen_rays(viewport.to_plane(pixel_center_grid(width, height)))
     return to_uint8(sample_equirect(panorama, dirs)).reshape(height, width, 3)
 
 
@@ -350,29 +342,22 @@ def propagate_corners(
     viewport: Viewport,
     proj_device: PinholeDevice,
     proj_to_world: RigidTransform,
-    true_scene: Scene | None = None,
-    true_proj_device: PinholeDevice | None = None,
-    true_proj_to_world: RigidTransform | None = None,
-    true_upr: UprMatrix | None = None,
+    true_scene: Scene,
+    true_proj_device: PinholeDevice,
+    true_proj_to_world: RigidTransform,
+    true_upr: UprMatrix,
 ) -> CornerPropagation:
     """Trace pattern corners through the corrected display chain.
 
     The estimated models (the world-frame ``mesh``, ``upr``, ``proj_device``,
     ``proj_to_world``) decide which projector pixel carries each corner,
-    exactly as the two-pass warp would. The true models (defaulting to the
-    estimates) govern what physically happens to that pixel and where the
-    user sees it. The gap between ``desired_px`` and ``observed_px`` is the
-    residual distortion in virtual-screen pixels.
+    exactly as the two-pass warp would. The true models (``true_scene``,
+    ``true_proj_device``, ``true_proj_to_world``, ``true_upr``) govern what
+    physically happens to that pixel and where the user sees it. The gap
+    between ``desired_px`` and ``observed_px`` is the residual distortion in
+    virtual-screen pixels.
     """
     est_scene = Scene(surfaces=(mesh,))
-    if true_scene is None:
-        true_scene = est_scene
-    if true_proj_device is None:
-        true_proj_device = proj_device
-    if true_proj_to_world is None:
-        true_proj_to_world = proj_to_world
-    if true_upr is None:
-        true_upr = upr
 
     corners = pattern.corner_positions(viewport.width_px, viewport.height_px)
     n = len(corners)

@@ -5,6 +5,7 @@ observations are synthesized here with plain numpy (not with the library's
 own simulation helpers), so a recovery error in either direction shows up.
 """
 
+import dataclasses
 import json
 import math
 
@@ -470,8 +471,8 @@ class TestFullPipeline:
         assert isinstance(excinfo.value.cause, DegenerateConfigurationError)
 
     def test_no_ground_truth_no_errors_dict(self):
-        session = synthesize_session(
-            default_rig(), calibration_scene(), include_ground_truth=False
+        session = dataclasses.replace(
+            synthesize_session(default_rig(), calibration_scene()), ground_truth=None
         )
         result = run_full_calibration(session)
         assert result.parameter_errors is None
@@ -651,5 +652,6 @@ class TestSynthesizeSession:
         # With 1.5 m squares, fewer corners than an axis record takes are in view.
         board = calibration_scene().checkerboards[0]
         board = CheckerboardTarget(board.pose, board.rows, board.cols, square_size=1.5)
+        scene = dataclasses.replace(calibration_scene(), checkerboards=(board,))
         with pytest.raises(EmptyObservationError, match="corners seen"):
-            synthesize_session(default_rig(), calibration_scene(), board=board)
+            synthesize_session(default_rig(), scene)

@@ -230,6 +230,32 @@ class TestCorrect:
         assert main(["correct", "--config", str(config_path), "--out", str(out)]) == 0
         assert read_image(out).shape == (360, 640, 3)
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--eye", "-0.2,0,-1.5"), ("--pan", "-1e1"), ("--tilt", "-2.5e0"),
+    ])
+    def test_negative_values_write_the_same_bytes_in_both_forms(
+        self, config_path, tmp_path, flag, value
+    ):
+        # argparse once took the separate-token form for an unknown option.
+        spaced = tmp_path / "spaced.ppm"
+        joined = tmp_path / "joined.ppm"
+        assert main(["correct", "--config", str(config_path), flag, value,
+                     "--out", str(spaced)]) == 0
+        assert main(["correct", "--config", str(config_path), f"{flag}={value}",
+                     "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--eye", "-0.2,-0,-1.5"), ("--eye", "-.5e-1,-1E-1,-1_0"), ("--eye", " -1, -2, -3"),
+        ("--pan", "-1e1"), ("--pan", "-1_0"), ("--tilt", "-.5"), ("--tilt", "-1e9"),
+    ])
+    def test_negative_values_parse_alike_in_both_forms(self, flag, value):
+        parser = cli.build_parser()
+        base = ["correct", "--config", "c.json", "--out", "x.ppm"]
+        assert parser.parse_args(base + [flag, value]) == parser.parse_args(
+            base + [f"{flag}={value}"]
+        )
+
     def test_malformed_eye_exits_with_usage_error(self, config_path, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["correct", "--config", str(config_path), "--eye", "1,2",

@@ -293,26 +293,19 @@ def small_suite():
 
 class TestRunBenchmark:
     def test_results_keep_case_order(self, rig, small_suite):
-        report = run_benchmark(small_suite, rig, options=fast_options())
+        report = run_benchmark(small_suite, rig, result_from_rig(rig), options=fast_options())
         assert [r.name for r in report.results] == ["base", "grazing_wedge"]
 
     def test_runs_are_deterministic(self, rig, small_suite, monkeypatch):
         opts = fast_options(depth_noise_sigma=0.002)
         monkeypatch.setenv(THREADS_ENV_VAR, "1")
-        first = run_benchmark(small_suite, rig, options=opts)
+        first = run_benchmark(small_suite, rig, result_from_rig(rig), options=opts)
         monkeypatch.setenv(THREADS_ENV_VAR, "4")
-        second = run_benchmark(small_suite, rig, options=opts)
+        second = run_benchmark(small_suite, rig, result_from_rig(rig), options=opts)
         assert first.to_json() == second.to_json()
 
-    def test_default_result_is_ground_truth(self, rig, small_suite):
-        explicit = run_benchmark(
-            small_suite, rig, result_from_rig(rig), options=fast_options()
-        )
-        implicit = run_benchmark(small_suite, rig, options=fast_options())
-        assert explicit.to_json() == implicit.to_json()
-
     def test_report_save_writes_artifacts(self, rig, small_suite, tmp_path):
-        report = run_benchmark(small_suite, rig, options=fast_options())
+        report = run_benchmark(small_suite, rig, result_from_rig(rig), options=fast_options())
         report.save(tmp_path)
         data = json.loads((tmp_path / "report.json").read_text())
         assert data["schema_version"] == 1
@@ -337,6 +330,6 @@ class TestRunBenchmark:
         assert isinstance(record["corrected_mean_px"], float)
 
     def test_report_json_is_serializable(self, rig, small_suite):
-        report = run_benchmark(small_suite, rig, options=fast_options())
+        report = run_benchmark(small_suite, rig, result_from_rig(rig), options=fast_options())
         encoded = json.dumps(report.to_json(), sort_keys=True)
         assert "grazing_wedge" in encoded

@@ -9,7 +9,10 @@ here and say in CHANGES.md which bytes moved and why.
 
 ``correct``, ``render-user-view`` and ``evaluate`` use the rig's ground
 truth, so their hashes do not depend on the calibration path; the
-calibrated ``result.json`` covers ``calibrate``.
+calibrated ``result.json`` covers ``calibrate``. Two more ``correct`` runs
+show a synthetic equirectangular panorama instead of the checker pattern,
+which covers ``render_user_view``, ``sample_equirect`` and the panorama
+branch of the uncorrected framebuffer.
 """
 
 import hashlib
@@ -17,9 +20,11 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from procamsim.cli import main
+from procamsim.images import write_ppm
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -40,7 +45,25 @@ GOLDEN = {
     "report/overlay_spheres.ppm": "edb9863781e6114908b527ac407676c6ff237a9593e7d8db65ff4f4b508a6111",
     "report/overlay_cloth.ppm": "49f03e59b3d5c3f292d3e77447d58b47e6d2c2a077fbe8dea0e9f2f5c86b6497",
     "report/overlay_grazing_wedge.ppm": "a17b01f1e86a91602b8b179fc013ab778c7904bf5f5e67692ea1dc94170a6444",
+    "panorama_framebuffer.ppm": "fc7d85a69572be355a850ddaafd079f02c337aba52b76d827c5f611089de8027",
+    "panorama_naive.ppm": "f7d85eb89e8b881f2a0dd51fdb705fde74e743b0de9b0ede94e42298b4c176d2",
 }
+
+
+def synthetic_panorama(width=128, height=64) -> np.ndarray:
+    """A deterministic (height, width, 3) uint8 equirectangular image."""
+    x, y = np.meshgrid(np.arange(width), np.arange(height))
+    return np.stack([(x * 2) % 256, (y * 4) % 256, (x ^ y) * 7 % 256], axis=-1).astype(np.uint8)
+
+
+def panorama_config(directory: Path, config_path: Path) -> Path:
+    """The config at ``config_path`` showing a synthetic panorama."""
+    write_ppm(directory / "panorama.ppm", synthetic_panorama())
+    config = json.loads(config_path.read_text())
+    config["display"]["content"] = {"type": "image", "path": "panorama.ppm"}
+    path = directory / "panorama_config.json"
+    path.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def small_demo_config(directory: Path) -> Path:
@@ -67,7 +90,9 @@ def small_demo_config(directory: Path) -> Path:
 def artifacts(tmp_path_factory):
     """Run the walkthrough once; map each artifact name to its sha256."""
     out = tmp_path_factory.mktemp("golden")
-    cfg = str(small_demo_config(out))
+    cfg_path = small_demo_config(out)
+    cfg = str(cfg_path)
+    pano = str(panorama_config(out, cfg_path))
     steps = [
         ["simulate-calib", "--config", cfg, "--out", str(out / "session.json")],
         ["calibrate", "--session", str(out / "session.json"),
@@ -77,6 +102,9 @@ def artifacts(tmp_path_factory):
         ["render-user-view", "--config", cfg, "--width", "96",
          "--out", str(out / "view.ppm")],
         ["evaluate", "--config", cfg, "--out", str(out / "report")],
+        ["correct", "--config", pano, "--out", str(out / "panorama_framebuffer.ppm")],
+        ["correct", "--config", pano, "--no-correction",
+         "--out", str(out / "panorama_naive.ppm")],
     ]
     for argv in steps:
         assert main(argv) == 0, argv

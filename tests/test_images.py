@@ -11,7 +11,6 @@ from procamsim.errors import ImageFormatError
 from procamsim.images import (
     bilinear_sample,
     draw_marker,
-    new_image,
     read_image,
     read_ppm,
     write_image,
@@ -31,7 +30,7 @@ class TestPpm:
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "img.ppm"
-        write_ppm(path, new_image(3, 2, fill=(1, 2, 3)))
+        write_ppm(path, np.full((2, 3, 3), (1, 2, 3), dtype=np.uint8))
         data = path.read_bytes()
         assert data.startswith(b"P6\n3 2\n255\n")
         assert len(data) == len(b"P6\n3 2\n255\n") + 3 * 2 * 3
@@ -71,7 +70,7 @@ class TestPpm:
 
 class TestWriteImage:
     def test_dispatches_ppm(self, tmp_path):
-        img = new_image(4, 3, fill=(9, 8, 7))
+        img = np.full((3, 4, 3), (9, 8, 7), dtype=np.uint8)
         path = tmp_path / "a.ppm"
         write_image(path, img)
         assert np.array_equal(read_image(path), img)
@@ -86,7 +85,7 @@ class TestWriteImage:
 
     def test_unknown_suffix_rejected(self, tmp_path):
         with pytest.raises(ImageFormatError):
-            write_image(tmp_path / "a.tiff", new_image(2, 2))
+            write_image(tmp_path / "a.tiff", np.full((2, 2, 3), 0, dtype=np.uint8))
         with pytest.raises(ImageFormatError):
             read_image(tmp_path / "a.bmp")
 
@@ -314,7 +313,7 @@ class TestSampleWindows:
 
 class TestDrawMarker:
     def test_draws_cross(self):
-        img = new_image(9, 9)
+        img = np.full((9, 9, 3), 0, dtype=np.uint8)
         draw_marker(img, (4.5, 4.5), (255, 0, 0), half_size=2)
         assert np.array_equal(img[4, 4], [255, 0, 0])
         assert np.array_equal(img[4, 2], [255, 0, 0])
@@ -323,7 +322,7 @@ class TestDrawMarker:
         assert (img != 0).any(axis=2).sum() == 9
 
     def test_clips_at_borders(self):
-        img = new_image(5, 5)
+        img = np.full((5, 5, 3), 0, dtype=np.uint8)
         draw_marker(img, (0.2, 0.2), (0, 255, 0), half_size=3)
         draw_marker(img, (-20.0, 2.0), (0, 255, 0), half_size=3)
         draw_marker(img, (2.0, 40.0), (0, 255, 0), half_size=3)

@@ -29,3 +29,85 @@ def test_every_public_definition_is_loaded_somewhere_in_the_package():
         if name not in loaded and name not in ALLOWED
     )
     assert unused == []
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+
+def _defaulted_parameters(tree):
+    """(callee name, parameter, position, function) per defaulted parameter.
+
+    A class's ``__init__`` is called by the class name. The position counts
+    the arguments of a call, so a method's ``self`` is skipped; it is None
+    for a keyword-only parameter.
+    """
+    found = []
+
+    def visit(body, class_name):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+                )
+                is_method = class_name is not None and not static
+                name = class_name if node.name == "__init__" else node.name
+                a = node.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                for i, arg in enumerate(positional[first:], start=first):
+                    found.append((name, arg.arg, i - is_method, node.name))
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        found.append((name, arg.arg, None, node.name))
+                visit(node.body, None)
+
+    visit(tree.body, None)
+    return found
+
+
+def _passed_arguments(tree):
+    """Callee name -> [(keyword names, positional count, passes any)] per call.
+
+    A call through an attribute (``obj.method(...)``) is matched by the
+    attribute's name; ``*args`` or ``**kwargs`` may pass any parameter.
+    """
+    calls = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        keywords = {k.arg for k in node.keywords}
+        calls.setdefault(name, []).append((keywords, len(node.args), starred or None in keywords))
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed_by_some_package_caller():
+    """A default that no caller in the package or the benchmark overrides is
+    a constant, not an option; tests are not callers."""
+    defaulted = []
+    calls = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defaulted += [(path.name, *entry) for entry in _defaulted_parameters(tree)]
+    for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        if path.name.startswith("test_"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, entries in _passed_arguments(tree).items():
+            calls.setdefault(name, []).extend(entries)
+    assert defaulted, f"no defaulted parameters found under {SRC}"
+    unpassed = sorted(
+        f"{module}:{func}({param})"
+        for module, name, param, position, func in defaulted
+        if not any(
+            param in keywords or open_ended or (position is not None and position < count)
+            for keywords, count, open_ended in calls.get(name, [])
+        )
+    )
+    assert unpassed == [], "never passed: " + ", ".join(unpassed)

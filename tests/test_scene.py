@@ -360,12 +360,6 @@ class TestReconstructMesh:
         mesh = reconstruct_mesh(img, depth_device(width=w, height=h))
         np.testing.assert_array_equal(mesh.faces, expected)
 
-    def test_threshold_validation(self):
-        img = DepthImage(depth=np.ones((4, 4)), valid=np.ones((4, 4), dtype=bool))
-        for threshold in (0.0, np.nan):
-            with pytest.raises(ValueError):
-                reconstruct_mesh(img, depth_device(4, 4), discontinuity_threshold=threshold)
-
 
 class TestSceneIO:
     def build_scene(self):

@@ -669,16 +669,6 @@ class TestRenderUserView:
         # 0.5 m of a 2 m, 64-pixel window is 16 pixels.
         assert cols["right"] - cols["center"] == 16
 
-    def test_custom_resolution_scales_view(self):
-        pano = ramp_panorama()
-        eye = EyePose(0.0, 0.0, -1.5)
-        viewport = Viewport(width_px=64, height_px=36)
-        img = render_user_view(
-            pano, upr_matrix(eye, RigidTransform.identity()), viewport, width=128, height=72
-        )
-        assert img.shape == (72, 128, 3)
-        assert_view_oracle(img, pano, eye, viewport)
-
 
 class TestSimulateProjectionAndView:
     def wall_scene(self, albedo=0.8):
@@ -850,6 +840,9 @@ class TestPropagateCorners:
             rig.proj_device,
             proj_to_world,
             true_scene=scene,
+            true_proj_device=rig.proj_device,
+            true_proj_to_world=proj_to_world,
+            true_upr=upr,
         )
         assert prop.resolved.all()
         err = np.linalg.norm(prop.observed_px - prop.desired_px, axis=1)
@@ -862,7 +855,8 @@ class TestPropagateCorners:
         viewport = Viewport(width_px=1920, height_px=1080)
         prop = propagate_corners(
             CheckerPattern(), geometry, upr, viewport, rig.proj_device, proj_to_world,
-            true_scene=scene,
+            true_scene=scene, true_proj_device=rig.proj_device,
+            true_proj_to_world=proj_to_world, true_upr=upr,
         )
         assert prop.resolved.all()
         err = np.linalg.norm(prop.observed_px - prop.desired_px, axis=1)
@@ -890,6 +884,8 @@ class TestPropagateCorners:
             proj_to_world,
             true_scene=scene,
             true_proj_device=rig.proj_device,
+            true_proj_to_world=proj_to_world,
+            true_upr=upr,
         )
         err = np.linalg.norm(
             prop.observed_px[prop.resolved] - prop.desired_px[prop.resolved], axis=1
@@ -912,7 +908,8 @@ class TestPropagateCorners:
         viewport = Viewport(width_px=1920, height_px=1080)
         prop = propagate_corners(
             CheckerPattern(), geometry, upr, viewport, rig.proj_device, proj_to_world,
-            true_scene=true_scene,
+            true_scene=true_scene, true_proj_device=rig.proj_device,
+            true_proj_to_world=proj_to_world, true_upr=upr,
         )
         assert prop.resolved.any()
         assert not prop.resolved.all()
@@ -1037,7 +1034,8 @@ class TestEndToEndWarpDisplay:
         # Observe from the eye with a pinhole aimed the way the screen maps.
         prop = propagate_corners(
             pattern, geometry, upr, viewport, rig.proj_device, proj_to_world,
-            true_scene=scene,
+            true_scene=scene, true_proj_device=rig.proj_device,
+            true_proj_to_world=proj_to_world, true_upr=upr,
         )
         assert prop.resolved.all()
         err = np.linalg.norm(prop.observed_px - prop.desired_px, axis=1)
