@@ -79,13 +79,13 @@ class AxisRecord:
 class AxisObservationSet:
     """Sweep of one motor; the other motor is held at zero."""
 
-    axis_name: str  # "pan" or "tilt"
     records: tuple
 
     def __post_init__(self):
-        if self.axis_name not in ("pan", "tilt"):
-            raise ValueError(f"axis_name must be 'pan' or 'tilt', got {self.axis_name!r}")
         object.__setattr__(self, "records", tuple(self.records))
+
+    def __len__(self) -> int:
+        return len(self.records)
 
     def common_corner_indices(self) -> list[int]:
         if not self.records:
@@ -110,35 +110,35 @@ class RearRegistrationRecord:
 
 
 @dataclass(frozen=True)
-class ProjectorCorrespondence:
-    pixel: np.ndarray  # projector pixel (u, v)
-    point: np.ndarray  # front-frame 3-D point, meters
-    plane_id: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "pixel", np.asarray(self.pixel, dtype=float))
-        object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
-
-
-@dataclass(frozen=True)
 class ProjectorCorrespondenceSet:
-    records: tuple
-    width: int  # projector resolution, needed for the resulting device
+    """Projected-pixel / front-frame-point correspondences, one row per sample.
+
+    ``pixels`` (N, 2) are projector pixels (u, v), ``points`` (N, 3) the
+    matching front-frame points in meters and ``plane_ids`` (N,) the scene
+    plane each point lies on. ``width`` and ``height`` are the projector
+    resolution, which the calibrated device takes.
+    """
+
+    pixels: np.ndarray
+    points: np.ndarray
+    plane_ids: np.ndarray
+    width: int
     height: int
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
+        pixels = np.asarray(self.pixels, dtype=float).reshape(-1, 2)
+        points = np.asarray(self.points, dtype=float).reshape(-1, 3)
+        plane_ids = np.asarray(self.plane_ids, dtype=np.int64).reshape(-1)
+        if not len(pixels) == len(points) == len(plane_ids):
+            raise ValueError("pixels, points and plane_ids must have equal length")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("projector resolution must be positive")
+        object.__setattr__(self, "pixels", pixels)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "plane_ids", plane_ids)
 
-    def pixels(self) -> np.ndarray:
-        return np.array([r.pixel for r in self.records]).reshape(-1, 2)
-
-    def points(self) -> np.ndarray:
-        return np.array([r.point for r in self.records]).reshape(-1, 3)
-
-    def plane_ids(self) -> np.ndarray:
-        return np.array([r.plane_id for r in self.records], dtype=np.int64)
+    def __len__(self) -> int:
+        return len(self.pixels)
 
 
 @dataclass(frozen=True)
@@ -461,14 +461,14 @@ def calibrate_projector(
     where the RMS is the per-point 2-D reprojection distance. Raises
     ConvergenceError when the refinement does not converge.
     """
-    pixels = correspondences.pixels()
-    points = correspondences.points()
+    pixels = correspondences.pixels
+    points = correspondences.points
     if len(pixels) < 6:
         raise UnderdeterminedError(
             f"projector calibration needs at least 6 correspondences, got {len(pixels)}"
         )
     scale = 1.0 + float(np.linalg.norm(points.mean(axis=0)))
-    _check_plane_diversity(points, correspondences.plane_ids(), scale)
+    _check_plane_diversity(points, correspondences.plane_ids, scale)
 
     m = _dlt_projection(pixels, points)
     k, r, t = _decompose_projection(m)
@@ -507,58 +507,54 @@ def calibrate_projector(
 
 
 def _axis_sample_count(observations: AxisObservationSet) -> int:
-    return len(observations.records) * len(observations.common_corner_indices())
+    return len(observations) * len(observations.common_corner_indices())
+
+
+def _register_rear(record: RearRegistrationRecord, pan_axis, tilt_axis):
+    """``register_rear_camera`` on the corners both cameras saw at ``record.state``."""
+    front = dict(record.front_corners)
+    rear = dict(record.rear_corners)
+    shared = sorted(set(front) & set(rear))
+    if len(shared) < 3:
+        raise DegenerateConfigurationError("rear registration needs at least 3 shared corners")
+    platform = platform_rotation(pan_axis, tilt_axis, record.state)
+    world = np.array([platform @ front[i] for i in shared])
+    rear_pts = np.array([rear[i] for i in shared])
+    return register_rear_camera(world, rear_pts, record.state, pan_axis, tilt_axis)
+
+
+def _run_stage(name: str, missing: str, stage, data, *args):
+    """``stage(data, *args)``; a StageError naming stage ``name`` when ``data``
+    is absent or empty (the session has no ``missing``) or the stage fails."""
+    if not data:
+        raise StageError(name, f"session has no {missing}")
+    try:
+        return stage(data, *args)
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
 
 def run_full_calibration(session: CalibrationSession) -> CalibrationResult:
     """Run axis, rear and projector calibration in order.
 
-    Any stage failure is wrapped in a StageError naming the stage. When the
-    session carries a ground-truth rig, the result includes parameter errors
-    against it.
+    A stage whose input is absent or empty, or that fails, raises a
+    StageError whose message names the stage; a failure is its
+    ``__cause__``. When the session carries a ground-truth rig, the result
+    includes parameter errors against it.
     """
-    if session.pan_observations is None or not session.pan_observations.records:
-        raise StageError("pan axis", "session has no pan observations")
-    try:
-        pan_axis, pan_rms = estimate_axis(session.pan_observations)
-    except Exception as exc:
-        raise StageError("pan axis", exc) from exc
-
-    if session.tilt_observations is None or not session.tilt_observations.records:
-        raise StageError("tilt axis", "session has no tilt observations")
-    try:
-        tilt_axis, tilt_rms = estimate_axis(session.tilt_observations)
-    except Exception as exc:
-        raise StageError("tilt axis", exc) from exc
-
-    if session.rear_registration is None:
-        raise StageError("rear registration", "session has no rear registration record")
-    try:
-        record = session.rear_registration
-        front = dict(record.front_corners)
-        rear = dict(record.rear_corners)
-        shared = sorted(set(front) & set(rear))
-        if len(shared) < 3:
-            raise DegenerateConfigurationError(
-                "rear registration needs at least 3 shared corners"
-            )
-        platform = platform_rotation(pan_axis, tilt_axis, record.state)
-        world = np.array([platform @ front[i] for i in shared])
-        rear_pts = np.array([rear[i] for i in shared])
-        rear_to_front, rear_rms = register_rear_camera(
-            world, rear_pts, record.state, pan_axis, tilt_axis
-        )
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("rear registration", exc) from exc
-
-    if session.projector is None or not session.projector.records:
-        raise StageError("projector", "session has no projector correspondences")
-    try:
-        proj_device, front_to_proj, proj_rms = calibrate_projector(session.projector)
-    except Exception as exc:
-        raise StageError("projector", exc) from exc
+    pan_axis, pan_rms = _run_stage(
+        "pan axis", "pan observations", estimate_axis, session.pan_observations
+    )
+    tilt_axis, tilt_rms = _run_stage(
+        "tilt axis", "tilt observations", estimate_axis, session.tilt_observations
+    )
+    rear_to_front, rear_rms = _run_stage(
+        "rear registration", "rear registration record", _register_rear,
+        session.rear_registration, pan_axis, tilt_axis,
+    )
+    proj_device, front_to_proj, proj_rms = _run_stage(
+        "projector", "projector correspondences", calibrate_projector, session.projector
+    )
 
     n_pan = _axis_sample_count(session.pan_observations)
     n_tilt = _axis_sample_count(session.tilt_observations)
@@ -663,16 +659,15 @@ def session_to_json(session: CalibrationSession) -> dict:
         }
     projector = None
     if session.projector is not None:
+        corr = session.projector
         projector = {
-            "width": session.projector.width,
-            "height": session.projector.height,
+            "width": corr.width,
+            "height": corr.height,
             "correspondences": [
-                {
-                    "pixel": [float(v) for v in rec.pixel],
-                    "point": [float(v) for v in rec.point],
-                    "plane_id": int(rec.plane_id),
-                }
-                for rec in session.projector.records
+                {"pixel": pixel, "point": point, "plane_id": plane_id}
+                for pixel, point, plane_id in zip(
+                    corr.pixels.tolist(), corr.points.tolist(), corr.plane_ids.tolist()
+                )
             ],
         }
     return {
@@ -695,7 +690,6 @@ def session_from_json(r: Fields) -> CalibrationSession:
         if records is None:
             return None
         return AxisObservationSet(
-            axis_name=name,
             records=tuple(
                 AxisRecord(
                     theta=math.radians(rec.number("angle_deg")),
@@ -718,15 +712,11 @@ def session_from_json(r: Fields) -> CalibrationSession:
     projector = r.obj("projector", None)
     if projector is not None:
         width, height = projector.grid_size("width", "height")
+        corrs = projector.objs("correspondences")
         projector = ProjectorCorrespondenceSet(
-            records=tuple(
-                ProjectorCorrespondence(
-                    pixel=c.array("pixel", (2,)),
-                    point=c.array("point", (3,)),
-                    plane_id=c.integer("plane_id"),
-                )
-                for c in projector.objs("correspondences")
-            ),
+            pixels=[c.array("pixel", (2,)) for c in corrs],
+            points=[c.array("point", (3,)) for c in corrs],
+            plane_ids=[c.integer("plane_id") for c in corrs],
             width=width,
             height=height,
         )

@@ -218,7 +218,7 @@ def cmd_simulate_calib(args) -> None:
     print(f"session: {args.out}")
     print(f"  pan records: {len(session.pan_observations.records)}")
     print(f"  tilt records: {len(session.tilt_observations.records)}")
-    print(f"  projector correspondences: {len(session.projector.records)}")
+    print(f"  projector correspondences: {len(session.projector)}")
 
 
 def cmd_calibrate(args) -> None:

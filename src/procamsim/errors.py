@@ -82,17 +82,17 @@ class EmptyIntersectionError(ProcamError):
 
 
 class StageError(ProcamError):
-    """A calibration pipeline stage failed; names the stage and wraps the cause.
+    """A calibration pipeline stage failed; the message names the stage.
 
-    A cause that is itself a ProcamError lends its code, so a stage that
-    hits, say, the iteration cap reports ``convergence``.
+    ``cause`` is the failure, or a message when the stage lacks its input;
+    a failure is raised ``from`` it, so it is also ``__cause__``. A cause
+    that is itself a ProcamError lends its code, so a stage that hits, say,
+    the iteration cap reports ``convergence``.
     """
 
     code = "stage"
 
     def __init__(self, stage: str, cause: Exception | str):
-        self.stage = stage
-        self.cause = cause if isinstance(cause, Exception) else None
         if isinstance(cause, ProcamError):
             self.code = cause.code
         super().__init__(f"stage '{stage}' failed: {cause}")

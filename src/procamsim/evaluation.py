@@ -77,16 +77,10 @@ class CornerSet:
         object.__setattr__(self, "positions_px", pos)
 
     @classmethod
-    def from_propagation(
-        cls, prop: CornerPropagation, which: str = "observed"
-    ) -> "CornerSet":
-        """The resolved observed corners (or all desired ones)."""
-        if which == "observed":
-            keep = prop.resolved
-            return cls(prop.indices[keep], prop.observed_px[keep])
-        if which == "desired":
-            return cls(prop.indices, prop.desired_px)
-        raise ValueError(f"which must be 'observed' or 'desired', got {which!r}")
+    def from_propagation(cls, prop: CornerPropagation) -> "CornerSet":
+        """The resolved observed corners."""
+        keep = prop.resolved
+        return cls(prop.indices[keep], prop.observed_px[keep])
 
 
 def corner_dislocation(a: CornerSet, b: CornerSet) -> float:
@@ -304,7 +298,6 @@ class CaseResult:
     corrected_max_px: float
     uncorrected_mean_px: float
     corrected: CornerPropagation
-    uncorrected: CornerPropagation
 
     def to_json(self) -> dict:
         def num(x):
@@ -497,10 +490,11 @@ def evaluate_case(
         options.viewport,
     )
 
-    desired = CornerSet.from_propagation(corrected, "desired")
     if corrected.resolved.any():
-        observed = CornerSet.from_propagation(corrected, "observed")
-        corrected_mean = corner_dislocation(desired, observed)
+        corrected_mean = corner_dislocation(
+            CornerSet(corrected.indices, corrected.desired_px),
+            CornerSet.from_propagation(corrected),
+        )
         d = np.linalg.norm(
             corrected.observed_px[corrected.resolved]
             - corrected.desired_px[corrected.resolved],
@@ -512,15 +506,15 @@ def evaluate_case(
         corrected_max = float("nan")
     if uncorrected.resolved.any():
         uncorrected_mean = corner_dislocation(
-            CornerSet.from_propagation(uncorrected, "desired"),
-            CornerSet.from_propagation(uncorrected, "observed"),
+            CornerSet(uncorrected.indices, uncorrected.desired_px),
+            CornerSet.from_propagation(uncorrected),
         )
     else:
         uncorrected_mean = float("nan")
 
     return CaseResult(
         name=case.name,
-        seed=options.seed * 1000 + case_index,
+        seed=options.depth_noise(case_index).rng_seed,
         corner_count=len(corrected.indices),
         resolved_count=int(corrected.resolved.sum()),
         resolved_fraction=corrected.resolved_fraction(),
@@ -529,7 +523,6 @@ def evaluate_case(
         corrected_max_px=corrected_max,
         uncorrected_mean_px=uncorrected_mean,
         corrected=corrected,
-        uncorrected=uncorrected,
     )
 
 

@@ -19,7 +19,6 @@ from .calibration import (
     AxisObservationSet,
     AxisRecord,
     CalibrationSession,
-    ProjectorCorrespondence,
     ProjectorCorrespondenceSet,
     RearRegistrationRecord,
 )
@@ -106,7 +105,7 @@ def _axis_sweep(
         if len(corners) < 4:  # the fewest an AxisRecord takes
             raise EmptyObservationError(f"only {len(corners)} corners seen at {which} {angle} deg")
         records.append(AxisRecord(theta=theta, corners=tuple(corners)))
-    return AxisObservationSet(axis_name=which, records=tuple(records))
+    return AxisObservationSet(records=tuple(records))
 
 
 def _projector_samples(
@@ -120,7 +119,7 @@ def _projector_samples(
     pixels = np.stack(np.meshgrid(us, vs, indexing="xy"), axis=-1).reshape(-1, 2)
     front = rig.front_device
 
-    records = []
+    samples = []  # one (pixels, points, plane ids) triple per projector state
     for plane_id, (pan_deg, tilt_deg) in enumerate(protocol.projector_states_deg):
         state = PanTiltState(
             alpha=math.radians(pan_deg), beta=math.radians(tilt_deg)
@@ -141,18 +140,16 @@ def _projector_samples(
         if not np.any(visible):
             continue
         measured = backproject_points(front, uv[visible], z[visible])
-        for pix, pt in zip(pixels[visible], measured):
-            records.append(
-                ProjectorCorrespondence(pixel=pix, point=pt, plane_id=plane_id)
-            )
+        samples.append((pixels[visible], measured, np.full(len(measured), plane_id)))
 
-    if len(records) < 6:
+    if sum(len(ids) for _, _, ids in samples) < 6:
         raise EmptyObservationError(
             "projector sampling produced too few scene hits; "
             "check that the scene covers the projector's throw"
         )
+    sample_pixels, points, plane_ids = (np.concatenate(column) for column in zip(*samples))
     return ProjectorCorrespondenceSet(
-        records=tuple(records), width=device.width, height=device.height
+        sample_pixels, points, plane_ids, width=device.width, height=device.height
     )
 
 

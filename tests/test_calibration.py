@@ -15,8 +15,6 @@ import pytest
 from procamsim.calibration import (
     AxisObservationSet,
     AxisRecord,
-    CalibrationSession,
-    ProjectorCorrespondence,
     ProjectorCorrespondenceSet,
     RearRegistrationRecord,
     _dlt_projection,
@@ -89,7 +87,7 @@ def sweep_records(axis, angles_deg, world_pts, noise_sigma=0.0, rng=None):
         records.append(
             AxisRecord(theta=theta, corners=tuple(enumerate(seen)))
         )
-    return AxisObservationSet(axis_name="pan", records=tuple(records))
+    return AxisObservationSet(records=tuple(records))
 
 
 TRUE_AXIS = normalized([0.04, 0.998, -0.03])
@@ -148,7 +146,7 @@ class TestEstimateAxis:
         for k, rec in enumerate(obs.records):
             kept = tuple(c for c in rec.corners if c[0] != k)
             records.append(AxisRecord(theta=rec.theta, corners=kept))
-        trimmed = AxisObservationSet(axis_name="pan", records=tuple(records))
+        trimmed = AxisObservationSet(records=tuple(records))
         assert len(trimmed.common_corner_indices()) == len(board_points()) - len(
             SWEEP_ANGLES
         )
@@ -174,7 +172,7 @@ class TestEstimateAxis:
         for rec, chunk in zip(obs.records, chunks):
             kept = tuple(c for c in rec.corners if c[0] in set(chunk.tolist()))
             records.append(AxisRecord(theta=rec.theta, corners=kept))
-        disjoint = AxisObservationSet(axis_name="pan", records=tuple(records))
+        disjoint = AxisObservationSet(records=tuple(records))
         with pytest.raises(DegenerateConfigurationError):
             estimate_axis(disjoint)
 
@@ -265,7 +263,7 @@ def projector_correspondences(
 
     Each plane is (a, b, c, d) with ax + by + cz = d in the front frame.
     """
-    records = []
+    pixels, points, plane_ids = [], [], []
     grid = int(math.sqrt(per_plane))
     for plane_id, (a, b, c, d) in enumerate(planes):
         for i in range(grid):
@@ -280,11 +278,12 @@ def projector_correspondences(
                 pixel = np.array([u, v])
                 if noise_sigma > 0:
                     p_front = p_front + rng.normal(0.0, noise_sigma, size=3)
-                records.append(
-                    ProjectorCorrespondence(pixel=pixel, point=p_front, plane_id=plane_id)
-                )
+                pixels.append(pixel)
+                points.append(p_front)
+                plane_ids.append(plane_id)
     return ProjectorCorrespondenceSet(
-        records=tuple(records), width=device.width, height=device.height
+        np.array(pixels), np.array(points), np.array(plane_ids),
+        width=device.width, height=device.height,
     )
 
 
@@ -318,22 +317,22 @@ class TestCalibrateProjector:
         # The linear solve is exact on noiseless data before any refinement.
         device, mount = projector_truth()
         corr = projector_correspondences(device, mount)
-        m = _dlt_projection(corr.pixels(), corr.points())
-        ph = np.c_[corr.points(), np.ones(len(corr.records))]
+        m = _dlt_projection(corr.pixels, corr.points)
+        ph = np.c_[corr.points, np.ones(len(corr))]
         proj = ph @ m.T
         uv = proj[:, :2] / proj[:, 2:3]
-        assert np.abs(uv - corr.pixels()).max() < 1e-6
+        assert np.abs(uv - corr.pixels).max() < 1e-6
         assert np.all(proj[:, 2] > 0)
 
     def test_refinement_never_worse_than_dlt(self):
         device, mount = projector_truth()
         rng = np.random.default_rng(11)
         corr = projector_correspondences(device, mount, noise_sigma=2e-3, rng=rng)
-        m = _dlt_projection(corr.pixels(), corr.points())
-        ph = np.c_[corr.points(), np.ones(len(corr.records))]
+        m = _dlt_projection(corr.pixels, corr.points)
+        ph = np.c_[corr.points, np.ones(len(corr))]
         proj = ph @ m.T
         uv = proj[:, :2] / proj[:, 2:3]
-        dlt_rms = float(np.sqrt(np.mean(np.sum((uv - corr.pixels()) ** 2, axis=1))))
+        dlt_rms = float(np.sqrt(np.mean(np.sum((uv - corr.pixels) ** 2, axis=1))))
         _, _, rms = calibrate_projector(corr)
         assert rms <= dlt_rms + 1e-12
 
@@ -350,7 +349,8 @@ class TestCalibrateProjector:
         device, mount = projector_truth()
         corr = projector_correspondences(device, mount)
         small = ProjectorCorrespondenceSet(
-            records=corr.records[:5], width=corr.width, height=corr.height
+            corr.pixels[:5], corr.points[:5], corr.plane_ids[:5],
+            width=corr.width, height=corr.height,
         )
         with pytest.raises(UnderdeterminedError):
             calibrate_projector(small)
@@ -434,41 +434,50 @@ class TestFullPipeline:
         assert result.residuals.proj_reproj_rms_px > 1e-3
 
     def test_missing_stage_reports_stage_name(self):
+        # An absent input and an empty one read alike.
         rig = default_rig()
         session = synthesize_session(rig, calibration_scene())
-        for field, stage in (
-            ("pan_observations", "pan axis"),
-            ("tilt_observations", "tilt axis"),
-            ("rear_registration", "rear registration"),
-            ("projector", "projector"),
+        no_axis_records = AxisObservationSet(records=())
+        no_correspondences = ProjectorCorrespondenceSet(
+            np.zeros((0, 2)), np.zeros((0, 3)), np.zeros(0, dtype=int), width=64, height=48
+        )
+        for field, value, stage, missing in (
+            ("pan_observations", None, "pan axis", "pan observations"),
+            ("pan_observations", no_axis_records, "pan axis", "pan observations"),
+            ("tilt_observations", None, "tilt axis", "tilt observations"),
+            ("tilt_observations", no_axis_records, "tilt axis", "tilt observations"),
+            ("rear_registration", None, "rear registration", "rear registration record"),
+            ("projector", None, "projector", "projector correspondences"),
+            ("projector", no_correspondences, "projector", "projector correspondences"),
         ):
-            broken = CalibrationSession(
-                **{
-                    "pan_observations": session.pan_observations,
-                    "tilt_observations": session.tilt_observations,
-                    "rear_registration": session.rear_registration,
-                    "projector": session.projector,
-                    field: None,
-                }
-            )
+            broken = dataclasses.replace(session, **{field: value})
             with pytest.raises(StageError) as excinfo:
                 run_full_calibration(broken)
-            assert excinfo.value.stage == stage
+            assert str(excinfo.value) == f"stage '{stage}' failed: session has no {missing}"
             assert excinfo.value.code == "stage"
+            assert excinfo.value.__cause__ is None
 
     def test_stage_error_wraps_cause(self):
         session = synthesize_session(default_rig(), calibration_scene())
         bad_records = session.pan_observations.records[:2]
-        broken = CalibrationSession(
-            pan_observations=AxisObservationSet(axis_name="pan", records=bad_records),
-            tilt_observations=session.tilt_observations,
-            rear_registration=session.rear_registration,
-            projector=session.projector,
+        broken = dataclasses.replace(
+            session, pan_observations=AxisObservationSet(records=bad_records)
         )
         with pytest.raises(StageError) as excinfo:
             run_full_calibration(broken)
-        assert excinfo.value.stage == "pan axis"
-        assert isinstance(excinfo.value.cause, DegenerateConfigurationError)
+        assert str(excinfo.value).startswith("stage 'pan axis' failed: ")
+        assert excinfo.value.code == "degenerate"
+        assert isinstance(excinfo.value.__cause__, DegenerateConfigurationError)
+
+    def test_correspondence_arrays_must_match_in_length(self):
+        with pytest.raises(ValueError, match="equal length"):
+            ProjectorCorrespondenceSet(
+                np.zeros((4, 2)), np.zeros((3, 3)), np.zeros(4, dtype=int), width=64, height=48
+            )
+        with pytest.raises(ValueError, match="equal length"):
+            ProjectorCorrespondenceSet(
+                np.zeros((4, 2)), np.zeros((4, 3)), np.zeros(5, dtype=int), width=64, height=48
+            )
 
     def test_no_ground_truth_no_errors_dict(self):
         session = dataclasses.replace(
@@ -500,7 +509,7 @@ class TestSessionSerialization:
                 pa = np.array([p for _, p in a.corners])
                 pb = np.array([p for _, p in b.corners])
                 assert np.abs(pa - pb).max() < 1e-12
-        assert len(loaded.projector.records) == len(session.projector.records)
+        assert len(loaded.projector) == len(session.projector)
         assert loaded.projector.width == session.projector.width
         assert loaded.ground_truth is not None
 
@@ -594,7 +603,7 @@ class TestSynthesizeSession:
 
     def test_projector_samples_span_three_planes(self):
         session = synthesize_session(default_rig(), calibration_scene())
-        ids = session.projector.plane_ids()
+        ids = session.projector.plane_ids
         assert set(ids.tolist()) == {0, 1, 2}
         assert len(ids) >= 30
 
@@ -611,13 +620,7 @@ class TestSynthesizeSession:
                 alpha=math.radians(pan_deg), beta=math.radians(tilt_deg)
             )
             pose = rig_pose(rig, state)
-            pts = np.array(
-                [
-                    r.point
-                    for r in session.projector.records
-                    if r.plane_id == plane_id
-                ]
-            )
+            pts = session.projector.points[session.projector.plane_ids == plane_id]
             world = pose.front_to_world.apply(pts)
             assert np.abs(world[:, 2] - 3.0).max() < 1e-9
 

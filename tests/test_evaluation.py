@@ -111,13 +111,11 @@ class TestCornerDislocation:
             observed_px=np.array([[0.1, 0.0], [np.nan, np.nan], [2.0, 2.5]]),
             resolved=np.array([True, False, True]),
         )
-        observed = CornerSet.from_propagation(prop, "observed")
+        observed = CornerSet.from_propagation(prop)
         assert observed.indices.tolist() == [0, 2]
-        desired = CornerSet.from_propagation(prop, "desired")
+        desired = CornerSet(prop.indices, prop.desired_px)
         assert desired.indices.tolist() == [0, 1, 2]
         assert corner_dislocation(desired, observed) == pytest.approx(0.3, abs=1e-12)
-        with pytest.raises(ValueError, match="observed"):
-            CornerSet.from_propagation(prop, "something")
 
 
 class TestStandardSuite:

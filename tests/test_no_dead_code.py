@@ -111,3 +111,65 @@ def test_every_defaulted_parameter_is_passed_by_some_package_caller():
         )
     )
     assert unpassed == [], "never passed: " + ", ".join(unpassed)
+
+
+
+def _fields(tree):
+    """(class, field) per annotated class attribute or ``self.<name> = ...`` in ``__init__``."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                found.append((cls.name, node.target.id))
+            elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                for sub in ast.walk(node):
+                    if (
+                        isinstance(sub, ast.Attribute)
+                        and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self"
+                    ):
+                        found.append((cls.name, sub.attr))
+    return found
+
+
+def _read_names(tree):
+    """Attribute loads and literal ``getattr`` names outside ``__init__`` and ``__post_init__``."""
+    names = set()
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name in ("__init__", "__post_init__"):
+            return
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            names.add(node.args[1].value)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return names
+
+
+def test_every_field_is_read_outside_its_constructor():
+    """A field that only its constructor reads holds nothing anyone uses;
+    tests are not readers."""
+    fields = []
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        fields += [(path.name, *entry) for entry in _fields(tree)]
+    for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        if not path.name.startswith("test_"):
+            read |= _read_names(ast.parse(path.read_text(), filename=str(path)))
+    assert fields, f"no fields found under {SRC}"
+    unread = sorted(f"{module}:{cls}.{name}" for module, cls, name in fields if name not in read)
+    assert unread == [], "never read: " + ", ".join(unread)
