@@ -128,7 +128,10 @@ class ProjectorCorrespondenceSet:
     def __post_init__(self):
         pixels = np.asarray(self.pixels, dtype=float).reshape(-1, 2)
         points = np.asarray(self.points, dtype=float).reshape(-1, 3)
-        plane_ids = np.asarray(self.plane_ids, dtype=np.int64).reshape(-1)
+        try:
+            plane_ids = np.asarray(self.plane_ids, dtype=np.int64).reshape(-1)
+        except OverflowError as exc:
+            raise ValueError("plane_ids must fit in 64-bit integers") from exc
         if not len(pixels) == len(points) == len(plane_ids):
             raise ValueError("pixels, points and plane_ids must have equal length")
         if self.width <= 0 or self.height <= 0:

@@ -174,7 +174,7 @@ def _render_content(panorama, pattern: CheckerPattern, upr, viewport: Viewport) 
 def _naive_framebuffer(panorama, pattern: CheckerPattern, device: PinholeDevice) -> np.ndarray:
     """Content sent straight to the projector, with no geometric treatment."""
     if panorama is None:
-        return pattern.render(device.width, device.height)
+        return np.repeat(pattern.render(device.width, device.height), 3, axis=2)
     src_h, src_w = panorama.shape[:2]
     w, h = device.width, device.height
     grid = pixel_center_grid(w, h) * np.array([src_w / w, src_h / h])

@@ -1,6 +1,10 @@
 """Raster image helpers: PPM I/O, optional PNG, sampling and markers.
 
-Images are numpy arrays of shape (height, width, 3). Files are binary PPM
+Images are numpy arrays of shape (height, width, channels), with three
+channels for color and one for gray content such as the checker test
+pattern; ``bilinear_sample`` does its per-channel work once per channel.
+Image files, and the arrays read from or written to them, have three
+channels. Files are binary PPM
 (P6, maxval 255), which needs no third-party code; ``.png`` paths work when
 Pillow is installed (the ``png`` extra). Continuous pixel coordinates put
 the center of pixel (0, 0) at (0.5, 0.5).

@@ -18,7 +18,10 @@ pixel center and its 1/depth straight to the screen, as in projective
 texture mapping (Segal et al., SIGGRAPH 1992). That per-eye tail runs in
 blocks of ``_BLOCK`` covered pixels, each taken from the screen projection
 through sampling to the framebuffer, so no temporary grows with the number
-of covered pixels; its output bytes are those of one unblocked pass.
+of covered pixels; its output bytes are those of one unblocked pass. The
+tail's per-channel work runs once per channel of the content: the gray
+checker pattern has one channel, sampled once and written to all three
+framebuffer channels, and a panorama view has three.
 
 ``propagate_corners`` follows checker-pattern corners through the same
 mapping analytically (no rasterization), using one model set for the warp
@@ -99,9 +102,13 @@ class CheckerPattern:
         )
 
     def render(self, width: int, height: int) -> np.ndarray:
-        """The pattern as a (height, width, 3) uint8 image, black outside."""
+        """The pattern as a (height, width, 1) uint8 image, black outside.
+
+        The pattern is gray, so it has one channel; ``warp_to_projector``
+        fills all three framebuffer channels from it.
+        """
         self.check_fits(width, height)
-        img = np.zeros((height, width, 3), dtype=np.uint8)
+        img = np.zeros((height, width, 1), dtype=np.uint8)
         x0, y0 = self._origin(width, height)
         s = self.square_px
         for i in range(self.rows):
@@ -182,8 +189,14 @@ def warp_to_projector(
     projector pose are unchanged, with the same output bytes as rasterizing
     again. The rest is done in blocks of covered pixels, with the bytes of
     one unblocked pass, and no temporary grows with the number of covered
-    pixels.
+    pixels. ``user_image`` has one or three channels (a 2-D image is one
+    channel); one-channel content is sampled, rounded and clipped once and
+    fills all three framebuffer channels, any other count raises
+    ValueError.
     """
+    channels = 1 if np.ndim(user_image) == 2 else np.shape(user_image)[2]
+    if channels not in (1, 3):
+        raise ValueError(f"content needs 1 or 3 channels, got {channels}")
     covered, depth = mesh.pixel_map(proj_device, proj_to_world)
     # The point at depth z behind pixel center p = (u, v, 1) projects to
     # M (R K^-1 p z + t) = z g, with g = A p + b / z.
@@ -228,12 +241,13 @@ def warp_to_projector(
             p *= px
             p *= img / px
             p[behind] = np.nan
-        # Rounded and clipped per channel, then scattered as 3-byte pixels;
-        # a single-channel image fills all three channels.
+        # Rounded and clipped once per content channel, then scattered as
+        # 3-byte pixels; a one-channel image's bytes fill all three channels.
         samples = bilinear_sample(user_image, xy.T).T
-        for c, channel in enumerate(np.broadcast_to(samples, (3, k))):
-            np.round(channel, out=term)
-            pixels[:k, c] = np.clip(term, 0, 255, out=term)
+        for c in range(3):
+            if c < channels:
+                np.clip(np.round(samples[c], out=term), 0, 255, out=term)
+            pixels[:k, c] = term
         fb.view("V3")[pix, 0] = pixels[:k].view("V3")[:, 0]
     return fb.reshape(proj_device.height, proj_device.width, 3)
 

@@ -197,7 +197,7 @@ class TestCorrect:
         out = tmp_path / "raw.ppm"
         assert main(["correct", "--config", str(config_path), "--no-correction",
                      "--out", str(out)]) == 0
-        expected = CheckerPattern().render(640, 360)
+        expected = np.repeat(CheckerPattern().render(640, 360), 3, axis=2)
         assert np.array_equal(read_ppm(out), expected)
 
     def test_corrected_differs_from_uncorrected(self, config_path, tmp_path):
@@ -609,6 +609,19 @@ class TestInputBoundary:
             Fields({"x": bound * (1 + 1e-15)}).number("x")
         with pytest.raises(SchemaError, match="faces: expected"):
             Fields({"faces": [[0, 1, 2 * int(bound)]]}).array("faces", (None, 3), integer=True)
+
+    def test_huge_plane_id_in_a_session_is_a_schema_error(self, config_path, tmp_path, capsys):
+        # A plane id past 64 bits once escaped as an OverflowError.
+        session = tmp_path / "session.json"
+        assert main(["simulate-calib", "--config", str(config_path), "--out", str(session)]) == 0
+        data = json.loads(session.read_text())
+        data["projector"]["correspondences"][0]["plane_id"] = 1e30
+        session.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["calibrate", "--session", str(session),
+                     "--out", str(tmp_path / "result.json")]) == 1
+        line = self.assert_one_error_line(capsys, "schema")
+        assert f"{session}: plane_ids must fit in 64-bit integers" in line
 
     @pytest.mark.parametrize("width", ["0", "-3"])
     def test_render_width_not_positive(self, config_path, tmp_path, capsys, width):

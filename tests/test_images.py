@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import procamsim.images as images
 from procamsim.errors import ImageFormatError
@@ -229,6 +231,26 @@ class TestBilinearSample:
         got = bilinear_sample(img, xy.reshape(21, 30, 2))
         assert got.shape == (21, 30, want.shape[1])
         assert np.array_equal(got, want.reshape(21, 30, -1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from(ORACLE_DTYPES),
+        size=st.tuples(st.integers(1, 40), st.integers(1, 30)),
+        block=st.sampled_from([8, None]),
+    )
+    def test_repeated_channels_sample_like_one(self, seed, dtype, size, block):
+        rng = np.random.default_rng(seed)
+        width, height = size
+        gray = oracle_image(rng, dtype, (height, width, 1))
+        xy = oracle_points(rng, width, height)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(images, "_SAMPLE_BLOCK", block or images._SAMPLE_BLOCK)
+            one = bilinear_sample(gray, xy)
+            three = bilinear_sample(np.repeat(gray, 3, axis=2), xy)
+        assert three.shape == (len(xy), 3)
+        for c in range(3):
+            assert three[:, c].tobytes() == one[:, 0].tobytes()
 
     @pytest.mark.parametrize("width", [4, 5])  # padded rows of 6 and 7 texels
     def test_nan_coordinates_are_black(self, width):

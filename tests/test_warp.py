@@ -71,13 +71,38 @@ class TestCheckerPattern:
     def test_render_checker_colors_around_corner(self):
         pat = CheckerPattern(rows=5, cols=8, square_px=60)
         img = pat.render(1920, 1080)
-        assert img.shape == (1080, 1920, 3)
+        assert img.shape == (1080, 1920, 1)
         # Around inner corner (780, 450): white/black in a checker layout.
         assert img[449, 779, 0] == 255
         assert img[450, 780, 0] == 255
         assert img[449, 780, 0] == 0
         assert img[450, 779, 0] == 0
         assert img[0, 0, 0] == 0  # outside the board
+
+    @pytest.mark.parametrize(
+        "pattern, size",
+        [
+            (CheckerPattern(rows=5, cols=8, square_px=60), (1920, 1080)),
+            (CheckerPattern(rows=3, cols=4, square_px=40), (321, 241)),  # odd margins
+            (CheckerPattern(rows=2, cols=3, square_px=7), (26, 17)),  # margins of 2 and 1 or 2
+            (CheckerPattern(rows=4, cols=2, square_px=5), (10, 20)),  # no margin
+        ],
+    )
+    def test_rgb_expansion_matches_a_per_pixel_checker(self, pattern, size):
+        width, height = size
+        s = pattern.square_px
+        x0 = (width - pattern.cols * s) // 2
+        y0 = (height - pattern.rows * s) // 2
+        y, x = np.indices((height, width))
+        on_board = (
+            (x >= x0) & (x < x0 + pattern.cols * s) & (y >= y0) & (y < y0 + pattern.rows * s)
+        )
+        white = on_board & (((x - x0) // s + (y - y0) // s) % 2 == 0)
+        want = np.zeros((height, width, 3), dtype=np.uint8)
+        want[white] = (255, 255, 255)
+        img = pattern.render(width, height)
+        assert img.dtype == np.uint8 and img.shape == (height, width, 1)
+        assert np.array_equal(np.repeat(img, 3, axis=2), want)
 
     def test_render_requires_fit(self):
         with pytest.raises(ValueError):
@@ -230,7 +255,7 @@ class TestWarpToProjector:
         assert fb.shape == (240, 320, 3)
         assert int((fb > 128).sum()) > 500  # pattern content survived
         # The framebuffer must differ from the unwarped pattern.
-        assert not np.array_equal(fb, user_image)
+        assert not np.array_equal(fb, np.repeat(user_image, 3, axis=2))
 
 
 def bumpy_wall(rows=17, cols=21):
@@ -461,6 +486,50 @@ class TestBlockedWarpOracle:
         got, want = self.both(block, user_image, far, upr, viewport, device, pose)
         assert np.array_equal(got, want)
         assert not got.any()
+
+
+class TestOneChannelContent:
+    """Gray content gives the same bytes with one channel as with three equal ones."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        eye=st.tuples(
+            st.floats(-0.6, 0.6),
+            st.floats(-0.4, 0.4),
+            st.floats(-1.4, 0.6).filter(lambda z: abs(z) > 0.05),
+        ),
+        amplitude=st.sampled_from([0.0, 0.3, 0.7]),
+        kind=st.sampled_from(("gray-uint8", "gray-float64")),
+        image_size=st.tuples(st.integers(1, 70), st.integers(1, 50)),
+        shifted=st.booleans(),
+        block=st.sampled_from([1, 7, None]),
+    )
+    def test_one_channel_matches_its_rgb_expansion(
+        self, seed, eye, amplitude, kind, image_size, shifted, block
+    ):
+        viewport, _, device, pose, _ = identity_setup(32, 24)
+        if shifted:
+            pose = RigidTransform(
+                rotation_about_axis([0.0, 1.0, 0.0], math.radians(6.0)),
+                np.array([0.2, -0.1, -1.4]),
+            )
+        upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
+        mesh = random_wall(seed, amplitude)
+        gray = pass1_image(seed, kind, *image_size)[..., None]
+        with mock.patch.object(warp_module, "_BLOCK", block or warp_module._BLOCK):
+            got = warp_to_projector(gray, mesh, upr, viewport, device, pose)
+            want = warp_to_projector(
+                np.repeat(gray, 3, axis=2), mesh, upr, viewport, device, pose
+            )
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("channels", [2, 4])
+    def test_two_and_four_channels_are_rejected(self, channels):
+        viewport, upr, device, pose, wall = identity_setup(32, 24)
+        user_image = np.zeros((24, 32, channels), dtype=np.uint8)
+        with pytest.raises(ValueError, match="1 or 3 channels"):
+            warp_to_projector(user_image, wall, upr, viewport, device, pose)
 
 
 def interpolated_world(mesh, device, pose):
