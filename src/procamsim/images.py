@@ -38,9 +38,16 @@ def _as_uint8(image: np.ndarray) -> np.ndarray:
 
 def write_ppm(path, image: np.ndarray) -> None:
     """Write a binary P6 PPM with maxval 255."""
-    arr = _as_uint8(image)
-    header = f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + arr.tobytes())
+    arr = np.ascontiguousarray(_as_uint8(image))
+    with open(path, "wb") as f:
+        f.write(f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
+        f.write(arr.data)
+
+
+def _check_size(path, width: int, height: int) -> None:
+    """An image read from a file needs at least one pixel on each side."""
+    if width < 1 or height < 1:
+        raise ImageFormatError(f"{path}: image size must be positive, got {width}x{height}")
 
 
 def read_ppm(path) -> np.ndarray:
@@ -74,6 +81,7 @@ def read_ppm(path) -> np.ndarray:
         raise ImageFormatError(f"{path}: bad PPM header") from exc
     if maxval != 255:
         raise ImageFormatError(f"{path}: only maxval 255 is supported, got {maxval}")
+    _check_size(path, width, height)
     pos += 1  # single whitespace byte after the maxval token
     expected = width * height * 3
     pixels = data[pos : pos + expected]
@@ -114,6 +122,7 @@ def read_image(path) -> np.ndarray:
                 "PNG input needs Pillow; install the 'png' extra or use .ppm"
             ) from exc
         with Image.open(path) as img:
+            _check_size(path, img.width, img.height)
             return np.asarray(img.convert("RGB"), dtype=np.uint8)
     raise ImageFormatError(f"unsupported image format {suffix!r}; use .ppm or .png")
 

@@ -18,9 +18,15 @@ pixel center and its 1/depth straight to the screen, as in projective
 texture mapping (Segal et al., SIGGRAPH 1992). That per-eye tail runs in
 blocks of ``_BLOCK`` covered pixels, each taken from the screen projection
 through sampling to the framebuffer, so no temporary grows with the number
-of covered pixels; its output bytes are those of one unblocked pass. The
-tail's per-channel work runs once per channel of the content: the gray
-checker pattern has one channel, sampled once and written to all three
+of covered pixels; its output bytes are those of one unblocked pass. A
+projector shows black as no light, so AR content is mostly black: the
+default checker pattern fills a 480x300 box of a 1920x1080 image. As in a
+GPU's scissor test, the tail samples and scatters only the pixels whose
+pass-1 coordinate lies within a pixel of the box of the content's
+non-zero texels; every other pixel keeps the framebuffer's 0, which is
+the byte its sample of four zero texels would give. The tail's
+per-channel work runs once per channel of the content: the gray checker
+pattern has one channel, sampled once and written to all three
 framebuffer channels, and a panorama view has three.
 
 ``propagate_corners`` follows checker-pattern corners through the same
@@ -171,6 +177,30 @@ def render_user_view(panorama: np.ndarray, upr: UprMatrix, viewport: Viewport) -
 # -- Pass 2: projector framebuffer ----------------------------------------------
 
 
+def _content_box(image: np.ndarray) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """Open pass-1 pixel bounds, per axis, outside which a sample is black.
+
+    The box [c0, c1] x [r0, r1] holds every texel that is not zero (a NaN
+    or negative float counts). A bilinear sample at x reads texels
+    floor(x - 0.5) and the one after, so it can differ from +0.0 only for
+    x in [c0 - 0.5, c1 + 1.5); the bounds (c0 - 1, c1 + 2) add half a pixel
+    for rounding in the sampler's own x - 0.5 + 1. Returns the x and y
+    bounds, or None when every texel is zero or the image is empty.
+    """
+    img = np.asarray(image)
+    h, w = img.shape[:2]
+    if img.size == 0:
+        return None
+    rows = np.flatnonzero(np.any(img.reshape(h, -1), axis=1))
+    if len(rows) == 0:
+        return None
+    r0, r1 = rows[0], rows[-1]
+    band = img[r0 : r1 + 1].reshape(r1 - r0 + 1, -1)
+    cols = np.flatnonzero(np.any(band, axis=0).reshape(w, -1).any(axis=1))
+    c0, c1 = cols[0], cols[-1]
+    return (int(c0) - 1, int(c1) + 2), (int(r0) - 1, int(r1) + 2)
+
+
 def warp_to_projector(
     user_image: np.ndarray,
     mesh: TriangleMesh,
@@ -189,14 +219,23 @@ def warp_to_projector(
     projector pose are unchanged, with the same output bytes as rasterizing
     again. The rest is done in blocks of covered pixels, with the bytes of
     one unblocked pass, and no temporary grows with the number of covered
-    pixels. ``user_image`` has one or three channels (a 2-D image is one
-    channel); one-channel content is sampled, rounded and clipped once and
-    fills all three framebuffer channels, any other count raises
-    ValueError.
+    pixels. Only pixels whose pass-1 coordinate lies within a pixel of the
+    box of the content's non-zero texels (its scissor box) are sampled:
+    any other sample reads four zero texels, is exactly +0.0 and would
+    write the 0 the framebuffer already holds, so the bytes are those of
+    sampling every covered pixel. All-black content, or content with a
+    zero side, gives a black framebuffer without sampling. ``user_image``
+    has one or three channels (a 2-D image is one channel); one-channel
+    content is sampled, rounded and clipped once and fills all three
+    framebuffer channels, any other count raises ValueError.
     """
     channels = 1 if np.ndim(user_image) == 2 else np.shape(user_image)[2]
     if channels not in (1, 3):
         raise ValueError(f"content needs 1 or 3 channels, got {channels}")
+    fb = np.zeros((proj_device.height * proj_device.width, 3), dtype=np.uint8)
+    box = _content_box(user_image)
+    if box is None:
+        return fb.reshape(proj_device.height, proj_device.width, 3)
     covered, depth = mesh.pixel_map(proj_device, proj_to_world)
     # The point at depth z behind pixel center p = (u, v, 1) projects to
     # M (R K^-1 p z + t) = z g, with g = A p + b / z.
@@ -208,9 +247,9 @@ def warp_to_projector(
     img_px = user_image.shape[1::-1]  # (width, height)
     window_m = (viewport.width_m, viewport.height_m)
     window_px = (viewport.width_px, viewport.height_px)
-    fb = np.zeros((proj_device.height * proj_device.width, 3), dtype=np.uint8)
     # Per block: g (one row per axis), u, v, 1 / z and a scratch row.
     rows = np.empty((7, min(len(covered), _BLOCK)))
+    lit, inside = np.empty((2, rows.shape[1]), dtype=bool)
     pixels = np.empty((rows.shape[1], 3), dtype=np.uint8)
     for start in range(0, len(covered), _BLOCK):
         block = slice(start, start + _BLOCK)
@@ -229,26 +268,38 @@ def warp_to_projector(
             gi += np.multiply(v, a1, out=term)
             gi += a2
             gi += np.multiply(inv_z, bi, out=term)
-        # Pass-1 pixels of the block, one row per axis; rows on the eye side
-        # of the screen projection, where w = z g2 is not above 1e-9, get
-        # NaN, which the sampler turns black.
-        behind = ~(np.multiply(z, g[2], out=term) > 1e-9)
+        # Only pixels in front of the eye, where w = z g2 is above 1e-9,
+        # whose pass-1 pixel lies in the widened box are lit; NaN and
+        # infinite coordinates fail the comparisons.
+        is_lit = np.greater(np.multiply(z, g[2], out=term), 1e-9, out=lit[:k])
         xy = g[:2]
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(xy, g[2], out=xy)
-        for p, m, px, img in zip(xy, window_m, window_px, img_px):
+        for p, m, px, img, (lo, hi) in zip(xy, window_m, window_px, img_px, box):
             np.add(np.divide(p, m, out=p), 0.5, out=p)  # the viewport's formula
             p *= px
             p *= img / px
-            p[behind] = np.nan
+            is_lit &= np.greater(p, lo, out=inside[:k])
+            is_lit &= np.less(p, hi, out=inside[:k])
+        sel = np.flatnonzero(is_lit)
+        n = len(sel)
+        if n == 0:
+            continue
+        if n < k:
+            # Gathered row by row into the rows of u and v, free by now;
+            # every index is in range, mode="clip" only spares a buffer.
+            for p, kept in zip(xy, rows[3:5, :n]):
+                np.take(p, sel, out=kept, mode="clip")
+            xy, pix = rows[3:5, :n], pix[sel]
         # Rounded and clipped once per content channel, then scattered as
         # 3-byte pixels; a one-channel image's bytes fill all three channels.
         samples = bilinear_sample(user_image, xy.T).T
+        quantized = term[:n]
         for c in range(3):
             if c < channels:
-                np.clip(np.round(samples[c], out=term), 0, 255, out=term)
-            pixels[:k, c] = term
-        fb.view("V3")[pix, 0] = pixels[:k].view("V3")[:, 0]
+                np.clip(np.round(samples[c], out=quantized), 0, 255, out=quantized)
+            pixels[:n, c] = quantized
+        fb.view("V3")[pix, 0] = pixels[:n].view("V3")[:, 0]
     return fb.reshape(proj_device.height, proj_device.width, 3)
 
 

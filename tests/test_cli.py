@@ -700,6 +700,20 @@ class TestImageContent:
         assert img.shape == (360, 640, 3)
         assert img[:, :, 1].max() > 60  # panorama color made it through the warp
 
+    @pytest.mark.parametrize(
+        "command", [["correct"], ["correct", "--no-correction"], ["render-user-view"]]
+    )
+    def test_image_with_a_zero_side_is_an_image_format_error(self, tmp_path, capsys, command):
+        (tmp_path / "empty.ppm").write_bytes(b"P6\n0 0\n255\n")
+        cfg = write_config(
+            tmp_path, extra_display={"content": {"type": "image", "path": "empty.ppm"}}
+        )
+        out = tmp_path / "x.ppm"
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 1
+        line = TestInputBoundary.assert_one_error_line(capsys, "image-format")
+        assert "image size must be positive" in line
+        assert not out.exists()
+
     def test_image_content_missing_path_is_schema_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, extra_display={"content": {"type": "image"}})
         code = main(["correct", "--config", str(cfg), "--out", str(tmp_path / "x.ppm")])

@@ -37,6 +37,20 @@ class TestPpm:
         assert data.startswith(b"P6\n3 2\n255\n")
         assert len(data) == len(b"P6\n3 2\n255\n") + 3 * 2 * 3
 
+    def test_strided_image_writes_the_bytes_of_its_copy(self, tmp_path):
+        img = np.random.default_rng(1).integers(0, 256, size=(6, 10, 3), dtype=np.uint8)
+        strided = img[::2, 1::3]
+        path = tmp_path / "s.ppm"
+        write_ppm(path, strided)
+        assert path.read_bytes() == b"P6\n3 3\n255\n" + strided.copy().tobytes()
+
+    @pytest.mark.parametrize("size", [b"0 0", b"0 4", b"4 0", b"-1 -1"])
+    def test_rejects_a_size_without_pixels(self, tmp_path, size):
+        path = tmp_path / "z.ppm"
+        path.write_bytes(b"P6\n" + size + b"\n255\n" + b"\x00" * 3)
+        with pytest.raises(ImageFormatError, match="image size must be positive"):
+            read_ppm(path)
+
     def test_reads_comments_in_header(self, tmp_path):
         pixels = bytes(range(2 * 1 * 3))
         path = tmp_path / "c.ppm"

@@ -384,23 +384,35 @@ def screen_projection(mesh, upr, proj_device, proj_to_world):
     return covered, xy, depth * g[2]
 
 
-def unblocked_warp(user_image, mesh, upr, viewport, proj_device, proj_to_world):
-    """Oracle: the per-eye warp tail as one pass over all covered pixels.
+def pass1_coordinates(user_image, mesh, upr, viewport, proj_device, proj_to_world):
+    """Each covered pixel's pass-1 image coordinates and w, over the whole map at once.
 
-    Screen projection, the w and finiteness mask, the viewport's pixel
-    formula, the rescale to the pass-1 image, one sampler call, then
-    round, clip and scatter, each over the whole map at once.
+    The screen projection, the viewport's pixel formula and the rescale to
+    the pass-1 image, in the tail's order of operations. Returns the covered
+    pixels, x, y and w.
     """
     covered, xy_m, w = screen_projection(mesh, upr, proj_device, proj_to_world)
-    ok = (w > 1e-9) & np.all(np.isfinite(xy_m), axis=1)
-    u = (xy_m[ok, 0] / viewport.width_m + 0.5) * viewport.width_px
-    v = (xy_m[ok, 1] / viewport.height_m + 0.5) * viewport.height_px
-    pix = np.stack([u, v], axis=-1)
     img_h, img_w = user_image.shape[:2]
-    pix = pix * np.array([img_w / viewport.width_px, img_h / viewport.height_px])
-    samples = bilinear_sample(user_image, pix)
+    x = (xy_m[:, 0] / viewport.width_m + 0.5) * viewport.width_px * (img_w / viewport.width_px)
+    y = (xy_m[:, 1] / viewport.height_m + 0.5) * viewport.height_px * (img_h / viewport.height_px)
+    return covered, x, y, w
+
+
+def unscissored_tail(user_image, mesh, upr, viewport, proj_device, proj_to_world):
+    """Oracle: the per-eye warp tail as one pass that samples every covered pixel.
+
+    Pixels where w is not above 1e-9 get NaN coordinates, which the sampler
+    turns black. One sampler call takes every covered pixel, whatever the
+    content, then round, clip and scatter.
+    """
+    covered, x, y, w = pass1_coordinates(
+        user_image, mesh, upr, viewport, proj_device, proj_to_world
+    )
+    behind = ~(w > 1e-9)
+    x[behind] = y[behind] = np.nan
+    samples = bilinear_sample(user_image, np.stack([x, y], axis=-1))
     fb = np.zeros((proj_device.height * proj_device.width, 3), dtype=np.uint8)
-    fb[covered[ok]] = np.clip(np.round(samples), 0, 255).astype(np.uint8)
+    fb[covered] = np.clip(np.round(samples), 0, 255).astype(np.uint8)
     return fb.reshape(proj_device.height, proj_device.width, 3)
 
 
@@ -424,13 +436,13 @@ IMAGE_KINDS = ("uint8", "float64", "gray-uint8", "gray-float64")
 
 
 class TestBlockedWarpOracle:
-    """``warp_to_projector`` gives the bytes of the unblocked tail for any block size."""
+    """``warp_to_projector`` gives the bytes of the unscissored one-pass tail for any block size."""
 
     @staticmethod
     def both(block, user_image, mesh, upr, viewport, device, pose):
         with mock.patch.object(warp_module, "_BLOCK", block or warp_module._BLOCK):
             got = warp_to_projector(user_image, mesh, upr, viewport, device, pose)
-        return got, unblocked_warp(user_image, mesh, upr, viewport, device, pose)
+        return got, unscissored_tail(user_image, mesh, upr, viewport, device, pose)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -486,6 +498,99 @@ class TestBlockedWarpOracle:
         got, want = self.both(block, user_image, far, upr, viewport, device, pose)
         assert np.array_equal(got, want)
         assert not got.any()
+
+
+EDGE_SPOTS = ("top-left", "top", "top-right", "left", "right", "bottom-left", "bottom", "bottom-right")
+
+
+def edge_texel(spot, width, height):
+    """(row, col) of an image corner or edge midpoint named like ``top-left``."""
+    row = {"top": 0, "bottom": height - 1}.get(spot.split("-")[0], height // 2)
+    col = {"left": 0, "right": width - 1}.get(spot.split("-")[-1], width // 2)
+    return row, col
+
+
+def scissored_content(seed, kind, width, height, margins, spot):
+    """Pass-1 content that is black outside a box.
+
+    The box is what ``margins`` (fractions of the width and height cut from
+    the left, right, top and bottom) leave, or the single texel at ``spot``
+    when it is given. Every texel in the box is non-zero, and float content
+    gets up to two NaN texels there.
+    """
+    rng = np.random.default_rng(seed)
+    image = pass1_image(seed, kind, width, height)
+    image[image == 0] = 1
+    keep = np.zeros((height, width), dtype=bool)
+    if spot is None:
+        left, right = (int(f * width) for f in margins[:2])
+        top, bottom = (int(f * height) for f in margins[2:])
+        keep[top : height - bottom, left : width - right] = True
+    else:
+        keep[edge_texel(spot, width, height)] = True
+    image[~keep] = 0
+    inside = np.flatnonzero(keep)
+    if kind.endswith("float64") and len(inside):
+        nan_at = rng.choice(inside, size=rng.integers(0, 3))
+        image[np.unravel_index(nan_at, keep.shape)] = np.nan
+    return image
+
+
+class TestScissorBox:
+    """Only pixels whose pass-1 coordinate can read a non-zero texel are sampled."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        eye=st.tuples(
+            st.floats(-0.6, 0.6),
+            st.floats(-0.4, 0.4),
+            st.floats(-1.4, 0.6).filter(lambda z: abs(z) > 0.05),
+        ),
+        amplitude=st.sampled_from([0.0, 0.3, 0.7]),
+        kind=st.sampled_from(IMAGE_KINDS),
+        image_size=st.tuples(st.integers(1, 40), st.integers(1, 30)),
+        margins=st.tuples(*[st.floats(0.0, 0.6)] * 4),
+        spot=st.sampled_from([None, *EDGE_SPOTS]),
+        shifted=st.booleans(),
+        block=st.sampled_from([1, 7, None]),
+    )
+    def test_matches_unscissored_tail(
+        self, seed, eye, amplitude, kind, image_size, margins, spot, shifted, block
+    ):
+        viewport, _, device, pose, _ = identity_setup(32, 24)
+        if shifted:
+            pose = RigidTransform(
+                rotation_about_axis([0.0, 1.0, 0.0], math.radians(6.0)),
+                np.array([0.2, -0.1, -1.4]),
+            )
+        upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
+        user_image = scissored_content(seed, kind, *image_size, margins, spot)
+        # A NaN texel's sample warns as it is cast to a byte, in the tail
+        # and in the oracle alike.
+        with np.errstate(invalid="ignore"):
+            got, want = TestBlockedWarpOracle.both(
+                block, user_image, random_wall(seed, amplitude), upr, viewport, device, pose
+            )
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", IMAGE_KINDS)
+    def test_black_content_is_never_sampled(self, monkeypatch, kind):
+        viewport, upr, device, pose, wall = identity_setup(32, 24)
+
+        def no_sampler(image, xy):
+            raise AssertionError("black content needs no samples")
+
+        monkeypatch.setattr(warp_module, "bilinear_sample", no_sampler)
+        black = np.zeros_like(pass1_image(13, kind, 40, 30))
+        fb = warp_to_projector(black, wall, upr, viewport, device, pose)
+        assert fb.shape == (24, 32, 3) and not fb.any()
+
+    @pytest.mark.parametrize("shape", [(0, 0, 1), (0, 5, 3), (4, 0), (0, 0, 3)])
+    def test_content_with_a_zero_side_gives_black(self, shape):
+        viewport, upr, device, pose, wall = identity_setup(32, 24)
+        fb = warp_to_projector(np.zeros(shape, dtype=np.uint8), wall, upr, viewport, device, pose)
+        assert fb.shape == (24, 32, 3) and not fb.any()
 
 
 class TestOneChannelContent:
@@ -587,22 +692,41 @@ class TestScreenProjectionReference:
         mesh = random_wall(seed, amplitude)
         coords = []
 
-        def capturing_sampler(image, xy):
+        def tagging_sampler(image, xy):
+            # Sample i (counted over the frame) reads i + 1 in its first two
+            # bytes and 255 in the third, so the framebuffer shows which
+            # pixel took which coordinate.
+            tag = sum(map(len, coords)) + 1 + np.arange(len(xy))
             coords.append(np.array(xy))
-            return bilinear_sample(image, xy)
+            return np.stack([tag % 256, tag // 256, np.full(len(tag), 255)], axis=1).astype(float)
 
         user_image = pass1_image(seed, "uint8", viewport.width_px, viewport.height_px)
-        with mock.patch.object(warp_module, "bilinear_sample", capturing_sampler):
-            warp_to_projector(user_image, mesh, upr, viewport, device, pose)
+        user_image[:3] = user_image[:, -5:] = 0  # black margins the box leaves out
+        rows, cols = (np.flatnonzero(user_image.any(axis=axis)) for axis in ((1, 2), (0, 2)))
+        with mock.patch.object(warp_module, "bilinear_sample", tagging_sampler):
+            fb = warp_to_projector(user_image, mesh, upr, viewport, device, pose)
         covered, world = interpolated_world(mesh, device, pose)
         assert np.array_equal(covered, mesh.pixel_map(device, pose)[0])
         got = np.concatenate(coords) if coords else np.zeros((0, 2))
+        taken = fb.reshape(-1, 3)[covered].astype(np.int64)
+        sampled = taken[:, 2] == 255
+        tags = taken[sampled, 0] + 256 * taken[sampled, 1] - 1
+        assert np.array_equal(np.sort(tags), np.arange(len(got)))
         xy, w = upr.apply(world)
         front = w > 1e-6
         # The pass-1 image has the viewport's size, so the rescale is exact.
-        want = viewport.to_pixels(xy[front])
-        gap = np.linalg.norm(got[front] - want, axis=1)
-        assert (gap <= 1e-9 * np.linalg.norm(want, axis=1)).all()
+        want = np.full((len(covered), 2), np.nan)
+        want[front] = viewport.to_pixels(xy[front])
+        checked = front[sampled]
+        gap = np.linalg.norm(got[tags][checked] - want[sampled][checked], axis=1)
+        assert (gap <= 1e-9 * np.linalg.norm(want[sampled][checked], axis=1)).all()
+        # A skipped pixel is behind the eye, or its sample could only read
+        # black texels: half a pixel or more outside the content's box.
+        x, y = want[~sampled].T
+        outside = (
+            (x < cols[0] - 0.5) | (x >= cols[-1] + 1.5) | (y < rows[0] - 0.5) | (y >= rows[-1] + 1.5)
+        )
+        assert (~front[~sampled] | outside).all()
 
 
 class TestFramebufferLayout:
@@ -665,24 +789,37 @@ class TestStreamingTail:
         assert peak < fb_bytes + 1024 * block
 
     @pytest.mark.parametrize("size, block", [((320, 240), None), ((32, 24), 7)])
-    def test_one_sampler_call_per_block_covers_every_pixel(self, monkeypatch, size, block):
+    def test_one_sampler_call_per_block_covers_every_pixel(self, size, block):
         # perfbench's tracer sums the sampler's calls and samples per frame,
-        # so the per-frame totals must not depend on the block size.
+        # so the per-frame totals must not depend on the block size: each
+        # frame samples its lit pixels, those in front of the eye whose
+        # pass-1 coordinate is within a pixel of the content's box.
         args = self.frame(*size)
-        covered, _ = args[1].pixel_map(*args[4:])
+        covered, x, y, w = pass1_coordinates(*args)
+        height, width = args[0].shape[:2]
+        # The random content's box is the whole image.
+        assert args[0].any(axis=2).any(axis=0).all() and args[0].any(axis=2).any(axis=1).all()
+        lit = (w > 1e-9) & (x > -1) & (x < width + 1) & (y > -1) & (y < height + 1)
+        assert 0 < lit.sum() <= len(covered)
+
+        def sampler_calls(block):
+            calls = []
+
+            def counting_sampler(image, xy):
+                calls.append(int(np.prod(np.shape(xy)[:-1])))
+                return bilinear_sample(image, xy)
+
+            with mock.patch.object(warp_module, "_BLOCK", block), \
+                    mock.patch.object(warp_module, "bilinear_sample", counting_sampler):
+                warp_to_projector(*args)
+            return calls
+
         block = block or warp_module._BLOCK
-        calls = []
-
-        def counting_sampler(image, xy):
-            calls.append(int(np.prod(np.shape(xy)[:-1])))
-            return bilinear_sample(image, xy)
-
-        monkeypatch.setattr(warp_module, "_BLOCK", block)
-        monkeypatch.setattr(warp_module, "bilinear_sample", counting_sampler)
-        warp_to_projector(*args)
-        assert sum(calls) == len(covered) == size[0] * size[1]
-        assert len(calls) == -(-len(covered) // block) > 1
-        assert calls[:-1] == [block] * (len(calls) - 1)
+        calls = sampler_calls(block)
+        other = warp_module._BLOCK if block == 7 else 1 << 12  # 19 blocks of the large frame
+        assert sum(calls) == sum(sampler_calls(other)) == lit.sum()
+        assert 1 < len(calls) <= -(-len(covered) // block)
+        assert max(calls) <= block
 
 
 def ramp_panorama(height=90, width=180):
