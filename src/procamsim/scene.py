@@ -45,6 +45,9 @@ _FRONT_COS = 0.1
 # (meters) spans a depth discontinuity and is dropped.
 DISCONTINUITY_M = 0.05
 
+# Covered pixels per segment of a projector map's segment table.
+_SEGMENT = 128
+
 
 def hit_points(origin, dirs: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Points ``origin + t * dirs`` along each ray; a miss (t = inf) maps to the origin."""
@@ -281,6 +284,34 @@ class CylinderSegment:
         }
 
 
+def _segment_table(covered: np.ndarray, depth: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Row segments of a projector map and the bounds of what they hold.
+
+    A segment is a run of at most ``_SEGMENT`` consecutive entries of the
+    sorted flat indices ``covered`` that lie in one row of a ``width`` x
+    ``height`` device; each row's entries split into as few segments as
+    that allows, so none is empty. Returns a (7, S) float64 array, one
+    column per segment in ``covered`` order, its rows: the segment's
+    ``[start, end)`` in ``covered``, its row centre v + 0.5, its first and
+    last column centres u0 <= u1, and 1 / max(depth) and 1 / min(depth).
+    Every index is far below 2^53, so the float rows are exact.
+    """
+    row_start = np.searchsorted(covered, np.arange(height + 1) * width)
+    per_row = -(-np.diff(row_start) // _SEGMENT)
+    row = np.repeat(np.arange(height), per_row)
+    first = np.repeat(np.cumsum(per_row) - per_row, per_row)
+    start = row_start[row] + (np.arange(len(row)) - first) * _SEGMENT
+    end = np.minimum(start + _SEGMENT, row_start[row + 1])
+    table = np.empty((7, len(start)))
+    table[0], table[1], table[2] = start, end, row + 0.5
+    table[3] = covered[start] - row * width + 0.5
+    table[4] = covered[end - 1] - row * width + 0.5
+    # Each segment ends where the next starts, so reduceat reduces each one.
+    np.divide(1.0, np.maximum.reduceat(depth, start), out=table[5])
+    np.divide(1.0, np.minimum.reduceat(depth, start), out=table[6])
+    return table
+
+
 @dataclass(frozen=True)
 class TriangleMesh:
     """Indexed triangle mesh with world-frame (or local-frame) vertices.
@@ -312,17 +343,18 @@ class TriangleMesh:
 
     def pixel_map(
         self, device: PinholeDevice, device_to_world: RigidTransform
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The device pixels this mesh covers and the depth each sees.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The device pixels this mesh covers, the depth each sees, and their segments.
 
         Returns the row-major flat indices of the covered pixels and, for
         each, the device-frame depth of the mesh there, from ``rasterize``
         of the mesh as the device sees it: 16 bytes per covered pixel. The
         world point behind pixel (u, v) is the pose applied to
-        ``K^-1 [u + 0.5, v + 0.5, 1] * depth``. The map depends only on the
-        mesh and the device, so the mesh keeps the last one and returns it
-        again while ``device`` and the pose's rotation and translation are
-        unchanged.
+        ``K^-1 [u + 0.5, v + 0.5, 1] * depth``. The third array is the
+        map's segment table (``_segment_table``), under 1 MB at 1080p. The
+        map depends only on the mesh and the device, so the mesh keeps the
+        last one, all three arrays read-only, and returns it again while
+        ``device`` and the pose's rotation and translation are unchanged.
         """
         key = (device, device_to_world.rotation.tobytes(), device_to_world.translation.tobytes())
         entry = self._pixel_map
@@ -331,9 +363,10 @@ class TriangleMesh:
             res = rasterize(uv, z, self.faces, device.width, device.height)
             covered = res.covered
             depth = res.depth_w.reshape(-1)[covered]
-            covered.flags.writeable = False
-            depth.flags.writeable = False
-            entry = (key, (covered, depth))
+            segments = _segment_table(covered, depth, device.width, device.height)
+            for a in (covered, depth, segments):
+                a.flags.writeable = False
+            entry = (key, (covered, depth, segments))
             object.__setattr__(self, "_pixel_map", entry)
         return entry[1]
 

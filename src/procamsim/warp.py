@@ -6,14 +6,14 @@ it: a flat image addressed in virtual-screen (viewport) pixels, either the
 checker test pattern or an equirectangular panorama sampled along the eye's
 rays through the screen (``sample_equirect``). Pass 2 builds the projector
 framebuffer: the scene geometry is rasterized from the projector's point of
-view, each covered projector pixel maps the point it will light through
-the screen projection into viewport coordinates, and samples the pass-1
-image there. Projecting that framebuffer onto the real surfaces makes the
-content appear, from the tracked eye, as if it were glued to the virtual
-screen. Only the last two steps depend on the eye: the rasterized
-projector map, each covered pixel and its depth, is kept on the mesh and
-reused for every new eye while the mesh and the projector pose are
-unchanged (``TriangleMesh.pixel_map``). One 3x4 matrix per eye takes a
+view, each covered projector pixel maps the point it will light through the
+screen projection into viewport coordinates, and samples the pass-1 image
+there. Projecting that framebuffer onto the real surfaces makes the content
+appear, from the tracked eye, as if it were glued to the virtual screen.
+Only the last two steps depend on the eye: the rasterized projector map,
+each covered pixel and its depth with the segment table below, is kept on
+the mesh and reused for every new eye while the mesh and the projector pose
+are unchanged (``TriangleMesh.pixel_map``). One 3x4 matrix per eye takes a
 pixel center and its 1/depth straight to the screen, as in projective
 texture mapping (Segal et al., SIGGRAPH 1992). That per-eye tail runs in
 blocks of ``_BLOCK`` covered pixels, each taken from the screen projection
@@ -22,12 +22,19 @@ of covered pixels; its output bytes are those of one unblocked pass. A
 projector shows black as no light, so AR content is mostly black: the
 default checker pattern fills a 480x300 box of a 1920x1080 image. As in a
 GPU's scissor test, the tail samples and scatters only the pixels whose
-pass-1 coordinate lies within a pixel of the box of the content's
-non-zero texels; every other pixel keeps the framebuffer's 0, which is
-the byte its sample of four zero texels would give. The tail's
-per-channel work runs once per channel of the content: the gray checker
-pattern has one channel, sampled once and written to all three
-framebuffer channels, and a panorama view has three.
+pass-1 coordinate lies within a pixel of the box of the content's non-zero
+texels; every other pixel keeps the framebuffer's 0, which is the byte its
+sample of four zero texels would give. Most covered pixels never reach that
+per-pixel test: the map also holds a segment table, runs of up to 128
+covered pixels in one projector row with their column and 1/depth bounds,
+and one vectorized test per eye drops every segment whose four corners put
+all its pixels at least a pixel outside the box, as in the coarse-to-fine
+rejection of hierarchical culling (Greene, Kass and Miller, SIGGRAPH 1993).
+The per-pixel steps then run only on the kept segments, with the arithmetic
+and the bytes of running them on all. The tail's per-channel work runs once
+per channel of the content: the gray checker pattern has one channel,
+sampled once and written to all three framebuffer channels, and a panorama
+view has three.
 
 ``propagate_corners`` follows checker-pattern corners through the same
 mapping analytically (no rasterization), using one model set for the warp
@@ -201,6 +208,39 @@ def _content_box(image: np.ndarray) -> tuple[tuple[int, int], tuple[int, int]] |
     return (int(c0) - 1, int(c1) + 2), (int(r0) - 1, int(r1) + 2)
 
 
+def _kept_segments(segments, a, b, pass1_scale, box) -> np.ndarray:
+    """Which segments of a projector map may hold a pixel the tail samples.
+
+    In a segment's row v, the screen projection g = A (u, v, 1) + b s of a
+    pixel at column centre u and s = 1 / depth is affine in (u, s), and
+    the pixel's u and computed s lie in the segment's rectangle [u0, u1] x
+    [1 / max(depth), 1 / min(depth)] (correctly rounded 1 / z is monotone).
+    Where every corner of the rectangle has w = g2 / s above 1e-9, the
+    tail's own test for lying in front of the eye, g2 > 0 over the whole
+    rectangle, so each pass-1 coordinate x = (g0 / g2 / width_m + 0.5) *
+    img_w is a ratio of affine functions with a positive denominator and
+    takes its extremes at corners; y likewise. Such a segment is dropped
+    when its corner x or y interval lies at least 1 px outside the box's
+    open bounds (lo, hi): x_max <= lo - 1 or x_min >= hi + 1. The corners
+    are computed with the tail's operations in its order, and at w above
+    1e-9 their rounding, like a pixel's, moves x by far less than a pixel,
+    so the tail would have rejected every pixel of a dropped segment. A
+    segment with a NaN or infinite corner value is kept. ``pass1_scale``
+    holds, per axis, the screen size in meters, the viewport size and the
+    pass-1 image size in pixels; ``box`` is ``_content_box``'s bounds.
+    """
+    v, u, s = segments[2], segments[3:5], segments[5:7]
+    # g[k][i, j] is g_k at column centre u[i] and 1 / z = s[j].
+    g = [(u * a0 + v * a1 + a2)[:, None] + s * bi for (a0, a1, a2), bi in zip(a, b)]
+    front = np.all(g[2] > 1e-9 * s, axis=(0, 1))
+    outside = np.zeros_like(front)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for gi, (m, px, img), (lo, hi) in zip(g[:2], pass1_scale, box):
+            p = ((gi / g[2] / m + 0.5) * px * (img / px)).reshape(4, -1)
+            outside |= (p.max(axis=0) <= lo - 1) | (p.min(axis=0) >= hi + 1)
+    return ~(front & outside)
+
+
 def warp_to_projector(
     user_image: np.ndarray,
     mesh: TriangleMesh,
@@ -217,26 +257,32 @@ def warp_to_projector(
     the eye side of the screen projection, stay black. The rasterized map
     does not depend on the eye, so it is reused while the mesh and the
     projector pose are unchanged, with the same output bytes as rasterizing
-    again. The rest is done in blocks of covered pixels, with the bytes of
-    one unblocked pass, and no temporary grows with the number of covered
-    pixels. Only pixels whose pass-1 coordinate lies within a pixel of the
+    again. Only pixels whose pass-1 coordinate lies within a pixel of the
     box of the content's non-zero texels (its scissor box) are sampled:
     any other sample reads four zero texels, is exactly +0.0 and would
     write the 0 the framebuffer already holds, so the bytes are those of
-    sampling every covered pixel. All-black content, or content with a
-    zero side, gives a black framebuffer without sampling. ``user_image``
-    has one or three channels (a 2-D image is one channel); one-channel
-    content is sampled, rounded and clipped once and fills all three
-    framebuffer channels, any other count raises ValueError.
+    sampling every covered pixel. Before any per-pixel work, one test per
+    row segment of the map (``_kept_segments``) drops the segments whose
+    corners put every pixel at least a pixel outside that box. The kept
+    pixels are done in blocks, with the bytes of one unblocked pass, and
+    no temporary grows with the number of covered pixels. All-black
+    content, or content with a zero side, gives a black framebuffer
+    without sampling. ``user_image`` has one or three channels (a 2-D
+    image is one channel); one-channel content is sampled, rounded and
+    clipped once and fills all three framebuffer channels, any other count
+    raises ValueError. Float content with a NaN or infinite texel raises
+    ValueError("content must be finite"), so every sample's byte is defined.
     """
     channels = 1 if np.ndim(user_image) == 2 else np.shape(user_image)[2]
     if channels not in (1, 3):
         raise ValueError(f"content needs 1 or 3 channels, got {channels}")
+    if user_image.dtype.kind == "f" and not np.isfinite(user_image).all():
+        raise ValueError("content must be finite")
     fb = np.zeros((proj_device.height * proj_device.width, 3), dtype=np.uint8)
     box = _content_box(user_image)
     if box is None:
         return fb.reshape(proj_device.height, proj_device.width, 3)
-    covered, depth = mesh.pixel_map(proj_device, proj_to_world)
+    covered, depth, segments = mesh.pixel_map(proj_device, proj_to_world)
     # The point at depth z behind pixel center p = (u, v, 1) projects to
     # M (R K^-1 p z + t) = z g, with g = A p + b / z.
     m3, m4 = upr.matrix[:, :3], upr.matrix[:, 3]
@@ -244,16 +290,40 @@ def warp_to_projector(
     b = m3 @ proj_to_world.translation + m4
     # The pass-1 image may be rendered at a different resolution than the
     # nominal viewport; rescale into its pixel grid.
-    img_px = user_image.shape[1::-1]  # (width, height)
-    window_m = (viewport.width_m, viewport.height_m)
-    window_px = (viewport.width_px, viewport.height_px)
+    pass1_scale = list(zip(
+        (viewport.width_m, viewport.height_m),
+        (viewport.width_px, viewport.height_px),
+        user_image.shape[1::-1],  # (width, height)
+    ))
+    keep = _kept_segments(segments, a, b, pass1_scale, box)
+    if not keep.any():
+        return fb.reshape(proj_device.height, proj_device.width, 3)
+    # Kept segments that follow each other in ``covered`` merge into runs.
+    # Numbering the kept pixels in order, run r holds [begins[r], ends[r])
+    # and kept pixel i is covered[offset[r] + i].
+    first, last = segments[:2, keep].astype(np.int64)
+    joined = first[1:] == last[:-1]
+    first, last = first[np.r_[True, ~joined]], last[np.r_[~joined, True]]
+    ends = np.cumsum(last - first)
+    begins = ends - (last - first)
+    offset = first - begins
+    total = int(ends[-1])
     # Per block: g (one row per axis), u, v, 1 / z and a scratch row.
-    rows = np.empty((7, min(len(covered), _BLOCK)))
+    rows = np.empty((7, min(total, _BLOCK)))
     lit, inside = np.empty((2, rows.shape[1]), dtype=bool)
     pixels = np.empty((rows.shape[1], 3), dtype=np.uint8)
-    for start in range(0, len(covered), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        pix, z = covered[block], depth[block]
+    for start in range(0, total, _BLOCK):
+        stop = min(start + _BLOCK, total)
+        # Runs i..j hold the block's kept pixels; one run is one slice.
+        i, j = np.searchsorted(ends, [start, stop - 1], side="right")
+        if i == j:
+            block = slice(offset[i] + start, offset[i] + stop)
+            pix, z = covered[block], depth[block]
+        else:
+            runs = slice(i, j + 1)
+            counts = np.minimum(ends[runs], stop) - np.maximum(begins[runs], start)
+            index = np.repeat(offset[runs], counts) + np.arange(start, stop)
+            pix, z = covered[index], depth[index]
         k = len(z)
         g, (u, v, inv_z, term) = rows[:3, :k], rows[3:, :k]
         # Pixel centers from the flat indices: every index is an integer
@@ -275,7 +345,7 @@ def warp_to_projector(
         xy = g[:2]
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(xy, g[2], out=xy)
-        for p, m, px, img, (lo, hi) in zip(xy, window_m, window_px, img_px, box):
+        for p, (m, px, img), (lo, hi) in zip(xy, pass1_scale, box):
             np.add(np.divide(p, m, out=p), 0.5, out=p)  # the viewport's formula
             p *= px
             p *= img / px

@@ -45,7 +45,7 @@ def test_projector_map_matches_the_ray_caster(case, state):
     # The mesh as the projector sees it, as in TriangleMesh.pixel_map.
     uv, z = project_points(device, pose.inverse(), mesh.vertices)
     res = rasterize(uv, z, mesh.faces, WIDTH, HEIGHT)
-    covered, depth = mesh.pixel_map(device, pose)
+    covered, depth, _ = mesh.pixel_map(device, pose)
     assert np.array_equal(res.covered, np.flatnonzero(res.face_index >= 0))
     assert np.array_equal(res.covered, covered)
     assert np.array_equal(res.depth_w.reshape(-1)[covered], depth)

@@ -10,19 +10,24 @@ The key oracles:
 """
 
 import gc
+import json
 import math
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import procamsim.scene as scene_module
 import procamsim.warp as warp_module
+from procamsim import cli
+from procamsim.calibration import result_from_rig
+from procamsim.evaluation import build_display_chain
 from procamsim.geometry import (
     PinholeDevice,
     RigidTransform,
@@ -56,6 +61,8 @@ from procamsim.warp import (
 )
 
 from rigs import default_rig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestCheckerPattern:
@@ -215,6 +222,13 @@ def identity_setup(width=320, height=240):
     return viewport, upr, device, proj_to_world, wall
 
 
+def shifted_projector():
+    """A projector pose off the eye of ``identity_setup``, turned 6 degrees about y."""
+    return RigidTransform(
+        rotation_about_axis([0.0, 1.0, 0.0], math.radians(6.0)), np.array([0.2, -0.1, -1.4])
+    )
+
+
 class TestWarpToProjector:
     def test_identity_configuration_reproduces_image_exactly(self):
         viewport, upr, device, proj_to_world, geometry = identity_setup()
@@ -299,7 +313,13 @@ class TestProjectorMapReuse:
             calls.append(1)
             return rasterize(*args, **kwargs)
 
+        def counting_segment_table(*args):
+            tables.append(1)
+            return segment_table(*args)
+
+        tables, segment_table = [], scene_module._segment_table
         monkeypatch.setattr(scene_module, "rasterize", counting_rasterize)
+        monkeypatch.setattr(scene_module, "_segment_table", counting_segment_table)
         mesh = bumpy_wall()
         upr = upr_matrix(EyePose(*self.EYES[1]), RigidTransform.identity())
         same_pose = RigidTransform(pose.rotation.copy(), pose.translation.copy())
@@ -308,11 +328,15 @@ class TestProjectorMapReuse:
             width=device.width, height=device.height,
         )
         runs = [(device, pose), (device, same_pose), (narrower, same_pose), (narrower, shifted)]
-        frames, counts = [], []
+        frames, counts, maps = [], [], []
         for dev, p in runs:
             frames.append(warp_to_projector(user_image, mesh, upr, viewport, dev, p))
-            counts.append(len(calls))
-        assert counts == [1, 1, 2, 3]
+            counts.append((len(calls), len(tables)))
+            maps.append(mesh.pixel_map(dev, p))
+        assert counts == [(1, 1), (1, 1), (2, 2), (3, 3)]
+        # The reused map is the same three arrays, segment table included.
+        assert all(x is y for x, y in zip(maps[0], maps[1]))
+        assert maps[1][2] is not maps[2][2]
         for (dev, p), fb in zip(runs, frames):
             fresh = TriangleMesh(mesh.vertices, mesh.faces)
             assert np.array_equal(fb, warp_to_projector(user_image, fresh, upr, viewport, dev, p))
@@ -340,25 +364,35 @@ class TestProjectorMapReuse:
         del mesh
         gc.collect()
         assert mesh_ref() is None
-        assert [ref() for ref in map_refs] == [None, None]
+        assert len(map_refs) == 3
+        assert [ref() for ref in map_refs] == [None, None, None]
 
     def test_map_holds_16_bytes_per_covered_pixel(self):
         viewport, device, (pose, _), user_image = self.scenario()
         mesh = bumpy_wall()
-        covered, depth = mesh.pixel_map(device, pose)
+        covered, depth, segments = mesh.pixel_map(device, pose)
         assert len(covered) > 10000
         assert covered.dtype == np.int64 and depth.dtype == np.float64
         assert covered.nbytes + depth.nbytes == 16 * len(covered)
         assert not covered.flags.writeable and not depth.flags.writeable
+        assert segments.shape[0] == 7 and not segments.flags.writeable
 
     def test_empty_mesh_gives_an_empty_map(self):
         # A mesh with no vertices, as the depth sensor gives when it sees nothing.
         viewport, device, (pose, _), user_image = self.scenario()
         empty = TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
-        covered, depth = empty.pixel_map(device, pose)
+        covered, depth, segments = empty.pixel_map(device, pose)
         assert covered.shape == depth.shape == (0,)
+        assert segments.shape == (7, 0)
         upr = upr_matrix(EyePose(*self.EYES[0]), RigidTransform.identity())
         assert not warp_to_projector(user_image, empty, upr, viewport, device, pose).any()
+
+
+def screen_matrices(upr, proj_device, proj_to_world):
+    """A = M3 R K^-1 and b = M3 t + M4 of the tail's screen projection g = A p + b / z."""
+    m3, m4 = upr.matrix[:, :3], upr.matrix[:, 3]
+    a = m3 @ proj_to_world.rotation @ np.linalg.inv(proj_device.matrix())
+    return a, m3 @ proj_to_world.translation + m4
 
 
 def screen_projection(mesh, upr, proj_device, proj_to_world):
@@ -370,10 +404,8 @@ def screen_projection(mesh, upr, proj_device, proj_to_world):
     (R, t) the projector pose; its w is z g2. Returns the covered pixels,
     their (K, 2) screen coordinates and w.
     """
-    covered, depth = mesh.pixel_map(proj_device, proj_to_world)
-    m3, m4 = upr.matrix[:, :3], upr.matrix[:, 3]
-    a = m3 @ proj_to_world.rotation @ np.linalg.inv(proj_device.matrix())
-    b = m3 @ proj_to_world.translation + m4
+    covered, depth, _ = mesh.pixel_map(proj_device, proj_to_world)
+    a, b = screen_matrices(upr, proj_device, proj_to_world)
     v = np.floor(covered / proj_device.width)
     u = covered - v * proj_device.width + 0.5
     v = v + 0.5
@@ -463,12 +495,10 @@ class TestBlockedWarpOracle:
     def test_matches_unblocked_tail(
         self, seed, eye, amplitude, kind, image_size, shifted, block
     ):
-        viewport, _, device, pose, _ = identity_setup(32, 24)
+        # Block 1 runs one loop pass per pixel, so it gets a smaller device.
+        viewport, _, device, pose, _ = identity_setup(*((16, 12) if block == 1 else (32, 24)))
         if shifted:
-            pose = RigidTransform(
-                rotation_about_axis([0.0, 1.0, 0.0], math.radians(6.0)),
-                np.array([0.2, -0.1, -1.4]),
-            )
+            pose = shifted_projector()
         upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
         mesh = random_wall(seed, amplitude)
         user_image = pass1_image(seed, kind, *image_size)
@@ -515,10 +545,8 @@ def scissored_content(seed, kind, width, height, margins, spot):
 
     The box is what ``margins`` (fractions of the width and height cut from
     the left, right, top and bottom) leave, or the single texel at ``spot``
-    when it is given. Every texel in the box is non-zero, and float content
-    gets up to two NaN texels there.
+    when it is given. Every texel in the box is non-zero.
     """
-    rng = np.random.default_rng(seed)
     image = pass1_image(seed, kind, width, height)
     image[image == 0] = 1
     keep = np.zeros((height, width), dtype=bool)
@@ -529,10 +557,6 @@ def scissored_content(seed, kind, width, height, margins, spot):
     else:
         keep[edge_texel(spot, width, height)] = True
     image[~keep] = 0
-    inside = np.flatnonzero(keep)
-    if kind.endswith("float64") and len(inside):
-        nan_at = rng.choice(inside, size=rng.integers(0, 3))
-        image[np.unravel_index(nan_at, keep.shape)] = np.nan
     return image
 
 
@@ -560,18 +584,12 @@ class TestScissorBox:
     ):
         viewport, _, device, pose, _ = identity_setup(32, 24)
         if shifted:
-            pose = RigidTransform(
-                rotation_about_axis([0.0, 1.0, 0.0], math.radians(6.0)),
-                np.array([0.2, -0.1, -1.4]),
-            )
+            pose = shifted_projector()
         upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
         user_image = scissored_content(seed, kind, *image_size, margins, spot)
-        # A NaN texel's sample warns as it is cast to a byte, in the tail
-        # and in the oracle alike.
-        with np.errstate(invalid="ignore"):
-            got, want = TestBlockedWarpOracle.both(
-                block, user_image, random_wall(seed, amplitude), upr, viewport, device, pose
-            )
+        got, want = TestBlockedWarpOracle.both(
+            block, user_image, random_wall(seed, amplitude), upr, viewport, device, pose
+        )
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("kind", IMAGE_KINDS)
@@ -591,6 +609,200 @@ class TestScissorBox:
         viewport, upr, device, pose, wall = identity_setup(32, 24)
         fb = warp_to_projector(np.zeros(shape, dtype=np.uint8), wall, upr, viewport, device, pose)
         assert fb.shape == (24, 32, 3) and not fb.any()
+
+    @pytest.mark.parametrize("texel", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(24, 32), (24, 32, 3)])
+    def test_non_finite_content_is_rejected(self, monkeypatch, texel, dtype, shape):
+        viewport, upr, device, pose, wall = identity_setup(32, 24)
+
+        def no_map(*args):
+            raise AssertionError("non-finite content is rejected before the map is read")
+
+        monkeypatch.setattr(TriangleMesh, "pixel_map", no_map)
+        user_image = np.full(shape, 100.0, dtype=dtype)
+        user_image[5, 7] = texel
+        with pytest.raises(ValueError, match="content must be finite"):
+            warp_to_projector(user_image, wall, upr, viewport, device, pose)
+
+
+def fragmented_wall(seed, amplitude, holes):
+    """``random_wall`` with a fraction ``holes`` of its faces dropped, so rows have gaps."""
+    wall = random_wall(seed, amplitude, rows=13, cols=17)
+    kept = np.random.default_rng([seed, 1]).random(len(wall.faces)) >= holes
+    return TriangleMesh(wall.vertices, wall.faces[kept])
+
+
+def segment_table_reference(covered, depth, width, segment):
+    """Oracle: the segment table built row by row, cutting each row's entries every ``segment``."""
+    columns = []
+    rows = covered // width
+    for row in np.unique(rows):
+        entries = np.flatnonzero(rows == row)
+        for start in range(entries[0], entries[-1] + 1, segment):
+            end = min(start + segment, entries[-1] + 1)
+            cols = covered[start:end] - row * width
+            z = depth[start:end]
+            columns.append(
+                (start, end, row + 0.5, cols[0] + 0.5, cols[-1] + 0.5, 1.0 / z.max(), 1.0 / z.min())
+            )
+    return np.array(columns, dtype=float).reshape(-1, 7).T
+
+
+def tracked_eye_demo():
+    """The demo config's 1080p display chain and the tracked-eye path's four eyes.
+
+    The eyes are those of perfbench's ``tracked_eye`` workload. Returns the
+    display chain, the projector, the config's options and the eyes' screen
+    projections.
+    """
+    config = cli.load_config(ROOT / "configs" / "demo_config.json")
+    result = result_from_rig(config.rig)
+    chain = build_display_chain(config.scene, config.rig, result, config.options)
+    eyes = json.loads((ROOT / "perfbench" / "goldens.json").read_text())["tracked_eye"]["eyes"]
+    uprs = [upr_matrix(EyePose(*eye), chain.est_upr.world_to_rear) for eye in eyes]
+    return chain, result.proj_device, config.options, uprs
+
+
+class TestSegmentCull:
+    """Dropping whole row segments before the per-pixel tail keeps every byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        holes=st.sampled_from([0.0, 0.3, 0.8]),
+        segment=st.sampled_from([1, 3, None]),
+        shifted=st.booleans(),
+    )
+    def test_table_matches_a_per_row_loop(self, seed, holes, segment, shifted):
+        viewport, _, device, pose, _ = identity_setup(40, 24)
+        if shifted:
+            pose = shifted_projector()
+        segment = segment or scene_module._SEGMENT
+        with mock.patch.object(scene_module, "_SEGMENT", segment):
+            covered, depth, table = fragmented_wall(seed, 0.5, holes).pixel_map(device, pose)
+        want = segment_table_reference(covered, depth, device.width, segment)
+        assert table.dtype == np.float64
+        assert np.array_equal(table, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        eye=st.tuples(
+            st.floats(-0.6, 0.6),
+            st.floats(-0.4, 0.4),
+            # Eyes up to 0.6 m past the screen plane make g2 change sign
+            # inside a segment of a wall of depth +-0.7 m.
+            st.floats(-1.4, 0.6).filter(lambda z: abs(z) > 0.05),
+        ),
+        amplitude=st.sampled_from([0.0, 0.3, 0.7]),
+        holes=st.sampled_from([0.0, 0.3, 0.8]),
+        kind=st.sampled_from(IMAGE_KINDS),
+        image_size=st.tuples(st.integers(1, 40), st.integers(1, 30)),
+        margins=st.tuples(*[st.floats(0.0, 0.6)] * 4),
+        spot=st.sampled_from([None, *EDGE_SPOTS]),
+        shifted=st.booleans(),
+        segment=st.sampled_from([1, 3, None]),
+        block=st.sampled_from([1, 7, None]),
+    )
+    # An eye just past the screen plane: g2 changes sign inside some rows,
+    # whose corners all lie past the box although pixels between them are
+    # lit, so a cull without the front-of-eye test drops lit pixels here.
+    @example(
+        seed=0, eye=(0.0, 0.25, 0.0625), amplitude=0.3, holes=0.0, kind="uint8",
+        image_size=(1, 14), margins=(0.0, 0.0, 0.0, 0.5), spot=None, shifted=False,
+        segment=None, block=None,
+    )
+    def test_matches_unscissored_tail(
+        self, seed, eye, amplitude, holes, kind, image_size, margins, spot, shifted, segment, block
+    ):
+        viewport, _, device, pose, _ = identity_setup(32, 24)
+        if shifted:
+            pose = shifted_projector()
+        upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
+        user_image = scissored_content(seed, kind, *image_size, margins, spot)
+        with mock.patch.object(scene_module, "_SEGMENT", segment or scene_module._SEGMENT):
+            mesh = fragmented_wall(seed, amplitude, holes)
+            mesh.pixel_map(device, pose)
+        got, want = TestBlockedWarpOracle.both(block, user_image, mesh, upr, viewport, device, pose)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        eye=st.tuples(
+            st.floats(-0.6, 0.6),
+            st.floats(-0.4, 0.4),
+            st.floats(-1.4, 0.6).filter(lambda z: abs(z) > 0.05),
+        ),
+        amplitude=st.sampled_from([0.0, 0.3, 0.7]),
+        holes=st.sampled_from([0.0, 0.3, 0.8]),
+        margins=st.tuples(*[st.floats(0.0, 0.45)] * 4),
+        shifted=st.booleans(),
+        segment=st.sampled_from([1, 3, None]),
+    )
+    def test_dropped_segments_lie_a_pixel_outside_the_box(
+        self, seed, eye, amplitude, holes, margins, shifted, segment
+    ):
+        # The bound itself, with each corner's pass-1 coordinate computed
+        # from its world point: a dropped segment has every corner in front
+        # of the eye and its corner x or y interval at least 1 px outside
+        # the box's open bounds. Exact arithmetic would need no margin, so
+        # the bytes above cannot show a margin below 1 px; this test can.
+        viewport, _, device, pose, _ = identity_setup(32, 24)
+        if shifted:
+            pose = shifted_projector()
+        upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
+        user_image = scissored_content(seed, "gray-uint8", 32, 24, margins, None)
+        box = warp_module._content_box(user_image)
+        with mock.patch.object(scene_module, "_SEGMENT", segment or scene_module._SEGMENT):
+            _, _, segments = fragmented_wall(seed, amplitude, holes).pixel_map(device, pose)
+        a, b = screen_matrices(upr, device, pose)
+        scale = list(zip((viewport.width_m, viewport.height_m), (32, 24), (32, 24)))
+        keep = warp_module._kept_segments(segments, a, b, scale, box)
+        _, _, v, u0, u1, s_lo, s_hi = segments[:, ~keep]
+        xs, ys = [], []
+        for u, s in ((u0, s_lo), (u0, s_hi), (u1, s_lo), (u1, s_hi)):
+            rays = np.linalg.solve(device.matrix(), np.stack([u, v, np.ones_like(u)]))
+            xy, w = upr.apply(pose.apply((rays / s).T))
+            assert (w > 0).all()
+            x, y = viewport.to_pixels(xy).T
+            xs.append(x)
+            ys.append(y)
+        (xlo, xhi), (ylo, yhi) = box
+        x_out = (np.max(xs, axis=0) <= xlo - 1 + 1e-6) | (np.min(xs, axis=0) >= xhi + 1 - 1e-6)
+        y_out = (np.max(ys, axis=0) <= ylo - 1 + 1e-6) | (np.min(ys, axis=0) >= yhi + 1 - 1e-6)
+        assert (x_out | y_out).all()
+
+    @pytest.fixture(scope="class")
+    def demo(self):
+        return tracked_eye_demo()
+
+    def test_every_lit_pixel_is_in_a_kept_segment(self, demo):
+        chain, device, options, uprs = demo
+        vp = options.viewport
+        mesh, pose = chain.geometry, chain.est_proj_to_world
+        user_image = options.pattern.render(vp.width_px, vp.height_px)
+        covered, _, segments = mesh.pixel_map(device, pose)
+        assert len(covered) == 1_967_159
+        lengths = (segments[1] - segments[0]).astype(np.int64)
+        segment_of = np.repeat(np.arange(segments.shape[1]), lengths)
+        box = warp_module._content_box(user_image)
+        scale = list(zip((vp.width_m, vp.height_m), (vp.width_px, vp.height_px), user_image.shape[1::-1]))
+        for upr in uprs:
+            _, x, y, w = pass1_coordinates(user_image, mesh, upr, vp, device, pose)
+            (xlo, xhi), (ylo, yhi) = box
+            lit = (w > 1e-9) & (x > xlo) & (x < xhi) & (y > ylo) & (y < yhi)
+            keep = warp_module._kept_segments(segments, *screen_matrices(upr, device, pose), scale, box)
+            assert keep[segment_of[lit]].all()
+            assert 300_000 < lit.sum() <= lengths[keep].sum() <= 500_000
+
+    def test_table_holds_under_a_byte_per_covered_pixel(self, demo):
+        chain, device, _, _ = demo
+        covered, _, segments = chain.geometry.pixel_map(device, chain.est_proj_to_world)
+        assert (device.width, device.height) == (1920, 1080)
+        assert segments.shape[1] <= 1080 * math.ceil(1920 / scene_module._SEGMENT)
+        assert segments.nbytes < len(covered)
 
 
 class TestOneChannelContent:
@@ -613,12 +825,10 @@ class TestOneChannelContent:
     def test_one_channel_matches_its_rgb_expansion(
         self, seed, eye, amplitude, kind, image_size, shifted, block
     ):
-        viewport, _, device, pose, _ = identity_setup(32, 24)
+        # Block 1 runs one loop pass per pixel, so it gets a smaller device.
+        viewport, _, device, pose, _ = identity_setup(*((16, 12) if block == 1 else (32, 24)))
         if shifted:
-            pose = RigidTransform(
-                rotation_about_axis([0.0, 1.0, 0.0], math.radians(6.0)),
-                np.array([0.2, -0.1, -1.4]),
-            )
+            pose = shifted_projector()
         upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
         mesh = random_wall(seed, amplitude)
         gray = pass1_image(seed, kind, *image_size)[..., None]
@@ -772,7 +982,7 @@ class TestStreamingTail:
 
     def test_peak_memory_follows_the_block_not_the_covered_pixels(self):
         args = self.frame(192, 108)
-        covered, _ = args[1].pixel_map(*args[4:])  # rasterized before the measurement
+        covered, _, _ = args[1].pixel_map(*args[4:])  # rasterized before the measurement
         block = 256
         fb_bytes = 192 * 108 * 3
         # (2, K) coordinates and (3, K) samples in float64 would take 40 bytes
