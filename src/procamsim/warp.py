@@ -16,11 +16,11 @@ the mesh and reused for every new eye while the mesh and the projector pose
 are unchanged (``TriangleMesh.pixel_map``). One 3x4 matrix per eye takes a
 pixel center and its 1/depth straight to the screen, as in projective
 texture mapping (Segal et al., SIGGRAPH 1992). That per-eye tail runs in
-blocks of ``_BLOCK`` covered pixels, each taken from the screen projection
-through sampling to the framebuffer, so no temporary grows with the number
-of covered pixels; its output bytes are those of one unblocked pass. A
-projector shows black as no light, so AR content is mostly black: the
-default checker pattern fills a 480x300 box of a 1920x1080 image. As in a
+blocks of whole row segments of the map (below), each taken from the screen
+projection through sampling to the framebuffer, so no temporary grows with
+the number of covered pixels; its output bytes are those of one unblocked
+pass. A projector shows black as no light, so AR content is mostly black:
+the default checker pattern fills a 480x300 box of a 1920x1080 image. As in a
 GPU's scissor test, the tail samples and scatters only the pixels whose
 pass-1 coordinate lies within a pixel of the box of the content's non-zero
 texels; every other pixel keeps the framebuffer's 0, which is the byte its
@@ -31,7 +31,8 @@ and one vectorized test per eye drops every segment whose four corners put
 all its pixels at least a pixel outside the box, as in the coarse-to-fine
 rejection of hierarchical culling (Greene, Kass and Miller, SIGGRAPH 1993).
 The per-pixel steps then run only on the kept segments, with the arithmetic
-and the bytes of running them on all. The tail's per-channel work runs once
+and the bytes of running them on all; each pixel's center comes from its
+segment's row and its flat index. The tail's per-channel work runs once
 per channel of the content: the gray checker pattern has one channel,
 sampled once and written to all three framebuffer channels, and a panorama
 view has three.
@@ -58,13 +59,15 @@ from .geometry import (
     project_points,
 )
 from .images import bilinear_sample, to_uint8
+from .raster import _chunks
 from .scene import Scene, TriangleMesh, hit_points
 from .upr import UprMatrix, Viewport
 
 # Relative slack for "is this the same intersection point" visibility tests.
 _VISIBILITY_REL_TOL = 1e-6
 
-# Covered projector pixels per block of the per-eye warp tail.
+# Kept pixels per block of the per-eye warp tail: a block takes whole kept
+# segments, as many as fit, or one segment alone when it is longer.
 _BLOCK = 1 << 15
 
 # Ambient light level of the simulated room, as a fraction of full white.
@@ -264,7 +267,8 @@ def warp_to_projector(
     sampling every covered pixel. Before any per-pixel work, one test per
     row segment of the map (``_kept_segments``) drops the segments whose
     corners put every pixel at least a pixel outside that box. The kept
-    pixels are done in blocks, with the bytes of one unblocked pass, and
+    segments are done in blocks of whole segments, each pixel's center
+    taken from its segment's row, with the bytes of one unblocked pass, and
     no temporary grows with the number of covered pixels. All-black
     content, or content with a zero side, gives a black framebuffer
     without sampling. ``user_image`` has one or three channels (a 2-D
@@ -298,40 +302,26 @@ def warp_to_projector(
     keep = _kept_segments(segments, a, b, pass1_scale, box)
     if not keep.any():
         return fb.reshape(proj_device.height, proj_device.width, 3)
-    # Kept segments that follow each other in ``covered`` merge into runs.
-    # Numbering the kept pixels in order, run r holds [begins[r], ends[r])
-    # and kept pixel i is covered[offset[r] + i].
-    first, last = segments[:2, keep].astype(np.int64)
-    joined = first[1:] == last[:-1]
-    first, last = first[np.r_[True, ~joined]], last[np.r_[~joined, True]]
-    ends = np.cumsum(last - first)
-    begins = ends - (last - first)
-    offset = first - begins
-    total = int(ends[-1])
-    # Per block: g (one row per axis), u, v, 1 / z and a scratch row.
-    rows = np.empty((7, min(total, _BLOCK)))
+    first, end = segments[:2, keep].astype(np.int64)
+    sizes = end - first
+    # Pixel centers from the segment table: a pixel at flat index i in
+    # row r has v = r + 0.5 and u = i - (r * width - 0.5); every value is
+    # an integer or a half below 2^53, so both are exact.
+    v_kept = segments[2, keep]
+    left = (v_kept - 0.5) * proj_device.width - 0.5
+    # Per block: g (one row per axis), u, v, 1 / z and a scratch row. A
+    # block outgrows _BLOCK only when one segment does.
+    rows = np.empty((7, min(int(sizes.sum()), max(_BLOCK, int(sizes.max())))))
     lit, inside = np.empty((2, rows.shape[1]), dtype=bool)
     pixels = np.empty((rows.shape[1], 3), dtype=np.uint8)
-    for start in range(0, total, _BLOCK):
-        stop = min(start + _BLOCK, total)
-        # Runs i..j hold the block's kept pixels; one run is one slice.
-        i, j = np.searchsorted(ends, [start, stop - 1], side="right")
-        if i == j:
-            block = slice(offset[i] + start, offset[i] + stop)
-            pix, z = covered[block], depth[block]
-        else:
-            runs = slice(i, j + 1)
-            counts = np.minimum(ends[runs], stop) - np.maximum(begins[runs], start)
-            index = np.repeat(offset[runs], counts) + np.arange(start, stop)
-            pix, z = covered[index], depth[index]
-        k = len(z)
+    for part in _chunks(sizes, _BLOCK):
+        n_px = sizes[part]
+        k = int(n_px.sum())
+        index = np.repeat(first[part] - (np.cumsum(n_px) - n_px), n_px) + np.arange(k)
+        pix, z = covered[index], depth[index]
         g, (u, v, inv_z, term) = rows[:3, :k], rows[3:, :k]
-        # Pixel centers from the flat indices: every index is an integer
-        # below 2^53, so the float row and column are exact.
-        np.floor(np.divide(pix, proj_device.width, out=v), out=v)
-        np.subtract(pix, np.multiply(v, proj_device.width, out=u), out=u)
-        u += 0.5
-        v += 0.5
+        v[:] = np.repeat(v_kept[part], n_px)
+        np.subtract(pix, np.repeat(left[part], n_px), out=u)
         np.divide(1.0, z, out=inv_z)
         for gi, (a0, a1, a2), bi in zip(g, a, b):
             np.multiply(u, a0, out=gi)

@@ -466,6 +466,13 @@ def pass1_image(seed, kind, width, height):
 
 IMAGE_KINDS = ("uint8", "float64", "gray-uint8", "gray-float64")
 
+# An eye's z, off the screen plane by more than 5 cm on either side. Eyes up
+# to 0.6 m past the plane put parts of a wall of depth +-0.7 m at w <= 0 and
+# make g2 change sign inside a row segment.
+EYE_DEPTH = st.one_of(
+    st.floats(-1.4, -0.05, exclude_max=True), st.floats(0.05, 0.6, exclude_min=True)
+)
+
 
 class TestBlockedWarpOracle:
     """``warp_to_projector`` gives the bytes of the unscissored one-pass tail for any block size."""
@@ -482,9 +489,7 @@ class TestBlockedWarpOracle:
         eye=st.tuples(
             st.floats(-0.6, 0.6),
             st.floats(-0.4, 0.4),
-            # Eyes up to 0.6 m past the screen plane put parts of a wall
-            # of depth +-0.7 m at w <= 0.
-            st.floats(-1.4, 0.6).filter(lambda z: abs(z) > 0.05),
+            EYE_DEPTH,
         ),
         amplitude=st.sampled_from([0.0, 0.3, 0.7]),
         kind=st.sampled_from(IMAGE_KINDS),
@@ -495,8 +500,7 @@ class TestBlockedWarpOracle:
     def test_matches_unblocked_tail(
         self, seed, eye, amplitude, kind, image_size, shifted, block
     ):
-        # Block 1 runs one loop pass per pixel, so it gets a smaller device.
-        viewport, _, device, pose, _ = identity_setup(*((16, 12) if block == 1 else (32, 24)))
+        viewport, _, device, pose, _ = identity_setup(32, 24)
         if shifted:
             pose = shifted_projector()
         upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
@@ -569,7 +573,7 @@ class TestScissorBox:
         eye=st.tuples(
             st.floats(-0.6, 0.6),
             st.floats(-0.4, 0.4),
-            st.floats(-1.4, 0.6).filter(lambda z: abs(z) > 0.05),
+            EYE_DEPTH,
         ),
         amplitude=st.sampled_from([0.0, 0.3, 0.7]),
         kind=st.sampled_from(IMAGE_KINDS),
@@ -691,9 +695,7 @@ class TestSegmentCull:
         eye=st.tuples(
             st.floats(-0.6, 0.6),
             st.floats(-0.4, 0.4),
-            # Eyes up to 0.6 m past the screen plane make g2 change sign
-            # inside a segment of a wall of depth +-0.7 m.
-            st.floats(-1.4, 0.6).filter(lambda z: abs(z) > 0.05),
+            EYE_DEPTH,
         ),
         amplitude=st.sampled_from([0.0, 0.3, 0.7]),
         holes=st.sampled_from([0.0, 0.3, 0.8]),
@@ -733,7 +735,7 @@ class TestSegmentCull:
         eye=st.tuples(
             st.floats(-0.6, 0.6),
             st.floats(-0.4, 0.4),
-            st.floats(-1.4, 0.6).filter(lambda z: abs(z) > 0.05),
+            EYE_DEPTH,
         ),
         amplitude=st.sampled_from([0.0, 0.3, 0.7]),
         holes=st.sampled_from([0.0, 0.3, 0.8]),
@@ -814,7 +816,7 @@ class TestOneChannelContent:
         eye=st.tuples(
             st.floats(-0.6, 0.6),
             st.floats(-0.4, 0.4),
-            st.floats(-1.4, 0.6).filter(lambda z: abs(z) > 0.05),
+            EYE_DEPTH,
         ),
         amplitude=st.sampled_from([0.0, 0.3, 0.7]),
         kind=st.sampled_from(("gray-uint8", "gray-float64")),
@@ -825,8 +827,7 @@ class TestOneChannelContent:
     def test_one_channel_matches_its_rgb_expansion(
         self, seed, eye, amplitude, kind, image_size, shifted, block
     ):
-        # Block 1 runs one loop pass per pixel, so it gets a smaller device.
-        viewport, _, device, pose, _ = identity_setup(*((16, 12) if block == 1 else (32, 24)))
+        viewport, _, device, pose, _ = identity_setup(32, 24)
         if shifted:
             pose = shifted_projector()
         upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
@@ -881,7 +882,7 @@ class TestScreenProjectionReference:
         eye=st.tuples(
             st.floats(-0.6, 0.6),
             st.floats(-0.4, 0.4),
-            st.floats(-1.4, 0.6).filter(lambda z: abs(z) > 0.05),
+            EYE_DEPTH,
         ),
         amplitude=st.sampled_from([0.0, 0.3, 0.7]),
         axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda a: np.linalg.norm(a) > 0.1),
@@ -1029,7 +1030,39 @@ class TestStreamingTail:
         other = warp_module._BLOCK if block == 7 else 1 << 12  # 19 blocks of the large frame
         assert sum(calls) == sum(sampler_calls(other)) == lit.sum()
         assert 1 < len(calls) <= -(-len(covered) // block)
-        assert max(calls) <= block
+        # A block is whole kept segments, so one segment alone may pass it.
+        user_image, mesh, upr, viewport, device, pose = args
+        _, _, segments = mesh.pixel_map(device, pose)
+        scale = list(zip((viewport.width_m, viewport.height_m), (width, height), (width, height)))
+        box = warp_module._content_box(user_image)
+        keep = warp_module._kept_segments(segments, *screen_matrices(upr, device, pose), scale, box)
+        assert max(calls) <= max(block, int((segments[1] - segments[0])[keep].max()))
+
+    @pytest.mark.parametrize("segment, block", [(3, 7), (4, 3)])
+    def test_blocks_end_on_segment_ends(self, segment, block):
+        # With the projector at the eye, every covered pixel samples the
+        # texel at its own center whatever its depth, so with content that
+        # has no black row or column every covered pixel is lit and every
+        # segment kept; the running total of the sampler's calls then
+        # counts whole segments.
+        viewport, upr, device, pose, _ = identity_setup(32, 24)
+        user_image = pass1_image(13, "uint8", 32, 24)
+        with mock.patch.object(scene_module, "_SEGMENT", segment):
+            mesh = fragmented_wall(14, 0.5, 0.3)
+            covered, _, segments = mesh.pixel_map(device, pose)
+        calls = []
+
+        def counting_sampler(image, xy):
+            calls.append(len(xy))
+            return bilinear_sample(image, xy)
+
+        with mock.patch.object(warp_module, "_BLOCK", block), \
+                mock.patch.object(warp_module, "bilinear_sample", counting_sampler):
+            warp_to_projector(user_image, mesh, upr, viewport, device, pose)
+        totals = np.cumsum(calls)
+        assert totals[-1] == len(covered) and len(covered) < device.width * device.height
+        assert np.isin(totals, segments[1]).all()
+        assert max(calls) <= max(block, segment)
 
 
 def ramp_panorama(height=90, width=180):
