@@ -212,12 +212,13 @@ class Fields:
         )
 
     def texts(self, key, default=_REQUIRED) -> tuple:
-        """A list of strings, as a tuple."""
+        """A non-empty list of distinct strings, as a tuple."""
 
         def convert(v):
-            return tuple(v) if isinstance(v, list) and all(isinstance(s, str) for s in v) else None
+            names = isinstance(v, list) and all(isinstance(s, str) for s in v)
+            return tuple(v) if names and 0 < len(v) == len(set(v)) else None
 
-        return self._read(key, default, "a list of strings", convert)
+        return self._read(key, default, "a non-empty list of distinct strings", convert)
 
     def obj(self, key, default=_REQUIRED) -> "Fields | None":
         """The object at ``key``; a dict ``default`` reads as an object, None as None."""

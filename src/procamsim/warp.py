@@ -21,21 +21,20 @@ projection through sampling to the framebuffer, so no temporary grows with
 the number of covered pixels; its output bytes are those of one unblocked
 pass. A projector shows black as no light, so AR content is mostly black:
 the default checker pattern fills a 480x300 box of a 1920x1080 image. As in a
-GPU's scissor test, the tail samples and scatters only the pixels whose
-pass-1 coordinate lies within a pixel of the box of the content's non-zero
-texels; every other pixel keeps the framebuffer's 0, which is the byte its
-sample of four zero texels would give. Most covered pixels never reach that
-per-pixel test: the map also holds a segment table, runs of up to 128
-covered pixels in one projector row with their column and 1/depth bounds,
-and one vectorized test per eye drops every segment whose four corners put
-all its pixels at least a pixel outside the box, as in the coarse-to-fine
-rejection of hierarchical culling (Greene, Kass and Miller, SIGGRAPH 1993).
-The per-pixel steps then run only on the kept segments, with the arithmetic
-and the bytes of running them on all; each pixel's center comes from its
-segment's row and its flat index. The tail's per-channel work runs once
-per channel of the content: the gray checker pattern has one channel,
-sampled once and written to all three framebuffer channels, and a panorama
-view has three.
+GPU's scissor test, the tail skips pixels whose pass-1 coordinate lies
+outside the box of the content's non-zero texels, whole row segments at a
+time: the map also holds a segment table, runs of up to 128 covered pixels
+in one projector row with their column and 1/depth bounds, and one
+vectorized test per eye drops every segment whose four corners put all its
+pixels at least a pixel outside the box, as in the coarse-to-fine rejection
+of hierarchical culling (Greene, Kass and Miller, SIGGRAPH 1993). Every
+pixel of a kept segment is sampled and scattered, with the arithmetic of
+running the tail on all; a dropped pixel keeps the framebuffer's 0, which
+is the byte its sample of four zero texels would give, and so does a kept
+pixel outside the box. Each pixel's center comes from its segment's row
+and its flat index. The tail's per-channel work runs once per channel of
+the content: the gray checker pattern has one channel, sampled once and
+written to all three framebuffer channels, and a panorama view has three.
 
 ``propagate_corners`` follows checker-pattern corners through the same
 mapping analytically (no rasterization), using one model set for the warp
@@ -212,7 +211,7 @@ def _content_box(image: np.ndarray) -> tuple[tuple[int, int], tuple[int, int]] |
 
 
 def _kept_segments(segments, a, b, pass1_scale, box) -> np.ndarray:
-    """Which segments of a projector map may hold a pixel the tail samples.
+    """Which segments of a projector map may hold a pixel with a non-zero sample.
 
     In a segment's row v, the screen projection g = A (u, v, 1) + b s of a
     pixel at column centre u and s = 1 / depth is affine in (u, s), and
@@ -227,7 +226,7 @@ def _kept_segments(segments, a, b, pass1_scale, box) -> np.ndarray:
     open bounds (lo, hi): x_max <= lo - 1 or x_min >= hi + 1. The corners
     are computed with the tail's operations in its order, and at w above
     1e-9 their rounding, like a pixel's, moves x by far less than a pixel,
-    so the tail would have rejected every pixel of a dropped segment. A
+    so every pixel of a dropped segment would sample four zero texels. A
     segment with a NaN or infinite corner value is kept. ``pass1_scale``
     holds, per axis, the screen size in meters, the viewport size and the
     pass-1 image size in pixels; ``box`` is ``_content_box``'s bounds.
@@ -260,22 +259,22 @@ def warp_to_projector(
     the eye side of the screen projection, stay black. The rasterized map
     does not depend on the eye, so it is reused while the mesh and the
     projector pose are unchanged, with the same output bytes as rasterizing
-    again. Only pixels whose pass-1 coordinate lies within a pixel of the
-    box of the content's non-zero texels (its scissor box) are sampled:
-    any other sample reads four zero texels, is exactly +0.0 and would
-    write the 0 the framebuffer already holds, so the bytes are those of
-    sampling every covered pixel. Before any per-pixel work, one test per
-    row segment of the map (``_kept_segments``) drops the segments whose
-    corners put every pixel at least a pixel outside that box. The kept
-    segments are done in blocks of whole segments, each pixel's center
-    taken from its segment's row, with the bytes of one unblocked pass, and
-    no temporary grows with the number of covered pixels. All-black
-    content, or content with a zero side, gives a black framebuffer
-    without sampling. ``user_image`` has one or three channels (a 2-D
-    image is one channel); one-channel content is sampled, rounded and
-    clipped once and fills all three framebuffer channels, any other count
-    raises ValueError. Float content with a NaN or infinite texel raises
-    ValueError("content must be finite"), so every sample's byte is defined.
+    again. Before any per-pixel work, one test per row segment of the map
+    (``_kept_segments``) drops the segments whose corners put every pixel
+    at least a pixel outside the box of the content's non-zero texels (its
+    scissor box), and every pixel of the kept segments is sampled. A pixel
+    outside the box reads four zero texels, is exactly +0.0 and writes the
+    0 the framebuffer already holds, so the bytes are those of sampling
+    every covered pixel. The kept segments are done in blocks of whole
+    segments, each pixel's center taken from its segment's row, with the
+    bytes of one unblocked pass, and no temporary grows with the number of
+    covered pixels. All-black content, or content with a zero side, gives
+    a black framebuffer without sampling. ``user_image`` has one or three
+    channels (a 2-D image is one channel); one-channel content is sampled,
+    rounded and clipped once and fills all three framebuffer channels, any
+    other count raises ValueError. Float content with a NaN or infinite
+    texel raises ValueError("content must be finite"), so every sample's
+    byte is defined.
     """
     channels = 1 if np.ndim(user_image) == 2 else np.shape(user_image)[2]
     if channels not in (1, 3):
@@ -300,8 +299,6 @@ def warp_to_projector(
         user_image.shape[1::-1],  # (width, height)
     ))
     keep = _kept_segments(segments, a, b, pass1_scale, box)
-    if not keep.any():
-        return fb.reshape(proj_device.height, proj_device.width, 3)
     first, end = segments[:2, keep].astype(np.int64)
     sizes = end - first
     # Pixel centers from the segment table: a pixel at flat index i in
@@ -311,8 +308,7 @@ def warp_to_projector(
     left = (v_kept - 0.5) * proj_device.width - 0.5
     # Per block: g (one row per axis), u, v, 1 / z and a scratch row. A
     # block outgrows _BLOCK only when one segment does.
-    rows = np.empty((7, min(int(sizes.sum()), max(_BLOCK, int(sizes.max())))))
-    lit, inside = np.empty((2, rows.shape[1]), dtype=bool)
+    rows = np.empty((7, min(int(sizes.sum()), max(_BLOCK, int(sizes.max(initial=0))))))
     pixels = np.empty((rows.shape[1], 3), dtype=np.uint8)
     for part in _chunks(sizes, _BLOCK):
         n_px = sizes[part]
@@ -328,38 +324,25 @@ def warp_to_projector(
             gi += np.multiply(v, a1, out=term)
             gi += a2
             gi += np.multiply(inv_z, bi, out=term)
-        # Only pixels in front of the eye, where w = z g2 is above 1e-9,
-        # whose pass-1 pixel lies in the widened box are lit; NaN and
-        # infinite coordinates fail the comparisons.
-        is_lit = np.greater(np.multiply(z, g[2], out=term), 1e-9, out=lit[:k])
+        # Pixels not in front of the eye, where w = z g2 is not above 1e-9,
+        # get NaN coordinates, which the sampler turns black.
+        behind = ~(np.multiply(z, g[2], out=term) > 1e-9)
         xy = g[:2]
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(xy, g[2], out=xy)
-        for p, (m, px, img), (lo, hi) in zip(xy, pass1_scale, box):
+        for p, (m, px, img) in zip(xy, pass1_scale):
             np.add(np.divide(p, m, out=p), 0.5, out=p)  # the viewport's formula
             p *= px
             p *= img / px
-            is_lit &= np.greater(p, lo, out=inside[:k])
-            is_lit &= np.less(p, hi, out=inside[:k])
-        sel = np.flatnonzero(is_lit)
-        n = len(sel)
-        if n == 0:
-            continue
-        if n < k:
-            # Gathered row by row into the rows of u and v, free by now;
-            # every index is in range, mode="clip" only spares a buffer.
-            for p, kept in zip(xy, rows[3:5, :n]):
-                np.take(p, sel, out=kept, mode="clip")
-            xy, pix = rows[3:5, :n], pix[sel]
+        np.copyto(xy, np.nan, where=behind)
         # Rounded and clipped once per content channel, then scattered as
         # 3-byte pixels; a one-channel image's bytes fill all three channels.
         samples = bilinear_sample(user_image, xy.T).T
-        quantized = term[:n]
         for c in range(3):
             if c < channels:
-                np.clip(np.round(samples[c], out=quantized), 0, 255, out=quantized)
-            pixels[:n, c] = quantized
-        fb.view("V3")[pix, 0] = pixels[:n].view("V3")[:, 0]
+                np.clip(np.round(samples[c], out=term), 0, 255, out=term)
+            pixels[:k, c] = term
+        fb.view("V3")[pix, 0] = pixels[:k].view("V3")[:, 0]
     return fb.reshape(proj_device.height, proj_device.width, 3)
 
 

@@ -376,6 +376,16 @@ class TestInputBoundary:
         assert code == 1
         assert "benchmark.cases" in self.assert_one_error_line(capsys, "schema")
 
+    # An empty list would write a report with no rows; a repeated name would
+    # write two rows but one overlay file, the second over the first.
+    @pytest.mark.parametrize("cases", [[], ["base", "base"]])
+    def test_benchmark_cases_empty_or_repeated(self, tmp_path, capsys, cases):
+        cfg = write_config(tmp_path, benchmark={"cases": cases})
+        code = main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "rep")])
+        assert code == 1
+        assert "benchmark.cases" in self.assert_one_error_line(capsys, "schema")
+        assert not (tmp_path / "rep").exists()
+
     @pytest.mark.parametrize(
         "argv, display",
         [(["correct", "--pan", "400"], None), (["evaluate"], {"pan_deg": 400.0})],

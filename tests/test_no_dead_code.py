@@ -1,4 +1,4 @@
-"""Every public top-level function and class of the package has a user in it."""
+"""Every top-level definition of the package has a user in it."""
 
 import ast
 from pathlib import Path
@@ -10,6 +10,15 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "procamsim"
 ALLOWED = {"save_rig", "save_scene"}
 
 
+def _loaded_names(tree):
+    """The names and attribute names that a module reads."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def test_every_public_definition_is_loaded_somewhere_in_the_package():
     defined = {}
     loaded = set()
@@ -18,17 +27,43 @@ def test_every_public_definition_is_loaded_somewhere_in_the_package():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 defined[node.name] = path.name
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
+        loaded |= _loaded_names(tree)
     assert defined, f"no modules found under {SRC}"
     unused = sorted(
         f"{module}:{name}" for name, module in defined.items()
         if name not in loaded and name not in ALLOWED
     )
     assert unused == []
+
+
+def _private_names(tree):
+    """Private names bound by a module's top-level functions, classes and assignments.
+
+    A private name starts with one ``_``; dunders such as ``__all__`` are not private.
+    """
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n[1:].startswith("_"))
+
+
+def test_every_private_name_is_loaded_somewhere_in_the_package():
+    """A module-level ``_name`` that nothing in the package reads is left
+    over from code that is gone; tests are not readers."""
+    defined = []
+    loaded = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [(path.name, name) for name in _private_names(tree)]
+        loaded |= _loaded_names(tree)
+    assert defined, f"no private names found under {SRC}"
+    unused = sorted(f"{module}:{name}" for module, name in defined if name not in loaded)
+    assert unused == [], "never loaded: " + ", ".join(unused)
 
 
 PERFBENCH = SRC.parents[1] / "perfbench"

@@ -565,7 +565,7 @@ def scissored_content(seed, kind, width, height, margins, spot):
 
 
 class TestScissorBox:
-    """Only pixels whose pass-1 coordinate can read a non-zero texel are sampled."""
+    """Scissoring by the box of the content's non-zero texels keeps every byte."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -885,7 +885,8 @@ class TestScreenProjectionReference:
             EYE_DEPTH,
         ),
         amplitude=st.sampled_from([0.0, 0.3, 0.7]),
-        axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda a: np.linalg.norm(a) > 0.1),
+        # The rotation axis as a unit direction from its polar and azimuth angles.
+        axis=st.tuples(st.floats(0.0, math.pi), st.floats(-math.pi, math.pi)),
         angle=st.floats(-8.0, 8.0),
         shift=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.floats(-1.8, -1.0)),
         skew=st.sampled_from([0.0, 2.5, -4.0]),
@@ -896,9 +897,11 @@ class TestScreenProjectionReference:
     ):
         viewport, _, device, _, _ = identity_setup(32, 24)
         device = replace(device, skew=skew, cx=center[0], cy=center[1])
-        pose = RigidTransform(
-            rotation_about_axis(normalized(np.array(axis)), math.radians(angle)), np.array(shift)
+        polar, azimuth = axis
+        unit_axis = np.array(
+            [math.sin(polar) * math.cos(azimuth), math.sin(polar) * math.sin(azimuth), math.cos(polar)]
         )
+        pose = RigidTransform(rotation_about_axis(unit_axis, math.radians(angle)), np.array(shift))
         upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
         mesh = random_wall(seed, amplitude)
         coords = []
@@ -923,6 +926,14 @@ class TestScreenProjectionReference:
         sampled = taken[:, 2] == 255
         tags = taken[sampled, 0] + 256 * taken[sampled, 1] - 1
         assert np.array_equal(np.sort(tags), np.arange(len(got)))
+        # The sampled pixels are exactly those of the segments the cull keeps.
+        _, _, segments = mesh.pixel_map(device, pose)
+        size = (viewport.width_px, viewport.height_px)
+        scale = list(zip((viewport.width_m, viewport.height_m), size, size))
+        box = warp_module._content_box(user_image)
+        keep = warp_module._kept_segments(segments, *screen_matrices(upr, device, pose), scale, box)
+        lengths = (segments[1] - segments[0]).astype(np.int64)
+        assert np.array_equal(sampled, np.repeat(keep, lengths))
         xy, w = upr.apply(world)
         front = w > 1e-6
         # The pass-1 image has the viewport's size, so the rescale is exact.
@@ -1003,15 +1014,16 @@ class TestStreamingTail:
     def test_one_sampler_call_per_block_covers_every_pixel(self, size, block):
         # perfbench's tracer sums the sampler's calls and samples per frame,
         # so the per-frame totals must not depend on the block size: each
-        # frame samples its lit pixels, those in front of the eye whose
-        # pass-1 coordinate is within a pixel of the content's box.
+        # frame samples every pixel of the segments the cull keeps.
         args = self.frame(*size)
-        covered, x, y, w = pass1_coordinates(*args)
-        height, width = args[0].shape[:2]
-        # The random content's box is the whole image.
-        assert args[0].any(axis=2).any(axis=0).all() and args[0].any(axis=2).any(axis=1).all()
-        lit = (w > 1e-9) & (x > -1) & (x < width + 1) & (y > -1) & (y < height + 1)
-        assert 0 < lit.sum() <= len(covered)
+        user_image, mesh, upr, viewport, device, pose = args
+        height, width = user_image.shape[:2]
+        covered, _, segments = mesh.pixel_map(device, pose)
+        scale = list(zip((viewport.width_m, viewport.height_m), (width, height), (width, height)))
+        box = warp_module._content_box(user_image)
+        keep = warp_module._kept_segments(segments, *screen_matrices(upr, device, pose), scale, box)
+        kept = (segments[1] - segments[0])[keep].astype(np.int64)
+        assert 0 < kept.sum() <= len(covered)
 
         def sampler_calls(block):
             calls = []
@@ -1028,15 +1040,10 @@ class TestStreamingTail:
         block = block or warp_module._BLOCK
         calls = sampler_calls(block)
         other = warp_module._BLOCK if block == 7 else 1 << 12  # 19 blocks of the large frame
-        assert sum(calls) == sum(sampler_calls(other)) == lit.sum()
+        assert sum(calls) == sum(sampler_calls(other)) == kept.sum()
         assert 1 < len(calls) <= -(-len(covered) // block)
         # A block is whole kept segments, so one segment alone may pass it.
-        user_image, mesh, upr, viewport, device, pose = args
-        _, _, segments = mesh.pixel_map(device, pose)
-        scale = list(zip((viewport.width_m, viewport.height_m), (width, height), (width, height)))
-        box = warp_module._content_box(user_image)
-        keep = warp_module._kept_segments(segments, *screen_matrices(upr, device, pose), scale, box)
-        assert max(calls) <= max(block, int((segments[1] - segments[0])[keep].max()))
+        assert max(calls) <= max(block, int(kept.max()))
 
     @pytest.mark.parametrize("segment, block", [(3, 7), (4, 3)])
     def test_blocks_end_on_segment_ends(self, segment, block):
