@@ -12,6 +12,12 @@ Faces with any non-positive or infinite w, or a non-finite position, are
 dropped rather than clipped; callers keep their geometry in front of the
 device.
 
+A caller that reads only part of the grid passes its rectangle, and only
+the pixel centers inside it are drawn (a screen-space scissor); each face's
+bounding box is clipped to the rectangle, so every face that reaches a
+pixel there is still tested at it and the pixel gets the bits of drawing
+the whole grid.
+
 The pipeline, per chunk of faces in index order:
 
 - **Row spans.** Each face's bounding box is cut into rows, and each row
@@ -49,20 +55,33 @@ _AREA_EPS = 1e-12
 class RasterResult:
     """Rasterization output.
 
-    ``face_index`` is the (H, W) winning face, -1 where nothing was drawn;
-    ``depth_w`` its (H, W) depth, +inf there. ``covered`` holds the
-    row-major flat indices of the drawn pixels in increasing order.
+    ``covered`` holds the row-major flat indices of the drawn pixels in
+    increasing order and ``depth`` the depth of each. ``face_index`` is
+    the (H, W) winning face, -1 where nothing was drawn, and ``depth_w``
+    its (H, W) depth, +inf there; they and ``mask`` are built when read,
+    the winning faces from ``face_of()``.
     """
 
-    covered: np.ndarray
+    def __init__(self, width: int, height: int, covered, depth, face_of):
+        self.shape = (height, width)
+        self.covered, self.depth, self._face_of = covered, depth, face_of
 
-    def __init__(self, width: int, height: int):
-        self.face_index = np.full((height, width), -1, dtype=np.int64)
-        self.depth_w = np.full((height, width), np.inf)
+    def _frame(self, values, fill) -> np.ndarray:
+        out = np.full(self.shape, fill, dtype=values.dtype)
+        out.reshape(-1)[self.covered] = values
+        return out
+
+    @property
+    def face_index(self) -> np.ndarray:
+        return self._frame(self._face_of(), -1)
+
+    @property
+    def depth_w(self) -> np.ndarray:
+        return self._frame(self.depth, np.inf)
 
     @property
     def mask(self) -> np.ndarray:
-        return self.face_index >= 0
+        return self._frame(np.ones(len(self.covered), dtype=bool), False)
 
 
 def _chunks(counts: np.ndarray, budget: int):
@@ -189,68 +208,125 @@ def _row_spans(edges, loose, span_face, row, x_min, x_max):
     return first.astype(np.int64), np.maximum(last - first + 1, 0).astype(np.int64)
 
 
+def _faces(xy, w, faces):
+    """Each face's vertices, depths and signed doubled area, and whether it is drawn.
+
+    Returns (F, 3, 2) positions, (F, 3) depths, (F,) areas and the (F,)
+    mask of faces drawn: every w positive and finite, every position
+    finite and the area not near zero. The vertices of a face that is not
+    drawn collapse onto the origin, so no cast sees a non-finite vertex.
+    """
+    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+    w = np.asarray(w, dtype=float).reshape(-1)
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    tri = xy[faces]  # (F, 3, 2)
+    tri_w = w[faces]  # (F, 3)
+    drawable = (w > 0) & (w < np.inf) & np.isfinite(xy).all(axis=1)
+    i, j, k = faces.T
+    valid = drawable[i] & drawable[j] & drawable[k]
+    tri = np.where(valid[:, None, None], tri, 0.0)
+    e1 = tri[:, 1] - tri[:, 0]
+    e2 = tri[:, 2] - tri[:, 0]
+    area = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    valid &= np.abs(area) > _AREA_EPS
+    return tri, tri_w, area, valid
+
+
+def _boxes(tri, rect):
+    """Each face's first and last pixel column and row, clipped to ``rect``.
+
+    The pixel-center bounding box of each (F, 3, 2) face, clipped on both
+    ends so each cast fits in int64. A box that misses ``rect`` ends
+    before it starts.
+    """
+    x0, y0, x1, y1 = rect
+    x, y = tri.transpose(2, 1, 0)  # (3, F) views
+    x_min = np.clip(np.floor(_row_min(x) - 0.5), x0, x1).astype(np.int64)
+    x_max = np.clip(np.ceil(_row_max(x) - 0.5), x0 - 1, x1 - 1).astype(np.int64)
+    y_min = np.clip(np.floor(_row_min(y) - 0.5), y0, y1).astype(np.int64)
+    y_max = np.clip(np.ceil(_row_max(y) - 0.5), y0 - 1, y1 - 1).astype(np.int64)
+    return x_min, x_max, y_min, y_max
+
+
+def bounding_rect(xy, w, faces, width, height):
+    """The smallest rectangle of a width x height grid holding every face's pixel-center box.
+
+    Arguments are those of ``rasterize``; faces it would not draw are left
+    out. Returns ``(x0, y0, x1, y1)`` for columns ``[x0, x1)`` and rows
+    ``[y0, y1)``; with no box in the grid, ``(width, height, 0, 0)``,
+    which holds no pixel and lies inside every rectangle.
+    """
+    tri, _, _, valid = _faces(xy, w, faces)
+    x_min, x_max, y_min, y_max = _boxes(tri, (0, 0, width, height))
+    some = valid & (x_min <= x_max) & (y_min <= y_max)
+    return (
+        int(x_min[some].min(initial=width)), int(y_min[some].min(initial=height)),
+        int(x_max[some].max(initial=-1)) + 1, int(y_max[some].max(initial=-1)) + 1,
+    )
+
+
 def rasterize(
     xy: np.ndarray,
     w: np.ndarray,
     faces: np.ndarray,
     width: int,
     height: int,
+    rect: tuple[int, int, int, int],
 ) -> RasterResult:
-    """Rasterize triangles over a width x height grid of pixel centers.
+    """Rasterize triangles over the pixel centers of a rectangle of a width x height grid.
 
     ``xy`` is (N, 2) projected vertex positions in continuous pixel
     coordinates, ``w`` the (N,) perspective divisors and ``faces`` (F, 3)
-    vertex indices. Both triangle windings are filled.
+    vertex indices. Both triangle windings are filled. Only the pixels
+    of ``rect``, columns ``[x0, x1)`` and rows ``[y0, y1)`` of
+    ``(x0, y0, x1, y1)`` inside the grid, are drawn, by every face whose
+    box reaches them, so they get the bits of rasterizing the whole grid
+    (``(0, 0, width, height)``); every other pixel stays undrawn.
     """
-    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-    w = np.asarray(w, dtype=float).reshape(-1)
-    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-    result = RasterResult(width, height)
-    tri = xy[faces]  # (F, 3, 2)
-    tri_w = w[faces]  # (F, 3)
-    valid = np.all((tri_w > 0) & (tri_w < np.inf), axis=1) & np.all(np.isfinite(tri), axis=(1, 2))
-    # Dropped faces collapse onto the origin, so no cast below sees a
-    # non-finite vertex.
-    tri = np.where(valid[:, None, None], tri, 0.0)
-
-    # Signed doubled area; degenerate (near-zero) faces are skipped.
-    e1 = tri[:, 1] - tri[:, 0]
-    e2 = tri[:, 2] - tri[:, 0]
-    area = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    valid &= np.abs(area) > _AREA_EPS
-
-    # Pixel-center bounding boxes, clipped on both ends so each cast fits in int64.
-    x, y = tri.transpose(2, 1, 0)  # (3, F) views
-    x_min = np.clip(np.floor(_row_min(x) - 0.5), 0, width).astype(np.int64)
-    x_max = np.clip(np.ceil(_row_max(x) - 0.5), -1, width - 1).astype(np.int64)
-    y_min = np.clip(np.floor(_row_min(y) - 0.5), 0, height).astype(np.int64)
-    y_max = np.clip(np.ceil(_row_max(y) - 0.5), -1, height - 1).astype(np.int64)
+    tri, tri_w, area, valid = _faces(xy, w, faces)
+    x0, y0, x1, y1 = rect
+    rect = max(x0, 0), max(y0, 0), min(x1, width), min(y1, height)
+    x_min, x_max, y_min, y_max = _boxes(tri, rect)
     bw = x_max - x_min + 1
     bh = y_max - y_min + 1
     valid &= (bw > 0) & (bh > 0)
 
+    # Only the faces drawn go on, renumbered in index order, so ties
+    # resolve as on the original numbers.
     face_ids = np.flatnonzero(valid)
-    counts = (bw * bh)[face_ids]
-
-    canvas = _Canvas(result, tri, tri_w, face_ids, area, x_min, x_max)
-    for chunk in _face_chunks(counts):
-        f = face_ids[chunk]
+    x_min, x_max, y_min, bw, bh = (a[face_ids] for a in (x_min, x_max, y_min, bw, bh))
+    canvas = _Canvas(
+        rect, (width, height), tri[face_ids], tri_w[face_ids], area[face_ids], x_min, x_max
+    )
+    for chunk in _face_chunks(bw * bh):
         # One span per face and bounding-box row, face by face in index order.
-        face_of, row = _runs(y_min[f], bh[f])
-        span_face = f[face_of]
+        face_of, row = _runs(y_min[chunk], bh[chunk])
+        span_face = face_of + chunk.start
         for block in _chunks(bw[span_face], _BLOCK):
             canvas.draw(span_face[block], row[block])
-    result.covered = np.flatnonzero(result.face_index >= 0)
-    return result
+    drawn = np.flatnonzero(canvas.face >= 0)
+    # From the rectangle's row-major index to the grid's: each row of a
+    # rectangle narrower than the grid moves on by the columns outside it.
+    covered = drawn + (rect[1] * width + rect[0])
+    if canvas.width < width:
+        rows = np.diff(np.searchsorted(drawn, np.arange(rect[3] - rect[1] + 1) * canvas.width))
+        covered += np.repeat(np.arange(len(rows)) * (width - canvas.width), rows)
+    return RasterResult(
+        width, height, covered, canvas.best[drawn], lambda: face_ids[canvas.face[drawn]]
+    )
 
 
 class _Canvas:
-    """Flat views of a RasterResult and the per-face data drawing reads."""
+    """Depth and face buffers over the drawn rectangle, and the per-face data drawing reads."""
 
-    def __init__(self, result: RasterResult, tri, tri_w, face_ids, area, x_min, x_max):
-        height, self.width = result.depth_w.shape
-        self.best = result.depth_w.reshape(-1)
-        self.face = result.face_index.reshape(-1)
+    def __init__(self, rect, grid, tri, tri_w, area, x_min, x_max):
+        x0, y0, x1, y1 = rect
+        self.width = max(x1 - x0, 0)
+        self.best = np.full(max(y1 - y0, 0) * self.width, np.inf)
+        self.face = np.full(len(self.best), -1, dtype=np.int64)
+        # Pixel (column, row) of the grid sits at row * width + column -
+        # origin in the buffers.
+        self.origin = y0 * self.width + x0
 
         # Per-face terms of the edge functions l0 and l1 in ``draw``.
         (ax, ay), (bx, by), (qx, qy) = tri[:, 0].T, tri[:, 1].T, tri[:, 2].T
@@ -258,12 +334,9 @@ class _Canvas:
         self.a0, self.b0 = by - qy, qx - bx
         self.a1, self.b1 = qy - ay, ax - qx
         self.edges = _edge_table(tri)
-        self.loose = _loose_faces(tri, self.width, height)
+        self.loose = _loose_faces(tri, *grid)
         self.x_min, self.x_max = x_min, x_max
-        # Reciprocal depths of valid faces only, so a vertex at w = 0
-        # divides nothing.
-        self.inv_w = np.zeros(tri_w.shape[::-1])  # (3, F)
-        self.inv_w[:, face_ids] = 1.0 / tri_w[face_ids].T
+        self.inv_w = 1.0 / tri_w.T  # (3, F)
 
     def draw(self, span_face, row):
         """Resolve the depth and face of each pixel a block of (face, row) spans covers."""
@@ -298,7 +371,7 @@ class _Canvas:
         span = span[sel]
         face = span_face[span]
         pix = px[sel]
-        pix += (row * self.width)[span]
+        pix += (row * self.width - self.origin)[span]
         depth = l0[sel] * self.inv_w[0][face]
         depth += l1[sel] * self.inv_w[1][face]
         depth += l2[sel] * self.inv_w[2][face]

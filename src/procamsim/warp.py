@@ -10,31 +10,38 @@ view, each covered projector pixel maps the point it will light through the
 screen projection into viewport coordinates, and samples the pass-1 image
 there. Projecting that framebuffer onto the real surfaces makes the content
 appear, from the tracked eye, as if it were glued to the virtual screen.
-Only the last two steps depend on the eye: the rasterized projector map,
-each covered pixel and its depth with the segment table below, is kept on
-the mesh and reused for every new eye while the mesh and the projector pose
-are unchanged (``TriangleMesh.pixel_map``). One 3x4 matrix per eye takes a
+The rasterized projector map, each covered pixel and its depth with the
+segment table below, is kept on the mesh and reused for every new eye while
+the mesh and the projector pose are unchanged and the eye needs no pixel
+outside it (``TriangleMesh.pixel_map``). One 3x4 matrix per eye takes a
 pixel center and its 1/depth straight to the screen, as in projective
 texture mapping (Segal et al., SIGGRAPH 1992). That per-eye tail runs in
 blocks of whole row segments of the map (below), each taken from the screen
 projection through sampling to the framebuffer, so no temporary grows with
 the number of covered pixels; its output bytes are those of one unblocked
 pass. A projector shows black as no light, so AR content is mostly black:
-the default checker pattern fills a 480x300 box of a 1920x1080 image. As in a
-GPU's scissor test, the tail skips pixels whose pass-1 coordinate lies
-outside the box of the content's non-zero texels, whole row segments at a
-time: the map also holds a segment table, runs of up to 128 covered pixels
-in one projector row with their column and 1/depth bounds, and one
-vectorized test per eye drops every segment whose four corners put all its
-pixels at least a pixel outside the box, as in the coarse-to-fine rejection
-of hierarchical culling (Greene, Kass and Miller, SIGGRAPH 1993). Every
-pixel of a kept segment is sampled and scattered, with the arithmetic of
-running the tail on all; a dropped pixel keeps the framebuffer's 0, which
-is the byte its sample of four zero texels would give, and so does a kept
-pixel outside the box. Each pixel's center comes from its segment's row
-and its flat index. The tail's per-channel work runs once per channel of
-the content: the gray checker pattern has one channel, sampled once and
-written to all three framebuffer channels, and a panorama view has three.
+the default checker pattern fills a 480x300 box of a 1920x1080 image. As in
+a GPU's scissor test, the warp skips pixels whose pass-1 coordinate lies
+outside the box of the content's non-zero texels, at two grains. Before
+rasterizing, a screen-space trivial reject with Cohen-Sutherland outcodes
+over the mesh's vertices (``_needed_faces``) finds the faces that can reach
+the box, and the map covers only the rectangle of projector pixels those
+faces can win: every face is still drawn inside it, so occlusion is exact,
+and every pixel outside it is won by a face that samples black. The map is
+thus a rectangle of the frame that grows as eyes need more of it. Then the
+tail skips whole row segments: the map also holds a segment table, runs of
+up to 128 covered pixels in one projector row with their column and 1/depth
+bounds, and one vectorized test per eye drops every segment whose four
+corners put all its pixels at least a pixel outside the box or behind the
+eye, as in the coarse-to-fine rejection of hierarchical culling (Greene,
+Kass and Miller, SIGGRAPH 1993). Every pixel of a kept segment is sampled
+and scattered, with the arithmetic of running the tail on all; a dropped
+pixel keeps the framebuffer's 0, which is the byte its sample of four zero
+texels would give, and so does a kept pixel outside the box. Each pixel's
+center comes from its segment's row and its flat index. The tail's
+per-channel work runs once per channel of the content: the gray checker
+pattern has one channel, sampled once and written to all three framebuffer
+channels, and a panorama view has three.
 
 ``propagate_corners`` follows checker-pattern corners through the same
 mapping analytically (no rasterization), using one model set for the warp
@@ -227,20 +234,54 @@ def _kept_segments(segments, a, b, pass1_scale, box) -> np.ndarray:
     are computed with the tail's operations in its order, and at w above
     1e-9 their rounding, like a pixel's, moves x by far less than a pixel,
     so every pixel of a dropped segment would sample four zero texels. A
-    segment with a NaN or infinite corner value is kept. ``pass1_scale``
-    holds, per axis, the screen size in meters, the viewport size and the
-    pass-1 image size in pixels; ``box`` is ``_content_box``'s bounds.
+    segment with a NaN or infinite corner value is kept. A segment whose
+    four corners all have g2 + 1e-9 s below 0 is dropped too: that
+    function is affine on the rectangle, so every pixel has w below
+    -1e-9, lies behind the eye and samples black. ``pass1_scale`` holds,
+    per axis, the screen size in meters, the viewport size and the pass-1
+    image size in pixels; ``box`` is ``_content_box``'s bounds.
     """
     v, u, s = segments[2], segments[3:5], segments[5:7]
     # g[k][i, j] is g_k at column centre u[i] and 1 / z = s[j].
     g = [(u * a0 + v * a1 + a2)[:, None] + s * bi for (a0, a1, a2), bi in zip(a, b)]
     front = np.all(g[2] > 1e-9 * s, axis=(0, 1))
-    outside = np.zeros_like(front)
+    drop = np.all(g[2] < -1e-9 * s, axis=(0, 1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for gi, (m, px, img), (lo, hi) in zip(g[:2], pass1_scale, box):
             p = ((gi / g[2] / m + 0.5) * px * (img / px)).reshape(4, -1)
-            outside |= (p.max(axis=0) <= lo - 1) | (p.min(axis=0) >= hi + 1)
-    return ~(front & outside)
+            drop |= front & ((p.max(axis=0) <= lo - 1) | (p.min(axis=0) >= hi + 1))
+    return ~drop
+
+
+def _needed_faces(mesh, matrix, pass1_scale, box) -> np.ndarray:
+    """Which faces of a world-frame mesh may win a pixel with a non-zero sample.
+
+    Each vertex X goes through the screen projection h = M (X, 1), whose
+    w = h2 is the tail's w, and, where w > 1e-9, to pass-1 coordinates
+    with the tail's operations in its order. As in Cohen and Sutherland's
+    line clipping, it gets a bit for each side of the box it lies at
+    least 1 px beyond, x <= lo - 1 or x >= hi + 1 for the open bounds
+    (lo, hi) of each axis, and one more for w < -1e-9. A face whose three
+    vertices share a bit is not needed. h is affine on a face, so where
+    the three share a side bit, every point of the face has w > 1e-9 and
+    its coordinate past that side, since x >= c is h0 - c' h2 >= 0 with
+    h2 > 0; where they share the last bit, every point has w < -1e-9.
+    A pixel's point lies on its face up to rounding, which moves x by far
+    less than the pixel of margin, so every pixel such a face wins
+    samples four zero texels, or NaN behind the eye, and comes out black.
+    ``pass1_scale`` and ``box`` are those of ``_kept_segments``.
+    """
+    x, y, z = mesh.vertices.T
+    h = [x * m0 + y * m1 + z * m2 + m3 for m0, m1, m2, m3 in matrix]
+    front = h[2] > 1e-9
+    code = (h[2] < -1e-9).astype(np.uint8)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for bit, hk, (m, px, img), (lo, hi) in zip((2, 8), h[:2], pass1_scale, box):
+            p = (hk / h[2] / m + 0.5) * px * (img / px)
+            code |= ((p <= lo - 1) & front) * np.uint8(bit)
+            code |= ((p >= hi + 1) & front) * np.uint8(2 * bit)
+    f = mesh.faces.T
+    return (code[f[0]] & code[f[1]] & code[f[2]]) == 0
 
 
 def warp_to_projector(
@@ -255,21 +296,25 @@ def warp_to_projector(
 
     The world-frame mesh is rasterized from the projector; every covered
     pixel maps the point at its depth through the screen projection and
-    bilinearly samples the pass-1 image. Uncovered pixels, and points on
-    the eye side of the screen projection, stay black. The rasterized map
-    does not depend on the eye, so it is reused while the mesh and the
-    projector pose are unchanged, with the same output bytes as rasterizing
-    again. Before any per-pixel work, one test per row segment of the map
-    (``_kept_segments``) drops the segments whose corners put every pixel
-    at least a pixel outside the box of the content's non-zero texels (its
-    scissor box), and every pixel of the kept segments is sampled. A pixel
-    outside the box reads four zero texels, is exactly +0.0 and writes the
-    0 the framebuffer already holds, so the bytes are those of sampling
+    bilinearly samples the pass-1 image. Uncovered pixels, and points on the
+    eye side of the screen projection, stay black. The rasterized map does
+    not depend on the eye, so it is reused while the mesh and the projector
+    pose are unchanged, with the same output bytes as rasterizing again. It
+    is rasterized only over the rectangle that the faces able to reach the
+    box of the content's non-zero texels can win (``_needed_faces``), and
+    grows when an eye needs more of it; the other faces' pixels would come
+    out black. Before any per-pixel work, one test per row segment of the
+    map (``_kept_segments``) drops the segments whose corners put every
+    pixel at least a pixel outside the box of the content's non-zero texels
+    (its scissor box) or behind the eye, and every pixel of the kept
+    segments is sampled. A
+    pixel outside the box reads four zero texels, is exactly +0.0 and writes
+    the 0 the framebuffer already holds, so the bytes are those of sampling
     every covered pixel. The kept segments are done in blocks of whole
     segments, each pixel's center taken from its segment's row, with the
     bytes of one unblocked pass, and no temporary grows with the number of
-    covered pixels. All-black content, or content with a zero side, gives
-    a black framebuffer without sampling. ``user_image`` has one or three
+    covered pixels. All-black content, or content with a zero side, gives a
+    black framebuffer without sampling. ``user_image`` has one or three
     channels (a 2-D image is one channel); one-channel content is sampled,
     rounded and clipped once and fills all three framebuffer channels, any
     other count raises ValueError. Float content with a NaN or infinite
@@ -285,7 +330,6 @@ def warp_to_projector(
     box = _content_box(user_image)
     if box is None:
         return fb.reshape(proj_device.height, proj_device.width, 3)
-    covered, depth, segments = mesh.pixel_map(proj_device, proj_to_world)
     # The point at depth z behind pixel center p = (u, v, 1) projects to
     # M (R K^-1 p z + t) = z g, with g = A p + b / z.
     m3, m4 = upr.matrix[:, :3], upr.matrix[:, 3]
@@ -298,6 +342,8 @@ def warp_to_projector(
         (viewport.width_px, viewport.height_px),
         user_image.shape[1::-1],  # (width, height)
     ))
+    needed = _needed_faces(mesh, upr.matrix, pass1_scale, box)
+    covered, depth, segments = mesh.pixel_map(proj_device, proj_to_world, needed)
     keep = _kept_segments(segments, a, b, pass1_scale, box)
     first, end = segments[:2, keep].astype(np.int64)
     sizes = end - first

@@ -25,7 +25,7 @@ def tri(xy, w=None, faces=None):
 class TestCoverage:
     def test_right_triangle_pixel_count(self):
         xy, w, faces = tri([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
-        res = rasterize(xy, w, faces, 8, 8)
+        res = rasterize(xy, w, faces, 8, 8, (0, 0, 8, 8))
         # Pixel centers (x+.5, y+.5) with x,y >= 0 and (x+.5)+(y+.5) <= 4.
         assert int(res.mask.sum()) == 10
         assert res.face_index[0, 0] == 0
@@ -34,32 +34,33 @@ class TestCoverage:
 
     def test_winding_does_not_matter(self):
         xy, w, _ = tri([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
-        a = rasterize(xy, w, np.array([[0, 1, 2]]), 8, 8)
-        b = rasterize(xy, w, np.array([[0, 2, 1]]), 8, 8)
+        a = rasterize(xy, w, np.array([[0, 1, 2]]), 8, 8, (0, 0, 8, 8))
+        b = rasterize(xy, w, np.array([[0, 2, 1]]), 8, 8, (0, 0, 8, 8))
         assert np.array_equal(a.mask, b.mask)
 
     def test_offscreen_clipped(self):
         xy, w, faces = tri([[-100.0, -100.0], [300.0, -100.0], [-100.0, 300.0]])
-        res = rasterize(xy, w, faces, 4, 4)
+        res = rasterize(xy, w, faces, 4, 4, (0, 0, 4, 4))
         assert res.mask.all()
 
     def test_fully_outside(self):
         xy, w, faces = tri([[10.0, 10.0], [12.0, 10.0], [10.0, 12.0]])
-        res = rasterize(xy, w, faces, 4, 4)
+        res = rasterize(xy, w, faces, 4, 4, (0, 0, 4, 4))
         assert not res.mask.any()
 
     def test_degenerate_face_skipped(self):
         xy, w, faces = tri([[1.0, 1.0], [3.0, 3.0], [2.0, 2.0]])
-        res = rasterize(xy, w, faces, 8, 8)
+        res = rasterize(xy, w, faces, 8, 8, (0, 0, 8, 8))
         assert not res.mask.any()
 
     def test_nonpositive_w_face_skipped(self):
         xy, _, faces = tri([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
-        res = rasterize(xy, np.array([1.0, -0.5, 1.0]), faces, 8, 8)
+        res = rasterize(xy, np.array([1.0, -0.5, 1.0]), faces, 8, 8, (0, 0, 8, 8))
         assert not res.mask.any()
 
     def test_empty_inputs(self):
-        res = rasterize(np.zeros((0, 2)), np.zeros(0), np.zeros((0, 3), dtype=int), 4, 4)
+        empty = np.zeros((0, 2)), np.zeros(0), np.zeros((0, 3), dtype=int)
+        res = rasterize(*empty, 4, 4, (0, 0, 4, 4))
         assert not res.mask.any()
         assert res.covered.shape == (0,)
 
@@ -71,7 +72,7 @@ class TestDepthResolve:
         )
         w = np.array([2.0, 2.0, 2.0, 1.0, 1.0, 1.0])
         faces = np.array([[0, 1, 2], [3, 4, 5]])
-        res = rasterize(xy, w, faces, 4, 4)
+        res = rasterize(xy, w, faces, 4, 4, (0, 0, 4, 4))
         assert (res.face_index[res.mask] == 1).all()
         assert np.allclose(res.depth_w[res.mask], 1.0)
 
@@ -81,7 +82,7 @@ class TestDepthResolve:
         )
         w = np.ones(6)
         faces = np.array([[0, 1, 2], [3, 4, 5]])
-        res = rasterize(xy, w, faces, 4, 4)
+        res = rasterize(xy, w, faces, 4, 4, (0, 0, 4, 4))
         assert (res.face_index[res.mask] == 0).all()
 
     def test_chunking_invariant(self, monkeypatch):
@@ -90,9 +91,9 @@ class TestDepthResolve:
         xy = rng.uniform(-2, 18, size=(n * 3, 2))
         w = rng.uniform(0.5, 5.0, size=n * 3)
         faces = np.arange(n * 3).reshape(n, 3)
-        full = rasterize(xy, w, faces, 16, 16)
+        full = rasterize(xy, w, faces, 16, 16, (0, 0, 16, 16))
         monkeypatch.setattr(raster, "_FRAGMENT_BUDGET", 7)
-        tiny = rasterize(xy, w, faces, 16, 16)
+        tiny = rasterize(xy, w, faces, 16, 16, (0, 0, 16, 16))
         assert np.array_equal(full.face_index, tiny.face_index)
         assert np.array_equal(full.depth_w, tiny.depth_w)
         assert np.array_equal(full.covered, tiny.covered)
@@ -138,7 +139,7 @@ class TestPerspectiveCorrectness:
         )
         faces = np.array([[0, 1, 2], [0, 2, 3]])
         xy, w = pinhole_xy(verts)
-        res = rasterize(xy, w, faces, 20, 20)
+        res = rasterize(xy, w, faces, 20, 20, (0, 0, 20, 20))
         assert res.mask.sum() > 50
         ys, xs = np.divmod(res.covered, 20)
         # Independent oracle: intersect each pixel ray with the plane
@@ -151,7 +152,7 @@ class TestPerspectiveCorrectness:
     def test_constant_depth_stays_constant(self):
         xy = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
         w = np.full(3, 2.5)
-        res = rasterize(xy, w, np.array([[0, 1, 2]]), 10, 10)
+        res = rasterize(xy, w, np.array([[0, 1, 2]]), 10, 10, (0, 0, 10, 10))
         assert res.mask.sum() > 40
         np.testing.assert_allclose(res.depth_w[res.mask], 2.5, rtol=1e-15, atol=0)
 
@@ -161,7 +162,7 @@ class TestPerspectiveCorrectness:
         xy = np.array([[0.0, 0.0], [8.0, 0.0], [8.0, 8.0], [0.0, 8.0]])
         w = np.array([1.0, 3.0, 3.0, 1.0])
         faces = np.array([[0, 1, 2], [0, 2, 3]])
-        res = rasterize(xy, w, faces, 8, 8)
+        res = rasterize(xy, w, faces, 8, 8, (0, 0, 8, 8))
         mid = res.depth_w[4, 3]  # pixel center x = 3.5
         inv = (1 - 3.5 / 8) * 1.0 + (3.5 / 8) * (1 / 3.0)
         assert mid == pytest.approx(1.0 / inv, rel=1e-12)
@@ -231,7 +232,7 @@ def assert_matches_oracle(xy, w, faces, width, height, budget=None, block=None):
             mock.patch.object(raster, "_BLOCK", block or raster._BLOCK), \
             warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = rasterize(xy, w, faces, width, height)
+        res = rasterize(xy, w, faces, width, height, (0, 0, width, height))
     want_face, want_depth = raster_oracle(xy, w, faces, width, height)
     assert np.array_equal(res.face_index, want_face)
     assert np.array_equal(res.depth_w, want_depth)
@@ -386,9 +387,9 @@ def test_far_needles_match_whole_box_rows(mesh):
     # Whole bounding-box rows are the candidates before spans: every pixel
     # center of the box gets the inside test.
     xy, w, faces = mesh
-    got = rasterize(xy, w, faces, 10, 8)
+    got = rasterize(xy, w, faces, 10, 8, (0, 0, 10, 8))
     with mock.patch.object(raster, "_loose_faces", lambda tri, *_: np.ones(len(tri), bool)):
-        want = rasterize(xy, w, faces, 10, 8)
+        want = rasterize(xy, w, faces, 10, 8, (0, 0, 10, 8))
     assert np.array_equal(got.face_index, want.face_index)
     assert np.array_equal(got.depth_w, want.depth_w)
     assert np.array_equal(got.covered, want.covered)
@@ -427,7 +428,7 @@ def test_vertex_at_w_zero_raises_no_warning():
     faces = np.array([[0, 1, 2], [1, 3, 2]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = rasterize(xy, w, faces, 8, 8)
+        res = rasterize(xy, w, faces, 8, 8, (0, 0, 8, 8))
     assert res.mask.sum() == 21
     assert (res.face_index[res.mask] == 0).all()
 
@@ -439,10 +440,10 @@ def test_non_finite_faces_are_dropped_without_a_warning():
                    [np.nan, 1.0], [3.0, np.inf], [1.0, 1.0], [7.0, 1.0], [1.0, 7.0]])
     w = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, np.inf, np.inf, np.inf])
     faces = np.array([[0, 1, 2], [1, 3, 2], [4, 1, 3], [0, 5, 1], [6, 7, 8]])
-    finite = rasterize(xy[:4], w[:4], faces[:2], 8, 8)
+    finite = rasterize(xy[:4], w[:4], faces[:2], 8, 8, (0, 0, 8, 8))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = rasterize(xy, w, faces, 8, 8)
+        res = rasterize(xy, w, faces, 8, 8, (0, 0, 8, 8))
     assert res.mask.sum() > 0
     np.testing.assert_array_equal(res.depth_w, finite.depth_w)
     np.testing.assert_array_equal(res.face_index, finite.face_index)
@@ -456,5 +457,64 @@ def test_faces_far_off_screen_are_dropped_without_a_warning():
                    [1.0, 1e30], [5.0, 1e30], [1.0, 2e30], [1.0, -2e30], [5.0, -1e30], [1.0, -1e30]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = rasterize(xy, np.ones(12), np.arange(12).reshape(4, 3), 8, 8)
+        res = rasterize(xy, np.ones(12), np.arange(12).reshape(4, 3), 8, 8, (0, 0, 8, 8))
     assert not res.mask.any()
+
+
+@st.composite
+def rectangles(draw, width, height):
+    """(x0, y0, x1, y1) with ends up to 3 px past the grid, empty ones included."""
+    x0, x1 = draw(st.integers(-3, width + 3)), draw(st.integers(-3, width + 3))
+    y0, y1 = draw(st.integers(-3, height + 3)), draw(st.integers(-3, height + 3))
+    return x0, y0, x1, y1
+
+
+@settings(max_examples=200, deadline=None)
+@given(mesh=st.one_of(small_meshes(), slivers(), small_meshes(far_positions), far_needles()),
+       data=st.data(), budget=chunk_sizes, block=block_sizes)
+def test_rectangle_gets_the_bits_of_the_whole_grid(mesh, data, budget, block):
+    # Inside the rectangle the scissored raster is the full raster bit for
+    # bit; outside it, nothing is drawn.
+    xy, w, faces = mesh
+    width, height = 10, 8
+    rect = data.draw(rectangles(width, height))
+    full = rasterize(xy, w, faces, width, height, (0, 0, width, height))
+    with mock.patch.object(raster, "_FRAGMENT_BUDGET", budget or raster._FRAGMENT_BUDGET), \
+            mock.patch.object(raster, "_BLOCK", block or raster._BLOCK):
+        got = rasterize(xy, w, faces, width, height, rect)
+    x0, y0, x1, y1 = rect
+    y, x = np.indices((height, width))
+    inside = (x >= x0) & (x < x1) & (y >= y0) & (y < y1)
+    assert np.array_equal(got.face_index, np.where(inside, full.face_index, -1))
+    assert np.array_equal(got.depth_w, np.where(inside, full.depth_w, np.inf))
+    assert np.array_equal(got.covered, np.flatnonzero(got.face_index >= 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mesh=st.one_of(small_meshes(), slivers(), small_meshes(far_positions), far_needles()),
+       width=st.integers(1, 12), height=st.integers(1, 10))
+def test_bounding_rect_holds_every_pixel_of_every_face(mesh, width, height):
+    xy, w, faces = mesh
+    x0, y0, x1, y1 = raster.bounding_rect(xy, w, faces, width, height)
+    covered = rasterize(xy, w, faces, width, height, (0, 0, width, height)).mask
+    for face in faces:
+        alone = rasterize(xy, w, face[None], width, height, (0, 0, width, height)).mask
+        covered |= alone
+    y, x = np.nonzero(covered)
+    assert ((x >= x0) & (x < x1) & (y >= y0) & (y < y1)).all()
+    if x1 <= x0 or y1 <= y0:
+        assert (x0, y0, x1, y1) == (width, height, 0, 0)
+
+
+def test_bounding_rect_is_the_rasterizers_box():
+    xy, _, faces = tri([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
+    # Columns and rows floor(0 - 0.5) to ceil(4 - 0.5), clipped to the grid.
+    assert raster.bounding_rect(xy, np.ones(3), faces, 8, 6) == (0, 0, 5, 5)
+    assert raster.bounding_rect(xy, np.ones(3), faces, 3, 6) == (0, 0, 3, 5)
+    # No face drawn: the empty rectangle, which draws nothing.
+    for w in (np.array([1.0, -0.5, 1.0]), np.array([1.0, np.inf, 1.0])):
+        assert raster.bounding_rect(xy, w, faces, 8, 6) == (8, 6, 0, 0)
+    assert raster.bounding_rect(xy[:0], w[:0], faces[:0], 8, 6) == (8, 6, 0, 0)
+    assert raster.bounding_rect(xy + [20.0, 0.0], np.ones(3), faces, 8, 6) == (8, 6, 0, 0)
+    res = rasterize(xy, np.ones(3), faces, 8, 6, (8, 6, 0, 0))
+    assert not res.mask.any() and res.covered.shape == (0,)

@@ -37,6 +37,7 @@ from procamsim.geometry import (
 )
 from procamsim.images import bilinear_sample, to_uint8
 from procamsim.raster import rasterize
+from procamsim.rig import PanTiltState
 from procamsim.scene import (
     Box,
     DepthNoiseModel,
@@ -279,6 +280,23 @@ def bumpy_wall(rows=17, cols=21):
     return TriangleMesh(np.c_[gx.ravel(), gy.ravel(), gz.ravel()], grid_faces(rows, cols))
 
 
+def full_map(mesh, device, pose):
+    """The mesh's projector map with every face needed: the whole frame, unscissored."""
+    return mesh.pixel_map(device, pose, np.ones(len(mesh.faces), dtype=bool))
+
+
+def pass1_scale(viewport, user_image):
+    """Per axis: the screen size in meters, the viewport and the pass-1 image sizes in pixels."""
+    sizes = ((viewport.width_m, viewport.height_m), (viewport.width_px, viewport.height_px))
+    return list(zip(*sizes, user_image.shape[1::-1]))
+
+
+def needed_faces(user_image, mesh, upr, viewport):
+    """The faces the warp needs for this content and eye: the mask it passes to ``pixel_map``."""
+    box = warp_module._content_box(user_image)
+    return warp_module._needed_faces(mesh, upr.matrix, pass1_scale(viewport, user_image), box)
+
+
 class TestProjectorMapReuse:
     """The mesh keeps its last rasterized projector map for the next eye."""
 
@@ -328,11 +346,12 @@ class TestProjectorMapReuse:
             width=device.width, height=device.height,
         )
         runs = [(device, pose), (device, same_pose), (narrower, same_pose), (narrower, shifted)]
+        needed = needed_faces(user_image, mesh, upr, viewport)
         frames, counts, maps = [], [], []
         for dev, p in runs:
             frames.append(warp_to_projector(user_image, mesh, upr, viewport, dev, p))
             counts.append((len(calls), len(tables)))
-            maps.append(mesh.pixel_map(dev, p))
+            maps.append(mesh.pixel_map(dev, p, needed))  # the map the warp used
         assert counts == [(1, 1), (1, 1), (2, 2), (3, 3)]
         # The reused map is the same three arrays, segment table included.
         assert all(x is y for x, y in zip(maps[0], maps[1]))
@@ -340,6 +359,24 @@ class TestProjectorMapReuse:
         for (dev, p), fb in zip(runs, frames):
             fresh = TriangleMesh(mesh.vertices, mesh.faces)
             assert np.array_equal(fb, warp_to_projector(user_image, fresh, upr, viewport, dev, p))
+        # An eye that needs pixels outside the kept rectangle rasterizes the
+        # union once; after that, both eyes reuse it.
+        other = upr_matrix(EyePose(0.5, 0.3, -1.2), RigidTransform.identity())
+        rect = mesh._pixel_map[2]
+        eyes = (other, upr, other, upr)
+        frames, before = [], (len(calls), len(tables))
+        for eye_upr in eyes:
+            frames.append(warp_to_projector(user_image, mesh, eye_upr, viewport, narrower, shifted))
+            counts.append((len(calls) - before[0], len(tables) - before[1]))
+        assert counts[4:] == [(1, 1)] * 4
+        grown = mesh._pixel_map[2]
+        assert grown != rect
+        assert all(g <= r for g, r in zip(grown[:2], rect[:2]))
+        assert all(g >= r for g, r in zip(grown[2:], rect[2:]))
+        for eye_upr, fb in zip(eyes, frames):
+            fresh = TriangleMesh(mesh.vertices, mesh.faces)
+            want = warp_to_projector(user_image, fresh, eye_upr, viewport, narrower, shifted)
+            assert np.array_equal(fb, want)
 
     def test_mesh_arrays_are_read_only_copies(self):
         vertices = bumpy_wall().vertices.copy()
@@ -360,7 +397,7 @@ class TestProjectorMapReuse:
         upr = upr_matrix(EyePose(*self.EYES[0]), RigidTransform.identity())
         warp_to_projector(user_image, mesh, upr, viewport, device, pose)
         mesh_ref = weakref.ref(mesh)
-        map_refs = [weakref.ref(a) for a in mesh.pixel_map(device, pose)]
+        map_refs = [weakref.ref(a) for a in full_map(mesh, device, pose)]
         del mesh
         gc.collect()
         assert mesh_ref() is None
@@ -370,7 +407,7 @@ class TestProjectorMapReuse:
     def test_map_holds_16_bytes_per_covered_pixel(self):
         viewport, device, (pose, _), user_image = self.scenario()
         mesh = bumpy_wall()
-        covered, depth, segments = mesh.pixel_map(device, pose)
+        covered, depth, segments = full_map(mesh, device, pose)
         assert len(covered) > 10000
         assert covered.dtype == np.int64 and depth.dtype == np.float64
         assert covered.nbytes + depth.nbytes == 16 * len(covered)
@@ -381,7 +418,7 @@ class TestProjectorMapReuse:
         # A mesh with no vertices, as the depth sensor gives when it sees nothing.
         viewport, device, (pose, _), user_image = self.scenario()
         empty = TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
-        covered, depth, segments = empty.pixel_map(device, pose)
+        covered, depth, segments = full_map(empty, device, pose)
         assert covered.shape == depth.shape == (0,)
         assert segments.shape == (7, 0)
         upr = upr_matrix(EyePose(*self.EYES[0]), RigidTransform.identity())
@@ -404,7 +441,7 @@ def screen_projection(mesh, upr, proj_device, proj_to_world):
     (R, t) the projector pose; its w is z g2. Returns the covered pixels,
     their (K, 2) screen coordinates and w.
     """
-    covered, depth, _ = mesh.pixel_map(proj_device, proj_to_world)
+    covered, depth, _ = full_map(TriangleMesh(mesh.vertices, mesh.faces), proj_device, proj_to_world)
     a, b = screen_matrices(upr, proj_device, proj_to_world)
     v = np.floor(covered / proj_device.width)
     u = covered - v * proj_device.width + 0.5
@@ -527,7 +564,7 @@ class TestBlockedWarpOracle:
     def test_mesh_off_the_throw_leaves_black(self, block):
         viewport, upr, device, pose, _ = identity_setup(32, 24)
         far = TriangleMesh(random_wall(5, 0.2).vertices + [40.0, 0.0, 0.0], grid_faces(9, 11))
-        assert len(far.pixel_map(device, pose)[0]) == 0
+        assert len(full_map(far, device, pose)[0]) == 0
         user_image = pass1_image(6, "uint8", 32, 24)
         got, want = self.both(block, user_image, far, upr, viewport, device, pose)
         assert np.array_equal(got, want)
@@ -684,7 +721,7 @@ class TestSegmentCull:
             pose = shifted_projector()
         segment = segment or scene_module._SEGMENT
         with mock.patch.object(scene_module, "_SEGMENT", segment):
-            covered, depth, table = fragmented_wall(seed, 0.5, holes).pixel_map(device, pose)
+            covered, depth, table = full_map(fragmented_wall(seed, 0.5, holes), device, pose)
         want = segment_table_reference(covered, depth, device.width, segment)
         assert table.dtype == np.float64
         assert np.array_equal(table, want)
@@ -723,10 +760,9 @@ class TestSegmentCull:
             pose = shifted_projector()
         upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
         user_image = scissored_content(seed, kind, *image_size, margins, spot)
+        mesh = fragmented_wall(seed, amplitude, holes)
         with mock.patch.object(scene_module, "_SEGMENT", segment or scene_module._SEGMENT):
-            mesh = fragmented_wall(seed, amplitude, holes)
-            mesh.pixel_map(device, pose)
-        got, want = TestBlockedWarpOracle.both(block, user_image, mesh, upr, viewport, device, pose)
+            got, want = TestBlockedWarpOracle.both(block, user_image, mesh, upr, viewport, device, pose)
         assert np.array_equal(got, want)
 
     @settings(max_examples=80, deadline=None)
@@ -747,10 +783,11 @@ class TestSegmentCull:
         self, seed, eye, amplitude, holes, margins, shifted, segment
     ):
         # The bound itself, with each corner's pass-1 coordinate computed
-        # from its world point: a dropped segment has every corner in front
-        # of the eye and its corner x or y interval at least 1 px outside
-        # the box's open bounds. Exact arithmetic would need no margin, so
-        # the bytes above cannot show a margin below 1 px; this test can.
+        # from its world point: a dropped segment has every corner behind
+        # the eye, or every corner in front of it and its corner x or y
+        # interval at least 1 px outside the box's open bounds. Exact
+        # arithmetic would need no margin, so the bytes above cannot show a
+        # margin below 1 px; this test can.
         viewport, _, device, pose, _ = identity_setup(32, 24)
         if shifted:
             pose = shifted_projector()
@@ -758,23 +795,25 @@ class TestSegmentCull:
         user_image = scissored_content(seed, "gray-uint8", 32, 24, margins, None)
         box = warp_module._content_box(user_image)
         with mock.patch.object(scene_module, "_SEGMENT", segment or scene_module._SEGMENT):
-            _, _, segments = fragmented_wall(seed, amplitude, holes).pixel_map(device, pose)
+            _, _, segments = full_map(fragmented_wall(seed, amplitude, holes), device, pose)
         a, b = screen_matrices(upr, device, pose)
         scale = list(zip((viewport.width_m, viewport.height_m), (32, 24), (32, 24)))
         keep = warp_module._kept_segments(segments, a, b, scale, box)
         _, _, v, u0, u1, s_lo, s_hi = segments[:, ~keep]
-        xs, ys = [], []
+        xs, ys, ws = [], [], []
         for u, s in ((u0, s_lo), (u0, s_hi), (u1, s_lo), (u1, s_hi)):
             rays = np.linalg.solve(device.matrix(), np.stack([u, v, np.ones_like(u)]))
             xy, w = upr.apply(pose.apply((rays / s).T))
-            assert (w > 0).all()
             x, y = viewport.to_pixels(xy).T
             xs.append(x)
             ys.append(y)
+            ws.append(w)
+        behind = (np.array(ws) < 0).all(axis=0)
+        front = (np.array(ws) > 0).all(axis=0)
         (xlo, xhi), (ylo, yhi) = box
         x_out = (np.max(xs, axis=0) <= xlo - 1 + 1e-6) | (np.min(xs, axis=0) >= xhi + 1 - 1e-6)
         y_out = (np.max(ys, axis=0) <= ylo - 1 + 1e-6) | (np.min(ys, axis=0) >= yhi + 1 - 1e-6)
-        assert (x_out | y_out).all()
+        assert (behind | (front & (x_out | y_out))).all()
 
     @pytest.fixture(scope="class")
     def demo(self):
@@ -785,7 +824,7 @@ class TestSegmentCull:
         vp = options.viewport
         mesh, pose = chain.geometry, chain.est_proj_to_world
         user_image = options.pattern.render(vp.width_px, vp.height_px)
-        covered, _, segments = mesh.pixel_map(device, pose)
+        covered, _, segments = full_map(mesh, device, pose)
         assert len(covered) == 1_967_159
         lengths = (segments[1] - segments[0]).astype(np.int64)
         segment_of = np.repeat(np.arange(segments.shape[1]), lengths)
@@ -801,10 +840,183 @@ class TestSegmentCull:
 
     def test_table_holds_under_a_byte_per_covered_pixel(self, demo):
         chain, device, _, _ = demo
-        covered, _, segments = chain.geometry.pixel_map(device, chain.est_proj_to_world)
+        covered, _, segments = full_map(chain.geometry, device, chain.est_proj_to_world)
         assert (device.width, device.height) == (1920, 1080)
         assert segments.shape[1] <= 1080 * math.ceil(1920 / scene_module._SEGMENT)
         assert segments.nbytes < len(covered)
+
+    def test_eye_past_the_wall_samples_nothing(self, demo):
+        # Every covered pixel of the demo map is behind this eye: every
+        # segment has all four corners behind it and is dropped.
+        chain, device, options, _ = demo
+        vp = options.viewport
+        mesh, pose = chain.geometry, chain.est_proj_to_world
+        user_image = options.pattern.render(vp.width_px, vp.height_px)
+        upr = upr_matrix(EyePose(0.0, 0.0, 3.1), chain.est_upr.world_to_rear)
+        covered, _, segments = full_map(mesh, device, pose)
+        _, _, _, w = pass1_coordinates(user_image, mesh, upr, vp, device, pose)
+        assert len(covered) == 1_967_159 and (w < -1e-9).all()
+        box = warp_module._content_box(user_image)
+        a, b = screen_matrices(upr, device, pose)
+        assert not warp_module._kept_segments(segments, a, b, pass1_scale(vp, user_image), box).any()
+        samples = []
+
+        def counting_sampler(image, xy):
+            samples.append(len(xy))
+            return bilinear_sample(image, xy)
+
+        with mock.patch.object(warp_module, "bilinear_sample", counting_sampler):
+            fb = warp_to_projector(user_image, mesh, upr, vp, device, pose)
+        assert sum(samples) == 0 and not fb.any()
+
+
+def occluded_wall(seed, amplitude):
+    """``random_wall`` behind a flat square of two faces nearer the projector.
+
+    The square hides part of the wall from the projector; its centre,
+    depth and size come from the seed.
+    """
+    wall = random_wall(seed, amplitude)
+    rng = np.random.default_rng([seed, 2])
+    (cx, cy), z, half = rng.uniform(-0.6, 0.6, 2), rng.uniform(-1.15, -0.7), rng.uniform(0.05, 0.3)
+    gx, gy = np.meshgrid([cx - half, cx + half], [cy - half, cy + half])
+    square = np.c_[gx.ravel(), gy.ravel(), np.full(4, z)]
+    return TriangleMesh(
+        np.concatenate([wall.vertices, square]),
+        np.concatenate([wall.faces, grid_faces(2, 2) + len(wall.vertices)]),
+    )
+
+
+def wall_of_kind(kind, seed, amplitude):
+    """A random, fragmented (30 % of faces dropped) or occluded wall."""
+    if kind == "fragmented":
+        return fragmented_wall(seed, amplitude, 0.3)
+    return (occluded_wall if kind == "occluded" else random_wall)(seed, amplitude)
+
+
+class TestFaceCull:
+    """Scissoring the projector map to the faces that can reach the content box keeps every byte."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        eye=st.tuples(
+            st.floats(-0.6, 0.6),
+            st.floats(-0.4, 0.4),
+            EYE_DEPTH,
+        ),
+        amplitude=st.sampled_from([0.0, 0.3, 0.7]),
+        mesh_kind=st.sampled_from(["random", "fragmented", "occluded"]),
+        kind=st.sampled_from(IMAGE_KINDS),
+        image_size=st.tuples(st.integers(1, 40), st.integers(1, 30)),
+        margins=st.tuples(*[st.floats(0.0, 0.6)] * 4),
+        spot=st.sampled_from([None, *EDGE_SPOTS]),
+        shifted=st.booleans(),
+        block=st.sampled_from([7, None]),
+    )
+    # An eye just past the screen plane puts faces of a wall of depth
+    # +-0.7 m across the eye plane. Here such faces have every vertex, in
+    # front of the eye or behind it, past the box's bottom edge, while
+    # their front parts reach into the box; a cull without the
+    # front-of-eye guard drops them.
+    @example(
+        seed=698, eye=(-0.00771669838948541, 0.28251406097709786, 0.08992046496228912),
+        amplitude=0.7, mesh_kind="random", kind="uint8", image_size=(32, 24),
+        margins=(0.10009115085708946, 0.5822992037453848, 0.18985212997120954, 0.5993285505103348),
+        spot=None, shifted=True, block=None,
+    )
+    def test_matches_unscissored_tail(
+        self, seed, eye, amplitude, mesh_kind, kind, image_size, margins, spot, shifted, block
+    ):
+        viewport, _, device, pose, _ = identity_setup(32, 24)
+        if shifted:
+            pose = shifted_projector()
+        upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
+        user_image = scissored_content(seed, kind, *image_size, margins, spot)
+        mesh = wall_of_kind(mesh_kind, seed, amplitude)
+        got, want = TestBlockedWarpOracle.both(block, user_image, mesh, upr, viewport, device, pose)
+        assert np.array_equal(got, want)
+
+    def test_a_dropped_face_still_hides_what_lies_behind_it(self):
+        # From this eye the square lies outside the content's box, so both
+        # its faces are dropped; from the projector it hides wall pixels
+        # that would be lit, and it must still be drawn there.
+        viewport, _, device, _, _ = identity_setup(32, 24)
+        pose = shifted_projector()
+        upr = upr_matrix(EyePose(-0.5, 0.0, -1.5), RigidTransform.identity())
+        user_image = scissored_content(3, "uint8", 32, 24, (0.3, 0.3, 0.3, 0.3), None)
+        wall = random_wall(3, 0.0)
+        square = np.array([[0.1, -0.1, -1.1], [0.3, -0.1, -1.1], [0.1, 0.1, -1.1], [0.3, 0.1, -1.1]])
+        mesh = TriangleMesh(
+            np.concatenate([wall.vertices, square]),
+            np.concatenate([wall.faces, grid_faces(2, 2) + len(wall.vertices)]),
+        )
+        needed = needed_faces(user_image, mesh, upr, viewport)
+        assert not needed[-2:].any() and needed.any()
+        got, want = TestBlockedWarpOracle.both(None, user_image, mesh, upr, viewport, device, pose)
+        assert np.array_equal(got, want)
+        bare = unscissored_tail(user_image, wall, upr, viewport, device, pose)
+        hidden = bare.any(axis=2) & ~got.any(axis=2)
+        assert hidden.sum() > 50
+        covered, _, _ = mesh.pixel_map(device, pose, needed)
+        assert np.isin(np.flatnonzero(hidden), covered).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        eye=st.tuples(
+            st.floats(-0.6, 0.6),
+            st.floats(-0.4, 0.4),
+            EYE_DEPTH,
+        ),
+        amplitude=st.sampled_from([0.0, 0.3, 0.7]),
+        mesh_kind=st.sampled_from(["random", "fragmented", "occluded"]),
+        margins=st.tuples(*[st.floats(0.0, 0.45)] * 4),
+        shifted=st.booleans(),
+    )
+    def test_pixels_of_dropped_faces_lie_a_pixel_outside_the_box(
+        self, seed, eye, amplitude, mesh_kind, margins, shifted
+    ):
+        # The bound itself, on the full map: every pixel a dropped face
+        # wins is behind the eye or at least 1 px outside the box's open
+        # bounds. Exact arithmetic would need no margin, so the bytes above
+        # cannot show a margin below 1 px; this test can.
+        viewport, _, device, pose, _ = identity_setup(32, 24)
+        if shifted:
+            pose = shifted_projector()
+        upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
+        user_image = scissored_content(seed, "gray-uint8", 32, 24, margins, None)
+        mesh = wall_of_kind(mesh_kind, seed, amplitude)
+        needed = needed_faces(user_image, mesh, upr, viewport)
+        uv, z = project_points(device, pose.inverse(), mesh.vertices)
+        res = rasterize(uv, z, mesh.faces, device.width, device.height, (0, 0, device.width, device.height))
+        covered, x, y, w = pass1_coordinates(user_image, mesh, upr, viewport, device, pose)
+        assert np.array_equal(covered, res.covered)
+        dropped = ~needed[res.face_index.reshape(-1)[covered]]
+        (xlo, xhi), (ylo, yhi) = warp_module._content_box(user_image)
+        x_out = (x <= xlo - 1 + 1e-6) | (x >= xhi + 1 - 1e-6)
+        y_out = (y <= ylo - 1 + 1e-6) | (y >= yhi + 1 - 1e-6)
+        assert ((w < 0) | (w > 0) & (x_out | y_out))[dropped].all()
+
+    def test_steer_states_map_under_half_a_million_pixels(self):
+        # The work the scissor saves, as a count: on the demo config's four
+        # steer_sweep states the full map covers 1.96-1.97 M pixels.
+        config = cli.load_config(ROOT / "configs" / "demo_config.json")
+        result = result_from_rig(config.rig)
+        states = json.loads((ROOT / "perfbench" / "goldens.json").read_text())["steer_sweep"]["states"]
+        vp = config.options.viewport
+        user_image = config.options.pattern.render(vp.width_px, vp.height_px)
+        assert len(states) == 4
+        for pan, tilt, *eye in states:
+            options = replace(
+                config.options,
+                state=PanTiltState(alpha=math.radians(pan), beta=math.radians(tilt)),
+                eye=EyePose(*eye),
+            )
+            chain = build_display_chain(config.scene, config.rig, result, options)
+            needed = needed_faces(user_image, chain.geometry, chain.est_upr, vp)
+            covered, _, _ = chain.geometry.pixel_map(result.proj_device, chain.est_proj_to_world, needed)
+            assert 100_000 < len(covered) <= 500_000
 
 
 class TestOneChannelContent:
@@ -856,7 +1068,8 @@ def interpolated_world(mesh, device, pose):
     the covered pixels and their (K, 3) world points.
     """
     uv, z = project_points(device, pose.inverse(), mesh.vertices)
-    res = rasterize(uv, z, mesh.faces, device.width, device.height)
+    full_frame = (0, 0, device.width, device.height)
+    res = rasterize(uv, z, mesh.faces, device.width, device.height, full_frame)
     faces = mesh.faces[res.face_index.reshape(-1)[res.covered]]
     row, col = np.divmod(res.covered, device.width)
     center = np.c_[col + 0.5, row + 0.5]
@@ -920,20 +1133,20 @@ class TestScreenProjectionReference:
         with mock.patch.object(warp_module, "bilinear_sample", tagging_sampler):
             fb = warp_to_projector(user_image, mesh, upr, viewport, device, pose)
         covered, world = interpolated_world(mesh, device, pose)
-        assert np.array_equal(covered, mesh.pixel_map(device, pose)[0])
+        assert np.array_equal(covered, full_map(TriangleMesh(mesh.vertices, mesh.faces), device, pose)[0])
         got = np.concatenate(coords) if coords else np.zeros((0, 2))
         taken = fb.reshape(-1, 3)[covered].astype(np.int64)
         sampled = taken[:, 2] == 255
         tags = taken[sampled, 0] + 256 * taken[sampled, 1] - 1
         assert np.array_equal(np.sort(tags), np.arange(len(got)))
-        # The sampled pixels are exactly those of the segments the cull keeps.
-        _, _, segments = mesh.pixel_map(device, pose)
-        size = (viewport.width_px, viewport.height_px)
-        scale = list(zip((viewport.width_m, viewport.height_m), size, size))
+        # The sampled pixels are exactly those of the segments the cull
+        # keeps from the map the warp used.
+        used, _, segments = mesh.pixel_map(device, pose, needed_faces(user_image, mesh, upr, viewport))
         box = warp_module._content_box(user_image)
-        keep = warp_module._kept_segments(segments, *screen_matrices(upr, device, pose), scale, box)
+        a, b = screen_matrices(upr, device, pose)
+        keep = warp_module._kept_segments(segments, a, b, pass1_scale(viewport, user_image), box)
         lengths = (segments[1] - segments[0]).astype(np.int64)
-        assert np.array_equal(sampled, np.repeat(keep, lengths))
+        assert np.array_equal(covered[sampled], used[np.repeat(keep, lengths)])
         xy, w = upr.apply(world)
         front = w > 1e-6
         # The pass-1 image has the viewport's size, so the rescale is exact.
@@ -994,7 +1207,7 @@ class TestStreamingTail:
 
     def test_peak_memory_follows_the_block_not_the_covered_pixels(self):
         args = self.frame(192, 108)
-        covered, _, _ = args[1].pixel_map(*args[4:])  # rasterized before the measurement
+        covered, _, _ = full_map(args[1], *args[4:])  # rasterized before the measurement
         block = 256
         fb_bytes = 192 * 108 * 3
         # (2, K) coordinates and (3, K) samples in float64 would take 40 bytes
@@ -1018,7 +1231,7 @@ class TestStreamingTail:
         args = self.frame(*size)
         user_image, mesh, upr, viewport, device, pose = args
         height, width = user_image.shape[:2]
-        covered, _, segments = mesh.pixel_map(device, pose)
+        covered, _, segments = full_map(mesh, device, pose)
         scale = list(zip((viewport.width_m, viewport.height_m), (width, height), (width, height)))
         box = warp_module._content_box(user_image)
         keep = warp_module._kept_segments(segments, *screen_matrices(upr, device, pose), scale, box)
@@ -1056,7 +1269,7 @@ class TestStreamingTail:
         user_image = pass1_image(13, "uint8", 32, 24)
         with mock.patch.object(scene_module, "_SEGMENT", segment):
             mesh = fragmented_wall(14, 0.5, 0.3)
-            covered, _, segments = mesh.pixel_map(device, pose)
+            covered, _, segments = full_map(mesh, device, pose)
         calls = []
 
         def counting_sampler(image, xy):
