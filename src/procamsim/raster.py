@@ -12,11 +12,11 @@ Faces with any non-positive or infinite w, or a non-finite position, are
 dropped rather than clipped; callers keep their geometry in front of the
 device.
 
-A caller that reads only part of the grid passes its rectangle, and only
-the pixel centers inside it are drawn (a screen-space scissor); each face's
-bounding box is clipped to the rectangle, so every face that reaches a
-pixel there is still tested at it and the pixel gets the bits of drawing
-the whole grid.
+A caller that reads the pixels of only some faces passes them as a mask,
+and only the pixel centers inside the rectangle around those faces'
+bounding boxes are drawn (a screen-space scissor); each face's bounding box
+is clipped to the rectangle, so every face that reaches a pixel there is
+still tested at it and the pixel gets the bits of drawing the whole grid.
 
 The pipeline, per chunk of faces in index order:
 
@@ -232,61 +232,50 @@ def _faces(xy, w, faces):
     return tri, tri_w, area, valid
 
 
-def _boxes(tri, rect):
-    """Each face's first and last pixel column and row, clipped to ``rect``.
-
-    The pixel-center bounding box of each (F, 3, 2) face, clipped on both
-    ends so each cast fits in int64. A box that misses ``rect`` ends
-    before it starts.
-    """
-    x0, y0, x1, y1 = rect
-    x, y = tri.transpose(2, 1, 0)  # (3, F) views
-    x_min = np.clip(np.floor(_row_min(x) - 0.5), x0, x1).astype(np.int64)
-    x_max = np.clip(np.ceil(_row_max(x) - 0.5), x0 - 1, x1 - 1).astype(np.int64)
-    y_min = np.clip(np.floor(_row_min(y) - 0.5), y0, y1).astype(np.int64)
-    y_max = np.clip(np.ceil(_row_max(y) - 0.5), y0 - 1, y1 - 1).astype(np.int64)
-    return x_min, x_max, y_min, y_max
-
-
-def bounding_rect(xy, w, faces, width, height):
-    """The smallest rectangle of a width x height grid holding every face's pixel-center box.
-
-    Arguments are those of ``rasterize``; faces it would not draw are left
-    out. Returns ``(x0, y0, x1, y1)`` for columns ``[x0, x1)`` and rows
-    ``[y0, y1)``; with no box in the grid, ``(width, height, 0, 0)``,
-    which holds no pixel and lies inside every rectangle.
-    """
-    tri, _, _, valid = _faces(xy, w, faces)
-    x_min, x_max, y_min, y_max = _boxes(tri, (0, 0, width, height))
-    some = valid & (x_min <= x_max) & (y_min <= y_max)
-    return (
-        int(x_min[some].min(initial=width)), int(y_min[some].min(initial=height)),
-        int(x_max[some].max(initial=-1)) + 1, int(y_max[some].max(initial=-1)) + 1,
-    )
-
-
 def rasterize(
     xy: np.ndarray,
     w: np.ndarray,
     faces: np.ndarray,
     width: int,
     height: int,
-    rect: tuple[int, int, int, int],
+    needed: np.ndarray,
 ) -> RasterResult:
-    """Rasterize triangles over the pixel centers of a rectangle of a width x height grid.
+    """Rasterize triangles over the pixel centers of a width x height grid that needed faces reach.
 
     ``xy`` is (N, 2) projected vertex positions in continuous pixel
     coordinates, ``w`` the (N,) perspective divisors and ``faces`` (F, 3)
-    vertex indices. Both triangle windings are filled. Only the pixels
-    of ``rect``, columns ``[x0, x1)`` and rows ``[y0, y1)`` of
-    ``(x0, y0, x1, y1)`` inside the grid, are drawn, by every face whose
-    box reaches them, so they get the bits of rasterizing the whole grid
-    (``(0, 0, width, height)``); every other pixel stays undrawn.
+    vertex indices. Both triangle windings are filled. ``needed`` is an
+    (F,) bool mask of the faces whose pixels the caller reads. Only the
+    pixels of the smallest rectangle of the grid that holds the
+    pixel-center box of every needed face drawn are drawn, by every face
+    whose box reaches them, so they get the bits of rasterizing the whole
+    grid; every other pixel stays undrawn. With every face needed, the
+    result is the whole grid's raster.
     """
     tri, tri_w, area, valid = _faces(xy, w, faces)
+
+    # Pixel-center bounding boxes, clipped on both ends so each cast fits in int64.
+    x, y = tri.transpose(2, 1, 0)  # (3, F) views
+    x_min = np.clip(np.floor(_row_min(x) - 0.5), 0, width).astype(np.int64)
+    x_max = np.clip(np.ceil(_row_max(x) - 0.5), -1, width - 1).astype(np.int64)
+    y_min = np.clip(np.floor(_row_min(y) - 0.5), 0, height).astype(np.int64)
+    y_max = np.clip(np.ceil(_row_max(y) - 0.5), -1, height - 1).astype(np.int64)
+    valid &= (x_min <= x_max) & (y_min <= y_max)
+
+    # The scissor rectangle, columns [x0, x1) and rows [y0, y1) around the
+    # needed faces' boxes; every box is clipped to it.
+    some = valid & np.asarray(needed, dtype=bool)
+    rect = (0, 0, 0, 0)
+    if some.any():
+        rect = (
+            int(x_min[some].min()), int(y_min[some].min()),
+            int(x_max[some].max()) + 1, int(y_max[some].max()) + 1,
+        )
     x0, y0, x1, y1 = rect
-    rect = max(x0, 0), max(y0, 0), min(x1, width), min(y1, height)
-    x_min, x_max, y_min, y_max = _boxes(tri, rect)
+    np.clip(x_min, x0, x1, out=x_min)
+    np.clip(x_max, x0 - 1, x1 - 1, out=x_max)
+    np.clip(y_min, y0, y1, out=y_min)
+    np.clip(y_max, y0 - 1, y1 - 1, out=y_max)
     bw = x_max - x_min + 1
     bh = y_max - y_min + 1
     valid &= (bw > 0) & (bh > 0)
@@ -304,16 +293,16 @@ def rasterize(
         span_face = face_of + chunk.start
         for block in _chunks(bw[span_face], _BLOCK):
             canvas.draw(span_face[block], row[block])
-    drawn = np.flatnonzero(canvas.face >= 0)
-    # From the rectangle's row-major index to the grid's: each row of a
-    # rectangle narrower than the grid moves on by the columns outside it.
-    covered = drawn + (rect[1] * width + rect[0])
-    if canvas.width < width:
-        rows = np.diff(np.searchsorted(drawn, np.arange(rect[3] - rect[1] + 1) * canvas.width))
-        covered += np.repeat(np.arange(len(rows)) * (width - canvas.width), rows)
-    return RasterResult(
-        width, height, covered, canvas.best[drawn], lambda: face_ids[canvas.face[drawn]]
-    )
+    # The drawn pixels laid into whole rows of the grid, whose row-major
+    # flat indices are the grid's once the rows above are counted.
+    lit = np.zeros((y1 - y0, width), dtype=bool)
+    inside = lit[:, x0:x1]
+    face = canvas.face.reshape(inside.shape)
+    np.greater_equal(face, 0, out=inside)
+    covered = np.flatnonzero(lit)
+    covered += y0 * width
+    depth = canvas.best.reshape(inside.shape)[inside]
+    return RasterResult(width, height, covered, depth, lambda: face_ids[face[inside]])
 
 
 class _Canvas:
@@ -321,8 +310,8 @@ class _Canvas:
 
     def __init__(self, rect, grid, tri, tri_w, area, x_min, x_max):
         x0, y0, x1, y1 = rect
-        self.width = max(x1 - x0, 0)
-        self.best = np.full(max(y1 - y0, 0) * self.width, np.inf)
+        self.width = x1 - x0
+        self.best = np.full((y1 - y0) * self.width, np.inf)
         self.face = np.full(len(self.best), -1, dtype=np.int64)
         # Pixel (column, row) of the grid sits at row * width + column -
         # origin in the buffers.

@@ -32,7 +32,7 @@ from .geometry import (
     pixel_center_grid,
     project_points,
 )
-from .raster import _face_chunks, _row_max, _row_min, bounding_rect, expand_boxes, rasterize
+from .raster import _face_chunks, _row_max, _row_min, expand_boxes, rasterize
 
 # Intersections closer than this along a ray are ignored (self-hits).
 RAY_T_MIN = 1e-6
@@ -324,7 +324,7 @@ class TriangleMesh:
     faces: np.ndarray
     surface_id: str = "mesh"
     albedo: tuple[float, float, float] = (0.8, 0.8, 0.8)
-    # (key, faces asked for, rectangle, arrays) of the last ``pixel_map``.
+    # (key, faces asked for, arrays) of the last ``pixel_map``.
     _pixel_map: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -348,9 +348,9 @@ class TriangleMesh:
 
         ``needed`` is an (F,) bool mask of the faces whose pixels the caller
         reads. The map is ``rasterize`` of the mesh as the device sees it,
-        scissored to the rectangle that holds the pixel-center box of every
-        needed face (``bounding_rect``): inside it, it has the bits of the
-        full map; outside it, every pixel the full map covers is won by a
+        with those faces needed: scissored to the rectangle that holds the
+        pixel-center box of every needed face, it has the bits of the full
+        map there; outside it, every pixel the full map covers is won by a
         face that is not needed, and none is covered. Returns the
         row-major flat indices of the covered pixels and, for each, the
         device-frame depth of the mesh there: 16 bytes per covered pixel.
@@ -358,32 +358,28 @@ class TriangleMesh:
         ``K^-1 [u + 0.5, v + 0.5, 1] * depth``. The third array is the
         map's segment table (``_segment_table``), under 1 MB at 1080p.
 
-        The map depends only on the mesh, the device and the rectangle, so
-        the mesh keeps the last one, all three arrays read-only, with the
-        faces it was asked for. While ``device`` and the pose's rotation
-        and translation are unchanged, a call that needs only faces it was
-        asked for before returns it again at once; any other call takes
-        the rectangle of every face asked for so far, which holds the kept
-        one, and rasterizes it unless it is the kept one. So the map grows
-        until it holds what its callers need, one rasterization per growth.
+        The map depends only on the mesh, the device and the faces needed,
+        so the mesh keeps the last one, all three arrays read-only, with
+        the faces it was asked for. While ``device`` and the pose's
+        rotation and translation are unchanged, a call that needs only
+        faces it was asked for before returns it again at once; any other
+        call rasterizes again with every face asked for so far. So the map
+        grows until it holds what its callers need.
         """
         key = (device, device_to_world.rotation.tobytes(), device_to_world.translation.tobytes())
         entry = self._pixel_map
-        same = entry is not None and entry[0] == key
-        if same and not np.any(needed & ~entry[1]):
-            return entry[3]
-        needed = needed | entry[1] if same else np.array(needed, dtype=bool)
+        needed = np.array(needed, dtype=bool)
+        if entry is not None and entry[0] == key:
+            if not np.any(needed & ~entry[1]):
+                return entry[2]
+            needed |= entry[1]
         uv, z = project_points(device, device_to_world.inverse(), self.vertices)
-        rect = bounding_rect(uv, z, self.faces[needed], device.width, device.height)
-        if same and rect == entry[2]:
-            arrays = entry[3]
-        else:
-            res = rasterize(uv, z, self.faces, device.width, device.height, rect)
-            segments = _segment_table(res.covered, res.depth, device.width, device.height)
-            arrays = res.covered, res.depth, segments
-            for a in arrays:
-                a.flags.writeable = False
-        object.__setattr__(self, "_pixel_map", (key, needed, rect, arrays))
+        res = rasterize(uv, z, self.faces, device.width, device.height, needed)
+        segments = _segment_table(res.covered, res.depth, device.width, device.height)
+        arrays = res.covered, res.depth, segments
+        for a in arrays:
+            a.flags.writeable = False
+        object.__setattr__(self, "_pixel_map", (key, needed, arrays))
         return arrays
 
     def face_normals(self, index=slice(None)) -> np.ndarray:

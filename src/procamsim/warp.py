@@ -12,10 +12,10 @@ there. Projecting that framebuffer onto the real surfaces makes the content
 appear, from the tracked eye, as if it were glued to the virtual screen.
 The rasterized projector map, each covered pixel and its depth with the
 segment table below, is kept on the mesh and reused for every new eye while
-the mesh and the projector pose are unchanged and the eye needs no pixel
-outside it (``TriangleMesh.pixel_map``). One 3x4 matrix per eye takes a
-pixel center and its 1/depth straight to the screen, as in projective
-texture mapping (Segal et al., SIGGRAPH 1992). That per-eye tail runs in
+the mesh and the projector pose are unchanged and the eye needs no face the
+map was not built for (``TriangleMesh.pixel_map``). One 3x4 matrix per eye
+takes a pixel center and its 1/depth straight to the screen, as in
+projective texture mapping (Segal et al., SIGGRAPH 1992). That per-eye tail runs in
 blocks of whole row segments of the map (below), each taken from the screen
 projection through sampling to the framebuffer, so no temporary grows with
 the number of covered pixels; its output bytes are those of one unblocked
@@ -217,6 +217,22 @@ def _content_box(image: np.ndarray) -> tuple[tuple[int, int], tuple[int, int]] |
     return (int(c0) - 1, int(c1) + 2), (int(r0) - 1, int(r1) + 2)
 
 
+def _beyond(g, w, scale, bounds):
+    """Whether each pass-1 coordinate lies at least 1 px below, and above, a box's open bounds.
+
+    ``g / w`` is a screen-projection coordinate (g0 or g1 over g2), taken
+    to pass-1 pixels with the tail's operations in its order; ``scale``
+    is one axis of ``pass1_scale`` and ``bounds`` the box's open bounds
+    (lo, hi) on that axis. Returns ``x <= lo - 1`` and ``x >= hi + 1``; a
+    NaN coordinate is beyond neither.
+    """
+    m, px, img = scale
+    lo, hi = bounds
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = (g / w / m + 0.5) * px * (img / px)
+    return x <= lo - 1, x >= hi + 1
+
+
 def _kept_segments(segments, a, b, pass1_scale, box) -> np.ndarray:
     """Which segments of a projector map may hold a pixel with a non-zero sample.
 
@@ -230,7 +246,8 @@ def _kept_segments(segments, a, b, pass1_scale, box) -> np.ndarray:
     img_w is a ratio of affine functions with a positive denominator and
     takes its extremes at corners; y likewise. Such a segment is dropped
     when its corner x or y interval lies at least 1 px outside the box's
-    open bounds (lo, hi): x_max <= lo - 1 or x_min >= hi + 1. The corners
+    open bounds (lo, hi): x_max <= lo - 1 or x_min >= hi + 1 (``_beyond``
+    at every corner). The corners
     are computed with the tail's operations in its order, and at w above
     1e-9 their rounding, like a pixel's, moves x by far less than a pixel,
     so every pixel of a dropped segment would sample four zero texels. A
@@ -246,10 +263,9 @@ def _kept_segments(segments, a, b, pass1_scale, box) -> np.ndarray:
     g = [(u * a0 + v * a1 + a2)[:, None] + s * bi for (a0, a1, a2), bi in zip(a, b)]
     front = np.all(g[2] > 1e-9 * s, axis=(0, 1))
     drop = np.all(g[2] < -1e-9 * s, axis=(0, 1))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for gi, (m, px, img), (lo, hi) in zip(g[:2], pass1_scale, box):
-            p = ((gi / g[2] / m + 0.5) * px * (img / px)).reshape(4, -1)
-            drop |= front & ((p.max(axis=0) <= lo - 1) | (p.min(axis=0) >= hi + 1))
+    for gi, scale, bounds in zip(g[:2], pass1_scale, box):
+        below, above = _beyond(gi, g[2], scale, bounds)
+        drop |= front & (below.all(axis=(0, 1)) | above.all(axis=(0, 1)))
     return ~drop
 
 
@@ -260,8 +276,8 @@ def _needed_faces(mesh, matrix, pass1_scale, box) -> np.ndarray:
     w = h2 is the tail's w, and, where w > 1e-9, to pass-1 coordinates
     with the tail's operations in its order. As in Cohen and Sutherland's
     line clipping, it gets a bit for each side of the box it lies at
-    least 1 px beyond, x <= lo - 1 or x >= hi + 1 for the open bounds
-    (lo, hi) of each axis, and one more for w < -1e-9. A face whose three
+    least 1 px beyond (``_beyond``), x <= lo - 1 or x >= hi + 1 for the
+    open bounds (lo, hi) of each axis, and one more for w < -1e-9. A face whose three
     vertices share a bit is not needed. h is affine on a face, so where
     the three share a side bit, every point of the face has w > 1e-9 and
     its coordinate past that side, since x >= c is h0 - c' h2 >= 0 with
@@ -275,11 +291,10 @@ def _needed_faces(mesh, matrix, pass1_scale, box) -> np.ndarray:
     h = [x * m0 + y * m1 + z * m2 + m3 for m0, m1, m2, m3 in matrix]
     front = h[2] > 1e-9
     code = (h[2] < -1e-9).astype(np.uint8)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for bit, hk, (m, px, img), (lo, hi) in zip((2, 8), h[:2], pass1_scale, box):
-            p = (hk / h[2] / m + 0.5) * px * (img / px)
-            code |= ((p <= lo - 1) & front) * np.uint8(bit)
-            code |= ((p >= hi + 1) & front) * np.uint8(2 * bit)
+    for bit, hk, scale, bounds in zip((2, 8), h[:2], pass1_scale, box):
+        below, above = _beyond(hk, h[2], scale, bounds)
+        code |= (below & front) * np.uint8(bit)
+        code |= (above & front) * np.uint8(2 * bit)
     f = mesh.faces.T
     return (code[f[0]] & code[f[1]] & code[f[2]]) == 0
 

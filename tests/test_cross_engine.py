@@ -44,8 +44,9 @@ def test_projector_map_matches_the_ray_caster(case, state):
 
     # The mesh as the projector sees it, as in TriangleMesh.pixel_map.
     uv, z = project_points(device, pose.inverse(), mesh.vertices)
-    res = rasterize(uv, z, mesh.faces, WIDTH, HEIGHT, (0, 0, WIDTH, HEIGHT))
-    covered, depth, _ = mesh.pixel_map(device, pose, np.ones(len(mesh.faces), dtype=bool))
+    every = np.ones(len(mesh.faces), dtype=bool)
+    res = rasterize(uv, z, mesh.faces, WIDTH, HEIGHT, every)
+    covered, depth, _ = mesh.pixel_map(device, pose, every)
     assert np.array_equal(res.covered, np.flatnonzero(res.face_index >= 0))
     assert np.array_equal(res.covered, covered)
     assert np.array_equal(res.depth_w.reshape(-1)[covered], depth)

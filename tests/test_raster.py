@@ -22,10 +22,15 @@ def tri(xy, w=None, faces=None):
     return xy, np.asarray(w, dtype=float), np.asarray(faces)
 
 
+def full_raster(xy, w, faces, width, height):
+    """``rasterize`` with every face needed: the raster of the whole grid."""
+    return rasterize(xy, w, faces, width, height, np.ones(len(faces), dtype=bool))
+
+
 class TestCoverage:
     def test_right_triangle_pixel_count(self):
         xy, w, faces = tri([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
-        res = rasterize(xy, w, faces, 8, 8, (0, 0, 8, 8))
+        res = full_raster(xy, w, faces, 8, 8)
         # Pixel centers (x+.5, y+.5) with x,y >= 0 and (x+.5)+(y+.5) <= 4.
         assert int(res.mask.sum()) == 10
         assert res.face_index[0, 0] == 0
@@ -34,33 +39,33 @@ class TestCoverage:
 
     def test_winding_does_not_matter(self):
         xy, w, _ = tri([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
-        a = rasterize(xy, w, np.array([[0, 1, 2]]), 8, 8, (0, 0, 8, 8))
-        b = rasterize(xy, w, np.array([[0, 2, 1]]), 8, 8, (0, 0, 8, 8))
+        a = full_raster(xy, w, np.array([[0, 1, 2]]), 8, 8)
+        b = full_raster(xy, w, np.array([[0, 2, 1]]), 8, 8)
         assert np.array_equal(a.mask, b.mask)
 
     def test_offscreen_clipped(self):
         xy, w, faces = tri([[-100.0, -100.0], [300.0, -100.0], [-100.0, 300.0]])
-        res = rasterize(xy, w, faces, 4, 4, (0, 0, 4, 4))
+        res = full_raster(xy, w, faces, 4, 4)
         assert res.mask.all()
 
     def test_fully_outside(self):
         xy, w, faces = tri([[10.0, 10.0], [12.0, 10.0], [10.0, 12.0]])
-        res = rasterize(xy, w, faces, 4, 4, (0, 0, 4, 4))
+        res = full_raster(xy, w, faces, 4, 4)
         assert not res.mask.any()
 
     def test_degenerate_face_skipped(self):
         xy, w, faces = tri([[1.0, 1.0], [3.0, 3.0], [2.0, 2.0]])
-        res = rasterize(xy, w, faces, 8, 8, (0, 0, 8, 8))
+        res = full_raster(xy, w, faces, 8, 8)
         assert not res.mask.any()
 
     def test_nonpositive_w_face_skipped(self):
         xy, _, faces = tri([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
-        res = rasterize(xy, np.array([1.0, -0.5, 1.0]), faces, 8, 8, (0, 0, 8, 8))
+        res = full_raster(xy, np.array([1.0, -0.5, 1.0]), faces, 8, 8)
         assert not res.mask.any()
 
     def test_empty_inputs(self):
         empty = np.zeros((0, 2)), np.zeros(0), np.zeros((0, 3), dtype=int)
-        res = rasterize(*empty, 4, 4, (0, 0, 4, 4))
+        res = full_raster(*empty, 4, 4)
         assert not res.mask.any()
         assert res.covered.shape == (0,)
 
@@ -72,7 +77,7 @@ class TestDepthResolve:
         )
         w = np.array([2.0, 2.0, 2.0, 1.0, 1.0, 1.0])
         faces = np.array([[0, 1, 2], [3, 4, 5]])
-        res = rasterize(xy, w, faces, 4, 4, (0, 0, 4, 4))
+        res = full_raster(xy, w, faces, 4, 4)
         assert (res.face_index[res.mask] == 1).all()
         assert np.allclose(res.depth_w[res.mask], 1.0)
 
@@ -82,7 +87,7 @@ class TestDepthResolve:
         )
         w = np.ones(6)
         faces = np.array([[0, 1, 2], [3, 4, 5]])
-        res = rasterize(xy, w, faces, 4, 4, (0, 0, 4, 4))
+        res = full_raster(xy, w, faces, 4, 4)
         assert (res.face_index[res.mask] == 0).all()
 
     def test_chunking_invariant(self, monkeypatch):
@@ -91,9 +96,9 @@ class TestDepthResolve:
         xy = rng.uniform(-2, 18, size=(n * 3, 2))
         w = rng.uniform(0.5, 5.0, size=n * 3)
         faces = np.arange(n * 3).reshape(n, 3)
-        full = rasterize(xy, w, faces, 16, 16, (0, 0, 16, 16))
+        full = full_raster(xy, w, faces, 16, 16)
         monkeypatch.setattr(raster, "_FRAGMENT_BUDGET", 7)
-        tiny = rasterize(xy, w, faces, 16, 16, (0, 0, 16, 16))
+        tiny = full_raster(xy, w, faces, 16, 16)
         assert np.array_equal(full.face_index, tiny.face_index)
         assert np.array_equal(full.depth_w, tiny.depth_w)
         assert np.array_equal(full.covered, tiny.covered)
@@ -139,7 +144,7 @@ class TestPerspectiveCorrectness:
         )
         faces = np.array([[0, 1, 2], [0, 2, 3]])
         xy, w = pinhole_xy(verts)
-        res = rasterize(xy, w, faces, 20, 20, (0, 0, 20, 20))
+        res = full_raster(xy, w, faces, 20, 20)
         assert res.mask.sum() > 50
         ys, xs = np.divmod(res.covered, 20)
         # Independent oracle: intersect each pixel ray with the plane
@@ -152,7 +157,7 @@ class TestPerspectiveCorrectness:
     def test_constant_depth_stays_constant(self):
         xy = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
         w = np.full(3, 2.5)
-        res = rasterize(xy, w, np.array([[0, 1, 2]]), 10, 10, (0, 0, 10, 10))
+        res = full_raster(xy, w, np.array([[0, 1, 2]]), 10, 10)
         assert res.mask.sum() > 40
         np.testing.assert_allclose(res.depth_w[res.mask], 2.5, rtol=1e-15, atol=0)
 
@@ -162,7 +167,7 @@ class TestPerspectiveCorrectness:
         xy = np.array([[0.0, 0.0], [8.0, 0.0], [8.0, 8.0], [0.0, 8.0]])
         w = np.array([1.0, 3.0, 3.0, 1.0])
         faces = np.array([[0, 1, 2], [0, 2, 3]])
-        res = rasterize(xy, w, faces, 8, 8, (0, 0, 8, 8))
+        res = full_raster(xy, w, faces, 8, 8)
         mid = res.depth_w[4, 3]  # pixel center x = 3.5
         inv = (1 - 3.5 / 8) * 1.0 + (3.5 / 8) * (1 / 3.0)
         assert mid == pytest.approx(1.0 / inv, rel=1e-12)
@@ -232,7 +237,7 @@ def assert_matches_oracle(xy, w, faces, width, height, budget=None, block=None):
             mock.patch.object(raster, "_BLOCK", block or raster._BLOCK), \
             warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = rasterize(xy, w, faces, width, height, (0, 0, width, height))
+        res = full_raster(xy, w, faces, width, height)
     want_face, want_depth = raster_oracle(xy, w, faces, width, height)
     assert np.array_equal(res.face_index, want_face)
     assert np.array_equal(res.depth_w, want_depth)
@@ -387,9 +392,9 @@ def test_far_needles_match_whole_box_rows(mesh):
     # Whole bounding-box rows are the candidates before spans: every pixel
     # center of the box gets the inside test.
     xy, w, faces = mesh
-    got = rasterize(xy, w, faces, 10, 8, (0, 0, 10, 8))
+    got = full_raster(xy, w, faces, 10, 8)
     with mock.patch.object(raster, "_loose_faces", lambda tri, *_: np.ones(len(tri), bool)):
-        want = rasterize(xy, w, faces, 10, 8, (0, 0, 10, 8))
+        want = full_raster(xy, w, faces, 10, 8)
     assert np.array_equal(got.face_index, want.face_index)
     assert np.array_equal(got.depth_w, want.depth_w)
     assert np.array_equal(got.covered, want.covered)
@@ -428,7 +433,7 @@ def test_vertex_at_w_zero_raises_no_warning():
     faces = np.array([[0, 1, 2], [1, 3, 2]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = rasterize(xy, w, faces, 8, 8, (0, 0, 8, 8))
+        res = full_raster(xy, w, faces, 8, 8)
     assert res.mask.sum() == 21
     assert (res.face_index[res.mask] == 0).all()
 
@@ -440,10 +445,10 @@ def test_non_finite_faces_are_dropped_without_a_warning():
                    [np.nan, 1.0], [3.0, np.inf], [1.0, 1.0], [7.0, 1.0], [1.0, 7.0]])
     w = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, np.inf, np.inf, np.inf])
     faces = np.array([[0, 1, 2], [1, 3, 2], [4, 1, 3], [0, 5, 1], [6, 7, 8]])
-    finite = rasterize(xy[:4], w[:4], faces[:2], 8, 8, (0, 0, 8, 8))
+    finite = full_raster(xy[:4], w[:4], faces[:2], 8, 8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = rasterize(xy, w, faces, 8, 8, (0, 0, 8, 8))
+        res = full_raster(xy, w, faces, 8, 8)
     assert res.mask.sum() > 0
     np.testing.assert_array_equal(res.depth_w, finite.depth_w)
     np.testing.assert_array_equal(res.face_index, finite.face_index)
@@ -457,64 +462,68 @@ def test_faces_far_off_screen_are_dropped_without_a_warning():
                    [1.0, 1e30], [5.0, 1e30], [1.0, 2e30], [1.0, -2e30], [5.0, -1e30], [1.0, -1e30]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = rasterize(xy, np.ones(12), np.arange(12).reshape(4, 3), 8, 8, (0, 0, 8, 8))
+        res = full_raster(xy, np.ones(12), np.arange(12).reshape(4, 3), 8, 8)
     assert not res.mask.any()
 
 
-@st.composite
-def rectangles(draw, width, height):
-    """(x0, y0, x1, y1) with ends up to 3 px past the grid, empty ones included."""
-    x0, x1 = draw(st.integers(-3, width + 3)), draw(st.integers(-3, width + 3))
-    y0, y1 = draw(st.integers(-3, height + 3)), draw(st.integers(-3, height + 3))
-    return x0, y0, x1, y1
+def scissor_rect(xy, w, faces, width, height, needed):
+    """The (x0, y0, x1, y1) around the pixel-center boxes of the needed faces drawn.
+
+    A face is drawn as in ``raster_oracle``, with its w also finite; its
+    box runs from floor(min - 0.5) to ceil(max - 0.5) on each axis,
+    clipped to the grid. (0, 0, 0, 0) when no needed face has a box in it.
+    """
+    x0, y0, x1, y1 = width, height, 0, 0
+    for f in np.flatnonzero(needed):
+        p = xy[faces[f]]
+        (ax, ay), (bx, by), (qx, qy) = p
+        area = (bx - ax) * (qy - ay) - (by - ay) * (qx - ax)
+        if not ((0 < w[faces[f]]).all() and (w[faces[f]] < np.inf).all()
+                and np.isfinite(p).all() and abs(area) > raster._AREA_EPS):
+            continue
+        lo = np.maximum(np.floor(p.min(axis=0) - 0.5), 0)
+        hi = np.minimum(np.ceil(p.max(axis=0) - 0.5), [width - 1, height - 1])
+        if (lo <= hi).all():
+            x0, y0 = min(x0, int(lo[0])), min(y0, int(lo[1]))
+            x1, y1 = max(x1, int(hi[0]) + 1), max(y1, int(hi[1]) + 1)
+    return (x0, y0, x1, y1) if x0 < x1 else (0, 0, 0, 0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(mesh=st.one_of(small_meshes(), slivers(), small_meshes(far_positions), far_needles()),
        data=st.data(), budget=chunk_sizes, block=block_sizes)
 def test_rectangle_gets_the_bits_of_the_whole_grid(mesh, data, budget, block):
-    # Inside the rectangle the scissored raster is the full raster bit for
-    # bit; outside it, nothing is drawn.
+    # Inside the needed faces' rectangle the scissored raster is the full
+    # raster bit for bit; outside it, nothing is drawn, and every pixel
+    # the full raster covers there is won by a face that is not needed.
     xy, w, faces = mesh
     width, height = 10, 8
-    rect = data.draw(rectangles(width, height))
-    full = rasterize(xy, w, faces, width, height, (0, 0, width, height))
+    needed = np.array(data.draw(st.lists(st.booleans(), min_size=len(faces), max_size=len(faces))))
+    full = full_raster(xy, w, faces, width, height)
     with mock.patch.object(raster, "_FRAGMENT_BUDGET", budget or raster._FRAGMENT_BUDGET), \
             mock.patch.object(raster, "_BLOCK", block or raster._BLOCK):
-        got = rasterize(xy, w, faces, width, height, rect)
-    x0, y0, x1, y1 = rect
+        got = rasterize(xy, w, faces, width, height, needed)
+    x0, y0, x1, y1 = scissor_rect(xy, w, faces, width, height, needed)
     y, x = np.indices((height, width))
     inside = (x >= x0) & (x < x1) & (y >= y0) & (y < y1)
     assert np.array_equal(got.face_index, np.where(inside, full.face_index, -1))
     assert np.array_equal(got.depth_w, np.where(inside, full.depth_w, np.inf))
     assert np.array_equal(got.covered, np.flatnonzero(got.face_index >= 0))
+    assert np.array_equal(got.depth, got.depth_w.reshape(-1)[got.covered])
+    lost = (got.face_index < 0) & (full.face_index >= 0)
+    assert not needed[full.face_index[lost]].any()
 
 
-@settings(max_examples=150, deadline=None)
-@given(mesh=st.one_of(small_meshes(), slivers(), small_meshes(far_positions), far_needles()),
-       width=st.integers(1, 12), height=st.integers(1, 10))
-def test_bounding_rect_holds_every_pixel_of_every_face(mesh, width, height):
-    xy, w, faces = mesh
-    x0, y0, x1, y1 = raster.bounding_rect(xy, w, faces, width, height)
-    covered = rasterize(xy, w, faces, width, height, (0, 0, width, height)).mask
-    for face in faces:
-        alone = rasterize(xy, w, face[None], width, height, (0, 0, width, height)).mask
-        covered |= alone
-    y, x = np.nonzero(covered)
-    assert ((x >= x0) & (x < x1) & (y >= y0) & (y < y1)).all()
-    if x1 <= x0 or y1 <= y0:
-        assert (x0, y0, x1, y1) == (width, height, 0, 0)
-
-
-def test_bounding_rect_is_the_rasterizers_box():
+def test_no_needed_face_drawn_draws_nothing():
     xy, _, faces = tri([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
-    # Columns and rows floor(0 - 0.5) to ceil(4 - 0.5), clipped to the grid.
-    assert raster.bounding_rect(xy, np.ones(3), faces, 8, 6) == (0, 0, 5, 5)
-    assert raster.bounding_rect(xy, np.ones(3), faces, 3, 6) == (0, 0, 3, 5)
-    # No face drawn: the empty rectangle, which draws nothing.
-    for w in (np.array([1.0, -0.5, 1.0]), np.array([1.0, np.inf, 1.0])):
-        assert raster.bounding_rect(xy, w, faces, 8, 6) == (8, 6, 0, 0)
-    assert raster.bounding_rect(xy[:0], w[:0], faces[:0], 8, 6) == (8, 6, 0, 0)
-    assert raster.bounding_rect(xy + [20.0, 0.0], np.ones(3), faces, 8, 6) == (8, 6, 0, 0)
-    res = rasterize(xy, np.ones(3), faces, 8, 6, (8, 6, 0, 0))
-    assert not res.mask.any() and res.covered.shape == (0,)
+    one = np.ones(1, dtype=bool)
+    cases = [
+        (xy, np.array([1.0, -0.5, 1.0]), faces, one),
+        (xy, np.array([1.0, np.inf, 1.0]), faces, one),
+        (xy[:0], np.ones(0), faces[:0], one[:0]),
+        (xy + [20.0, 0.0], np.ones(3), faces, one),
+        (xy, np.ones(3), faces, ~one),
+    ]
+    for args in cases:
+        res = rasterize(*args[:3], 8, 6, args[3])
+        assert not res.mask.any() and res.covered.shape == (0,) and res.depth.shape == (0,)

@@ -359,20 +359,19 @@ class TestProjectorMapReuse:
         for (dev, p), fb in zip(runs, frames):
             fresh = TriangleMesh(mesh.vertices, mesh.faces)
             assert np.array_equal(fb, warp_to_projector(user_image, fresh, upr, viewport, dev, p))
-        # An eye that needs pixels outside the kept rectangle rasterizes the
-        # union once; after that, both eyes reuse it.
+        # An eye that needs faces the kept map was not asked for rasterizes
+        # with the union once; after that, both eyes reuse it.
         other = upr_matrix(EyePose(0.5, 0.3, -1.2), RigidTransform.identity())
-        rect = mesh._pixel_map[2]
+        assert np.any(needed_faces(user_image, mesh, other, viewport) & ~needed)
+        kept = maps[-1][0]
         eyes = (other, upr, other, upr)
         frames, before = [], (len(calls), len(tables))
         for eye_upr in eyes:
             frames.append(warp_to_projector(user_image, mesh, eye_upr, viewport, narrower, shifted))
             counts.append((len(calls) - before[0], len(tables) - before[1]))
         assert counts[4:] == [(1, 1)] * 4
-        grown = mesh._pixel_map[2]
-        assert grown != rect
-        assert all(g <= r for g, r in zip(grown[:2], rect[:2]))
-        assert all(g >= r for g, r in zip(grown[2:], rect[2:]))
+        grown = mesh.pixel_map(narrower, shifted, needed)[0]
+        assert len(grown) > len(kept) and np.isin(kept, grown).all()
         for eye_upr, fb in zip(eyes, frames):
             fresh = TriangleMesh(mesh.vertices, mesh.faces)
             want = warp_to_projector(user_image, fresh, eye_upr, viewport, narrower, shifted)
@@ -989,7 +988,8 @@ class TestFaceCull:
         mesh = wall_of_kind(mesh_kind, seed, amplitude)
         needed = needed_faces(user_image, mesh, upr, viewport)
         uv, z = project_points(device, pose.inverse(), mesh.vertices)
-        res = rasterize(uv, z, mesh.faces, device.width, device.height, (0, 0, device.width, device.height))
+        every = np.ones(len(mesh.faces), dtype=bool)
+        res = rasterize(uv, z, mesh.faces, device.width, device.height, every)
         covered, x, y, w = pass1_coordinates(user_image, mesh, upr, viewport, device, pose)
         assert np.array_equal(covered, res.covered)
         dropped = ~needed[res.face_index.reshape(-1)[covered]]
@@ -1068,8 +1068,8 @@ def interpolated_world(mesh, device, pose):
     the covered pixels and their (K, 3) world points.
     """
     uv, z = project_points(device, pose.inverse(), mesh.vertices)
-    full_frame = (0, 0, device.width, device.height)
-    res = rasterize(uv, z, mesh.faces, device.width, device.height, full_frame)
+    every = np.ones(len(mesh.faces), dtype=bool)
+    res = rasterize(uv, z, mesh.faces, device.width, device.height, every)
     faces = mesh.faces[res.face_index.reshape(-1)[res.covered]]
     row, col = np.divmod(res.covered, device.width)
     center = np.c_[col + 0.5, row + 0.5]
