@@ -56,32 +56,19 @@ class RasterResult:
     """Rasterization output.
 
     ``covered`` holds the row-major flat indices of the drawn pixels in
-    increasing order and ``depth`` the depth of each. ``face_index`` is
-    the (H, W) winning face, -1 where nothing was drawn, and ``depth_w``
-    its (H, W) depth, +inf there; they and ``mask`` are built when read,
-    the winning faces from ``face_of()``.
+    increasing order, ``depth`` the depth of each and ``face`` its winning
+    face. ``mask`` is the (H, W) coverage, built when read.
     """
 
-    def __init__(self, width: int, height: int, covered, depth, face_of):
+    def __init__(self, width: int, height: int, covered, depth, face):
         self.shape = (height, width)
-        self.covered, self.depth, self._face_of = covered, depth, face_of
-
-    def _frame(self, values, fill) -> np.ndarray:
-        out = np.full(self.shape, fill, dtype=values.dtype)
-        out.reshape(-1)[self.covered] = values
-        return out
-
-    @property
-    def face_index(self) -> np.ndarray:
-        return self._frame(self._face_of(), -1)
-
-    @property
-    def depth_w(self) -> np.ndarray:
-        return self._frame(self.depth, np.inf)
+        self.covered, self.depth, self.face = covered, depth, face
 
     @property
     def mask(self) -> np.ndarray:
-        return self._frame(np.ones(len(self.covered), dtype=bool), False)
+        out = np.zeros(self.shape, dtype=bool)
+        out.reshape(-1)[self.covered] = True
+        return out
 
 
 def _chunks(counts: np.ndarray, budget: int):
@@ -108,23 +95,6 @@ def _row_min(a):
 def _row_max(a):
     """Column-wise maximum of the three rows of ``a``, (3, N) -> (N,)."""
     return np.maximum(np.maximum(a[0], a[1]), a[2])
-
-
-def _face_chunks(counts: np.ndarray):
-    """Slices of consecutive faces whose fragment counts fit the budget."""
-    return _chunks(counts, _FRAGMENT_BUDGET)
-
-
-def expand_boxes(ids, x0, y0, bw, bh):
-    """Every integer cell of each box ``[x0, x0 + bw) x [y0, y0 + bh)``.
-
-    Returns (id, x, y) per cell, box by box in input order and row-major
-    inside each box.
-    """
-    counts = bw * bh
-    k = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
-    w = np.repeat(bw, counts)
-    return np.repeat(ids, counts), np.repeat(x0, counts) + k % w, np.repeat(y0, counts) + k // w
 
 
 def _runs(first, count):
@@ -287,7 +257,7 @@ def rasterize(
     canvas = _Canvas(
         rect, (width, height), tri[face_ids], tri_w[face_ids], area[face_ids], x_min, x_max
     )
-    for chunk in _face_chunks(bw * bh):
+    for chunk in _chunks(bw * bh, _FRAGMENT_BUDGET):
         # One span per face and bounding-box row, face by face in index order.
         face_of, row = _runs(y_min[chunk], bh[chunk])
         span_face = face_of + chunk.start
@@ -302,7 +272,12 @@ def rasterize(
     covered = np.flatnonzero(lit)
     covered += y0 * width
     depth = canvas.best.reshape(inside.shape)[inside]
-    return RasterResult(width, height, covered, depth, lambda: face_ids[face[inside]])
+    # Back to the original face numbers in place, which saves the map a
+    # second array the size of ``covered``; each entry is an index into
+    # ``face_ids`` and is read before it is overwritten.
+    face = face[inside]
+    np.take(face_ids, face, out=face, mode="clip")
+    return RasterResult(width, height, covered, depth, face)
 
 
 class _Canvas:

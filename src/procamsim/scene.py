@@ -32,7 +32,7 @@ from .geometry import (
     pixel_center_grid,
     project_points,
 )
-from .raster import _face_chunks, _row_max, _row_min, expand_boxes, rasterize
+from .raster import _chunks, _row_max, _row_min, rasterize
 
 # Intersections closer than this along a ray are ignored (self-hits).
 RAY_T_MIN = 1e-6
@@ -45,8 +45,9 @@ _FRONT_COS = 0.1
 # (meters) spans a depth discontinuity and is dropped.
 DISCONTINUITY_M = 0.05
 
-# Covered pixels per segment of a projector map's segment table.
-_SEGMENT = 128
+# Upper bound on ray-face pairs per chunk of mesh casting, which bounds
+# the memory of a chunk's pairs.
+_PAIR_BUDGET = 1_000_000
 
 
 def hit_points(origin, dirs: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -284,34 +285,6 @@ class CylinderSegment:
         }
 
 
-def _segment_table(covered: np.ndarray, depth: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Row segments of a projector map and the bounds of what they hold.
-
-    A segment is a run of at most ``_SEGMENT`` consecutive entries of the
-    sorted flat indices ``covered`` that lie in one row of a ``width`` x
-    ``height`` device; each row's entries split into as few segments as
-    that allows, so none is empty. Returns a (7, S) float64 array, one
-    column per segment in ``covered`` order, its rows: the segment's
-    ``[start, end)`` in ``covered``, its row centre v + 0.5, its first and
-    last column centres u0 <= u1, and 1 / max(depth) and 1 / min(depth).
-    Every index is far below 2^53, so the float rows are exact.
-    """
-    row_start = np.searchsorted(covered, np.arange(height + 1) * width)
-    per_row = -(-np.diff(row_start) // _SEGMENT)
-    row = np.repeat(np.arange(height), per_row)
-    first = np.repeat(np.cumsum(per_row) - per_row, per_row)
-    start = row_start[row] + (np.arange(len(row)) - first) * _SEGMENT
-    end = np.minimum(start + _SEGMENT, row_start[row + 1])
-    table = np.empty((7, len(start)))
-    table[0], table[1], table[2] = start, end, row + 0.5
-    table[3] = covered[start] - row * width + 0.5
-    table[4] = covered[end - 1] - row * width + 0.5
-    # Each segment ends where the next starts, so reduceat reduces each one.
-    np.divide(1.0, np.maximum.reduceat(depth, start), out=table[5])
-    np.divide(1.0, np.minimum.reduceat(depth, start), out=table[6])
-    return table
-
-
 @dataclass(frozen=True)
 class TriangleMesh:
     """Indexed triangle mesh with world-frame (or local-frame) vertices.
@@ -344,7 +317,7 @@ class TriangleMesh:
     def pixel_map(
         self, device: PinholeDevice, device_to_world: RigidTransform, needed: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The device pixels this mesh covers, the depth each sees, and their segments.
+        """The device pixels this mesh covers, the depth each sees, and the face it sees.
 
         ``needed`` is an (F,) bool mask of the faces whose pixels the caller
         reads. The map is ``rasterize`` of the mesh as the device sees it,
@@ -353,10 +326,10 @@ class TriangleMesh:
         map there; outside it, every pixel the full map covers is won by a
         face that is not needed, and none is covered. Returns the
         row-major flat indices of the covered pixels and, for each, the
-        device-frame depth of the mesh there: 16 bytes per covered pixel.
-        The world point behind pixel (u, v) is the pose applied to
-        ``K^-1 [u + 0.5, v + 0.5, 1] * depth``. The third array is the
-        map's segment table (``_segment_table``), under 1 MB at 1080p.
+        device-frame depth of the mesh there and the index of the face
+        that wins it: 24 bytes per covered pixel. The world point behind
+        pixel (u, v) is the pose applied to
+        ``K^-1 [u + 0.5, v + 0.5, 1] * depth``.
 
         The map depends only on the mesh, the device and the faces needed,
         so the mesh keeps the last one, all three arrays read-only, with
@@ -375,8 +348,7 @@ class TriangleMesh:
             needed |= entry[1]
         uv, z = project_points(device, device_to_world.inverse(), self.vertices)
         res = rasterize(uv, z, self.faces, device.width, device.height, needed)
-        segments = _segment_table(res.covered, res.depth, device.width, device.height)
-        arrays = res.covered, res.depth, segments
+        arrays = res.covered, res.depth, res.face
         for a in arrays:
             a.flags.writeable = False
         object.__setattr__(self, "_pixel_map", (key, needed, arrays))
@@ -421,7 +393,7 @@ class TriangleMesh:
         # the smallest face index among the pairs at the minimum t.
         counts = count1 + count2
         active = np.flatnonzero(counts)
-        for chunk in _face_chunks(counts[active]):
+        for chunk in _chunks(counts[active], _PAIR_BUDGET):
             rays = active[chunk]
             c = counts[rays]
             seg = np.cumsum(c) - c
@@ -494,6 +466,18 @@ def _cross(a, b) -> np.ndarray:
 def _grid_cells(values, lo, scale, size) -> np.ndarray:
     """Grid column (or row) of each projected coordinate, clipped to the grid."""
     return np.clip(np.floor((values - lo) * scale), 0, size - 1).astype(np.int64)
+
+
+def _expand_boxes(ids, x0, y0, bw, bh):
+    """Every integer cell of each box ``[x0, x0 + bw) x [y0, y0 + bh)``.
+
+    Returns (id, x, y) per cell, box by box in input order and row-major
+    inside each box.
+    """
+    counts = bw * bh
+    k = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+    w = np.repeat(bw, counts)
+    return np.repeat(ids, counts), np.repeat(x0, counts) + k % w, np.repeat(y0, counts) + k // w
 
 
 def _candidate_faces(origin, dirs, vertices, faces):
@@ -572,7 +556,7 @@ def _candidate_faces(origin, dirs, vertices, faces):
 
     cx0, cx1 = (_grid_cells(v[binned], lo[0], scale[0], size) for v in (x_lo, x_hi))
     cy0, cy1 = (_grid_cells(v[binned], lo[1], scale[1], size) for v in (y_lo, y_hi))
-    face, cx, cy = expand_boxes(ahead[binned], cx0, cy0, cx1 - cx0 + 1, cy1 - cy0 + 1)
+    face, cx, cy = _expand_boxes(ahead[binned], cx0, cy0, cx1 - cx0 + 1, cy1 - cy0 + 1)
     cell = cy * size + cx
     cell_count = np.bincount(cell, minlength=size * size)
     cell_faces = face[np.argsort(cell)]

@@ -10,38 +10,29 @@ view, each covered projector pixel maps the point it will light through the
 screen projection into viewport coordinates, and samples the pass-1 image
 there. Projecting that framebuffer onto the real surfaces makes the content
 appear, from the tracked eye, as if it were glued to the virtual screen.
-The rasterized projector map, each covered pixel and its depth with the
-segment table below, is kept on the mesh and reused for every new eye while
-the mesh and the projector pose are unchanged and the eye needs no face the
+The rasterized projector map, each covered pixel with its depth and
+winning face, is kept on the mesh and reused for every new eye while the
+mesh and the projector pose are unchanged and the eye needs no face the
 map was not built for (``TriangleMesh.pixel_map``). One 3x4 matrix per eye
 takes a pixel center and its 1/depth straight to the screen, as in
-projective texture mapping (Segal et al., SIGGRAPH 1992). That per-eye tail runs in
-blocks of whole row segments of the map (below), each taken from the screen
-projection through sampling to the framebuffer, so no temporary grows with
-the number of covered pixels; its output bytes are those of one unblocked
-pass. A projector shows black as no light, so AR content is mostly black:
-the default checker pattern fills a 480x300 box of a 1920x1080 image. As in
-a GPU's scissor test, the warp skips pixels whose pass-1 coordinate lies
-outside the box of the content's non-zero texels, at two grains. Before
-rasterizing, a screen-space trivial reject with Cohen-Sutherland outcodes
-over the mesh's vertices (``_needed_faces``) finds the faces that can reach
-the box, and the map covers only the rectangle of projector pixels those
-faces can win: every face is still drawn inside it, so occlusion is exact,
-and every pixel outside it is won by a face that samples black. The map is
-thus a rectangle of the frame that grows as eyes need more of it. Then the
-tail skips whole row segments: the map also holds a segment table, runs of
-up to 128 covered pixels in one projector row with their column and 1/depth
-bounds, and one vectorized test per eye drops every segment whose four
-corners put all its pixels at least a pixel outside the box or behind the
-eye, as in the coarse-to-fine rejection of hierarchical culling (Greene,
-Kass and Miller, SIGGRAPH 1993). Every pixel of a kept segment is sampled
-and scattered, with the arithmetic of running the tail on all; a dropped
-pixel keeps the framebuffer's 0, which is the byte its sample of four zero
-texels would give, and so does a kept pixel outside the box. Each pixel's
-center comes from its segment's row and its flat index. The tail's
+projective texture mapping (Segal et al., SIGGRAPH 1992). A projector
+shows black as no light, so AR content is mostly black: the default
+checker pattern fills a 480x300 box of a 1920x1080 image. As in a GPU's
+scissor test, the warp skips pixels that can only sample black. A
+screen-space trivial reject with Cohen-Sutherland outcodes over the mesh's
+vertices (``_needed_faces``, which holds the bound) finds, per eye, the
+faces that may win a pixel whose sample is not black. The map covers only
+the rectangle of projector pixels those faces can win, with every face
+still drawn inside it, so occlusion is exact; the map is thus a rectangle
+of the frame that grows as eyes need more of it. The per-eye tail then
+samples exactly the covered pixels whose winning face is needed, as a
+visibility buffer lets a deferred pass pick its pixels by face (Burns and
+Hunt, JCGT 2013), in blocks each taken from the screen projection through
+sampling to the framebuffer; its output bytes are those of one pass that
+samples every covered pixel. The tail's
 per-channel work runs once per channel of the content: the gray checker
-pattern has one channel, sampled once and written to all three framebuffer
-channels, and a panorama view has three.
+pattern has one channel, sampled once and written to all three
+framebuffer channels, and a panorama view has three.
 
 ``propagate_corners`` follows checker-pattern corners through the same
 mapping analytically (no rasterization), using one model set for the warp
@@ -65,15 +56,13 @@ from .geometry import (
     project_points,
 )
 from .images import bilinear_sample, to_uint8
-from .raster import _chunks
 from .scene import Scene, TriangleMesh, hit_points
 from .upr import UprMatrix, Viewport
 
 # Relative slack for "is this the same intersection point" visibility tests.
 _VISIBILITY_REL_TOL = 1e-6
 
-# Kept pixels per block of the per-eye warp tail: a block takes whole kept
-# segments, as many as fit, or one segment alone when it is longer.
+# Sampled pixels per block of the per-eye warp tail.
 _BLOCK = 1 << 15
 
 # Ambient light level of the simulated room, as a fraction of full white.
@@ -217,58 +206,6 @@ def _content_box(image: np.ndarray) -> tuple[tuple[int, int], tuple[int, int]] |
     return (int(c0) - 1, int(c1) + 2), (int(r0) - 1, int(r1) + 2)
 
 
-def _beyond(g, w, scale, bounds):
-    """Whether each pass-1 coordinate lies at least 1 px below, and above, a box's open bounds.
-
-    ``g / w`` is a screen-projection coordinate (g0 or g1 over g2), taken
-    to pass-1 pixels with the tail's operations in its order; ``scale``
-    is one axis of ``pass1_scale`` and ``bounds`` the box's open bounds
-    (lo, hi) on that axis. Returns ``x <= lo - 1`` and ``x >= hi + 1``; a
-    NaN coordinate is beyond neither.
-    """
-    m, px, img = scale
-    lo, hi = bounds
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = (g / w / m + 0.5) * px * (img / px)
-    return x <= lo - 1, x >= hi + 1
-
-
-def _kept_segments(segments, a, b, pass1_scale, box) -> np.ndarray:
-    """Which segments of a projector map may hold a pixel with a non-zero sample.
-
-    In a segment's row v, the screen projection g = A (u, v, 1) + b s of a
-    pixel at column centre u and s = 1 / depth is affine in (u, s), and
-    the pixel's u and computed s lie in the segment's rectangle [u0, u1] x
-    [1 / max(depth), 1 / min(depth)] (correctly rounded 1 / z is monotone).
-    Where every corner of the rectangle has w = g2 / s above 1e-9, the
-    tail's own test for lying in front of the eye, g2 > 0 over the whole
-    rectangle, so each pass-1 coordinate x = (g0 / g2 / width_m + 0.5) *
-    img_w is a ratio of affine functions with a positive denominator and
-    takes its extremes at corners; y likewise. Such a segment is dropped
-    when its corner x or y interval lies at least 1 px outside the box's
-    open bounds (lo, hi): x_max <= lo - 1 or x_min >= hi + 1 (``_beyond``
-    at every corner). The corners
-    are computed with the tail's operations in its order, and at w above
-    1e-9 their rounding, like a pixel's, moves x by far less than a pixel,
-    so every pixel of a dropped segment would sample four zero texels. A
-    segment with a NaN or infinite corner value is kept. A segment whose
-    four corners all have g2 + 1e-9 s below 0 is dropped too: that
-    function is affine on the rectangle, so every pixel has w below
-    -1e-9, lies behind the eye and samples black. ``pass1_scale`` holds,
-    per axis, the screen size in meters, the viewport size and the pass-1
-    image size in pixels; ``box`` is ``_content_box``'s bounds.
-    """
-    v, u, s = segments[2], segments[3:5], segments[5:7]
-    # g[k][i, j] is g_k at column centre u[i] and 1 / z = s[j].
-    g = [(u * a0 + v * a1 + a2)[:, None] + s * bi for (a0, a1, a2), bi in zip(a, b)]
-    front = np.all(g[2] > 1e-9 * s, axis=(0, 1))
-    drop = np.all(g[2] < -1e-9 * s, axis=(0, 1))
-    for gi, scale, bounds in zip(g[:2], pass1_scale, box):
-        below, above = _beyond(gi, g[2], scale, bounds)
-        drop |= front & (below.all(axis=(0, 1)) | above.all(axis=(0, 1)))
-    return ~drop
-
-
 def _needed_faces(mesh, matrix, pass1_scale, box) -> np.ndarray:
     """Which faces of a world-frame mesh may win a pixel with a non-zero sample.
 
@@ -276,8 +213,8 @@ def _needed_faces(mesh, matrix, pass1_scale, box) -> np.ndarray:
     w = h2 is the tail's w, and, where w > 1e-9, to pass-1 coordinates
     with the tail's operations in its order. As in Cohen and Sutherland's
     line clipping, it gets a bit for each side of the box it lies at
-    least 1 px beyond (``_beyond``), x <= lo - 1 or x >= hi + 1 for the
-    open bounds (lo, hi) of each axis, and one more for w < -1e-9. A face whose three
+    least 1 px beyond, x <= lo - 1 or x >= hi + 1 for the open bounds
+    (lo, hi) of each axis, and one more for w < -1e-9. A face whose three
     vertices share a bit is not needed. h is affine on a face, so where
     the three share a side bit, every point of the face has w > 1e-9 and
     its coordinate past that side, since x >= c is h0 - c' h2 >= 0 with
@@ -285,16 +222,19 @@ def _needed_faces(mesh, matrix, pass1_scale, box) -> np.ndarray:
     A pixel's point lies on its face up to rounding, which moves x by far
     less than the pixel of margin, so every pixel such a face wins
     samples four zero texels, or NaN behind the eye, and comes out black.
-    ``pass1_scale`` and ``box`` are those of ``_kept_segments``.
+    ``pass1_scale`` holds, per axis, the screen size in meters, the
+    viewport size and the pass-1 image size in pixels; ``box`` is
+    ``_content_box``'s bounds.
     """
     x, y, z = mesh.vertices.T
     h = [x * m0 + y * m1 + z * m2 + m3 for m0, m1, m2, m3 in matrix]
     front = h[2] > 1e-9
     code = (h[2] < -1e-9).astype(np.uint8)
-    for bit, hk, scale, bounds in zip((2, 8), h[:2], pass1_scale, box):
-        below, above = _beyond(hk, h[2], scale, bounds)
-        code |= (below & front) * np.uint8(bit)
-        code |= (above & front) * np.uint8(2 * bit)
+    for bit, hk, (m, px, img), (lo, hi) in zip((2, 8), h[:2], pass1_scale, box):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            p = (hk / h[2] / m + 0.5) * px * (img / px)
+        code |= ((p <= lo - 1) & front) * np.uint8(bit)
+        code |= ((p >= hi + 1) & front) * np.uint8(2 * bit)
     f = mesh.faces.T
     return (code[f[0]] & code[f[1]] & code[f[2]]) == 0
 
@@ -314,27 +254,23 @@ def warp_to_projector(
     bilinearly samples the pass-1 image. Uncovered pixels, and points on the
     eye side of the screen projection, stay black. The rasterized map does
     not depend on the eye, so it is reused while the mesh and the projector
-    pose are unchanged, with the same output bytes as rasterizing again. It
-    is rasterized only over the rectangle that the faces able to reach the
-    box of the content's non-zero texels can win (``_needed_faces``), and
-    grows when an eye needs more of it; the other faces' pixels would come
-    out black. Before any per-pixel work, one test per row segment of the
-    map (``_kept_segments``) drops the segments whose corners put every
-    pixel at least a pixel outside the box of the content's non-zero texels
-    (its scissor box) or behind the eye, and every pixel of the kept
-    segments is sampled. A
-    pixel outside the box reads four zero texels, is exactly +0.0 and writes
-    the 0 the framebuffer already holds, so the bytes are those of sampling
-    every covered pixel. The kept segments are done in blocks of whole
-    segments, each pixel's center taken from its segment's row, with the
-    bytes of one unblocked pass, and no temporary grows with the number of
-    covered pixels. All-black content, or content with a zero side, gives a
-    black framebuffer without sampling. ``user_image`` has one or three
-    channels (a 2-D image is one channel); one-channel content is sampled,
-    rounded and clipped once and fills all three framebuffer channels, any
-    other count raises ValueError. Float content with a NaN or infinite
-    texel raises ValueError("content must be finite"), so every sample's
-    byte is defined.
+    pose are unchanged, with the same output bytes as rasterizing again.
+    Only the covered pixels whose winning face the eye needs
+    (``_needed_faces``) are sampled, and the map is rasterized only over
+    the rectangle those faces can win, growing when an eye needs more of
+    it; every other pixel would sample black and keeps the framebuffer's
+    0. A sampled pixel behind the eye or outside the box of the content's
+    non-zero texels comes out 0 as well, so the bytes are those of
+    sampling every covered pixel. The sampled pixels are done in blocks,
+    with the bytes of one unblocked pass; past the mask and the index that
+    pick them, 1 byte per covered and 8 per sampled pixel, no temporary
+    grows with their number. All-black content, or
+    content with a zero side, gives a black framebuffer without sampling.
+    ``user_image`` has one or three channels (a 2-D image is one channel);
+    one-channel content is sampled, rounded and clipped once and fills all
+    three framebuffer channels, any other count raises ValueError. Float
+    content with a NaN or infinite texel raises ValueError("content must
+    be finite"), so every sample's byte is defined.
     """
     channels = 1 if np.ndim(user_image) == 2 else np.shape(user_image)[2]
     if channels not in (1, 3):
@@ -358,27 +294,23 @@ def warp_to_projector(
         user_image.shape[1::-1],  # (width, height)
     ))
     needed = _needed_faces(mesh, upr.matrix, pass1_scale, box)
-    covered, depth, segments = mesh.pixel_map(proj_device, proj_to_world, needed)
-    keep = _kept_segments(segments, a, b, pass1_scale, box)
-    first, end = segments[:2, keep].astype(np.int64)
-    sizes = end - first
-    # Pixel centers from the segment table: a pixel at flat index i in
-    # row r has v = r + 0.5 and u = i - (r * width - 0.5); every value is
-    # an integer or a half below 2^53, so both are exact.
-    v_kept = segments[2, keep]
-    left = (v_kept - 0.5) * proj_device.width - 0.5
-    # Per block: g (one row per axis), u, v, 1 / z and a scratch row. A
-    # block outgrows _BLOCK only when one segment does.
-    rows = np.empty((7, min(int(sizes.sum()), max(_BLOCK, int(sizes.max(initial=0))))))
+    covered, depth, face = mesh.pixel_map(proj_device, proj_to_world, needed)
+    kept = np.flatnonzero(needed[face])
+    width = proj_device.width
+    # Per block: g (one row per axis), u, v, 1 / z and a scratch row.
+    rows = np.empty((7, min(len(kept), _BLOCK)))
     pixels = np.empty((rows.shape[1], 3), dtype=np.uint8)
-    for part in _chunks(sizes, _BLOCK):
-        n_px = sizes[part]
-        k = int(n_px.sum())
-        index = np.repeat(first[part] - (np.cumsum(n_px) - n_px), n_px) + np.arange(k)
+    for start in range(0, len(kept), _BLOCK):
+        index = kept[start : start + _BLOCK]
+        k = len(index)
         pix, z = covered[index], depth[index]
         g, (u, v, inv_z, term) = rows[:3, :k], rows[3:, :k]
-        v[:] = np.repeat(v_kept[part], n_px)
-        np.subtract(pix, np.repeat(left[part], n_px), out=u)
+        # The center of the pixel at flat index i in row r: v = r + 0.5 and
+        # u = i - (r * width - 0.5), exact since every value is an integer
+        # or a half below 2^53.
+        row = pix // width
+        np.add(row, 0.5, out=v)
+        np.subtract(pix, row * width - 0.5, out=u)
         np.divide(1.0, z, out=inv_z)
         for gi, (a0, a1, a2), bi in zip(g, a, b):
             np.multiply(u, a0, out=gi)

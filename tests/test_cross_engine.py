@@ -46,14 +46,15 @@ def test_projector_map_matches_the_ray_caster(case, state):
     uv, z = project_points(device, pose.inverse(), mesh.vertices)
     every = np.ones(len(mesh.faces), dtype=bool)
     res = rasterize(uv, z, mesh.faces, WIDTH, HEIGHT, every)
-    covered, depth, _ = mesh.pixel_map(device, pose, every)
-    assert np.array_equal(res.covered, np.flatnonzero(res.face_index >= 0))
+    covered, depth, face = mesh.pixel_map(device, pose, every)
+    assert (face >= 0).all()
     assert np.array_equal(res.covered, covered)
-    assert np.array_equal(res.depth_w.reshape(-1)[covered], depth)
+    assert np.array_equal(res.depth, depth)
+    assert np.array_equal(res.face, face)
 
     # Each covered pixel center's barycentric coordinates in its winning
     # face; pixels with all three above 1e-6 are away from face edges.
-    tri = uv[mesh.faces[res.face_index.reshape(-1)[covered]]]  # (K, 3, 2)
+    tri = uv[mesh.faces[face]]  # (K, 3, 2)
     row, col = np.divmod(covered, WIDTH)
     center = np.c_[col + 0.5, row + 0.5]
     e1, e2, d = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0], center - tri[:, 0]

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from procamsim import raster
+from procamsim import scene as scene_module
 from procamsim.calibration import result_from_rig
 from procamsim.evaluation import (
     BenchmarkOptions,
@@ -164,7 +164,7 @@ def test_normals_are_computed_for_the_hit_faces_only(monkeypatch):
 
 
 def test_small_chunks_give_the_same_result(monkeypatch):
-    monkeypatch.setattr(raster, "_FRAGMENT_BUDGET", 97)
+    monkeypatch.setattr(scene_module, "_PAIR_BUDGET", 97)
     mesh = _cloth_mesh()
     assert_matches_oracle(IndexedMesh(mesh.vertices, mesh.faces), np.zeros(3), sensor_rays(40, 30))
 

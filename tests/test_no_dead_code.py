@@ -208,3 +208,33 @@ def test_every_field_is_read_outside_its_constructor():
     assert fields, f"no fields found under {SRC}"
     unread = sorted(f"{module}:{cls}.{name}" for module, cls, name in fields if name not in read)
     assert unread == [], "never read: " + ", ".join(unread)
+
+
+def _methods(tree):
+    """(class, name) per method or property of each class; dunders are called by Python."""
+    return [
+        (cls.name, node.name)
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("__")
+    ]
+
+
+def test_every_method_is_read_by_the_package_or_the_benchmark():
+    """A method or property that no package or benchmark file reads as an
+    attribute serves only tests; tests are not readers."""
+    methods = []
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        methods += [(path.name, *entry) for entry in _methods(ast.parse(path.read_text()))]
+    for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        if not path.name.startswith("test_"):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            read |= {
+                node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            }
+    assert methods, f"no methods found under {SRC}"
+    unread = sorted(f"{module}:{cls}.{name}" for module, cls, name in methods if name not in read)
+    assert unread == [], "never read: " + ", ".join(unread)

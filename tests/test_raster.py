@@ -27,15 +27,26 @@ def full_raster(xy, w, faces, width, height):
     return rasterize(xy, w, faces, width, height, np.ones(len(faces), dtype=bool))
 
 
+def frames(res):
+    """``res`` laid into (H, W) frames: the winning face, -1 where nothing
+    is drawn, and the depth, +inf there."""
+    face = np.full(res.shape, -1, dtype=np.int64)
+    depth = np.full(res.shape, np.inf)
+    face.reshape(-1)[res.covered] = res.face
+    depth.reshape(-1)[res.covered] = res.depth
+    return face, depth
+
+
 class TestCoverage:
     def test_right_triangle_pixel_count(self):
         xy, w, faces = tri([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
         res = full_raster(xy, w, faces, 8, 8)
         # Pixel centers (x+.5, y+.5) with x,y >= 0 and (x+.5)+(y+.5) <= 4.
         assert int(res.mask.sum()) == 10
-        assert res.face_index[0, 0] == 0
-        assert res.face_index[7, 7] == -1
-        assert np.isinf(res.depth_w[7, 7])
+        face, depth = frames(res)
+        assert face[0, 0] == 0
+        assert face[7, 7] == -1
+        assert np.isinf(depth[7, 7])
 
     def test_winding_does_not_matter(self):
         xy, w, _ = tri([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
@@ -78,8 +89,9 @@ class TestDepthResolve:
         w = np.array([2.0, 2.0, 2.0, 1.0, 1.0, 1.0])
         faces = np.array([[0, 1, 2], [3, 4, 5]])
         res = full_raster(xy, w, faces, 4, 4)
-        assert (res.face_index[res.mask] == 1).all()
-        assert np.allclose(res.depth_w[res.mask], 1.0)
+        face, depth = frames(res)
+        assert (face[res.mask] == 1).all()
+        assert np.allclose(depth[res.mask], 1.0)
 
     def test_equal_depth_keeps_lower_face_index(self):
         xy = np.array(
@@ -88,7 +100,7 @@ class TestDepthResolve:
         w = np.ones(6)
         faces = np.array([[0, 1, 2], [3, 4, 5]])
         res = full_raster(xy, w, faces, 4, 4)
-        assert (res.face_index[res.mask] == 0).all()
+        assert (frames(res)[0][res.mask] == 0).all()
 
     def test_chunking_invariant(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -99,11 +111,10 @@ class TestDepthResolve:
         full = full_raster(xy, w, faces, 16, 16)
         monkeypatch.setattr(raster, "_FRAGMENT_BUDGET", 7)
         tiny = full_raster(xy, w, faces, 16, 16)
-        assert np.array_equal(full.face_index, tiny.face_index)
-        assert np.array_equal(full.depth_w, tiny.depth_w)
+        assert all(map(np.array_equal, frames(full), frames(tiny)))
         assert np.array_equal(full.covered, tiny.covered)
 
-    def test_face_chunks_match_greedy_packing(self, monkeypatch):
+    def test_chunks_match_greedy_packing(self):
         def greedy(counts, budget):
             """Reference: add faces while they fit; an oversized face goes alone."""
             chunks, start = [], 0
@@ -118,10 +129,9 @@ class TestDepthResolve:
 
         rng = np.random.default_rng(5)
         for budget in (1, 7, 20, 64):
-            monkeypatch.setattr(raster, "_FRAGMENT_BUDGET", budget)
             for n in (0, 1, 30):
                 counts = rng.integers(1, 40, size=n)
-                got = [(c.start, c.stop) for c in raster._face_chunks(counts)]
+                got = [(c.start, c.stop) for c in raster._chunks(counts, budget)]
                 assert got == greedy(counts, budget)
 
 
@@ -152,14 +162,14 @@ class TestPerspectiveCorrectness:
         # z = 1, so the hit's z is the ray parameter t.
         dirs = np.c_[(xs + 0.5 - 10.0) / 100.0, (ys + 0.5 - 10.0) / 100.0, np.ones(len(xs))]
         t = 3.0 / (dirs[:, 2] - dirs[:, 0])
-        np.testing.assert_allclose(res.depth_w.reshape(-1)[res.covered], t, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(res.depth, t, rtol=1e-12, atol=0)
 
     def test_constant_depth_stays_constant(self):
         xy = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
         w = np.full(3, 2.5)
         res = full_raster(xy, w, np.array([[0, 1, 2]]), 10, 10)
         assert res.mask.sum() > 40
-        np.testing.assert_allclose(res.depth_w[res.mask], 2.5, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(frames(res)[1][res.mask], 2.5, rtol=1e-15, atol=0)
 
     def test_depth_w_interpolates_perspectively(self):
         # Vertical edge pair with w 1 on the left, 3 on the right: at the
@@ -168,7 +178,7 @@ class TestPerspectiveCorrectness:
         w = np.array([1.0, 3.0, 3.0, 1.0])
         faces = np.array([[0, 1, 2], [0, 2, 3]])
         res = full_raster(xy, w, faces, 8, 8)
-        mid = res.depth_w[4, 3]  # pixel center x = 3.5
+        mid = frames(res)[1][4, 3]  # pixel center x = 3.5
         inv = (1 - 3.5 / 8) * 1.0 + (3.5 / 8) * (1 / 3.0)
         assert mid == pytest.approx(1.0 / inv, rel=1e-12)
 
@@ -239,8 +249,9 @@ def assert_matches_oracle(xy, w, faces, width, height, budget=None, block=None):
         warnings.simplefilter("error")
         res = full_raster(xy, w, faces, width, height)
     want_face, want_depth = raster_oracle(xy, w, faces, width, height)
-    assert np.array_equal(res.face_index, want_face)
-    assert np.array_equal(res.depth_w, want_depth)
+    face, depth = frames(res)
+    assert np.array_equal(face, want_face)
+    assert np.array_equal(depth, want_depth)
     assert np.array_equal(res.covered, np.flatnonzero(want_face >= 0))
     return res
 
@@ -395,8 +406,7 @@ def test_far_needles_match_whole_box_rows(mesh):
     got = full_raster(xy, w, faces, 10, 8)
     with mock.patch.object(raster, "_loose_faces", lambda tri, *_: np.ones(len(tri), bool)):
         want = full_raster(xy, w, faces, 10, 8)
-    assert np.array_equal(got.face_index, want.face_index)
-    assert np.array_equal(got.depth_w, want.depth_w)
+    assert all(map(np.array_equal, frames(got), frames(want)))
     assert np.array_equal(got.covered, want.covered)
 
 
@@ -435,7 +445,7 @@ def test_vertex_at_w_zero_raises_no_warning():
         warnings.simplefilter("error")
         res = full_raster(xy, w, faces, 8, 8)
     assert res.mask.sum() == 21
-    assert (res.face_index[res.mask] == 0).all()
+    assert (frames(res)[0][res.mask] == 0).all()
 
 
 def test_non_finite_faces_are_dropped_without_a_warning():
@@ -450,8 +460,8 @@ def test_non_finite_faces_are_dropped_without_a_warning():
         warnings.simplefilter("error")
         res = full_raster(xy, w, faces, 8, 8)
     assert res.mask.sum() > 0
-    np.testing.assert_array_equal(res.depth_w, finite.depth_w)
-    np.testing.assert_array_equal(res.face_index, finite.face_index)
+    for got, want in zip(frames(res), frames(finite)):
+        np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(res.covered, finite.covered)
 
 
@@ -506,12 +516,13 @@ def test_rectangle_gets_the_bits_of_the_whole_grid(mesh, data, budget, block):
     x0, y0, x1, y1 = scissor_rect(xy, w, faces, width, height, needed)
     y, x = np.indices((height, width))
     inside = (x >= x0) & (x < x1) & (y >= y0) & (y < y1)
-    assert np.array_equal(got.face_index, np.where(inside, full.face_index, -1))
-    assert np.array_equal(got.depth_w, np.where(inside, full.depth_w, np.inf))
-    assert np.array_equal(got.covered, np.flatnonzero(got.face_index >= 0))
-    assert np.array_equal(got.depth, got.depth_w.reshape(-1)[got.covered])
-    lost = (got.face_index < 0) & (full.face_index >= 0)
-    assert not needed[full.face_index[lost]].any()
+    got_face, got_depth = frames(got)
+    full_face, full_depth = frames(full)
+    assert np.array_equal(got_face, np.where(inside, full_face, -1))
+    assert np.array_equal(got_depth, np.where(inside, full_depth, np.inf))
+    assert np.array_equal(got.covered, np.flatnonzero(got_face >= 0))
+    lost = (got_face < 0) & (full_face >= 0)
+    assert not needed[full_face[lost]].any()
 
 
 def test_no_needed_face_drawn_draws_nothing():
@@ -526,4 +537,5 @@ def test_no_needed_face_drawn_draws_nothing():
     ]
     for args in cases:
         res = rasterize(*args[:3], 8, 6, args[3])
-        assert not res.mask.any() and res.covered.shape == (0,) and res.depth.shape == (0,)
+        assert not res.mask.any()
+        assert res.covered.shape == res.depth.shape == res.face.shape == (0,)

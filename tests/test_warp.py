@@ -331,13 +331,7 @@ class TestProjectorMapReuse:
             calls.append(1)
             return rasterize(*args, **kwargs)
 
-        def counting_segment_table(*args):
-            tables.append(1)
-            return segment_table(*args)
-
-        tables, segment_table = [], scene_module._segment_table
         monkeypatch.setattr(scene_module, "rasterize", counting_rasterize)
-        monkeypatch.setattr(scene_module, "_segment_table", counting_segment_table)
         mesh = bumpy_wall()
         upr = upr_matrix(EyePose(*self.EYES[1]), RigidTransform.identity())
         same_pose = RigidTransform(pose.rotation.copy(), pose.translation.copy())
@@ -350,10 +344,10 @@ class TestProjectorMapReuse:
         frames, counts, maps = [], [], []
         for dev, p in runs:
             frames.append(warp_to_projector(user_image, mesh, upr, viewport, dev, p))
-            counts.append((len(calls), len(tables)))
+            counts.append(len(calls))
             maps.append(mesh.pixel_map(dev, p, needed))  # the map the warp used
-        assert counts == [(1, 1), (1, 1), (2, 2), (3, 3)]
-        # The reused map is the same three arrays, segment table included.
+        assert counts == [1, 1, 2, 3]
+        # The reused map is the same three arrays, winning faces included.
         assert all(x is y for x, y in zip(maps[0], maps[1]))
         assert maps[1][2] is not maps[2][2]
         for (dev, p), fb in zip(runs, frames):
@@ -365,11 +359,11 @@ class TestProjectorMapReuse:
         assert np.any(needed_faces(user_image, mesh, other, viewport) & ~needed)
         kept = maps[-1][0]
         eyes = (other, upr, other, upr)
-        frames, before = [], (len(calls), len(tables))
+        frames, before = [], len(calls)
         for eye_upr in eyes:
             frames.append(warp_to_projector(user_image, mesh, eye_upr, viewport, narrower, shifted))
-            counts.append((len(calls) - before[0], len(tables) - before[1]))
-        assert counts[4:] == [(1, 1)] * 4
+            counts.append(len(calls) - before)
+        assert counts[4:] == [1] * 4
         grown = mesh.pixel_map(narrower, shifted, needed)[0]
         assert len(grown) > len(kept) and np.isin(kept, grown).all()
         for eye_upr, fb in zip(eyes, frames):
@@ -403,32 +397,25 @@ class TestProjectorMapReuse:
         assert len(map_refs) == 3
         assert [ref() for ref in map_refs] == [None, None, None]
 
-    def test_map_holds_16_bytes_per_covered_pixel(self):
+    def test_map_holds_24_bytes_per_covered_pixel(self):
         viewport, device, (pose, _), user_image = self.scenario()
         mesh = bumpy_wall()
-        covered, depth, segments = full_map(mesh, device, pose)
+        arrays = full_map(mesh, device, pose)
+        covered, depth, face = arrays
         assert len(covered) > 10000
-        assert covered.dtype == np.int64 and depth.dtype == np.float64
-        assert covered.nbytes + depth.nbytes == 16 * len(covered)
-        assert not covered.flags.writeable and not depth.flags.writeable
-        assert segments.shape[0] == 7 and not segments.flags.writeable
+        assert covered.dtype == face.dtype == np.int64 and depth.dtype == np.float64
+        assert sum(a.nbytes for a in arrays) == 24 * len(covered)
+        assert not any(a.flags.writeable for a in arrays)
+        assert 0 <= face.min() and face.max() < len(mesh.faces)
 
     def test_empty_mesh_gives_an_empty_map(self):
         # A mesh with no vertices, as the depth sensor gives when it sees nothing.
         viewport, device, (pose, _), user_image = self.scenario()
         empty = TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
-        covered, depth, segments = full_map(empty, device, pose)
-        assert covered.shape == depth.shape == (0,)
-        assert segments.shape == (7, 0)
+        covered, depth, face = full_map(empty, device, pose)
+        assert covered.shape == depth.shape == face.shape == (0,)
         upr = upr_matrix(EyePose(*self.EYES[0]), RigidTransform.identity())
         assert not warp_to_projector(user_image, empty, upr, viewport, device, pose).any()
-
-
-def screen_matrices(upr, proj_device, proj_to_world):
-    """A = M3 R K^-1 and b = M3 t + M4 of the tail's screen projection g = A p + b / z."""
-    m3, m4 = upr.matrix[:, :3], upr.matrix[:, 3]
-    a = m3 @ proj_to_world.rotation @ np.linalg.inv(proj_device.matrix())
-    return a, m3 @ proj_to_world.translation + m4
 
 
 def screen_projection(mesh, upr, proj_device, proj_to_world):
@@ -441,7 +428,9 @@ def screen_projection(mesh, upr, proj_device, proj_to_world):
     their (K, 2) screen coordinates and w.
     """
     covered, depth, _ = full_map(TriangleMesh(mesh.vertices, mesh.faces), proj_device, proj_to_world)
-    a, b = screen_matrices(upr, proj_device, proj_to_world)
+    m3, m4 = upr.matrix[:, :3], upr.matrix[:, 3]
+    a = m3 @ proj_to_world.rotation @ np.linalg.inv(proj_device.matrix())
+    b = m3 @ proj_to_world.translation + m4
     v = np.floor(covered / proj_device.width)
     u = covered - v * proj_device.width + 0.5
     v = v + 0.5
@@ -504,7 +493,7 @@ IMAGE_KINDS = ("uint8", "float64", "gray-uint8", "gray-float64")
 
 # An eye's z, off the screen plane by more than 5 cm on either side. Eyes up
 # to 0.6 m past the plane put parts of a wall of depth +-0.7 m at w <= 0 and
-# make g2 change sign inside a row segment.
+# make g2 change sign inside a face.
 EYE_DEPTH = st.one_of(
     st.floats(-1.4, -0.05, exclude_max=True), st.floats(0.05, 0.6, exclude_min=True)
 )
@@ -673,22 +662,6 @@ def fragmented_wall(seed, amplitude, holes):
     return TriangleMesh(wall.vertices, wall.faces[kept])
 
 
-def segment_table_reference(covered, depth, width, segment):
-    """Oracle: the segment table built row by row, cutting each row's entries every ``segment``."""
-    columns = []
-    rows = covered // width
-    for row in np.unique(rows):
-        entries = np.flatnonzero(rows == row)
-        for start in range(entries[0], entries[-1] + 1, segment):
-            end = min(start + segment, entries[-1] + 1)
-            cols = covered[start:end] - row * width
-            z = depth[start:end]
-            columns.append(
-                (start, end, row + 0.5, cols[0] + 0.5, cols[-1] + 0.5, 1.0 / z.max(), 1.0 / z.min())
-            )
-    return np.array(columns, dtype=float).reshape(-1, 7).T
-
-
 def tracked_eye_demo():
     """The demo config's 1080p display chain and the tracked-eye path's four eyes.
 
@@ -702,171 +675,6 @@ def tracked_eye_demo():
     eyes = json.loads((ROOT / "perfbench" / "goldens.json").read_text())["tracked_eye"]["eyes"]
     uprs = [upr_matrix(EyePose(*eye), chain.est_upr.world_to_rear) for eye in eyes]
     return chain, result.proj_device, config.options, uprs
-
-
-class TestSegmentCull:
-    """Dropping whole row segments before the per-pixel tail keeps every byte."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        holes=st.sampled_from([0.0, 0.3, 0.8]),
-        segment=st.sampled_from([1, 3, None]),
-        shifted=st.booleans(),
-    )
-    def test_table_matches_a_per_row_loop(self, seed, holes, segment, shifted):
-        viewport, _, device, pose, _ = identity_setup(40, 24)
-        if shifted:
-            pose = shifted_projector()
-        segment = segment or scene_module._SEGMENT
-        with mock.patch.object(scene_module, "_SEGMENT", segment):
-            covered, depth, table = full_map(fragmented_wall(seed, 0.5, holes), device, pose)
-        want = segment_table_reference(covered, depth, device.width, segment)
-        assert table.dtype == np.float64
-        assert np.array_equal(table, want)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        eye=st.tuples(
-            st.floats(-0.6, 0.6),
-            st.floats(-0.4, 0.4),
-            EYE_DEPTH,
-        ),
-        amplitude=st.sampled_from([0.0, 0.3, 0.7]),
-        holes=st.sampled_from([0.0, 0.3, 0.8]),
-        kind=st.sampled_from(IMAGE_KINDS),
-        image_size=st.tuples(st.integers(1, 40), st.integers(1, 30)),
-        margins=st.tuples(*[st.floats(0.0, 0.6)] * 4),
-        spot=st.sampled_from([None, *EDGE_SPOTS]),
-        shifted=st.booleans(),
-        segment=st.sampled_from([1, 3, None]),
-        block=st.sampled_from([1, 7, None]),
-    )
-    # An eye just past the screen plane: g2 changes sign inside some rows,
-    # whose corners all lie past the box although pixels between them are
-    # lit, so a cull without the front-of-eye test drops lit pixels here.
-    @example(
-        seed=0, eye=(0.0, 0.25, 0.0625), amplitude=0.3, holes=0.0, kind="uint8",
-        image_size=(1, 14), margins=(0.0, 0.0, 0.0, 0.5), spot=None, shifted=False,
-        segment=None, block=None,
-    )
-    def test_matches_unscissored_tail(
-        self, seed, eye, amplitude, holes, kind, image_size, margins, spot, shifted, segment, block
-    ):
-        viewport, _, device, pose, _ = identity_setup(32, 24)
-        if shifted:
-            pose = shifted_projector()
-        upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
-        user_image = scissored_content(seed, kind, *image_size, margins, spot)
-        mesh = fragmented_wall(seed, amplitude, holes)
-        with mock.patch.object(scene_module, "_SEGMENT", segment or scene_module._SEGMENT):
-            got, want = TestBlockedWarpOracle.both(block, user_image, mesh, upr, viewport, device, pose)
-        assert np.array_equal(got, want)
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        eye=st.tuples(
-            st.floats(-0.6, 0.6),
-            st.floats(-0.4, 0.4),
-            EYE_DEPTH,
-        ),
-        amplitude=st.sampled_from([0.0, 0.3, 0.7]),
-        holes=st.sampled_from([0.0, 0.3, 0.8]),
-        margins=st.tuples(*[st.floats(0.0, 0.45)] * 4),
-        shifted=st.booleans(),
-        segment=st.sampled_from([1, 3, None]),
-    )
-    def test_dropped_segments_lie_a_pixel_outside_the_box(
-        self, seed, eye, amplitude, holes, margins, shifted, segment
-    ):
-        # The bound itself, with each corner's pass-1 coordinate computed
-        # from its world point: a dropped segment has every corner behind
-        # the eye, or every corner in front of it and its corner x or y
-        # interval at least 1 px outside the box's open bounds. Exact
-        # arithmetic would need no margin, so the bytes above cannot show a
-        # margin below 1 px; this test can.
-        viewport, _, device, pose, _ = identity_setup(32, 24)
-        if shifted:
-            pose = shifted_projector()
-        upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
-        user_image = scissored_content(seed, "gray-uint8", 32, 24, margins, None)
-        box = warp_module._content_box(user_image)
-        with mock.patch.object(scene_module, "_SEGMENT", segment or scene_module._SEGMENT):
-            _, _, segments = full_map(fragmented_wall(seed, amplitude, holes), device, pose)
-        a, b = screen_matrices(upr, device, pose)
-        scale = list(zip((viewport.width_m, viewport.height_m), (32, 24), (32, 24)))
-        keep = warp_module._kept_segments(segments, a, b, scale, box)
-        _, _, v, u0, u1, s_lo, s_hi = segments[:, ~keep]
-        xs, ys, ws = [], [], []
-        for u, s in ((u0, s_lo), (u0, s_hi), (u1, s_lo), (u1, s_hi)):
-            rays = np.linalg.solve(device.matrix(), np.stack([u, v, np.ones_like(u)]))
-            xy, w = upr.apply(pose.apply((rays / s).T))
-            x, y = viewport.to_pixels(xy).T
-            xs.append(x)
-            ys.append(y)
-            ws.append(w)
-        behind = (np.array(ws) < 0).all(axis=0)
-        front = (np.array(ws) > 0).all(axis=0)
-        (xlo, xhi), (ylo, yhi) = box
-        x_out = (np.max(xs, axis=0) <= xlo - 1 + 1e-6) | (np.min(xs, axis=0) >= xhi + 1 - 1e-6)
-        y_out = (np.max(ys, axis=0) <= ylo - 1 + 1e-6) | (np.min(ys, axis=0) >= yhi + 1 - 1e-6)
-        assert (behind | (front & (x_out | y_out))).all()
-
-    @pytest.fixture(scope="class")
-    def demo(self):
-        return tracked_eye_demo()
-
-    def test_every_lit_pixel_is_in_a_kept_segment(self, demo):
-        chain, device, options, uprs = demo
-        vp = options.viewport
-        mesh, pose = chain.geometry, chain.est_proj_to_world
-        user_image = options.pattern.render(vp.width_px, vp.height_px)
-        covered, _, segments = full_map(mesh, device, pose)
-        assert len(covered) == 1_967_159
-        lengths = (segments[1] - segments[0]).astype(np.int64)
-        segment_of = np.repeat(np.arange(segments.shape[1]), lengths)
-        box = warp_module._content_box(user_image)
-        scale = list(zip((vp.width_m, vp.height_m), (vp.width_px, vp.height_px), user_image.shape[1::-1]))
-        for upr in uprs:
-            _, x, y, w = pass1_coordinates(user_image, mesh, upr, vp, device, pose)
-            (xlo, xhi), (ylo, yhi) = box
-            lit = (w > 1e-9) & (x > xlo) & (x < xhi) & (y > ylo) & (y < yhi)
-            keep = warp_module._kept_segments(segments, *screen_matrices(upr, device, pose), scale, box)
-            assert keep[segment_of[lit]].all()
-            assert 300_000 < lit.sum() <= lengths[keep].sum() <= 500_000
-
-    def test_table_holds_under_a_byte_per_covered_pixel(self, demo):
-        chain, device, _, _ = demo
-        covered, _, segments = full_map(chain.geometry, device, chain.est_proj_to_world)
-        assert (device.width, device.height) == (1920, 1080)
-        assert segments.shape[1] <= 1080 * math.ceil(1920 / scene_module._SEGMENT)
-        assert segments.nbytes < len(covered)
-
-    def test_eye_past_the_wall_samples_nothing(self, demo):
-        # Every covered pixel of the demo map is behind this eye: every
-        # segment has all four corners behind it and is dropped.
-        chain, device, options, _ = demo
-        vp = options.viewport
-        mesh, pose = chain.geometry, chain.est_proj_to_world
-        user_image = options.pattern.render(vp.width_px, vp.height_px)
-        upr = upr_matrix(EyePose(0.0, 0.0, 3.1), chain.est_upr.world_to_rear)
-        covered, _, segments = full_map(mesh, device, pose)
-        _, _, _, w = pass1_coordinates(user_image, mesh, upr, vp, device, pose)
-        assert len(covered) == 1_967_159 and (w < -1e-9).all()
-        box = warp_module._content_box(user_image)
-        a, b = screen_matrices(upr, device, pose)
-        assert not warp_module._kept_segments(segments, a, b, pass1_scale(vp, user_image), box).any()
-        samples = []
-
-        def counting_sampler(image, xy):
-            samples.append(len(xy))
-            return bilinear_sample(image, xy)
-
-        with mock.patch.object(warp_module, "bilinear_sample", counting_sampler):
-            fb = warp_to_projector(user_image, mesh, upr, vp, device, pose)
-        assert sum(samples) == 0 and not fb.any()
 
 
 def occluded_wall(seed, amplitude):
@@ -992,7 +800,7 @@ class TestFaceCull:
         res = rasterize(uv, z, mesh.faces, device.width, device.height, every)
         covered, x, y, w = pass1_coordinates(user_image, mesh, upr, viewport, device, pose)
         assert np.array_equal(covered, res.covered)
-        dropped = ~needed[res.face_index.reshape(-1)[covered]]
+        dropped = ~needed[res.face]
         (xlo, xhi), (ylo, yhi) = warp_module._content_box(user_image)
         x_out = (x <= xlo - 1 + 1e-6) | (x >= xhi + 1 - 1e-6)
         y_out = (y <= ylo - 1 + 1e-6) | (y >= yhi + 1 - 1e-6)
@@ -1017,6 +825,189 @@ class TestFaceCull:
             needed = needed_faces(user_image, chain.geometry, chain.est_upr, vp)
             covered, _, _ = chain.geometry.pixel_map(result.proj_device, chain.est_proj_to_world, needed)
             assert 100_000 < len(covered) <= 500_000
+
+
+def tagged_warp(user_image, mesh, upr, viewport, proj_device, proj_to_world):
+    """The warp with a sampler that tags each sample with its place in the frame.
+
+    Sample i (counted over the frame) reads i + 1 in its first two bytes
+    and 255 in the third, so the framebuffer shows which pixel took which
+    coordinate. ``user_image`` needs three channels. Returns the flat
+    index of each sampled pixel and the (K, 2) coordinates, both in
+    sampling order.
+    """
+    coords = []
+
+    def tagging_sampler(image, xy):
+        tag = sum(map(len, coords)) + 1 + np.arange(len(xy))
+        coords.append(np.array(xy))
+        return np.stack([tag % 256, tag // 256, np.full(len(tag), 255)], axis=1).astype(float)
+
+    with mock.patch.object(warp_module, "bilinear_sample", tagging_sampler):
+        fb = warp_to_projector(user_image, mesh, upr, viewport, proj_device, proj_to_world)
+    taken = fb.reshape(-1, 3).astype(np.int64)
+    pixels = np.flatnonzero(taken[:, 2] == 255)
+    tags = taken[pixels, 0] + 256 * taken[pixels, 1] - 1
+    got = np.concatenate(coords) if coords else np.zeros((0, 2))
+    order = np.argsort(tags)
+    assert np.array_equal(tags[order], np.arange(len(got)))  # each sample lands once
+    return pixels[order], got
+
+
+class TestPixelCull:
+    """The tail samples exactly the covered pixels whose winning face the eye needs."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        eye=st.tuples(
+            st.floats(-0.6, 0.6),
+            st.floats(-0.4, 0.4),
+            EYE_DEPTH,
+        ),
+        amplitude=st.sampled_from([0.0, 0.3, 0.7]),
+        mesh_kind=st.sampled_from(["random", "fragmented", "occluded"]),
+        kind=st.sampled_from(("uint8", "float64")),
+        margins=st.tuples(*[st.floats(0.0, 0.6)] * 4),
+        spot=st.sampled_from([None, *EDGE_SPOTS]),
+        shifted=st.booleans(),
+        full_first=st.booleans(),
+        block=st.sampled_from([1, 7, None]),
+    )
+    def test_samples_the_covered_pixels_of_needed_faces(
+        self, seed, eye, amplitude, mesh_kind, kind, margins, spot, shifted, full_first, block
+    ):
+        # With ``full_first`` the kept map already holds every face, so it
+        # covers pixels of faces this eye does not need.
+        viewport, _, device, pose, _ = identity_setup(32, 24)
+        if shifted:
+            pose = shifted_projector()
+        upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
+        user_image = scissored_content(seed, kind, 32, 24, margins, spot)
+        mesh = wall_of_kind(mesh_kind, seed, amplitude)
+        if full_first:
+            full_map(mesh, device, pose)
+        with mock.patch.object(warp_module, "_BLOCK", block or warp_module._BLOCK):
+            pixels, _ = tagged_warp(user_image, mesh, upr, viewport, device, pose)
+        if not user_image.any():  # margins that meet leave black content
+            assert len(pixels) == 0
+            return
+        needed = needed_faces(user_image, mesh, upr, viewport)
+        covered, _, face = mesh.pixel_map(device, pose, needed)  # the map the warp used
+        assert np.array_equal(pixels, covered[needed[face]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        eye=st.tuples(
+            st.floats(-0.6, 0.6),
+            st.floats(-0.4, 0.4),
+            EYE_DEPTH,
+        ),
+        amplitude=st.sampled_from([0.0, 0.3, 0.7]),
+        holes=st.sampled_from([0.0, 0.3, 0.8]),
+        kind=st.sampled_from(IMAGE_KINDS),
+        image_size=st.tuples(st.integers(1, 40), st.integers(1, 30)),
+        margins=st.tuples(*[st.floats(0.0, 0.6)] * 4),
+        spot=st.sampled_from([None, *EDGE_SPOTS]),
+        shifted=st.booleans(),
+        block=st.sampled_from([1, 7, None]),
+    )
+    # An eye just past the screen plane: g2 changes sign inside some faces,
+    # whose pixels are lit where they lie in front of the eye.
+    @example(
+        seed=0, eye=(0.0, 0.25, 0.0625), amplitude=0.3, holes=0.0, kind="uint8",
+        image_size=(1, 14), margins=(0.0, 0.0, 0.0, 0.5), spot=None, shifted=False,
+        block=None,
+    )
+    def test_matches_unscissored_tail(
+        self, seed, eye, amplitude, holes, kind, image_size, margins, spot, shifted, block
+    ):
+        viewport, _, device, pose, _ = identity_setup(32, 24)
+        if shifted:
+            pose = shifted_projector()
+        upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
+        user_image = scissored_content(seed, kind, *image_size, margins, spot)
+        mesh = fragmented_wall(seed, amplitude, holes)
+        got, want = TestBlockedWarpOracle.both(block, user_image, mesh, upr, viewport, device, pose)
+        assert np.array_equal(got, want)
+
+    @staticmethod
+    def one_pixel_triangle(device, pose, column, row):
+        """A triangle on the plane z = 0 that covers only the center of pixel (column, row)."""
+        corners = np.array([[-0.3, -0.3], [0.3, -0.3], [0.0, 0.3]]) + [column + 0.5, row + 0.5]
+        rays = np.linalg.solve(device.matrix(), np.c_[corners, np.ones(3)].T).T
+        depth = -pose.translation[2] / rays[:, 2:]
+        return TriangleMesh(pose.apply(rays * depth), [[0, 1, 2]])
+
+    @pytest.mark.parametrize("count", ["0", "1", "_BLOCK", "_BLOCK + 1"])
+    def test_block_edges(self, count):
+        # With the projector at the eye and content that fills the image,
+        # every face is needed and every covered pixel is sampled; an eye
+        # past the wall needs no face, so it samples none of the map.
+        viewport, upr, device, pose, _ = identity_setup(32, 24)
+        user_image = pass1_image(15, "uint8", 32, 24)
+        mesh = random_wall(16, 0.3)
+        if count == "0":
+            upr = upr_matrix(EyePose(0.0, 0.0, 0.9), RigidTransform.identity())
+        elif count == "1":
+            mesh = self.one_pixel_triangle(device, pose, 9, 5)
+        covered, _, _ = full_map(mesh, device, pose)
+        kept = 0 if count == "0" else len(covered)
+        block = {"_BLOCK": kept, "_BLOCK + 1": kept - 1}.get(count, warp_module._BLOCK)
+        assert len(covered) == {"1": 1}.get(count, 768)
+        calls = []
+
+        def counting_sampler(image, xy):
+            calls.append(len(xy))
+            return bilinear_sample(image, xy)
+
+        with mock.patch.object(warp_module, "bilinear_sample", counting_sampler):
+            got, want = TestBlockedWarpOracle.both(block, user_image, mesh, upr, viewport, device, pose)
+        assert np.array_equal(got, want)
+        assert calls == {"0": [], "1": [1], "_BLOCK": [block]}.get(count, [block, 1])
+        assert got.any() == (kept > 0)
+
+    @pytest.fixture(scope="class")
+    def demo(self):
+        return tracked_eye_demo()
+
+    def test_every_lit_pixel_is_sampled(self, demo):
+        chain, device, options, uprs = demo
+        vp = options.viewport
+        mesh, pose = chain.geometry, chain.est_proj_to_world
+        user_image = options.pattern.render(vp.width_px, vp.height_px)
+        covered, _, face = full_map(mesh, device, pose)
+        assert len(covered) == 1_967_159
+        (xlo, xhi), (ylo, yhi) = warp_module._content_box(user_image)
+        for upr in uprs:
+            _, x, y, w = pass1_coordinates(user_image, mesh, upr, vp, device, pose)
+            lit = (w > 1e-9) & (x > xlo) & (x < xhi) & (y > ylo) & (y < yhi)
+            kept = needed_faces(user_image, mesh, upr, vp)[face]
+            assert kept[lit].all()
+            assert 300_000 < lit.sum() <= kept.sum() <= 450_000
+
+    def test_eye_past_the_wall_samples_nothing(self, demo):
+        # Every covered pixel of the demo map is behind this eye: every
+        # vertex is, so no face is needed.
+        chain, device, options, _ = demo
+        vp = options.viewport
+        mesh, pose = chain.geometry, chain.est_proj_to_world
+        user_image = options.pattern.render(vp.width_px, vp.height_px)
+        upr = upr_matrix(EyePose(0.0, 0.0, 3.1), chain.est_upr.world_to_rear)
+        covered, _, _ = full_map(mesh, device, pose)
+        _, _, _, w = pass1_coordinates(user_image, mesh, upr, vp, device, pose)
+        assert len(covered) == 1_967_159 and (w < -1e-9).all()
+        assert not needed_faces(user_image, mesh, upr, vp).any()
+        samples = []
+
+        def counting_sampler(image, xy):
+            samples.append(len(xy))
+            return bilinear_sample(image, xy)
+
+        with mock.patch.object(warp_module, "bilinear_sample", counting_sampler):
+            fb = warp_to_projector(user_image, mesh, upr, vp, device, pose)
+        assert sum(samples) == 0 and not fb.any()
 
 
 class TestOneChannelContent:
@@ -1070,7 +1061,7 @@ def interpolated_world(mesh, device, pose):
     uv, z = project_points(device, pose.inverse(), mesh.vertices)
     every = np.ones(len(mesh.faces), dtype=bool)
     res = rasterize(uv, z, mesh.faces, device.width, device.height, every)
-    faces = mesh.faces[res.face_index.reshape(-1)[res.covered]]
+    faces = mesh.faces[res.face]
     row, col = np.divmod(res.covered, device.width)
     center = np.c_[col + 0.5, row + 0.5]
     a, b, c = (uv[faces[:, k]] for k in range(3))
@@ -1117,44 +1108,29 @@ class TestScreenProjectionReference:
         pose = RigidTransform(rotation_about_axis(unit_axis, math.radians(angle)), np.array(shift))
         upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
         mesh = random_wall(seed, amplitude)
-        coords = []
-
-        def tagging_sampler(image, xy):
-            # Sample i (counted over the frame) reads i + 1 in its first two
-            # bytes and 255 in the third, so the framebuffer shows which
-            # pixel took which coordinate.
-            tag = sum(map(len, coords)) + 1 + np.arange(len(xy))
-            coords.append(np.array(xy))
-            return np.stack([tag % 256, tag // 256, np.full(len(tag), 255)], axis=1).astype(float)
-
         user_image = pass1_image(seed, "uint8", viewport.width_px, viewport.height_px)
         user_image[:3] = user_image[:, -5:] = 0  # black margins the box leaves out
         rows, cols = (np.flatnonzero(user_image.any(axis=axis)) for axis in ((1, 2), (0, 2)))
-        with mock.patch.object(warp_module, "bilinear_sample", tagging_sampler):
-            fb = warp_to_projector(user_image, mesh, upr, viewport, device, pose)
+        pixels, got = tagged_warp(user_image, mesh, upr, viewport, device, pose)
         covered, world = interpolated_world(mesh, device, pose)
         assert np.array_equal(covered, full_map(TriangleMesh(mesh.vertices, mesh.faces), device, pose)[0])
-        got = np.concatenate(coords) if coords else np.zeros((0, 2))
-        taken = fb.reshape(-1, 3)[covered].astype(np.int64)
-        sampled = taken[:, 2] == 255
-        tags = taken[sampled, 0] + 256 * taken[sampled, 1] - 1
-        assert np.array_equal(np.sort(tags), np.arange(len(got)))
-        # The sampled pixels are exactly those of the segments the cull
-        # keeps from the map the warp used.
-        used, _, segments = mesh.pixel_map(device, pose, needed_faces(user_image, mesh, upr, viewport))
-        box = warp_module._content_box(user_image)
-        a, b = screen_matrices(upr, device, pose)
-        keep = warp_module._kept_segments(segments, a, b, pass1_scale(viewport, user_image), box)
-        lengths = (segments[1] - segments[0]).astype(np.int64)
-        assert np.array_equal(covered[sampled], used[np.repeat(keep, lengths)])
+        # The sampled pixels are exactly the covered pixels of the map the
+        # warp used whose winning face the eye needs.
+        needed = needed_faces(user_image, mesh, upr, viewport)
+        used, _, face = mesh.pixel_map(device, pose, needed)
+        assert np.array_equal(pixels, used[needed[face]])
+        at = np.searchsorted(covered, pixels)
+        assert np.array_equal(covered[at], pixels)
+        sampled = np.zeros(len(covered), dtype=bool)
+        sampled[at] = True
         xy, w = upr.apply(world)
         front = w > 1e-6
         # The pass-1 image has the viewport's size, so the rescale is exact.
         want = np.full((len(covered), 2), np.nan)
         want[front] = viewport.to_pixels(xy[front])
-        checked = front[sampled]
-        gap = np.linalg.norm(got[tags][checked] - want[sampled][checked], axis=1)
-        assert (gap <= 1e-9 * np.linalg.norm(want[sampled][checked], axis=1)).all()
+        checked = front[at]
+        gap = np.linalg.norm(got[checked] - want[at][checked], axis=1)
+        assert (gap <= 1e-9 * np.linalg.norm(want[at][checked], axis=1)).all()
         # A skipped pixel is behind the eye, or its sample could only read
         # black texels: half a pixel or more outside the content's box.
         x, y = want[~sampled].T
@@ -1211,7 +1187,8 @@ class TestStreamingTail:
         block = 256
         fb_bytes = 192 * 108 * 3
         # (2, K) coordinates and (3, K) samples in float64 would take 40 bytes
-        # per covered pixel, past the bound.
+        # per covered pixel, past the bound; the mask and index that pick
+        # the sampled pixels take 9.
         assert fb_bytes + 1024 * block < 40 * len(covered)
         with mock.patch.object(warp_module, "_BLOCK", block):
             tracemalloc.start()
@@ -1227,16 +1204,12 @@ class TestStreamingTail:
     def test_one_sampler_call_per_block_covers_every_pixel(self, size, block):
         # perfbench's tracer sums the sampler's calls and samples per frame,
         # so the per-frame totals must not depend on the block size: each
-        # frame samples every pixel of the segments the cull keeps.
+        # frame samples every covered pixel whose winning face is needed.
         args = self.frame(*size)
         user_image, mesh, upr, viewport, device, pose = args
-        height, width = user_image.shape[:2]
-        covered, _, segments = full_map(mesh, device, pose)
-        scale = list(zip((viewport.width_m, viewport.height_m), (width, height), (width, height)))
-        box = warp_module._content_box(user_image)
-        keep = warp_module._kept_segments(segments, *screen_matrices(upr, device, pose), scale, box)
-        kept = (segments[1] - segments[0])[keep].astype(np.int64)
-        assert 0 < kept.sum() <= len(covered)
+        covered, _, face = full_map(mesh, device, pose)
+        kept = int(needed_faces(user_image, mesh, upr, viewport)[face].sum())
+        assert 0 < kept <= len(covered)
 
         def sampler_calls(block):
             calls = []
@@ -1253,36 +1226,9 @@ class TestStreamingTail:
         block = block or warp_module._BLOCK
         calls = sampler_calls(block)
         other = warp_module._BLOCK if block == 7 else 1 << 12  # 19 blocks of the large frame
-        assert sum(calls) == sum(sampler_calls(other)) == kept.sum()
-        assert 1 < len(calls) <= -(-len(covered) // block)
-        # A block is whole kept segments, so one segment alone may pass it.
-        assert max(calls) <= max(block, int(kept.max()))
-
-    @pytest.mark.parametrize("segment, block", [(3, 7), (4, 3)])
-    def test_blocks_end_on_segment_ends(self, segment, block):
-        # With the projector at the eye, every covered pixel samples the
-        # texel at its own center whatever its depth, so with content that
-        # has no black row or column every covered pixel is lit and every
-        # segment kept; the running total of the sampler's calls then
-        # counts whole segments.
-        viewport, upr, device, pose, _ = identity_setup(32, 24)
-        user_image = pass1_image(13, "uint8", 32, 24)
-        with mock.patch.object(scene_module, "_SEGMENT", segment):
-            mesh = fragmented_wall(14, 0.5, 0.3)
-            covered, _, segments = full_map(mesh, device, pose)
-        calls = []
-
-        def counting_sampler(image, xy):
-            calls.append(len(xy))
-            return bilinear_sample(image, xy)
-
-        with mock.patch.object(warp_module, "_BLOCK", block), \
-                mock.patch.object(warp_module, "bilinear_sample", counting_sampler):
-            warp_to_projector(user_image, mesh, upr, viewport, device, pose)
-        totals = np.cumsum(calls)
-        assert totals[-1] == len(covered) and len(covered) < device.width * device.height
-        assert np.isin(totals, segments[1]).all()
-        assert max(calls) <= max(block, segment)
+        assert sum(calls) == sum(sampler_calls(other)) == kept
+        assert 1 < len(calls) == -(-kept // block)
+        assert max(calls) <= block
 
 
 def ramp_panorama(height=90, width=180):
