@@ -12,6 +12,8 @@ the center of pixel (0, 0) at (0.5, 0.5).
 
 from __future__ import annotations
 
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -37,11 +39,20 @@ def _as_uint8(image: np.ndarray) -> np.ndarray:
 
 
 def write_ppm(path, image: np.ndarray) -> None:
-    """Write a binary P6 PPM with maxval 255."""
+    """Write a binary P6 PPM with maxval 255.
+
+    An existing file is rewritten in place and then cut to the written
+    length, so it holds the bytes, and keeps the permissions, of a fresh
+    write; a new one gets the mode ``open(path, "wb")`` gives. Not
+    truncating first spares the file system freeing and allocating the
+    blocks again when a frame replaces one of its size.
+    """
     arr = np.ascontiguousarray(_as_uint8(image))
-    with open(path, "wb") as f:
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
         f.write(f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
         f.write(arr.data)
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate()
 
 
 def _check_size(path, width: int, height: int) -> None:

@@ -186,14 +186,9 @@ def _faces(xy, w, faces):
     finite and the area not near zero. The vertices of a face that is not
     drawn collapse onto the origin, so no cast sees a non-finite vertex.
     """
-    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-    w = np.asarray(w, dtype=float).reshape(-1)
-    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     tri = xy[faces]  # (F, 3, 2)
     tri_w = w[faces]  # (F, 3)
-    drawable = (w > 0) & (w < np.inf) & np.isfinite(xy).all(axis=1)
-    i, j, k = faces.T
-    valid = drawable[i] & drawable[j] & drawable[k]
+    valid = ((tri_w > 0) & (tri_w < np.inf)).all(axis=1) & np.isfinite(tri).all(axis=(1, 2))
     tri = np.where(valid[:, None, None], tri, 0.0)
     e1 = tri[:, 1] - tri[:, 0]
     e2 = tri[:, 2] - tri[:, 0]
@@ -222,21 +217,24 @@ def rasterize(
     grid; every other pixel stays undrawn. With every face needed, the
     result is the whole grid's raster.
     """
-    tri, tri_w, area, valid = _faces(xy, w, faces)
+    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+    w = np.asarray(w, dtype=float).reshape(-1)
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
 
-    # Pixel-center bounding boxes, clipped on both ends so each cast fits in int64.
-    x, y = tri.transpose(2, 1, 0)  # (3, F) views
-    x_min = np.clip(np.floor(_row_min(x) - 0.5), 0, width).astype(np.int64)
-    x_max = np.clip(np.ceil(_row_max(x) - 0.5), -1, width - 1).astype(np.int64)
-    y_min = np.clip(np.floor(_row_min(y) - 0.5), 0, height).astype(np.int64)
-    y_max = np.clip(np.ceil(_row_max(y) - 0.5), -1, height - 1).astype(np.int64)
-    valid &= (x_min <= x_max) & (y_min <= y_max)
+    # Pixel-center bounding boxes, clipped on both ends so each cast fits
+    # in int64; fmax and fmin send NaN to an end, which leaves the box empty.
+    x, y = xy[:, 0][faces.T], xy[:, 1][faces.T]  # (3, F)
+    x_min = np.fmin(np.fmax(np.floor(_row_min(x) - 0.5), 0), width).astype(np.int64)
+    x_max = np.fmin(np.fmax(np.ceil(_row_max(x) - 0.5), -1), width - 1).astype(np.int64)
+    y_min = np.fmin(np.fmax(np.floor(_row_min(y) - 0.5), 0), height).astype(np.int64)
+    y_max = np.fmin(np.fmax(np.ceil(_row_max(y) - 0.5), -1), height - 1).astype(np.int64)
 
     # The scissor rectangle, columns [x0, x1) and rows [y0, y1) around the
-    # needed faces' boxes; every box is clipped to it.
-    some = valid & np.asarray(needed, dtype=bool)
+    # boxes of the needed faces drawn; every box is clipped to it.
+    some = np.flatnonzero(np.asarray(needed, dtype=bool) & (x_min <= x_max) & (y_min <= y_max))
+    some = some[_faces(xy, w, faces[some])[3]]
     rect = (0, 0, 0, 0)
-    if some.any():
+    if len(some):
         rect = (
             int(x_min[some].min()), int(y_min[some].min()),
             int(x_max[some].max()) + 1, int(y_max[some].max()) + 1,
@@ -246,17 +244,17 @@ def rasterize(
     np.clip(x_max, x0 - 1, x1 - 1, out=x_max)
     np.clip(y_min, y0, y1, out=y_min)
     np.clip(y_max, y0 - 1, y1 - 1, out=y_max)
+
+    # Only the faces that reach the rectangle are set up and drawn,
+    # renumbered in index order, so ties resolve as on the original numbers.
+    reach = np.flatnonzero((x_min <= x_max) & (y_min <= y_max))
+    tri, tri_w, area, valid = _faces(xy, w, faces[reach])
+    face_ids = reach[valid]
+    tri, tri_w, area = tri[valid], tri_w[valid], area[valid]
+    x_min, x_max, y_min, y_max = (a[face_ids] for a in (x_min, x_max, y_min, y_max))
     bw = x_max - x_min + 1
     bh = y_max - y_min + 1
-    valid &= (bw > 0) & (bh > 0)
-
-    # Only the faces drawn go on, renumbered in index order, so ties
-    # resolve as on the original numbers.
-    face_ids = np.flatnonzero(valid)
-    x_min, x_max, y_min, bw, bh = (a[face_ids] for a in (x_min, x_max, y_min, bw, bh))
-    canvas = _Canvas(
-        rect, (width, height), tri[face_ids], tri_w[face_ids], area[face_ids], x_min, x_max
-    )
+    canvas = _Canvas(rect, (width, height), tri, tri_w, area, x_min, x_max)
     for chunk in _chunks(bw * bh, _FRAGMENT_BUDGET):
         # One span per face and bounding-box row, face by face in index order.
         face_of, row = _runs(y_min[chunk], bh[chunk])

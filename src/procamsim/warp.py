@@ -17,11 +17,14 @@ map was not built for (``TriangleMesh.pixel_map``). One 3x4 matrix per eye
 takes a pixel center and its 1/depth straight to the screen, as in
 projective texture mapping (Segal et al., SIGGRAPH 1992). A projector
 shows black as no light, so AR content is mostly black: the default
-checker pattern fills a 480x300 box of a 1920x1080 image. As in a GPU's
-scissor test, the warp skips pixels that can only sample black. A
-screen-space trivial reject with Cohen-Sutherland outcodes over the mesh's
-vertices (``_needed_faces``, which holds the bound) finds, per eye, the
-faces that may win a pixel whose sample is not black. The map covers only
+checker pattern fills a 480x300 box of a 1920x1080 image, and half of
+that box is its black squares. As in a GPU's scissor test, the warp skips
+pixels that can only sample black. A summed-area table of the content's
+lit texels (Crow, SIGGRAPH 1984) extends a screen-space trivial reject
+(Greene, Kass and Miller, SIGGRAPH 1993) from the content's box to its
+texels: per eye, the faces that may win a pixel whose sample is not
+black are those whose vertices' pass-1 rectangle holds a lit texel
+(``_needed_faces``, which holds the bound). The map covers only
 the rectangle of projector pixels those faces can win, with every face
 still drawn inside it, so occlusion is exact; the map is thus a rectangle
 of the frame that grows as eyes need more of it. The per-eye tail then
@@ -182,15 +185,16 @@ def render_user_view(panorama: np.ndarray, upr: UprMatrix, viewport: Viewport) -
 # -- Pass 2: projector framebuffer ----------------------------------------------
 
 
-def _content_box(image: np.ndarray) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """Open pass-1 pixel bounds, per axis, outside which a sample is black.
+def _lit_table(image: np.ndarray) -> tuple[int, int, np.ndarray] | None:
+    """Summed-area table of the content's lit texels over their box, or None.
 
-    The box [c0, c1] x [r0, r1] holds every texel that is not zero (a NaN
-    or negative float counts). A bilinear sample at x reads texels
-    floor(x - 0.5) and the one after, so it can differ from +0.0 only for
-    x in [c0 - 0.5, c1 + 1.5); the bounds (c0 - 1, c1 + 2) add half a pixel
-    for rounding in the sampler's own x - 0.5 + 1. Returns the x and y
-    bounds, or None when every texel is zero or the image is empty.
+    A texel is lit when any of its channels is not zero (a negative float
+    counts). The box [c0, c1] x [r0, r1] is the smallest that holds every
+    lit texel, and ``table[i, j]`` counts the lit texels in rows
+    [r0, r0 + i) and columns [c0, c0 + j), so four lookups count those in
+    any rectangle of the box (Crow, SIGGRAPH 1984). It is int32, 4 bytes
+    per texel of the box. Returns ``(c0, r0, table)``, or None when no
+    texel is lit or the image is empty.
     """
     img = np.asarray(image)
     h, w = img.shape[:2]
@@ -203,40 +207,60 @@ def _content_box(image: np.ndarray) -> tuple[tuple[int, int], tuple[int, int]] |
     band = img[r0 : r1 + 1].reshape(r1 - r0 + 1, -1)
     cols = np.flatnonzero(np.any(band, axis=0).reshape(w, -1).any(axis=1))
     c0, c1 = cols[0], cols[-1]
-    return (int(c0) - 1, int(c1) + 2), (int(r0) - 1, int(r1) + 2)
+    texels = img.reshape(h, w, -1)[r0 : r1 + 1, c0 : c1 + 1]
+    lit = texels[..., 0] != 0
+    for c in range(1, texels.shape[2]):
+        lit |= texels[..., c] != 0
+    table = np.zeros((r1 - r0 + 2, c1 - c0 + 2), dtype=np.int32)
+    np.cumsum(lit, axis=1, dtype=np.int32, out=table[1:, 1:])
+    for i in range(2, len(table)):  # row by row: a third of cumsum's time down axis 0
+        table[i] += table[i - 1]
+    return int(c0), int(r0), table
 
 
-def _needed_faces(mesh, matrix, pass1_scale, box) -> np.ndarray:
+def _needed_faces(mesh, matrix, pass1_scale, lit) -> np.ndarray:
     """Which faces of a world-frame mesh may win a pixel with a non-zero sample.
 
     Each vertex X goes through the screen projection h = M (X, 1), whose
     w = h2 is the tail's w, and, where w > 1e-9, to pass-1 coordinates
-    with the tail's operations in its order. As in Cohen and Sutherland's
-    line clipping, it gets a bit for each side of the box it lies at
-    least 1 px beyond, x <= lo - 1 or x >= hi + 1 for the open bounds
-    (lo, hi) of each axis, and one more for w < -1e-9. A face whose three
-    vertices share a bit is not needed. h is affine on a face, so where
-    the three share a side bit, every point of the face has w > 1e-9 and
-    its coordinate past that side, since x >= c is h0 - c' h2 >= 0 with
-    h2 > 0; where they share the last bit, every point has w < -1e-9.
-    A pixel's point lies on its face up to rounding, which moves x by far
-    less than the pixel of margin, so every pixel such a face wins
-    samples four zero texels, or NaN behind the eye, and comes out black.
+    (x, y) with the tail's operations in its order. A face is not needed
+    in two cases; every other face is.
+
+    - All three vertices have w < -1e-9. h is affine on a face, so every
+      point of the face has w < -1e-9, and the tail turns its pixels black.
+    - All three have w > 1e-9 and finite coordinates, and ``lit``, the
+      table of ``_lit_table``, holds no lit texel in the rectangle of
+      columns [floor(min x) - 2, floor(max x) + 2] and rows
+      [floor(min y) - 2, floor(max y) + 2]. Every point of the face has
+      w > 0, so it projects into the triangle of the vertices'
+      projections, with x in [min x, max x]. The sampler reads texels
+      floor(x - 0.5) and the one after, so texels in
+      [floor(min x) - 1, floor(max x) + 1], and the same holds for y.
+      A pixel's point lies on its face up to rounding, which moves x by far
+      less than the pixel of margin left, so every pixel such a face wins
+      reads four zero texels and comes out black.
+
     ``pass1_scale`` holds, per axis, the screen size in meters, the
-    viewport size and the pass-1 image size in pixels; ``box`` is
-    ``_content_box``'s bounds.
+    viewport size and the pass-1 image size in pixels.
     """
+    c0, r0, table = lit
     x, y, z = mesh.vertices.T
-    h = [x * m0 + y * m1 + z * m2 + m3 for m0, m1, m2, m3 in matrix]
-    front = h[2] > 1e-9
-    code = (h[2] < -1e-9).astype(np.uint8)
-    for bit, hk, (m, px, img), (lo, hi) in zip((2, 8), h[:2], pass1_scale, box):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            p = (hk / h[2] / m + 0.5) * px * (img / px)
-        code |= ((p <= lo - 1) & front) * np.uint8(bit)
-        code |= ((p >= hi + 1) & front) * np.uint8(2 * bit)
-    f = mesh.faces.T
-    return (code[f[0]] & code[f[1]] & code[f[2]]) == 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h = [x * m0 + y * m1 + z * m2 + m3 for m0, m1, m2, m3 in matrix]
+        p = [(hk / h[2] / m + 0.5) * px * (img / px) for hk, (m, px, img) in zip(h[:2], pass1_scale)]
+    f = np.ascontiguousarray(mesh.faces.T)  # (3, F), C order so that axis 0 reduces fast
+    needed = ~(h[2] < -1e-9)[f].all(axis=0)
+    front = np.flatnonzero(((h[2] > 1e-9) & np.isfinite(p[0]) & np.isfinite(p[1]))[f].all(axis=0))
+    corners = np.take(f, front, axis=1)
+    # Each front face's rectangle as table indices [lo, hi) per axis.
+    ends = []
+    for q, start, size in zip(p, (c0, r0), table.shape[::-1]):
+        q = (np.floor(q) - start)[corners]
+        lo = np.clip(q.min(axis=0) - 2, 0, size - 1)
+        ends.append((lo.astype(np.intp), np.clip(q.max(axis=0) + 3, lo, size - 1).astype(np.intp)))
+    (x0, x1), (y0, y1) = ends
+    needed[front] = table[y1, x1] - table[y0, x1] - table[y1, x0] + table[y0, x0] > 0
+    return needed
 
 
 def warp_to_projector(
@@ -259,13 +283,14 @@ def warp_to_projector(
     (``_needed_faces``) are sampled, and the map is rasterized only over
     the rectangle those faces can win, growing when an eye needs more of
     it; every other pixel would sample black and keeps the framebuffer's
-    0. A sampled pixel behind the eye or outside the box of the content's
-    non-zero texels comes out 0 as well, so the bytes are those of
-    sampling every covered pixel. The sampled pixels are done in blocks,
-    with the bytes of one unblocked pass; past the mask and the index that
-    pick them, 1 byte per covered and 8 per sampled pixel, no temporary
-    grows with their number. All-black content, or
-    content with a zero side, gives a black framebuffer without sampling.
+    0. A sampled pixel behind the eye or whose four texels are zero comes
+    out 0 as well, so the bytes are those of sampling every covered
+    pixel. The sampled pixels are done in blocks, with the bytes of one
+    unblocked pass; past the mask and the index that pick them, 1 byte
+    per covered and 8 per sampled pixel, no temporary grows with their
+    number, and the lit-texel table, 4 bytes per texel of the content's
+    box, is freed before the map is read. All-black content, or content
+    with a zero side, gives a black framebuffer without sampling.
     ``user_image`` has one or three channels (a 2-D image is one channel);
     one-channel content is sampled, rounded and clipped once and fills all
     three framebuffer channels, any other count raises ValueError. Float
@@ -278,8 +303,8 @@ def warp_to_projector(
     if user_image.dtype.kind == "f" and not np.isfinite(user_image).all():
         raise ValueError("content must be finite")
     fb = np.zeros((proj_device.height * proj_device.width, 3), dtype=np.uint8)
-    box = _content_box(user_image)
-    if box is None:
+    lit = _lit_table(user_image)
+    if lit is None:
         return fb.reshape(proj_device.height, proj_device.width, 3)
     # The point at depth z behind pixel center p = (u, v, 1) projects to
     # M (R K^-1 p z + t) = z g, with g = A p + b / z.
@@ -293,7 +318,8 @@ def warp_to_projector(
         (viewport.width_px, viewport.height_px),
         user_image.shape[1::-1],  # (width, height)
     ))
-    needed = _needed_faces(mesh, upr.matrix, pass1_scale, box)
+    needed = _needed_faces(mesh, upr.matrix, pass1_scale, lit)
+    del lit  # the table is freed before the map and the tail
     covered, depth, face = mesh.pixel_map(proj_device, proj_to_world, needed)
     kept = np.flatnonzero(needed[face])
     width = proj_device.width

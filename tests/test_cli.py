@@ -318,6 +318,16 @@ class TestErrorReporting:
         assert err.startswith("error[error]:")
         assert err.strip().count("\n") == 0
 
+    @pytest.mark.parametrize("out", ["a-directory.ppm", "a-file/frame.ppm"])
+    def test_unwritable_out_path(self, config_path, tmp_path, capsys, out):
+        (tmp_path / "a-directory.ppm").mkdir()
+        (tmp_path / "a-file").write_bytes(b"")
+        code = main(["correct", "--config", str(config_path), "--no-correction",
+                     "--out", str(tmp_path / out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[error]:") and err.strip().count("\n") == 0
+
     def test_bad_schema_version(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema_version": 99}))

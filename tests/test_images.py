@@ -1,5 +1,7 @@
 """PPM I/O, sampling and marker tests."""
 
+import os
+import stat
 import tracemalloc
 import warnings
 
@@ -43,6 +45,32 @@ class TestPpm:
         path = tmp_path / "s.ppm"
         write_ppm(path, strided)
         assert path.read_bytes() == b"P6\n3 3\n255\n" + strided.copy().tobytes()
+
+    def test_rewrite_of_a_larger_file_leaves_only_the_new_bytes(self, tmp_path):
+        # The file is rewritten in place, so it must be cut to the new length.
+        path = tmp_path / "r.ppm"
+        write_ppm(path, np.full((9, 13, 3), 200, dtype=np.uint8))
+        small = np.random.default_rng(2).integers(0, 256, size=(2, 3, 3), dtype=np.uint8)
+        write_ppm(path, small)
+        assert path.read_bytes() == b"P6\n3 2\n255\n" + small.tobytes()
+        assert path.stat().st_size == 11 + small.size
+
+    def test_new_file_gets_the_mode_of_a_plain_write(self, tmp_path):
+        write_ppm(tmp_path / "a.ppm", np.zeros((1, 1, 3), dtype=np.uint8))
+        with open(tmp_path / "b.ppm", "wb"):
+            pass
+        assert (tmp_path / "a.ppm").stat().st_mode == (tmp_path / "b.ppm").stat().st_mode
+
+    def test_rewrite_keeps_the_mode_of_the_file(self, tmp_path):
+        path = tmp_path / "m.ppm"
+        write_ppm(path, np.zeros((4, 4, 3), dtype=np.uint8))
+        path.chmod(0o640)
+        write_ppm(path, np.ones((1, 2, 3), dtype=np.uint8))
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_writes_to_a_character_device(self):
+        # A device cannot be truncated; only a regular file is cut.
+        write_ppm(os.devnull, np.zeros((2, 2, 3), dtype=np.uint8))
 
     @pytest.mark.parametrize("size", [b"0 0", b"0 4", b"4 0", b"-1 -1"])
     def test_rejects_a_size_without_pixels(self, tmp_path, size):

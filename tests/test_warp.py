@@ -9,6 +9,7 @@ The key oracles:
   form matrices independently of the library's ray casting.
 """
 
+import contextlib
 import gc
 import json
 import math
@@ -292,9 +293,12 @@ def pass1_scale(viewport, user_image):
 
 
 def needed_faces(user_image, mesh, upr, viewport):
-    """The faces the warp needs for this content and eye: the mask it passes to ``pixel_map``."""
-    box = warp_module._content_box(user_image)
-    return warp_module._needed_faces(mesh, upr.matrix, pass1_scale(viewport, user_image), box)
+    """The faces the warp needs for this content and eye: the mask it passes to ``pixel_map``.
+
+    It builds the lit-texel table the warp builds.
+    """
+    lit = warp_module._lit_table(user_image)
+    return warp_module._needed_faces(mesh, upr.matrix, pass1_scale(viewport, user_image), lit)
 
 
 class TestProjectorMapReuse:
@@ -701,8 +705,88 @@ def wall_of_kind(kind, seed, amplitude):
     return (occluded_wall if kind == "occluded" else random_wall)(seed, amplitude)
 
 
+def sparse_content(seed, kind, width, height, layout, square):
+    """Pass-1 content lit at scattered texels and black elsewhere.
+
+    ``layout`` is "isolated" (texels lit at random, no two side by side),
+    "checker" (a checkerboard of ``square``-texel squares whose dark
+    squares are black) or "corners" (one texel at each corner of a random
+    box). Every lit texel is non-zero.
+    """
+    image = pass1_image(seed, kind, width, height)
+    image[image == 0] = 1
+    rng = np.random.default_rng([seed, 3])
+    rows, cols = np.indices((height, width))
+    if layout == "checker":
+        keep = (rows // square + cols // square) % 2 == 0
+    elif layout == "isolated":
+        keep = (rng.random((height, width)) < 0.1) & (rows % 2 == 0) & (cols % 2 == 0)
+    else:
+        (r0, r1), (c0, c1) = np.sort(rng.integers(0, height, 2)), np.sort(rng.integers(0, width, 2))
+        keep = np.zeros((height, width), dtype=bool)
+        keep[[r0, r0, r1, r1], [c0, c1, c0, c1]] = True
+    image[~keep] = 0
+    return image
+
+
+CONTENT_LAYOUTS = ("box", "isolated", "checker", "corners")
+
+
+def content_of(layout, seed, kind, image_size, margins, spot, square):
+    """``scissored_content`` for the "box" layout, else ``sparse_content``."""
+    if layout == "box":
+        return scissored_content(seed, kind, *image_size, margins, spot)
+    return sparse_content(seed, kind, *image_size, layout, square)
+
+
+def with_odd_vertex(mesh, odd, upr, viewport, user_image):
+    """``mesh`` with one more vertex, joined by a face to each of a few of its edges.
+
+    ``odd`` is None (no vertex added), "nan" (a NaN vertex), "far" (a
+    vertex at infinite depth, where w is +inf and the pass-1 coordinates
+    are NaN) or "1e8-px" (a vertex 1 m from the eye, nearly in its plane,
+    whose pass-1 x is 1e8 px). Projecting the far vertex meets inf * 0,
+    so callers ignore invalid-value warnings under ``odd_errors``.
+    """
+    if odd is None:
+        return mesh
+    if odd == "nan":
+        vertex = np.full(3, np.nan)
+    elif odd == "far":
+        vertex = np.array([0.0, 0.0, np.inf])
+    else:
+        scale = viewport.width_px / user_image.shape[1]
+        screen = np.r_[viewport.to_plane([1e8 * scale, viewport.height_px / 2]), 0.0]
+        eye = upr.eye_world()
+        vertex = eye + normalized(screen - eye)
+    n = len(mesh.vertices)
+    edges = mesh.faces[:: max(len(mesh.faces) // 6, 1), :2]
+    return TriangleMesh(
+        np.concatenate([mesh.vertices, [vertex]]),
+        np.concatenate([mesh.faces, np.c_[edges, np.full(len(edges), n)]]),
+    )
+
+
+def odd_errors(odd):
+    """Ignore numpy's invalid-value warnings for the far vertex of ``with_odd_vertex``."""
+    return np.errstate(invalid="ignore") if odd == "far" else contextlib.nullcontext()
+
+
+def texel_window(x, limit):
+    """First and last texel along an axis that samples within 1 px of ``x`` blend.
+
+    By the sampler's formula a sample at x blends texels floor(x - 0.5)
+    and the one after; past the black ring around an image of ``limit``
+    texels it clamps x and gives the ring all the weight. Texels -1 and
+    ``limit`` stand for the ring, so each end lies in [-1, limit], and a
+    window holds at most 4 texels.
+    """
+    first, last = np.floor(x - 1.5 + 1e-6), np.floor(x + 0.5 - 1e-6) + 1
+    return (np.fmin(np.fmax(q, -1), limit).astype(np.int64) for q in (first, last))
+
+
 class TestFaceCull:
-    """Scissoring the projector map to the faces that can reach the content box keeps every byte."""
+    """Scissoring the projector map to the faces that can read a lit texel keeps every byte."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -714,10 +798,13 @@ class TestFaceCull:
         ),
         amplitude=st.sampled_from([0.0, 0.3, 0.7]),
         mesh_kind=st.sampled_from(["random", "fragmented", "occluded"]),
+        odd=st.sampled_from([None, "nan", "far", "1e8-px"]),
         kind=st.sampled_from(IMAGE_KINDS),
         image_size=st.tuples(st.integers(1, 40), st.integers(1, 30)),
+        layout=st.sampled_from(CONTENT_LAYOUTS),
         margins=st.tuples(*[st.floats(0.0, 0.6)] * 4),
         spot=st.sampled_from([None, *EDGE_SPOTS]),
+        square=st.integers(1, 4),
         shifted=st.booleans(),
         block=st.sampled_from([7, None]),
     )
@@ -728,20 +815,23 @@ class TestFaceCull:
     # front-of-eye guard drops them.
     @example(
         seed=698, eye=(-0.00771669838948541, 0.28251406097709786, 0.08992046496228912),
-        amplitude=0.7, mesh_kind="random", kind="uint8", image_size=(32, 24),
+        amplitude=0.7, mesh_kind="random", odd=None, kind="uint8", image_size=(32, 24),
+        layout="box",
         margins=(0.10009115085708946, 0.5822992037453848, 0.18985212997120954, 0.5993285505103348),
-        spot=None, shifted=True, block=None,
+        spot=None, square=1, shifted=True, block=None,
     )
     def test_matches_unscissored_tail(
-        self, seed, eye, amplitude, mesh_kind, kind, image_size, margins, spot, shifted, block
+        self, seed, eye, amplitude, mesh_kind, odd, kind, image_size, layout, margins, spot,
+        square, shifted, block,
     ):
         viewport, _, device, pose, _ = identity_setup(32, 24)
         if shifted:
             pose = shifted_projector()
         upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
-        user_image = scissored_content(seed, kind, *image_size, margins, spot)
-        mesh = wall_of_kind(mesh_kind, seed, amplitude)
-        got, want = TestBlockedWarpOracle.both(block, user_image, mesh, upr, viewport, device, pose)
+        user_image = content_of(layout, seed, kind, image_size, margins, spot, square)
+        mesh = with_odd_vertex(wall_of_kind(mesh_kind, seed, amplitude), odd, upr, viewport, user_image)
+        with odd_errors(odd):
+            got, want = TestBlockedWarpOracle.both(block, user_image, mesh, upr, viewport, device, pose)
         assert np.array_equal(got, want)
 
     def test_a_dropped_face_still_hides_what_lies_behind_it(self):
@@ -778,33 +868,65 @@ class TestFaceCull:
         ),
         amplitude=st.sampled_from([0.0, 0.3, 0.7]),
         mesh_kind=st.sampled_from(["random", "fragmented", "occluded"]),
+        odd=st.sampled_from([None, "nan", "far", "1e8-px"]),
+        kind=st.sampled_from(IMAGE_KINDS),
+        image_size=st.tuples(st.integers(1, 40), st.integers(1, 30)),
+        layout=st.sampled_from(CONTENT_LAYOUTS),
         margins=st.tuples(*[st.floats(0.0, 0.45)] * 4),
+        square=st.integers(1, 4),
         shifted=st.booleans(),
     )
-    def test_pixels_of_dropped_faces_lie_a_pixel_outside_the_box(
-        self, seed, eye, amplitude, mesh_kind, margins, shifted
+    # A face here reads a lit texel within 1 px of a pixel it wins only
+    # through the rounding margin: a cull rectangle of floor(min x) - 1 to
+    # floor(max x) + 1 drops it.
+    @example(
+        seed=0, eye=(0.0, 0.0, -1.0), amplitude=0.0, mesh_kind="fragmented", odd=None,
+        kind="uint8", image_size=(8, 1), layout="box", margins=(0.0, 0.25, 0.0, 0.0),
+        square=1, shifted=False,
+    )
+    # The far vertex has w = +inf and NaN pass-1 coordinates: a cull that
+    # let it into the rectangle test would index the table with them.
+    @example(
+        seed=0, eye=(0.0, 0.0, -1.0), amplitude=0.0, mesh_kind="random", odd="far",
+        kind="uint8", image_size=(1, 1), layout="box", margins=(0.0, 0.0, 0.0, 0.0),
+        square=1, shifted=False,
+    )
+    def test_pixels_of_dropped_faces_read_zero_texels_a_pixel_around(
+        self, seed, eye, amplitude, mesh_kind, odd, kind, image_size, layout, margins, square,
+        shifted,
     ):
         # The bound itself, on the full map: every pixel a dropped face
-        # wins is behind the eye or at least 1 px outside the box's open
-        # bounds. Exact arithmetic would need no margin, so the bytes above
-        # cannot show a margin below 1 px; this test can.
+        # wins is behind the eye, or every sample within 1 px of its
+        # coordinate blends only zero texels, its own four among them.
+        # Exact arithmetic would need no margin, so the bytes above cannot
+        # show a margin below 1 px; this test can.
         viewport, _, device, pose, _ = identity_setup(32, 24)
         if shifted:
             pose = shifted_projector()
         upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
-        user_image = scissored_content(seed, "gray-uint8", 32, 24, margins, None)
-        mesh = wall_of_kind(mesh_kind, seed, amplitude)
-        needed = needed_faces(user_image, mesh, upr, viewport)
-        uv, z = project_points(device, pose.inverse(), mesh.vertices)
-        every = np.ones(len(mesh.faces), dtype=bool)
-        res = rasterize(uv, z, mesh.faces, device.width, device.height, every)
-        covered, x, y, w = pass1_coordinates(user_image, mesh, upr, viewport, device, pose)
+        user_image = content_of(layout, seed, kind, image_size, margins, None, square)
+        mesh = with_odd_vertex(wall_of_kind(mesh_kind, seed, amplitude), odd, upr, viewport, user_image)
+        if not user_image.any():  # margins that meet leave black content
+            return
+        with odd_errors(odd):
+            needed = needed_faces(user_image, mesh, upr, viewport)
+            uv, z = project_points(device, pose.inverse(), mesh.vertices)
+            every = np.ones(len(mesh.faces), dtype=bool)
+            res = rasterize(uv, z, mesh.faces, device.width, device.height, every)
+            covered, x, y, w = pass1_coordinates(user_image, mesh, upr, viewport, device, pose)
         assert np.array_equal(covered, res.covered)
+        img_h, img_w = user_image.shape[:2]
+        # The lit texels inside the sampler's black ring.
+        lit = np.zeros((img_h + 2, img_w + 2), dtype=bool)
+        lit[1:-1, 1:-1] = user_image.reshape(img_h, img_w, -1).any(axis=2)
+        (c0, c1), (r0, r1) = texel_window(x, img_w), texel_window(y, img_h)
+        reads_lit = np.zeros(len(covered), dtype=bool)
+        for dr in range(4):
+            for dc in range(4):
+                at = (r0 + dr <= r1) & (c0 + dc <= c1)
+                reads_lit |= at & lit[np.minimum(r0 + dr, r1) + 1, np.minimum(c0 + dc, c1) + 1]
         dropped = ~needed[res.face]
-        (xlo, xhi), (ylo, yhi) = warp_module._content_box(user_image)
-        x_out = (x <= xlo - 1 + 1e-6) | (x >= xhi + 1 - 1e-6)
-        y_out = (y <= ylo - 1 + 1e-6) | (y >= yhi + 1 - 1e-6)
-        assert ((w < 0) | (w > 0) & (x_out | y_out))[dropped].all()
+        assert (~(w > 1e-9) | ~reads_lit)[dropped].all()
 
     def test_steer_states_map_under_half_a_million_pixels(self):
         # The work the scissor saves, as a count: on the demo config's four
@@ -979,13 +1101,14 @@ class TestPixelCull:
         user_image = options.pattern.render(vp.width_px, vp.height_px)
         covered, _, face = full_map(mesh, device, pose)
         assert len(covered) == 1_967_159
-        (xlo, xhi), (ylo, yhi) = warp_module._content_box(user_image)
         for upr in uprs:
             _, x, y, w = pass1_coordinates(user_image, mesh, upr, vp, device, pose)
-            lit = (w > 1e-9) & (x > xlo) & (x < xhi) & (y > ylo) & (y < yhi)
+            front = w > 1e-9
+            lit = np.zeros(len(covered), dtype=bool)
+            lit[front] = bilinear_sample(user_image, np.c_[x[front], y[front]])[:, 0] != 0
             kept = needed_faces(user_image, mesh, upr, vp)[face]
             assert kept[lit].all()
-            assert 300_000 < lit.sum() <= kept.sum() <= 450_000
+            assert 150_000 < lit.sum() <= kept.sum() <= 300_000
 
     def test_eye_past_the_wall_samples_nothing(self, demo):
         # Every covered pixel of the demo map is behind this eye: every
