@@ -233,12 +233,13 @@ def _needed_faces(mesh, matrix, pass1_scale, lit) -> np.ndarray:
       columns [floor(min x) - 2, floor(max x) + 2] and rows
       [floor(min y) - 2, floor(max y) + 2]. Every point of the face has
       w > 0, so it projects into the triangle of the vertices'
-      projections, with x in [min x, max x]. The sampler reads texels
-      floor(x - 0.5) and the one after, so texels in
+      projections, with x in [min x, max x]. The sampler blends texels
+      floor(x - 0.5) and the one after (past the black ring around the
+      image it clamps x and weights the ring alone), so texels in
       [floor(min x) - 1, floor(max x) + 1], and the same holds for y.
       A pixel's point lies on its face up to rounding, which moves x by far
       less than the pixel of margin left, so every pixel such a face wins
-      reads four zero texels and comes out black.
+      blends four zero texels and comes out black.
 
     ``pass1_scale`` holds, per axis, the screen size in meters, the
     viewport size and the pass-1 image size in pixels.
