@@ -211,7 +211,7 @@ class Fields:
             lambda v: v if isinstance(v, str) and (choices is None or v in choices) else None,
         )
 
-    def texts(self, key, default=_REQUIRED) -> tuple:
+    def texts(self, key, default) -> tuple:
         """A non-empty list of distinct strings, as a tuple."""
 
         def convert(v):

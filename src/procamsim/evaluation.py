@@ -459,7 +459,7 @@ def evaluate_case(
     rig: RigModel,
     result: CalibrationResult,
     options: BenchmarkOptions,
-    case_index: int = 0,
+    case_index: int,
 ) -> CaseResult:
     """Dislocation metrics for one scene.
 

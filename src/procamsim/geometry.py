@@ -254,9 +254,9 @@ def project_points(
     Rows whose depth is not positive (NaN included) hold NaN pixels, which
     ``PinholeDevice.contains`` rejects.
     """
-    p = pose.apply(np.asarray(points, dtype=float).reshape(-1, 3))
-    z = p[:, 2]
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # inf * 0 in the pose for a point at infinity
+        p = pose.apply(np.asarray(points, dtype=float).reshape(-1, 3))
+        z = p[:, 2]
         u = (device.fx * p[:, 0] + device.skew * p[:, 1]) / z + device.cx
         v = device.fy * p[:, 1] / z + device.cy
     uv = np.stack([u, v], axis=1)

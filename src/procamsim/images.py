@@ -206,7 +206,7 @@ def bilinear_sample(image: np.ndarray, xy: np.ndarray) -> np.ndarray:
     return out.T.reshape(*shape, channels)
 
 
-def draw_marker(image: np.ndarray, xy, color, half_size: int = 4) -> None:
+def draw_marker(image: np.ndarray, xy, color, half_size: int) -> None:
     """Draw a cross centered at a continuous pixel coordinate, in place."""
     h, w = image.shape[:2]
     cx = int(np.floor(xy[0]))

@@ -152,8 +152,8 @@ def observe_checkerboard(
     target: CheckerboardTarget,
     model: RigModel,
     state: PanTiltState,
-    noise_sigma: float = 0.0,
-    rng: np.random.Generator | None = None,
+    noise_sigma: float,
+    rng: np.random.Generator,
     camera: str = "front",
 ) -> list[tuple[int, np.ndarray]]:
     """Corner positions of ``target`` in a rig camera's frame.
@@ -179,8 +179,6 @@ def observe_checkerboard(
             f"no checkerboard corner visible in the {camera} camera"
         )
     if noise_sigma > 0.0:
-        if rng is None:
-            rng = np.random.default_rng(0)
         corners_cam = corners_cam + rng.normal(0.0, noise_sigma, size=corners_cam.shape)
     return [(int(i), corners_cam[i]) for i in np.flatnonzero(visible)]
 

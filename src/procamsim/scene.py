@@ -354,7 +354,7 @@ class TriangleMesh:
         object.__setattr__(self, "_pixel_map", (key, needed, arrays))
         return arrays
 
-    def face_normals(self, index=slice(None)) -> np.ndarray:
+    def face_normals(self, index) -> np.ndarray:
         """Unit normals of ``faces[index]``, one row per face."""
         v = self.vertices
         f = self.faces[index]
@@ -683,11 +683,6 @@ class DepthNoiseModel:
         if not (0 <= self.gamma_full_dropout < self.gamma_no_dropout <= 90):
             raise ValueError("need 0 <= gamma_full_dropout < gamma_no_dropout <= 90")
 
-    @classmethod
-    def exact(cls) -> "DepthNoiseModel":
-        """Noise-free sensing with dropout effectively disabled."""
-        return cls(sigma=0.0, gamma_full_dropout=0.0, gamma_no_dropout=1e-9)
-
     def dropout_probability(self, gamma_deg) -> np.ndarray:
         g = np.asarray(gamma_deg, dtype=float)
         ramp = (self.gamma_no_dropout - g) / (self.gamma_no_dropout - self.gamma_full_dropout)
@@ -714,7 +709,7 @@ def sense_depth(
     scene: Scene,
     device: PinholeDevice,
     device_to_world: RigidTransform,
-    noise: DepthNoiseModel | None = None,
+    noise: DepthNoiseModel,
 ) -> DepthImage:
     """Render a depth image of the scene as seen by ``device``.
 
@@ -723,8 +718,6 @@ def sense_depth(
     is split per image row from ``noise.rng_seed``, so results do not depend
     on how rows are partitioned across workers.
     """
-    if noise is None:
-        noise = DepthNoiseModel.exact()
     w, h = device.width, device.height
     pixels = pixel_center_grid(w, h)
     d_dev = backproject_points(device, pixels, 1.0)

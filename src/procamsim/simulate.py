@@ -156,7 +156,7 @@ def _projector_samples(
 def synthesize_session(
     rig: RigModel,
     scene: Scene,
-    protocol: CalibrationProtocol | None = None,
+    protocol: CalibrationProtocol,
 ) -> CalibrationSession:
     """Drive the rig through a protocol and collect a calibration session.
 
@@ -165,8 +165,6 @@ def synthesize_session(
     generator seeded with ``protocol.seed`` in a fixed order, so equal
     inputs give byte-identical sessions.
     """
-    if protocol is None:
-        protocol = CalibrationProtocol()
     if not scene.checkerboards:
         raise EmptyObservationError("scene has no checkerboard")
     board = scene.checkerboards[0]

@@ -73,21 +73,14 @@ class UprMatrix:
         """Screen-plane coordinates (meters) and the scale w = z_rear - ez.
 
         Returns ``(xy (N, 2), w (N,))`` without filtering; callers decide
-        what to do with non-positive or tiny w. Each point's result is the
-        same, bit for bit, whatever other points come with it, so callers
-        may split the points into blocks of any size.
+        what to do with non-positive or tiny w. Points with an infinite or
+        NaN coordinate give NaN or infinite results without a warning.
         """
-        pts = np.asarray(points_world, dtype=float).reshape(-1, 3)
-        hom = to_homogeneous(pts)
-        if len(hom) == 1:
-            # numpy hands a single row to BLAS's matrix-vector kernel, whose
-            # sums round differently from the matrix-matrix kernel every
-            # larger batch takes; a second copy of the row keeps it on that.
-            hom = np.repeat(hom, 2, axis=0)
-        h = (hom @ self.matrix.T)[: len(pts)]
-        w = h[:, 2]
-        xy = np.empty((2, len(pts)))  # one row per axis, returned as its transpose
+        hom = to_homogeneous(np.asarray(points_world, dtype=float).reshape(-1, 3))
+        xy = np.empty((2, len(hom)))  # one row per axis, returned as its transpose
         with np.errstate(divide="ignore", invalid="ignore"):
+            h = hom @ self.matrix.T
+            w = h[:, 2]
             np.divide(h[:, :2].T, w, out=xy)
         return xy.T, w
 

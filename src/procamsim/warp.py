@@ -2,14 +2,15 @@
 
 The correction runs in two passes (Raskar et al., "The Office of the
 Future", SIGGRAPH 1998). Pass 1 renders the content as the user should see
-it: a flat image addressed in virtual-screen (viewport) pixels, either the
-checker test pattern or an equirectangular panorama sampled along the eye's
-rays through the screen (``sample_equirect``). Pass 2 builds the projector
-framebuffer: the scene geometry is rasterized from the projector's point of
-view, each covered projector pixel maps the point it will light through the
-screen projection into viewport coordinates, and samples the pass-1 image
-there. Projecting that framebuffer onto the real surfaces makes the content
-appear, from the tracked eye, as if it were glued to the virtual screen.
+it: a flat uint8 image with the viewport's size in pixels and 1 or 3
+channels, either the checker test pattern or an equirectangular panorama
+sampled along the eye's rays through the screen (``sample_equirect``).
+Pass 2 builds the projector framebuffer: the scene geometry is rasterized
+from the projector's point of view, each covered projector pixel maps the
+point it will light through the screen projection into viewport
+coordinates, and samples the pass-1 image there. Projecting that
+framebuffer onto the real surfaces makes the content appear, from the
+tracked eye, as if it were glued to the virtual screen.
 The rasterized projector map, each covered pixel with its depth and
 winning face, is kept on the mesh and reused for every new eye while the
 mesh and the projector pose are unchanged and the eye needs no face the
@@ -188,28 +189,24 @@ def render_user_view(panorama: np.ndarray, upr: UprMatrix, viewport: Viewport) -
 def _lit_table(image: np.ndarray) -> tuple[int, int, np.ndarray] | None:
     """Summed-area table of the content's lit texels over their box, or None.
 
-    A texel is lit when any of its channels is not zero (a negative float
-    counts). The box [c0, c1] x [r0, r1] is the smallest that holds every
-    lit texel, and ``table[i, j]`` counts the lit texels in rows
-    [r0, r0 + i) and columns [c0, c0 + j), so four lookups count those in
-    any rectangle of the box (Crow, SIGGRAPH 1984). It is int32, 4 bytes
-    per texel of the box. Returns ``(c0, r0, table)``, or None when no
-    texel is lit or the image is empty.
+    A texel is lit when any of its channels is not zero. The box
+    [c0, c1] x [r0, r1] is the smallest that holds every lit texel, and
+    ``table[i, j]`` counts the lit texels in rows [r0, r0 + i) and columns
+    [c0, c0 + j), so four lookups count those in any rectangle of the box
+    (Crow, SIGGRAPH 1984). It is int32, 4 bytes per texel of the box.
+    Returns ``(c0, r0, table)``, or None when no texel is lit.
     """
-    img = np.asarray(image)
-    h, w = img.shape[:2]
-    if img.size == 0:
-        return None
-    rows = np.flatnonzero(np.any(img.reshape(h, -1), axis=1))
+    h, w, channels = image.shape
+    rows = np.flatnonzero(np.any(image.reshape(h, -1), axis=1))
     if len(rows) == 0:
         return None
     r0, r1 = rows[0], rows[-1]
-    band = img[r0 : r1 + 1].reshape(r1 - r0 + 1, -1)
+    band = image[r0 : r1 + 1].reshape(r1 - r0 + 1, -1)
     cols = np.flatnonzero(np.any(band, axis=0).reshape(w, -1).any(axis=1))
     c0, c1 = cols[0], cols[-1]
-    texels = img.reshape(h, w, -1)[r0 : r1 + 1, c0 : c1 + 1]
+    texels = image[r0 : r1 + 1, c0 : c1 + 1]
     lit = texels[..., 0] != 0
-    for c in range(1, texels.shape[2]):
+    for c in range(1, channels):
         lit |= texels[..., c] != 0
     table = np.zeros((r1 - r0 + 2, c1 - c0 + 2), dtype=np.int32)
     np.cumsum(lit, axis=1, dtype=np.int32, out=table[1:, 1:])
@@ -218,16 +215,17 @@ def _lit_table(image: np.ndarray) -> tuple[int, int, np.ndarray] | None:
     return int(c0), int(r0), table
 
 
-def _needed_faces(mesh, matrix, pass1_scale, lit) -> np.ndarray:
+def _needed_faces(mesh, upr, viewport, lit) -> np.ndarray:
     """Which faces of a world-frame mesh may win a pixel with a non-zero sample.
 
-    Each vertex X goes through the screen projection h = M (X, 1), whose
-    w = h2 is the tail's w, and, where w > 1e-9, to pass-1 coordinates
-    (x, y) with the tail's operations in its order. A face is not needed
-    in two cases; every other face is.
+    Each vertex goes through the screen projection (``upr.apply``), whose w
+    is the tail's w, and the viewport's pixel formula to pass-1
+    coordinates (x, y). A face is not needed in two cases; every other
+    face is.
 
-    - All three vertices have w < -1e-9. h is affine on a face, so every
-      point of the face has w < -1e-9, and the tail turns its pixels black.
+    - All three vertices have w < -1e-9. The projection is affine on a
+      face, so every point of the face has w < -1e-9, and the tail turns
+      its pixels black.
     - All three have w > 1e-9 and finite coordinates, and ``lit``, the
       table of ``_lit_table``, holds no lit texel in the rectangle of
       columns [floor(min x) - 2, floor(max x) + 2] and rows
@@ -237,21 +235,17 @@ def _needed_faces(mesh, matrix, pass1_scale, lit) -> np.ndarray:
       floor(x - 0.5) and the one after (past the black ring around the
       image it clamps x and weights the ring alone), so texels in
       [floor(min x) - 1, floor(max x) + 1], and the same holds for y.
-      A pixel's point lies on its face up to rounding, which moves x by far
-      less than the pixel of margin left, so every pixel such a face wins
-      blends four zero texels and comes out black.
-
-    ``pass1_scale`` holds, per axis, the screen size in meters, the
-    viewport size and the pass-1 image size in pixels.
+      A pixel's point lies on its face up to rounding, and the tail and
+      this test round differently; both move x by far less than the
+      pixel of margin left, so every pixel such a face wins blends four
+      zero texels and comes out black.
     """
     c0, r0, table = lit
-    x, y, z = mesh.vertices.T
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        h = [x * m0 + y * m1 + z * m2 + m3 for m0, m1, m2, m3 in matrix]
-        p = [(hk / h[2] / m + 0.5) * px * (img / px) for hk, (m, px, img) in zip(h[:2], pass1_scale)]
+    xy, w = upr.apply(mesh.vertices)
+    p = np.ascontiguousarray(viewport.to_pixels(xy).T)  # one row per axis
     f = np.ascontiguousarray(mesh.faces.T)  # (3, F), C order so that axis 0 reduces fast
-    needed = ~(h[2] < -1e-9)[f].all(axis=0)
-    front = np.flatnonzero(((h[2] > 1e-9) & np.isfinite(p[0]) & np.isfinite(p[1]))[f].all(axis=0))
+    needed = ~(w < -1e-9)[f].all(axis=0)
+    front = np.flatnonzero(((w > 1e-9) & np.isfinite(p).all(axis=0))[f].all(axis=0))
     corners = np.take(f, front, axis=1)
     # Each front face's rectangle as table indices [lo, hi) per axis.
     ends = []
@@ -274,6 +268,10 @@ def warp_to_projector(
 ) -> np.ndarray:
     """Pre-warp a pass-1 image into the projector framebuffer.
 
+    ``user_image`` is the pass-1 image in the viewport's own pixels: a
+    uint8 array of shape (viewport.height_px, viewport.width_px, 1 or 3).
+    Anything else raises ValueError before any work. One-channel content
+    is sampled and rounded once and fills all three framebuffer channels.
     The world-frame mesh is rasterized from the projector; every covered
     pixel maps the point at its depth through the screen projection and
     bilinearly samples the pass-1 image. Uncovered pixels, and points on the
@@ -290,19 +288,16 @@ def warp_to_projector(
     unblocked pass; past the mask and the index that pick them, 1 byte
     per covered and 8 per sampled pixel, no temporary grows with their
     number, and the lit-texel table, 4 bytes per texel of the content's
-    box, is freed before the map is read. All-black content, or content
-    with a zero side, gives a black framebuffer without sampling.
-    ``user_image`` has one or three channels (a 2-D image is one channel);
-    one-channel content is sampled, rounded and clipped once and fills all
-    three framebuffer channels, any other count raises ValueError. Float
-    content with a NaN or infinite texel raises ValueError("content must
-    be finite"), so every sample's byte is defined.
+    box, is freed before the map is read. All-black content gives a black
+    framebuffer without sampling.
     """
-    channels = 1 if np.ndim(user_image) == 2 else np.shape(user_image)[2]
-    if channels not in (1, 3):
-        raise ValueError(f"content needs 1 or 3 channels, got {channels}")
-    if user_image.dtype.kind == "f" and not np.isfinite(user_image).all():
-        raise ValueError("content must be finite")
+    size = (viewport.height_px, viewport.width_px)
+    if user_image.dtype != np.uint8 or user_image.shape not in (size + (1,), size + (3,)):
+        raise ValueError(
+            f"content must be a uint8 image of shape ({size[0]}, {size[1]}, 1 or 3), "
+            f"got {user_image.dtype} {user_image.shape}"
+        )
+    channels = user_image.shape[2]
     fb = np.zeros((proj_device.height * proj_device.width, 3), dtype=np.uint8)
     lit = _lit_table(user_image)
     if lit is None:
@@ -312,14 +307,7 @@ def warp_to_projector(
     m3, m4 = upr.matrix[:, :3], upr.matrix[:, 3]
     a = m3 @ proj_to_world.rotation @ np.linalg.inv(proj_device.matrix())
     b = m3 @ proj_to_world.translation + m4
-    # The pass-1 image may be rendered at a different resolution than the
-    # nominal viewport; rescale into its pixel grid.
-    pass1_scale = list(zip(
-        (viewport.width_m, viewport.height_m),
-        (viewport.width_px, viewport.height_px),
-        user_image.shape[1::-1],  # (width, height)
-    ))
-    needed = _needed_faces(mesh, upr.matrix, pass1_scale, lit)
+    needed = _needed_faces(mesh, upr, viewport, lit)
     del lit  # the table is freed before the map and the tail
     covered, depth, face = mesh.pixel_map(proj_device, proj_to_world, needed)
     kept = np.flatnonzero(needed[face])
@@ -350,17 +338,18 @@ def warp_to_projector(
         xy = g[:2]
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(xy, g[2], out=xy)
-        for p, (m, px, img) in zip(xy, pass1_scale):
+        for p, m, px in zip(xy, (viewport.width_m, viewport.height_m), size[::-1]):
             np.add(np.divide(p, m, out=p), 0.5, out=p)  # the viewport's formula
             p *= px
-            p *= img / px
         np.copyto(xy, np.nan, where=behind)
-        # Rounded and clipped once per content channel, then scattered as
-        # 3-byte pixels; a one-channel image's bytes fill all three channels.
+        # Rounded once per content channel, then scattered as 3-byte
+        # pixels; a one-channel image's bytes fill all three channels. A
+        # bilinear blend of uint8 texels lies in [0, 255 + 1e-12], so
+        # rounding alone gives the bytes that clipping to [0, 255] would.
         samples = bilinear_sample(user_image, xy.T).T
         for c in range(3):
             if c < channels:
-                np.clip(np.round(samples[c], out=term), 0, 255, out=term)
+                np.round(samples[c], out=term)
             pixels[:k, c] = term
         fb.view("V3")[pix, 0] = pixels[:k].view("V3")[:, 0]
     return fb.reshape(proj_device.height, proj_device.width, 3)

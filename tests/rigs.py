@@ -1,4 +1,4 @@
-"""Rigs shared by the tests; the CLI loads its config's rig file instead."""
+"""Rigs and a depth model shared by the tests; the CLI loads its config's rig file instead."""
 
 import math
 
@@ -6,6 +6,10 @@ import numpy as np
 
 from procamsim.geometry import PinholeDevice, RigidTransform, normalized, rotation_about_axis
 from procamsim.rig import RigModel
+from procamsim.scene import DepthNoiseModel
+
+# Noise-free depth sensing with dropout only at exactly grazing incidence.
+EXACT_DEPTH = DepthNoiseModel(sigma=0.0, gamma_full_dropout=0.0, gamma_no_dropout=1e-9)
 
 
 def default_rig() -> RigModel:

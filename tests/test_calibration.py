@@ -402,7 +402,7 @@ def calibration_scene():
 class TestFullPipeline:
     def test_noiseless_round_trip(self):
         rig = default_rig()
-        session = synthesize_session(rig, calibration_scene())
+        session = synthesize_session(rig, calibration_scene(), CalibrationProtocol())
         result = run_full_calibration(session)
         err = result.parameter_errors
         assert err is not None
@@ -436,7 +436,7 @@ class TestFullPipeline:
     def test_missing_stage_reports_stage_name(self):
         # An absent input and an empty one read alike.
         rig = default_rig()
-        session = synthesize_session(rig, calibration_scene())
+        session = synthesize_session(rig, calibration_scene(), CalibrationProtocol())
         no_axis_records = AxisObservationSet(records=())
         no_correspondences = ProjectorCorrespondenceSet(
             np.zeros((0, 2)), np.zeros((0, 3)), np.zeros(0, dtype=int), width=64, height=48
@@ -458,7 +458,7 @@ class TestFullPipeline:
             assert excinfo.value.__cause__ is None
 
     def test_stage_error_wraps_cause(self):
-        session = synthesize_session(default_rig(), calibration_scene())
+        session = synthesize_session(default_rig(), calibration_scene(), CalibrationProtocol())
         bad_records = session.pan_observations.records[:2]
         broken = dataclasses.replace(
             session, pan_observations=AxisObservationSet(records=bad_records)
@@ -481,7 +481,8 @@ class TestFullPipeline:
 
     def test_no_ground_truth_no_errors_dict(self):
         session = dataclasses.replace(
-            synthesize_session(default_rig(), calibration_scene()), ground_truth=None
+            synthesize_session(default_rig(), calibration_scene(), CalibrationProtocol()),
+            ground_truth=None,
         )
         result = run_full_calibration(session)
         assert result.parameter_errors is None
@@ -522,7 +523,7 @@ class TestSessionSerialization:
         )
 
     def test_result_round_trip(self, tmp_path):
-        session = synthesize_session(default_rig(), calibration_scene())
+        session = synthesize_session(default_rig(), calibration_scene(), CalibrationProtocol())
         result = run_full_calibration(session)
         path = tmp_path / "result.json"
         save_result(result, path)
@@ -556,7 +557,7 @@ class TestSessionSerialization:
             load_result(path)
 
     def test_session_json_is_sorted_and_versioned(self):
-        session = synthesize_session(default_rig(), calibration_scene())
+        session = synthesize_session(default_rig(), calibration_scene(), CalibrationProtocol())
         data = session_to_json(session)
         assert data["schema_version"] == 1
         text = json.dumps(data, sort_keys=True)
@@ -586,13 +587,13 @@ class TestSynthesizeSession:
     def test_noiseless_matches_direct_observation(self):
         rig = default_rig()
         scene = calibration_scene()
-        session = synthesize_session(rig, scene)
+        session = synthesize_session(rig, scene, CalibrationProtocol())
         board = scene.checkerboards[0]
         from procamsim.rig import observe_checkerboard
 
         rec = session.pan_observations.records[0]
         direct = observe_checkerboard(
-            board, rig, PanTiltState(alpha=rec.theta)
+            board, rig, PanTiltState(alpha=rec.theta), 0.0, np.random.default_rng(0)
         )
         assert [i for i, _ in rec.corners] == [i for i, _ in direct]
         assert np.allclose(
@@ -602,7 +603,7 @@ class TestSynthesizeSession:
         )
 
     def test_projector_samples_span_three_planes(self):
-        session = synthesize_session(default_rig(), calibration_scene())
+        session = synthesize_session(default_rig(), calibration_scene(), CalibrationProtocol())
         ids = session.projector.plane_ids
         assert set(ids.tolist()) == {0, 1, 2}
         assert len(ids) >= 30
@@ -611,7 +612,7 @@ class TestSynthesizeSession:
         # Every synthesized point must lie on the wall once mapped to world.
         rig = default_rig()
         scene = calibration_scene()
-        session = synthesize_session(rig, scene)
+        session = synthesize_session(rig, scene, CalibrationProtocol())
         protocol = CalibrationProtocol()
         from procamsim.rig import rig_pose
 
@@ -649,7 +650,7 @@ class TestSynthesizeSession:
             checkerboards=(),
         )
         with pytest.raises(EmptyObservationError, match="no checkerboard"):
-            synthesize_session(default_rig(), scene)
+            synthesize_session(default_rig(), scene, CalibrationProtocol())
 
     def test_too_few_corners_in_view_is_an_empty_observation(self):
         # With 1.5 m squares, fewer corners than an axis record takes are in view.
@@ -657,4 +658,4 @@ class TestSynthesizeSession:
         board = CheckerboardTarget(board.pose, board.rows, board.cols, square_size=1.5)
         scene = dataclasses.replace(calibration_scene(), checkerboards=(board,))
         with pytest.raises(EmptyObservationError, match="corners seen"):
-            synthesize_session(default_rig(), scene)
+            synthesize_session(default_rig(), scene, CalibrationProtocol())

@@ -201,6 +201,7 @@ class TestEvaluateCase:
             rig,
             result_from_rig(rig),
             fast_options(),
+            case_index=0,
         )
         assert grazing.invalid_depth_fraction > 0.02
         assert grazing.resolved_fraction < 1.0
@@ -225,6 +226,7 @@ class TestEvaluateCase:
                 residuals=result.residuals,
             ),
             fast_options(),
+            case_index=0,
         )
         assert perturbed.corrected_mean_px > 0.3
         assert perturbed.corrected_mean_px > 50.0 * max(
@@ -237,6 +239,7 @@ class TestEvaluateCase:
             rig,
             result_from_rig(rig),
             fast_options(state=PanTiltState(math.radians(8.0), math.radians(-5.0))),
+            case_index=0,
         )
         assert result.resolved_fraction > 0.8
         assert result.corrected_mean_px < 1e-2
@@ -256,7 +259,7 @@ class TestEvaluateCase:
                 ),
             ),
         )
-        r = evaluate_case(case, rig, result_from_rig(rig), fast_options())
+        r = evaluate_case(case, rig, result_from_rig(rig), fast_options(), case_index=0)
         assert r.resolved_count == 0
         assert math.isnan(r.corrected_mean_px)
         assert r.to_json()["corrected_mean_px"] is None

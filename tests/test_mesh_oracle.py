@@ -76,7 +76,7 @@ def brute_force(mesh, origins, dirs):
 
     normals = np.zeros((n_rays, 3))
     hit = best_face >= 0
-    normals[hit] = mesh.face_normals()[best_face[hit]]
+    normals[hit] = mesh.face_normals(slice(None))[best_face[hit]]
     return best_t, normals
 
 
@@ -118,7 +118,7 @@ def test_suite_meshes_under_the_sensor_rays(make_mesh):
     hit = np.isfinite(want_t)
     assert hit.sum() > 1000
     want_normals = np.zeros_like(normals)
-    want_normals[hit] = mesh.face_normals()[face_code[hit, 0].astype(int) - 1]
+    want_normals[hit] = mesh.face_normals(slice(None))[face_code[hit, 0].astype(int) - 1]
     assert np.array_equal(normals, want_normals)
 
 

@@ -122,9 +122,8 @@ def _passed_arguments(tree):
     return calls
 
 
-def test_every_defaulted_parameter_is_passed_by_some_package_caller():
-    """A default that no caller in the package or the benchmark overrides is
-    a constant, not an option; tests are not callers."""
+def _defaults_and_calls():
+    """The package's defaulted parameters, and the package's and the benchmark's calls."""
     defaulted = []
     calls = {}
     for path in sorted(SRC.glob("*.py")):
@@ -137,6 +136,13 @@ def test_every_defaulted_parameter_is_passed_by_some_package_caller():
         for name, entries in _passed_arguments(tree).items():
             calls.setdefault(name, []).extend(entries)
     assert defaulted, f"no defaulted parameters found under {SRC}"
+    return defaulted, calls
+
+
+def test_every_defaulted_parameter_is_passed_by_some_package_caller():
+    """A default that no caller in the package or the benchmark overrides is
+    a constant, not an option; tests are not callers."""
+    defaulted, calls = _defaults_and_calls()
     unpassed = sorted(
         f"{module}:{func}({param})"
         for module, name, param, position, func in defaulted
@@ -147,6 +153,21 @@ def test_every_defaulted_parameter_is_passed_by_some_package_caller():
     )
     assert unpassed == [], "never passed: " + ", ".join(unpassed)
 
+
+def test_every_defaulted_parameter_is_left_out_by_some_package_caller():
+    """A default that every caller in the package or the benchmark overrides
+    is never used, and the parameter is required in all but name; tests are
+    not callers. A call with ``*args`` or ``**kwargs`` may leave it out."""
+    defaulted, calls = _defaults_and_calls()
+    always = sorted(
+        f"{module}:{func}({param})"
+        for module, name, param, position, func in defaulted
+        if calls.get(name) and all(
+            param in keywords or (position is not None and position < count)
+            for keywords, count, open_ended in calls[name]
+        )
+    )
+    assert always == [], "always passed: " + ", ".join(always)
 
 
 def _fields(tree):

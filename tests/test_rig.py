@@ -26,6 +26,9 @@ from procamsim.scene import CheckerboardTarget
 
 from rigs import default_rig
 
+# A generator for noise-free observations, which take no draws from it.
+NO_DRAWS = np.random.default_rng(0)
+
 
 def simple_rig(**overrides) -> RigModel:
     fields = dict(
@@ -164,20 +167,22 @@ class TestObserveCheckerboard:
         rig = default_rig()
         state = PanTiltState(alpha=0.2, beta=-0.1)
         board = front_board()
-        obs = observe_checkerboard(board, rig, state)
+        obs = observe_checkerboard(board, rig, state, 0.0, NO_DRAWS)
         world = board.corners_world()
         front_from_world = rig_pose(rig, state).front_to_world.inverse()
         for idx, point in obs:
             np.testing.assert_allclose(point, front_from_world.apply(world[idx]), atol=1e-12)
 
     def test_all_corners_visible_at_home(self):
-        obs = observe_checkerboard(front_board(), default_rig(), PanTiltState())
+        obs = observe_checkerboard(front_board(), default_rig(), PanTiltState(), 0.0, NO_DRAWS)
         assert len(obs) == 6 * 9
 
     def test_out_of_frustum_corners_omitted(self):
         # Pan far enough that part of the board leaves the image.
         rig = default_rig()
-        obs = observe_checkerboard(front_board(), rig, PanTiltState(alpha=math.radians(28)))
+        obs = observe_checkerboard(
+            front_board(), rig, PanTiltState(alpha=math.radians(28)), 0.0, NO_DRAWS
+        )
         assert 0 < len(obs) < 54
 
     def test_board_behind_camera_raises(self):
@@ -188,7 +193,7 @@ class TestObserveCheckerboard:
             square_size=0.08,
         )
         with pytest.raises(EmptyObservationError):
-            observe_checkerboard(board, default_rig(), PanTiltState())
+            observe_checkerboard(board, default_rig(), PanTiltState(), 0.0, NO_DRAWS)
 
     def test_noise_statistics(self):
         rig = default_rig()
@@ -196,14 +201,14 @@ class TestObserveCheckerboard:
         board = front_board()
         obs = observe_checkerboard(board, rig, PanTiltState(), 0.001, rng)
         clean = dict(
-            observe_checkerboard(board, rig, PanTiltState())
+            observe_checkerboard(board, rig, PanTiltState(), 0.0, NO_DRAWS)
         )
         errors = np.array([p - clean[i] for i, p in obs])
         assert abs(errors.std() - 0.001) < 3e-4
 
     def test_rear_camera_observation(self):
         rig = default_rig()
-        obs = observe_checkerboard(front_board(), rig, PanTiltState(), camera="rear")
+        obs = observe_checkerboard(front_board(), rig, PanTiltState(), 0.0, NO_DRAWS, camera="rear")
         world = front_board().corners_world()
         rear_from_world = rig_pose(rig, PanTiltState()).rear_to_world.inverse()
         for idx, point in obs:
@@ -211,7 +216,9 @@ class TestObserveCheckerboard:
 
     def test_unknown_camera(self):
         with pytest.raises(ValueError):
-            observe_checkerboard(front_board(), default_rig(), PanTiltState(), camera="top")
+            observe_checkerboard(
+                front_board(), default_rig(), PanTiltState(), 0.0, NO_DRAWS, camera="top"
+            )
 
 
 class TestRigIO:

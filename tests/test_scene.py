@@ -31,6 +31,8 @@ from procamsim.scene import (
     sense_depth,
 )
 
+from rigs import EXACT_DEPTH
+
 
 def depth_device(width=64, height=48, f=60.0):
     return PinholeDevice(fx=f, fy=f, cx=width / 2, cy=height / 2, width=width, height=height)
@@ -151,19 +153,19 @@ class TestSenseDepth:
     def test_frontal_plane_exact(self):
         scene = Scene(surfaces=[Plane(point=[0, 0, 3], normal=[0, 0, -1])])
         dev = depth_device()
-        img = sense_depth(scene, dev, RigidTransform.identity())
+        img = sense_depth(scene, dev, RigidTransform.identity(), EXACT_DEPTH)
         assert img.valid.all()
         np.testing.assert_allclose(img.depth, 3.0, atol=1e-9)
 
     def test_depth_is_z_not_range(self):
         scene = Scene(surfaces=[Plane(point=[0, 0, 2], normal=[0, 0, -1])])
         dev = depth_device(width=8, height=8, f=4.0)  # very wide FOV
-        img = sense_depth(scene, dev, RigidTransform.identity())
+        img = sense_depth(scene, dev, RigidTransform.identity(), EXACT_DEPTH)
         np.testing.assert_allclose(img.depth, 2.0, atol=1e-9)
 
     def test_misses_are_invalid(self):
         scene = Scene(surfaces=[Sphere(center=[0, 0, 3], radius=0.3)])
-        img = sense_depth(scene, depth_device(), RigidTransform.identity())
+        img = sense_depth(scene, depth_device(), RigidTransform.identity(), EXACT_DEPTH)
         assert img.valid.any() and not img.valid.all()
         assert (img.depth[~img.valid] == 0).all()
 
@@ -250,7 +252,7 @@ class TestSenseDepthDraws:
         dev = depth_device(width=16, height=12)
         pose = RigidTransform.identity()
         monkeypatch.setattr(DepthNoiseModel, "dropout_probability", lambda self, g: 0.0 * g)
-        exact = sense_depth(scene, dev, pose)
+        exact = sense_depth(scene, dev, pose, EXACT_DEPTH)
         assert exact.valid.any() and not exact.valid.all()  # hits and misses
         # Rows of only 0, only 1, only NaN and mixes of them, and rows with
         # some probabilities in (0, 1), tiny and near 1 ones included.
@@ -283,7 +285,7 @@ class TestReconstructMesh:
     def test_full_grid_triangle_count_and_planarity(self):
         scene = Scene(surfaces=[Plane(point=[0, 0, 3], normal=[0, 0, -1])])
         dev = depth_device(width=20, height=15)
-        img = sense_depth(scene, dev, RigidTransform.identity())
+        img = sense_depth(scene, dev, RigidTransform.identity(), EXACT_DEPTH)
         mesh = reconstruct_mesh(img, dev)
         assert len(mesh.faces) == 2 * (20 - 1) * (15 - 1)
         assert np.max(np.abs(mesh.vertices[:, 2] - 3.0)) < 1e-9
@@ -291,7 +293,7 @@ class TestReconstructMesh:
     def test_vertices_reproject_to_pixel_centers(self):
         scene = Scene(surfaces=[Sphere(center=[0, 0, 3], radius=1.0)])
         dev = depth_device(width=24, height=18)
-        img = sense_depth(scene, dev, RigidTransform.identity())
+        img = sense_depth(scene, dev, RigidTransform.identity(), EXACT_DEPTH)
         mesh = reconstruct_mesh(img, dev)
         uv, z = project_points(dev, RigidTransform.identity(), mesh.vertices)
         assert (z > 0).all()
@@ -324,9 +326,9 @@ class TestReconstructMesh:
     def test_triangles_face_the_sensor(self):
         scene = Scene(surfaces=[Plane(point=[0, 0, 3], normal=[0, 0, -1])])
         dev = depth_device(width=10, height=10)
-        img = sense_depth(scene, dev, RigidTransform.identity())
+        img = sense_depth(scene, dev, RigidTransform.identity(), EXACT_DEPTH)
         mesh = reconstruct_mesh(img, dev)
-        normals = mesh.face_normals()
+        normals = mesh.face_normals(slice(None))
         assert (normals[:, 2] < 0).all()
 
     @settings(max_examples=50, deadline=None)

@@ -103,19 +103,6 @@ class TestUprMatrix:
             np.testing.assert_allclose(xy[i], expected, atol=1e-10)
             assert w[i] == pytest.approx(pts_rear[i][2] - eye.z, abs=1e-12)
 
-    @pytest.mark.parametrize("block", [1, 2, 7, 64])
-    def test_points_keep_their_bits_in_blocks_of_any_size(self, block):
-        # A single row must not take a different BLAS kernel from a batch.
-        world_to_rear = RigidTransform(
-            rotation_about_axis([0, 1, 0], 0.4), np.array([0.1, -0.2, 0.3])
-        )
-        upr = upr_matrix(EyePose(0.13, -0.07, -1.43), world_to_rear)
-        pts = np.random.default_rng(12).normal(size=(300, 3)) + [0, 0, 3]
-        xy, w = upr.apply(pts)
-        parts = [upr.apply(pts[i : i + block]) for i in range(0, len(pts), block)]
-        assert np.array_equal(np.concatenate([p[0] for p in parts]), xy)
-        assert np.array_equal(np.concatenate([p[1] for p in parts]), w)
-
     @pytest.mark.parametrize("eye", [EyePose(0.13, -0.07, -1.43), EyePose(0.0, 0.0, -1.5)])
     def test_xy_has_the_bits_of_one_division_of_rows(self, eye):
         # Points in front of, behind and on the eye's plane (w > 0, w < 0,

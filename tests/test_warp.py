@@ -9,11 +9,11 @@ The key oracles:
   form matrices independently of the library's ray casting.
 """
 
-import contextlib
 import gc
 import json
 import math
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -41,7 +41,6 @@ from procamsim.raster import rasterize
 from procamsim.rig import PanTiltState
 from procamsim.scene import (
     Box,
-    DepthNoiseModel,
     Plane,
     Scene,
     Sphere,
@@ -62,7 +61,7 @@ from procamsim.warp import (
     warp_to_projector,
 )
 
-from rigs import default_rig
+from rigs import EXACT_DEPTH, default_rig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -286,19 +285,13 @@ def full_map(mesh, device, pose):
     return mesh.pixel_map(device, pose, np.ones(len(mesh.faces), dtype=bool))
 
 
-def pass1_scale(viewport, user_image):
-    """Per axis: the screen size in meters, the viewport and the pass-1 image sizes in pixels."""
-    sizes = ((viewport.width_m, viewport.height_m), (viewport.width_px, viewport.height_px))
-    return list(zip(*sizes, user_image.shape[1::-1]))
-
-
 def needed_faces(user_image, mesh, upr, viewport):
     """The faces the warp needs for this content and eye: the mask it passes to ``pixel_map``.
 
     It builds the lit-texel table the warp builds.
     """
     lit = warp_module._lit_table(user_image)
-    return warp_module._needed_faces(mesh, upr.matrix, pass1_scale(viewport, user_image), lit)
+    return warp_module._needed_faces(mesh, upr, viewport, lit)
 
 
 class TestProjectorMapReuse:
@@ -445,17 +438,14 @@ def screen_projection(mesh, upr, proj_device, proj_to_world):
     return covered, xy, depth * g[2]
 
 
-def pass1_coordinates(user_image, mesh, upr, viewport, proj_device, proj_to_world):
+def pass1_coordinates(mesh, upr, viewport, proj_device, proj_to_world):
     """Each covered pixel's pass-1 image coordinates and w, over the whole map at once.
 
-    The screen projection, the viewport's pixel formula and the rescale to
-    the pass-1 image, in the tail's order of operations. Returns the covered
-    pixels, x, y and w.
+    The screen projection and the viewport's pixel formula, in the tail's
+    order of operations. Returns the covered pixels, x, y and w.
     """
     covered, xy_m, w = screen_projection(mesh, upr, proj_device, proj_to_world)
-    img_h, img_w = user_image.shape[:2]
-    x = (xy_m[:, 0] / viewport.width_m + 0.5) * viewport.width_px * (img_w / viewport.width_px)
-    y = (xy_m[:, 1] / viewport.height_m + 0.5) * viewport.height_px * (img_h / viewport.height_px)
+    x, y = viewport.to_pixels(xy_m).T
     return covered, x, y, w
 
 
@@ -466,9 +456,7 @@ def unscissored_tail(user_image, mesh, upr, viewport, proj_device, proj_to_world
     turns black. One sampler call takes every covered pixel, whatever the
     content, then round, clip and scatter.
     """
-    covered, x, y, w = pass1_coordinates(
-        user_image, mesh, upr, viewport, proj_device, proj_to_world
-    )
+    covered, x, y, w = pass1_coordinates(mesh, upr, viewport, proj_device, proj_to_world)
     behind = ~(w > 1e-9)
     x[behind] = y[behind] = np.nan
     samples = bilinear_sample(user_image, np.stack([x, y], axis=-1))
@@ -484,16 +472,17 @@ def random_wall(seed, amplitude, rows=9, cols=11):
     return TriangleMesh(np.c_[gx.ravel(), gy.ravel(), gz.ravel()], grid_faces(rows, cols))
 
 
-def pass1_image(seed, kind, width, height):
+def pass1_image(seed, channels, width, height):
+    """Random uint8 content of a ``width`` x ``height`` viewport with 1 or 3 channels."""
     rng = np.random.default_rng(seed)
-    shape = (height, width) if kind.startswith("gray") else (height, width, 3)
-    if kind.endswith("uint8"):
-        return rng.integers(0, 256, size=shape, dtype=np.uint8)
-    # Past both ends of [0, 255], so the quantizer clips.
-    return rng.uniform(-40.0, 300.0, size=shape)
+    return rng.integers(0, 256, size=(height, width, channels), dtype=np.uint8)
 
 
-IMAGE_KINDS = ("uint8", "float64", "gray-uint8", "gray-float64")
+CHANNELS = (1, 3)
+
+# A viewport's size in pixels, the pass-1 image's size with it. The
+# projector stays 32 x 24, so a small viewport makes large texels.
+VIEWPORT_PX = st.tuples(st.integers(1, 40), st.integers(1, 30))
 
 # An eye's z, off the screen plane by more than 5 cm on either side. Eyes up
 # to 0.6 m past the plane put parts of a wall of depth +-0.7 m at w <= 0 and
@@ -521,25 +510,25 @@ class TestBlockedWarpOracle:
             EYE_DEPTH,
         ),
         amplitude=st.sampled_from([0.0, 0.3, 0.7]),
-        kind=st.sampled_from(IMAGE_KINDS),
-        image_size=st.tuples(st.integers(1, 70), st.integers(1, 50)),
+        channels=st.sampled_from(CHANNELS),
+        viewport_px=st.tuples(st.integers(1, 70), st.integers(1, 50)),
         shifted=st.booleans(),
         block=st.sampled_from([1, 7, None]),
     )
     def test_matches_unblocked_tail(
-        self, seed, eye, amplitude, kind, image_size, shifted, block
+        self, seed, eye, amplitude, channels, viewport_px, shifted, block
     ):
-        viewport, _, device, pose, _ = identity_setup(32, 24)
+        _, _, device, pose, _ = identity_setup(32, 24)
         if shifted:
             pose = shifted_projector()
         upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
         mesh = random_wall(seed, amplitude)
-        user_image = pass1_image(seed, kind, *image_size)
-        got, want = self.both(block, user_image, mesh, upr, viewport, device, pose)
+        user_image = pass1_image(seed, channels, *viewport_px)
+        got, want = self.both(block, user_image, mesh, upr, Viewport(*viewport_px), device, pose)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("kind", IMAGE_KINDS)
-    def test_default_block_with_a_partial_last_block(self, kind):
+    @pytest.mark.parametrize("channels", CHANNELS)
+    def test_default_block_with_a_partial_last_block(self, channels):
         # 320 x 240 covered pixels: two whole blocks of 32,768 and 11,264 more.
         viewport, _, device, pose, _ = identity_setup(320, 240)
         mesh = random_wall(3, 0.5)
@@ -547,7 +536,7 @@ class TestBlockedWarpOracle:
         covered, _, w = screen_projection(mesh, upr, device, pose)
         assert len(covered) % warp_module._BLOCK == 76800 - 2 * 32768
         assert (w <= 1e-9).any() and (w > 1e-9).any()
-        user_image = pass1_image(4, kind, 250, 170)
+        user_image = pass1_image(4, channels, 320, 240)
         got, want = self.both(None, user_image, mesh, upr, viewport, device, pose)
         assert np.array_equal(got, want)
         assert (got > 0).sum() > 10000
@@ -557,7 +546,7 @@ class TestBlockedWarpOracle:
         viewport, upr, device, pose, _ = identity_setup(32, 24)
         far = TriangleMesh(random_wall(5, 0.2).vertices + [40.0, 0.0, 0.0], grid_faces(9, 11))
         assert len(full_map(far, device, pose)[0]) == 0
-        user_image = pass1_image(6, "uint8", 32, 24)
+        user_image = pass1_image(6, 3, 32, 24)
         got, want = self.both(block, user_image, far, upr, viewport, device, pose)
         assert np.array_equal(got, want)
         assert not got.any()
@@ -573,14 +562,14 @@ def edge_texel(spot, width, height):
     return row, col
 
 
-def scissored_content(seed, kind, width, height, margins, spot):
+def scissored_content(seed, channels, width, height, margins, spot):
     """Pass-1 content that is black outside a box.
 
     The box is what ``margins`` (fractions of the width and height cut from
     the left, right, top and bottom) leave, or the single texel at ``spot``
     when it is given. Every texel in the box is non-zero.
     """
-    image = pass1_image(seed, kind, width, height)
+    image = pass1_image(seed, channels, width, height)
     image[image == 0] = 1
     keep = np.zeros((height, width), dtype=bool)
     if spot is None:
@@ -605,58 +594,165 @@ class TestScissorBox:
             EYE_DEPTH,
         ),
         amplitude=st.sampled_from([0.0, 0.3, 0.7]),
-        kind=st.sampled_from(IMAGE_KINDS),
-        image_size=st.tuples(st.integers(1, 40), st.integers(1, 30)),
+        channels=st.sampled_from(CHANNELS),
+        viewport_px=VIEWPORT_PX,
         margins=st.tuples(*[st.floats(0.0, 0.6)] * 4),
         spot=st.sampled_from([None, *EDGE_SPOTS]),
         shifted=st.booleans(),
         block=st.sampled_from([1, 7, None]),
     )
     def test_matches_unscissored_tail(
-        self, seed, eye, amplitude, kind, image_size, margins, spot, shifted, block
+        self, seed, eye, amplitude, channels, viewport_px, margins, spot, shifted, block
     ):
-        viewport, _, device, pose, _ = identity_setup(32, 24)
+        _, _, device, pose, _ = identity_setup(32, 24)
         if shifted:
             pose = shifted_projector()
         upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
-        user_image = scissored_content(seed, kind, *image_size, margins, spot)
-        got, want = TestBlockedWarpOracle.both(
-            block, user_image, random_wall(seed, amplitude), upr, viewport, device, pose
-        )
+        user_image = scissored_content(seed, channels, *viewport_px, margins, spot)
+        mesh = random_wall(seed, amplitude)
+        viewport = Viewport(*viewport_px)
+        got, want = TestBlockedWarpOracle.both(block, user_image, mesh, upr, viewport, device, pose)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("kind", IMAGE_KINDS)
-    def test_black_content_is_never_sampled(self, monkeypatch, kind):
+    @pytest.mark.parametrize("channels", CHANNELS)
+    def test_black_content_is_never_sampled(self, monkeypatch, channels):
         viewport, upr, device, pose, wall = identity_setup(32, 24)
 
         def no_sampler(image, xy):
             raise AssertionError("black content needs no samples")
 
         monkeypatch.setattr(warp_module, "bilinear_sample", no_sampler)
-        black = np.zeros_like(pass1_image(13, kind, 40, 30))
+        black = np.zeros((24, 32, channels), dtype=np.uint8)
         fb = warp_to_projector(black, wall, upr, viewport, device, pose)
         assert fb.shape == (24, 32, 3) and not fb.any()
 
-    @pytest.mark.parametrize("shape", [(0, 0, 1), (0, 5, 3), (4, 0), (0, 0, 3)])
-    def test_content_with_a_zero_side_gives_black(self, shape):
+
+class TestContentContract:
+    """Pass-1 content is a viewport-sized uint8 image with 1 or 3 channels."""
+
+    @pytest.mark.parametrize(
+        "shape, dtype",
+        [
+            pytest.param((24, 32, 3), np.float32, id="float32"),
+            pytest.param((24, 32, 3), np.float64, id="float64"),
+            pytest.param((24, 32, 1), np.float64, id="one-channel-float64"),
+            pytest.param((24, 32, 3), np.float16, id="float16"),
+            pytest.param((24, 32, 3), np.int64, id="int64"),
+            pytest.param((24, 32, 3), np.uint16, id="uint16"),
+            pytest.param((24, 32, 1), np.int8, id="int8"),
+            pytest.param((24, 32, 1), np.bool_, id="bool"),
+            pytest.param((24, 32), np.uint8, id="2-D"),
+            pytest.param((24, 32, 2), np.uint8, id="2-channels"),
+            pytest.param((24, 32, 4), np.uint8, id="4-channels"),
+            pytest.param((23, 32, 3), np.uint8, id="a-row-short"),
+            pytest.param((25, 32, 3), np.uint8, id="a-row-long"),
+            pytest.param((24, 31, 1), np.uint8, id="a-column-short"),
+            pytest.param((24, 33, 1), np.uint8, id="a-column-long"),
+        ],
+    )
+    def test_other_content_is_rejected_before_the_map(self, monkeypatch, shape, dtype):
         viewport, upr, device, pose, wall = identity_setup(32, 24)
-        fb = warp_to_projector(np.zeros(shape, dtype=np.uint8), wall, upr, viewport, device, pose)
-        assert fb.shape == (24, 32, 3) and not fb.any()
+
+        def no_map(*args):
+            raise AssertionError("content off the contract is rejected before the map is built")
+
+        monkeypatch.setattr(TriangleMesh, "pixel_map", no_map)
+        user_image = np.full(shape, 100, dtype=dtype)
+        with pytest.raises(ValueError, match=r"must be a uint8 image of shape \(24, 32, 1 or 3\)"):
+            warp_to_projector(user_image, wall, upr, viewport, device, pose)
 
     @pytest.mark.parametrize("texel", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(24, 32), (24, 32, 3)])
     def test_non_finite_content_is_rejected(self, monkeypatch, texel, dtype, shape):
+        # The dtype check stands in for the finite check: float content
+        # never reaches the sampler, so no NaN or inf texel can.
         viewport, upr, device, pose, wall = identity_setup(32, 24)
 
         def no_map(*args):
-            raise AssertionError("non-finite content is rejected before the map is read")
+            raise AssertionError("non-finite content is rejected before the map is built")
 
         monkeypatch.setattr(TriangleMesh, "pixel_map", no_map)
         user_image = np.full(shape, 100.0, dtype=dtype)
         user_image[5, 7] = texel
-        with pytest.raises(ValueError, match="content must be finite"):
+        with pytest.raises(ValueError, match=r"must be a uint8 image of shape \(24, 32, 1 or 3\)"):
             warp_to_projector(user_image, wall, upr, viewport, device, pose)
+
+    @pytest.mark.parametrize("shape", [(0, 0, 1), (0, 5, 3), (4, 0), (0, 0, 3)])
+    def test_content_with_a_zero_side_is_rejected(self, monkeypatch, shape):
+        # A viewport has positive sides, so empty content is off the contract.
+        viewport, upr, device, pose, wall = identity_setup(32, 24)
+
+        def no_map(*args):
+            raise AssertionError("empty content is rejected before the map is built")
+
+        monkeypatch.setattr(TriangleMesh, "pixel_map", no_map)
+        with pytest.raises(ValueError, match=r"must be a uint8 image of shape \(24, 32, 1 or 3\)"):
+            warp_to_projector(np.zeros(shape, dtype=np.uint8), wall, upr, viewport, device, pose)
+
+    @pytest.mark.parametrize("channels", CHANNELS)
+    @pytest.mark.parametrize(
+        "layout", ["fortran", "reversed-rows", "window", "channel-slice", "read-only"]
+    )
+    def test_any_memory_layout_gives_the_same_bytes(self, channels, layout):
+        # The contract is on shape and dtype only: a strided, sliced or
+        # read-only view warps to the bytes of its C-contiguous copy.
+        viewport, upr, device, pose, _ = identity_setup(32, 24)
+        mesh = random_wall(23, 0.3)
+        user_image = pass1_image(23, channels, 32, 24)
+        if layout == "fortran":
+            view = np.asfortranarray(user_image)
+        elif layout == "reversed-rows":
+            view = user_image[::-1].copy()[::-1]
+        elif layout == "window":
+            big = np.zeros((30, 40, channels), dtype=np.uint8)
+            big[3:27, 5:37] = user_image
+            view = big[3:27, 5:37]
+        elif layout == "channel-slice":
+            big = np.zeros((24, 32, 4), dtype=np.uint8)
+            big[..., :channels] = user_image
+            view = big[..., :channels]
+        else:
+            view = user_image.copy()
+            view.flags.writeable = False
+        assert np.array_equal(view, user_image)
+        assert layout == "read-only" or not view.flags.c_contiguous
+        want = warp_to_projector(user_image, mesh, upr, viewport, device, pose)
+        got = warp_to_projector(view, mesh, upr, viewport, device, pose)
+        assert np.array_equal(got, want) and want.any()
+
+    @pytest.mark.parametrize("channels", CHANNELS)
+    def test_white_samples_round_to_255_without_a_clip(self, channels):
+        # The warp rounds its samples and casts them to uint8 with no clip:
+        # every blend of uint8 texels must lie in [0, 255.5). All-255
+        # content is the worst case; the weights may sum past 1 by rounding.
+        width, height = 32, 24
+        white = np.full((height, width, channels), 255, dtype=np.uint8)
+        rng = np.random.default_rng(21)
+        n = 200_000
+        # Between the texel centers, where only white texels blend.
+        inside = rng.uniform([0.5, 0.5], [width - 0.5, height - 0.5], size=(n, 2))
+        # Over the image and the black ring of texels around it, which
+        # takes some of the weight within a texel of an edge.
+        ring = rng.uniform([-1.0, -1.0], [width + 1.0, height + 1.0], size=(n, 2))
+        far = rng.choice([-1e300, -1e6, 1e6, 1e300, np.inf, -np.inf, np.nan], size=(1000, 2))
+        samples = bilinear_sample(white, np.concatenate([inside, ring, far]))
+        assert samples.shape == (2 * n + 1000, channels)
+        assert (samples >= 0).all() and (samples < 255.5).all()
+        assert (np.round(samples[:n]) == 255).all()
+        assert (samples[2 * n :] == 0).all()
+
+    def test_a_vertex_at_infinity_warns_nothing(self):
+        # A vertex at infinite depth meets inf * 0 in the projector's pose
+        # and in the screen projection; neither may warn.
+        viewport, upr, device, pose, _ = identity_setup(32, 24)
+        user_image = pass1_image(22, 3, 32, 24)
+        mesh = with_odd_vertex(random_wall(22, 0.3), "far", upr, viewport)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = warp_to_projector(user_image, mesh, upr, viewport, device, pose)
+        assert np.array_equal(got, unscissored_tail(user_image, mesh, upr, viewport, device, pose))
+        assert got.any()
 
 
 def fragmented_wall(seed, amplitude, holes):
@@ -705,7 +801,7 @@ def wall_of_kind(kind, seed, amplitude):
     return (occluded_wall if kind == "occluded" else random_wall)(seed, amplitude)
 
 
-def sparse_content(seed, kind, width, height, layout, square):
+def sparse_content(seed, channels, width, height, layout, square):
     """Pass-1 content lit at scattered texels and black elsewhere.
 
     ``layout`` is "isolated" (texels lit at random, no two side by side),
@@ -713,7 +809,7 @@ def sparse_content(seed, kind, width, height, layout, square):
     squares are black) or "corners" (one texel at each corner of a random
     box). Every lit texel is non-zero.
     """
-    image = pass1_image(seed, kind, width, height)
+    image = pass1_image(seed, channels, width, height)
     image[image == 0] = 1
     rng = np.random.default_rng([seed, 3])
     rows, cols = np.indices((height, width))
@@ -732,21 +828,20 @@ def sparse_content(seed, kind, width, height, layout, square):
 CONTENT_LAYOUTS = ("box", "isolated", "checker", "corners")
 
 
-def content_of(layout, seed, kind, image_size, margins, spot, square):
+def content_of(layout, seed, channels, viewport_px, margins, spot, square):
     """``scissored_content`` for the "box" layout, else ``sparse_content``."""
     if layout == "box":
-        return scissored_content(seed, kind, *image_size, margins, spot)
-    return sparse_content(seed, kind, *image_size, layout, square)
+        return scissored_content(seed, channels, *viewport_px, margins, spot)
+    return sparse_content(seed, channels, *viewport_px, layout, square)
 
 
-def with_odd_vertex(mesh, odd, upr, viewport, user_image):
+def with_odd_vertex(mesh, odd, upr, viewport):
     """``mesh`` with one more vertex, joined by a face to each of a few of its edges.
 
     ``odd`` is None (no vertex added), "nan" (a NaN vertex), "far" (a
     vertex at infinite depth, where w is +inf and the pass-1 coordinates
     are NaN) or "1e8-px" (a vertex 1 m from the eye, nearly in its plane,
-    whose pass-1 x is 1e8 px). Projecting the far vertex meets inf * 0,
-    so callers ignore invalid-value warnings under ``odd_errors``.
+    whose pass-1 x is 1e8 px).
     """
     if odd is None:
         return mesh
@@ -755,8 +850,7 @@ def with_odd_vertex(mesh, odd, upr, viewport, user_image):
     elif odd == "far":
         vertex = np.array([0.0, 0.0, np.inf])
     else:
-        scale = viewport.width_px / user_image.shape[1]
-        screen = np.r_[viewport.to_plane([1e8 * scale, viewport.height_px / 2]), 0.0]
+        screen = np.r_[viewport.to_plane([1e8, viewport.height_px / 2]), 0.0]
         eye = upr.eye_world()
         vertex = eye + normalized(screen - eye)
     n = len(mesh.vertices)
@@ -765,11 +859,6 @@ def with_odd_vertex(mesh, odd, upr, viewport, user_image):
         np.concatenate([mesh.vertices, [vertex]]),
         np.concatenate([mesh.faces, np.c_[edges, np.full(len(edges), n)]]),
     )
-
-
-def odd_errors(odd):
-    """Ignore numpy's invalid-value warnings for the far vertex of ``with_odd_vertex``."""
-    return np.errstate(invalid="ignore") if odd == "far" else contextlib.nullcontext()
 
 
 def texel_window(x, limit):
@@ -799,8 +888,8 @@ class TestFaceCull:
         amplitude=st.sampled_from([0.0, 0.3, 0.7]),
         mesh_kind=st.sampled_from(["random", "fragmented", "occluded"]),
         odd=st.sampled_from([None, "nan", "far", "1e8-px"]),
-        kind=st.sampled_from(IMAGE_KINDS),
-        image_size=st.tuples(st.integers(1, 40), st.integers(1, 30)),
+        channels=st.sampled_from(CHANNELS),
+        viewport_px=VIEWPORT_PX,
         layout=st.sampled_from(CONTENT_LAYOUTS),
         margins=st.tuples(*[st.floats(0.0, 0.6)] * 4),
         spot=st.sampled_from([None, *EDGE_SPOTS]),
@@ -815,23 +904,23 @@ class TestFaceCull:
     # front-of-eye guard drops them.
     @example(
         seed=698, eye=(-0.00771669838948541, 0.28251406097709786, 0.08992046496228912),
-        amplitude=0.7, mesh_kind="random", odd=None, kind="uint8", image_size=(32, 24),
+        amplitude=0.7, mesh_kind="random", odd=None, channels=3, viewport_px=(32, 24),
         layout="box",
         margins=(0.10009115085708946, 0.5822992037453848, 0.18985212997120954, 0.5993285505103348),
         spot=None, square=1, shifted=True, block=None,
     )
     def test_matches_unscissored_tail(
-        self, seed, eye, amplitude, mesh_kind, odd, kind, image_size, layout, margins, spot,
+        self, seed, eye, amplitude, mesh_kind, odd, channels, viewport_px, layout, margins, spot,
         square, shifted, block,
     ):
-        viewport, _, device, pose, _ = identity_setup(32, 24)
+        _, _, device, pose, _ = identity_setup(32, 24)
         if shifted:
             pose = shifted_projector()
+        viewport = Viewport(*viewport_px)
         upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
-        user_image = content_of(layout, seed, kind, image_size, margins, spot, square)
-        mesh = with_odd_vertex(wall_of_kind(mesh_kind, seed, amplitude), odd, upr, viewport, user_image)
-        with odd_errors(odd):
-            got, want = TestBlockedWarpOracle.both(block, user_image, mesh, upr, viewport, device, pose)
+        user_image = content_of(layout, seed, channels, viewport_px, margins, spot, square)
+        mesh = with_odd_vertex(wall_of_kind(mesh_kind, seed, amplitude), odd, upr, viewport)
+        got, want = TestBlockedWarpOracle.both(block, user_image, mesh, upr, viewport, device, pose)
         assert np.array_equal(got, want)
 
     def test_a_dropped_face_still_hides_what_lies_behind_it(self):
@@ -841,7 +930,7 @@ class TestFaceCull:
         viewport, _, device, _, _ = identity_setup(32, 24)
         pose = shifted_projector()
         upr = upr_matrix(EyePose(-0.5, 0.0, -1.5), RigidTransform.identity())
-        user_image = scissored_content(3, "uint8", 32, 24, (0.3, 0.3, 0.3, 0.3), None)
+        user_image = scissored_content(3, 3, 32, 24, (0.3, 0.3, 0.3, 0.3), None)
         wall = random_wall(3, 0.0)
         square = np.array([[0.1, -0.1, -1.1], [0.3, -0.1, -1.1], [0.1, 0.1, -1.1], [0.3, 0.1, -1.1]])
         mesh = TriangleMesh(
@@ -869,8 +958,8 @@ class TestFaceCull:
         amplitude=st.sampled_from([0.0, 0.3, 0.7]),
         mesh_kind=st.sampled_from(["random", "fragmented", "occluded"]),
         odd=st.sampled_from([None, "nan", "far", "1e8-px"]),
-        kind=st.sampled_from(IMAGE_KINDS),
-        image_size=st.tuples(st.integers(1, 40), st.integers(1, 30)),
+        channels=st.sampled_from(CHANNELS),
+        viewport_px=VIEWPORT_PX,
         layout=st.sampled_from(CONTENT_LAYOUTS),
         margins=st.tuples(*[st.floats(0.0, 0.45)] * 4),
         square=st.integers(1, 4),
@@ -881,18 +970,18 @@ class TestFaceCull:
     # floor(max x) + 1 drops it.
     @example(
         seed=0, eye=(0.0, 0.0, -1.0), amplitude=0.0, mesh_kind="fragmented", odd=None,
-        kind="uint8", image_size=(8, 1), layout="box", margins=(0.0, 0.25, 0.0, 0.0),
+        channels=3, viewport_px=(8, 1), layout="box", margins=(0.0, 0.25, 0.0, 0.0),
         square=1, shifted=False,
     )
     # The far vertex has w = +inf and NaN pass-1 coordinates: a cull that
     # let it into the rectangle test would index the table with them.
     @example(
         seed=0, eye=(0.0, 0.0, -1.0), amplitude=0.0, mesh_kind="random", odd="far",
-        kind="uint8", image_size=(1, 1), layout="box", margins=(0.0, 0.0, 0.0, 0.0),
+        channels=3, viewport_px=(1, 1), layout="box", margins=(0.0, 0.0, 0.0, 0.0),
         square=1, shifted=False,
     )
     def test_pixels_of_dropped_faces_read_zero_texels_a_pixel_around(
-        self, seed, eye, amplitude, mesh_kind, odd, kind, image_size, layout, margins, square,
+        self, seed, eye, amplitude, mesh_kind, odd, channels, viewport_px, layout, margins, square,
         shifted,
     ):
         # The bound itself, on the full map: every pixel a dropped face
@@ -900,25 +989,25 @@ class TestFaceCull:
         # coordinate blends only zero texels, its own four among them.
         # Exact arithmetic would need no margin, so the bytes above cannot
         # show a margin below 1 px; this test can.
-        viewport, _, device, pose, _ = identity_setup(32, 24)
+        _, _, device, pose, _ = identity_setup(32, 24)
         if shifted:
             pose = shifted_projector()
+        viewport = Viewport(*viewport_px)
         upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
-        user_image = content_of(layout, seed, kind, image_size, margins, None, square)
-        mesh = with_odd_vertex(wall_of_kind(mesh_kind, seed, amplitude), odd, upr, viewport, user_image)
+        user_image = content_of(layout, seed, channels, viewport_px, margins, None, square)
+        mesh = with_odd_vertex(wall_of_kind(mesh_kind, seed, amplitude), odd, upr, viewport)
         if not user_image.any():  # margins that meet leave black content
             return
-        with odd_errors(odd):
-            needed = needed_faces(user_image, mesh, upr, viewport)
-            uv, z = project_points(device, pose.inverse(), mesh.vertices)
-            every = np.ones(len(mesh.faces), dtype=bool)
-            res = rasterize(uv, z, mesh.faces, device.width, device.height, every)
-            covered, x, y, w = pass1_coordinates(user_image, mesh, upr, viewport, device, pose)
+        needed = needed_faces(user_image, mesh, upr, viewport)
+        uv, z = project_points(device, pose.inverse(), mesh.vertices)
+        every = np.ones(len(mesh.faces), dtype=bool)
+        res = rasterize(uv, z, mesh.faces, device.width, device.height, every)
+        covered, x, y, w = pass1_coordinates(mesh, upr, viewport, device, pose)
         assert np.array_equal(covered, res.covered)
         img_h, img_w = user_image.shape[:2]
         # The lit texels inside the sampler's black ring.
         lit = np.zeros((img_h + 2, img_w + 2), dtype=bool)
-        lit[1:-1, 1:-1] = user_image.reshape(img_h, img_w, -1).any(axis=2)
+        lit[1:-1, 1:-1] = user_image.any(axis=2)
         (c0, c1), (r0, r1) = texel_window(x, img_w), texel_window(y, img_h)
         reads_lit = np.zeros(len(covered), dtype=bool)
         for dr in range(4):
@@ -989,7 +1078,6 @@ class TestPixelCull:
         ),
         amplitude=st.sampled_from([0.0, 0.3, 0.7]),
         mesh_kind=st.sampled_from(["random", "fragmented", "occluded"]),
-        kind=st.sampled_from(("uint8", "float64")),
         margins=st.tuples(*[st.floats(0.0, 0.6)] * 4),
         spot=st.sampled_from([None, *EDGE_SPOTS]),
         shifted=st.booleans(),
@@ -997,7 +1085,7 @@ class TestPixelCull:
         block=st.sampled_from([1, 7, None]),
     )
     def test_samples_the_covered_pixels_of_needed_faces(
-        self, seed, eye, amplitude, mesh_kind, kind, margins, spot, shifted, full_first, block
+        self, seed, eye, amplitude, mesh_kind, margins, spot, shifted, full_first, block
     ):
         # With ``full_first`` the kept map already holds every face, so it
         # covers pixels of faces this eye does not need.
@@ -1005,7 +1093,7 @@ class TestPixelCull:
         if shifted:
             pose = shifted_projector()
         upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
-        user_image = scissored_content(seed, kind, 32, 24, margins, spot)
+        user_image = scissored_content(seed, 3, 32, 24, margins, spot)
         mesh = wall_of_kind(mesh_kind, seed, amplitude)
         if full_first:
             full_map(mesh, device, pose)
@@ -1028,8 +1116,8 @@ class TestPixelCull:
         ),
         amplitude=st.sampled_from([0.0, 0.3, 0.7]),
         holes=st.sampled_from([0.0, 0.3, 0.8]),
-        kind=st.sampled_from(IMAGE_KINDS),
-        image_size=st.tuples(st.integers(1, 40), st.integers(1, 30)),
+        channels=st.sampled_from(CHANNELS),
+        viewport_px=VIEWPORT_PX,
         margins=st.tuples(*[st.floats(0.0, 0.6)] * 4),
         spot=st.sampled_from([None, *EDGE_SPOTS]),
         shifted=st.booleans(),
@@ -1038,19 +1126,20 @@ class TestPixelCull:
     # An eye just past the screen plane: g2 changes sign inside some faces,
     # whose pixels are lit where they lie in front of the eye.
     @example(
-        seed=0, eye=(0.0, 0.25, 0.0625), amplitude=0.3, holes=0.0, kind="uint8",
-        image_size=(1, 14), margins=(0.0, 0.0, 0.0, 0.5), spot=None, shifted=False,
+        seed=0, eye=(0.0, 0.25, 0.0625), amplitude=0.3, holes=0.0, channels=3,
+        viewport_px=(1, 14), margins=(0.0, 0.0, 0.0, 0.5), spot=None, shifted=False,
         block=None,
     )
     def test_matches_unscissored_tail(
-        self, seed, eye, amplitude, holes, kind, image_size, margins, spot, shifted, block
+        self, seed, eye, amplitude, holes, channels, viewport_px, margins, spot, shifted, block
     ):
-        viewport, _, device, pose, _ = identity_setup(32, 24)
+        _, _, device, pose, _ = identity_setup(32, 24)
         if shifted:
             pose = shifted_projector()
         upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
-        user_image = scissored_content(seed, kind, *image_size, margins, spot)
+        user_image = scissored_content(seed, channels, *viewport_px, margins, spot)
         mesh = fragmented_wall(seed, amplitude, holes)
+        viewport = Viewport(*viewport_px)
         got, want = TestBlockedWarpOracle.both(block, user_image, mesh, upr, viewport, device, pose)
         assert np.array_equal(got, want)
 
@@ -1068,7 +1157,7 @@ class TestPixelCull:
         # every face is needed and every covered pixel is sampled; an eye
         # past the wall needs no face, so it samples none of the map.
         viewport, upr, device, pose, _ = identity_setup(32, 24)
-        user_image = pass1_image(15, "uint8", 32, 24)
+        user_image = pass1_image(15, 3, 32, 24)
         mesh = random_wall(16, 0.3)
         if count == "0":
             upr = upr_matrix(EyePose(0.0, 0.0, 0.9), RigidTransform.identity())
@@ -1102,7 +1191,7 @@ class TestPixelCull:
         covered, _, face = full_map(mesh, device, pose)
         assert len(covered) == 1_967_159
         for upr in uprs:
-            _, x, y, w = pass1_coordinates(user_image, mesh, upr, vp, device, pose)
+            _, x, y, w = pass1_coordinates(mesh, upr, vp, device, pose)
             front = w > 1e-9
             lit = np.zeros(len(covered), dtype=bool)
             lit[front] = bilinear_sample(user_image, np.c_[x[front], y[front]])[:, 0] != 0
@@ -1119,7 +1208,7 @@ class TestPixelCull:
         user_image = options.pattern.render(vp.width_px, vp.height_px)
         upr = upr_matrix(EyePose(0.0, 0.0, 3.1), chain.est_upr.world_to_rear)
         covered, _, _ = full_map(mesh, device, pose)
-        _, _, _, w = pass1_coordinates(user_image, mesh, upr, vp, device, pose)
+        _, _, _, w = pass1_coordinates(mesh, upr, vp, device, pose)
         assert len(covered) == 1_967_159 and (w < -1e-9).all()
         assert not needed_faces(user_image, mesh, upr, vp).any()
         samples = []
@@ -1145,33 +1234,26 @@ class TestOneChannelContent:
             EYE_DEPTH,
         ),
         amplitude=st.sampled_from([0.0, 0.3, 0.7]),
-        kind=st.sampled_from(("gray-uint8", "gray-float64")),
-        image_size=st.tuples(st.integers(1, 70), st.integers(1, 50)),
+        viewport_px=st.tuples(st.integers(1, 70), st.integers(1, 50)),
         shifted=st.booleans(),
         block=st.sampled_from([1, 7, None]),
     )
     def test_one_channel_matches_its_rgb_expansion(
-        self, seed, eye, amplitude, kind, image_size, shifted, block
+        self, seed, eye, amplitude, viewport_px, shifted, block
     ):
-        viewport, _, device, pose, _ = identity_setup(32, 24)
+        _, _, device, pose, _ = identity_setup(32, 24)
         if shifted:
             pose = shifted_projector()
+        viewport = Viewport(*viewport_px)
         upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
         mesh = random_wall(seed, amplitude)
-        gray = pass1_image(seed, kind, *image_size)[..., None]
+        gray = pass1_image(seed, 1, *viewport_px)
         with mock.patch.object(warp_module, "_BLOCK", block or warp_module._BLOCK):
             got = warp_to_projector(gray, mesh, upr, viewport, device, pose)
             want = warp_to_projector(
                 np.repeat(gray, 3, axis=2), mesh, upr, viewport, device, pose
             )
         assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("channels", [2, 4])
-    def test_two_and_four_channels_are_rejected(self, channels):
-        viewport, upr, device, pose, wall = identity_setup(32, 24)
-        user_image = np.zeros((24, 32, channels), dtype=np.uint8)
-        with pytest.raises(ValueError, match="1 or 3 channels"):
-            warp_to_projector(user_image, wall, upr, viewport, device, pose)
 
 
 def interpolated_world(mesh, device, pose):
@@ -1231,7 +1313,7 @@ class TestScreenProjectionReference:
         pose = RigidTransform(rotation_about_axis(unit_axis, math.radians(angle)), np.array(shift))
         upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
         mesh = random_wall(seed, amplitude)
-        user_image = pass1_image(seed, "uint8", viewport.width_px, viewport.height_px)
+        user_image = pass1_image(seed, 3, viewport.width_px, viewport.height_px)
         user_image[:3] = user_image[:, -5:] = 0  # black margins the box leaves out
         rows, cols = (np.flatnonzero(user_image.any(axis=axis)) for axis in ((1, 2), (0, 2)))
         pixels, got = tagged_warp(user_image, mesh, upr, viewport, device, pose)
@@ -1248,7 +1330,6 @@ class TestScreenProjectionReference:
         sampled[at] = True
         xy, w = upr.apply(world)
         front = w > 1e-6
-        # The pass-1 image has the viewport's size, so the rescale is exact.
         want = np.full((len(covered), 2), np.nan)
         want[front] = viewport.to_pixels(xy[front])
         checked = front[at]
@@ -1266,28 +1347,28 @@ class TestScreenProjectionReference:
 class TestFramebufferLayout:
     """The framebuffer is written as whole 3-byte pixels into one C-ordered array."""
 
-    @pytest.mark.parametrize("kind", IMAGE_KINDS)
-    def test_framebuffer_is_c_contiguous_rgb(self, kind):
+    @pytest.mark.parametrize("channels", CHANNELS)
+    def test_framebuffer_is_c_contiguous_rgb(self, channels):
         viewport, _, device, pose, _ = identity_setup(32, 24)
         upr = upr_matrix(EyePose(0.1, -0.05, -0.9), RigidTransform.identity())
         fb = warp_to_projector(
-            pass1_image(7, kind, 40, 30), random_wall(8, 0.3), upr, viewport, device, pose
+            pass1_image(7, channels, 32, 24), random_wall(8, 0.3), upr, viewport, device, pose
         )
         assert fb.shape == (24, 32, 3) and fb.dtype == np.uint8
         assert fb.flags.c_contiguous
         assert fb.any()
-        if kind.startswith("gray"):  # one channel fills all three
+        if channels == 1:  # one channel fills all three
             assert (fb == fb[..., :1]).all()
 
-    @pytest.mark.parametrize("kind", IMAGE_KINDS)
-    @pytest.mark.parametrize("image_size", [(1, 1), (37, 1)])
+    @pytest.mark.parametrize("channels", CHANNELS)
+    @pytest.mark.parametrize("viewport_px", [(1, 1), (37, 1)])
     @pytest.mark.parametrize("block", [1, 7, None])
-    def test_one_pixel_and_one_row_images_match_unblocked_tail(self, kind, image_size, block):
-        viewport, _, device, pose, _ = identity_setup(32, 24)
+    def test_one_pixel_and_one_row_images_match_unblocked_tail(self, channels, viewport_px, block):
+        _, _, device, pose, _ = identity_setup(32, 24)
         upr = upr_matrix(EyePose(-0.2, 0.1, -1.1), RigidTransform.identity())
-        user_image = pass1_image(9, kind, *image_size)
+        user_image = pass1_image(9, channels, *viewport_px)
         got, want = TestBlockedWarpOracle.both(
-            block, user_image, random_wall(10, 0.3), upr, viewport, device, pose
+            block, user_image, random_wall(10, 0.3), upr, Viewport(*viewport_px), device, pose
         )
         assert np.array_equal(got, want)
         assert got.any()
@@ -1301,7 +1382,7 @@ class TestStreamingTail:
         viewport, _, device, pose, _ = identity_setup(width, height)
         mesh = random_wall(11, 0.3)
         upr = upr_matrix(EyePose(0.1, -0.05, -1.2), RigidTransform.identity())
-        user_image = pass1_image(12, "uint8", width, height)
+        user_image = pass1_image(12, 3, width, height)
         return (user_image, mesh, upr, viewport, device, pose)
 
     def test_peak_memory_follows_the_block_not_the_covered_pixels(self):
@@ -1559,7 +1640,7 @@ def true_models(rig=None, eye=EyePose(0.0, 0.0, -1.5)):
 
 def exact_geometry(scene, rig):
     depth = sense_depth(
-        scene, rig.front_device, RigidTransform.identity(), DepthNoiseModel.exact()
+        scene, rig.front_device, RigidTransform.identity(), EXACT_DEPTH
     )
     return reconstruct_mesh(depth, rig.front_device)
 
