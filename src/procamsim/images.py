@@ -139,7 +139,7 @@ def read_image(path) -> np.ndarray:
 
 
 def bilinear_sample(image: np.ndarray, xy: np.ndarray) -> np.ndarray:
-    """Bilinear samples at continuous pixel coordinates, black outside.
+    """Bilinear samples of an (H, W, channels) image at continuous pixel coordinates, black outside.
 
     ``xy`` is (..., 2) with (0.5, 0.5) at the center of pixel (0, 0).
     Samples beyond the border blend toward black (the image is conceptually
@@ -148,8 +148,6 @@ def bilinear_sample(image: np.ndarray, xy: np.ndarray) -> np.ndarray:
     Returns float64 of shape (..., channels), a view of one row per channel.
     """
     img = np.asarray(image)
-    if img.ndim == 2:
-        img = img[..., None]
     h, w, channels = img.shape
 
     pts = np.asarray(xy, dtype=np.float64)

@@ -12,11 +12,18 @@ Faces with any non-positive or infinite w, or a non-finite position, are
 dropped rather than clipped; callers keep their geometry in front of the
 device.
 
-A caller that reads the pixels of only some faces passes them as a mask,
-and only the pixel centers inside the rectangle around those faces'
-bounding boxes are drawn (a screen-space scissor); each face's bounding box
-is clipped to the rectangle, so every face that reaches a pixel there is
-still tested at it and the pixel gets the bits of drawing the whole grid.
+A caller that reads the pixels of only some faces passes them as a mask.
+Only the pixel centers inside the rectangle around those faces' bounding
+boxes are drawn (a screen-space scissor), and each face's bounding box is
+clipped to it. The rectangle is cut into square tiles of ``_TILE`` pixels;
+the tiles a needed face's box touches are marked, and only the faces whose
+box touches a marked tile are set up and drawn (tile culling, as in
+Greene, Kass and Miller, SIGGRAPH 1993). A face with a fragment at a pixel
+has that pixel's tile inside its own box, so every pixel inside a needed
+face's box is still tested against every face that reaches it and gets
+the bits of drawing the whole grid. Any other covered pixel is won by a
+face that is not needed, perhaps not the face that wins it on the whole
+grid.
 
 The pipeline, per chunk of faces in index order:
 
@@ -50,6 +57,8 @@ _FRAGMENT_BUDGET = 1_000_000
 # fragments, so a block's arrays stay in a core's cache while it is drawn.
 _BLOCK = 1 << 16
 _AREA_EPS = 1e-12
+# Side in pixels of the square tiles that the scissor marks.
+_TILE = 4
 
 
 class RasterResult:
@@ -197,6 +206,44 @@ def _faces(xy, w, faces):
     return tri, tri_w, area, valid
 
 
+def _touch_marked_tiles(rect, boxes, some, reach):
+    """Which faces of ``reach`` have a box that touches a tile some box of ``some`` touches.
+
+    The rectangle is cut into ``_TILE``-pixel square tiles anchored at its
+    corner, and ``boxes`` holds each face's inclusive pixel box (x_min,
+    x_max, y_min, y_max), clipped to the rectangle and not empty for the
+    faces of ``some`` and ``reach``. The tiles the boxes of ``some``
+    touch are marked by adding each box's four corners to a difference
+    grid; a summed-area table of the marks then counts the marked tiles in
+    any face's tile range with four lookups.
+    """
+    x0, y0, x1, y1 = rect
+    cols = -(-(x1 - x0) // _TILE)
+    rows = -(-(y1 - y0) // _TILE)
+
+    def tiles(index):
+        """First and one-past-last tile column and row of each box, (len(index),) each."""
+        x_lo, x_hi, y_lo, y_hi = (v[index] for v in boxes)
+        return (
+            (x_lo - x0) // _TILE, (x_hi - x0) // _TILE + 1,
+            (y_lo - y0) // _TILE, (y_hi - y0) // _TILE + 1,
+        )
+
+    a, b, c, d = tiles(some)
+    stride = cols + 1
+    size = (rows + 1) * stride
+    plus = np.bincount(np.concatenate([c * stride + a, d * stride + b]), minlength=size)
+    minus = np.bincount(np.concatenate([c * stride + b, d * stride + a]), minlength=size)
+    cover = (plus - minus).reshape(rows + 1, stride)
+    np.cumsum(cover, axis=0, out=cover)
+    np.cumsum(cover, axis=1, out=cover)
+    table = np.zeros((rows + 1, stride), dtype=np.int64)
+    np.cumsum(cover[:rows, :cols] > 0, axis=0, out=table[1:, 1:])
+    np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
+    a, b, c, d = tiles(reach)
+    return table[d, b] - table[c, b] - table[d, a] + table[c, a] > 0
+
+
 def rasterize(
     xy: np.ndarray,
     w: np.ndarray,
@@ -212,10 +259,14 @@ def rasterize(
     vertex indices. Both triangle windings are filled. ``needed`` is an
     (F,) bool mask of the faces whose pixels the caller reads. Only the
     pixels of the smallest rectangle of the grid that holds the
-    pixel-center box of every needed face drawn are drawn, by every face
-    whose box reaches them, so they get the bits of rasterizing the whole
-    grid; every other pixel stays undrawn. With every face needed, the
-    result is the whole grid's raster.
+    pixel-center box of every needed face drawn are drawn, and only by the
+    faces whose box touches a ``_TILE``-pixel tile, anchored at the
+    rectangle's corner, that the box of a needed face drawn touches. Every
+    pixel inside the box of a needed face drawn gets the bits of
+    rasterizing the whole grid, since every face with a fragment there is
+    drawn; every other covered pixel is won by a face that is not needed,
+    and every pixel outside the rectangle stays undrawn. With every face
+    needed, the result is the whole grid's raster.
     """
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
     w = np.asarray(w, dtype=float).reshape(-1)
@@ -245,9 +296,11 @@ def rasterize(
     np.clip(y_min, y0, y1, out=y_min)
     np.clip(y_max, y0 - 1, y1 - 1, out=y_max)
 
-    # Only the faces that reach the rectangle are set up and drawn,
-    # renumbered in index order, so ties resolve as on the original numbers.
+    # Only the faces whose clipped box touches a marked tile are set up and
+    # drawn, renumbered in index order, so ties resolve as on the original
+    # numbers.
     reach = np.flatnonzero((x_min <= x_max) & (y_min <= y_max))
+    reach = reach[_touch_marked_tiles(rect, (x_min, x_max, y_min, y_max), some, reach)]
     tri, tri_w, area, valid = _faces(xy, w, faces[reach])
     face_ids = reach[valid]
     tri, tri_w, area = tri[valid], tri_w[valid], area[valid]

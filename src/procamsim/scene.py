@@ -321,10 +321,12 @@ class TriangleMesh:
 
         ``needed`` is an (F,) bool mask of the faces whose pixels the caller
         reads. The map is ``rasterize`` of the mesh as the device sees it,
-        with those faces needed: scissored to the rectangle that holds the
-        pixel-center box of every needed face, it has the bits of the full
-        map there; outside it, every pixel the full map covers is won by a
-        face that is not needed, and none is covered. Returns the
+        with those faces needed: it has the bits of the full map on every
+        pixel inside the pixel-center box of a needed face, and every
+        other pixel it covers is won by a face that is not needed. It
+        covers no pixel outside the rectangle that holds those boxes, and
+        inside it is drawn only by the faces whose box touches a tile that
+        a needed face's box touches. Returns the
         row-major flat indices of the covered pixels and, for each, the
         device-frame depth of the mesh there and the index of the face
         that wins it: 24 bytes per covered pixel. The world point behind

@@ -25,10 +25,15 @@ lit texels (Crow, SIGGRAPH 1984) extends a screen-space trivial reject
 (Greene, Kass and Miller, SIGGRAPH 1993) from the content's box to its
 texels: per eye, the faces that may win a pixel whose sample is not
 black are those whose vertices' pass-1 rectangle holds a lit texel
-(``_needed_faces``, which holds the bound). The map covers only
-the rectangle of projector pixels those faces can win, with every face
-still drawn inside it, so occlusion is exact; the map is thus a rectangle
-of the frame that grows as eyes need more of it. The per-eye tail then
+(``_needed_faces``, which holds the bound). Vertex outcodes (Newman and
+Sproull, 1973) settle most faces first, so only the rest take the table
+lookup. The map covers only the rectangle of projector pixels those
+faces can win, and inside it only the faces whose box touches a tile
+that a needed face's box touches are drawn: every pixel inside a needed
+face's box has the bits of the whole frame's map, so occlusion there is
+exact, and every other covered pixel is won by a face that is not
+needed. The map is thus a rectangle of the frame that grows as eyes
+need more of it. The per-eye tail then
 samples exactly the covered pixels whose winning face is needed, as a
 visibility buffer lets a deferred pass pick its pixels by face (Burns and
 Hunt, JCGT 2013), in blocks each taken from the screen projection through
@@ -60,6 +65,7 @@ from .geometry import (
     project_points,
 )
 from .images import bilinear_sample, to_uint8
+from .raster import _row_max, _row_min
 from .scene import Scene, TriangleMesh, hit_points
 from .upr import UprMatrix, Viewport
 
@@ -239,23 +245,61 @@ def _needed_faces(mesh, upr, viewport, lit) -> np.ndarray:
       this test round differently; both move x by far less than the
       pixel of margin left, so every pixel such a face wins blends four
       zero texels and comes out black.
+
+    The test runs in two stages (Cohen-Sutherland outcodes, as in Newman
+    and Sproull, 1973). Stage 1 gives each vertex one code: in front
+    (w > 1e-9 and finite x and y), behind (w < -1e-9), and, only for a
+    vertex in front, a side bit for each of floor(x) < c0 - 2,
+    floor(x) > c1 + 2, floor(y) < r0 - 2 and floor(y) > r1 + 2, where
+    [c0, c1] x [r0, r1] is the box of the lit texels. The AND of a face's
+    three codes decides it. The behind bit is the first case above. A side
+    bit is the second case without a lookup: with floor(x) < c0 - 2 at all
+    three vertices, the rectangle ends at floor(max x) + 2 < c0, left of
+    every lit texel (the lookup clips it to [0, 0) and counts none), and
+    the other sides are alike. All three in front with no side bit sends
+    the face to stage 2, the table lookup (``_rectangle_holds_lit``); any
+    other face is needed.
     """
     c0, r0, table = lit
     xy, w = upr.apply(mesh.vertices)
     p = np.ascontiguousarray(viewport.to_pixels(xy).T)  # one row per axis
-    f = np.ascontiguousarray(mesh.faces.T)  # (3, F), C order so that axis 0 reduces fast
-    needed = ~(w < -1e-9)[f].all(axis=0)
-    front = np.flatnonzero(((w > 1e-9) & np.isfinite(p).all(axis=0))[f].all(axis=0))
-    corners = np.take(f, front, axis=1)
-    # Each front face's rectangle as table indices [lo, hi) per axis.
-    ends = []
-    for q, start, size in zip(p, (c0, r0), table.shape[::-1]):
-        q = (np.floor(q) - start)[corners]
-        lo = np.clip(q.min(axis=0) - 2, 0, size - 1)
-        ends.append((lo.astype(np.intp), np.clip(q.max(axis=0) + 3, lo, size - 1).astype(np.intp)))
-    (x0, x1), (y0, y1) = ends
-    needed[front] = table[y1, x1] - table[y0, x1] - table[y1, x0] + table[y0, x0] > 0
+    front = (w > 1e-9) & np.isfinite(p).all(axis=0)
+    q = np.floor(p, out=p)
+    q[0] -= c0
+    q[1] -= r0
+    # Outcode bit 0: in front; bit 1: behind; bits 2-5, only in front:
+    # left of, right of, above or below the lit texels, which sit at table
+    # indices [0, size - 2], by more than the 2-texel pad.
+    height, width = table.shape
+    sides = (q[0] < -2, q[0] > width, q[1] < -2, q[1] > height)
+    code = front.view(np.uint8) | ((w < -1e-9).view(np.uint8) << 1)
+    for bit, side in enumerate(sides, start=2):
+        code |= (front & side).view(np.uint8) << bit
+    f = np.ascontiguousarray(mesh.faces.T)  # (3, F), C order so that each row gathers fast
+    both = code[f[0]]
+    both &= code[f[1]]
+    both &= code[f[2]]
+    needed = both <= 1  # no behind bit and no side bit
+    test = np.flatnonzero(both == 1)
+    needed[test] = _rectangle_holds_lit(table, q, np.take(f, test, axis=1))
     return needed
+
+
+def _rectangle_holds_lit(table, q, corners) -> np.ndarray:
+    """Stage 2 of ``_needed_faces``: whether each face's rectangle holds a lit texel.
+
+    ``q`` holds each vertex's floor(x) - c0 and floor(y) - r0, one row
+    per axis, and ``corners`` the (3, S) vertex indices of the faces to
+    test; four lookups in ``table`` count the lit texels in each
+    rectangle.
+    """
+    ends = []
+    for qi, size in zip(q, table.shape[::-1]):
+        at = qi[corners]
+        lo = np.clip(_row_min(at) - 2, 0, size - 1)
+        ends.append((lo.astype(np.intp), np.clip(_row_max(at) + 3, lo, size - 1).astype(np.intp)))
+    (x0, x1), (y0, y1) = ends
+    return table[y1, x1] - table[y0, x1] - table[y1, x0] + table[y0, x0] > 0
 
 
 def warp_to_projector(

@@ -137,8 +137,6 @@ class TestWriteImage:
 def float64_sampler(image, xy):
     """Reference sampler: the image copied to float64 and gathered by (row, column)."""
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim == 2:
-        img = img[..., None]
     h, w = img.shape[:2]
     padded = np.zeros((h + 2, w + 2, img.shape[2]), dtype=np.float64)
     padded[1:-1, 1:-1] = img
@@ -171,8 +169,8 @@ def oracle_points(rng, w, h):
     return np.concatenate([inside, ring, far])
 
 
-# Three- and four-channel, single-channel and 2-D images.
-ORACLE_SHAPES = [(7, 9, 3), (6, 10, 3), (5, 8), (4, 7), (7, 9, 1), (6, 10, 4)]
+# Three-, four- and single-channel images.
+ORACLE_SHAPES = [(7, 9, 3), (6, 10, 3), (5, 8, 1), (4, 7, 1), (7, 9, 1), (6, 10, 4)]
 ORACLE_DTYPES = [np.uint8, np.float32, np.float64]
 
 
@@ -221,7 +219,7 @@ class TestBilinearSample:
         assert bilinear_sample(img, xy).shape == (2, 3, 3)
 
     def test_single_channel_image(self):
-        img = np.arange(12, dtype=float).reshape(3, 4)
+        img = np.arange(12, dtype=float).reshape(3, 4, 1)
         out = bilinear_sample(img, np.array([1.5, 1.5]))
         assert out.shape == (1,)
         assert out[0] == pytest.approx(5.0)

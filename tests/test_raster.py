@@ -476,14 +476,14 @@ def test_faces_far_off_screen_are_dropped_without_a_warning():
     assert not res.mask.any()
 
 
-def scissor_rect(xy, w, faces, width, height, needed):
-    """The (x0, y0, x1, y1) around the pixel-center boxes of the needed faces drawn.
+def drawn_boxes(xy, w, faces, width, height, needed):
+    """The clipped pixel-center boxes (x0, y0, x1, y1) of the needed faces drawn.
 
     A face is drawn as in ``raster_oracle``, with its w also finite; its
     box runs from floor(min - 0.5) to ceil(max - 0.5) on each axis,
-    clipped to the grid. (0, 0, 0, 0) when no needed face has a box in it.
+    clipped to the grid, and is left out when the clip leaves it empty.
     """
-    x0, y0, x1, y1 = width, height, 0, 0
+    boxes = []
     for f in np.flatnonzero(needed):
         p = xy[faces[f]]
         (ax, ay), (bx, by), (qx, qy) = p
@@ -494,35 +494,89 @@ def scissor_rect(xy, w, faces, width, height, needed):
         lo = np.maximum(np.floor(p.min(axis=0) - 0.5), 0)
         hi = np.minimum(np.ceil(p.max(axis=0) - 0.5), [width - 1, height - 1])
         if (lo <= hi).all():
-            x0, y0 = min(x0, int(lo[0])), min(y0, int(lo[1]))
-            x1, y1 = max(x1, int(hi[0]) + 1), max(y1, int(hi[1]) + 1)
-    return (x0, y0, x1, y1) if x0 < x1 else (0, 0, 0, 0)
+            boxes.append((int(lo[0]), int(lo[1]), int(hi[0]) + 1, int(hi[1]) + 1))
+    return boxes
 
 
-@settings(max_examples=200, deadline=None)
-@given(mesh=st.one_of(small_meshes(), slivers(), small_meshes(far_positions), far_needles()),
-       data=st.data(), budget=chunk_sizes, block=block_sizes)
-def test_rectangle_gets_the_bits_of_the_whole_grid(mesh, data, budget, block):
-    # Inside the needed faces' rectangle the scissored raster is the full
-    # raster bit for bit; outside it, nothing is drawn, and every pixel
-    # the full raster covers there is won by a face that is not needed.
+@st.composite
+def tile_edge_meshes(draw):
+    """Small faces over a 26 x 22 grid whose boxes start and end on 4-px tile edges.
+
+    Each vertex sits on a pixel center in column and row 4k - 1 or 4k, so
+    a box's first or last pixel is the first or last of a tile of the
+    default side wherever the rectangle's corner falls on a multiple of 4.
+    """
+    ends = st.sampled_from([4 * k + d for k in range(7) for d in (-0.5, 0.5)])
+    n = draw(st.integers(3, 9))
+    xy = draw(hnp.arrays(float, (n, 2), elements=ends))
+    w = draw(hnp.arrays(float, n, elements=st.floats(0.5, 4.0)))
+    faces = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), min_size=1, max_size=10))
+    return xy, w, np.array(faces)
+
+
+@settings(max_examples=250, deadline=None)
+@given(mesh=st.one_of(small_meshes(), slivers(), small_meshes(far_positions), far_needles(),
+                      tile_edge_meshes()),
+       data=st.data(), budget=chunk_sizes, block=block_sizes, tile=st.sampled_from([None, 1, 3]))
+def test_needed_boxes_get_the_bits_of_the_whole_grid(mesh, data, budget, block, tile):
+    # Inside the pixel-center box of every needed face drawn, the
+    # scissored raster is the full raster bit for bit. Every covered pixel
+    # outside those boxes is won by a face that is not needed, in the
+    # scissored raster and in the full one, and nothing is drawn outside
+    # the rectangle around the boxes.
     xy, w, faces = mesh
-    width, height = 10, 8
+    width, height = 26, 22
     needed = np.array(data.draw(st.lists(st.booleans(), min_size=len(faces), max_size=len(faces))))
     full = full_raster(xy, w, faces, width, height)
     with mock.patch.object(raster, "_FRAGMENT_BUDGET", budget or raster._FRAGMENT_BUDGET), \
-            mock.patch.object(raster, "_BLOCK", block or raster._BLOCK):
+            mock.patch.object(raster, "_BLOCK", block or raster._BLOCK), \
+            mock.patch.object(raster, "_TILE", tile or raster._TILE):
         got = rasterize(xy, w, faces, width, height, needed)
-    x0, y0, x1, y1 = scissor_rect(xy, w, faces, width, height, needed)
+    boxes = drawn_boxes(xy, w, faces, width, height, needed)
     y, x = np.indices((height, width))
-    inside = (x >= x0) & (x < x1) & (y >= y0) & (y < y1)
+    in_boxes = np.zeros((height, width), dtype=bool)
+    for x0, y0, x1, y1 in boxes:
+        in_boxes |= (x >= x0) & (x < x1) & (y >= y0) & (y < y1)
+    in_rect = np.zeros((height, width), dtype=bool)
+    if boxes:
+        (x0, y0), (x1, y1) = np.min(boxes, axis=0)[:2], np.max(boxes, axis=0)[2:]
+        in_rect = (x >= x0) & (x < x1) & (y >= y0) & (y < y1)
     got_face, got_depth = frames(got)
     full_face, full_depth = frames(full)
-    assert np.array_equal(got_face, np.where(inside, full_face, -1))
-    assert np.array_equal(got_depth, np.where(inside, full_depth, np.inf))
+    assert np.array_equal(got_face[in_boxes], full_face[in_boxes])
+    assert np.array_equal(got_depth[in_boxes], full_depth[in_boxes])
+    assert (got_face[~in_rect] == -1).all()
     assert np.array_equal(got.covered, np.flatnonzero(got_face >= 0))
-    lost = (got_face < 0) & (full_face >= 0)
-    assert not needed[full_face[lost]].any()
+    for face in (got_face, full_face):
+        outside = face[~in_boxes]
+        assert not needed[outside[outside >= 0]].any()
+
+
+def test_tile_mask_sets_up_only_faces_near_the_needed_ones(monkeypatch):
+    # A row of 50 faces 2 px apart over a 100 x 4 grid, with only the two
+    # end faces needed: the rectangle spans the row, but only the faces
+    # whose boxes touch the 4-px tiles of the end faces' boxes are set up.
+    xs = np.arange(51) * 2.0
+    xy = np.concatenate([np.c_[xs, np.zeros(51)], np.c_[xs, np.full(51, 3.0)]])
+    faces = np.c_[np.arange(50), np.arange(50) + 1, np.arange(50) + 51]
+    needed = np.zeros(50, dtype=bool)
+    needed[[0, -1]] = True
+    set_up = []
+    real_faces = raster._faces
+
+    def recording_faces(xy, w, faces):
+        set_up.append(faces)
+        return real_faces(xy, w, faces)
+
+    monkeypatch.setattr(raster, "_faces", recording_faces)
+    monkeypatch.setattr(raster, "_TILE", 4)
+    got = rasterize(xy, np.ones(len(xy)), faces, 100, 4, needed)
+    assert np.array_equal(set_up[-1], faces[[0, 1, 2, 47, 48, 49]])
+    full_face, _ = frames(full_raster(xy, np.ones(len(xy)), faces, 100, 4))
+    got_face, _ = frames(got)
+    assert np.array_equal(got_face[:, :3], full_face[:, :3])
+    assert np.array_equal(got_face[:, 97:], full_face[:, 97:])
+    assert (got_face[:, 7:93] == -1).all()
 
 
 def test_no_needed_face_drawn_draws_nothing():

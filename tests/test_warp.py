@@ -1038,6 +1038,135 @@ class TestFaceCull:
             assert 100_000 < len(covered) <= 500_000
 
 
+def one_stage_cull(mesh, upr, viewport, lit):
+    """Oracle: the face cull in one stage, a table lookup for every face in front of the eye.
+
+    A face is not needed when all three vertices have w < -1e-9, or when
+    all three have w > 1e-9 and finite pass-1 coordinates and the table
+    holds no lit texel in the rectangle of columns
+    [floor(min x) - 2, floor(max x) + 2] and rows
+    [floor(min y) - 2, floor(max y) + 2]; every other face is needed.
+    """
+    c0, r0, table = lit
+    xy, w = upr.apply(mesh.vertices)
+    p = viewport.to_pixels(xy).T
+    f = mesh.faces.T
+    needed = ~(w < -1e-9)[f].all(axis=0)
+    front = np.flatnonzero(((w > 1e-9) & np.isfinite(p).all(axis=0))[f].all(axis=0))
+    corners = f[:, front]
+    ends = []
+    for q, start, size in zip(p, (c0, r0), table.shape[::-1]):
+        q = (np.floor(q) - start)[corners]
+        lo = np.clip(q.min(axis=0) - 2, 0, size - 1)
+        ends.append((lo.astype(np.intp), np.clip(q.max(axis=0) + 3, lo, size - 1).astype(np.intp)))
+    (x0, x1), (y0, y1) = ends
+    needed[front] = table[y1, x1] - table[y0, x1] - table[y1, x0] + table[y0, x0] > 0
+    return needed
+
+
+def stage_two_counts(monkeypatch):
+    """Wrap the cull's table lookup; the list it returns gets the faces each call tests."""
+    tested = []
+    lookup = warp_module._rectangle_holds_lit
+
+    def counting_lookup(table, q, corners):
+        tested.append(corners.shape[1])
+        return lookup(table, q, corners)
+
+    monkeypatch.setattr(warp_module, "_rectangle_holds_lit", counting_lookup)
+    return tested
+
+
+class TestOutcodeCull:
+    """The vertex outcodes ahead of the table lookup keep the one-stage cull's mask."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        eye=st.tuples(
+            st.floats(-1.5, 1.5),
+            st.floats(-1.0, 1.0),
+            # Eyes past the screen plane put faces across the eye plane;
+            # eyes past z = 0.7 put a whole wall of depth +-0.7 m behind them.
+            st.one_of(EYE_DEPTH, st.floats(0.75, 3.5)),
+        ),
+        amplitude=st.sampled_from([0.0, 0.3, 0.7]),
+        mesh_kind=st.sampled_from(["random", "fragmented", "occluded"]),
+        odd=st.sampled_from([None, "nan", "far", "1e8-px"]),
+        channels=st.sampled_from(CHANNELS),
+        viewport_px=VIEWPORT_PX,
+        layout=st.sampled_from(CONTENT_LAYOUTS),
+        margins=st.tuples(*[st.floats(0.0, 0.6)] * 4),
+        spot=st.sampled_from([None, *EDGE_SPOTS]),
+        square=st.integers(1, 4),
+    )
+    @example(
+        seed=0, eye=(0.0, 0.0, 3.1), amplitude=0.7, mesh_kind="random", odd="far", channels=1,
+        viewport_px=(32, 24), layout="box", margins=(0.3, 0.3, 0.3, 0.3), spot=None, square=1,
+    )
+    def test_matches_the_one_stage_cull(
+        self, seed, eye, amplitude, mesh_kind, odd, channels, viewport_px, layout, margins, spot,
+        square,
+    ):
+        viewport = Viewport(*viewport_px)
+        upr = upr_matrix(EyePose(*eye), RigidTransform.identity())
+        user_image = content_of(layout, seed, channels, viewport_px, margins, spot, square)
+        mesh = with_odd_vertex(wall_of_kind(mesh_kind, seed, amplitude), odd, upr, viewport)
+        lit = warp_module._lit_table(user_image)
+        if lit is None:  # margins that meet leave black content
+            return
+        with np.errstate(invalid="ignore"):  # the "far" vertex meets inf * 0
+            want = one_stage_cull(mesh, upr, viewport, lit)
+        assert np.array_equal(warp_module._needed_faces(mesh, upr, viewport, lit), want)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_side_bits_start_past_the_pad(self, monkeypatch, axis):
+        # One lit texel at column 10, row 10. Face k lies on the screen
+        # plane with every vertex in texel 10 + d_k along ``axis`` and
+        # across rows (or columns) 8-12: faces up to 2 texels off need the
+        # lookup and are needed; from 3 texels off, the outcodes drop them.
+        viewport, upr, _, _, _ = identity_setup(32, 24)
+        user_image = np.zeros((24, 32, 1), dtype=np.uint8)
+        user_image[10, 10] = 9
+        offsets = np.arange(-5, 6)
+        along = 10 + offsets[:, None] + np.array([0.2, 0.5, 0.8])
+        across = np.broadcast_to([8.5, 12.5, 10.5], along.shape)
+        px = np.stack([along, across] if axis == 0 else [across, along], axis=-1).reshape(-1, 2)
+        mesh = TriangleMesh(np.c_[viewport.to_plane(px), np.zeros(len(px))],
+                            np.arange(len(px)).reshape(-1, 3))
+        lit = warp_module._lit_table(user_image)
+        tested = stage_two_counts(monkeypatch)
+        needed = warp_module._needed_faces(mesh, upr, viewport, lit)
+        assert np.array_equal(needed, np.abs(offsets) <= 2)
+        assert np.array_equal(needed, one_stage_cull(mesh, upr, viewport, lit))
+        assert tested == [5]
+
+    @pytest.fixture(scope="class")
+    def demo(self):
+        return tracked_eye_demo()
+
+    def test_matches_the_one_stage_cull_on_the_demo(self, demo):
+        # The default eye, the tracked-eye path's four and one past the wall.
+        chain, _, options, uprs = demo
+        vp = options.viewport
+        lit = warp_module._lit_table(options.pattern.render(vp.width_px, vp.height_px))
+        past = upr_matrix(EyePose(0.0, 0.0, 3.1), chain.est_upr.world_to_rear)
+        for upr in (chain.est_upr, *uprs, past):
+            got = warp_module._needed_faces(chain.geometry, upr, vp, lit)
+            assert np.array_equal(got, one_stage_cull(chain.geometry, upr, vp, lit))
+
+    def test_under_a_third_of_the_demo_faces_reach_the_lookup(self, demo, monkeypatch):
+        # The work the outcodes save, as a count: at the parent every face
+        # in front of the eye took the lookup.
+        chain, _, options, _ = demo
+        vp = options.viewport
+        user_image = options.pattern.render(vp.width_px, vp.height_px)
+        tested = stage_two_counts(monkeypatch)
+        needed = needed_faces(user_image, chain.geometry, chain.est_upr, vp)
+        faces = len(chain.geometry.faces)
+        assert len(tested) == 1 and needed.sum() <= tested[0] < faces / 3
+
+
 def tagged_warp(user_image, mesh, upr, viewport, proj_device, proj_to_world):
     """The warp with a sampler that tags each sample with its place in the frame.
 
