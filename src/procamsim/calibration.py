@@ -1,14 +1,15 @@
 """Three-step rig calibration from synthetic (or recorded) observations.
 
-The pipeline recovers, in order:
+The pipeline recovers three things, each from its own observations only:
 
 1. The pan and tilt axes, from checkerboard corners tracked in the front
    camera while one motor sweeps. Each corner's trajectory lies on a circle
    in a plane perpendicular to the axis; plane normals initialize the axis
    and a damped Gauss-Newton refinement over its two spherical degrees of
    freedom minimizes the spread of the motor-compensated world points.
-2. The rear camera mounting, by rigidly aligning rear-frame corners to the
-   world positions implied by the front camera and the estimated axes.
+2. The rear camera mounting, by one rigid fit of the rear-frame corners
+   onto the same corners in the front frame. Both cameras ride the
+   platform, so this stage uses no axes and no pan/tilt state.
 3. The projector intrinsics and its mounting relative to the front camera,
    from projected-pixel / front-frame-point correspondences via a
    normalized DLT, an RQ decomposition and a reprojection refinement.
@@ -20,7 +21,7 @@ angles are degrees in files and radians in memory, lengths are meters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -44,7 +45,7 @@ from .geometry import (
     rotation_from_rotvec,
     rotation_to_axis_angle,
 )
-from .rig import PanTiltState, RigModel, platform_rotation
+from .rig import PanTiltState, RigModel
 
 # Iterative refinement stops on a step norm below STEP_TOL, a relative cost
 # drop below COST_TOL, or after MAX_ITERATIONS.
@@ -98,7 +99,11 @@ class AxisObservationSet:
 
 @dataclass(frozen=True)
 class RearRegistrationRecord:
-    """Front and rear corner observations of one board at one state."""
+    """Front and rear corner observations of one board at one state.
+
+    ``state`` records where the platform stood during the capture;
+    the fit itself does not need it.
+    """
 
     state: PanTiltState
     front_corners: tuple
@@ -334,29 +339,21 @@ def estimate_axis(observations: AxisObservationSet) -> tuple[np.ndarray, float]:
 # -- Step 2: rear camera registration ----------------------------------------
 
 
-def register_rear_camera(
-    front_world_corners,
-    rear_corners,
-    state: PanTiltState,
-    pan_axis,
-    tilt_axis,
-) -> tuple[RigidTransform, float]:
-    """Recover the rear camera mounting from matched corner positions.
+def register_rear_camera(record: RearRegistrationRecord) -> tuple[RigidTransform, float]:
+    """Recover the rear camera mounting from one board seen by both cameras.
 
-    ``front_world_corners`` are world-frame corner positions derived from
-    the front camera at ``state``; ``rear_corners`` are the same corners in
-    the rear-camera frame, in matching order. Aligning rear points to the
-    world gives the rear camera's world pose at that state; removing the
-    platform rotation leaves the home-state mounting.
+    Corners are matched by index; at least 3 must be seen by both. The
+    cameras share the platform, so the rigid fit of the rear-frame corners
+    onto the front-frame ones is the mounting (Arun, Huang and Blostein,
+    1987); no axis or pan/tilt state enters. Returns ``(rear_to_front,
+    rms_m)``.
     """
-    world = np.asarray(front_world_corners, dtype=float).reshape(-1, 3)
-    rear = np.asarray(rear_corners, dtype=float).reshape(-1, 3)
-    if world.shape != rear.shape:
-        raise ValueError("corner lists must match in length")
-    rear_to_world, rms = rigid_align(rear, world)
-    platform = platform_rotation(normalized(pan_axis), normalized(tilt_axis), state)
-    unrotate = RigidTransform(platform.T, np.zeros(3))
-    return unrotate @ rear_to_world, rms
+    front = dict(record.front_corners)
+    rear = dict(record.rear_corners)
+    shared = sorted(front.keys() & rear.keys())
+    if len(shared) < 3:
+        raise DegenerateConfigurationError("rear registration needs at least 3 shared corners")
+    return rigid_align(np.array([rear[i] for i in shared]), np.array([front[i] for i in shared]))
 
 
 # -- Step 3: projector calibration -------------------------------------------
@@ -513,26 +510,13 @@ def _axis_sample_count(observations: AxisObservationSet) -> int:
     return len(observations) * len(observations.common_corner_indices())
 
 
-def _register_rear(record: RearRegistrationRecord, pan_axis, tilt_axis):
-    """``register_rear_camera`` on the corners both cameras saw at ``record.state``."""
-    front = dict(record.front_corners)
-    rear = dict(record.rear_corners)
-    shared = sorted(set(front) & set(rear))
-    if len(shared) < 3:
-        raise DegenerateConfigurationError("rear registration needs at least 3 shared corners")
-    platform = platform_rotation(pan_axis, tilt_axis, record.state)
-    world = np.array([platform @ front[i] for i in shared])
-    rear_pts = np.array([rear[i] for i in shared])
-    return register_rear_camera(world, rear_pts, record.state, pan_axis, tilt_axis)
-
-
-def _run_stage(name: str, missing: str, stage, data, *args):
-    """``stage(data, *args)``; a StageError naming stage ``name`` when ``data``
+def _run_stage(name: str, missing: str, stage, data):
+    """``stage(data)``; a StageError naming stage ``name`` when ``data``
     is absent or empty (the session has no ``missing``) or the stage fails."""
     if not data:
         raise StageError(name, f"session has no {missing}")
     try:
-        return stage(data, *args)
+        return stage(data)
     except Exception as exc:
         raise StageError(name, exc) from exc
 
@@ -540,10 +524,11 @@ def _run_stage(name: str, missing: str, stage, data, *args):
 def run_full_calibration(session: CalibrationSession) -> CalibrationResult:
     """Run axis, rear and projector calibration in order.
 
-    A stage whose input is absent or empty, or that fails, raises a
-    StageError whose message names the stage; a failure is its
-    ``__cause__``. When the session carries a ground-truth rig, the result
-    includes parameter errors against it.
+    Each stage reads only its own record of the session, so the rear
+    mounting does not depend on the estimated axes. A stage whose input is
+    absent or empty, or that fails, raises a StageError whose message names
+    the stage; a failure is its ``__cause__``. When the session carries a
+    ground-truth rig, the result includes parameter errors against it.
     """
     pan_axis, pan_rms = _run_stage(
         "pan axis", "pan observations", estimate_axis, session.pan_observations
@@ -552,8 +537,8 @@ def run_full_calibration(session: CalibrationSession) -> CalibrationResult:
         "tilt axis", "tilt observations", estimate_axis, session.tilt_observations
     )
     rear_to_front, rear_rms = _run_stage(
-        "rear registration", "rear registration record", _register_rear,
-        session.rear_registration, pan_axis, tilt_axis,
+        "rear registration", "rear registration record", register_rear_camera,
+        session.rear_registration,
     )
     proj_device, front_to_proj, proj_rms = _run_stage(
         "projector", "projector correspondences", calibrate_projector, session.projector
@@ -564,29 +549,19 @@ def run_full_calibration(session: CalibrationSession) -> CalibrationResult:
     axis_rms = math.sqrt(
         (pan_rms**2 * n_pan + tilt_rms**2 * n_tilt) / max(n_pan + n_tilt, 1)
     )
-    residuals = Residuals(
-        axis_rms_m=axis_rms, rear_rms_m=rear_rms, proj_reproj_rms_px=proj_rms
-    )
-
-    errors = None
-    if session.ground_truth is not None:
-        errors = parameter_errors(
-            session.ground_truth,
-            pan_axis,
-            tilt_axis,
-            rear_to_front,
-            proj_device,
-            front_to_proj,
-        )
-    return CalibrationResult(
+    result = CalibrationResult(
         pan_axis=pan_axis,
         tilt_axis=tilt_axis,
         rear_to_front=rear_to_front,
         proj_device=proj_device,
         front_to_proj=front_to_proj,
-        residuals=residuals,
-        parameter_errors=errors,
+        residuals=Residuals(
+            axis_rms_m=axis_rms, rear_rms_m=rear_rms, proj_reproj_rms_px=proj_rms
+        ),
     )
+    if session.ground_truth is None:
+        return result
+    return replace(result, parameter_errors=parameter_errors(session.ground_truth, result))
 
 
 def angle_between(a, b) -> float:
@@ -595,39 +570,29 @@ def angle_between(a, b) -> float:
     return float(math.atan2(np.linalg.norm(np.cross(a, b)), float(a @ b)))
 
 
-def parameter_errors(
-    truth: RigModel,
-    pan_axis,
-    tilt_axis,
-    rear_to_front: RigidTransform,
-    proj_device: PinholeDevice,
-    front_to_proj: RigidTransform,
-) -> dict:
-    def rotation_angle(r):
-        return rotation_to_axis_angle(r)[1]
+def parameter_errors(truth: RigModel, estimate: CalibrationResult) -> dict:
+    """Each estimated parameter's error against the ground-truth rig."""
 
-    tp = truth.proj_device
+    def rotation_angle(estimated: RigidTransform, true: RigidTransform) -> float:
+        return rotation_to_axis_angle(estimated.rotation.T @ true.rotation)[1]
+
+    def distance(estimated: RigidTransform, true: RigidTransform) -> float:
+        return float(np.linalg.norm(estimated.translation - true.translation))
+
+    dev, tp = estimate.proj_device, truth.proj_device
     # A principal point may be 0, so its error is relative to at least one pixel.
     return {
-        "pan_axis_angle_rad": angle_between(pan_axis, truth.pan_axis),
-        "tilt_axis_angle_rad": angle_between(tilt_axis, truth.tilt_axis),
-        "rear_rotation_rad": rotation_angle(
-            rear_to_front.rotation.T @ truth.rear_to_front.rotation
-        ),
-        "rear_translation_m": float(
-            np.linalg.norm(rear_to_front.translation - truth.rear_to_front.translation)
-        ),
-        "proj_fx_rel": abs(proj_device.fx - tp.fx) / tp.fx,
-        "proj_fy_rel": abs(proj_device.fy - tp.fy) / tp.fy,
-        "proj_cx_rel": abs(proj_device.cx - tp.cx) / max(tp.cx, 1.0),
-        "proj_cy_rel": abs(proj_device.cy - tp.cy) / max(tp.cy, 1.0),
-        "proj_skew_over_fx": abs(proj_device.skew - tp.skew) / tp.fx,
-        "proj_rotation_rad": rotation_angle(
-            front_to_proj.rotation.T @ truth.front_to_proj.rotation
-        ),
-        "proj_translation_m": float(
-            np.linalg.norm(front_to_proj.translation - truth.front_to_proj.translation)
-        ),
+        "pan_axis_angle_rad": angle_between(estimate.pan_axis, truth.pan_axis),
+        "tilt_axis_angle_rad": angle_between(estimate.tilt_axis, truth.tilt_axis),
+        "rear_rotation_rad": rotation_angle(estimate.rear_to_front, truth.rear_to_front),
+        "rear_translation_m": distance(estimate.rear_to_front, truth.rear_to_front),
+        "proj_fx_rel": abs(dev.fx - tp.fx) / tp.fx,
+        "proj_fy_rel": abs(dev.fy - tp.fy) / tp.fy,
+        "proj_cx_rel": abs(dev.cx - tp.cx) / max(tp.cx, 1.0),
+        "proj_cy_rel": abs(dev.cy - tp.cy) / max(tp.cy, 1.0),
+        "proj_skew_over_fx": abs(dev.skew - tp.skew) / tp.fx,
+        "proj_rotation_rad": rotation_angle(estimate.front_to_proj, truth.front_to_proj),
+        "proj_translation_m": distance(estimate.front_to_proj, truth.front_to_proj),
     }
 
 

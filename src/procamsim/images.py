@@ -3,11 +3,11 @@
 Images are numpy arrays of shape (height, width, channels), with three
 channels for color and one for gray content such as the checker test
 pattern; ``bilinear_sample`` does its per-channel work once per channel.
-Image files, and the arrays read from or written to them, have three
-channels. Files are binary PPM
-(P6, maxval 255), which needs no third-party code; ``.png`` paths work when
-Pillow is installed (the ``png`` extra). Continuous pixel coordinates put
-the center of pixel (0, 0) at (0.5, 0.5).
+Image files, and the arrays read from or written to them, are uint8 with
+three channels. Files are binary PPM (P6, maxval 255), which needs no
+third-party code; ``.png`` paths work when Pillow is installed (the ``png``
+extra). Continuous pixel coordinates put the center of pixel (0, 0) at
+(0.5, 0.5).
 """
 
 from __future__ import annotations
@@ -29,25 +29,25 @@ def to_uint8(values) -> np.ndarray:
     return np.clip(np.round(values), 0, 255).astype(np.uint8)
 
 
-def _as_uint8(image: np.ndarray) -> np.ndarray:
+def _rgb8(image: np.ndarray) -> np.ndarray:
+    """``image`` as an array; ValueError unless it is a uint8 (H, W, 3) image."""
     arr = np.asarray(image)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ValueError(f"expected a (H, W, 3) image, got shape {arr.shape}")
-    if arr.dtype == np.uint8:
-        return arr
-    return to_uint8(arr)
+    if arr.dtype != np.uint8 or arr.ndim != 3 or arr.shape[2] != 3:
+        raise ValueError(f"expected a uint8 (H, W, 3) image, got {arr.dtype} {arr.shape}")
+    return arr
 
 
 def write_ppm(path, image: np.ndarray) -> None:
-    """Write a binary P6 PPM with maxval 255.
+    """Write a uint8 (H, W, 3) image as a binary P6 PPM with maxval 255.
 
-    An existing file is rewritten in place and then cut to the written
-    length, so it holds the bytes, and keeps the permissions, of a fresh
-    write; a new one gets the mode ``open(path, "wb")`` gives. Not
-    truncating first spares the file system freeing and allocating the
-    blocks again when a frame replaces one of its size.
+    Any other array raises ValueError before the file is opened. An
+    existing file is rewritten in place and then cut to the written length,
+    so it holds the bytes, and keeps the permissions, of a fresh write; a
+    new one gets the mode ``open(path, "wb")`` gives. Not truncating first
+    spares the file system freeing and allocating the blocks again when a
+    frame replaces one of its size.
     """
-    arr = np.ascontiguousarray(_as_uint8(image))
+    arr = np.ascontiguousarray(_rgb8(image))
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
         f.write(f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
         f.write(arr.data)
@@ -102,7 +102,7 @@ def read_ppm(path) -> np.ndarray:
 
 
 def write_image(path, image: np.ndarray) -> None:
-    """Write PPM always; PNG when Pillow is available."""
+    """Write a uint8 (H, W, 3) image: PPM always; PNG when Pillow is available."""
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".ppm":
@@ -115,7 +115,7 @@ def write_image(path, image: np.ndarray) -> None:
             raise ImageFormatError(
                 "PNG output needs Pillow; install the 'png' extra or use .ppm"
             ) from exc
-        Image.fromarray(_as_uint8(image), mode="RGB").save(path)
+        Image.fromarray(_rgb8(image), mode="RGB").save(path)
         return
     raise ImageFormatError(f"unsupported image format {suffix!r}; use .ppm or .png")
 

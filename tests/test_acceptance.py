@@ -159,14 +159,7 @@ def noiseless_calibration():
     session = synthesize_session(rig, calibration_scene(), protocol=CalibrationProtocol(seed=0))
     result = run_full_calibration(session)
     elapsed = time.perf_counter() - t0
-    errors = parameter_errors(
-        rig,
-        result.pan_axis,
-        result.tilt_axis,
-        result.rear_to_front,
-        result.proj_device,
-        result.front_to_proj,
-    )
+    errors = parameter_errors(rig, result)
     return rig, result, errors, elapsed
 
 
@@ -222,16 +215,7 @@ def test_criterion_4_noise_robustness():
             )
             session = synthesize_session(rig, scene, protocol=protocol)
             result = run_full_calibration(session)
-            per_seed.append(
-                parameter_errors(
-                    rig,
-                    result.pan_axis,
-                    result.tilt_axis,
-                    result.rear_to_front,
-                    result.proj_device,
-                    result.front_to_proj,
-                )
-            )
+            per_seed.append(parameter_errors(rig, result))
         return per_seed
 
     t0 = time.perf_counter()

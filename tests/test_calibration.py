@@ -191,24 +191,32 @@ class TestRegisterRear:
         )
         self.state = PanTiltState(alpha=math.radians(15), beta=math.radians(10))
 
-    def forward(self, world_pts, noise_sigma=0.0, rng=None):
-        """Rear-frame measurements from an independent 4x4-matrix chain."""
-        platform = rotation_about_axis(
-            self.tilt_axis, self.state.beta
-        ) @ rotation_about_axis(self.pan_axis, self.state.alpha)
-        rear_to_world_rot = platform @ self.rear_to_front.rotation
-        rear_to_world_t = platform @ self.rear_to_front.translation
-        rear_pts = (world_pts - rear_to_world_t) @ rear_to_world_rot
+    def forward(self, world_pts, state, noise_sigma=0.0, rng=None):
+        """Front- and rear-frame measurements from an independent 4x4-matrix chain."""
+        platform = np.eye(4)
+        platform[:3, :3] = rotation_about_axis(
+            self.tilt_axis, state.beta
+        ) @ rotation_about_axis(self.pan_axis, state.alpha)
+        mounting = np.eye(4)
+        mounting[:3, :3] = self.rear_to_front.rotation
+        mounting[:3, 3] = self.rear_to_front.translation
+        homogeneous = np.c_[world_pts, np.ones(len(world_pts))]
+        front_pts = (homogeneous @ np.linalg.inv(platform).T)[:, :3]
+        rear_pts = (homogeneous @ np.linalg.inv(platform @ mounting).T)[:, :3]
         if noise_sigma > 0:
             rear_pts = rear_pts + rng.normal(0.0, noise_sigma, size=rear_pts.shape)
-        return rear_pts
+        return front_pts, rear_pts
+
+    def record(self, world_pts, state, noise_sigma=0.0, rng=None):
+        front, rear = self.forward(world_pts, state, noise_sigma, rng)
+        return RearRegistrationRecord(
+            state=state,
+            front_corners=tuple(enumerate(front)),
+            rear_corners=tuple(enumerate(rear)),
+        )
 
     def test_noiseless_round_trip(self):
-        world = board_points()
-        rear = self.forward(world)
-        est, rms = register_rear_camera(
-            world, rear, self.state, self.pan_axis, self.tilt_axis
-        )
+        est, rms = register_rear_camera(self.record(board_points(), self.state))
         rot_err = rotation_to_axis_angle(est.rotation.T @ self.rear_to_front.rotation)[1]
         assert rot_err < 1e-10
         assert np.linalg.norm(est.translation - self.rear_to_front.translation) < 1e-10
@@ -216,33 +224,56 @@ class TestRegisterRear:
 
     def test_noisy_rms_reported(self):
         rng = np.random.default_rng(3)
-        world = board_points()
-        rear = self.forward(world, noise_sigma=1e-3, rng=rng)
-        est, rms = register_rear_camera(
-            world, rear, self.state, self.pan_axis, self.tilt_axis
-        )
+        record = self.record(board_points(), self.state, noise_sigma=1e-3, rng=rng)
+        est, rms = register_rear_camera(record)
         assert 2e-4 < rms < 5e-3
         rot_err = rotation_to_axis_angle(est.rotation.T @ self.rear_to_front.rotation)[1]
         assert rot_err < 0.02
 
-    def test_mismatched_lengths(self):
-        world = board_points()
-        with pytest.raises(ValueError):
-            register_rear_camera(
-                world, world[:-1], self.state, self.pan_axis, self.tilt_axis
-            )
-
     def test_home_state_is_plain_alignment(self):
+        # At home the front frame is the world frame.
         world = board_points()
-        home = PanTiltState()
-        platform_free = RigidTransform(
-            self.rear_to_front.rotation, self.rear_to_front.translation
+        rear = self.rear_to_front.inverse().apply(world)
+        record = RearRegistrationRecord(
+            state=PanTiltState(),
+            front_corners=tuple(enumerate(world)),
+            rear_corners=tuple(enumerate(rear)),
         )
-        rear = platform_free.inverse().apply(world)
-        est, _ = register_rear_camera(
-            world, rear, home, self.pan_axis, self.tilt_axis
-        )
+        est, _ = register_rear_camera(record)
         assert np.allclose(est.as_matrix(), self.rear_to_front.as_matrix(), atol=1e-10)
+
+    def test_fewer_than_three_shared_corners_rejected(self):
+        front, rear = self.forward(board_points(), self.state)
+        record = RearRegistrationRecord(
+            state=self.state,
+            front_corners=tuple(enumerate(front[:3])),
+            rear_corners=tuple(zip(range(1, 4), rear[1:4])),
+        )
+        with pytest.raises(DegenerateConfigurationError, match="at least 3 shared corners"):
+            register_rear_camera(record)
+
+    def test_corners_are_matched_by_index(self):
+        # Shuffled lists with corners only one camera saw give the bits of
+        # the sorted lists of the shared corners.
+        rng = np.random.default_rng(5)
+        front, rear = self.forward(board_points(), self.state, noise_sigma=1e-3, rng=rng)
+        shared = list(range(2, 18))
+        matched = RearRegistrationRecord(
+            state=self.state,
+            front_corners=tuple((i, front[i]) for i in shared),
+            rear_corners=tuple((i, rear[i]) for i in shared),
+        )
+        front_only = shared + [0, 1]
+        rear_only = shared + [18, 19]
+        shuffled = RearRegistrationRecord(
+            state=self.state,
+            front_corners=tuple((i, front[i]) for i in rng.permutation(front_only)),
+            rear_corners=tuple((i, rear[i]) for i in rng.permutation(rear_only)),
+        )
+        want, want_rms = register_rear_camera(matched)
+        got, got_rms = register_rear_camera(shuffled)
+        assert np.array_equal(got.as_matrix(), want.as_matrix())
+        assert got_rms == want_rms
 
 
 def projector_truth():
@@ -478,6 +509,19 @@ class TestFullPipeline:
             ProjectorCorrespondenceSet(
                 np.zeros((4, 2)), np.zeros((4, 3)), np.zeros(5, dtype=int), width=64, height=48
             )
+
+    def test_rear_mounting_does_not_depend_on_the_sweeps(self):
+        rig = default_rig()
+        exact = synthesize_session(rig, calibration_scene(), CalibrationProtocol())
+        noisy = synthesize_session(
+            rig, calibration_scene(), CalibrationProtocol(corner_noise_sigma=1e-3, seed=7)
+        )
+        noisy = dataclasses.replace(noisy, rear_registration=exact.rear_registration)
+        want = run_full_calibration(exact)
+        got = run_full_calibration(noisy)
+        assert not np.array_equal(got.pan_axis, want.pan_axis)
+        assert np.array_equal(got.rear_to_front.as_matrix(), want.rear_to_front.as_matrix())
+        assert got.residuals.rear_rms_m == want.residuals.rear_rms_m
 
     def test_no_ground_truth_no_errors_dict(self):
         session = dataclasses.replace(

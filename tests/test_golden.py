@@ -32,7 +32,7 @@ CASES = ("base", "oblique45", "box", "cylinder", "spheres", "cloth", "grazing_we
 
 GOLDEN = {
     "session.json": "6796c5ae633f666584a490f986e967c11b27635429e840b5d675ac5c7f6cb321",
-    "result.json": "fd42f3a28bcb90d7c93173265d1e54a265da867edb69ab074c64252ae40af245",
+    "result.json": "336caa101efe3816bea450ff6b6d96a60606b14a64a46fe57d4d6b53b581b877",
     "framebuffer.ppm": "9c9ca1efb9377f0b4a0c37fa1f210bb357cb63fe04f19bb5b7514d994d7ae593",
     "naive.ppm": "f43f925382d131d3ff94084d265ec42abc0f5ba9ac612de09d36c76918d6b76a",
     "view.ppm": "738b9cb2f83ae852fe1bb6c316fe637ad60cf3d15f97dd0e7c8851b2763910ae",

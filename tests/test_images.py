@@ -87,11 +87,23 @@ class TestPpm:
         assert img.shape == (1, 2, 3)
         assert img.ravel().tolist() == list(range(6))
 
-    def test_float_input_is_clipped_and_rounded(self, tmp_path):
-        img = np.array([[[-5.0, 127.4, 300.0]]])
-        path = tmp_path / "f.ppm"
-        write_ppm(path, img)
-        assert read_ppm(path).ravel().tolist() == [0, 127, 255]
+    @pytest.mark.parametrize(
+        "image",
+        [
+            np.zeros((2, 3, 3)),
+            np.zeros((2, 3), dtype=np.uint8),
+            np.zeros((2, 3, 1), dtype=np.uint8),
+        ],
+        ids=["float64", "two_dimensional", "one_channel"],
+    )
+    @pytest.mark.parametrize("write", [write_ppm, write_image])
+    def test_only_uint8_rgb_is_written(self, tmp_path, image, write):
+        # The check comes before the file is opened, so a file there keeps its bytes.
+        path = tmp_path / "k.ppm"
+        path.write_bytes(b"kept")
+        with pytest.raises(ValueError, match=r"uint8 \(H, W, 3\)"):
+            write(path, image)
+        assert path.read_bytes() == b"kept"
 
     def test_rejects_ascii_ppm(self, tmp_path):
         path = tmp_path / "p3.ppm"

@@ -66,6 +66,29 @@ def test_every_private_name_is_loaded_somewhere_in_the_package():
     assert unused == [], "never loaded: " + ", ".join(unused)
 
 
+def test_every_top_level_import_is_loaded_in_its_module():
+    """A name a module imports but never reads is left over from code that is gone."""
+    imported = []
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loaded = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.append(name)
+                    if name not in loaded:
+                        unused.append(f"{path.name}:{name}")
+    assert imported, f"no imports found under {SRC}"
+    assert unused == [], "imported but never loaded: " + ", ".join(unused)
+
+
 PERFBENCH = SRC.parents[1] / "perfbench"
 
 
