@@ -9,13 +9,16 @@ The pipeline recovers three things, each from its own observations only:
    freedom minimizes the spread of the motor-compensated world points.
 2. The rear camera mounting, by one rigid fit of the rear-frame corners
    onto the same corners in the front frame. Both cameras ride the
-   platform, so this stage uses no axes and no pan/tilt state.
+   platform, so this stage uses no axes and no pan/tilt state, and the
+   session records none.
 3. The projector intrinsics and its mounting relative to the front camera,
    from projected-pixel / front-frame-point correspondences via a
    normalized DLT, an RQ decomposition and a reprojection refinement.
 
-Calibration sessions and results are JSON files with ``schema_version`` 1;
-angles are degrees in files and radians in memory, lengths are meters.
+Each camera's corner observation is a dict from corner index to (3,)
+point, the form both corner stages read. Calibration sessions and results
+are JSON files with ``schema_version`` 1; angles are degrees in files and
+radians in memory, lengths are meters.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .errors import (
     DecompositionError,
     DegenerateConfigurationError,
     Fields,
+    SchemaError,
     StageError,
     UnderdeterminedError,
     load_json,
@@ -45,7 +49,7 @@ from .geometry import (
     rotation_from_rotvec,
     rotation_to_axis_angle,
 )
-from .rig import PanTiltState, RigModel
+from .rig import RigModel
 
 # Iterative refinement stops on a step norm below STEP_TOL, a relative cost
 # drop below COST_TOL, or after MAX_ITERATIONS.
@@ -57,9 +61,10 @@ COST_TOL = 1e-12
 # -- Observation containers --------------------------------------------------
 
 
-def _corner_tuple(corners) -> tuple:
-    """``(index, point)`` pairs as a tuple of ``(int, float array)`` pairs."""
-    return tuple((int(i), np.asarray(p, dtype=float)) for i, p in corners)
+def _corner_map(corners) -> dict:
+    """``(index, point)`` pairs or an index-to-point mapping as a dict from
+    int index to float (3,) array."""
+    return {int(i): np.asarray(p, dtype=float) for i, p in dict(corners).items()}
 
 
 @dataclass(frozen=True)
@@ -67,10 +72,10 @@ class AxisRecord:
     """Corners seen in the front camera at one motor angle (radians)."""
 
     theta: float
-    corners: tuple
+    corners: dict
 
     def __post_init__(self):
-        corners = _corner_tuple(self.corners)
+        corners = _corner_map(self.corners)
         if len(corners) < 4:
             raise ValueError("each axis record needs at least 4 corners")
         object.__setattr__(self, "corners", corners)
@@ -91,27 +96,23 @@ class AxisObservationSet:
     def common_corner_indices(self) -> list[int]:
         if not self.records:
             return []
-        common = set(i for i, _ in self.records[0].corners)
-        for rec in self.records[1:]:
-            common &= set(i for i, _ in rec.corners)
-        return sorted(common)
+        return sorted(set.intersection(*(set(rec.corners) for rec in self.records)))
 
 
 @dataclass(frozen=True)
 class RearRegistrationRecord:
-    """Front and rear corner observations of one board at one state.
+    """Front- and rear-frame corners of one board seen by both cameras.
 
-    ``state`` records where the platform stood during the capture;
-    the fit itself does not need it.
+    Both cameras ride the platform, so the fit needs no pan/tilt state and
+    the record keeps none.
     """
 
-    state: PanTiltState
-    front_corners: tuple
-    rear_corners: tuple
+    front_corners: dict
+    rear_corners: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "front_corners", _corner_tuple(self.front_corners))
-        object.__setattr__(self, "rear_corners", _corner_tuple(self.rear_corners))
+        object.__setattr__(self, "front_corners", _corner_map(self.front_corners))
+        object.__setattr__(self, "rear_corners", _corner_map(self.rear_corners))
 
 
 @dataclass(frozen=True)
@@ -285,8 +286,7 @@ def estimate_axis(observations: AxisObservationSet) -> tuple[np.ndarray, float]:
     if not common:
         raise DegenerateConfigurationError("no corner is visible at every angle")
 
-    by_index = [dict(rec.corners) for rec in records]
-    trajectories = np.array([[obs[i] for i in common] for obs in by_index])  # (K, I, 3)
+    trajectories = np.array([[rec.corners[i] for i in common] for rec in records])  # (K, I, 3)
 
     scale = 1.0 + float(np.linalg.norm(trajectories.mean(axis=(0, 1))))
     spread = np.linalg.norm(
@@ -348,8 +348,7 @@ def register_rear_camera(record: RearRegistrationRecord) -> tuple[RigidTransform
     1987); no axis or pan/tilt state enters. Returns ``(rear_to_front,
     rms_m)``.
     """
-    front = dict(record.front_corners)
-    rear = dict(record.rear_corners)
+    front, rear = record.front_corners, record.rear_corners
     shared = sorted(front.keys() & rear.keys())
     if len(shared) < 3:
         raise DegenerateConfigurationError("rear registration needs at least 3 shared corners")
@@ -599,12 +598,19 @@ def parameter_errors(truth: RigModel, estimate: CalibrationResult) -> dict:
 # -- Session and result files -------------------------------------------------
 
 
-def _corners_to_json(corners) -> list:
-    return [{"index": int(i), "point": [float(v) for v in p]} for i, p in corners]
+def _corners_to_json(corners: dict) -> list:
+    return [{"index": i, "point": [float(v) for v in p]} for i, p in corners.items()]
 
 
-def _corners_from_json(records: list) -> list:
-    return [(rec.integer("index"), rec.array("point", (3,))) for rec in records]
+def _corners_from_json(records: list) -> dict:
+    """An index-to-point dict; a repeated index raises SchemaError naming its field."""
+    corners = {}
+    for rec in records:
+        index = rec.integer("index")
+        if index in corners:
+            raise SchemaError(f"{rec.where('index')}: corner index {index} is repeated")
+        corners[index] = rec.array("point", (3,))
+    return corners
 
 
 def session_to_json(session: CalibrationSession) -> dict:
@@ -620,8 +626,6 @@ def session_to_json(session: CalibrationSession) -> dict:
     if session.rear_registration is not None:
         rec = session.rear_registration
         rear = {
-            "pan_deg": math.degrees(rec.state.alpha),
-            "tilt_deg": math.degrees(rec.state.beta),
             "front_corners": _corners_to_json(rec.front_corners),
             "rear_corners": _corners_to_json(rec.rear_corners),
         }
@@ -670,10 +674,6 @@ def session_from_json(r: Fields) -> CalibrationSession:
     rear = r.obj("rear_registration", None)
     if rear is not None:
         rear = RearRegistrationRecord(
-            state=PanTiltState(
-                alpha=math.radians(rear.number("pan_deg")),
-                beta=math.radians(rear.number("tilt_deg")),
-            ),
             front_corners=_corners_from_json(rear.objs("front_corners")),
             rear_corners=_corners_from_json(rear.objs("rear_corners")),
         )

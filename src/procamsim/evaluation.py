@@ -442,7 +442,7 @@ def build_display_chain(
     depth = sense_depth(
         scene, depth_device, true_pose.front_to_world, options.depth_noise(case_index)
     )
-    geometry = reconstruct_mesh(depth, depth_device).transformed(est_pose.front_to_world)
+    geometry = reconstruct_mesh(depth, depth_device, est_pose.front_to_world)
     return DisplayChain(
         geometry=geometry,
         depth_valid_fraction=float(depth.valid.mean()),
@@ -452,6 +452,17 @@ def build_display_chain(
         true_proj_to_world=true_pose.proj_to_world,
         true_rear_to_world=true_pose.rear_to_world,
     )
+
+
+def _dislocation(prop: CornerPropagation) -> tuple[float, float]:
+    """Mean and max dislocation of the resolved corners; NaN when none resolved."""
+    keep = prop.resolved
+    if not keep.any():
+        return float("nan"), float("nan")
+    desired = CornerSet(prop.indices, prop.desired_px)
+    mean = corner_dislocation(desired, CornerSet.from_propagation(prop))
+    d = np.linalg.norm(prop.observed_px[keep] - prop.desired_px[keep], axis=1)
+    return mean, float(d.max())
 
 
 def evaluate_case(
@@ -490,27 +501,8 @@ def evaluate_case(
         options.viewport,
     )
 
-    if corrected.resolved.any():
-        corrected_mean = corner_dislocation(
-            CornerSet(corrected.indices, corrected.desired_px),
-            CornerSet.from_propagation(corrected),
-        )
-        d = np.linalg.norm(
-            corrected.observed_px[corrected.resolved]
-            - corrected.desired_px[corrected.resolved],
-            axis=1,
-        )
-        corrected_max = float(d.max())
-    else:
-        corrected_mean = float("nan")
-        corrected_max = float("nan")
-    if uncorrected.resolved.any():
-        uncorrected_mean = corner_dislocation(
-            CornerSet(uncorrected.indices, uncorrected.desired_px),
-            CornerSet.from_propagation(uncorrected),
-        )
-    else:
-        uncorrected_mean = float("nan")
+    corrected_mean, corrected_max = _dislocation(corrected)
+    uncorrected_mean, _ = _dislocation(uncorrected)
 
     return CaseResult(
         name=case.name,

@@ -155,13 +155,14 @@ def observe_checkerboard(
     noise_sigma: float,
     rng: np.random.Generator,
     camera: str = "front",
-) -> list[tuple[int, np.ndarray]]:
+) -> dict[int, np.ndarray]:
     """Corner positions of ``target`` in a rig camera's frame.
 
     Corners outside the camera frustum are omitted; isotropic Gaussian noise
-    of ``noise_sigma`` meters is added to the kept 3-D positions. Returns
-    ``(corner_index, point)`` pairs; raises EmptyObservationError when no
-    corner is visible. Observation is analytic and ignores occlusion.
+    of ``noise_sigma`` meters is added to the kept 3-D positions. Returns a
+    dict from corner index to (3,) point, in increasing index order; raises
+    EmptyObservationError when no corner is visible. Observation is analytic
+    and ignores occlusion.
     """
     pose = rig_pose(model, state)
     if camera == "front":
@@ -180,7 +181,7 @@ def observe_checkerboard(
         )
     if noise_sigma > 0.0:
         corners_cam = corners_cam + rng.normal(0.0, noise_sigma, size=corners_cam.shape)
-    return [(int(i), corners_cam[i]) for i in np.flatnonzero(visible)]
+    return {int(i): corners_cam[i] for i in np.flatnonzero(visible)}
 
 
 def load_rig(path) -> RigModel:

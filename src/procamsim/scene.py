@@ -309,11 +309,6 @@ class TriangleMesh:
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", f)
 
-    def transformed(self, transform: RigidTransform) -> "TriangleMesh":
-        return TriangleMesh(
-            transform.apply(self.vertices), self.faces, self.surface_id, self.albedo
-        )
-
     def pixel_map(
         self, device: PinholeDevice, device_to_world: RigidTransform, needed: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -640,8 +635,9 @@ class Scene:
         """Nearest hit over all surfaces for each ray cast from one ``origin`` (3,).
 
         Returns (t, normals, surface_index) with t = inf and index = -1 for
-        misses; an exact tie goes to the lowest surface index. Normals are
-        oriented to face the origin.
+        misses; an exact tie goes to the lowest surface index. Each normal is
+        the winning surface's own, as it returns it, which may face away
+        from the origin.
         """
         dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
         origins = np.broadcast_to(as_vec3(origin), dirs.shape)
@@ -655,9 +651,6 @@ class Scene:
             best_t = np.where(better, t, best_t)
             best_normals[better] = normals[better]
             best_idx[better] = i
-        # Flip normals against the incoming ray direction.
-        toward = np.einsum("ij,ij->i", best_normals, dirs) > 0
-        best_normals[toward] *= -1.0
         return best_t, best_normals, best_idx
 
 
@@ -763,10 +756,13 @@ def grid_faces(rows: int, cols: int) -> np.ndarray:
     return np.stack([tl, bl, tr, tr, bl, bl + 1], axis=1).reshape(-1, 3)
 
 
-def reconstruct_mesh(depth: DepthImage, device: PinholeDevice) -> TriangleMesh:
-    """Triangulate a depth image into a device-frame mesh.
+def reconstruct_mesh(
+    depth: DepthImage, device: PinholeDevice, device_to_world: RigidTransform
+) -> TriangleMesh:
+    """Triangulate a depth image into a world-frame mesh.
 
-    Each valid pixel backprojects to one vertex through its pixel center.
+    Each valid pixel backprojects to one vertex through its pixel center,
+    placed in the world by ``device_to_world``.
     Every 2x2 pixel quad contributes up to two triangles; a triangle is
     skipped when any of its pixels is invalid or any edge jumps in depth by
     more than ``DISCONTINUITY_M`` (0.05 m). Triangles are wound to face the
@@ -778,7 +774,7 @@ def reconstruct_mesh(depth: DepthImage, device: PinholeDevice) -> TriangleMesh:
     index[valid] = np.arange(int(valid.sum()))
 
     pixels = pixel_center_grid(w, h)[valid.ravel()]
-    vertices = backproject_points(device, pixels, depth.depth[valid])
+    vertices = device_to_world.apply(backproject_points(device, pixels, depth.depth[valid]))
 
     z = depth.depth
     # Each cell's two triangles, as vertex indices (-1 for an invalid pixel).

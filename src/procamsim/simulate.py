@@ -11,7 +11,7 @@ draws are fully determined by the protocol seed.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,10 +32,12 @@ from .scene import CheckerboardTarget, Scene, hit_points
 class CalibrationProtocol:
     """Motor schedule and noise levels for synthesizing a session.
 
-    Angles are degrees. ``projector_grid`` is the (columns, rows) count of
-    the projected sample pixels, spread over the projector image with a
-    fractional ``projector_margin`` on every side. ``corner_noise_sigma``
-    is meters of isotropic noise on triangulated corner positions;
+    Angles are degrees. The registration angles place the platform for the
+    rear-registration capture; the session does not record them.
+    ``projector_grid`` is the (columns, rows) count of the projected sample
+    pixels, spread over the projector image with a fractional
+    ``projector_margin`` on every side. ``corner_noise_sigma`` is meters of
+    isotropic noise on triangulated corner positions;
     ``depth_noise_sigma`` is meters of noise applied along the front
     camera's viewing direction to projector-ray hits before backprojection.
     """
@@ -58,9 +60,6 @@ class CalibrationProtocol:
             raise ValueError("noise sigmas must be non-negative and finite")
         if min(self.projector_grid) < 2:
             raise ValueError("projector_grid must be at least 2x2")
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_json(cls, r: Fields) -> "CalibrationProtocol":
@@ -104,7 +103,7 @@ def _axis_sweep(
         corners = observe_checkerboard(board, rig, state, noise_sigma=sigma, rng=rng)
         if len(corners) < 4:  # the fewest an AxisRecord takes
             raise EmptyObservationError(f"only {len(corners)} corners seen at {which} {angle} deg")
-        records.append(AxisRecord(theta=theta, corners=tuple(corners)))
+        records.append(AxisRecord(theta=theta, corners=corners))
     return AxisObservationSet(records=tuple(records))
 
 
@@ -178,16 +177,9 @@ def synthesize_session(
         alpha=math.radians(protocol.registration_pan_deg),
         beta=math.radians(protocol.registration_tilt_deg),
     )
-    front_corners = observe_checkerboard(
-        board, rig, reg_state, noise_sigma=sigma, rng=rng, camera="front"
-    )
-    rear_corners = observe_checkerboard(
-        board, rig, reg_state, noise_sigma=sigma, rng=rng, camera="rear"
-    )
     registration = RearRegistrationRecord(
-        state=reg_state,
-        front_corners=tuple(front_corners),
-        rear_corners=tuple(rear_corners),
+        front_corners=observe_checkerboard(board, rig, reg_state, sigma, rng, camera="front"),
+        rear_corners=observe_checkerboard(board, rig, reg_state, sigma, rng, camera="rear"),
     )
 
     projector = _projector_samples(rig, scene, protocol, rng)

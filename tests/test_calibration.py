@@ -84,9 +84,7 @@ def sweep_records(axis, angles_deg, world_pts, noise_sigma=0.0, rng=None):
         seen = world_pts @ rot  # rot.T applied to each row, i.e. R^-1 p
         if noise_sigma > 0:
             seen = seen + rng.normal(0.0, noise_sigma, size=seen.shape)
-        records.append(
-            AxisRecord(theta=theta, corners=tuple(enumerate(seen)))
-        )
+        records.append(AxisRecord(theta=theta, corners=dict(enumerate(seen))))
     return AxisObservationSet(records=tuple(records))
 
 
@@ -144,7 +142,7 @@ class TestEstimateAxis:
         obs = sweep_records(TRUE_AXIS, SWEEP_ANGLES, board_points())
         records = []
         for k, rec in enumerate(obs.records):
-            kept = tuple(c for c in rec.corners if c[0] != k)
+            kept = {i: p for i, p in rec.corners.items() if i != k}
             records.append(AxisRecord(theta=rec.theta, corners=kept))
         trimmed = AxisObservationSet(records=tuple(records))
         assert len(trimmed.common_corner_indices()) == len(board_points()) - len(
@@ -167,10 +165,10 @@ class TestEstimateAxis:
     def test_no_common_corner_rejected(self):
         obs = sweep_records(TRUE_AXIS, (-10.0, 0.0, 10.0), board_points())
         records = []
-        all_idx = [c[0] for c in obs.records[0].corners]
+        all_idx = list(obs.records[0].corners)
         chunks = np.array_split(np.array(all_idx), 3)
         for rec, chunk in zip(obs.records, chunks):
-            kept = tuple(c for c in rec.corners if c[0] in set(chunk.tolist()))
+            kept = {i: rec.corners[i] for i in chunk.tolist()}
             records.append(AxisRecord(theta=rec.theta, corners=kept))
         disjoint = AxisObservationSet(records=tuple(records))
         with pytest.raises(DegenerateConfigurationError):
@@ -178,7 +176,7 @@ class TestEstimateAxis:
 
     def test_record_needs_four_corners(self):
         with pytest.raises(ValueError):
-            AxisRecord(theta=0.0, corners=((0, [1, 2, 3]), (1, [2, 3, 4])))
+            AxisRecord(theta=0.0, corners={0: [1, 2, 3], 1: [2, 3, 4]})
 
 
 class TestRegisterRear:
@@ -210,9 +208,7 @@ class TestRegisterRear:
     def record(self, world_pts, state, noise_sigma=0.0, rng=None):
         front, rear = self.forward(world_pts, state, noise_sigma, rng)
         return RearRegistrationRecord(
-            state=state,
-            front_corners=tuple(enumerate(front)),
-            rear_corners=tuple(enumerate(rear)),
+            front_corners=dict(enumerate(front)), rear_corners=dict(enumerate(rear))
         )
 
     def test_noiseless_round_trip(self):
@@ -235,9 +231,7 @@ class TestRegisterRear:
         world = board_points()
         rear = self.rear_to_front.inverse().apply(world)
         record = RearRegistrationRecord(
-            state=PanTiltState(),
-            front_corners=tuple(enumerate(world)),
-            rear_corners=tuple(enumerate(rear)),
+            front_corners=dict(enumerate(world)), rear_corners=dict(enumerate(rear))
         )
         est, _ = register_rear_camera(record)
         assert np.allclose(est.as_matrix(), self.rear_to_front.as_matrix(), atol=1e-10)
@@ -245,30 +239,26 @@ class TestRegisterRear:
     def test_fewer_than_three_shared_corners_rejected(self):
         front, rear = self.forward(board_points(), self.state)
         record = RearRegistrationRecord(
-            state=self.state,
-            front_corners=tuple(enumerate(front[:3])),
-            rear_corners=tuple(zip(range(1, 4), rear[1:4])),
+            front_corners=dict(enumerate(front[:3])),
+            rear_corners=dict(zip(range(1, 4), rear[1:4])),
         )
         with pytest.raises(DegenerateConfigurationError, match="at least 3 shared corners"):
             register_rear_camera(record)
 
     def test_corners_are_matched_by_index(self):
-        # Shuffled lists with corners only one camera saw give the bits of
-        # the sorted lists of the shared corners.
+        # Shuffled dicts with corners only one camera saw give the bits of
+        # the sorted dicts of the shared corners.
         rng = np.random.default_rng(5)
         front, rear = self.forward(board_points(), self.state, noise_sigma=1e-3, rng=rng)
         shared = list(range(2, 18))
         matched = RearRegistrationRecord(
-            state=self.state,
-            front_corners=tuple((i, front[i]) for i in shared),
-            rear_corners=tuple((i, rear[i]) for i in shared),
+            front_corners={i: front[i] for i in shared}, rear_corners={i: rear[i] for i in shared}
         )
         front_only = shared + [0, 1]
         rear_only = shared + [18, 19]
         shuffled = RearRegistrationRecord(
-            state=self.state,
-            front_corners=tuple((i, front[i]) for i in rng.permutation(front_only)),
-            rear_corners=tuple((i, rear[i]) for i in rng.permutation(rear_only)),
+            front_corners={i: front[i] for i in rng.permutation(front_only)},
+            rear_corners={i: rear[i] for i in rng.permutation(rear_only)},
         )
         want, want_rms = register_rear_camera(matched)
         got, got_rms = register_rear_camera(shuffled)
@@ -550,9 +540,9 @@ class TestSessionSerialization:
             assert len(orig.records) == len(back.records)
             for a, b in zip(orig.records, back.records):
                 assert abs(a.theta - b.theta) < 1e-12
-                assert [i for i, _ in a.corners] == [i for i, _ in b.corners]
-                pa = np.array([p for _, p in a.corners])
-                pb = np.array([p for _, p in b.corners])
+                assert list(a.corners) == list(b.corners)
+                pa = np.array(list(a.corners.values()))
+                pb = np.array(list(b.corners.values()))
                 assert np.abs(pa - pb).max() < 1e-12
         assert len(loaded.projector) == len(session.projector)
         assert loaded.projector.width == session.projector.width
@@ -624,8 +614,8 @@ class TestSynthesizeSession:
         p2 = CalibrationProtocol(corner_noise_sigma=1e-3, seed=2)
         s1 = synthesize_session(rig, calibration_scene(), protocol=p1)
         s2 = synthesize_session(rig, calibration_scene(), protocol=p2)
-        a = np.array([p for _, p in s1.pan_observations.records[0].corners])
-        b = np.array([p for _, p in s2.pan_observations.records[0].corners])
+        a = np.array(list(s1.pan_observations.records[0].corners.values()))
+        b = np.array(list(s2.pan_observations.records[0].corners.values()))
         assert np.abs(a - b).max() > 1e-6
 
     def test_noiseless_matches_direct_observation(self):
@@ -639,10 +629,10 @@ class TestSynthesizeSession:
         direct = observe_checkerboard(
             board, rig, PanTiltState(alpha=rec.theta), 0.0, np.random.default_rng(0)
         )
-        assert [i for i, _ in rec.corners] == [i for i, _ in direct]
+        assert list(rec.corners) == list(direct)
         assert np.allclose(
-            np.array([p for _, p in rec.corners]),
-            np.array([p for _, p in direct]),
+            np.array(list(rec.corners.values())),
+            np.array(list(direct.values())),
             atol=1e-15,
         )
 
@@ -683,7 +673,7 @@ class TestSynthesizeSession:
             corner_noise_sigma=2e-4,
             seed=9,
         )
-        back = CalibrationProtocol.from_json(Fields(protocol.to_json()))
+        back = CalibrationProtocol.from_json(Fields(dataclasses.asdict(protocol)))
         assert back == protocol
 
     def test_board_required(self):

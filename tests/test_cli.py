@@ -133,6 +133,21 @@ class TestCalibrate:
         assert result.proj_device.fx == pytest.approx(truth.proj_device.fx, rel=1e-9)
         assert float(result.pan_axis @ truth.pan_axis) == pytest.approx(1.0, abs=1e-12)
 
+    def test_rear_state_keys_of_older_sessions_change_nothing(self, config_path, tmp_path):
+        # Sessions once carried the registration's pan/tilt state, which no
+        # stage reads; such a session still loads and gives the same result.
+        session = tmp_path / "session.json"
+        assert main(["simulate-calib", "--config", str(config_path), "--out", str(session)]) == 0
+        data = json.loads(session.read_text())
+        assert "pan_deg" not in data["rear_registration"]
+        data["rear_registration"].update(pan_deg=14.999999999999998, tilt_deg=10.0)
+        older = tmp_path / "older_session.json"
+        older.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        results = [tmp_path / "result.json", tmp_path / "older_result.json"]
+        for path, out in zip((session, older), results):
+            assert main(["calibrate", "--session", str(path), "--out", str(out)]) == 0
+        assert results[1].read_bytes() == results[0].read_bytes()
+
     def test_projector_refinement_without_convergence_fails_cleanly(
         self, config_path, tmp_path, capsys, monkeypatch
     ):
@@ -642,6 +657,32 @@ class TestInputBoundary:
                      "--out", str(tmp_path / "result.json")]) == 1
         line = self.assert_one_error_line(capsys, "schema")
         assert f"{session}: plane_ids must fit in 64-bit integers" in line
+
+    @pytest.mark.parametrize("stage", ["pan_observations", "rear_registration"])
+    def test_repeated_corner_index_is_a_schema_error(
+        self, config_path, tmp_path, capsys, stage
+    ):
+        # A repeat with its point moved 0.5 m, after the real entry in an axis
+        # record and ahead of it in the rear corners: the error names the
+        # second of the two entries.
+        session = tmp_path / "session.json"
+        assert main(["simulate-calib", "--config", str(config_path), "--out", str(session)]) == 0
+        data = json.loads(session.read_text())
+        if stage == "pan_observations":
+            where, corners = "pan_observations[0].corners", data[stage][0]["corners"]
+        else:
+            where, corners = "rear_registration.rear_corners", data[stage]["rear_corners"]
+        real = corners[2]
+        repeat = {"index": real["index"], "point": [v + 0.5 for v in real["point"]]}
+        corners.insert(len(corners) if stage == "pan_observations" else 0, repeat)
+        session.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["calibrate", "--session", str(session),
+                     "--out", str(tmp_path / "result.json")]) == 1
+        line = self.assert_one_error_line(capsys, "schema")
+        second = max(corners.index(real), corners.index(repeat))
+        message = f"{where}[{second}].index: corner index {real['index']} is repeated"
+        assert f"{session}: {message}" in line
 
     @pytest.mark.parametrize("width", ["0", "-3"])
     def test_render_width_not_positive(self, config_path, tmp_path, capsys, width):

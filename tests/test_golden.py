@@ -31,7 +31,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 CASES = ("base", "oblique45", "box", "cylinder", "spheres", "cloth", "grazing_wedge")
 
 GOLDEN = {
-    "session.json": "6796c5ae633f666584a490f986e967c11b27635429e840b5d675ac5c7f6cb321",
+    "session.json": "5643a83beab962109ee51a092fb73cef598dca5439638557277030b6c761c6a7",
     "result.json": "336caa101efe3816bea450ff6b6d96a60606b14a64a46fe57d4d6b53b581b877",
     "framebuffer.ppm": "9c9ca1efb9377f0b4a0c37fa1f210bb357cb63fe04f19bb5b7514d994d7ae593",
     "naive.ppm": "f43f925382d131d3ff94084d265ec42abc0f5ba9ac612de09d36c76918d6b76a",

@@ -136,7 +136,8 @@ def test_scene_is_the_elementwise_minimum_with_lowest_index_ties(origin, ray_bat
     np.testing.assert_array_equal(t, expected_t)
     np.testing.assert_array_equal(idx, expected_idx)
     assert not np.any(idx == 2)  # the duplicate sphere never wins a tie
-    assert np.all(np.einsum("ij,ij->i", normals[hit], dirs[hit]) <= 0.0)
+    own = np.stack([s.intersect(origins, dirs)[1] for s in SCENE.surfaces])
+    np.testing.assert_array_equal(normals[hit], own[idx[hit], np.flatnonzero(hit)])
 
 
 @SETTINGS

@@ -170,7 +170,7 @@ class TestObserveCheckerboard:
         obs = observe_checkerboard(board, rig, state, 0.0, NO_DRAWS)
         world = board.corners_world()
         front_from_world = rig_pose(rig, state).front_to_world.inverse()
-        for idx, point in obs:
+        for idx, point in obs.items():
             np.testing.assert_allclose(point, front_from_world.apply(world[idx]), atol=1e-12)
 
     def test_all_corners_visible_at_home(self):
@@ -200,10 +200,8 @@ class TestObserveCheckerboard:
         rng = np.random.default_rng(42)
         board = front_board()
         obs = observe_checkerboard(board, rig, PanTiltState(), 0.001, rng)
-        clean = dict(
-            observe_checkerboard(board, rig, PanTiltState(), 0.0, NO_DRAWS)
-        )
-        errors = np.array([p - clean[i] for i, p in obs])
+        clean = observe_checkerboard(board, rig, PanTiltState(), 0.0, NO_DRAWS)
+        errors = np.array([p - clean[i] for i, p in obs.items()])
         assert abs(errors.std() - 0.001) < 3e-4
 
     def test_rear_camera_observation(self):
@@ -211,7 +209,7 @@ class TestObserveCheckerboard:
         obs = observe_checkerboard(front_board(), rig, PanTiltState(), 0.0, NO_DRAWS, camera="rear")
         world = front_board().corners_world()
         rear_from_world = rig_pose(rig, PanTiltState()).rear_to_world.inverse()
-        for idx, point in obs:
+        for idx, point in obs.items():
             np.testing.assert_allclose(point, rear_from_world.apply(world[idx]), atol=1e-12)
 
     def test_unknown_camera(self):

@@ -24,6 +24,7 @@ from procamsim.scene import (
     Scene,
     Sphere,
     TriangleMesh,
+    grid_faces,
     hit_points,
     load_scene,
     reconstruct_mesh,
@@ -114,12 +115,6 @@ class TestRaycast:
         assert t[0] == pytest.approx(2.0, abs=1e-12)
         t, _, _ = scene.intersect([0, 2, 0], [[0, 0, 1]])
         assert t[0] == np.inf
-
-    def test_normals_face_the_ray(self):
-        scene = Scene(surfaces=[Sphere(center=[0, 0, 5], radius=1.0)])
-        # From +z looking back, the reported normal flips toward the origin.
-        _, normals, _ = scene.intersect([0, 0, 10], [[0, 0, -1]])
-        np.testing.assert_allclose(normals[0], [0, 0, 1], atol=1e-12)
 
 
 class TestCheckerboard:
@@ -223,6 +218,32 @@ class TestSenseDepth:
         assert abs(errors.mean()) < 5e-4
         assert abs(errors.std() - 0.005) < 5e-4
 
+    def test_surface_orientation_does_not_change_depth(self):
+        # Dropout reads the incidence angle through |cos|, so a normal facing
+        # away from the sensor gives the same image. Reversed winding moves
+        # Moller-Trumbore's rounding of t, so mesh depths agree to 1e-12; a
+        # plane's negated normal leaves every bit.
+        dev = depth_device()
+        noise = DepthNoiseModel(sigma=0.002, rng_seed=5)
+        ys, xs = np.meshgrid(np.linspace(-4, 4, 9), np.linspace(-4, 4, 9), indexing="ij")
+        vertices = np.stack([xs, ys, 3.0 + 2.5 * ys], axis=-1).reshape(-1, 3)
+        faces = grid_faces(9, 9)
+        a, b = (
+            sense_depth(Scene([TriangleMesh(vertices, f)]), dev, RigidTransform.identity(), noise)
+            for f in (faces, faces[:, ::-1])
+        )
+        assert 0.1 < a.valid.mean() < 0.9  # dropout is active
+        np.testing.assert_array_equal(b.valid, a.valid)
+        np.testing.assert_allclose(b.depth, a.depth, rtol=0, atol=1e-12)
+        normal = np.array([0.0, -math.cos(math.radians(20.0)), -math.sin(math.radians(20.0))])
+        a, b = (
+            sense_depth(Scene([Plane([0, 0, 3], n)]), dev, RigidTransform.identity(), noise)
+            for n in (normal, -normal)
+        )
+        assert 0.1 < a.valid.mean() < 0.9
+        np.testing.assert_array_equal(b.valid, a.valid)
+        np.testing.assert_array_equal(b.depth, a.depth)
+
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):
             DepthNoiseModel(sigma=-1)
@@ -286,7 +307,7 @@ class TestReconstructMesh:
         scene = Scene(surfaces=[Plane(point=[0, 0, 3], normal=[0, 0, -1])])
         dev = depth_device(width=20, height=15)
         img = sense_depth(scene, dev, RigidTransform.identity(), EXACT_DEPTH)
-        mesh = reconstruct_mesh(img, dev)
+        mesh = reconstruct_mesh(img, dev, RigidTransform.identity())
         assert len(mesh.faces) == 2 * (20 - 1) * (15 - 1)
         assert np.max(np.abs(mesh.vertices[:, 2] - 3.0)) < 1e-9
 
@@ -294,7 +315,7 @@ class TestReconstructMesh:
         scene = Scene(surfaces=[Sphere(center=[0, 0, 3], radius=1.0)])
         dev = depth_device(width=24, height=18)
         img = sense_depth(scene, dev, RigidTransform.identity(), EXACT_DEPTH)
-        mesh = reconstruct_mesh(img, dev)
+        mesh = reconstruct_mesh(img, dev, RigidTransform.identity())
         uv, z = project_points(dev, RigidTransform.identity(), mesh.vertices)
         assert (z > 0).all()
         frac = uv - np.floor(uv)
@@ -305,7 +326,7 @@ class TestReconstructMesh:
         depth = np.full((10, 12), 2.0)
         depth[:, 6:] = 3.0
         img = DepthImage(depth=depth, valid=np.ones_like(depth, dtype=bool))
-        mesh = reconstruct_mesh(img, depth_device(width=12, height=10))
+        mesh = reconstruct_mesh(img, depth_device(width=12, height=10), RigidTransform.identity())
         face_z = mesh.vertices[mesh.faces][:, :, 2]
         spans = np.ptp(face_z, axis=1) > 0.5
         assert not spans.any()
@@ -316,7 +337,7 @@ class TestReconstructMesh:
         valid = np.ones_like(depth, dtype=bool)
         valid[3:5, 3:5] = False
         img = DepthImage(depth=depth, valid=valid)
-        mesh = reconstruct_mesh(img, depth_device(width=8, height=8))
+        mesh = reconstruct_mesh(img, depth_device(width=8, height=8), RigidTransform.identity())
         full = 2 * 7 * 7
         assert len(mesh.faces) < full
         # No vertex may come from an invalid pixel (all depths are 2 here,
@@ -327,7 +348,7 @@ class TestReconstructMesh:
         scene = Scene(surfaces=[Plane(point=[0, 0, 3], normal=[0, 0, -1])])
         dev = depth_device(width=10, height=10)
         img = sense_depth(scene, dev, RigidTransform.identity(), EXACT_DEPTH)
-        mesh = reconstruct_mesh(img, dev)
+        mesh = reconstruct_mesh(img, dev, RigidTransform.identity())
         normals = mesh.face_normals(slice(None))
         assert (normals[:, 2] < 0).all()
 
@@ -359,7 +380,7 @@ class TestReconstructMesh:
             np.stack([tl[ok1], bl[ok1], tr[ok1]], axis=1),
             np.stack([tr[ok2], bl[ok2], br[ok2]], axis=1),
         ])
-        mesh = reconstruct_mesh(img, depth_device(width=w, height=h))
+        mesh = reconstruct_mesh(img, depth_device(width=w, height=h), RigidTransform.identity())
         np.testing.assert_array_equal(mesh.faces, expected)
 
 

@@ -1771,7 +1771,7 @@ def exact_geometry(scene, rig):
     depth = sense_depth(
         scene, rig.front_device, RigidTransform.identity(), EXACT_DEPTH
     )
-    return reconstruct_mesh(depth, rig.front_device)
+    return reconstruct_mesh(depth, rig.front_device, RigidTransform.identity())
 
 
 class TestPropagateCorners:
