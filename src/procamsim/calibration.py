@@ -265,6 +265,14 @@ def _axis_cost_points(axis, thetas, trajectories):
     return compensated
 
 
+def _plane_normal(points: np.ndarray, scale: float) -> np.ndarray | None:
+    """Unit normal of the least-squares plane through (N, 3) points, or None
+    when they are collinear to within ``1e-12 * scale`` and the plane is
+    undefined."""
+    _, sv, vt = np.linalg.svd(points - points.mean(axis=0))
+    return None if sv[1] < 1e-12 * scale else vt[2]
+
+
 def _axis_residuals(axis, thetas, trajectories) -> np.ndarray:
     comp = _axis_cost_points(axis, thetas, trajectories)
     return (comp - comp.mean(axis=0, keepdims=True)).ravel()
@@ -298,15 +306,10 @@ def estimate_axis(observations: AxisObservationSet) -> tuple[np.ndarray, float]:
         )
 
     # Initialization: every trajectory lies in a plane perpendicular to the
-    # axis, so average the per-corner plane normals.
-    normals = []
-    for i in range(trajectories.shape[1]):
-        traj = trajectories[:, i, :]
-        centered = traj - traj.mean(axis=0)
-        _, sv, vt = np.linalg.svd(centered, full_matrices=True)
-        if sv[1] < 1e-12 * scale:
-            continue  # this corner barely moved; its plane is undefined
-        normals.append(vt[2])
+    # axis, so average the per-corner plane normals. A corner that barely
+    # moved has no plane.
+    normals = [_plane_normal(trajectories[:, i], scale) for i in range(trajectories.shape[1])]
+    normals = [n for n in normals if n is not None]
     if not normals:
         raise DegenerateConfigurationError("all corner trajectories are degenerate")
     normals = np.array(normals)
@@ -377,16 +380,9 @@ def _check_plane_diversity(points: np.ndarray, plane_ids: np.ndarray, scale: flo
     sv = np.linalg.svd(centered, compute_uv=False)
     if sv[2] < 1e-9 * max(sv[0], 1e-12):
         raise DegenerateConfigurationError("all correspondences are coplanar")
-    normals = []
-    for pid in np.unique(plane_ids):
-        group = points[plane_ids == pid]
-        if len(group) < 3:
-            continue
-        g_centered = group - group.mean(axis=0)
-        _, g_sv, g_vt = np.linalg.svd(g_centered)
-        if g_sv[1] < 1e-12 * scale:
-            continue  # collinear group, orientation undefined
-        normals.append(g_vt[2])
+    groups = (points[plane_ids == pid] for pid in np.unique(plane_ids))
+    normals = [_plane_normal(g, scale) for g in groups if len(g) >= 3]
+    normals = [n for n in normals if n is not None]
     if len(normals) >= 2:
         normals = np.array(normals)
         dots = np.abs(normals @ normals.T)

@@ -10,16 +10,19 @@ over the indices present in both sets.
 ``run_benchmark`` evaluates a list of scenes with a true rig (the physical
 ground truth) and a calibration result (the estimates the warp must use),
 so calibration error propagates into the reported dislocation exactly as
-it would on hardware. Results are deterministic: per-case seeds derive
-from the report seed, and worker threads never reorder output.
+it would on hardware. Results are deterministic: each case's seed derives
+from the report seed and the case's name, so a case gives the same numbers
+alone, in any subset or in any order, and worker threads never reorder
+output.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -277,19 +280,16 @@ class BenchmarkOptions:
         if self.depth_width <= 0 or self.depth_height <= 0:
             raise ValueError("depth sensor width and height must be positive")
         self.pattern.check_fits(self.viewport.width_px, self.viewport.height_px)
-        self.depth_noise(0)  # checks the noise sigma
+        self.depth_noise()  # checks the noise sigma
 
-    def depth_noise(self, case_index: int) -> DepthNoiseModel:
-        return DepthNoiseModel(
-            sigma=self.depth_noise_sigma,
-            rng_seed=self.seed * 1000 + case_index,
-        )
+    def depth_noise(self) -> DepthNoiseModel:
+        return DepthNoiseModel(sigma=self.depth_noise_sigma, rng_seed=self.seed)
 
 
 @dataclass(frozen=True)
 class CaseResult:
     name: str
-    seed: int
+    seed: int  # the depth-noise seed, from the report seed and the case's name
     corner_count: int
     resolved_count: int
     resolved_fraction: float
@@ -420,7 +420,6 @@ def build_display_chain(
     rig: RigModel,
     result: CalibrationResult,
     options: BenchmarkOptions,
-    case_index: int = 0,
 ) -> DisplayChain:
     """Sense depth with the true rig, then model the display with estimates.
 
@@ -439,9 +438,7 @@ def build_display_chain(
     depth_device = _scaled_device(
         rig.front_device, options.depth_width, options.depth_height
     )
-    depth = sense_depth(
-        scene, depth_device, true_pose.front_to_world, options.depth_noise(case_index)
-    )
+    depth = sense_depth(scene, depth_device, true_pose.front_to_world, options.depth_noise())
     geometry = reconstruct_mesh(depth, depth_device, est_pose.front_to_world)
     return DisplayChain(
         geometry=geometry,
@@ -470,15 +467,17 @@ def evaluate_case(
     rig: RigModel,
     result: CalibrationResult,
     options: BenchmarkOptions,
-    case_index: int,
 ) -> CaseResult:
     """Dislocation metrics for one scene.
 
     The depth sensor and the display physics use the true rig; the warp
     uses the calibration result, so calibration error propagates into the
-    reported dislocation.
+    reported dislocation. Depth noise is seeded by ``options.seed * 2**32 +
+    crc32(case.name)``: the case's name, not its place in a list, picks the
+    draws, and no two report seeds share a case seed.
     """
-    chain = build_display_chain(case.scene, rig, result, options, case_index)
+    options = replace(options, seed=options.seed * 2**32 + zlib.crc32(case.name.encode()))
+    chain = build_display_chain(case.scene, rig, result, options)
 
     corrected = propagate_corners(
         options.pattern,
@@ -506,7 +505,7 @@ def evaluate_case(
 
     return CaseResult(
         name=case.name,
-        seed=options.depth_noise(case_index).rng_seed,
+        seed=options.seed,
         corner_count=len(corrected.indices),
         resolved_count=int(corrected.resolved.sum()),
         resolved_fraction=corrected.resolved_fraction(),
@@ -543,9 +542,6 @@ def run_benchmark(
     cases = tuple(cases)
     with ThreadPoolExecutor(max_workers=thread_count(len(cases))) as pool:
         results = list(
-            pool.map(
-                lambda ic: evaluate_case(ic[1], rig, result, options, ic[0]),
-                enumerate(cases),
-            )
+            pool.map(lambda case: evaluate_case(case, rig, result, options), cases)
         )
     return BenchmarkReport(options=options, results=tuple(results))

@@ -670,7 +670,7 @@ class DepthNoiseModel:
     sigma: float = 0.0
     gamma_full_dropout: float = 10.0
     gamma_no_dropout: float = 30.0
-    rng_seed: int = 0
+    rng_seed: int = 0  # seeds the one generator of each depth image
 
     def __post_init__(self):
         if not 0 <= self.sigma < math.inf:
@@ -709,9 +709,11 @@ def sense_depth(
     """Render a depth image of the scene as seen by ``device``.
 
     Depth is the device-frame z of the nearest surface hit. Gaussian noise
-    and grazing-angle dropout follow ``noise``; misses are invalid. The RNG
-    is split per image row from ``noise.rng_seed``, so results do not depend
-    on how rows are partitioned across workers.
+    and grazing-angle dropout follow ``noise``; misses are invalid. One
+    generator seeded by ``noise.rng_seed`` draws, in row-major order, the
+    noise of every pixel (only when sigma > 0) and then one dropout uniform
+    per pixel, so a pixel whose dropout probability is 0, 1 or NaN gets the
+    same validity whatever the seed.
     """
     w, h = device.width, device.height
     pixels = pixel_center_grid(w, h)
@@ -725,22 +727,10 @@ def sense_depth(
     cos_incidence = np.abs(np.einsum("ij,ij->i", d_world, normals))
     gamma = np.degrees(np.arcsin(np.clip(cos_incidence, 0.0, 1.0))).reshape(h, w)
     p_drop = noise.dropout_probability(gamma)
-    hit = hit.reshape(h, w)
 
-    depth = np.array(z)
-    valid = np.array(hit)
-    # Without noise, a row whose every p_drop is 0, 1 or NaN needs no draws.
-    drawn = (noise.sigma > 0) | np.any((p_drop > 0) & (p_drop < 1), axis=1)
-    for row in range(h):
-        if not drawn[row]:
-            valid[row] &= ~(p_drop[row] >= 1)
-            continue
-        rng = np.random.default_rng([noise.rng_seed, row])
-        if noise.sigma > 0:
-            depth[row] = z[row] + rng.normal(0.0, noise.sigma, size=w)
-        dropped = rng.uniform(size=w) < p_drop[row]
-        valid[row] &= ~dropped
-    valid &= depth > 0
+    rng = np.random.default_rng(noise.rng_seed)
+    depth = z + rng.normal(0.0, noise.sigma, size=(h, w)) if noise.sigma > 0 else z
+    valid = hit.reshape(h, w) & ~(rng.uniform(size=(h, w)) < p_drop) & (depth > 0)
     depth[~valid] = 0.0
     return DepthImage(depth=depth, valid=valid)
 

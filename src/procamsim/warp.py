@@ -554,12 +554,13 @@ def propagate_corners_uncorrected(
     Without correction the framebuffer is the pattern itself at projector
     resolution; corners land wherever the projector rays hit the scene, and
     the desired locations are the pattern corners on the virtual screen.
+    A corner outside the projector frame is never lit, so it cannot resolve.
     """
     desired = pattern.corner_positions(viewport.width_px, viewport.height_px)
     proj_px = pattern.corner_positions(
         true_proj_device.width, true_proj_device.height
     )
     return _view_projected_corners(
-        desired, proj_px, np.ones(len(desired), dtype=bool),
+        desired, proj_px, true_proj_device.contains(proj_px),
         true_scene, true_proj_device, true_proj_to_world, true_upr, viewport,
     )

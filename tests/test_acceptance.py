@@ -296,8 +296,8 @@ def test_criterion_5_distortion_correction():
     for name in ("oblique45", "box", "spheres"):
         case = case_by_name(suite, name)
         t0 = time.perf_counter()
-        res = evaluate_case(case, rig, result, options, case_index=0)
-        chain = build_display_chain(case.scene, rig, result, options, case_index=0)
+        res = evaluate_case(case, rig, result, options)
+        chain = build_display_chain(case.scene, rig, result, options)
         framebuffer = warp_to_projector(
             user_image,
             chain.geometry,
@@ -408,8 +408,8 @@ def test_criterion_6_grazing_band_failure():
     band_invalid = 1.0 - (valid[band].mean() if band.any() else 1.0)
     safe_valid = valid[safe].all() if safe.any() else False
 
-    wedge_res = evaluate_case(wedge, rig, result, options, case_index=6)
-    box_res = evaluate_case(box, rig, result, options, case_index=2)
+    wedge_res = evaluate_case(wedge, rig, result, options)
+    box_res = evaluate_case(box, rig, result, options)
     wedge_unresolved = wedge_res.corner_count - wedge_res.resolved_count
     box_unresolved = box_res.corner_count - box_res.resolved_count
 

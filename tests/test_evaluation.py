@@ -176,7 +176,6 @@ def base_case_result(rig):
         rig,
         result_from_rig(rig),
         fast_options(),
-        case_index=0,
     )
 
 
@@ -201,7 +200,6 @@ class TestEvaluateCase:
             rig,
             result_from_rig(rig),
             fast_options(),
-            case_index=0,
         )
         assert grazing.invalid_depth_fraction > 0.02
         assert grazing.resolved_fraction < 1.0
@@ -226,7 +224,6 @@ class TestEvaluateCase:
                 residuals=result.residuals,
             ),
             fast_options(),
-            case_index=0,
         )
         assert perturbed.corrected_mean_px > 0.3
         assert perturbed.corrected_mean_px > 50.0 * max(
@@ -239,7 +236,6 @@ class TestEvaluateCase:
             rig,
             result_from_rig(rig),
             fast_options(state=PanTiltState(math.radians(8.0), math.radians(-5.0))),
-            case_index=0,
         )
         assert result.resolved_fraction > 0.8
         assert result.corrected_mean_px < 1e-2
@@ -259,7 +255,7 @@ class TestEvaluateCase:
                 ),
             ),
         )
-        r = evaluate_case(case, rig, result_from_rig(rig), fast_options(), case_index=0)
+        r = evaluate_case(case, rig, result_from_rig(rig), fast_options())
         assert r.resolved_count == 0
         assert math.isnan(r.corrected_mean_px)
         assert r.to_json()["corrected_mean_px"] is None
@@ -304,6 +300,17 @@ class TestRunBenchmark:
         monkeypatch.setenv(THREADS_ENV_VAR, "4")
         second = run_benchmark(small_suite, rig, result_from_rig(rig), options=opts)
         assert first.to_json() == second.to_json()
+
+    def test_a_case_gives_the_same_numbers_in_any_subset(self, rig):
+        # The noise seed comes from the case's name, not its list position.
+        suite = standard_suite()
+        base, box = case_by_name(suite, "base"), case_by_name(suite, "box")
+        opts = fast_options(depth_width=40, depth_height=30, depth_noise_sigma=0.01)
+        alone, after_base = (
+            run_benchmark(cases, rig, result_from_rig(rig), options=opts).results[-1].to_json()
+            for cases in ((box,), (base, box))
+        )
+        assert alone == after_base
 
     def test_report_save_writes_artifacts(self, rig, small_suite, tmp_path):
         report = run_benchmark(small_suite, rig, result_from_rig(rig), options=fast_options())

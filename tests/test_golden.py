@@ -36,8 +36,8 @@ GOLDEN = {
     "framebuffer.ppm": "9c9ca1efb9377f0b4a0c37fa1f210bb357cb63fe04f19bb5b7514d994d7ae593",
     "naive.ppm": "f43f925382d131d3ff94084d265ec42abc0f5ba9ac612de09d36c76918d6b76a",
     "view.ppm": "738b9cb2f83ae852fe1bb6c316fe637ad60cf3d15f97dd0e7c8851b2763910ae",
-    "report/report.json": "19afc6847a1131fe59f4a7c20990f866830827fe329fc47393c2ebcdb73a2683",
-    "report/report.txt": "1e2500cc2a328edebbe1a4b500331305c3552b1f9948df99207a8a51719bfd46",
+    "report/report.json": "2cc039e96f08b2659e0bea9a5c4b170ae4f23ae1eb15b2274057eee0d61b8fe8",
+    "report/report.txt": "1afcd9ca8d64a4da8b462d250077868f1af661e4e6ad9bdb17895afa09fc6297",
     "report/overlay_base.ppm": "b3b3a6855b083926ec6bd3da3e8992e0530ad33d3c9daaca4ed02a4ecca01928",
     "report/overlay_oblique45.ppm": "44fa1126699c7a24ae4c2b8017c11768c38c7cda36f86c9b94370524cf121c22",
     "report/overlay_box.ppm": "b3b3a6855b083926ec6bd3da3e8992e0530ad33d3c9daaca4ed02a4ecca01928",

@@ -125,14 +125,12 @@ def test_suite_meshes_under_the_sensor_rays(make_mesh):
 SUITE = standard_suite()
 
 
-@pytest.mark.parametrize("case_index", range(len(SUITE)), ids=[c.name for c in SUITE])
-def test_suite_eye_rays_at_the_reconstructed_mesh(case_index):
+@pytest.mark.parametrize("case", SUITE, ids=[c.name for c in SUITE])
+def test_suite_eye_rays_at_the_reconstructed_mesh(case):
     """The 28 corner rays ``propagate_corners`` casts from the estimated eye."""
     rig = default_rig()
     options = BenchmarkOptions()
-    chain = build_display_chain(
-        SUITE[case_index].scene, rig, result_from_rig(rig), options, case_index
-    )
+    chain = build_display_chain(case.scene, rig, result_from_rig(rig), options)
     viewport = options.viewport
     corners = options.pattern.corner_positions(viewport.width_px, viewport.height_px)
     eye, dirs = chain.est_upr.screen_rays(viewport.to_plane(corners))

@@ -282,3 +282,44 @@ def test_every_method_is_read_by_the_package_or_the_benchmark():
     assert methods, f"no methods found under {SRC}"
     unread = sorted(f"{module}:{cls}.{name}" for module, cls, name in methods if name not in read)
     assert unread == [], "never read: " + ", ".join(unread)
+
+
+def _dotted(node):
+    """``a.b.c`` for an attribute chain on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def test_every_generator_is_seeded():
+    """Every ``np.random`` call builds a generator from an explicit seed:
+    ``default_rng(<seed>)``. numpy's legacy global state (``np.random.seed``,
+    ``np.random.normal``, ...) or an unseeded generator would make artifacts
+    depend on what ran before or on the clock."""
+    calls = 0
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                modules = []
+            bad += [f"{path.name}:{node.lineno} imports {m}" for m in modules
+                    if m.startswith("numpy.random")]
+            name = _dotted(node.func) if isinstance(node, ast.Call) else None
+            if name is None or not name.startswith(("np.random.", "numpy.random.")):
+                continue
+            calls += 1
+            seeds = node.args + [k.value for k in node.keywords]
+            if not (
+                name.endswith(".default_rng") and len(seeds) == 1
+                and not (isinstance(seeds[0], ast.Constant) and seeds[0].value is None)
+            ):
+                bad.append(f"{path.name}:{node.lineno} calls {name}")
+    assert calls, f"no np.random calls found under {SRC}"
+    assert bad == [], "unseeded or global-state randomness: " + ", ".join(bad)

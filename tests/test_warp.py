@@ -1964,6 +1964,25 @@ class TestUncorrectedPropagation:
 
         assert mean_err(frontal_wall_scene()) < mean_err(oblique_wall_scene())
 
+    def test_corners_outside_the_projector_frame_do_not_resolve(self):
+        # The 480x300 default pattern overhangs a 320x180 projector: of its
+        # 28 corners, 13 lie outside the frame and are never lit.
+        rig, proj_to_world, upr = true_models()
+        d = rig.proj_device
+        small = PinholeDevice(
+            fx=d.fx / 6, fy=d.fy / 6, cx=d.cx / 6, cy=d.cy / 6, width=320, height=180,
+            skew=d.skew / 6,
+        )
+        pattern = CheckerPattern()
+        inside = small.contains(pattern.corner_positions(320, 180))
+        assert (d.width, d.height) == (1920, 1080) and inside.sum() == 15
+        prop = propagate_corners_uncorrected(
+            pattern, frontal_wall_scene(), small, proj_to_world, upr,
+            Viewport(width_px=1920, height_px=1080),
+        )
+        assert np.array_equal(prop.resolved, inside)
+        assert np.isnan(prop.observed_px[~inside]).all()
+
 
 class TestEndToEndWarpDisplay:
     def test_corrected_display_restores_pattern_geometry(self):
