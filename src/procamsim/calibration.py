@@ -15,10 +15,11 @@ The pipeline recovers three things, each from its own observations only:
    from projected-pixel / front-frame-point correspondences via a
    normalized DLT, an RQ decomposition and a reprojection refinement.
 
-Each camera's corner observation is a dict from corner index to (3,)
-point, the form both corner stages read. Calibration sessions and results
-are JSON files with ``schema_version`` 1; angles are degrees in files and
-radians in memory, lengths are meters.
+A camera's corner observation is a dict from corner index to (3,) point,
+as ``CheckerboardTarget.observe`` returns it, and a motor sweep is a tuple
+of AxisRecords. Calibration sessions and results are JSON files with
+``schema_version`` 1; angles are degrees in files and radians in memory,
+lengths are meters.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import (
     SchemaError,
     StageError,
     UnderdeterminedError,
+    decoder,
     load_json,
     save_json,
 )
@@ -81,22 +83,9 @@ class AxisRecord:
         object.__setattr__(self, "corners", corners)
 
 
-@dataclass(frozen=True)
-class AxisObservationSet:
-    """Sweep of one motor; the other motor is held at zero."""
-
-    records: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def common_corner_indices(self) -> list[int]:
-        if not self.records:
-            return []
-        return sorted(set.intersection(*(set(rec.corners) for rec in self.records)))
+def common_corner_indices(records) -> list[int]:
+    """Sorted indices of the corners seen in every record of a sweep."""
+    return sorted(set.intersection(*(set(rec.corners) for rec in records))) if records else []
 
 
 @dataclass(frozen=True)
@@ -152,8 +141,8 @@ class ProjectorCorrespondenceSet:
 
 @dataclass(frozen=True)
 class CalibrationSession:
-    pan_observations: AxisObservationSet | None = None
-    tilt_observations: AxisObservationSet | None = None
+    pan_observations: tuple[AxisRecord, ...] | None = None
+    tilt_observations: tuple[AxisRecord, ...] | None = None
     rear_registration: RearRegistrationRecord | None = None
     projector: ProjectorCorrespondenceSet | None = None
     ground_truth: RigModel | None = None
@@ -278,19 +267,18 @@ def _axis_residuals(axis, thetas, trajectories) -> np.ndarray:
     return (comp - comp.mean(axis=0, keepdims=True)).ravel()
 
 
-def estimate_axis(observations: AxisObservationSet) -> tuple[np.ndarray, float]:
-    """Recover one motor's unit axis from a checkerboard sweep.
+def estimate_axis(records) -> tuple[np.ndarray, float]:
+    """Recover one motor's unit axis from a sweep of it, one AxisRecord per angle.
 
     Returns the axis and the RMS distance (meters) of the motor-compensated
     corner positions from their per-corner means. The axis sign is chosen so
     positive angles follow the right-hand rule around it, i.e. the sign that
     actually explains the recorded motion.
     """
-    records = observations.records
     thetas = np.array([rec.theta for rec in records], dtype=float)
     if len(np.unique(np.round(thetas, 12))) < 3:
         raise DegenerateConfigurationError("need at least 3 distinct motor angles")
-    common = observations.common_corner_indices()
+    common = common_corner_indices(records)
     if not common:
         raise DegenerateConfigurationError("no corner is visible at every angle")
 
@@ -501,8 +489,8 @@ def calibrate_projector(
 # -- Full pipeline ------------------------------------------------------------
 
 
-def _axis_sample_count(observations: AxisObservationSet) -> int:
-    return len(observations) * len(observations.common_corner_indices())
+def _axis_sample_count(records) -> int:
+    return len(records) * len(common_corner_indices(records))
 
 
 def _run_stage(name: str, missing: str, stage, data):
@@ -610,12 +598,12 @@ def _corners_from_json(records: list) -> dict:
 
 
 def session_to_json(session: CalibrationSession) -> dict:
-    def axis_obs(obs):
-        if obs is None:
+    def axis_obs(records):
+        if records is None:
             return None
         return [
             {"angle_deg": math.degrees(rec.theta), "corners": _corners_to_json(rec.corners)}
-            for rec in obs.records
+            for rec in records
         ]
 
     rear = None
@@ -650,22 +638,30 @@ def session_to_json(session: CalibrationSession) -> dict:
     }
 
 
+@decoder
+def _axis_record_from_json(r: Fields) -> AxisRecord:
+    return AxisRecord(math.radians(r.number("angle_deg")), _corners_from_json(r.objs("corners")))
+
+
+@decoder
+def _projector_from_json(r: Fields) -> ProjectorCorrespondenceSet:
+    width, height = r.grid_size("width", "height")
+    corrs = r.objs("correspondences")
+    return ProjectorCorrespondenceSet(
+        pixels=[c.array("pixel", (2,)) for c in corrs],
+        points=[c.array("point", (3,)) for c in corrs],
+        plane_ids=[c.integer("plane_id") for c in corrs],
+        width=width,
+        height=height,
+    )
+
+
 def session_from_json(r: Fields) -> CalibrationSession:
     r.check_version("session")
 
     def axis_obs(name):
         records = r.objs(f"{name}_observations", None)
-        if records is None:
-            return None
-        return AxisObservationSet(
-            records=tuple(
-                AxisRecord(
-                    theta=math.radians(rec.number("angle_deg")),
-                    corners=_corners_from_json(rec.objs("corners")),
-                )
-                for rec in records
-            ),
-        )
+        return None if records is None else tuple(map(_axis_record_from_json, records))
 
     rear = r.obj("rear_registration", None)
     if rear is not None:
@@ -674,22 +670,12 @@ def session_from_json(r: Fields) -> CalibrationSession:
             rear_corners=_corners_from_json(rear.objs("rear_corners")),
         )
     projector = r.obj("projector", None)
-    if projector is not None:
-        width, height = projector.grid_size("width", "height")
-        corrs = projector.objs("correspondences")
-        projector = ProjectorCorrespondenceSet(
-            pixels=[c.array("pixel", (2,)) for c in corrs],
-            points=[c.array("point", (3,)) for c in corrs],
-            plane_ids=[c.integer("plane_id") for c in corrs],
-            width=width,
-            height=height,
-        )
     truth = r.obj("ground_truth", None)
     return CalibrationSession(
         pan_observations=axis_obs("pan"),
         tilt_observations=axis_obs("tilt"),
         rear_registration=rear,
-        projector=projector,
+        projector=None if projector is None else _projector_from_json(projector),
         ground_truth=None if truth is None else RigModel.from_json(truth),
     )
 

@@ -36,7 +36,8 @@ from .calibration import (
     save_session,
 )
 from .errors import (
-    MAX_IMAGE_SIDE, MAX_MAGNITUDE, Fields, ProcamError, SchemaError, check_pixel_budget, load_json,
+    MAX_IMAGE_SIDE, MAX_MAGNITUDE, Fields, ProcamError, SchemaError, check_pixel_budget, decoder,
+    load_json,
 )
 from .evaluation import (
     BenchmarkOptions,
@@ -76,6 +77,7 @@ class CliConfig:
         self.benchmark_cases = benchmark_cases  # tuple of names, or None
 
 
+@decoder
 def _display_options(display: Fields, seed: int) -> BenchmarkOptions:
     kwargs = {}
     if "viewport" in display:
@@ -134,7 +136,13 @@ def _config_from_json(r: Fields, base: Path) -> CliConfig:
     panorama = None
     if content.text("type", "checker", choices=("checker", "image")) == "image":
         panorama = read_image(base / content.text("path"))
-    return CliConfig(rig, scene, protocol, options, panorama, bench.texts("cases", None))
+    cases = bench.texts("cases", None)
+    known = [case.name for case in standard_suite()] if cases else []
+    unknown = [name for name in cases or () if name not in known]
+    if unknown:
+        where = bench.where("cases")
+        raise SchemaError(f'{where}: unknown case "{unknown[0]}"; known cases: {", ".join(known)}')
+    return CliConfig(rig, scene, protocol, options, panorama, cases)
 
 
 # -- Shared display pipeline -------------------------------------------------------
@@ -216,8 +224,8 @@ def cmd_simulate_calib(args) -> None:
     session = synthesize_session(cfg.rig, cfg.scene, protocol=protocol)
     save_session(session, args.out)
     print(f"session: {args.out}")
-    print(f"  pan records: {len(session.pan_observations.records)}")
-    print(f"  tilt records: {len(session.tilt_observations.records)}")
+    print(f"  pan records: {len(session.pan_observations)}")
+    print(f"  tilt records: {len(session.tilt_observations)}")
     print(f"  projector correspondences: {len(session.projector)}")
 
 
@@ -295,14 +303,8 @@ def cmd_evaluate(args) -> None:
     result = _load_result_or_truth(args, cfg.rig)
     options = _apply_overrides(cfg.options, args)
     suite = standard_suite()
-    if cfg.benchmark_cases is not None:
-        try:
-            suite = tuple(case_by_name(suite, name) for name in cfg.benchmark_cases)
-        except KeyError:
-            known = ", ".join(c.name for c in standard_suite())
-            raise SchemaError(
-                f"unknown benchmark case in config; known cases: {known}"
-            ) from None
+    if cfg.benchmark_cases is not None:  # names checked at config load
+        suite = tuple(case_by_name(suite, name) for name in cfg.benchmark_cases)
     report = run_benchmark(suite, cfg.rig, result, options)
     report.save(args.out)
     print(report.text_summary(), end="")

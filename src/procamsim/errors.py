@@ -9,6 +9,7 @@ malformed file always ends in a SchemaError naming the file and the field.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -123,7 +124,8 @@ class Fields:
     ``devices.projector``. A getter returns ``default`` for a field that is
     absent or null; with no default the field is required. A bad field
     raises SchemaError naming its path, and an image over the budget
-    LimitError. Range checks stay with the objects, which code builds too.
+    LimitError. Range checks stay with the objects, which code builds too; a
+``decoder`` names the path of the object whose check failed.
     """
 
     def __init__(self, data, path: str = ""):
@@ -231,6 +233,22 @@ class Fields:
         if values is None:
             return None
         return [Fields(v, f"{self.where(key)}[{i}]") for i, v in enumerate(values)]
+
+
+def decoder(decode):
+    """Decorate a decoder of a Fields argument ``r``: a ValueError raised while
+    it builds objects, such as a constructor's range check, becomes a
+    SchemaError prefixed with ``r.path``."""
+
+    @functools.wraps(decode)
+    def wrapper(*args, **kwargs):
+        try:
+            return decode(*args, **kwargs)
+        except ValueError as exc:
+            path = next(a.path for a in args if isinstance(a, Fields))
+            raise SchemaError(f"{path}: {exc}" if path else str(exc)) from exc
+
+    return wrapper
 
 
 def save_json(path, data) -> None:

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DegenerateConfigurationError, Fields
+from .errors import DegenerateConfigurationError, Fields, decoder
 
 # Unit-axis inputs may deviate from unit norm by at most this much.
 UNIT_AXIS_TOL = 1e-6
@@ -184,6 +184,7 @@ class RigidTransform:
         }
 
     @classmethod
+    @decoder
     def from_json(cls, r: Fields) -> "RigidTransform":
         t = r.array("translation", (3,))
         axis = r.array("axis", (3,))
@@ -232,6 +233,7 @@ class PinholeDevice:
         return asdict(self)
 
     @classmethod
+    @decoder
     def from_json(cls, r: Fields) -> "PinholeDevice":
         width, height = r.grid_size("width", "height")
         return cls(

@@ -1,11 +1,12 @@
-"""Pan/tilt platform kinematics and simulated checkerboard observation.
+"""Pan/tilt platform kinematics and the rig file.
 
 The platform carries a front RGB-D camera, a rear camera and a projector.
 Both motor axes are fixed unit directions in the world frame and both
 rotations pass through the world origin, so a platform point p seen in the
 front-camera frame maps to the world as ``R_tilt(beta) @ R_pan(alpha) @ p``.
 At the home state (alpha = beta = 0) the front camera frame coincides with
-the world frame.
+the world frame. ``rig_pose`` gives each device's world pose at a state,
+the pose at which a device observes the scene.
 
 Rig files are JSON with ``schema_version`` 1 holding the axes, the two
 mounting transforms and the three device intrinsics.
@@ -18,15 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyObservationError, Fields, LimitError, load_json, save_json
-from .geometry import (
-    PinholeDevice,
-    RigidTransform,
-    normalized,
-    project_points,
-    rotation_about_axis,
-)
-from .scene import CheckerboardTarget
+from .errors import Fields, LimitError, decoder, load_json, save_json
+from .geometry import PinholeDevice, RigidTransform, normalized, rotation_about_axis
 
 
 @dataclass(frozen=True)
@@ -80,6 +74,7 @@ class RigModel:
         }
 
     @classmethod
+    @decoder
     def from_json(cls, r: Fields) -> "RigModel":
         r.check_version("rig")
         devices = r.obj("devices")
@@ -146,42 +141,6 @@ def rig_pose(model: RigModel, state: PanTiltState) -> RigPose:
     return RigPose.compose(
         pan_tilt_rotation(model, state), model.rear_to_front, model.front_to_proj
     )
-
-
-def observe_checkerboard(
-    target: CheckerboardTarget,
-    model: RigModel,
-    state: PanTiltState,
-    noise_sigma: float,
-    rng: np.random.Generator,
-    camera: str = "front",
-) -> dict[int, np.ndarray]:
-    """Corner positions of ``target`` in a rig camera's frame.
-
-    Corners outside the camera frustum are omitted; isotropic Gaussian noise
-    of ``noise_sigma`` meters is added to the kept 3-D positions. Returns a
-    dict from corner index to (3,) point, in increasing index order; raises
-    EmptyObservationError when no corner is visible. Observation is analytic
-    and ignores occlusion.
-    """
-    pose = rig_pose(model, state)
-    if camera == "front":
-        cam_to_world, device = pose.front_to_world, model.front_device
-    elif camera == "rear":
-        cam_to_world, device = pose.rear_to_world, model.rear_device
-    else:
-        raise ValueError(f"camera must be 'front' or 'rear', got {camera!r}")
-
-    corners_cam = cam_to_world.inverse().apply(target.corners_world())
-    uv, _ = project_points(device, RigidTransform.identity(), corners_cam)
-    visible = device.contains(uv)
-    if not visible.any():
-        raise EmptyObservationError(
-            f"no checkerboard corner visible in the {camera} camera"
-        )
-    if noise_sigma > 0.0:
-        corners_cam = corners_cam + rng.normal(0.0, noise_sigma, size=corners_cam.shape)
-    return {int(i): corners_cam[i] for i in np.flatnonzero(visible)}
 
 
 def load_rig(path) -> RigModel:

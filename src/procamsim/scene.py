@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Fields, load_json, save_json
+from .errors import Fields, decoder, load_json, save_json
 from .geometry import (
     PinholeDevice,
     RigidTransform,
@@ -603,6 +603,25 @@ class CheckerboardTarget:
     def corners_world(self) -> np.ndarray:
         return self.pose.apply(self.corner_points())
 
+    def observe(
+        self, device: PinholeDevice, device_to_world: RigidTransform, noise_sigma: float, rng
+    ) -> dict[int, np.ndarray]:
+        """Corners seen by ``device`` at ``device_to_world``, in its frame.
+
+        Returns a dict from corner index to (3,) point in increasing index
+        order, without the corners outside the frustum: empty when none is
+        in it. Isotropic Gaussian noise of ``noise_sigma`` meters, drawn for
+        every corner, is added to the kept points. Occlusion is ignored.
+        """
+        corners = device_to_world.inverse().apply(self.corners_world())
+        uv, _ = project_points(device, RigidTransform.identity(), corners)
+        visible = device.contains(uv)
+        if not visible.any():
+            return {}
+        if noise_sigma > 0.0:
+            corners = corners + rng.normal(0.0, noise_sigma, size=corners.shape)
+        return {int(i): corners[i] for i in np.flatnonzero(visible)}
+
     def to_json(self) -> dict:
         return {
             "pose": self.pose.to_json(),
@@ -612,6 +631,7 @@ class CheckerboardTarget:
         }
 
     @classmethod
+    @decoder
     def from_json(cls, r: Fields) -> "CheckerboardTarget":
         rows, cols = r.grid_size("rows", "cols")
         return cls(
@@ -789,6 +809,7 @@ def reconstruct_mesh(
 # -- Scene file I/O ----------------------------------------------------------
 
 
+@decoder
 def _surface_from_json(r: Fields) -> Surface:
     kind = r.text("type", choices=("plane", "sphere", "box", "cylinder", "mesh"))
     common = dict(

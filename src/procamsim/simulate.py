@@ -2,10 +2,11 @@
 
 A calibration protocol describes the motor schedule and noise levels; the
 synthesizer drives the rig model through it, observing a checkerboard with
-both cameras and casting projector rays into the scene, and packages the
-measurements as a calibration session. With zero noise the session is exact,
-so the calibration pipeline can be validated as a round trip; with noise the
-draws are fully determined by the protocol seed.
+the front camera in each sweep and with both cameras for registration, casts
+projector rays into the scene, and packages the measurements as a session.
+With zero noise the session is exact, so the calibration pipeline can be
+validated as a round trip; with noise the draws are fully determined by the
+protocol seed.
 """
 
 from __future__ import annotations
@@ -16,15 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import (
-    AxisObservationSet,
     AxisRecord,
     CalibrationSession,
     ProjectorCorrespondenceSet,
     RearRegistrationRecord,
 )
-from .errors import EmptyObservationError, Fields, check_pixel_budget
+from .errors import EmptyObservationError, Fields, check_pixel_budget, decoder
 from .geometry import backproject_points, pixel_rays, project_points
-from .rig import PanTiltState, RigModel, observe_checkerboard, rig_pose
+from .rig import PanTiltState, RigModel, rig_pose
 from .scene import CheckerboardTarget, Scene, hit_points
 
 
@@ -62,6 +62,7 @@ class CalibrationProtocol:
             raise ValueError("projector_grid must be at least 2x2")
 
     @classmethod
+    @decoder
     def from_json(cls, r: Fields) -> "CalibrationProtocol":
         d = cls()
 
@@ -86,25 +87,25 @@ class CalibrationProtocol:
         return protocol
 
 
+def _seen(corners: dict, fewest: int, where: str) -> dict:
+    """``corners``, or EmptyObservationError naming ``where`` when fewer than ``fewest``."""
+    if len(corners) < fewest:
+        raise EmptyObservationError(f"only {len(corners)} corners seen by the {where}")
+    return corners
+
+
 def _axis_sweep(
-    board: CheckerboardTarget,
-    rig: RigModel,
-    angles_deg,
-    which: str,
-    sigma: float,
-    rng,
-) -> AxisObservationSet:
+    board: CheckerboardTarget, rig: RigModel, angles_deg, which: str, sigma: float, rng
+) -> tuple[AxisRecord, ...]:
+    """Front-camera observations of ``board`` at each angle of the ``which`` motor."""
     records = []
     for angle in angles_deg:
         theta = math.radians(angle)
-        state = (
-            PanTiltState(alpha=theta) if which == "pan" else PanTiltState(beta=theta)
-        )
-        corners = observe_checkerboard(board, rig, state, noise_sigma=sigma, rng=rng)
-        if len(corners) < 4:  # the fewest an AxisRecord takes
-            raise EmptyObservationError(f"only {len(corners)} corners seen at {which} {angle} deg")
-        records.append(AxisRecord(theta=theta, corners=corners))
-    return AxisObservationSet(records=tuple(records))
+        state = PanTiltState(alpha=theta) if which == "pan" else PanTiltState(beta=theta)
+        corners = board.observe(rig.front_device, rig_pose(rig, state).front_to_world, sigma, rng)
+        where = f"front camera at {which} {angle} deg"
+        records.append(AxisRecord(theta, _seen(corners, 4, where)))  # 4: an AxisRecord's fewest
+    return tuple(records)
 
 
 def _projector_samples(
@@ -153,9 +154,7 @@ def _projector_samples(
 
 
 def synthesize_session(
-    rig: RigModel,
-    scene: Scene,
-    protocol: CalibrationProtocol,
+    rig: RigModel, scene: Scene, protocol: CalibrationProtocol
 ) -> CalibrationSession:
     """Drive the rig through a protocol and collect a calibration session.
 
@@ -177,9 +176,12 @@ def synthesize_session(
         alpha=math.radians(protocol.registration_pan_deg),
         beta=math.radians(protocol.registration_tilt_deg),
     )
+    reg_pose = rig_pose(rig, reg_state)
+    front = board.observe(rig.front_device, reg_pose.front_to_world, sigma, rng)
+    rear = board.observe(rig.rear_device, reg_pose.rear_to_world, sigma, rng)
     registration = RearRegistrationRecord(
-        front_corners=observe_checkerboard(board, rig, reg_state, sigma, rng, camera="front"),
-        rear_corners=observe_checkerboard(board, rig, reg_state, sigma, rng, camera="rear"),
+        front_corners=_seen(front, 1, "front camera at the registration state"),
+        rear_corners=_seen(rear, 1, "rear camera at the registration state"),
     )
 
     projector = _projector_samples(rig, scene, protocol, rng)

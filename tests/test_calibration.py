@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from procamsim.calibration import (
-    AxisObservationSet,
     AxisRecord,
     ProjectorCorrespondenceSet,
     RearRegistrationRecord,
     _dlt_projection,
     angle_between,
     calibrate_projector,
+    common_corner_indices,
     estimate_axis,
     load_result,
     load_session,
@@ -85,7 +85,7 @@ def sweep_records(axis, angles_deg, world_pts, noise_sigma=0.0, rng=None):
         if noise_sigma > 0:
             seen = seen + rng.normal(0.0, noise_sigma, size=seen.shape)
         records.append(AxisRecord(theta=theta, corners=dict(enumerate(seen))))
-    return AxisObservationSet(records=tuple(records))
+    return tuple(records)
 
 
 TRUE_AXIS = normalized([0.04, 0.998, -0.03])
@@ -141,13 +141,11 @@ class TestEstimateAxis:
         # determines the axis.
         obs = sweep_records(TRUE_AXIS, SWEEP_ANGLES, board_points())
         records = []
-        for k, rec in enumerate(obs.records):
+        for k, rec in enumerate(obs):
             kept = {i: p for i, p in rec.corners.items() if i != k}
             records.append(AxisRecord(theta=rec.theta, corners=kept))
-        trimmed = AxisObservationSet(records=tuple(records))
-        assert len(trimmed.common_corner_indices()) == len(board_points()) - len(
-            SWEEP_ANGLES
-        )
+        trimmed = tuple(records)
+        assert len(common_corner_indices(trimmed)) == len(board_points()) - len(SWEEP_ANGLES)
         axis, _ = estimate_axis(trimmed)
         assert angle_between(axis, TRUE_AXIS) < 1e-8
 
@@ -165,12 +163,12 @@ class TestEstimateAxis:
     def test_no_common_corner_rejected(self):
         obs = sweep_records(TRUE_AXIS, (-10.0, 0.0, 10.0), board_points())
         records = []
-        all_idx = list(obs.records[0].corners)
+        all_idx = list(obs[0].corners)
         chunks = np.array_split(np.array(all_idx), 3)
-        for rec, chunk in zip(obs.records, chunks):
+        for rec, chunk in zip(obs, chunks):
             kept = {i: rec.corners[i] for i in chunk.tolist()}
             records.append(AxisRecord(theta=rec.theta, corners=kept))
-        disjoint = AxisObservationSet(records=tuple(records))
+        disjoint = tuple(records)
         with pytest.raises(DegenerateConfigurationError):
             estimate_axis(disjoint)
 
@@ -458,7 +456,7 @@ class TestFullPipeline:
         # An absent input and an empty one read alike.
         rig = default_rig()
         session = synthesize_session(rig, calibration_scene(), CalibrationProtocol())
-        no_axis_records = AxisObservationSet(records=())
+        no_axis_records = ()
         no_correspondences = ProjectorCorrespondenceSet(
             np.zeros((0, 2)), np.zeros((0, 3)), np.zeros(0, dtype=int), width=64, height=48
         )
@@ -480,10 +478,7 @@ class TestFullPipeline:
 
     def test_stage_error_wraps_cause(self):
         session = synthesize_session(default_rig(), calibration_scene(), CalibrationProtocol())
-        bad_records = session.pan_observations.records[:2]
-        broken = dataclasses.replace(
-            session, pan_observations=AxisObservationSet(records=bad_records)
-        )
+        broken = dataclasses.replace(session, pan_observations=session.pan_observations[:2])
         with pytest.raises(StageError) as excinfo:
             run_full_calibration(broken)
         assert str(excinfo.value).startswith("stage 'pan axis' failed: ")
@@ -537,8 +532,8 @@ class TestSessionSerialization:
             (session.pan_observations, loaded.pan_observations),
             (session.tilt_observations, loaded.tilt_observations),
         ):
-            assert len(orig.records) == len(back.records)
-            for a, b in zip(orig.records, back.records):
+            assert len(orig) == len(back)
+            for a, b in zip(orig, back):
                 assert abs(a.theta - b.theta) < 1e-12
                 assert list(a.corners) == list(b.corners)
                 pa = np.array(list(a.corners.values()))
@@ -582,6 +577,14 @@ class TestSessionSerialization:
         with pytest.raises(SchemaError):
             result_from_json(Fields({"schema_version": 99}))
 
+    def test_short_axis_record_names_its_path(self):
+        data = session_to_json(
+            synthesize_session(default_rig(), calibration_scene(), CalibrationProtocol())
+        )
+        del data["tilt_observations"][2]["corners"][3:]
+        with pytest.raises(SchemaError, match=r"^tilt_observations\[2\]: each axis record needs"):
+            session_from_json(Fields(data))
+
     def test_rejects_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -614,8 +617,8 @@ class TestSynthesizeSession:
         p2 = CalibrationProtocol(corner_noise_sigma=1e-3, seed=2)
         s1 = synthesize_session(rig, calibration_scene(), protocol=p1)
         s2 = synthesize_session(rig, calibration_scene(), protocol=p2)
-        a = np.array(list(s1.pan_observations.records[0].corners.values()))
-        b = np.array(list(s2.pan_observations.records[0].corners.values()))
+        a = np.array(list(s1.pan_observations[0].corners.values()))
+        b = np.array(list(s2.pan_observations[0].corners.values()))
         assert np.abs(a - b).max() > 1e-6
 
     def test_noiseless_matches_direct_observation(self):
@@ -623,12 +626,11 @@ class TestSynthesizeSession:
         scene = calibration_scene()
         session = synthesize_session(rig, scene, CalibrationProtocol())
         board = scene.checkerboards[0]
-        from procamsim.rig import observe_checkerboard
+        from procamsim.rig import rig_pose
 
-        rec = session.pan_observations.records[0]
-        direct = observe_checkerboard(
-            board, rig, PanTiltState(alpha=rec.theta), 0.0, np.random.default_rng(0)
-        )
+        rec = session.pan_observations[0]
+        pose = rig_pose(rig, PanTiltState(alpha=rec.theta))
+        direct = board.observe(rig.front_device, pose.front_to_world, 0.0, np.random.default_rng(0))
         assert list(rec.corners) == list(direct)
         assert np.allclose(
             np.array(list(rec.corners.values())),
@@ -693,3 +695,19 @@ class TestSynthesizeSession:
         scene = dataclasses.replace(calibration_scene(), checkerboards=(board,))
         with pytest.raises(EmptyObservationError, match="corners seen"):
             synthesize_session(default_rig(), scene, CalibrationProtocol())
+
+    def test_board_out_of_view_at_a_sweep_angle_names_the_motor_and_angle(self):
+        protocol = CalibrationProtocol(pan_angles_deg=(-18.0, 0.0, 18.0, 80.0))
+        with pytest.raises(EmptyObservationError) as excinfo:
+            synthesize_session(default_rig(), calibration_scene(), protocol)
+        assert excinfo.value.code == "empty-observation"
+        assert str(excinfo.value) == "only 0 corners seen by the front camera at pan 80.0 deg"
+
+    def test_rear_camera_that_sees_nothing_is_named(self):
+        rig = default_rig()
+        facing_back = RigidTransform(
+            rotation_about_axis([0.0, 1.0, 0.0], math.pi), rig.rear_to_front.translation
+        )
+        rig = dataclasses.replace(rig, rear_to_front=facing_back)
+        with pytest.raises(EmptyObservationError, match="rear camera at the registration state"):
+            synthesize_session(rig, calibration_scene(), CalibrationProtocol())

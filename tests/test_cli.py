@@ -2,19 +2,21 @@
 
 import json
 import math
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from procamsim import calibration, cli
+from procamsim import calibration, cli, errors
 from procamsim.calibration import load_result
 from procamsim.cli import main
 from procamsim.errors import MAX_MAGNITUDE, Fields, LimitError, SchemaError
 from procamsim.geometry import PinholeDevice, RigidTransform, rotation_about_axis
 from procamsim.images import read_image, read_ppm, write_ppm
 from procamsim.rig import save_rig
-from procamsim.scene import CheckerboardTarget, Plane, Scene, save_scene
+from procamsim.scene import CheckerboardTarget, Plane, Scene, save_scene, scene_to_json
 from procamsim.warp import CheckerPattern
 
 from rigs import default_rig
@@ -320,11 +322,22 @@ class TestEvaluate:
         code = main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "rep")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error[schema]:")
-        assert "known cases" in err
+        assert err.startswith(f'error[schema]: {cfg}: benchmark.cases: unknown case "nope"; ')
+        assert "known cases: base, oblique45," in err
 
 
 class TestErrorReporting:
+    def test_readme_error_table_lists_every_error_code(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("\n## Errors\n", 1)[1].split("\n## ", 1)[0]
+        documented = re.findall(r"^\| `([a-z-]+)` \|", table, flags=re.MULTILINE)
+        codes = {
+            cls.code for cls in vars(errors).values()
+            if isinstance(cls, type) and issubclass(cls, errors.ProcamError)
+        }
+        assert len(documented) == len(set(documented))
+        assert set(documented) == codes
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["correct", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "x.ppm")])
@@ -656,7 +669,7 @@ class TestInputBoundary:
         assert main(["calibrate", "--session", str(session),
                      "--out", str(tmp_path / "result.json")]) == 1
         line = self.assert_one_error_line(capsys, "schema")
-        assert f"{session}: plane_ids must fit in 64-bit integers" in line
+        assert f"{session}: projector: plane_ids must fit in 64-bit integers" in line
 
     @pytest.mark.parametrize("stage", ["pan_observations", "rear_registration"])
     def test_repeated_corner_index_is_a_schema_error(
@@ -733,14 +746,44 @@ class TestInputBoundary:
     def test_pattern_larger_than_the_viewport_fails_at_config_load(self, tmp_path, capsys):
         cfg = write_config(tmp_path, extra_display={"pattern": {"square_px": 1e30}})
         assert main(["correct", "--config", str(cfg), "--out", str(tmp_path / "x.ppm")]) == 1
-        assert f"{cfg}: pattern does not fit" in self.assert_one_error_line(capsys, "schema")
+        err = self.assert_one_error_line(capsys, "schema")
+        assert f"{cfg}: display: pattern does not fit" in err
 
     @pytest.mark.parametrize("command", ["correct", "evaluate"])
     def test_negative_depth_noise_fails_at_config_load(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, extra_display={"depth": {"noise_sigma": -1}})
         code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 1
-        assert f"{cfg}: sigma must be non-negative" in self.assert_one_error_line(capsys, "schema")
+        err = self.assert_one_error_line(capsys, "schema")
+        assert f"{cfg}: display: sigma must be non-negative" in err
+
+    @pytest.mark.parametrize(
+        "where, message, spoil",
+        [
+            ("scene.surfaces[1]", "sphere radius must be positive", lambda rig, scene: scene[
+                "surfaces"].append({"type": "sphere", "center": [0, 0, 2], "radius": -1})),
+            ("scene.surfaces[0]", "cannot normalize",
+             lambda rig, scene: scene["surfaces"][0].update(normal=[0, 0, 0])),
+            ("scene.surfaces[1]", "face indices out of range", lambda rig, scene: scene[
+                "surfaces"].append({"type": "mesh", "vertices": np.eye(3).tolist(),
+                                    "faces": [[0, 1, 3]]})),
+            ("rig.devices.projector", "principal point must lie inside the image",
+             lambda rig, scene: rig["devices"]["projector"].update(cx=5000.0)),
+            ("rig", "motor limits must be positive", lambda rig, scene: rig.update(pan_limit_deg=0)),
+        ],
+        ids=["sphere-radius", "plane-normal", "mesh-face", "projector-cx", "pan-limit"],
+    )
+    def test_range_errors_name_the_field_path(self, tmp_path, capsys, where, message, spoil):
+        # An object built from an inline rig or scene is named by its path in the config.
+        rig, scene = small_rig().to_json(), scene_to_json(calibration_scene())
+        spoil(rig, scene)
+        cfg = json.loads(write_config(tmp_path).read_text())
+        del cfg["rig_path"], cfg["scene_path"]
+        cfg.update(rig=rig, scene=scene)
+        path = tmp_path / "inline.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["correct", "--config", str(path), "--out", str(tmp_path / "x.ppm")]) == 1
+        assert f"{path}: {where}: {message}" in self.assert_one_error_line(capsys, "schema")
 
 
 class TestImageContent:

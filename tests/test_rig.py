@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from procamsim.errors import EmptyObservationError, LimitError, SchemaError
+from procamsim.errors import LimitError, SchemaError
 from procamsim.geometry import (
     PinholeDevice,
     RigidTransform,
@@ -17,7 +17,6 @@ from procamsim.rig import (
     PanTiltState,
     RigModel,
     load_rig,
-    observe_checkerboard,
     pan_tilt_rotation,
     rig_pose,
     save_rig,
@@ -162,61 +161,73 @@ def front_board() -> CheckerboardTarget:
     )
 
 
+def front_view(board, rig, state, sigma=0.0, rng=NO_DRAWS) -> dict:
+    return board.observe(rig.front_device, rig_pose(rig, state).front_to_world, sigma, rng)
+
+
 class TestObserveCheckerboard:
     def test_noiseless_front_observation_matches_transform(self):
         rig = default_rig()
         state = PanTiltState(alpha=0.2, beta=-0.1)
         board = front_board()
-        obs = observe_checkerboard(board, rig, state, 0.0, NO_DRAWS)
+        obs = front_view(board, rig, state)
         world = board.corners_world()
         front_from_world = rig_pose(rig, state).front_to_world.inverse()
         for idx, point in obs.items():
             np.testing.assert_allclose(point, front_from_world.apply(world[idx]), atol=1e-12)
 
     def test_all_corners_visible_at_home(self):
-        obs = observe_checkerboard(front_board(), default_rig(), PanTiltState(), 0.0, NO_DRAWS)
+        obs = front_view(front_board(), default_rig(), PanTiltState())
         assert len(obs) == 6 * 9
 
     def test_out_of_frustum_corners_omitted(self):
         # Pan far enough that part of the board leaves the image.
-        rig = default_rig()
-        obs = observe_checkerboard(
-            front_board(), rig, PanTiltState(alpha=math.radians(28)), 0.0, NO_DRAWS
-        )
+        obs = front_view(front_board(), default_rig(), PanTiltState(alpha=math.radians(28)))
         assert 0 < len(obs) < 54
 
-    def test_board_behind_camera_raises(self):
+    def test_board_behind_camera_sees_nothing(self):
         board = CheckerboardTarget(
             pose=RigidTransform(np.eye(3), np.array([0.0, 0.0, -2.5])),
             rows=6,
             cols=9,
             square_size=0.08,
         )
-        with pytest.raises(EmptyObservationError):
-            observe_checkerboard(board, default_rig(), PanTiltState(), 0.0, NO_DRAWS)
+        rng = np.random.default_rng(5)
+        assert front_view(board, default_rig(), PanTiltState(), 0.001, rng) == {}
+        # An empty observation takes no draws.
+        assert rng.normal() == np.random.default_rng(5).normal()
 
     def test_noise_statistics(self):
         rig = default_rig()
         rng = np.random.default_rng(42)
         board = front_board()
-        obs = observe_checkerboard(board, rig, PanTiltState(), 0.001, rng)
-        clean = observe_checkerboard(board, rig, PanTiltState(), 0.0, NO_DRAWS)
+        obs = front_view(board, rig, PanTiltState(), 0.001, rng)
+        clean = front_view(board, rig, PanTiltState())
         errors = np.array([p - clean[i] for i, p in obs.items()])
         assert abs(errors.std() - 0.001) < 3e-4
 
+    def test_noise_is_drawn_for_every_corner(self):
+        # Draws do not depend on visibility: corner i takes row i of one
+        # (rows * cols, 3) draw whether or not it is kept.
+        rig = default_rig()
+        state = PanTiltState(alpha=math.radians(28))
+        board = front_board()
+        obs = front_view(board, rig, state, 0.001, np.random.default_rng(3))
+        clean = front_view(board, rig, state)
+        noise = np.random.default_rng(3).normal(0.0, 0.001, size=(54, 3))
+        assert list(obs) == list(clean) and len(obs) < 54
+        for i, p in obs.items():
+            np.testing.assert_allclose(p, clean[i] + noise[i], rtol=0, atol=1e-15)
+
     def test_rear_camera_observation(self):
         rig = default_rig()
-        obs = observe_checkerboard(front_board(), rig, PanTiltState(), 0.0, NO_DRAWS, camera="rear")
+        pose = rig_pose(rig, PanTiltState())
+        obs = front_board().observe(rig.rear_device, pose.rear_to_world, 0.0, NO_DRAWS)
         world = front_board().corners_world()
-        rear_from_world = rig_pose(rig, PanTiltState()).rear_to_world.inverse()
+        rear_from_world = pose.rear_to_world.inverse()
+        assert obs
         for idx, point in obs.items():
             np.testing.assert_allclose(point, rear_from_world.apply(world[idx]), atol=1e-12)
-
-    def test_unknown_camera(self):
-        with pytest.raises(ValueError):
-            observe_checkerboard(
-                front_board(), default_rig(), PanTiltState(), 0.0, NO_DRAWS, camera="top"
-            )
 
 
 class TestRigIO:
